@@ -1,7 +1,8 @@
 # Developer / CI entry points. `make ci` is the gate: vet, the full test
-# suite under the race detector (crash-matrix recovery tests included), a
-# single pass over every benchmark so the macro experiments at least
-# compile and run, the online-reconfiguration gate (migration determinism
+# suite under the race detector (crash-matrix recovery tests included), the
+# kernel-calling packages again on the portable kernels, a single pass
+# over every benchmark so the macro experiments at least compile and run,
+# the online-reconfiguration gate (migration determinism
 # and the migration crash matrix, run explicitly so they cannot be
 # filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
@@ -10,7 +11,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate fuzz-smoke ci
+.PHONY: all build test race purego vet bench bench-churn bench-server bench-json bench-json-smoke bench-compare alloc-gate reconfig-gate fuzz-smoke ci
 
 all: build
 
@@ -27,6 +28,13 @@ vet:
 # SearchBatch / live-collection / server-client tests.
 race:
 	$(GO) test -race ./...
+
+# The portable kernels (kernels.go) are the only scalar float32 distance
+# arithmetic and the reference the SSE ones are tested against, but an
+# amd64 build never compiles them in: run the packages that call the
+# kernels — goldens and bit-identity tests included — with them forced.
+purego:
+	$(GO) test -tags purego ./internal/linalg ./internal/index ./internal/kmeans
 
 # One iteration of every benchmark (root figure/table suite, the churn
 # benchmark BenchmarkSearchAfterDeletes, and package micro-benchmarks) —
@@ -49,11 +57,11 @@ bench-server:
 
 # The query-path benchmark trajectory: the root churn + SearchBatch
 # worker-scaling + sharded insert/search benchmarks, the per-index
-# single-query benchmarks, and the end-to-end server wire benchmarks
-# (QPS/latency/recall per protocol mode), with allocation stats, written
-# to BENCH_query.json. The file is committed so future performance PRs diff
-# against a baseline; only regenerate it deliberately, on the baseline
-# machine.
+# single-query benchmarks, the build-path ones (HNSW build, k-means run),
+# and the end-to-end server wire benchmarks (QPS/latency/recall per
+# protocol mode), with allocation stats, written to BENCH_query.json. The
+# file is committed so future performance PRs diff against a baseline;
+# only regenerate it deliberately, on the baseline machine.
 BENCH_JSON_OUT ?= BENCH_query.json
 
 bench-json:
@@ -65,6 +73,8 @@ bench-json:
 	if ! $(GO) test -run '^$$' -bench 'ShardedSearchBatch' -benchmem -benchtime=30x . >> "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
 	if ! $(GO) test -run '^$$' -bench 'BenchmarkHNSWSearch|BenchmarkIVFFlatSearch' -benchmem -benchtime=2000x ./internal/index >> "$$tmp" 2>&1; \
+		then cat "$$tmp"; exit 1; fi; \
+	if ! $(GO) test -run '^$$' -bench 'BenchmarkHNSWBuild|BenchmarkKMeansRun' -benchmem -benchtime=3x ./internal/index ./internal/kmeans >> "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
 	if ! $(GO) test -run '^$$' -bench 'BenchmarkKernelMultiQuery|BenchmarkKernelQuantized' -benchmem -benchtime=10x ./internal/linalg >> "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
@@ -133,7 +143,7 @@ fuzz-smoke:
 
 # BENCH_GATE=1 additionally runs the bench-compare regression fence (the
 # smoke pass already proves the pipeline itself works).
-ci: vet race bench reconfig-gate alloc-gate fuzz-smoke bench-json-smoke
+ci: vet race purego bench reconfig-gate alloc-gate fuzz-smoke bench-json-smoke
 ifeq ($(BENCH_GATE),1)
 ci: bench-compare
 endif

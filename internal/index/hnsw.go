@@ -20,6 +20,18 @@ import (
 // result heaps from a reusable scratch, so a steady-state query performs
 // no heap allocations beyond the returned neighbor slice.
 //
+// Neither traversal nor pruning scores a node's neighbors one pair at a
+// time. Expansion is batched: a traversal step first collects the node's
+// unvisited neighbors, scores them in one linalg.DistanceRows call, then
+// pushes them in link order, so the beam sees the same distances in the
+// same order as a pair-by-pair walk. Pruning scores once: an overfull link list's distances to its
+// node are computed in one call, the (neighbor, distance) pairs sorted,
+// and the distances handed on to the selection heuristic. Stats are a
+// cost model, not a call count, and stay those of the pair-by-pair
+// formulation — pruning is charged two evaluations per sort comparison
+// and selection one per candidate examined, though neither recomputes —
+// because the engine derives simulated build time from them.
+//
 // Build is parallel but deterministic. Nodes are inserted in waves whose
 // sizes depend only on the corpus size: every node in a wave plans its
 // neighbor lists concurrently against the frozen pre-wave graph (a pure
@@ -44,6 +56,9 @@ type hnsw struct {
 	maxLevel int
 	built    bool
 	work     Stats
+	// prune is the transient state of pruneNeighbors, used only by the
+	// sequential apply phase of Build.
+	prune pruneScratch
 
 	levelMult float64
 	scratch   scratchPool
@@ -85,6 +100,13 @@ func (h *hnsw) pool() *scratchPool { return &h.scratch }
 func (h *hnsw) dist(st *Stats, a, b []float32) float32 {
 	st.DistComps++
 	return linalg.Distance(h.metric, a, b)
+}
+
+// distRows evaluates the distances of q to the given nodes in one batched
+// call, charging one evaluation per node to st.
+func (h *hnsw) distRows(st *Stats, q []float32, nodes []int32, out []float32) {
+	st.DistComps += int64(len(nodes))
+	linalg.DistanceRows(h.metric, q, h.store, nodes, out)
 }
 
 // row is the arena accessor for node vectors.
@@ -151,6 +173,7 @@ func (h *hnsw) Build(store *linalg.Matrix, ids []int64) error {
 		}
 		lo += wave
 	}
+	h.prune = pruneScratch{}
 	h.repairConnectivity()
 	h.built = true
 	return nil
@@ -166,12 +189,14 @@ func (h *hnsw) randomLevel(rng *rand.Rand) int {
 
 // hnswPlan is one node's planned insertion: the neighbor list per layer it
 // will adopt, computed against the frozen pre-wave graph, plus the distance
-// accounting of the planning search and an entry-point buffer reused
-// across waves.
+// accounting of the planning search and the buffers reused across waves —
+// the entry points with their beam distances, and selectNeighbors' scratch.
 type hnswPlan struct {
-	layers [][]int32
-	work   Stats
-	eps    []int32
+	layers   [][]int32
+	work     Stats
+	eps      []int32
+	epD      []float32
+	rejected []int32
 }
 
 // plan computes node's neighbor lists against the current (frozen) graph,
@@ -193,18 +218,21 @@ func (h *hnsw) plan(node int, pl *hnswPlan, scratch *searchScratch) {
 	q := h.row(int32(node))
 	ep := h.entry
 	for l := h.maxLevel; l > level; l-- {
-		ep = h.greedyClosest(q, ep, l, &pl.work)
+		epD := h.dist(&pl.work, q, h.row(int32(ep)))
+		ep, _ = h.greedyLayer(q, ep, epD, l, &pl.work, scratch)
 	}
 	pl.eps = append(pl.eps[:0], int32(ep))
 	for l := top; l >= 0; l-- {
 		cands := h.searchLayer(q, pl.eps, h.efCons, l, &pl.work, scratch)
 		// The beam's nodes, in ascending-distance order, seed both the
-		// neighbor selection and the next layer's entry points.
-		pl.eps = pl.eps[:0]
+		// neighbor selection (with the distances the beam already holds)
+		// and the next layer's entry points.
+		pl.eps, pl.epD = pl.eps[:0], pl.epD[:0]
 		for _, c := range cands {
 			pl.eps = append(pl.eps, int32(c.ID))
+			pl.epD = append(pl.epD, c.Dist)
 		}
-		pl.layers[l] = h.selectNeighbors(q, pl.eps, h.m, &pl.work)
+		pl.layers[l] = h.selectNeighbors(pl.eps, pl.epD, h.m, &pl.work, &pl.rejected)
 	}
 }
 
@@ -237,21 +265,25 @@ func (h *hnsw) apply(node int, pl *hnswPlan) {
 	}
 }
 
-// greedyClosest walks layer l greedily from ep toward q and returns the
-// local minimum, charging distance work to st.
-func (h *hnsw) greedyClosest(q []float32, ep, l int, st *Stats) int {
-	cur := ep
-	curD := h.dist(st, q, h.row(int32(cur)))
+// greedyLayer walks layer l greedily from cur (at distance curD from q)
+// toward q and returns the local minimum with its distance, charging
+// distance work to st. Each step scores all of the current node's links at
+// once; the first strictly closer one in link order wins ties, as when
+// they were scored one by one.
+func (h *hnsw) greedyLayer(q []float32, cur int, curD float32, l int, st *Stats, s *searchScratch) (int, float32) {
 	for {
+		nbs := h.links[cur][l]
+		s.dists = f32Buf(s.dists, len(nbs))
+		h.distRows(st, q, nbs, s.dists)
 		improved := false
-		for _, nb := range h.links[cur][l] {
-			if d := h.dist(st, q, h.row(nb)); d < curD {
+		for i, nb := range nbs {
+			if d := s.dists[i]; d < curD {
 				cur, curD = int(nb), d
 				improved = true
 			}
 		}
 		if !improved {
-			return cur
+			return cur, curD
 		}
 	}
 }
@@ -266,12 +298,8 @@ func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *se
 	stamp := s.beginVisit(h.store.Rows())
 	frontier := s.frontier[:0]
 	results := s.stage1.Reset(ef)
-	for _, ep := range eps {
-		if s.visited[ep] == stamp {
-			continue
-		}
-		s.visited[ep] = stamp
-		d := h.dist(st, q, h.row(ep))
+	for i, ep := range h.scoreUnvisited(q, eps, stamp, st, s) {
+		d := s.dists[i]
 		frontier = append(frontier, hnswCand{ep, d})
 		results.Push(int64(ep), d)
 	}
@@ -293,12 +321,8 @@ func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *se
 		if results.Full() && c.d > results.Worst() {
 			break
 		}
-		for _, nb := range h.links[c.node][l] {
-			if s.visited[nb] == stamp {
-				continue
-			}
-			s.visited[nb] = stamp
-			d := h.dist(st, q, h.row(nb))
+		for i, nb := range h.scoreUnvisited(q, h.links[c.node][l], stamp, st, s) {
+			d := s.dists[i]
 			if !results.Full() || d < results.Worst() {
 				results.Push(int64(nb), d)
 				// Insert keeping frontier[head:] sorted (small beams,
@@ -323,30 +347,60 @@ func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *se
 	return s.beamOut
 }
 
+// scoreUnvisited marks the not-yet-visited nodes among nodes as visited and
+// scores them against q in one batched call. It returns them in their
+// original order (valid until s's next scoreUnvisited) with their
+// distances in s.dists, one evaluation each charged to st.
+func (h *hnsw) scoreUnvisited(q []float32, nodes []int32, stamp uint32, st *Stats, s *searchScratch) []int32 {
+	fresh := s.fresh[:0]
+	for _, nb := range nodes {
+		if s.visited[nb] != stamp {
+			s.visited[nb] = stamp
+			fresh = append(fresh, nb)
+		}
+	}
+	s.fresh = fresh
+	s.dists = f32Buf(s.dists, len(fresh))
+	h.distRows(st, q, fresh, s.dists)
+	return fresh
+}
+
 // selectNeighbors keeps up to m diverse candidates using the HNSW
 // paper's Algorithm 4 heuristic: a candidate (scanned in ascending
-// distance to q) is kept only when it is closer to q than to every
-// already-kept neighbor, which preserves graph connectivity across
-// cluster boundaries. Remaining slots are filled with the closest
+// distance to the query) is kept only when it is closer to the query than
+// to every already-kept neighbor, which preserves graph connectivity
+// across cluster boundaries. Remaining slots are filled with the closest
 // rejected candidates, mirroring hnswlib's keepPrunedConnections.
-func (h *hnsw) selectNeighbors(q []float32, cands []int32, m int, st *Stats) []int32 {
+//
+// dq[i] is cands[i]'s distance to the query, which every caller already
+// holds; st is still charged one evaluation per candidate examined (see
+// the type comment). The returned slice is fresh — the graph adopts it;
+// the rejected list is built in *scratch, which keeps the grown buffer for
+// the caller's next call.
+func (h *hnsw) selectNeighbors(cands []int32, dq []float32, m int, st *Stats, scratch *[]int32) []int32 {
 	if len(cands) <= m {
 		out := make([]int32, len(cands))
 		copy(out, cands)
 		return out
 	}
 	out := make([]int32, 0, m)
-	var rejected []int32
-	for _, c := range cands {
+	rejected := (*scratch)[:0]
+	for i, c := range cands {
 		if len(out) >= m {
 			break
 		}
-		dq := h.dist(st, q, h.row(c))
+		st.DistComps++
 		keep := true
-		for _, s := range out {
-			if h.dist(st, h.row(c), h.row(s)) < dq {
-				keep = false
-				break
+		var buf [4]float32
+		for lo := 0; lo < len(out) && keep; lo += 4 {
+			hi := min(lo+4, len(out))
+			linalg.DistanceRows(h.metric, h.row(c), h.store, out[lo:hi], buf[:hi-lo])
+			for _, d := range buf[:hi-lo] {
+				st.DistComps++
+				if d < dq[i] {
+					keep = false
+					break
+				}
 			}
 		}
 		if keep {
@@ -355,6 +409,7 @@ func (h *hnsw) selectNeighbors(q []float32, cands []int32, m int, st *Stats) []i
 			rejected = append(rejected, c)
 		}
 	}
+	*scratch = rejected
 	for _, c := range rejected {
 		if len(out) >= m {
 			break
@@ -364,15 +419,45 @@ func (h *hnsw) selectNeighbors(q []float32, cands []int32, m int, st *Stats) []i
 	return out
 }
 
+// pruneScratch is pruneNeighbors' reusable transient state, and the
+// sort.Interface that orders a link list nbs by its memoized distances d.
+// The comparator calls are counted because Stats charge for them, which
+// makes the sort algorithm part of the build's output: sort.Sort and
+// sort.Slice run the same generated pdqsort (same calls, same permutation,
+// ties included, for the same comparison outcomes); a different sort
+// would change build DistComps.
+type pruneScratch struct {
+	nbs      []int32
+	d        []float32
+	compars  int64
+	rejected []int32
+}
+
+func (p *pruneScratch) Len() int { return len(p.nbs) }
+
+func (p *pruneScratch) Less(i, j int) bool {
+	p.compars++
+	return p.d[i] < p.d[j]
+}
+
+func (p *pruneScratch) Swap(i, j int) {
+	p.nbs[i], p.nbs[j] = p.nbs[j], p.nbs[i]
+	p.d[i], p.d[j] = p.d[j], p.d[i]
+}
+
 // pruneNeighbors trims node's link list to maxM diverse neighbors (the
 // same Algorithm 4 heuristic applied with the node itself as the query).
-// It runs only in the sequential apply/repair phases and charges h.work.
+// The list's distances to the node are computed once and carried through
+// the sort into the selection; the sort is charged the two evaluations per
+// comparison its comparator used to make. It runs only in the sequential
+// apply phase and charges h.work.
 func (h *hnsw) pruneNeighbors(node int, nbs []int32, maxM int) []int32 {
-	v := h.row(int32(node))
-	sort.Slice(nbs, func(i, j int) bool {
-		return h.dist(&h.work, v, h.row(nbs[i])) < h.dist(&h.work, v, h.row(nbs[j]))
-	})
-	return h.selectNeighbors(v, nbs, maxM, &h.work)
+	p := &h.prune
+	p.nbs, p.d, p.compars = nbs, f32Buf(p.d, len(nbs)), 0
+	linalg.DistanceRows(h.metric, h.row(int32(node)), h.store, nbs, p.d)
+	sort.Sort(p)
+	h.work.DistComps += 2 * p.compars
+	return h.selectNeighbors(nbs, p.d, maxM, &h.work, &p.rejected)
 }
 
 // repairConnectivity links any layer-0 node unreachable from the entry
@@ -390,6 +475,7 @@ func (h *hnsw) repairConnectivity() {
 	queue = append(queue, int32(h.entry))
 	visited[h.entry] = true
 	reachable := make([]int32, 0, n)
+	var dists []float32 // orphans are rare: allocated on the first one
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
@@ -407,11 +493,14 @@ func (h *hnsw) repairConnectivity() {
 		}
 		// Link u to its nearest already-reachable node, bidirectionally,
 		// then absorb u's component.
-		best := reachable[0]
-		bestD := h.dist(&h.work, h.row(int32(u)), h.row(best))
-		for _, r := range reachable[1:] {
-			if d := h.dist(&h.work, h.row(int32(u)), h.row(r)); d < bestD {
-				best, bestD = r, d
+		if dists == nil {
+			dists = make([]float32, n)
+		}
+		h.distRows(&h.work, h.row(int32(u)), reachable, dists)
+		best, bestD := reachable[0], dists[0]
+		for i, r := range reachable {
+			if dists[i] < bestD {
+				best, bestD = r, dists[i]
 			}
 		}
 		h.links[u][0] = append(h.links[u][0], best)
@@ -448,18 +537,7 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 	cur := h.entry
 	curD := h.dist(&work, q, h.row(int32(cur)))
 	for l := h.maxLevel; l > 0; l-- {
-		for {
-			improved := false
-			for _, nb := range h.links[cur][l] {
-				if d := h.dist(&work, q, h.row(nb)); d < curD {
-					cur, curD = int(nb), d
-					improved = true
-				}
-			}
-			if !improved {
-				break
-			}
-		}
+		cur, curD = h.greedyLayer(q, cur, curD, l, &work, s)
 	}
 	s.eps = append(s.eps[:0], int32(cur))
 	// The layer-0 beam already carries every candidate's exact distance,

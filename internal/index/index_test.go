@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -371,6 +372,29 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		idx.Search(queries[i%len(queries)], 10, SearchParams{Ef: 64}, nil)
+	}
+}
+
+// BenchmarkHNSWBuild is the build path's micro-baseline: one full build at
+// the stock M=16/efConstruction=128 on 100-d rows, at the tuner's dataset
+// size and at one sealed segment's.
+func BenchmarkHNSWBuild(b *testing.B) {
+	for _, n := range []int{1500, 15000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			vecs, ids, _, _ := testData(b, n, 1, 100, 1, 19)
+			store := linalg.MatrixFromRows(vecs)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				idx, err := New(HNSW, linalg.L2, 100, BuildParams{HNSWM: 16, EfConstruction: 128, Seed: 19})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := idx.Build(store, ids); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

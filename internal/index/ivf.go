@@ -63,8 +63,8 @@ func (c *ivfCoarse) train(store *linalg.Matrix) ([]int32, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ivf: training: %w", err)
 	}
-	c.cents = linalg.MatrixFromRows(res.Centroids)
-	ncells := len(res.Centroids)
+	c.cents = res.Centroids
+	ncells := c.cents.Rows()
 	counts := make([]int32, ncells)
 	for _, a := range res.Assign {
 		counts[a]++

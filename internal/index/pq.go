@@ -101,9 +101,9 @@ func (x *ivfPQ) Build(store *linalg.Matrix, ids []int64) error {
 		}
 		// The trainer clamps K down on small corpora; every subspace
 		// clusters the same row count, so the clamp is uniform.
-		x.ksubN = len(res.Centroids)
-		for _, cw := range res.Centroids {
-			x.books.AppendRow(cw)
+		x.ksubN = res.Centroids.Rows()
+		for c := 0; c < x.ksubN; c++ {
+			x.books.AppendRow(res.Centroids.Row(c))
 		}
 		assigns[s] = res.Assign
 	}

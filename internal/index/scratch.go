@@ -21,8 +21,10 @@ type searchScratch struct {
 	// ~4 billion queries) epoch wrap.
 	visited []uint32
 	epoch   uint32
-	// frontier is the HNSW beam's sorted candidate queue.
+	// frontier is the HNSW beam's sorted candidate queue; fresh the nodes
+	// one expansion step found unvisited, scored together into dists.
 	frontier []hnswCand
+	fresh    []int32
 	// beamOut receives searchLayer's (node, dist) results.
 	beamOut []linalg.Neighbor
 	// eps is the entry-point buffer for the layer-0 beam.

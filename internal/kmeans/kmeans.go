@@ -4,8 +4,14 @@
 //
 // Points are supplied as a linalg.Matrix — one flat arena, which may be a
 // strided subspace view (how PQ clusters each subspace without copying the
-// corpus). Clustering is parallelized over fixed-size point chunks (see
-// the parallel package): assignment, centroid recomputation, and the
+// corpus) — and centroids live in one packed Matrix. Every distance is
+// computed by linalg's multi-query block kernels, a chunk of points at a
+// time as the "queries": against the whole centroid arena for assignment,
+// against the one newest centroid for the k-means++ D^2 update. The
+// package has no distance loop of its own.
+//
+// Clustering is parallelized over fixed-size point chunks (see the
+// parallel package): assignment, centroid recomputation, and the
 // k-means++ D^2 updates all reduce per-chunk partials in chunk order, so
 // results are bit-identical for any Workers value. Run(cfg.Workers=1) is
 // the reference sequential path.
@@ -46,35 +52,14 @@ type Config struct {
 
 // Result holds the outcome of a clustering run.
 type Result struct {
-	// Centroids has K rows.
-	Centroids [][]float32
+	// Centroids has K packed rows.
+	Centroids *linalg.Matrix
 	// Assign maps each input point to its centroid index.
 	Assign []int
 	// Distortion is the final total squared distance to assigned centroids.
 	Distortion float64
 	// Iters is the number of Lloyd iterations executed.
 	Iters int
-}
-
-// pointSet is the trainer's view of its input: the full matrix, or a
-// sampled subset of its rows (sel maps set position to matrix row).
-type pointSet struct {
-	m   *linalg.Matrix
-	sel []int
-}
-
-func (p pointSet) n() int {
-	if p.sel != nil {
-		return len(p.sel)
-	}
-	return p.m.Rows()
-}
-
-func (p pointSet) row(i int) []float32 {
-	if p.sel != nil {
-		i = p.sel[i]
-	}
-	return p.m.Row(i)
 }
 
 // Run clusters the points under squared-L2 distance. It returns an error
@@ -103,14 +88,18 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 	workers := parallel.Workers(cfg.Workers)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	train := pointSet{m: points}
+	train := points
 	if cfg.SampleLimit > 0 && n > cfg.SampleLimit {
-		perm := rng.Perm(n)
-		train.sel = perm[:cfg.SampleLimit]
+		// The sample is gathered into its own packed matrix, so training
+		// reads one kind of point set.
+		train = linalg.NewMatrix(points.Dim(), cfg.SampleLimit)
+		for _, i := range rng.Perm(n)[:cfg.SampleLimit] {
+			train.AppendRow(points.Row(i))
+		}
 	}
 
 	centroids := seedPlusPlus(train, k, rng, workers)
-	assignTrain := make([]int, train.n())
+	assignTrain := make([]int, train.Rows())
 	prev := math.Inf(1)
 	iters := 0
 	for iters = 1; iters <= maxIters; iters++ {
@@ -124,7 +113,7 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 	}
 
 	assign := make([]int, n)
-	distortion := assignAll(pointSet{m: points}, centroids, assign, workers)
+	distortion := assignAll(points, centroids, assign, workers)
 	return &Result{
 		Centroids:  centroids,
 		Assign:     assign,
@@ -133,47 +122,65 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 	}, nil
 }
 
+// forChunks runs fn over the fixed chunking of the points on up to workers
+// goroutines. fn receives its chunk as a view and a private buffer of
+// per*rows floats for the kernel's output.
+func forChunks(workers int, points *linalg.Matrix, per int, fn func(ch, lo int, chunk *linalg.Matrix, out []float32)) {
+	n := points.Rows()
+	nChunks := parallel.NumChunks(n, chunkSize)
+	bufs := make([][]float32, parallel.WorkerCount(workers, nChunks))
+	parallel.WorkerParallel(workers, nChunks, func(worker, ch int) {
+		lo, hi := parallel.Chunk(ch, n, chunkSize)
+		if bufs[worker] == nil {
+			bufs[worker] = make([]float32, per*chunkSize)
+		}
+		fn(ch, lo, points.Slice(lo, hi), bufs[worker][:per*(hi-lo)])
+	})
+}
+
+// sumPartials adds the per-chunk partials in chunk order.
+func sumPartials(partial []float64) float64 {
+	total := 0.0
+	for _, s := range partial {
+		total += s
+	}
+	return total
+}
+
 // seedPlusPlus picks k initial centroids with the k-means++ D^2 weighting.
 // The per-point distance updates run in parallel; the weighted draw itself
 // stays sequential so the rng consumption order is fixed.
-func seedPlusPlus(points pointSet, k int, rng *rand.Rand, workers int) [][]float32 {
-	centroids := make([][]float32, 0, k)
-	n := points.n()
-	first := points.row(rng.Intn(n))
-	centroids = append(centroids, linalg.Clone(first))
+func seedPlusPlus(points *linalg.Matrix, k int, rng *rand.Rand, workers int) *linalg.Matrix {
+	n := points.Rows()
+	centroids := linalg.NewMatrix(points.Dim(), k)
+	centroids.AppendRow(points.Row(rng.Intn(n)))
 
 	// dists[i] is the squared distance from point i to its nearest chosen
 	// centroid, updated incrementally as centroids are added. The running
 	// total is rebuilt from per-chunk partials in chunk order each round,
 	// so it is worker-count-invariant.
 	dists := make([]float64, n)
-	nChunks := parallel.NumChunks(n, chunkSize)
-	partial := make([]float64, nChunks)
-	updateFrom := func(c []float32) float64 {
-		parallel.ForRanges(workers, n, chunkSize, func(ch, lo, hi int) {
+	partial := make([]float64, parallel.NumChunks(n, chunkSize))
+	// update folds the newest centroid into dists; on the first one there
+	// is nothing to take the minimum with.
+	update := func() float64 {
+		first := centroids.Rows() == 1
+		c := centroids.Row(centroids.Rows() - 1)
+		forChunks(workers, points, 1, func(ch, lo int, chunk *linalg.Matrix, out []float32) {
+			linalg.SquaredL2MultiBlock(chunk, c, out)
 			s := 0.0
-			for i := lo; i < hi; i++ {
-				if c != nil {
-					if d := float64(linalg.SquaredL2(points.row(i), c)); d < dists[i] {
-						dists[i] = d
-					}
-				} else {
-					dists[i] = float64(linalg.SquaredL2(points.row(i), centroids[0]))
+			for i, d32 := range out {
+				if d := float64(d32); first || d < dists[lo+i] {
+					dists[lo+i] = d
 				}
-				s += dists[i]
+				s += dists[lo+i]
 			}
 			partial[ch] = s
 		})
-		total := 0.0
-		for _, s := range partial {
-			total += s
-		}
-		return total
+		return sumPartials(partial)
 	}
-	// c == nil is the init pass: fill dists from the first centroid and
-	// sum in the same sweep.
-	total := updateFrom(nil)
-	for len(centroids) < k {
+	total := update()
+	for centroids.Rows() < k {
 		var chosen int
 		if total <= 0 {
 			chosen = rng.Intn(n)
@@ -189,51 +196,52 @@ func seedPlusPlus(points pointSet, k int, rng *rand.Rand, workers int) [][]float
 				}
 			}
 		}
-		c := linalg.Clone(points.row(chosen))
-		centroids = append(centroids, c)
-		total = updateFrom(c)
+		centroids.AppendRow(points.Row(chosen))
+		total = update()
 	}
 	return centroids
 }
 
+// argmin returns the position and value of the smallest distance; the
+// first of equals wins.
+func argmin(d []float32) (int, float32) {
+	best, bestD := 0, d[0]
+	for c := 1; c < len(d); c++ {
+		if d[c] < bestD {
+			best, bestD = c, d[c]
+		}
+	}
+	return best, bestD
+}
+
 // assignAll assigns every point to its nearest centroid, filling assign,
 // and returns the total distortion. Points are processed in parallel
-// chunks; the distortion reduces per-chunk partial sums in chunk order.
-func assignAll(points pointSet, centroids [][]float32, assign []int, workers int) float64 {
-	n := points.n()
-	partial := make([]float64, parallel.NumChunks(n, chunkSize))
-	parallel.ForRanges(workers, n, chunkSize, func(ch, lo, hi int) {
+// chunks, each scored against the whole centroid arena in one kernel
+// call; the distortion reduces per-chunk partial sums in chunk order.
+func assignAll(points, centroids *linalg.Matrix, assign []int, workers int) float64 {
+	k := centroids.Rows()
+	partial := make([]float64, parallel.NumChunks(points.Rows(), chunkSize))
+	forChunks(workers, points, k, func(ch, lo int, chunk *linalg.Matrix, out []float32) {
+		linalg.SquaredL2MultiBlock(chunk, centroids.Data(), out)
 		s := 0.0
-		for i := lo; i < hi; i++ {
-			p := points.row(i)
-			best := 0
-			bestD := linalg.SquaredL2(p, centroids[0])
-			for c := 1; c < len(centroids); c++ {
-				if d := linalg.SquaredL2(p, centroids[c]); d < bestD {
-					bestD = d
-					best = c
-				}
-			}
-			assign[i] = best
+		for i := 0; i < chunk.Rows(); i++ {
+			best, bestD := argmin(out[i*k : (i+1)*k])
+			assign[lo+i] = best
 			s += float64(bestD)
 		}
 		partial[ch] = s
 	})
-	total := 0.0
-	for _, s := range partial {
-		total += s
-	}
-	return total
+	return sumPartials(partial)
 }
 
 // recompute replaces each centroid with the mean of its assigned points.
 // Each chunk accumulates private per-centroid sums and counts; the merge
 // walks chunks in order, so the resulting means are worker-count-invariant.
 // Empty clusters are re-seeded from a random point to keep K stable.
-func recompute(points pointSet, assign []int, centroids [][]float32, rng *rand.Rand, workers int) {
-	n := points.n()
-	dim := points.m.Dim()
-	k := len(centroids)
+func recompute(points *linalg.Matrix, assign []int, centroids *linalg.Matrix, rng *rand.Rand, workers int) {
+	n := points.Rows()
+	dim := points.Dim()
+	k := centroids.Rows()
 	nChunks := parallel.NumChunks(n, chunkSize)
 	sums := make([][]float32, nChunks)
 	chunkCounts := make([][]int, nChunks)
@@ -243,42 +251,35 @@ func recompute(points pointSet, assign []int, centroids [][]float32, rng *rand.R
 		for i := lo; i < hi; i++ {
 			c := assign[i]
 			cnt[c]++
-			linalg.AddInto(sum[c*dim:(c+1)*dim], points.row(i))
+			linalg.AddInto(sum[c*dim:(c+1)*dim], points.Row(i))
 		}
 		sums[ch] = sum
 		chunkCounts[ch] = cnt
 	})
 	counts := make([]int, k)
-	for c := range centroids {
-		for j := 0; j < dim; j++ {
-			centroids[c][j] = 0
-		}
+	cents := centroids.Data()
+	for j := range cents {
+		cents[j] = 0
 	}
 	for ch := 0; ch < nChunks; ch++ {
 		for c := 0; c < k; c++ {
 			counts[c] += chunkCounts[ch][c]
-			linalg.AddInto(centroids[c], sums[ch][c*dim:(c+1)*dim])
 		}
+		linalg.AddInto(cents, sums[ch])
 	}
-	for c := range centroids {
+	for c := 0; c < k; c++ {
 		if counts[c] == 0 {
-			copy(centroids[c], points.row(rng.Intn(n)))
+			copy(centroids.Row(c), points.Row(rng.Intn(n)))
 			continue
 		}
-		linalg.Scale(centroids[c], 1/float32(counts[c]))
+		linalg.Scale(centroids.Row(c), 1/float32(counts[c]))
 	}
 }
 
 // NearestCentroid returns the index of the centroid closest to p and the
 // squared distance to it.
-func NearestCentroid(p []float32, centroids [][]float32) (int, float32) {
-	best := 0
-	bestD := linalg.SquaredL2(p, centroids[0])
-	for c := 1; c < len(centroids); c++ {
-		if d := linalg.SquaredL2(p, centroids[c]); d < bestD {
-			bestD = d
-			best = c
-		}
-	}
-	return best, bestD
+func NearestCentroid(p []float32, centroids *linalg.Matrix) (int, float32) {
+	d := make([]float32, centroids.Rows())
+	linalg.SquaredL2Block(p, centroids.Data(), d)
+	return argmin(d)
 }

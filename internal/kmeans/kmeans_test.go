@@ -1,6 +1,7 @@
 package kmeans
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -36,8 +37,8 @@ func TestRunRecoversBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centroids) != 4 {
-		t.Fatalf("got %d centroids, want 4", len(res.Centroids))
+	if res.Centroids.Rows() != 4 {
+		t.Fatalf("got %d centroids, want 4", res.Centroids.Rows())
 	}
 	// Every pair of points with the same true label must share a cluster,
 	// and different labels must differ (blobs are far apart).
@@ -93,8 +94,8 @@ func TestRunKClamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Centroids) > 3 {
-		t.Fatalf("K not clamped: %d centroids for 3 points", len(res.Centroids))
+	if res.Centroids.Rows() > 3 {
+		t.Fatalf("K not clamped: %d centroids for 3 points", res.Centroids.Rows())
 	}
 }
 
@@ -121,8 +122,8 @@ func TestRunDeterministic(t *testing.T) {
 	if a.Distortion != b.Distortion {
 		t.Fatalf("non-deterministic: %v vs %v", a.Distortion, b.Distortion)
 	}
-	for c := range a.Centroids {
-		if linalg.SquaredL2(a.Centroids[c], b.Centroids[c]) != 0 {
+	for c := 0; c < a.Centroids.Rows(); c++ {
+		if linalg.SquaredL2(a.Centroids.Row(c), b.Centroids.Row(c)) != 0 {
 			t.Fatalf("centroid %d differs across identical runs", c)
 		}
 	}
@@ -148,11 +149,9 @@ func TestRunWorkerCountInvariant(t *testing.T) {
 		if got.Iters != ref.Iters {
 			t.Fatalf("workers=%d: iters %d != sequential %d", workers, got.Iters, ref.Iters)
 		}
-		for c := range ref.Centroids {
-			for j := range ref.Centroids[c] {
-				if got.Centroids[c][j] != ref.Centroids[c][j] {
-					t.Fatalf("workers=%d: centroid %d dim %d differs", workers, c, j)
-				}
+		for j, x := range ref.Centroids.Data() {
+			if got.Centroids.Data()[j] != x {
+				t.Fatalf("workers=%d: centroid %d dim %d differs", workers, j/ref.Centroids.Dim(), j%ref.Centroids.Dim())
 			}
 		}
 		for i := range ref.Assign {
@@ -218,5 +217,24 @@ func BenchmarkRun1kx32(b *testing.B) {
 		if _, err := Run(points, Config{K: 16, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkKMeansRun is the build path's micro-baseline for the IVF
+// family: one coarse-quantizer training as ivfCoarse.train configures it
+// (SampleLimit max(2000, 20*nlist), then every row assigned), on 100-d
+// rows at the tuner's dataset size and at one sealed segment's.
+func BenchmarkKMeansRun(b *testing.B) {
+	for _, n := range []int{1500, 15000} {
+		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			points, _ := blobs(n, 64, 100, 11)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(points, Config{K: 128, Seed: 11, MaxIters: 12, SampleLimit: 2560}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,10 +12,12 @@ const (
 )
 
 // dotBlockGo is the portable scalar dot-product scan: q against every row
-// of the packed arena block, with the op epilogue fused per row. The
-// accumulation is exactly Dot's — four accumulators over a 4-way unrolled
-// loop, tail into s0, summed ((s0+s1)+s2)+s3 — which is the arithmetic
-// contract every other kernel (SSE, multi-query) must reproduce bitwise.
+// of the packed arena block, with the op epilogue fused per row. Its
+// accumulation — four accumulators over a 4-way unrolled loop, tail into
+// s0, summed ((s0+s1)+s2)+s3 — is the arithmetic contract every other
+// kernel (SSE, multi-query) must reproduce bitwise. This function and
+// l2BlockGo are the only scalar float32 distance loops in the repository:
+// the implementation where no assembly is built, and the tests' reference.
 func dotBlockGo(q, block []float32, out []float32, op int) {
 	dim := len(q)
 	for i := range out {
@@ -42,8 +44,8 @@ func dotBlockGo(q, block []float32, out []float32, op int) {
 	}
 }
 
-// l2BlockGo is the portable scalar squared-L2 scan, bit-identical per row
-// to SquaredL2 (same accumulator structure as dotBlockGo).
+// l2BlockGo is the portable scalar squared-L2 scan, with the accumulator
+// structure of dotBlockGo.
 func l2BlockGo(q, block []float32, out []float32) {
 	dim := len(q)
 	for i := range out {

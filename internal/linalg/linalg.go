@@ -4,6 +4,16 @@
 // All distances follow the "smaller is better" convention. For angular
 // (cosine) similarity the engine stores normalized vectors and uses
 // 1 - dot(a, b), which is a monotone transform of the angle.
+//
+// The rule of the package: kernels.go holds the only scalar float32
+// distance arithmetic — the portable kernels, which define the bit-exact
+// contract (four accumulators over indices mod 4, tail into the first,
+// summed in order, no FMA) and which the SSE kernels reproduce bitwise. Every
+// distance entry point is a caller of the dispatched block kernels: Dot,
+// SquaredL2 and Distance on one row, DistanceRows on scattered rows, the
+// *Block and *Multi* forms on packed arenas. A new distance loop written
+// anywhere else is a second copy of that contract and a bug waiting for
+// the first rounding difference.
 package linalg
 
 import (
@@ -54,53 +64,32 @@ func ParseMetric(s string) (Metric, error) {
 	}
 }
 
-// Dot returns the dot product of a and b. The slices must have equal length.
+// Dot returns the dot product of a and b. The slices must have equal
+// length. It is a one-row call of the block kernel (see kernels.go for
+// the arithmetic contract), so a single pair costs what a row of a scan
+// costs.
 func Dot(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
-	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[i]
-	}
-	return s0 + s1 + s2 + s3
+	var out [1]float32
+	dotBlockKernel(a, b, out[:], opNone)
+	return out[0]
 }
 
-// SquaredL2 returns the squared Euclidean distance between a and b.
+// SquaredL2 returns the squared Euclidean distance between a and b; like
+// Dot, a one-row call of the block kernel.
 func SquaredL2(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	n := len(a)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := a[i] - b[i]
-		d1 := a[i+1] - b[i+1]
-		d2 := a[i+2] - b[i+2]
-		d3 := a[i+3] - b[i+3]
-		s0 += d0 * d0
-		s1 += d1 * d1
-		s2 += d2 * d2
-		s3 += d3 * d3
-	}
-	for ; i < n; i++ {
-		d := a[i] - b[i]
-		s0 += d * d
-	}
-	return s0 + s1 + s2 + s3
+	var out [1]float32
+	l2BlockKernel(a, b, out[:])
+	return out[0]
 }
 
 // DotBlock computes the dot product of q against every row of block, a
 // packed row-major arena of len(block)/dim rows (one contiguous range of a
-// Matrix), writing row i's product to out[i]. The per-row arithmetic is
-// exactly Dot's (same 4-way unrolled accumulation), so results are
-// bit-identical to calling Dot row by row; the win is streaming contiguous
-// memory instead of chasing per-row pointers. On amd64 the scan runs as an
-// SSE kernel whose lane structure mirrors the scalar accumulators exactly
-// (see kernels_amd64.go), preserving bit-identity.
+// Matrix), writing row i's product to out[i]. Results are bit-identical to
+// calling Dot row by row (Dot is this kernel on one row); the win is
+// streaming contiguous memory instead of chasing per-row pointers. On
+// amd64 the scan runs as an SSE kernel whose lane structure mirrors the
+// portable kernel's scalar accumulators exactly (see kernels_amd64.go),
+// preserving bit-identity.
 func DotBlock(q, block []float32, out []float32) {
 	dotBlockKernel(q, block, out, opNone)
 }
@@ -150,15 +139,36 @@ func Normalize(v []float32) {
 // Distance computes the distance between a and b under metric m.
 // For Angular the inputs are assumed to be unit vectors.
 func Distance(m Metric, a, b []float32) float32 {
-	switch m {
-	case L2:
-		return SquaredL2(a, b)
-	case InnerProduct:
-		return -Dot(a, b)
-	case Angular:
-		return 1 - Dot(a, b)
-	default:
-		panic("linalg: unknown metric " + m.String())
+	var out [1]float32
+	DistanceBlock(m, a, b, out[:])
+	return out[0]
+}
+
+// DistanceRows computes the distance of q to the scattered rows
+// store.Row(rows[i]) under metric m, writing it to out[i] — the gather
+// form of DistanceBlock for graph traversal, where the rows to score are
+// a node's neighbors and not contiguous. Rows are scored four at a
+// time by the multi-query kernels with the roles swapped: the four rows
+// are the "queries" and q a one-row block. (a-b)² and a·b commute
+// exactly, so every out[i] is bitwise equal to Distance(m, q, row_i).
+func DistanceRows(m Metric, q []float32, store *Matrix, rows []int32, out []float32) {
+	l2, op := metricKernel(m)
+	i := 0
+	for ; i+4 <= len(rows); i += 4 {
+		r0, r1 := store.Row(int(rows[i])), store.Row(int(rows[i+1]))
+		r2, r3 := store.Row(int(rows[i+2])), store.Row(int(rows[i+3]))
+		if l2 {
+			l2Multi4Kernel(r0, r1, r2, r3, q, out[i:i+1], out[i+1:i+2], out[i+2:i+3], out[i+3:i+4])
+		} else {
+			dotMulti4Kernel(r0, r1, r2, r3, q, out[i:i+1], out[i+1:i+2], out[i+2:i+3], out[i+3:i+4], op)
+		}
+	}
+	for ; i < len(rows); i++ {
+		if l2 {
+			l2BlockKernel(q, store.Row(int(rows[i])), out[i:i+1])
+		} else {
+			dotBlockKernel(q, store.Row(int(rows[i])), out[i:i+1], op)
+		}
 	}
 }
 

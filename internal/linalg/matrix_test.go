@@ -94,8 +94,9 @@ func TestMatrixRowOps(t *testing.T) {
 }
 
 // TestBlockKernelsBitIdentical is the layout-change contract: the blocked
-// kernels must produce bitwise the same float32 per row as the scalar
-// kernels they replace, for every metric.
+// kernels must produce bitwise the same float32 per row as the portable
+// scalar kernels on that row (refDot and friends, multi_test.go), for
+// every metric.
 func TestBlockKernelsBitIdentical(t *testing.T) {
 	rows := randRows(257, 33, 4) // odd sizes exercise the unroll tails
 	m := MatrixFromRows(rows)
@@ -103,21 +104,21 @@ func TestBlockKernelsBitIdentical(t *testing.T) {
 	out := make([]float32, m.Rows())
 	DotBlock(q, m.Data(), out)
 	for i, r := range rows {
-		if want := Dot(q, r); out[i] != want {
-			t.Fatalf("DotBlock row %d: %v != Dot %v", i, out[i], want)
+		if want := refDot(q, r); out[i] != want {
+			t.Fatalf("DotBlock row %d: %v != scalar %v", i, out[i], want)
 		}
 	}
 	SquaredL2Block(q, m.Data(), out)
 	for i, r := range rows {
-		if want := SquaredL2(q, r); out[i] != want {
-			t.Fatalf("SquaredL2Block row %d: %v != SquaredL2 %v", i, out[i], want)
+		if want := refSquaredL2(q, r); out[i] != want {
+			t.Fatalf("SquaredL2Block row %d: %v != scalar %v", i, out[i], want)
 		}
 	}
 	for _, metric := range []Metric{L2, InnerProduct, Angular} {
 		DistanceBlock(metric, q, m.Data(), out)
 		for i, r := range rows {
-			if want := Distance(metric, q, r); out[i] != want {
-				t.Fatalf("DistanceBlock(%v) row %d: %v != Distance %v", metric, i, out[i], want)
+			if want := refDistance(metric, q, r); out[i] != want {
+				t.Fatalf("DistanceBlock(%v) row %d: %v != scalar %v", metric, i, out[i], want)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ package linalg
 // with a single-query kernel sweeping the remainder.
 //
 // The per-(query, row) arithmetic is exactly the single-query kernels'
-// (and therefore exactly Dot/SquaredL2/Distance's): tiling and quad
+// (of which Dot/SquaredL2/Distance are the one-row case): tiling and quad
 // grouping change only the order rows are *visited*, never the operations
 // applied to any one (query, row) pair, so every output is bit-identical
 // to Q independent single-query scans.

@@ -30,6 +30,33 @@ func f32Equal(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b)
 }
 
+// The scalar side of every SIMD≡portable assertion: the portable Go
+// kernels on one row. Dot, SquaredL2 and Distance are callers of the
+// dispatched kernels (SSE on amd64), so they cannot be their own
+// reference.
+
+func refDot(a, b []float32) float32 {
+	var out [1]float32
+	dotBlockGo(a, b, out[:], opNone)
+	return out[0]
+}
+
+func refSquaredL2(a, b []float32) float32 {
+	var out [1]float32
+	l2BlockGo(a, b, out[:])
+	return out[0]
+}
+
+func refDistance(m Metric, a, b []float32) float32 {
+	var out [1]float32
+	if l2, op := metricKernel(m); l2 {
+		l2BlockGo(a, b, out[:])
+	} else {
+		dotBlockGo(a, b, out[:], op)
+	}
+	return out[0]
+}
+
 // TestMultiKernelBitIdentity sweeps dims 1..67 (crossing the 4-way unroll
 // boundary many times), all three metrics, ragged final tiles, and
 // Q ∈ {1,2,7,64}: the multi-query kernels, the per-query blocked kernels,
@@ -60,7 +87,7 @@ func TestMultiKernelBitIdentity(t *testing.T) {
 				// Scalar reference.
 				for i, q := range queries {
 					for r := 0; r < rows; r++ {
-						want := Distance(m, q, block[r*dim:(r+1)*dim])
+						want := refDistance(m, q, block[r*dim:(r+1)*dim])
 						if !f32Equal(single[i][r], want) {
 							t.Fatalf("dim=%d m=%v q=%d row=%d: DistanceBlock=%x scalar=%x",
 								dim, m, i, r, math.Float32bits(single[i][r]), math.Float32bits(want))
@@ -98,7 +125,7 @@ func TestMultiKernelBitIdentity(t *testing.T) {
 			DotMultiBlock(qm, block, flat)
 			for i, q := range queries {
 				for r := 0; r < rows; r++ {
-					if want := Dot(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
+					if want := refDot(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
 						t.Fatalf("dim=%d q=%d row=%d: DotMultiBlock=%x Dot=%x",
 							dim, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(want))
 					}
@@ -107,7 +134,7 @@ func TestMultiKernelBitIdentity(t *testing.T) {
 			SquaredL2MultiBlock(qm, block, flat)
 			for i, q := range queries {
 				for r := 0; r < rows; r++ {
-					if want := SquaredL2(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
+					if want := refSquaredL2(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
 						t.Fatalf("dim=%d q=%d row=%d: SquaredL2MultiBlock=%x SquaredL2=%x",
 							dim, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(want))
 					}
@@ -235,6 +262,54 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 					t.Fatalf("l2Multi4 dim=%d q=%d row=%d: kernel=%x go=%x", dim, qi, i,
 						math.Float32bits(g[qi][i]), math.Float32bits(w[qi][i]))
 				}
+			}
+		}
+	}
+}
+
+// TestDistanceRowsBitIdentity pins the gather form — and with it Dot,
+// SquaredL2 and Distance, its one-pair cases — to the portable reference:
+// 0–9 scattered rows cover empty input, every quad/remainder split, and
+// repeated rows; the dims cover tail-only, quad-only and quad+tail loops.
+func TestDistanceRowsBitIdentity(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, dim := range []int{1, 3, 4, 100, 101} {
+		store := NewMatrix(dim, 23)
+		for i := 0; i < 23; i++ {
+			store.AppendRow(randVec(rng, dim))
+		}
+		q := randVec(rng, dim)
+		for _, m := range []Metric{L2, InnerProduct, Angular} {
+			for n := 0; n <= 9; n++ {
+				rows := make([]int32, n)
+				for i := range rows {
+					rows[i] = int32(rng.Intn(store.Rows()))
+				}
+				out := make([]float32, n+1)
+				out[n] = 12345 // canary: nothing is written past n
+				DistanceRows(m, q, store, rows, out[:n])
+				for i, r := range rows {
+					want := refDistance(m, q, store.Row(int(r)))
+					if !f32Equal(out[i], want) {
+						t.Fatalf("dim=%d m=%v n=%d i=%d: DistanceRows=%x ref=%x",
+							dim, m, n, i, math.Float32bits(out[i]), math.Float32bits(want))
+					}
+					if got := Distance(m, q, store.Row(int(r))); !f32Equal(got, want) {
+						t.Fatalf("dim=%d m=%v row=%d: Distance=%x ref=%x",
+							dim, m, r, math.Float32bits(got), math.Float32bits(want))
+					}
+				}
+				if out[n] != 12345 {
+					t.Fatalf("dim=%d m=%v n=%d: wrote past the output", dim, m, n)
+				}
+			}
+		}
+		for r := 0; r < store.Rows(); r++ {
+			if got, want := Dot(q, store.Row(r)), refDot(q, store.Row(r)); !f32Equal(got, want) {
+				t.Fatalf("dim=%d row=%d: Dot=%x ref=%x", dim, r, math.Float32bits(got), math.Float32bits(want))
+			}
+			if got, want := SquaredL2(q, store.Row(r)), refSquaredL2(q, store.Row(r)); !f32Equal(got, want) {
+				t.Fatalf("dim=%d row=%d: SquaredL2=%x ref=%x", dim, r, math.Float32bits(got), math.Float32bits(want))
 			}
 		}
 	}
