@@ -32,9 +32,10 @@ race:
 # The portable kernels (kernels.go) are the only scalar float32 distance
 # arithmetic and the reference the SSE ones are tested against, but an
 # amd64 build never compiles them in: run the packages that call the
-# kernels — goldens and bit-identity tests included — with them forced.
+# kernels — goldens (search fixture, Evaluate) and the engine's
+# bit-identity tests included — with them forced.
 purego:
-	$(GO) test -tags purego ./internal/linalg ./internal/index ./internal/kmeans
+	$(GO) test -tags purego ./internal/linalg ./internal/index ./internal/kmeans ./internal/vdms
 
 # One iteration of every benchmark (root figure/table suite, the churn
 # benchmark BenchmarkSearchAfterDeletes, and package micro-benchmarks) —
@@ -55,8 +56,8 @@ bench-churn:
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerWire' -benchtime=3x .
 
-# The query-path benchmark trajectory: the root churn + SearchBatch
-# worker-scaling + sharded insert/search benchmarks, the per-index
+# The query-path benchmark trajectory: the root churn + sharded
+# insert/search benchmarks, the per-index
 # single-query benchmarks, the build-path ones (HNSW build, k-means run),
 # and the end-to-end server wire benchmarks (QPS/latency/recall per
 # protocol mode), with allocation stats, written to BENCH_query.json. The
@@ -66,7 +67,7 @@ BENCH_JSON_OUT ?= BENCH_query.json
 
 bench-json:
 	@set -e; tmp=$$(mktemp); trap 'rm -f '"$$tmp" EXIT; \
-	if ! $(GO) test -run '^$$' -bench 'SearchAfterDeletes|SearchBatchWorkers' -benchmem -benchtime=1x . > "$$tmp" 2>&1; \
+	if ! $(GO) test -run '^$$' -bench 'SearchAfterDeletes' -benchmem -benchtime=1x . > "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
 	if ! $(GO) test -run '^$$' -bench 'ShardedInsert' -benchmem -benchtime=100x . >> "$$tmp" 2>&1; \
 		then cat "$$tmp"; exit 1; fi; \
@@ -112,16 +113,15 @@ bench-compare:
 # a skipped or missing gate fails the build instead of passing silently.
 # Covers the zero-allocation index query path and the persistence gate
 # (durable collections must search with exactly the allocations of
-# memory-only ones).
+# memory-only ones). Every gate is named (whole-line match, so one gate's
+# name cannot stand in for another's): the run cannot pass by absence.
 alloc-gate:
-	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -q TestAllocGateSearch \
-		|| { echo "alloc-gate tests missing from ./internal/index"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/index | grep -q TestAllocGateSearchMultiInto \
-		|| { echo "tiled multi-query alloc-gate test missing from ./internal/index"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -q TestAllocGatePersistentSearch \
-		|| { echo "alloc-gate tests missing from ./internal/vdms"; exit 1; }
-	@$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -q TestAllocGateShardedSearch \
-		|| { echo "sharded alloc-gate test missing from ./internal/vdms"; exit 1; }
+	@for g in TestAllocGateSearch TestAllocGateSearchBatch TestAllocGateSearchMultiInto; do \
+		$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx $$g \
+			|| { echo "alloc-gate test $$g missing from ./internal/index"; exit 1; }; done
+	@for g in TestAllocGatePersistentSearch TestAllocGateShardedSearch; do \
+		$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx $$g \
+			|| { echo "alloc-gate test $$g missing from ./internal/vdms"; exit 1; }; done
 	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms
 
 # The online-reconfiguration gate, run explicitly (not just as part of

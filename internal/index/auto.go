@@ -30,11 +30,7 @@ func (a *autoIndex) Build(store *linalg.Matrix, ids []int64) error {
 	return a.inner.Build(store, ids)
 }
 
-func (a *autoIndex) Search(q []float32, k int, _ SearchParams, st *Stats) []linalg.Neighbor {
-	return a.inner.Search(q, k, SearchParams{Ef: autoEf}, st)
-}
-
-// SearchInto delegates with the pinned beam width, like Search.
+// SearchInto delegates with the pinned beam width.
 func (a *autoIndex) SearchInto(q []float32, k int, _ SearchParams, st *Stats, top *linalg.TopK) {
 	a.inner.SearchInto(q, k, SearchParams{Ef: autoEf}, st, top)
 }
@@ -43,12 +39,6 @@ func (a *autoIndex) SearchInto(q []float32, k int, _ SearchParams, st *Stats, to
 // index's multi-query path.
 func (a *autoIndex) SearchMultiInto(queries [][]float32, k int, _ SearchParams, st *Stats, tops []*linalg.TopK) {
 	a.inner.SearchMultiInto(queries, k, SearchParams{Ef: autoEf}, st, tops)
-}
-
-// SearchBatch honors only the batch fan-out width; like Search, the
-// per-query beam is pinned to the AUTOINDEX default.
-func (a *autoIndex) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return a.inner.SearchBatch(queries, k, SearchParams{Ef: autoEf, Workers: p.Workers}, st)
 }
 
 func (a *autoIndex) MemoryBytes() int64 { return a.inner.MemoryBytes() }

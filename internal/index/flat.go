@@ -11,12 +11,11 @@ import (
 // segments, matching Milvus' FLAT. The scan streams the arena with the
 // blocked kernels, one cache-friendly pass.
 type flat struct {
-	metric  linalg.Metric
-	dim     int
-	store   *linalg.Matrix
-	ids     []int64
-	built   bool
-	scratch scratchPool
+	metric linalg.Metric
+	dim    int
+	store  *linalg.Matrix
+	ids    []int64
+	built  bool
 }
 
 func newFlat(m linalg.Metric, dim int) *flat {
@@ -24,8 +23,6 @@ func newFlat(m linalg.Metric, dim int) *flat {
 }
 
 func (f *flat) Type() Type { return Flat }
-
-func (f *flat) pool() *scratchPool { return &f.scratch }
 
 func (f *flat) Build(store *linalg.Matrix, ids []int64) error {
 	if f.built {
@@ -46,64 +43,18 @@ func (f *flat) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (f *flat) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(f, q, k, p, st)
+func (f *flat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
+	searchOneInto(f, q, k, p, st, top)
 }
 
-func (f *flat) searchWith(q []float32, k int, _ SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if f.store == nil || f.store.Rows() == 0 || k < 1 {
-		return dst
-	}
-	n := f.store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(f.metric, q, f.store.Data(), s.dists)
-	top := s.top.Reset(k)
-	for i, d := range s.dists {
-		top.Push(f.ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
-}
-
-// SearchInto offers every stored row directly to the collector: the
-// exhaustive scan needs no private top-k stage, so a capacity->=k collector
-// sees exactly the rows Search would rank, in the same (storage) order.
-func (f *flat) SearchInto(q []float32, k int, _ SearchParams, st *Stats, top *linalg.TopK) {
-	if f.store == nil || f.store.Rows() == 0 || k < 1 {
-		return
-	}
-	s := f.scratch.get()
-	n := f.store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(f.metric, q, f.store.Data(), s.dists)
-	for i, d := range s.dists {
-		top.Push(f.ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	f.scratch.put(s)
-}
-
-// SearchMultiInto is the tiled multi-query scan: the whole arena is walked
-// in cache-resident row tiles, each tile scored against every query by the
-// multi-query blocked kernels (rows stream from memory once per batch, not
-// once per query), and each query's distances are offered to its collector
-// in ascending row order — exactly SearchInto's candidate sequence, so
-// results and tie handling are bit-identical per query.
+// SearchMultiInto offers every stored row directly to the collectors: the
+// exhaustive scan needs no private top-k stage, so each query's collector
+// sees the rows in storage order.
 func (f *flat) SearchMultiInto(queries [][]float32, k int, _ SearchParams, st *Stats, tops []*linalg.TopK) {
-	qn := len(queries)
-	if f.store == nil || f.store.Rows() == 0 || k < 1 || qn == 0 {
+	if k < 1 {
 		return
 	}
-	s := f.scratch.get()
-	scanArenaMulti(f.metric, queries, f.store, f.ids, tops, st, s)
-	f.scratch.put(s)
-}
-
-func (f *flat) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(f, queries, k, p, st)
+	ScanStoreMultiInto(f.metric, queries, f.store, f.ids, tops, st)
 }
 
 func (f *flat) MemoryBytes() int64 {
@@ -118,73 +69,26 @@ func (f *flat) BuildStats() Stats { return Stats{} }
 // StoreAdopted: flat retains the caller's arena as its only storage.
 func (f *flat) StoreAdopted() bool { return true }
 
-// scanPool serves ScanStore: the subset scans of growing/sealing segments
-// share one package-level scratch pool.
+// scanPool serves ScanStoreMultiInto: FLAT segments and the scans of
+// growing/sealing segment tails share one package-level scratch pool.
 var scanPool scratchPool
 
-// ScanStore searches an explicit arena of vectors exhaustively; the store
-// must be packed (stride == dim). The engine uses it for growing
-// (unsealed) segment tails.
-func ScanStore(m linalg.Metric, q []float32, store *linalg.Matrix, ids []int64, k int, st *Stats) []linalg.Neighbor {
-	if store == nil || store.Rows() == 0 || k < 1 {
-		return nil
-	}
-	s := scanPool.get()
-	n := store.Rows()
-	s.dists = f32Buf(s.dists, n)
-	linalg.DistanceBlock(m, q, store.Data(), s.dists)
-	top := s.top.Reset(k)
-	for i, d := range s.dists {
-		top.Push(ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	out := top.AppendResults(make([]linalg.Neighbor, 0, top.Len()))
-	scanPool.put(s)
-	return out
-}
-
-// ScanStoreInto is the collector-feeding variant of ScanStore: it pushes
-// every row of the arena into the caller-owned top and reuses dists as the
-// distance buffer (returned grown to the high-water mark). The engine's
-// scatter-gather path scans growing and sealing tails with it, so a shard
-// probe allocates nothing.
-func ScanStoreInto(m linalg.Metric, q []float32, store *linalg.Matrix, ids []int64, top *linalg.TopK, dists []float32, st *Stats) []float32 {
-	if store == nil || store.Rows() == 0 {
-		return dists
-	}
-	n := store.Rows()
-	dists = f32Buf(dists, n)
-	linalg.DistanceBlock(m, q, store.Data(), dists)
-	for i, d := range dists {
-		top.Push(ids[i], d)
-	}
-	accumulate(st, Stats{DistComps: int64(n)})
-	return dists
-}
-
-// ScanStoreMultiInto is the multi-query variant of ScanStoreInto: one
-// tiled pass over the arena scores every query (rows loaded once, reused
-// across the tile of queries) and feeds each query's collector in
-// ascending row order, so per query the offered sequence is bit-identical
-// to ScanStoreInto's. The engine scans growing and sealing segment tails
-// with it; all scratch is pooled, so a steady-state call allocates
-// nothing.
+// ScanStoreMultiInto is the tiled exhaustive scan of an explicit arena,
+// which must be packed (stride == dim): the arena is walked in
+// cache-resident row tiles, each scored against every query by the
+// multi-query blocked kernels (rows stream from memory once per tile of
+// queries, not once per query), and each query's distances are offered to
+// its collector in ascending row order — a sequence that does not depend
+// on the tile width, so results and tie handling are bit-identical per
+// query for any Q. It is FLAT's scan body and the engine's scan of growing
+// and sealing segment tails; all scratch is pooled, so a steady-state call
+// allocates nothing.
 func ScanStoreMultiInto(m linalg.Metric, queries [][]float32, store *linalg.Matrix, ids []int64, tops []*linalg.TopK, st *Stats) {
-	if store == nil || store.Rows() == 0 || len(queries) == 0 {
+	qn := len(queries)
+	if store == nil || store.Rows() == 0 || qn == 0 {
 		return
 	}
 	s := scanPool.get()
-	scanArenaMulti(m, queries, store, ids, tops, st, s)
-	scanPool.put(s)
-}
-
-// scanArenaMulti is the shared tiled exhaustive scan: per row tile, the
-// multi-query kernel fills a Q×tile distance matrix in scratch, then each
-// query pushes its tile of distances in ascending row order. The push
-// order over the whole arena is therefore (per query) ascending rows —
-// identical to the single-query scans.
-func scanArenaMulti(m linalg.Metric, queries [][]float32, store *linalg.Matrix, ids []int64, tops []*linalg.TopK, st *Stats, s *searchScratch) {
-	qn := len(queries)
 	n := store.Rows()
 	dim := store.Dim()
 	data := store.Data()
@@ -212,4 +116,5 @@ func scanArenaMulti(m linalg.Metric, queries [][]float32, store *linalg.Matrix, 
 		}
 	}
 	accumulate(st, Stats{DistComps: int64(qn) * int64(n)})
+	scanPool.put(s)
 }

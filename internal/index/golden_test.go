@@ -2,8 +2,11 @@ package index
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
+	"os"
 	"testing"
 
 	"vdtuner/internal/linalg"
@@ -131,5 +134,142 @@ func TestHNSWRepairGolden(t *testing.T) {
 	const wantGraph, wantComps = 0x8c6eb56f3e393278, 5994
 	if got, comps := hashHNSW(h), h.work.DistComps-before; got != wantGraph || comps != wantComps {
 		t.Errorf("graph %#x comps %d, want %#x %d", got, comps, uint64(wantGraph), wantComps)
+	}
+}
+
+// searchGoldenCase is one (index type, metric) entry of
+// testdata/search_golden.json: for each of the 16 goldenQueries, the
+// result ids, the math.Float32bits of their distances, and the Stats the
+// query charged. The file was recorded at the parent of the commit that
+// made the tiled multi-query body the only scan body, through the
+// single-query path that commit deleted (Index.SearchInto over each
+// type's private single-query scan, into a fresh collector — what the
+// engine ran per query), on SSE and on the purego kernels (identical). The deleted
+// Index.Search returned its private top-k without the re-offer to a
+// collector; on this corpus it differed from the recorded values only in
+// the order of ids whose distances tie exactly (the duplicated rows).
+type searchGoldenCase struct {
+	Type   string     `json:"type"`
+	Metric string     `json:"metric"`
+	IDs    [][]int64  `json:"ids"`
+	Bits   [][]uint32 `json:"bits"`
+	Stats  []Stats    `json:"stats"`
+}
+
+const searchGoldenK = 10
+
+var (
+	searchGoldenBuild  = BuildParams{NList: 16, M: 5, NBits: 6, HNSWM: 8, EfConstruction: 50, Seed: 21}
+	searchGoldenParams = SearchParams{NProbe: 4, Ef: 32, ReorderK: 20}
+)
+
+// goldenQueries is the fixed 16-query set of the search fixture: rescaled
+// like the corpus, with two queries equal to stored rows — one of them the
+// head of a chain of duplicates, so the top-k is full of exact ties.
+func goldenQueries(t testing.TB, vecs [][]float32) [][]float32 {
+	_, _, queries, _ := testData(t, 1, 16, 30, 1, 4343)
+	for i, q := range queries {
+		linalg.Scale(q, 0.5+float32(i%5)/4)
+	}
+	queries[3] = vecs[20]
+	queries[11] = vecs[1234]
+	return queries
+}
+
+// searchGoldenIndex builds the index of one fixture entry. Entries are
+// named by index type; "IVF_PQ/nbits=9" is IVF_PQ with codes too wide for
+// one byte.
+func searchGoldenIndex(t *testing.T, c searchGoldenCase, vecs [][]float32, ids []int64) Index {
+	t.Helper()
+	bp := searchGoldenBuild
+	name := c.Type
+	if name == "IVF_PQ/nbits=9" {
+		name, bp.NBits = "IVF_PQ", 9
+	}
+	typ, err := ParseType(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := linalg.L2
+	if c.Metric == linalg.InnerProduct.String() {
+		metric = linalg.InnerProduct
+	}
+	idx, err := New(typ, metric, 30, bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
+		t.Fatal(err)
+	}
+	if pq, ok := idx.(*ivfPQ); ok && (bp.NBits == 9) != (pq.codes16 != nil) {
+		t.Fatalf("%s: nbits=%d packed codes16=%v", c.Type, bp.NBits, pq.codes16 != nil)
+	}
+	return idx
+}
+
+// TestSearchGolden holds every search entry point to the fixture, bit for
+// bit: the Search helper and SearchInto per query, and SearchMultiInto at
+// tile widths 2, 7 and 16 (a pair, a quad plus a remainder of three, four
+// quads), whose Stats must be exactly the sum of the recorded per-query
+// ones.
+func TestSearchGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/search_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []searchGoldenCase
+	if err := json.Unmarshal(raw, &cases); err != nil {
+		t.Fatal(err)
+	}
+	if want := 2 * (len(AllTypes()) + 1); len(cases) != want {
+		t.Fatalf("fixture has %d entries, want %d", len(cases), want)
+	}
+	vecs, ids := goldenCorpus(t)
+	queries := goldenQueries(t, vecs)
+	for _, c := range cases {
+		t.Run(c.Type+"/"+c.Metric, func(t *testing.T) {
+			idx := searchGoldenIndex(t, c, vecs, ids)
+			check := func(path string, qi int, got []linalg.Neighbor) {
+				t.Helper()
+				if len(got) != len(c.IDs[qi]) {
+					t.Fatalf("%s query %d: %d results, fixture has %d", path, qi, len(got), len(c.IDs[qi]))
+				}
+				for i, nb := range got {
+					if nb.ID != c.IDs[qi][i] || math.Float32bits(nb.Dist) != c.Bits[qi][i] {
+						t.Fatalf("%s query %d result %d: (%d, %#x), fixture (%d, %#x)", path, qi, i,
+							nb.ID, math.Float32bits(nb.Dist), c.IDs[qi][i], c.Bits[qi][i])
+					}
+				}
+			}
+			for qi, q := range queries {
+				var st Stats
+				check("Search", qi, Search(idx, q, searchGoldenK, searchGoldenParams, &st))
+				if st != c.Stats[qi] {
+					t.Fatalf("Search query %d: stats %+v, fixture %+v", qi, st, c.Stats[qi])
+				}
+				st = Stats{}
+				top := linalg.NewTopK(searchGoldenK)
+				idx.SearchInto(q, searchGoldenK, searchGoldenParams, &st, top)
+				check("SearchInto", qi, top.Results())
+				if st != c.Stats[qi] {
+					t.Fatalf("SearchInto query %d: stats %+v, fixture %+v", qi, st, c.Stats[qi])
+				}
+			}
+			for _, qn := range []int{2, 7, 16} {
+				var st, want Stats
+				tops := make([]*linalg.TopK, qn)
+				for i := range tops {
+					tops[i] = linalg.NewTopK(searchGoldenK)
+					want.Add(c.Stats[i])
+				}
+				idx.SearchMultiInto(queries[:qn], searchGoldenK, searchGoldenParams, &st, tops)
+				for qi := range tops {
+					check(fmt.Sprintf("SearchMultiInto Q=%d", qn), qi, tops[qi].Results())
+				}
+				if st != want {
+					t.Fatalf("SearchMultiInto Q=%d: stats %+v, fixture sum %+v", qn, st, want)
+				}
+			}
+		})
 	}
 }

@@ -94,8 +94,6 @@ func newHNSW(metric linalg.Metric, dim int, p BuildParams) (*hnsw, error) {
 
 func (h *hnsw) Type() Type { return HNSW }
 
-func (h *hnsw) pool() *scratchPool { return &h.scratch }
-
 // dist evaluates one distance and charges it to st.
 func (h *hnsw) dist(st *Stats, a, b []float32) float32 {
 	st.DistComps++
@@ -521,13 +519,14 @@ func (h *hnsw) repairConnectivity() {
 	}
 }
 
-func (h *hnsw) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(h, q, k, p, st)
-}
-
-func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
+// searchWith is HNSW's one search body: greedy descent through the upper
+// layers, an ef-wide beam on layer 0, and the beam's k best — by private
+// top-k, so the result does not depend on the caller's collector capacity
+// — left sorted in s.res.
+func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch) {
+	s.res = s.res[:0]
 	if h.store == nil || h.store.Rows() == 0 || k < 1 || h.entry < 0 {
-		return dst
+		return
 	}
 	ef := p.Ef
 	if ef < k {
@@ -549,25 +548,25 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 		top.Push(h.ids[c.ID], c.Dist)
 	}
 	accumulate(st, work)
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
+	s.res = top.AppendResults(s.res)
 }
 
 func (h *hnsw) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(h, q, k, p, st, top)
+	s := h.scratch.get()
+	h.searchWith(q, k, p, st, s)
+	for _, n := range s.res {
+		top.Push(n.ID, n.Dist)
+	}
+	h.scratch.put(s)
 }
 
 // SearchMultiInto runs the queries serially: graph traversal visits
 // query-dependent neighborhoods, so there is no shared arena tile for the
 // multi-query kernels to amortize.
 func (h *hnsw) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	searchMultiSerial(h, queries, k, p, st, tops)
-}
-
-func (h *hnsw) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(h, queries, k, p, st)
+	for i, q := range queries {
+		h.SearchInto(q, k, p, st, tops[i])
+	}
 }
 
 func (h *hnsw) MemoryBytes() int64 {

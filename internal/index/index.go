@@ -22,14 +22,25 @@
 // # Concurrency model
 //
 // Build parallelizes its training and encoding phases over
-// BuildParams.Workers goroutines, and SearchBatch fans a query batch over
-// SearchParams.Workers goroutines. Both are deterministic: parallel work
-// is chunked independently of the worker count and per-chunk results
+// BuildParams.Workers goroutines. It is deterministic: parallel work is
+// chunked independently of the worker count and per-chunk results
 // (including Stats) are reduced in chunk order, so workers=1 and
-// workers=N produce identical indexes, identical results, and identical
-// accounting — see the parallel package. A built index is immutable;
-// Search and SearchBatch are safe for arbitrary concurrent use. Build
-// itself is not reentrant (it may be called once, by one goroutine).
+// workers=N produce identical indexes and identical accounting — see the
+// parallel package. A built index is immutable; its search methods are
+// safe for arbitrary concurrent use and run on the caller's goroutine
+// (fanning a batch over workers is the engine's job: the vdms collection
+// spreads a shard × query-tile grid over its pool). Build itself is not
+// reentrant (it may be called once, by one goroutine).
+//
+// # One scan body per index type
+//
+// Every index type has exactly one function that walks its posting lists,
+// arena or graph; every other entry point wraps it. FLAT and the IVF
+// family scan in SearchMultiInto — a tile of queries shares each
+// cache-resident row tile — and their SearchInto is that body at Q=1;
+// HNSW (and AUTOINDEX over it) traverses the graph per query, and its
+// SearchMultiInto is the loop over that. The package helper Search is
+// SearchInto into a fresh collector. See DESIGN.md ("One scan body").
 //
 // # Memory layout and the query path
 //
@@ -38,9 +49,9 @@
 // additionally groups rows cell-major, so each posting list is one
 // contiguous row range. All transient query state (visited sets, beams,
 // top-k heaps, ADC tables, probe orders) comes from a pooled searchScratch
-// (see scratch.go): steady-state Search performs zero heap allocations
-// beyond the caller-visible result slice, which the alloc-gate tests in
-// alloc_test.go enforce.
+// (see scratch.go): steady-state SearchInto and SearchMultiInto perform
+// zero heap allocations, which the alloc-gate tests in alloc_test.go
+// enforce.
 package index
 
 import (
@@ -134,10 +145,6 @@ type SearchParams struct {
 	// ReorderK is the number of quantized candidates re-ranked exactly
 	// (SCANN).
 	ReorderK int
-	// Workers is the fan-out of SearchBatch; <= 0 means one worker per
-	// CPU. Single-query Search ignores it. Results and Stats are
-	// identical for any value.
-	Workers int
 }
 
 // Stats counts the work performed by a build or a search. The engine turns
@@ -177,33 +184,25 @@ type Index interface {
 	// private storage). The engine uses it to account retained segment
 	// binlogs exactly once.
 	StoreAdopted() bool
-	// Search returns up to k nearest neighbors of q, accumulating the
-	// work performed into st (which may be nil).
-	Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor
-	// SearchInto offers the candidates Search(q, k, p, st) would return to
-	// the caller-owned collector instead of materializing a result slice
-	// (exhaustive indexes may offer every stored row). For a collector of
-	// capacity >= k the surviving set is exactly Search's result set, with
-	// the same first-offered-wins tie handling; the call performs no heap
-	// allocation at steady state. The engine's scatter-gather path uses it
-	// to merge per-segment and per-shard probes without per-probe slices.
+	// SearchInto offers q's candidates to the caller-owned collector,
+	// accumulating the work performed into st (which may be nil):
+	// approximate indexes offer their k best, exhaustive ones may offer
+	// every stored row. For a collector of capacity >= k the surviving set
+	// is the k nearest the index can find, with first-offered-wins tie
+	// handling; the call performs no heap allocation at steady state. It is
+	// exactly SearchMultiInto over the one-query tile.
 	SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK)
 	// SearchMultiInto answers queries[i] into collector tops[i]. For
 	// every i the offered candidate sequence — and therefore the
-	// surviving set, tie handling included — is exactly
-	// SearchInto(queries[i], k, p, st, tops[i])'s, and st accumulates
-	// exactly the sum of the per-query calls. Arena-scanning indexes
-	// (FLAT, the IVF family's posting lists and coarse quantizer) share
-	// one streaming pass over each cache-resident row tile across the
-	// whole query tile (the multi-query blocked kernels in linalg);
-	// graph-traversal paths fall back to per-query probes.
+	// surviving set, tie handling included — does not depend on which
+	// other queries share the call, and st accumulates exactly the sum of
+	// the per-query work. Arena-scanning indexes (FLAT, the IVF family's
+	// posting lists and coarse quantizer) share one streaming pass over
+	// each cache-resident row tile across the whole query tile (the
+	// multi-query blocked kernels in linalg); graph traversal probes per
+	// query. The engine's scatter-gather path merges per-segment and
+	// per-shard probes through the collectors, without per-probe slices.
 	SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK)
-	// SearchBatch answers queries[i] into result slot i, fanning the
-	// batch across p.Workers goroutines (built indexes are immutable, so
-	// concurrent probes are safe). Per-query work is accumulated into
-	// per-worker Stats and merged into st at the end, keeping the
-	// distance-comp accounting exactly equal to k sequential Searches.
-	SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor
 	// MemoryBytes reports the resident size of the built structure.
 	MemoryBytes() int64
 	// BuildStats reports the work performed by Build.
@@ -234,6 +233,18 @@ func New(t Type, m linalg.Metric, dim int, p BuildParams) (Index, error) {
 	default:
 		return nil, fmt.Errorf("index: unknown type %v", t)
 	}
+}
+
+// Search returns up to k nearest neighbors of q in ascending distance,
+// accumulating the work performed into st (which may be nil): SearchInto
+// into a fresh collector, for callers that want a slice.
+func Search(x Index, q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
+	if k < 1 {
+		return nil
+	}
+	top := linalg.NewTopK(k)
+	x.SearchInto(q, k, p, st, top)
+	return top.Results()
 }
 
 // accumulate adds o into st when st is non-nil.

@@ -79,7 +79,7 @@ func buildAndMeasure(t *testing.T, typ Type, bp BuildParams, sp SearchParams) (r
 	}
 	var sum float64
 	for qi, q := range queries {
-		res := idx.Search(q, k, sp, &work)
+		res := Search(idx, q, k, sp, &work)
 		sum += recallOf(res, truth[qi])
 	}
 	return sum / float64(len(queries)), work, idx
@@ -226,7 +226,7 @@ func TestAllTypesReturnSortedResults(t *testing.T) {
 			t.Fatalf("Build(%v): %v", typ, err)
 		}
 		for _, q := range queries {
-			res := idx.Search(q, 10, SearchParams{NProbe: 8, Ef: 32, ReorderK: 20}, nil)
+			res := Search(idx, q, 10, SearchParams{NProbe: 8, Ef: 32, ReorderK: 20}, nil)
 			for i := 1; i < len(res); i++ {
 				if res[i].Dist < res[i-1].Dist {
 					t.Fatalf("%v results not sorted: %v after %v", typ, res[i].Dist, res[i-1].Dist)
@@ -321,14 +321,18 @@ func TestStatsAdd(t *testing.T) {
 func TestScanStore(t *testing.T) {
 	vecs, ids, queries, truth := testData(t, 200, 5, 8, 5, 15)
 	var st Stats
-	for qi, q := range queries {
-		res := ScanStore(linalg.L2, q, linalg.MatrixFromRows(vecs), ids, 5, &st)
-		if r := recallOf(res, truth[qi]); r != 1.0 {
-			t.Fatalf("ScanStore recall = %v, want 1.0", r)
+	tops := make([]*linalg.TopK, len(queries))
+	for i := range tops {
+		tops[i] = linalg.NewTopK(5)
+	}
+	ScanStoreMultiInto(linalg.L2, queries, linalg.MatrixFromRows(vecs), ids, tops, &st)
+	for qi := range queries {
+		if r := recallOf(tops[qi].Results(), truth[qi]); r != 1.0 {
+			t.Fatalf("ScanStoreMultiInto recall = %v, want 1.0", r)
 		}
 	}
 	if st.DistComps != 200*5 {
-		t.Fatalf("ScanStore work = %d, want %d", st.DistComps, 200*5)
+		t.Fatalf("ScanStoreMultiInto work = %d, want %d", st.DistComps, 200*5)
 	}
 }
 
@@ -343,7 +347,7 @@ func TestInnerProductMetric(t *testing.T) {
 		if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 			t.Fatal(err)
 		}
-		res := idx.Search(q, 3, SearchParams{NProbe: 8, Ef: 64, ReorderK: 10}, nil)
+		res := Search(idx, q, 3, SearchParams{NProbe: 8, Ef: 64, ReorderK: 10}, nil)
 		if len(res) == 0 {
 			t.Fatalf("%v IP search returned nothing", typ)
 		}
@@ -369,9 +373,10 @@ func BenchmarkHNSWSearch(b *testing.B) {
 	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 		b.Fatal(err)
 	}
+	top := linalg.NewTopK(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Search(queries[i%len(queries)], 10, SearchParams{Ef: 64}, nil)
+		idx.SearchInto(queries[i%len(queries)], 10, SearchParams{Ef: 64}, nil, top.Reset(10))
 	}
 }
 
@@ -408,8 +413,9 @@ func BenchmarkIVFFlatSearch(b *testing.B) {
 	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 		b.Fatal(err)
 	}
+	top := linalg.NewTopK(10)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		idx.Search(queries[i%len(queries)], 10, SearchParams{NProbe: 8}, nil)
+		idx.SearchInto(queries[i%len(queries)], 10, SearchParams{NProbe: 8}, nil, top.Reset(10))
 	}
 }

@@ -97,28 +97,15 @@ func (c *ivfCoarse) cellRange(cell int32) (lo, hi int32) {
 	return c.cellStart[cell], c.cellStart[cell+1]
 }
 
-// probe returns the nprobe cells nearest to q in ascending centroid
-// distance (ties broken by cell id, keeping the order deterministic) and
-// charges the coarse comparison work to st. The returned slice is owned by
-// s and valid until its next probe. The selection is partial: a bounded
-// max-heap over the centroid distances, O(nlist log nprobe), instead of a
-// full sort — the common nprobe ≪ nlist case skips almost all of the sort
-// work.
-func (c *ivfCoarse) probe(q []float32, nprobe int, st *Stats, s *searchScratch) []int32 {
-	ncells := c.cents.Rows()
-	s.dists = f32Buf(s.dists, ncells)
-	linalg.DistanceBlock(c.metric, q, c.cents.Data(), s.dists)
-	accumulate(st, Stats{DistComps: int64(ncells)})
-	return c.selectCells(s.dists, nprobe, s)
-}
-
 // probeMulti is the batched coarse assignment: every centroid is scored
 // against all queries in one multi-query blocked pass (the centroid arena
-// is itself a small scan), then each query's nprobe nearest cells are
-// selected exactly as probe would. The returned flat table holds query
-// qi's probe order at [qi*nprobe : (qi+1)*nprobe]; it aliases s.mprobe and
-// is valid until the scratch's next multi probe. nprobe must already be
-// clamped to the cell count, so every query selects exactly nprobe cells.
+// is itself a small scan) and charged to st, then each query's nprobe
+// nearest cells are selected in ascending centroid distance (ties broken
+// by cell id, keeping the order deterministic). The returned flat table
+// holds query qi's probe order at [qi*nprobe : (qi+1)*nprobe]; it aliases
+// s.mprobe and is valid until the scratch's next probe. nprobe must
+// already be clamped to the cell count, so every query selects exactly
+// nprobe cells.
 func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *searchScratch) []int32 {
 	ncells := c.cents.Rows()
 	qn := len(queries)
@@ -140,7 +127,9 @@ func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *se
 // selectCells runs the partial selection over precomputed centroid
 // distances: a bounded max-heap of the best nprobe (distance, cell)
 // pairs, worst at the root; ties order by larger cell id = worse, so the
-// retained set and the final order are id-deterministic.
+// retained set and the final order are id-deterministic. The selection is
+// O(nlist log nprobe) instead of a full sort — the common nprobe ≪ nlist
+// case skips almost all of the sort work.
 func (c *ivfCoarse) selectCells(dists []float32, nprobe int, s *searchScratch) []int32 {
 	heap := i32Buf(s.probe, nprobe)[:0]
 	heapD := f32Buf(s.probeD, nprobe)[:0]
@@ -206,10 +195,11 @@ func (c *ivfCoarse) selectCells(dists []float32, nprobe int, s *searchScratch) [
 // (global probe-slot ids, gathered in ascending slot = ascending query
 // order, deterministically), and s.mregion assigns each (query,
 // probe-slot) its contiguous region of s.mbuf, sized by its cell. The
-// total region length is returned and s.mbuf is sized to it. This is the
-// shared phase-2 skeleton of every IVF-family SearchMultiInto: after it,
-// the owner scans each probed cell once for all of its probers into the
-// regions, then replays per query.
+// total region length — the number of (query, row) pairs the scan will
+// score — is returned and s.mbuf is sized to it. This is the shared
+// phase-2 skeleton of every IVF-family SearchMultiInto: after it, the
+// owner scans each probed cell once for all of its probers into the
+// regions (see probers), then replays per query.
 func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	ncells := c.cents.Rows()
 	slots := len(probes)
@@ -245,11 +235,33 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	return int(total)
 }
 
+// probers gathers the scan arguments of one cell: its grouped row range
+// and, for every (query, probe-slot) probing it, in ascending slot order,
+// the query's kernel argument rows[query] and the slot's output region of
+// s.mbuf. The views alias s.mqrows/s.mouts and are valid until the next
+// call; they are empty when nobody probes the cell or the cell has no rows.
+func (c *ivfCoarse) probers(cell, nprobe int, rows [][]float32, s *searchScratch) (lo, hi int32, qrows, outs [][]float32) {
+	elo, ehi := int(s.mcnt[cell]), int(s.mcnt[cell+1])
+	lo, hi = c.cellRange(int32(cell))
+	if elo == ehi || lo == hi {
+		return lo, hi, nil, nil
+	}
+	nq := ehi - elo
+	s.mqrows = f32sBuf(s.mqrows, nq)
+	s.mouts = f32sBuf(s.mouts, nq)
+	for j, slot := range s.ment[elo:ehi] {
+		s.mqrows[j] = rows[int(slot)/nprobe]
+		o := s.mregion[slot]
+		s.mouts[j] = s.mbuf[o : o+hi-lo]
+	}
+	return lo, hi, s.mqrows, s.mouts
+}
+
 // replayRegions replays each query's materialized probe-slot regions in
 // probe order: push (ids[row], dist) into a private top-k, then offer its
-// sorted results to the caller's collector — exactly the candidate
-// sequence the single-query scan produces, so results and ties are
-// bit-identical per query.
+// sorted results to the caller's collector. Per query the sequence depends
+// only on its own probe order, never on the tile it rode in, so results
+// and ties are bit-identical for any tile width.
 func (c *ivfCoarse) replayRegions(probes []int32, nprobe, k int, ids []int64, s *searchScratch, tops []*linalg.TopK) {
 	for qi := range tops {
 		top := s.top.Reset(k)
@@ -328,8 +340,6 @@ func newIVFFlat(m linalg.Metric, dim int, p BuildParams) (*ivfFlat, error) {
 
 func (x *ivfFlat) Type() Type { return IVFFlat }
 
-func (x *ivfFlat) pool() *scratchPool { return &x.scratch }
-
 func (x *ivfFlat) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {
 		return fmt.Errorf("ivf_flat: %d vectors but %d ids", store.Rows(), len(ids))
@@ -343,38 +353,8 @@ func (x *ivfFlat) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (x *ivfFlat) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
-func (x *ivfFlat) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if x.store == nil || x.store.Rows() == 0 || k < 1 {
-		return dst
-	}
-	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	data := x.store.Data()
-	dim := x.store.Dim()
-	top := s.top.Reset(k)
-	var scanned int64
-	for _, cell := range cells {
-		lo, hi := x.coarse.cellRange(cell)
-		if lo == hi {
-			continue
-		}
-		s.dists = f32Buf(s.dists, int(hi-lo))
-		linalg.DistanceBlock(x.coarse.metric, q, data[int(lo)*dim:int(hi)*dim], s.dists)
-		top.PushBlock(x.ids[lo:hi], s.dists)
-		scanned += int64(hi - lo)
-	}
-	accumulate(st, Stats{DistComps: scanned})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
-}
-
 func (x *ivfFlat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(x, q, k, p, st, top)
+	searchOneInto(x, q, k, p, st, top)
 }
 
 // SearchMultiInto shares the posting-list streaming across the query
@@ -384,57 +364,30 @@ func (x *ivfFlat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top 
 // kernel for all of its probers, materializing every (query, probe-slot)
 // distance region in scratch; (3) per query, the regions are replayed in
 // probe order — pushing into a private top-k and offering its sorted
-// results to the caller's collector, exactly the sequence SearchInto
-// produces — so results, ties, and Stats are bit-identical per query
-// while each cell's rows are loaded from memory once per tile instead of
-// once per probing query.
+// results to the caller's collector — so results, ties, and Stats are
+// tile-width invariant while each cell's rows are loaded from memory once
+// per tile instead of once per probing query.
 func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	qn := len(queries)
-	if x.store == nil || x.store.Rows() == 0 || k < 1 || qn == 0 {
+	if x.store == nil || x.store.Rows() == 0 || k < 1 || len(queries) == 0 {
 		return
 	}
 	s := x.scratch.get()
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	x.coarse.invertProbes(probes, s)
+	scanned := x.coarse.invertProbes(probes, s)
 
-	// Scan each probed cell once for all its probers.
 	data := x.store.Data()
 	dim := x.store.Dim()
-	ncells := x.coarse.cents.Rows()
-	var scanned int64
-	for c := 0; c < ncells; c++ {
-		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
-		if elo == ehi {
-			continue
+	for cell := 0; cell < x.coarse.cents.Rows(); cell++ {
+		lo, hi, qrows, outs := x.coarse.probers(cell, nprobe, queries, s)
+		if len(qrows) > 0 {
+			linalg.DistanceMultiScatter(x.coarse.metric, qrows, data[int(lo)*dim:int(hi)*dim], outs)
 		}
-		lo, hi := x.coarse.cellRange(int32(c))
-		if lo == hi {
-			continue
-		}
-		nq := ehi - elo
-		s.mqrows = f32sBuf(s.mqrows, nq)
-		s.mouts = f32sBuf(s.mouts, nq)
-		for j := 0; j < nq; j++ {
-			slot := s.ment[elo+j]
-			s.mqrows[j] = queries[slot/int32(nprobe)]
-			o := s.mregion[slot]
-			s.mouts[j] = s.mbuf[o : o+hi-lo]
-		}
-		linalg.DistanceMultiScatter(x.coarse.metric, s.mqrows, data[int(lo)*dim:int(hi)*dim], s.mouts)
-		scanned += int64(nq) * int64(hi-lo)
 	}
 
 	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{DistComps: scanned})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
-	}
+	accumulate(st, Stats{DistComps: int64(scanned)})
 	x.scratch.put(s)
-}
-
-func (x *ivfFlat) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfFlat) MemoryBytes() int64 {

@@ -2,7 +2,6 @@ package index
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
 
 	"vdtuner/internal/linalg"
@@ -58,8 +57,8 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 				}
 				for qi, q := range queries {
 					var sSeq, sPar Stats
-					rSeq := seq.Search(q, 10, tc.sp, &sSeq)
-					rPar := par.Search(q, 10, tc.sp, &sPar)
+					rSeq := Search(seq, q, 10, tc.sp, &sSeq)
+					rPar := Search(par, q, 10, tc.sp, &sPar)
 					if !reflect.DeepEqual(rSeq, rPar) {
 						t.Fatalf("workers=%d query %d: results differ\nseq: %v\npar: %v",
 							workers, qi, rSeq, rPar)
@@ -92,31 +91,26 @@ func TestHNSWGraphIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSequentialSearch verifies the batched API is a
-// pure fan-out: same per-query results and exactly the same accumulated
-// Stats as k sequential Search calls, for every index type and any
-// worker count.
+// TestSearchBatchMatchesSequentialSearch is batch ≡ sequential at the
+// index layer, for every index type with a parallel build, built at the
+// default worker count: one SearchMultiInto tile over the whole (ragged,
+// 25-query) batch returns the per-query results, and exactly the summed
+// Stats, of sequential Search calls.
 func TestSearchBatchMatchesSequentialSearch(t *testing.T) {
 	vecs, ids, queries, _ := testData(t, 1000, 25, 16, 5, 79)
 	for _, tc := range parallelCases {
 		t.Run(tc.name, func(t *testing.T) {
 			idx := buildWithWorkers(t, tc.typ, tc.bp, 0, vecs, ids)
-			var want Stats
+			var want, got Stats
 			wantRes := make([][]linalg.Neighbor, len(queries))
 			for qi, q := range queries {
-				wantRes[qi] = idx.Search(q, 5, tc.sp, &want)
+				wantRes[qi] = Search(idx, q, 5, tc.sp, &want)
 			}
-			for _, workers := range []int{1, 4, 16} {
-				sp := tc.sp
-				sp.Workers = workers
-				var got Stats
-				gotRes := idx.SearchBatch(queries, 5, sp, &got)
-				if !reflect.DeepEqual(gotRes, wantRes) {
-					t.Fatalf("workers=%d: batch results differ from sequential", workers)
-				}
-				if got != want {
-					t.Fatalf("workers=%d: batch stats %+v, sequential %+v", workers, got, want)
-				}
+			if gotRes := searchTile(idx, queries, 5, tc.sp, &got); !reflect.DeepEqual(gotRes, wantRes) {
+				t.Fatal("batch results differ from sequential")
+			}
+			if got != want {
+				t.Fatalf("batch stats %+v, sequential %+v", got, want)
 			}
 		})
 	}
@@ -155,8 +149,8 @@ func TestArenaLayoutInvariant(t *testing.T) {
 			}
 			for qi, q := range queries {
 				var sA, sB Stats
-				rA := standalone.Search(q, 10, tc.sp, &sA)
-				rB := viewBuilt.Search(q, 10, tc.sp, &sB)
+				rA := Search(standalone, q, 10, tc.sp, &sA)
+				rB := Search(viewBuilt, q, 10, tc.sp, &sB)
 				if !reflect.DeepEqual(rA, rB) {
 					t.Fatalf("query %d: arena-view build differs from standalone build\nstandalone: %v\nview:       %v", qi, rA, rB)
 				}
@@ -164,12 +158,10 @@ func TestArenaLayoutInvariant(t *testing.T) {
 					t.Fatalf("query %d: stats differ: %+v vs %+v", qi, sA, sB)
 				}
 			}
-			spN := tc.sp
-			spN.Workers = 8
-			batch := viewBuilt.SearchBatch(queries, 10, spN, nil)
+			batch := searchTile(viewBuilt, queries, 10, tc.sp, nil)
 			for qi, q := range queries {
-				if !reflect.DeepEqual(batch[qi], standalone.Search(q, 10, tc.sp, nil)) {
-					t.Fatalf("query %d: workers=8 batch over the view differs from workers=1 standalone", qi)
+				if !reflect.DeepEqual(batch[qi], Search(standalone, q, 10, tc.sp, nil)) {
+					t.Fatalf("query %d: batch over the workers=8 view build differs from workers=1 standalone", qi)
 				}
 			}
 		})
@@ -180,41 +172,4 @@ func withSeed(bp BuildParams, seed int64, workers int) BuildParams {
 	bp.Seed = seed
 	bp.Workers = workers
 	return bp
-}
-
-func TestSearchBatchEmptyAndNilStats(t *testing.T) {
-	vecs, ids, queries, _ := testData(t, 300, 3, 8, 3, 80)
-	idx := buildWithWorkers(t, IVFFlat, BuildParams{NList: 8}, 2, vecs, ids)
-	if out := idx.SearchBatch(nil, 3, SearchParams{NProbe: 4, Workers: 4}, nil); len(out) != 0 {
-		t.Fatalf("empty batch returned %d slots", len(out))
-	}
-	out := idx.SearchBatch(queries, 3, SearchParams{NProbe: 4, Workers: 4}, nil)
-	if len(out) != len(queries) {
-		t.Fatalf("batch returned %d slots, want %d", len(out), len(queries))
-	}
-	for qi := range out {
-		if len(out[qi]) == 0 {
-			t.Fatalf("query %d returned no neighbors", qi)
-		}
-	}
-}
-
-func TestSearchBatchParallelSpeedupShape(t *testing.T) {
-	// Not a timing assertion (unreliable on small machines/CI): just that
-	// large fan-out requests behave identically to workers=1 on a batch
-	// bigger than any internal chunk size.
-	if runtime.GOMAXPROCS(0) < 1 {
-		t.Skip("no CPUs")
-	}
-	vecs, ids, _, _ := testData(t, 800, 1, 16, 1, 81)
-	idx := buildWithWorkers(t, HNSW, BuildParams{HNSWM: 8, EfConstruction: 48}, 0, vecs, ids)
-	batch := make([][]float32, 300)
-	for i := range batch {
-		batch[i] = vecs[(i*7)%len(vecs)]
-	}
-	a := idx.SearchBatch(batch, 5, SearchParams{Ef: 32, Workers: 1}, nil)
-	b := idx.SearchBatch(batch, 5, SearchParams{Ef: 32, Workers: 64}, nil)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("results depend on batch fan-out width")
-	}
 }

@@ -74,8 +74,6 @@ func newIVFPQ(metric linalg.Metric, dim int, p BuildParams) (*ivfPQ, error) {
 
 func (x *ivfPQ) Type() Type { return IVFPQ }
 
-func (x *ivfPQ) pool() *scratchPool { return &x.scratch }
-
 func (x *ivfPQ) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {
 		return fmt.Errorf("ivf_pq: %d vectors but %d ids", store.Rows(), len(ids))
@@ -145,75 +143,16 @@ func (x *ivfPQ) codeLen() int {
 	return len(x.codes16)
 }
 
-func (x *ivfPQ) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
-func (x *ivfPQ) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if x.codeLen() == 0 || k < 1 {
-		return dst
-	}
-	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	return x.scanCells(q, cells, k, st, s, dst)
-}
-
-// scanCells builds the per-query ADC table and scans the given cells'
-// codes in probe order with the unrolled PQScan kernels (four independent
-// gather chains per code row), returning the top-k appended to dst.
-func (x *ivfPQ) scanCells(q []float32, cells []int32, k int, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	// Build the flat ADC lookup table: adc[s*ksub+c] is the distance
-	// between the query's subvector s and codeword c, computed with one
-	// blocked kernel call per subspace over the contiguous codeword
-	// arena (the metric epilogue is fused in DistanceBlock). Total work
-	// is m * ksub subspace distances = ksub full-dimension equivalents.
-	ksub := x.ksubN
-	m := x.m
-	adc := f32Buf(s.adc, m*ksub)
-	books := x.books.Data()
-	rowLen := ksub * x.subDim
-	for sub := 0; sub < m; sub++ {
-		qs := q[sub*x.subDim : (sub+1)*x.subDim]
-		out := adc[sub*ksub : (sub+1)*ksub]
-		linalg.DistanceBlock(x.coarse.metric, qs, books[sub*rowLen:(sub+1)*rowLen], out)
-	}
-	s.adc = adc
-	accumulate(st, Stats{DistComps: int64(ksub)})
-
-	top := s.top.Reset(k)
-	var candidates int64
-	for _, cell := range cells {
-		lo, hi := x.coarse.cellRange(cell)
-		if lo == hi {
-			continue
-		}
-		s.dists = f32Buf(s.dists, int(hi-lo))
-		if x.codes8 != nil {
-			linalg.PQScan8(adc, x.codes8[int(lo)*m:int(hi)*m], m, ksub, s.dists)
-		} else {
-			linalg.PQScan16(adc, x.codes16[int(lo)*m:int(hi)*m], m, ksub, s.dists)
-		}
-		top.PushBlock(x.ids[lo:hi], s.dists)
-		candidates += int64(hi - lo)
-	}
-	accumulate(st, Stats{Lookups: candidates * int64(m)})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
-}
-
 func (x *ivfPQ) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(x, q, k, p, st, top)
+	searchOneInto(x, q, k, p, st, top)
 }
 
 // SearchMultiInto shares the code-arena streaming across the query tile:
-// batched coarse assignment, all Q ADC tables built into one flat arena
-// (one DistanceMultiScatter per subspace over the contiguous codeword
-// range — bit-identical to Q per-query DistanceBlock builds), then the
-// probe table is inverted cell→probers and each probed cell's code range
-// is walked once for all of its probers (each code row's entries load
-// once per tile, not once per query), and a per-query replay reproduces
-// the single-query candidate sequence exactly.
+// batched coarse assignment, all Q ADC tables built into one flat arena,
+// then the probe table is inverted cell→probers and each probed cell's
+// code range is walked once for all of its probers by the unrolled PQScan
+// kernels (each code row's entries load once per tile, not once per
+// query), and the tile-width invariant per-query replay.
 func (x *ivfPQ) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
 	qn := len(queries)
 	if x.codeLen() == 0 || k < 1 || qn == 0 {
@@ -223,8 +162,12 @@ func (x *ivfPQ) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
 
-	// Phase 1b: all Q ADC tables, one blocked multi-query kernel call per
-	// subspace over the contiguous codeword arena.
+	// The flat ADC lookup tables: table qi's entry sub*ksub+c is the
+	// distance between query qi's subvector sub and codeword c, computed
+	// with one blocked multi-query kernel call per subspace over the
+	// contiguous codeword arena (the metric epilogue is fused in the
+	// kernel). Per query the work is m * ksub subspace distances = ksub
+	// full-dimension equivalents.
 	ksub := x.ksubN
 	m := x.m
 	tab := m * ksub
@@ -241,46 +184,27 @@ func (x *ivfPQ) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 		linalg.DistanceMultiScatter(x.coarse.metric, s.mqrows, books[sub*rowLen:(sub+1)*rowLen], s.mouts)
 	}
 	accumulate(st, Stats{DistComps: int64(qn) * int64(ksub)})
+	s.mrows = f32sBuf(s.mrows, qn)
+	for qi := range s.mrows {
+		s.mrows[qi] = s.madc[qi*tab : (qi+1)*tab]
+	}
 
-	// Phase 2: invert and scan each probed cell once for all its probers.
-	total := x.coarse.invertProbes(probes, s)
-	ncells := x.coarse.cents.Rows()
-	for c := 0; c < ncells; c++ {
-		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
-		if elo == ehi {
+	scanned := x.coarse.invertProbes(probes, s)
+	for cell := 0; cell < x.coarse.cents.Rows(); cell++ {
+		lo, hi, tables, outs := x.coarse.probers(cell, nprobe, s.mrows, s)
+		if len(tables) == 0 {
 			continue
-		}
-		lo, hi := x.coarse.cellRange(int32(c))
-		if lo == hi {
-			continue
-		}
-		nq := ehi - elo
-		s.mqrows = f32sBuf(s.mqrows, nq)
-		s.mouts = f32sBuf(s.mouts, nq)
-		for j := 0; j < nq; j++ {
-			slot := s.ment[elo+j]
-			qi := int(slot) / nprobe
-			s.mqrows[j] = s.madc[qi*tab : (qi+1)*tab]
-			o := s.mregion[slot]
-			s.mouts[j] = s.mbuf[o : o+hi-lo]
 		}
 		if x.codes8 != nil {
-			linalg.PQScan8Multi(s.mqrows[:nq], x.codes8[int(lo)*m:int(hi)*m], m, ksub, s.mouts[:nq])
+			linalg.PQScan8Multi(tables, x.codes8[int(lo)*m:int(hi)*m], m, ksub, outs)
 		} else {
-			linalg.PQScan16Multi(s.mqrows[:nq], x.codes16[int(lo)*m:int(hi)*m], m, ksub, s.mouts[:nq])
+			linalg.PQScan16Multi(tables, x.codes16[int(lo)*m:int(hi)*m], m, ksub, outs)
 		}
 	}
 
 	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{Lookups: int64(total) * int64(m)})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
-	}
+	accumulate(st, Stats{Lookups: int64(scanned) * int64(m)})
 	x.scratch.put(s)
-}
-
-func (x *ivfPQ) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfPQ) MemoryBytes() int64 {

@@ -36,8 +36,6 @@ func newSCANN(m linalg.Metric, dim int, p BuildParams) (*scann, error) {
 
 func (x *scann) Type() Type { return SCANN }
 
-func (x *scann) pool() *scratchPool { return &x.scratch }
-
 func (x *scann) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {
 		return fmt.Errorf("scann: %d vectors but %d ids", store.Rows(), len(ids))
@@ -52,62 +50,6 @@ func (x *scann) Build(store *linalg.Matrix, ids []int64) error {
 	x.ids = gatherIDs(ids, order)
 	x.coarse.buildWork.Add(Stats{CodeComps: int64(store.Rows())})
 	return nil
-}
-
-func (x *scann) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
-func (x *scann) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if len(x.codes) == 0 || k < 1 {
-		return dst
-	}
-	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	return x.scanCells(q, cells, k, p, st, s, dst)
-}
-
-// scanCells runs both SCANN stages over the given cells in probe order:
-// blocked quantized stage-1 selection (the SQ8 decode kernels stream each
-// cell's contiguous byte range), then exact re-ranking of the survivors
-// through the blocked float kernel over a gathered candidate arena.
-func (x *scann) scanCells(q []float32, cells []int32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	reorder := p.ReorderK
-	if reorder < k {
-		reorder = k
-	}
-	dim := x.coarse.dim
-
-	// Stage 1: quantized scoring of the probed cells, keeping the best
-	// reorder_k candidates by grouped row.
-	sm, qa := x.codec.scanArg(x.coarse.metric, q, s)
-	stage1 := s.stage1.Reset(reorder)
-	var scanned int64
-	for _, cell := range cells {
-		lo, hi := x.coarse.cellRange(cell)
-		if lo == hi {
-			continue
-		}
-		s.dists = f32Buf(s.dists, int(hi-lo))
-		linalg.DistanceSQ8Block(sm, qa, x.codec.min, x.codec.scale, x.codes[int(lo)*dim:int(hi)*dim], s.dists)
-		for i, d := range s.dists {
-			stage1.Push(int64(int(lo)+i), d)
-		}
-		scanned += int64(hi - lo)
-	}
-	accumulate(st, Stats{CodeComps: scanned})
-
-	// Stage 2: exact re-ranking of the survivors.
-	s.neighbors = stage1.AppendResults(s.neighbors[:0])
-	top := s.top.Reset(k)
-	x.rerank(q, s)
-	for ci, c := range s.neighbors {
-		top.Push(x.ids[int(c.ID)], s.dists[ci])
-	}
-	accumulate(st, Stats{DistComps: int64(len(s.neighbors))})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
 }
 
 // rerank gathers the stage-1 survivors in s.neighbors into the contiguous
@@ -126,18 +68,17 @@ func (x *scann) rerank(q []float32, s *searchScratch) {
 }
 
 func (x *scann) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(x, q, k, p, st, top)
+	searchOneInto(x, q, k, p, st, top)
 }
 
 // SearchMultiInto shares the quantized stage-1 streaming across the query
 // tile: batched coarse assignment, cell→prober inversion with each probed
-// cell's code range decoded once per quad of probers by the multi-query
-// SQ8 kernels, then a per-query replay that selects each query's reorder_k
-// survivors in the single-query candidate order and re-ranks them exactly
-// through the blocked float kernel — results are bit-identical per query.
+// cell's code range decoded once per quad of probers (scanProbed), then a
+// per-query replay that selects each query's reorder_k survivors by
+// grouped row in probe order and re-ranks them exactly through the
+// blocked float kernel — per query nothing depends on the tile width.
 func (x *scann) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	qn := len(queries)
-	if len(x.codes) == 0 || k < 1 || qn == 0 {
+	if len(x.codes) == 0 || k < 1 || len(queries) == 0 {
 		return
 	}
 	reorder := p.ReorderK
@@ -147,45 +88,8 @@ func (x *scann) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 	s := x.scratch.get()
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	total := x.coarse.invertProbes(probes, s)
-
-	dim := x.coarse.dim
-	sm := x.codec.scanMetric(x.coarse.metric)
-	l2 := sm == linalg.L2
-	if l2 {
-		s.mres = f32Buf(s.mres, qn*dim)
-		for qi, q := range queries {
-			linalg.SQ8Residual(q, x.codec.min, s.mres[qi*dim:(qi+1)*dim])
-		}
-	}
-
-	ncells := x.coarse.cents.Rows()
-	for c := 0; c < ncells; c++ {
-		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
-		if elo == ehi {
-			continue
-		}
-		lo, hi := x.coarse.cellRange(int32(c))
-		if lo == hi {
-			continue
-		}
-		nq := ehi - elo
-		s.mqrows = f32sBuf(s.mqrows, nq)
-		s.mouts = f32sBuf(s.mouts, nq)
-		for j := 0; j < nq; j++ {
-			slot := s.ment[elo+j]
-			qi := int(slot) / nprobe
-			if l2 {
-				s.mqrows[j] = s.mres[qi*dim : (qi+1)*dim]
-			} else {
-				s.mqrows[j] = queries[qi]
-			}
-			o := s.mregion[slot]
-			s.mouts[j] = s.mbuf[o : o+hi-lo]
-		}
-		linalg.DistanceSQ8MultiScatter(sm, s.mqrows, x.codec.min, x.codec.scale,
-			x.codes[int(lo)*dim:int(hi)*dim], s.mouts)
-	}
+	scanned := x.coarse.invertProbes(probes, s)
+	x.codec.scanProbed(x.coarse, x.codes, queries, nprobe, s)
 
 	var reranked int64
 	for qi, q := range queries {
@@ -214,15 +118,8 @@ func (x *scann) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *
 			dst.Push(nb.ID, nb.Dist)
 		}
 	}
-	accumulate(st, Stats{CodeComps: int64(total), DistComps: reranked})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
-	}
+	accumulate(st, Stats{CodeComps: int64(scanned), DistComps: reranked})
 	x.scratch.put(s)
-}
-
-func (x *scann) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *scann) MemoryBytes() int64 {

@@ -4,16 +4,13 @@ import (
 	"sync"
 
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 )
 
-// searchScratch is the reusable per-query working state of every index's
-// hot path. One scratch serves one query at a time; buffers grow to the
-// high-water mark of the queries they serve and are then reused, so a
-// steady-state Search performs no heap allocations beyond the
-// caller-visible result slice. Scratches are pooled per index (see
-// scratchPool) and threaded through SearchBatch's chunk workers, giving
-// each worker goroutine a private scratch for its whole run.
+// searchScratch is the reusable working state of every index's hot path.
+// One scratch serves one call (a query tile, or one HNSW query) at a time;
+// buffers grow to the high-water mark of the calls they serve and are then
+// reused, so a steady-state search performs no heap allocations. Scratches
+// are pooled per index (see scratchPool).
 type searchScratch struct {
 	// visited is the epoch-stamped visited set of the HNSW beam search:
 	// node i is visited this query iff visited[i] == epoch. Bumping epoch
@@ -33,48 +30,47 @@ type searchScratch struct {
 	// (HNSW beam, SCANN quantized stage).
 	top    linalg.TopK
 	stage1 linalg.TopK
-	// dists receives blocked-kernel distance outputs (centroid scans,
-	// posting-list scans).
+	// dists receives blocked-kernel distance outputs (HNSW node
+	// expansions, the SCANN re-rank).
 	dists []float32
-	// adc is the flattened PQ lookup table: m*ksub subspace distances.
-	adc []float32
 	// probe holds the selected IVF probe order; probeD the paired
 	// centroid distances during selection.
 	probe  []int32
 	probeD []float32
 	// neighbors is a transient neighbor buffer (SCANN stage-1 results).
 	neighbors []linalg.Neighbor
-	// res is the reusable result buffer of SearchInto: the probe's top-k
-	// lands here before being offered to the caller's collector, so the
+	// res is the reusable result buffer: a query's private top-k lands
+	// here before being offered to the caller's collector, so the
 	// scatter-gather path materializes no per-probe slices.
 	res []linalg.Neighbor
 
-	// Multi-query state (SearchMultiInto). mdists is the Q×ncells coarse
+	// Query-tile state (SearchMultiInto). mdists is the Q×ncells coarse
 	// distance matrix; mprobe the flat Q×nprobe probe table; mregion maps
 	// each (query, probe-slot) to its offset in mbuf, the materialized
 	// per-slot distance regions of the shared posting-list scans; mcnt and
 	// mfill are the cell→prober counting-sort arrays and ment the inverted
 	// entries (global probe-slot ids, cell-major); mouts and mqrows are the
-	// gathered output/query views handed to the scatter kernel.
+	// gathered output/query views handed to the scatter kernel, and mrows
+	// the per-query kernel arguments they are gathered from when those are
+	// not the queries themselves (SQ8 residuals, PQ ADC tables).
 	mdists  []float32
 	mbuf    []float32
 	mouts   [][]float32
 	mqrows  [][]float32
+	mrows   [][]float32
 	mprobe  []int32
 	mregion []int32
 	mcnt    []int32
 	mfill   []int32
 	ment    []int32
 
-	// Quantized-scan state. resid is the single-query SQ8 residual
-	// (q - min); mres the flat Q×dim residual arena of the multi path.
-	// madc is the flat Q×(m·ksub) ADC table arena of the multi-query PQ
-	// scan. gath is the SCANN re-rank gather arena: one query's stage-1
+	// Quantized-scan state. mres is the flat Q×dim SQ8 residual arena
+	// (q - min per query); madc the flat Q×(m·ksub) ADC table arena of the
+	// PQ scan. gath is the SCANN re-rank gather arena: one query's stage-1
 	// survivors copied contiguous so stage 2 is one blocked kernel call.
-	resid []float32
-	mres  []float32
-	madc  []float32
-	gath  []float32
+	mres []float32
+	madc []float32
+	gath []float32
 }
 
 // hnswCand is one beam-search candidate: a node and its distance to the
@@ -130,8 +126,7 @@ func f32sBuf(buf [][]float32, n int) [][]float32 {
 
 // scratchPool pools searchScratch values for one index. The zero value is
 // ready to use. Get/Put of pointer values never allocate once the pool is
-// warm, so single-query Search is allocation-free at steady state and
-// SearchBatch checks out one scratch per worker.
+// warm, so searches are allocation-free at steady state.
 type scratchPool struct{ p sync.Pool }
 
 func (sp *scratchPool) get() *searchScratch {
@@ -141,84 +136,29 @@ func (sp *scratchPool) get() *searchScratch {
 	return &searchScratch{}
 }
 
-func (sp *scratchPool) put(s *searchScratch) { sp.p.Put(s) }
-
-// searcher is the scratch-aware face every index implements: searchWith is
-// Search with all transient state drawn from s and the result appended to
-// dst (which may be nil; the caller-visible slice of Search is exactly one
-// append onto a nil dst).
-type searcher interface {
-	Index
-	pool() *scratchPool
-	searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor
+// put returns s to the pool, dropping the views it gathered of the
+// caller's query slices so a pooled scratch does not pin them.
+func (sp *scratchPool) put(s *searchScratch) {
+	clear(s.mqrows[:cap(s.mqrows)])
+	clear(s.mrows[:cap(s.mrows)])
+	sp.p.Put(s)
 }
 
-// searchPooled implements Index.Search on top of searchWith: check a
-// scratch out of the index's pool for the duration of one query.
-func searchPooled(x searcher, q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	sp := x.pool()
-	s := sp.get()
-	res := x.searchWith(q, k, p, st, s, nil)
-	sp.put(s)
-	return res
+// oneSlot is the Q=1 tile SearchInto wraps its arguments in: pooled, so
+// the single-query entry of a tiled index allocates nothing.
+type oneSlot struct {
+	q   [1][]float32
+	top [1]*linalg.TopK
 }
 
-// searchIntoPooled implements Index.SearchInto on top of searchWith: the
-// probe's top-k lands in the scratch's reusable result buffer and is
-// offered to the caller-owned collector, so a steady-state probe performs
-// no heap allocations at all.
-func searchIntoPooled(x searcher, q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	sp := x.pool()
-	s := sp.get()
-	s.res = x.searchWith(q, k, p, st, s, s.res[:0])
-	for _, n := range s.res {
-		top.Push(n.ID, n.Dist)
-	}
-	sp.put(s)
-}
+var oneSlotPool = sync.Pool{New: func() any { return new(oneSlot) }}
 
-// searchMultiSerial is the default SearchMultiInto: per-query probes in
-// query order. Graph-traversal indexes (HNSW, and AUTOINDEX delegating to
-// it) route here — their access pattern is query-dependent, so there is no
-// shared arena streaming to exploit.
-func searchMultiSerial(x Index, queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	for i, q := range queries {
-		x.SearchInto(q, k, p, st, tops[i])
-	}
-}
-
-// searchBatch is the shared SearchBatch implementation: every index type's
-// search is a read-only probe of an immutable built structure, so the batch
-// fans queries over a worker pool. Each worker goroutine owns one pooled
-// scratch for the whole batch, and each query charges its own private Stats
-// slot; the slots are merged in query order at the end, so the accumulated
-// counts are exactly those of sequential Searches (integer sums are
-// order-independent), regardless of worker count.
-func searchBatch(x searcher, queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	out := make([][]linalg.Neighbor, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	per := make([]Stats, len(queries))
-	sp := x.pool()
-	scratches := make([]*searchScratch, parallel.WorkerCount(p.Workers, len(queries)))
-	parallel.WorkerParallel(p.Workers, len(queries), func(w, qi int) {
-		s := scratches[w]
-		if s == nil {
-			s = sp.get()
-			scratches[w] = s
-		}
-		out[qi] = x.searchWith(queries[qi], k, p, &per[qi], s, nil)
-	})
-	for _, s := range scratches {
-		if s != nil {
-			sp.put(s)
-		}
-	}
-	if st != nil {
-		for i := range per {
-			st.Add(per[i])
-		}
-	}
-	return out
+// searchOneInto is SearchInto for the tiled index types (FLAT and the IVF
+// family): their only scan body is SearchMultiInto, run here at Q=1.
+func searchOneInto(x Index, q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
+	o := oneSlotPool.Get().(*oneSlot)
+	o.q[0], o.top[0] = q, top
+	x.SearchMultiInto(o.q[:], k, p, st, o.top[:])
+	o.q[0], o.top[0] = nil, nil
+	oneSlotPool.Put(o)
 }

@@ -120,6 +120,33 @@ func (c *sq8Codec) bytes() int64 {
 	return 2 * int64(c.dim) * float32Bytes // min/scale
 }
 
+// scanProbed is the quantized cell scan IVF_SQ8 and SCANN's stage 1 share:
+// after invertProbes, every probed cell's contiguous code range streams
+// once through the multi-query SQ8 decode kernels for all of its probers,
+// filling each (query, probe-slot) region of s.mbuf. The per-query affine
+// constant is hoisted up front: the L2 kernels take the residual q - min,
+// the dot kernels the raw query.
+func (c *sq8Codec) scanProbed(coarse *ivfCoarse, codes []byte, queries [][]float32, nprobe int, s *searchScratch) {
+	dim := c.dim
+	sm := c.scanMetric(coarse.metric)
+	rows := queries
+	if sm == linalg.L2 {
+		s.mres = f32Buf(s.mres, len(queries)*dim)
+		s.mrows = f32sBuf(s.mrows, len(queries))
+		for qi, q := range queries {
+			s.mrows[qi] = s.mres[qi*dim : (qi+1)*dim]
+			linalg.SQ8Residual(q, c.min, s.mrows[qi])
+		}
+		rows = s.mrows
+	}
+	for cell := 0; cell < coarse.cents.Rows(); cell++ {
+		lo, hi, qrows, outs := coarse.probers(cell, nprobe, rows, s)
+		if len(qrows) > 0 {
+			linalg.DistanceSQ8MultiScatter(sm, qrows, c.min, c.scale, codes[int(lo)*dim:int(hi)*dim], outs)
+		}
+	}
+}
+
 // ivfSQ8 is IVF with SQ8-compressed posting lists: the probed cells are
 // scanned in the quantized domain (cheaper per candidate, small recall
 // loss), and raw vectors are not retained, matching Milvus' IVF_SQ8.
@@ -147,8 +174,6 @@ func newIVFSQ8(m linalg.Metric, dim int, p BuildParams) (*ivfSQ8, error) {
 
 func (x *ivfSQ8) Type() Type { return IVFSQ8 }
 
-func (x *ivfSQ8) pool() *scratchPool { return &x.scratch }
-
 func (x *ivfSQ8) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {
 		return fmt.Errorf("ivf_sq8: %d vectors but %d ids", store.Rows(), len(ids))
@@ -165,127 +190,27 @@ func (x *ivfSQ8) Build(store *linalg.Matrix, ids []int64) error {
 	return nil
 }
 
-func (x *ivfSQ8) Search(q []float32, k int, p SearchParams, st *Stats) []linalg.Neighbor {
-	return searchPooled(x, q, k, p, st)
-}
-
-func (x *ivfSQ8) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	if len(x.codes) == 0 || k < 1 {
-		return dst
-	}
-	cells := x.coarse.probe(q, x.coarse.clampProbe(p.NProbe), st, s)
-	return x.scanCells(q, cells, k, st, s, dst)
-}
-
-// scanArg hoists the per-query affine constant of a blocked SQ8 scan: the
-// L2 kernels take the residual q - min (computed once into s.resid), the
-// dot kernels the raw query. Returns the kernel metric and the query
-// argument to pass.
-func (c *sq8Codec) scanArg(m linalg.Metric, q []float32, s *searchScratch) (linalg.Metric, []float32) {
-	sm := c.scanMetric(m)
-	if sm == linalg.L2 {
-		s.resid = f32Buf(s.resid, c.dim)
-		linalg.SQ8Residual(q, c.min, s.resid)
-		return sm, s.resid
-	}
-	return sm, q
-}
-
-// scanCells scores the given cells' quantized codes against q in probe
-// order with the blocked decode kernels — each cell's contiguous byte
-// range streams through DistanceSQ8Block — returning the top-k appended
-// to dst.
-func (x *ivfSQ8) scanCells(q []float32, cells []int32, k int, st *Stats, s *searchScratch, dst []linalg.Neighbor) []linalg.Neighbor {
-	dim := x.coarse.dim
-	sm, qa := x.codec.scanArg(x.coarse.metric, q, s)
-	top := s.top.Reset(k)
-	var scanned int64
-	for _, cell := range cells {
-		lo, hi := x.coarse.cellRange(cell)
-		if lo == hi {
-			continue
-		}
-		s.dists = f32Buf(s.dists, int(hi-lo))
-		linalg.DistanceSQ8Block(sm, qa, x.codec.min, x.codec.scale, x.codes[int(lo)*dim:int(hi)*dim], s.dists)
-		top.PushBlock(x.ids[lo:hi], s.dists)
-		scanned += int64(hi - lo)
-	}
-	accumulate(st, Stats{CodeComps: scanned})
-	if dst == nil {
-		dst = make([]linalg.Neighbor, 0, top.Len())
-	}
-	return top.AppendResults(dst)
-}
-
 func (x *ivfSQ8) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchIntoPooled(x, q, k, p, st, top)
+	searchOneInto(x, q, k, p, st, top)
 }
 
 // SearchMultiInto shares the byte-domain posting-list streaming across
 // the query tile, the same three phases as IVF_FLAT's: batched coarse
 // assignment, cell→prober inversion with each probed cell's code range
-// decoded once per quad of probers by the multi-query SQ8 kernels
-// (residuals hoisted per query up front under L2), and a per-query replay
-// that reproduces the single-query candidate sequence exactly.
+// decoded once per quad of probers (scanProbed), and the tile-width
+// invariant per-query replay.
 func (x *ivfSQ8) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	qn := len(queries)
-	if len(x.codes) == 0 || k < 1 || qn == 0 {
+	if len(x.codes) == 0 || k < 1 || len(queries) == 0 {
 		return
 	}
 	s := x.scratch.get()
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	total := x.coarse.invertProbes(probes, s)
-
-	dim := x.coarse.dim
-	sm := x.codec.scanMetric(x.coarse.metric)
-	l2 := sm == linalg.L2
-	if l2 {
-		// Hoist every query's residual into the flat arena once.
-		s.mres = f32Buf(s.mres, qn*dim)
-		for qi, q := range queries {
-			linalg.SQ8Residual(q, x.codec.min, s.mres[qi*dim:(qi+1)*dim])
-		}
-	}
-
-	ncells := x.coarse.cents.Rows()
-	for c := 0; c < ncells; c++ {
-		elo, ehi := int(s.mcnt[c]), int(s.mcnt[c+1])
-		if elo == ehi {
-			continue
-		}
-		lo, hi := x.coarse.cellRange(int32(c))
-		if lo == hi {
-			continue
-		}
-		nq := ehi - elo
-		s.mqrows = f32sBuf(s.mqrows, nq)
-		s.mouts = f32sBuf(s.mouts, nq)
-		for j := 0; j < nq; j++ {
-			slot := s.ment[elo+j]
-			qi := int(slot) / nprobe
-			if l2 {
-				s.mqrows[j] = s.mres[qi*dim : (qi+1)*dim]
-			} else {
-				s.mqrows[j] = queries[qi]
-			}
-			o := s.mregion[slot]
-			s.mouts[j] = s.mbuf[o : o+hi-lo]
-		}
-		linalg.DistanceSQ8MultiScatter(sm, s.mqrows, x.codec.min, x.codec.scale,
-			x.codes[int(lo)*dim:int(hi)*dim], s.mouts)
-	}
-
+	scanned := x.coarse.invertProbes(probes, s)
+	x.codec.scanProbed(x.coarse, x.codes, queries, nprobe, s)
 	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{CodeComps: int64(total)})
-	for j := range s.mqrows {
-		s.mqrows[j] = nil // don't pin caller query slices in the pool
-	}
+	accumulate(st, Stats{CodeComps: int64(scanned)})
 	x.scratch.put(s)
-}
-
-func (x *ivfSQ8) SearchBatch(queries [][]float32, k int, p SearchParams, st *Stats) [][]linalg.Neighbor {
-	return searchBatch(x, queries, k, p, st)
 }
 
 func (x *ivfSQ8) MemoryBytes() int64 {

@@ -246,18 +246,6 @@ func TestTopKInvalidK(t *testing.T) {
 	NewTopK(0)
 }
 
-func TestMergeNeighborsDedup(t *testing.T) {
-	a := []Neighbor{{ID: 1, Dist: 0.3}, {ID: 2, Dist: 0.5}}
-	b := []Neighbor{{ID: 1, Dist: 0.1}, {ID: 3, Dist: 0.4}}
-	got := MergeNeighbors(3, a, b)
-	if len(got) != 3 {
-		t.Fatalf("got %d results, want 3", len(got))
-	}
-	if got[0].ID != 1 || got[0].Dist != 0.1 {
-		t.Fatalf("dedup kept wrong copy: %+v", got[0])
-	}
-}
-
 func BenchmarkDot128(b *testing.B) {
 	b.ReportAllocs()
 	x := make([]float32, 128)

@@ -147,20 +147,3 @@ func (t *TopK) siftDown(i int) {
 		i = largest
 	}
 }
-
-// MergeNeighbors merges several ascending-sorted neighbor lists into the k
-// best overall, deduplicating by id (keeping the smaller distance).
-func MergeNeighbors(k int, lists ...[]Neighbor) []Neighbor {
-	top := NewTopK(k)
-	seen := make(map[int64]float32, k*2)
-	for _, list := range lists {
-		for _, n := range list {
-			if d, ok := seen[n.ID]; ok && d <= n.Dist {
-				continue
-			}
-			seen[n.ID] = n.Dist
-			top.Push(n.ID, n.Dist)
-		}
-	}
-	return top.Results()
-}

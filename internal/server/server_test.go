@@ -2,7 +2,9 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -196,6 +198,48 @@ func TestSearchBatchOverWire(t *testing.T) {
 	}
 	if len(single) != len(res[0]) || single[0] != res[0][0] {
 		t.Fatalf("batch answer %+v != single answer %+v", res[0], single)
+	}
+}
+
+// TestSearchKBoundedByRows: k arrives from the wire (a u32 in the binary
+// codec) and sizes the engine's result buffers, so the engine works with
+// no more than the rows it holds. k = 2^31-1 over 100 rows answers with
+// all 100 and allocates on the order of the rows; unbounded, one such
+// request asks for tens of gigabytes. Both codecs, both search ops.
+func TestSearchKBoundedByRows(t *testing.T) {
+	srv, jcl := startServer(t)
+	bcl := dialBin(t, srv)
+	const rows, k = 100, math.MaxInt32
+	if _, err := jcl.Insert(vecsFor(rows, 61)); err != nil {
+		t.Fatal(err)
+	}
+	qs := vecsFor(2, 62)
+	type searcher interface {
+		Search(q []float32, k int) ([]Neighbor, error)
+		SearchBatch(queries [][]float32, k int) ([][]Neighbor, error)
+	}
+	for name, cl := range map[string]searcher{"json": jcl, "binary": bcl} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		one, err := cl.Search(qs[0], k)
+		if err != nil {
+			t.Fatalf("%s Search: %v", name, err)
+		}
+		batch, err := cl.SearchBatch(qs, k)
+		if err != nil {
+			t.Fatalf("%s SearchBatch: %v", name, err)
+		}
+		runtime.ReadMemStats(&after)
+		for i, res := range append(batch, one) {
+			if len(res) != rows {
+				t.Fatalf("%s result %d: %d neighbors, want all %d rows", name, i, len(res), rows)
+			}
+		}
+		// Three answers of 100 neighbors, encoded and decoded in this
+		// process: well under a megabyte.
+		if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+			t.Fatalf("%s: k=%d over %d rows allocated %d bytes", name, k, rows, grown)
+		}
 	}
 }
 

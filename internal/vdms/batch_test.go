@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -47,6 +48,10 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 		{
 			name: "k greater than n", metric: linalg.L2, rows: 4,
 			queries: randVecs(3, dim, 1), k: 25, wantPerQuery: 4,
+		},
+		{
+			name: "k far beyond n", metric: linalg.L2, rows: 4,
+			queries: randVecs(3, dim, 1), k: math.MaxInt, wantPerQuery: 4,
 		},
 		{
 			name: "dim mismatch", metric: linalg.L2, rows: 20,
@@ -100,10 +105,28 @@ func TestSearchBatchEdgeCases(t *testing.T) {
 	}
 }
 
-// TestSearchBatchMatchesSearch: the batch is observably equivalent to
-// issuing each query through Search against a quiescent collection.
+// searchEach answers qs one Search call — one Q=1 batch — at a time.
+func searchEach(t *testing.T, coll *Collection, qs [][]float32, k int, st *index.Stats) [][]linalg.Neighbor {
+	t.Helper()
+	out := make([][]linalg.Neighbor, len(qs))
+	for qi, q := range qs {
+		res, err := coll.Search(q, k, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[qi] = res
+	}
+	return out
+}
+
+// TestSearchBatchMatchesSearch: on a quiescent collection a query's answer
+// and its Stats do not depend on the batch it arrives in — alone (Search
+// is the one-query batch) or among thirty — and both are the values the
+// per-query shard probe returned before it was deleted (recorded at the
+// parent commit through Collection.Search).
 func TestSearchBatchMatchesSearch(t *testing.T) {
 	const dim = 8
+	const goldenHash, goldenDistComps = 0xeef33bde6d55d0f, 15240
 	coll := batchCollection(t, linalg.Angular, dim, 8)
 	if _, err := coll.Insert(randVecs(500, dim, 7)); err != nil {
 		t.Fatal(err)
@@ -112,38 +135,37 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := randVecs(30, dim, 8)
-	var wantSt index.Stats
-	want := make([][]linalg.Neighbor, len(queries))
-	for qi, q := range queries {
-		res, err := coll.Search(q, 5, &wantSt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[qi] = res
-	}
-	var gotSt index.Stats
+	var wantSt, gotSt index.Stats
+	want := searchEach(t, coll, queries, 5, &wantSt)
 	got, err := coll.SearchBatch(queries, 5, &gotSt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("batched results differ from sequential Search")
+		t.Fatal("batched results differ from one query at a time")
 	}
 	if gotSt != wantSt {
-		t.Fatalf("batched stats %+v, sequential %+v", gotSt, wantSt)
+		t.Fatalf("batched stats %+v, one at a time %+v", gotSt, wantSt)
+	}
+	if h := hashResults(got); h != goldenHash || gotSt != (index.Stats{DistComps: goldenDistComps}) {
+		t.Fatalf("results %#x stats %+v, golden %#x DistComps %d", h, gotSt, uint64(goldenHash), goldenDistComps)
 	}
 }
 
 // TestSearchBatchMatchesSearchMatrix is the tiled batch path's
 // equivalence gate: across shard counts, worker counts, and a post-crash
-// recovery, SearchBatch (which probes whole query tiles through the
-// multi-query kernels) must return bit-identical results and
-// exactly-summed stats versus issuing each query through Search. The
-// batch is wide enough to span several query tiles with a ragged tail,
-// and the churned workload leaves tombstones so the over-fetch margin is
-// exercised.
+// recovery, a query answered alone, inside a 7-query batch (one ragged
+// tile) and inside the 70-query batch (several query tiles with a ragged
+// tail) returns bit-identical results with exactly-summed stats. The
+// churned workload leaves tombstones so the over-fetch margin is
+// exercised. The bits are anchored twice: segments are FLAT, so every
+// answer must equal a brute-force scan of the live rows, and the whole
+// result set must hash to the value recorded at the parent commit through
+// the per-query shard probe this path replaced.
 func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 	const dim, n, k = 8, 500, 6
+	const goldenHash = 0xeba97a629f0def25
+	goldenDistComps := map[int]int64{1: 26880, 4: 27860}
 	vecs := randVecs(n, dim, 51)
 	qs := randVecs(70, dim, 52)
 	for _, shards := range []int{1, 4} {
@@ -154,6 +176,7 @@ func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 					cfg := flatConfig(shards)
 					cfg.Parallelism = workers
 					var coll *Collection
+					var ids []int64
 					if recovered {
 						cfg.WALFsyncPolicy = 3 // always: survive the crash intact
 						dir := t.TempDir()
@@ -161,7 +184,7 @@ func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						runChurn(t, live, vecs)
+						ids = runChurn(t, live, vecs)
 						live.Crash()
 						coll, err = OpenDurable(dir, cfg, linalg.L2, dim, n)
 						if err != nil {
@@ -176,30 +199,42 @@ func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						runChurn(t, coll, vecs)
+						ids = runChurn(t, coll, vecs)
 					}
 					defer coll.Close()
-					var seqSt index.Stats
-					want := make([][]linalg.Neighbor, len(qs))
-					for qi, q := range qs {
-						res, err := coll.Search(q, k, &seqSt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want[qi] = res
-					}
-					var batchSt index.Stats
+					var seqSt, batchSt index.Stats
+					want := searchEach(t, coll, qs, k, &seqSt)
 					got, err := coll.SearchBatch(qs, k, &batchSt)
 					if err != nil {
 						t.Fatal(err)
 					}
-					for qi := range qs {
+					ragged, err := coll.SearchBatch(qs[:7], k, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dead := churnDeleted(ids)
+					for qi, q := range qs {
 						if !reflect.DeepEqual(got[qi], want[qi]) {
-							t.Fatalf("query %d: SearchBatch %v, Search %v", qi, got[qi], want[qi])
+							t.Fatalf("query %d: in the batch %v, alone %v", qi, got[qi], want[qi])
+						}
+						if qi < len(ragged) && !reflect.DeepEqual(ragged[qi], want[qi]) {
+							t.Fatalf("query %d: in the 7-query batch %v, alone %v", qi, ragged[qi], want[qi])
+						}
+						top := linalg.NewTopK(k)
+						for i, v := range vecs {
+							if !dead[ids[i]] {
+								top.Push(ids[i], linalg.Distance(linalg.L2, q, v))
+							}
+						}
+						if ref := top.Results(); !reflect.DeepEqual(want[qi], ref) {
+							t.Fatalf("query %d: %v, brute force over the live rows %v", qi, want[qi], ref)
 						}
 					}
 					if batchSt != seqSt {
-						t.Fatalf("batch stats %+v, sequential %+v", batchSt, seqSt)
+						t.Fatalf("batch stats %+v, one at a time %+v", batchSt, seqSt)
+					}
+					if h := hashResults(got); h != goldenHash || batchSt != (index.Stats{DistComps: goldenDistComps[shards]}) {
+						t.Fatalf("results %#x stats %+v, golden %#x DistComps %d", h, batchSt, uint64(goldenHash), goldenDistComps[shards])
 					}
 				})
 			}

@@ -5,7 +5,6 @@ import (
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 	"vdtuner/internal/workload"
 )
 
@@ -180,43 +179,20 @@ func (in *Instance) MemoryBytes() int64 { return in.memoryBytes }
 // BuildSeconds reports the simulated load + index build time.
 func (in *Instance) BuildSeconds() float64 { return in.buildSeconds }
 
-// Search answers one query: it fans out to every sealed segment index and
-// brute-force scans the growing tail, merges, and reports the work
-// performed into st (which may be nil).
+// Search answers one query: every sealed segment index and the brute-force
+// scan of the growing tail offer their candidates, in that order, into one
+// collector, and the work performed is reported into st (which may be
+// nil).
 func (in *Instance) Search(q []float32, k int, st *index.Stats) []linalg.Neighbor {
-	lists := make([][]linalg.Neighbor, 0, in.segments)
+	top := linalg.NewTopK(k)
 	for _, idx := range in.sealed {
-		lists = append(lists, idx.Search(q, k, in.cfg.Search, st))
+		idx.SearchInto(q, k, in.cfg.Search, st, top)
 	}
-	if in.growing.Rows() > 0 {
-		lists = append(lists, index.ScanStore(in.ds.Metric, q, in.growing, in.growingIDs, k, st))
-	}
+	index.ScanStoreMultiInto(in.ds.Metric, [][]float32{q}, in.growing, in.growingIDs, []*linalg.TopK{top}, st)
 	if st != nil && in.extraScanRows > 0 {
 		// Insert-buffer scan: duplicates recent rows, so it costs work
 		// without changing results.
 		st.Add(index.Stats{DistComps: in.extraScanRows})
 	}
-	return linalg.MergeNeighbors(k, lists...)
-}
-
-// SearchBatch answers queries[i] into result slot i, fanning the batch
-// across the configured queryNode parallelism. Instances are immutable
-// after Open, so the fan-out needs no locking; per-query Stats are merged
-// into st in query order, keeping accounting identical to sequential
-// Search calls.
-func (in *Instance) SearchBatch(queries [][]float32, k int, st *index.Stats) [][]linalg.Neighbor {
-	out := make([][]linalg.Neighbor, len(queries))
-	if len(queries) == 0 {
-		return out
-	}
-	per := make([]index.Stats, len(queries))
-	parallel.Parallel(in.cfg.Parallelism, len(queries), func(qi int) {
-		out[qi] = in.Search(queries[qi], k, &per[qi])
-	})
-	if st != nil {
-		for i := range per {
-			st.Add(per[i])
-		}
-	}
-	return out
+	return top.Results()
 }

@@ -351,70 +351,15 @@ func mergeShardRow(g *gatherScratch, mt *linalg.TopK, qi, q, s, k int) []linalg.
 	return top.AppendResults(make([]linalg.Neighbor, 0, top.Len()))
 }
 
-// searchOneLocked answers one already-normalized query: the per-shard
-// probes scatter over the worker pool (each shard's top-k lands in its
-// grid cell) and the cells merge in fixed shard order. With one shard the
-// router adds nothing — the shard's list is copied out as the result,
-// bit-identical to the pre-sharding engine. Callers hold every shard's
-// read lock.
-func (c *Collection) searchOneLocked(qq []float32, m linalg.Metric, k int, st *index.Stats) []linalg.Neighbor {
-	s := len(c.shards)
-	if s == 1 {
-		g := c.getGather(1, 1, k, 1, 1)
-		res := c.shards[0].searchLocked(qq, m, k, st, &g.probes[0])
-		out := make([]linalg.Neighbor, len(res))
-		copy(out, res)
-		c.putGather(g)
-		return out
-	}
-	workers := parallel.WorkerCount(c.readWorkers(), s)
-	g := c.getGather(1, s, k, workers, 1)
-	parallel.WorkerParallel(workers, s, func(w, si int) {
-		res := c.shards[si].searchLocked(qq, m, k, &g.stats[si], &g.probes[w])
-		base := si * k
-		g.cellLen[si] = int32(copy(g.cells[base:base+k], res))
-	})
-	out := mergeShardRow(g, &g.probes[0].top, 0, 1, s, k)
-	if st != nil {
-		for i := range g.stats {
-			st.Add(g.stats[i])
-		}
-	}
-	c.putGather(g)
-	return out
-}
-
-// normalizeQuery prepares a query for the metric: angular queries are
-// normalized on a private copy and searched under L2 (inputs were
-// normalized on insert).
-func (c *Collection) normalizeQuery(q []float32) ([]float32, linalg.Metric) {
-	if c.metric != linalg.Angular {
-		return q, c.metric
-	}
-	qq := linalg.Clone(q)
-	linalg.Normalize(qq)
-	return qq, linalg.L2
-}
-
 // Search returns the k nearest neighbors of q across every shard and
-// every segment state: indexed sealed segments, in-flight sealing
-// segments (scanned exactly), and the growing tails. st may be nil.
+// every segment state: SearchBatch over the one-query batch, whose
+// 1-tile × S-shard grid fans the query across the shards. st may be nil.
 func (c *Collection) Search(q []float32, k int, st *index.Stats) ([]linalg.Neighbor, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("vdms: k must be >= 1, got %d", k)
+	out, err := c.SearchBatch([][]float32{q}, k, st)
+	if err != nil {
+		return nil, err
 	}
-	if len(q) != c.dim {
-		return nil, fmt.Errorf("vdms: query has dim %d, want %d", len(q), c.dim)
-	}
-	qq, m := c.normalizeQuery(q)
-	if c.closed.Load() {
-		return nil, fmt.Errorf("vdms: collection closed")
-	}
-	c.router.RLock()
-	defer c.router.RUnlock()
-	c.rlockAll()
-	defer c.runlockAll()
-	return c.searchOneLocked(qq, m, k, st), nil
+	return out[0], nil
 }
 
 // queryTileSize picks the multi-query tile width for a batch of q queries
@@ -444,9 +389,11 @@ func (c *Collection) queryTileSize(q, s int) int {
 	return t
 }
 
-// SearchBatch answers queries[i] into result slot i, scattering a
-// (shard × query-tile) probe grid across a worker pool sized by the
-// configured queryNode parallelism — both axes feed the same worker
+// SearchBatch is the collection's one search entry: it answers queries[i]
+// into result slot i from every segment state — indexed sealed segments,
+// in-flight sealing segments (scanned exactly), and the growing tails. It
+// scatters a (shard × query-tile) probe grid across a worker pool sized by
+// the configured queryNode parallelism — both axes feed the same worker
 // budget, so a single query on many shards and many queries on one shard
 // parallelize equally well. Each cell probes one shard with a whole tile
 // of queries through the multi-query blocked kernels: segment arenas
@@ -492,6 +439,17 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 	out := make([][]linalg.Neighbor, len(qs))
 	if len(qs) == 0 {
 		return out, nil
+	}
+	// Every buffer below is sized by k, which arrives from the wire: work
+	// with no more than the rows that exist (at least 1, so an empty
+	// collection still answers with empty lists). A k beyond the row count
+	// returns every row either way.
+	var rows int64
+	for _, sh := range c.shards {
+		rows += sh.rows
+	}
+	if int64(k) > rows {
+		k = int(max(rows, 1))
 	}
 	q, s := len(qs), len(c.shards)
 	tile := c.queryTileSize(q, s)

@@ -8,22 +8,20 @@ import (
 )
 
 // probeScratch is one scatter-gather worker's reusable state for probing a
-// single shard: the shard-level top-k collector every segment feeds, the
-// distance buffer of the exact tail scans, and the buffer the sorted probe
-// result lands in. One worker owns one probeScratch for a whole fan-out,
-// so a steady-state shard probe allocates nothing; the result slice a
-// probe returns aliases ps.out and must be consumed (copied into the grid
-// or the caller-visible slice) before the worker's next probe.
+// single shard with a query tile (searchMultiLocked). One worker owns one
+// probeScratch for a whole fan-out and probes one (shard × query-tile)
+// cell at a time, so a steady-state shard probe allocates nothing; the
+// result rows a probe returns alias moutBuf and must be consumed (copied
+// into the grid or the caller-visible slices) before the worker's next
+// probe.
 type probeScratch struct {
-	top   linalg.TopK
-	dists []float32
-	out   []linalg.Neighbor
-	// Multi-query tile state (searchMultiLocked): per-query shard-level
-	// collectors (mtops values own the warmed heap arrays, mtopPtr is the
-	// view the Index.SearchMultiInto contract wants), the flat arena the
-	// drained results land in, and the per-query views into it. One worker
-	// probes one (shard × query-tile) cell at a time, so the whole tile
-	// shares this one scratch.
+	// top is the collector the worker merges a finished tile's per-shard
+	// grid cells through.
+	top linalg.TopK
+	// Per-query shard-level collectors every segment feeds (mtops values
+	// own the warmed heap arrays, mtopPtr is the view the
+	// Index.SearchMultiInto contract wants), the flat arena the drained
+	// results land in, and the per-query views into it.
 	mtops   []linalg.TopK
 	mtopPtr []*linalg.TopK
 	moutBuf []linalg.Neighbor
@@ -49,8 +47,8 @@ func (ps *probeScratch) ensureMulti(qn, fetch int) {
 	}
 }
 
-// gatherScratch is the working set of one scatter-gather call (Search or
-// SearchBatch): per-worker probe scratches, the (query × shard) result
+// gatherScratch is the working set of one scatter-gather call
+// (SearchBatch): per-worker probe scratches, the (query × shard) result
 // grid, per-cell stats slots, and the per-query completion counters that
 // drive the pipelined merge. It is pooled on the Collection; all buffers
 // grow to the high-water mark and are then reused, so the sharded read
@@ -76,8 +74,7 @@ type gatherScratch struct {
 
 // getGather checks a gather scratch out of the pool, sized for a q-query ×
 // s-shard grid at k results per cell on the given worker count, with the
-// queries grouped into `tiles` probe tiles (tiles == q means one query per
-// work cell, the pre-tiling layout). Stats slots are zeroed and pending
+// queries grouped into `tiles` probe tiles. Stats slots are zeroed and pending
 // counters armed per tile; the result grid needs no clearing (cellLen
 // gates every read).
 func (c *Collection) getGather(q, s, k, workers, tiles int) *gatherScratch {

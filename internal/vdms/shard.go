@@ -349,57 +349,33 @@ func (s *shard) sealPartial() {
 	s.mu.Unlock()
 }
 
-// searchLocked answers one already-normalized query against the current
-// segment states: indexed sealed segments, in-flight sealing segments
-// (scanned exactly), and the growing tail. Every segment offers its
-// candidates straight into one shard-level top-k collector (SearchInto /
-// ScanStoreInto) in fixed segment order — sealed by seq, then sealing,
-// then growing — so no per-segment list is materialized and the merge is
-// the collector itself. Ids are disjoint across segments (an id lives in
-// exactly one), so the collected set equals a deduplicating merge of
-// per-segment lists. The returned slice aliases ps.out: consume it before
-// reusing ps. Callers hold s.mu (read side suffices): the method only
-// reads shard state, so any number of goroutines holding the same read
-// lock may call it concurrently — that is how SearchBatch fans out.
-func (s *shard) searchLocked(qq []float32, m linalg.Metric, k int, st *index.Stats, ps *probeScratch) []linalg.Neighbor {
+// searchMultiLocked is the shard's one probe: it answers a tile of
+// already-normalized queries against the current segment states — indexed
+// sealed segments, in-flight sealing segments (scanned exactly), and the
+// growing tail. Each segment is visited once and scored against the whole
+// tile with the multi-query blocked kernels (SearchMultiInto /
+// ScanStoreMultiInto), so sealed arenas and scan tails stream from memory
+// once per tile, not once per query, and offers its candidates straight
+// into the per-query shard-level collectors in fixed segment order —
+// sealed by seq, then sealing, then growing — so no per-segment list is
+// materialized and the merge is the collector itself. Ids are disjoint
+// across segments (an id lives in exactly one), so the collected set equals
+// a deduplicating merge of per-segment lists. Per query the offered
+// candidate sequence — segment order, row order, over-fetch margin,
+// tombstone filter — does not depend on the tile, so results are
+// bit-identical for any tile width. The returned row slices alias
+// ps.moutBuf: consume them before the worker's next probe. Callers hold
+// s.mu (read side suffices): the method only reads shard state, so any
+// number of goroutines holding the same read lock may call it concurrently
+// — that is how SearchBatch fans out.
+func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *index.Stats, ps *probeScratch) [][]linalg.Neighbor {
+	qn := len(qs)
 	// Over-fetch to survive tombstone filtering: deleted ids may occupy
 	// top slots inside immutable sealed segments. The margin is this
 	// shard's live tombstone count — dead rows still physically present
 	// and awaiting compaction — not the all-time delete count.
 	fetch := k + len(s.tombstones)
 	search := s.config().Search // one generation for the whole probe
-	top := ps.top.Reset(fetch)
-	for _, seg := range s.sealed {
-		seg.idx.SearchInto(qq, fetch, search, st, top)
-	}
-	for _, seg := range s.sealing {
-		ps.dists = index.ScanStoreInto(m, qq, seg.store, seg.ids, top, ps.dists, st)
-	}
-	if s.growingRowsLocked() > 0 {
-		ps.dists = index.ScanStoreInto(m, qq, s.growing, s.growingIDs, top, ps.dists, st)
-	}
-	ps.out = top.AppendResults(ps.out[:0])
-	merged := s.filterTombstones(ps.out)
-	if len(merged) > k {
-		merged = merged[:k]
-	}
-	return merged
-}
-
-// searchMultiLocked answers a tile of already-normalized queries in one
-// pass over the shard's segment states: each segment is visited once and
-// scored against the whole tile with the multi-query blocked kernels
-// (SearchMultiInto / ScanStoreMultiInto), so sealed arenas and scan tails
-// stream from memory once per tile, not once per query. Per query the
-// offered candidate sequence — segment order, row order, over-fetch margin,
-// tombstone filter — is exactly searchLocked's, so results are
-// bit-identical to probing the queries one at a time. The returned row
-// slices alias ps.moutBuf: consume them before the worker's next probe.
-// Locking contract is searchLocked's.
-func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *index.Stats, ps *probeScratch) [][]linalg.Neighbor {
-	qn := len(qs)
-	fetch := k + len(s.tombstones)
-	search := s.config().Search
 	ps.ensureMulti(qn, fetch)
 	for qi := 0; qi < qn; qi++ {
 		ps.mtopPtr[qi] = ps.mtops[qi].Reset(fetch)
@@ -417,7 +393,7 @@ func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *in
 		// Each query's row gets a capacity-capped region of the flat
 		// buffer (Len <= fetch by construction), filtered in place.
 		off := qi * fetch
-		res := ps.mtops[qi].AppendResults(ps.moutBuf[off:off:off+fetch])
+		res := ps.mtops[qi].AppendResults(ps.moutBuf[off : off : off+fetch])
 		merged := s.filterTombstones(res)
 		if len(merged) > k {
 			merged = merged[:k]

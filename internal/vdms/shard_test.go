@@ -57,6 +57,17 @@ func runChurn(t *testing.T, coll *Collection, vecs [][]float32) []int64 {
 	return ids
 }
 
+// churnDeleted reports the ids runChurn deleted, given the ids it returned.
+func churnDeleted(ids []int64) map[int64]bool {
+	dead := map[int64]bool{}
+	for off := 140; off < len(ids); off += 140 {
+		for _, id := range ids[off-50 : off-10] {
+			dead[id] = true
+		}
+	}
+	return dead
+}
+
 // TestShardedBitIdenticalToSingleShard is the scatter-gather acceptance
 // gate: on exact (FLAT) segments, the same workload answers SearchBatch
 // bit-identically at shard_count 1, 2, 4, and 8 — the fixed-order merge

@@ -1,18 +1,15 @@
-// Root-level benchmarks and checks for the engine's parallel hot path:
-// figure-scale index builds and batched search at workers=1 vs
-// workers=NumCPU. The parallel contract (see package parallel) is that the
-// two differ only in wall-clock time — results, recall, and Stats are
-// identical — which is asserted here and measured by the benchmarks.
+// Root-level benchmarks and checks for the engine's parallel build path:
+// figure-scale index builds at workers=1 vs workers=NumCPU. The parallel
+// contract (see package parallel) is that the two differ only in
+// wall-clock time — structure, results, and Stats are identical — which is
+// asserted here and measured by the benchmarks.
 package vdtuner
 
 import (
 	"reflect"
-	"runtime"
 	"testing"
-	"time"
 
 	"vdtuner/internal/index"
-	"vdtuner/internal/linalg"
 	"vdtuner/internal/workload"
 )
 
@@ -36,58 +33,6 @@ func figureScaleHNSW(tb testing.TB, workers int) (index.Index, *workload.Dataset
 	return idx, ds
 }
 
-func batchRecall(ds *workload.Dataset, res [][]linalg.Neighbor) float64 {
-	sum := 0.0
-	for qi := range res {
-		sum += ds.Recall(qi, res[qi])
-	}
-	return sum / float64(len(res))
-}
-
-// TestSearchBatchSpeedupIdenticalRecall is the acceptance check for the
-// parallel search path: workers=NumCPU returns bit-identical results (and
-// therefore identical recall) to workers=1, and on machines with enough
-// cores the batch completes at least 2x faster. The timing half is skipped
-// under -race and below 4 cores, where the speedup is not observable.
-func TestSearchBatchSpeedupIdenticalRecall(t *testing.T) {
-	idx, ds := figureScaleHNSW(t, 0)
-	cpus := runtime.GOMAXPROCS(0)
-	time1, resSeq := timeBatch(idx, ds, 1)
-	timeN, resPar := timeBatch(idx, ds, cpus)
-	if !reflect.DeepEqual(resSeq, resPar) {
-		t.Fatal("workers=NumCPU results differ from workers=1")
-	}
-	r1, rN := batchRecall(ds, resSeq), batchRecall(ds, resPar)
-	if r1 != rN {
-		t.Fatalf("recall differs: %v (workers=1) vs %v (workers=%d)", r1, rN, cpus)
-	}
-	if r1 < 0.8 {
-		t.Fatalf("figure-scale recall = %v, want >= 0.8", r1)
-	}
-	t.Logf("workers=1: %v, workers=%d: %v (%.2fx), recall %.3f",
-		time1, cpus, timeN, float64(time1)/float64(timeN), r1)
-	if raceEnabled || cpus < 4 {
-		t.Skipf("timing assertion skipped (race=%v, cpus=%d)", raceEnabled, cpus)
-	}
-	if float64(time1) < 2*float64(timeN) {
-		t.Errorf("batched search speedup %.2fx < 2x on %d cores", float64(time1)/float64(timeN), cpus)
-	}
-}
-
-// timeBatch replays the dataset's query set as batches until enough work
-// has accumulated for a stable measurement, returning the elapsed time and
-// the (round-invariant) last batch results.
-func timeBatch(idx index.Index, ds *workload.Dataset, workers int) (time.Duration, [][]linalg.Neighbor) {
-	sp := index.SearchParams{Ef: 96, Workers: workers}
-	const rounds = 8
-	var res [][]linalg.Neighbor
-	start := time.Now()
-	for r := 0; r < rounds; r++ {
-		res = idx.SearchBatch(ds.Queries, ds.K, sp, nil)
-	}
-	return time.Since(start), res
-}
-
 // TestParallelBuildIdentical asserts the figure-scale build itself is
 // worker-count-invariant end to end (graph, Stats, memory).
 func TestParallelBuildIdentical(t *testing.T) {
@@ -101,29 +46,9 @@ func TestParallelBuildIdentical(t *testing.T) {
 	}
 	sp := index.SearchParams{Ef: 64}
 	for qi, q := range ds.Queries {
-		if !reflect.DeepEqual(seqIdx.Search(q, ds.K, sp, nil), parIdx.Search(q, ds.K, sp, nil)) {
+		if !reflect.DeepEqual(index.Search(seqIdx, q, ds.K, sp, nil), index.Search(parIdx, q, ds.K, sp, nil)) {
 			t.Fatalf("query %d: results differ between workers=1 and workers=8 builds", qi)
 		}
-	}
-}
-
-func BenchmarkSearchBatchWorkers1(b *testing.B) {
-	b.ReportAllocs()
-	idx, ds := figureScaleHNSW(b, 0)
-	sp := index.SearchParams{Ef: 96, Workers: 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.SearchBatch(ds.Queries, ds.K, sp, nil)
-	}
-}
-
-func BenchmarkSearchBatchWorkersNumCPU(b *testing.B) {
-	b.ReportAllocs()
-	idx, ds := figureScaleHNSW(b, 0)
-	sp := index.SearchParams{Ef: 96, Workers: runtime.GOMAXPROCS(0)}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		idx.SearchBatch(ds.Queries, ds.K, sp, nil)
 	}
 }
 
