@@ -83,21 +83,27 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
+// knobRange prints a knob's range from the engine's knob table, for flag
+// descriptions.
+func knobRange(id vdms.KnobID) string {
+	return fmt.Sprintf("[%v, %v]", vdms.Knobs[id].Min, vdms.Knobs[id].Max)
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "listen address")
 	dim := flag.Int("dim", 128, "vector dimensionality (> 0)")
 	metricName := flag.String("metric", "angular", "distance metric: l2, ip, angular")
 	indexName := flag.String("index", "HNSW", "index type for sealed segments")
 	expectedRows := flag.Int("expected-rows", 100000, "expected corpus size (> 0, scales segment sizing)")
-	shards := flag.Int("shards", 1, "live-collection shard count, [1, 16]")
-	compactRatio := flag.Float64("compact-ratio", 0, "sealed-segment tombstone ratio that triggers compaction, [0.05, 0.95] (0 = engine default)")
-	compactFanIn := flag.Int("compact-fanin", 0, "max undersized segments merged per compaction, [2, 16] (0 = engine default)")
-	compactWorkers := flag.Int("compact-workers", 0, "compactor worker-pool size, [1, 16] (0 = engine default)")
+	shards := flag.Int("shards", 1, "live-collection shard count, "+knobRange(vdms.KnobShardCount))
+	compactRatio := flag.Float64("compact-ratio", 0, "sealed-segment tombstone ratio that triggers compaction, "+knobRange(vdms.KnobCompactionTriggerRatio)+" (0 = engine default)")
+	compactFanIn := flag.Int("compact-fanin", 0, "max undersized segments merged per compaction, "+knobRange(vdms.KnobCompactionMergeFanIn)+" (0 = engine default)")
+	compactWorkers := flag.Int("compact-workers", 0, "compactor worker-pool size, "+knobRange(vdms.KnobCompactionParallelism)+" (0 = engine default)")
 	maxRequestBytes := flag.Int("max-request-bytes", 64<<20, "per-request byte limit on both protocols (> 0); oversized requests are refused and the connection dropped")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "drop connections idle longer than this (0 disables)")
 	dataDir := flag.String("data-dir", "", "data directory for durable persistence (empty = memory-only)")
 	fsyncName := flag.String("fsync", "", "WAL fsync policy: never, batch, always (empty = engine default, batch)")
-	walGroup := flag.Int("wal-group", 0, "group-commit batch size under the batch policy, [1, 1024] (0 = engine default)")
+	walGroup := flag.Int("wal-group", 0, "group-commit batch size under the batch policy, "+knobRange(vdms.KnobWALGroupCommit)+" (0 = engine default)")
 	tune := flag.Bool("tune", false, "run the in-process tuning daemon: window served queries, re-tune on drift, apply winners online")
 	tuneInterval := flag.Duration("tune-interval", 30*time.Second, "how often the tuning daemon checks the query window")
 	tuneWindow := flag.Int("tune-window", 256, "minimum served queries per tuning window")
@@ -124,9 +130,9 @@ func main() {
 	// ValidateConfig treats a zero shard count as "engine default", but on
 	// the command line zero is a typo, not a request for the default — the
 	// flag's own default is already 1. The range still comes from the
-	// shared table.
-	if r := vdms.SystemKnobRanges["shard_count"]; float64(*shards) < r.Min || float64(*shards) > r.Max {
-		usageError("-shards %d outside [%v, %v]", *shards, r.Min, r.Max)
+	// knob table.
+	if r := vdms.Knobs[vdms.KnobShardCount]; float64(*shards) < r.Min || float64(*shards) > r.Max {
+		usageError("-shards %d outside %s", *shards, knobRange(vdms.KnobShardCount))
 	}
 	if *maxRequestBytes <= 0 {
 		usageError("-max-request-bytes must be positive, got %d", *maxRequestBytes)

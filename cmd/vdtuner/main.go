@@ -128,13 +128,13 @@ func pickDataset(name string, scale workload.Scale) (workload.Spec, error) {
 	}
 }
 
+// printConfig prints the index type and every knob it owns, in the knob
+// table's order.
 func printConfig(cfg vdms.Config) {
-	fmt.Printf("  index type        %v\n", cfg.IndexType)
-	fmt.Printf("  build params      nlist=%d m=%d nbits=%d M=%d efConstruction=%d\n",
-		cfg.Build.NList, cfg.Build.M, cfg.Build.NBits, cfg.Build.HNSWM, cfg.Build.EfConstruction)
-	fmt.Printf("  search params     nprobe=%d ef=%d reorder_k=%d\n",
-		cfg.Search.NProbe, cfg.Search.Ef, cfg.Search.ReorderK)
-	fmt.Printf("  system params     maxSize=%.0f seal=%.2f graceful=%.0fms insertBuf=%.0f par=%d cache=%.2f flush=%.0fs\n",
-		cfg.SegmentMaxSize, cfg.SealProportion, cfg.GracefulTime,
-		cfg.InsertBufSize, cfg.Parallelism, cfg.CacheRatio, cfg.FlushInterval)
+	fmt.Printf("  %-24s %v\n", "index_type", cfg.IndexType)
+	for i := range vdms.Knobs {
+		if k := &vdms.Knobs[i]; k.OwnedBy(cfg.IndexType) {
+			fmt.Printf("  %-24s %.5g\n", k.Name, k.Get(&cfg))
+		}
+	}
 }

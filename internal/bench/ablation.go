@@ -235,21 +235,10 @@ func Table5(w io.Writer, o Options) ([]Table5Row, error) {
 
 // ownedParams extracts the index parameters the configuration's type owns.
 func ownedParams(cfg vdms.Config) map[string]float64 {
-	vals := map[space.Param]float64{
-		space.NList:          float64(cfg.Build.NList),
-		space.NProbe:         float64(cfg.Search.NProbe),
-		space.PQM:            float64(cfg.Build.M),
-		space.PQNBits:        float64(cfg.Build.NBits),
-		space.HNSWM:          float64(cfg.Build.HNSWM),
-		space.EfConstruction: float64(cfg.Build.EfConstruction),
-		space.Ef:             float64(cfg.Search.Ef),
-		space.ReorderK:       float64(cfg.Search.ReorderK),
-	}
 	out := map[string]float64{}
-	for p, v := range vals {
-		d := space.Lookup(p)
-		if d.Owners != nil && space.OwnedBy(p, cfg.IndexType) {
-			out[d.Name] = v
+	for i := range vdms.Knobs {
+		if k := &vdms.Knobs[i]; k.Owners != nil && k.OwnedBy(cfg.IndexType) {
+			out[k.Name] = k.Get(&cfg)
 		}
 	}
 	return out
@@ -271,7 +260,7 @@ func Figure11(w io.Writer, o Options) ([]Figure11Point, error) {
 		return nil, err
 	}
 	tn := core.New(core.Options{Seed: o.Seed})
-	tracked := []space.Param{space.NList, space.NProbe, space.SealProportion, space.GracefulTime}
+	tracked := []space.Param{vdms.KnobNList, vdms.KnobNProbe, vdms.KnobSealProportion, vdms.KnobGracefulTime}
 	var points []Figure11Point
 	for i := 0; i < o.iters(); i++ {
 		cfg := tn.Next()
@@ -280,7 +269,7 @@ func Figure11(w io.Writer, o Options) ([]Figure11Point, error) {
 		x := space.Encode(cfg)
 		vals := map[string]float64{}
 		for _, p := range tracked {
-			vals[space.Lookup(p).Name] = x[1+int(p)]
+			vals[vdms.Knobs[p].Name] = x[1+int(p)]
 		}
 		points = append(points, Figure11Point{Iter: i, Values: vals})
 	}
@@ -288,7 +277,7 @@ func Figure11(w io.Writer, o Options) ([]Figure11Point, error) {
 	fprintf(w, "Figure 11: parameter convergence on %s\n", ds.Name)
 	half := len(points) / 2
 	for _, p := range tracked {
-		name := space.Lookup(p).Name
+		name := vdms.Knobs[p].Name
 		early := dispersion(points[:half], name)
 		late := dispersion(points[half:], name)
 		fprintf(w, "  %-24s early stddev %.3f  late stddev %.3f\n", name, early, late)
@@ -368,9 +357,8 @@ func HolisticVsIndividual(w io.Writer, o Options) (*HolisticResult, error) {
 	xb := space.Encode(indBest.Config)
 	n, close := 0, 0
 	for p := 0; p < space.NumParams; p++ {
-		d := space.Lookup(space.Param(p))
-		if d.Owners != nil && (res.HolisticType != res.IndividualType ||
-			!space.OwnedBy(space.Param(p), res.HolisticType)) {
+		k := &vdms.Knobs[p]
+		if k.Owners != nil && (res.HolisticType != res.IndividualType || !k.OwnedBy(res.HolisticType)) {
 			continue
 		}
 		n++

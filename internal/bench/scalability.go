@@ -10,6 +10,7 @@ import (
 	"vdtuner/internal/gp"
 	"vdtuner/internal/shap"
 	"vdtuner/internal/space"
+	"vdtuner/internal/vdms"
 	"vdtuner/internal/workload"
 )
 
@@ -252,11 +253,9 @@ func shapAttribution(a, b *Trace, seed int64) (memAttr, qpsAttr map[string]float
 	for i := range background {
 		background[i] /= float64(len(xs))
 	}
-	groups := map[string][]int{
-		"index_type":      {0},
-		"nprobe":          {1 + int(space.NProbe)},
-		"segment_maxSize": {1 + int(space.SegmentMaxSize)},
-		"insertBufSize":   {1 + int(space.InsertBufSize)},
+	groups := map[string][]int{"index_type": {0}}
+	for _, p := range []space.Param{vdms.KnobNProbe, vdms.KnobSegmentMaxSize, vdms.KnobInsertBufSize} {
+		groups[vdms.Knobs[p].Name] = []int{1 + int(p)}
 	}
 	var rest []int
 	used := map[int]bool{0: true}

@@ -23,154 +23,47 @@ type kbFile struct {
 	Datasets     []string `json:"datasets,omitempty"`
 }
 
-// kbObs flattens one observation.
+// kbObs is one observation; vdms.Config and vdms.Result carry their own
+// JSON forms (Config's is keyed by knob name, see vdms.Knobs).
 type kbObs struct {
-	IndexType string         `json:"index_type"`
-	Config    kbConfig       `json:"config"`
-	X         []float64      `json:"x"`
-	ObjA      float64        `json:"obj_a"`
-	ObjB      float64        `json:"obj_b"`
-	Result    vdmsResultWire `json:"result"`
-}
-
-// kbConfig mirrors vdms.Config with stable JSON names.
-type kbConfig struct {
-	IndexType      string  `json:"index_type"`
-	NList          int     `json:"nlist"`
-	M              int     `json:"m"`
-	NBits          int     `json:"nbits"`
-	HNSWM          int     `json:"M"`
-	EfConstruction int     `json:"efConstruction"`
-	NProbe         int     `json:"nprobe"`
-	Ef             int     `json:"ef"`
-	ReorderK       int     `json:"reorder_k"`
-	SegmentMaxSize float64 `json:"segment_maxSize"`
-	SealProportion float64 `json:"segment_sealProportion"`
-	GracefulTime   float64 `json:"gracefulTime"`
-	InsertBufSize  float64 `json:"insertBufSize"`
-	Parallelism    int     `json:"queryNode_parallelism"`
-	CacheRatio     float64 `json:"queryNode_cacheRatio"`
-	FlushInterval  float64 `json:"flushInterval"`
-	// Compaction knobs; omitted (zero) in knowledge bases written before
-	// the compactor existed, which the engine reads as its defaults.
-	CompactionTriggerRatio float64 `json:"compaction_triggerRatio,omitempty"`
-	CompactionMergeFanIn   int     `json:"compaction_mergeFanIn,omitempty"`
-	CompactionParallelism  int     `json:"compaction_parallelism,omitempty"`
-	// Durability knobs; likewise omitted (zero, meaning engine default)
-	// in knowledge bases written before persistence existed.
-	WALFsyncPolicy int `json:"wal_fsyncPolicy,omitempty"`
-	WALGroupCommit int `json:"wal_groupCommit,omitempty"`
-	// Sharding knob; likewise omitted (zero, meaning engine default of 1)
-	// in knowledge bases written before the live engine was sharded.
-	ShardCount int `json:"shard_count,omitempty"`
-
-	Concurrency int `json:"concurrency,omitempty"`
-}
-
-type vdmsResultWire struct {
-	QPS           float64 `json:"qps"`
-	Recall        float64 `json:"recall"`
-	MemoryBytes   int64   `json:"memory_bytes"`
-	BuildSeconds  float64 `json:"build_seconds"`
-	ReplaySeconds float64 `json:"replay_seconds"`
-	Failed        bool    `json:"failed,omitempty"`
-	FailReason    string  `json:"fail_reason,omitempty"`
-}
-
-func toWireConfig(c vdms.Config) kbConfig {
-	return kbConfig{
-		IndexType:      c.IndexType.String(),
-		NList:          c.Build.NList,
-		M:              c.Build.M,
-		NBits:          c.Build.NBits,
-		HNSWM:          c.Build.HNSWM,
-		EfConstruction: c.Build.EfConstruction,
-		NProbe:         c.Search.NProbe,
-		Ef:             c.Search.Ef,
-		ReorderK:       c.Search.ReorderK,
-		SegmentMaxSize: c.SegmentMaxSize,
-		SealProportion: c.SealProportion,
-		GracefulTime:   c.GracefulTime,
-		InsertBufSize:  c.InsertBufSize,
-		Parallelism:    c.Parallelism,
-		CacheRatio:     c.CacheRatio,
-		FlushInterval:  c.FlushInterval,
-
-		CompactionTriggerRatio: c.CompactionTriggerRatio,
-		CompactionMergeFanIn:   c.CompactionMergeFanIn,
-		CompactionParallelism:  c.CompactionParallelism,
-
-		WALFsyncPolicy: c.WALFsyncPolicy,
-		WALGroupCommit: c.WALGroupCommit,
-
-		ShardCount: c.ShardCount,
-
-		Concurrency: c.Concurrency,
-	}
-}
-
-func fromWireConfig(k kbConfig) (vdms.Config, error) {
-	t, err := index.ParseType(k.IndexType)
-	if err != nil {
-		return vdms.Config{}, err
-	}
-	cfg := vdms.Config{
-		IndexType:      t,
-		SegmentMaxSize: k.SegmentMaxSize,
-		SealProportion: k.SealProportion,
-		GracefulTime:   k.GracefulTime,
-		InsertBufSize:  k.InsertBufSize,
-		Parallelism:    k.Parallelism,
-		CacheRatio:     k.CacheRatio,
-		FlushInterval:  k.FlushInterval,
-
-		CompactionTriggerRatio: k.CompactionTriggerRatio,
-		CompactionMergeFanIn:   k.CompactionMergeFanIn,
-		CompactionParallelism:  k.CompactionParallelism,
-
-		WALFsyncPolicy: k.WALFsyncPolicy,
-		WALGroupCommit: k.WALGroupCommit,
-
-		ShardCount: k.ShardCount,
-
-		Concurrency: k.Concurrency,
-	}
-	cfg.Build.NList = k.NList
-	cfg.Build.M = k.M
-	cfg.Build.NBits = k.NBits
-	cfg.Build.HNSWM = k.HNSWM
-	cfg.Build.EfConstruction = k.EfConstruction
-	cfg.Search.NProbe = k.NProbe
-	cfg.Search.Ef = k.Ef
-	cfg.Search.ReorderK = k.ReorderK
-	return cfg, nil
+	IndexType string      `json:"index_type"`
+	Config    vdms.Config `json:"config"`
+	X         []float64   `json:"x"`
+	ObjA      float64     `json:"obj_a"`
+	ObjB      float64     `json:"obj_b"`
+	Result    vdms.Result `json:"result"`
 }
 
 // SaveObservations writes observations as a JSON knowledge base.
 func SaveObservations(w io.Writer, obs []Observation) error {
 	f := kbFile{Version: 1}
 	for _, o := range obs {
-		f.Observations = append(f.Observations, kbObs{
-			IndexType: o.Type.String(),
-			Config:    toWireConfig(o.Config),
-			X:         o.X,
-			ObjA:      o.ObjA,
-			ObjB:      o.ObjB,
-			Result: vdmsResultWire{
-				QPS: o.Result.QPS, Recall: o.Result.Recall,
-				MemoryBytes:  o.Result.MemoryBytes,
-				BuildSeconds: o.Result.BuildSeconds, ReplaySeconds: o.Result.ReplaySeconds,
-				Failed: o.Result.Failed, FailReason: o.Result.FailReason,
-			},
-		})
+		f.Observations = append(f.Observations, kbObs{o.Type.String(), o.Config, o.X, o.ObjA, o.ObjB, o.Result})
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(f)
 }
 
+// usable reports whether a stored vector can stand as an observation's
+// encoding: the current space's length, every coordinate in [0,1].
+func usable(x []float64) bool {
+	if len(x) != space.Dims {
+		return false
+	}
+	for _, v := range x {
+		if !(v >= 0 && v <= 1) { // also false for NaN
+			return false
+		}
+	}
+	return true
+}
+
 // LoadObservations reads a JSON knowledge base back into observations
-// suitable for Options.Bootstrap.
+// suitable for Options.Bootstrap. A knowledge base is outside input: a
+// stored vector that is missing, from a different space layout, or not
+// inside the unit cube is replaced by the encoding of its configuration
+// rather than handed to the surrogate.
 func LoadObservations(r io.Reader) ([]Observation, error) {
 	var f kbFile
 	if err := json.NewDecoder(r).Decode(&f); err != nil {
@@ -181,29 +74,15 @@ func LoadObservations(r io.Reader) ([]Observation, error) {
 	}
 	var out []Observation
 	for i, ko := range f.Observations {
-		cfg, err := fromWireConfig(ko.Config)
-		if err != nil {
-			return nil, fmt.Errorf("core: observation %d: %w", i, err)
-		}
 		t, err := index.ParseType(ko.IndexType)
 		if err != nil {
 			return nil, fmt.Errorf("core: observation %d: %w", i, err)
 		}
 		x := space.Vector(ko.X)
-		if len(x) != space.Dims {
-			// Re-encode from the config when the vector is missing or
-			// from a different space layout.
-			x = space.Encode(cfg)
+		if !usable(ko.X) {
+			x = space.Encode(ko.Config)
 		}
-		out = append(out, Observation{
-			Config: cfg, X: x, Type: t, ObjA: ko.ObjA, ObjB: ko.ObjB,
-			Result: vdms.Result{
-				QPS: ko.Result.QPS, Recall: ko.Result.Recall,
-				MemoryBytes:  ko.Result.MemoryBytes,
-				BuildSeconds: ko.Result.BuildSeconds, ReplaySeconds: ko.Result.ReplaySeconds,
-				Failed: ko.Result.Failed, FailReason: ko.Result.FailReason,
-			},
-		})
+		out = append(out, Observation{Config: ko.Config, X: x, Type: t, ObjA: ko.ObjA, ObjB: ko.ObjB, Result: ko.Result})
 	}
 	return out, nil
 }

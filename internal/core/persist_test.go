@@ -113,6 +113,16 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if _, err := LoadObservations(strings.NewReader(bad)); err == nil {
 		t.Fatal("accepted unknown index type")
 	}
+	// JSON has no NaN or Inf; the nearest a file can get is a number
+	// float64 cannot hold.
+	var buf bytes.Buffer
+	if err := SaveObservations(&buf, sampleObservations()[:1]); err != nil {
+		t.Fatal(err)
+	}
+	inf := strings.Replace(buf.String(), `"x": [`, `"x": [1e999, `, 1)
+	if _, err := LoadObservations(strings.NewReader(inf)); err == nil {
+		t.Fatal("accepted a non-finite coordinate")
+	}
 }
 
 func TestLoadReencodesMissingVector(t *testing.T) {
@@ -133,5 +143,27 @@ func TestLoadReencodesMissingVector(t *testing.T) {
 	}
 	if loaded[0].Config.IndexType != index.HNSW {
 		t.Fatalf("type = %v", loaded[0].Config.IndexType)
+	}
+
+	// A vector of the right length but outside the unit cube is not an
+	// encoding of anything: it must not reach the surrogate as written.
+	obs := sampleObservations()[:1]
+	want := space.Encode(obs[0].Config)
+	for _, coord := range []float64{1.5, -0.25, 1e300} {
+		obs[0].X = append(space.Vector(nil), want...)
+		obs[0].X[3] = coord
+		var buf bytes.Buffer
+		if err := SaveObservations(&buf, obs); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadObservations(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := range want {
+			if loaded[0].X[d] != want[d] {
+				t.Fatalf("coordinate %v survived loading: x[%d] = %v, want %v", coord, d, loaded[0].X[d], want[d])
+			}
+		}
 	}
 }

@@ -9,8 +9,7 @@ import (
 // 32-vector batch record appended and group-committed per iteration
 // under the batch policy (the engine default). Steady-state appends
 // reuse the writer's scratch buffer, so per-op allocations stay flat
-// regardless of record size. Part of the committed BENCH_query.json
-// trajectory via `make bench-json`.
+// regardless of record size.
 func BenchmarkWALAppend(b *testing.B) {
 	dir := b.TempDir()
 	w, err := OpenWAL(Options{Dir: dir, Policy: SyncBatch, GroupCommit: 64}, 1)

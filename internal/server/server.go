@@ -33,7 +33,8 @@
 //
 // JSON ops: "ping", "insert", "search", "searchBatch", "delete", "flush",
 // "compact", "persist", "stats", "reconfigure", "config", "sample". The
-// "reconfigure" op applies a full vdms.Config to the live collection
+// "reconfigure" op applies a full vdms.Config (a flat JSON object keyed by
+// knob name; see vdms.Knobs) to the live collection
 // through its online reconfiguration path — hot-knob changes swap
 // atomically, cold-knob changes run a background migration — and answers
 // with the new config generation; "config" reads back the active
@@ -93,8 +94,12 @@ type Request struct {
 	Queries [][]float32 `json:"queries,omitempty"`
 	// IDs carries the ids for "delete".
 	IDs []int64 `json:"ids,omitempty"`
-	// Config carries the target configuration for "reconfigure".
-	Config *vdms.Config `json:"config,omitempty"`
+	// Config carries the target configuration for "reconfigure": a
+	// vdms.Config in its JSON form. It is decoded at dispatch, so a
+	// configuration the decoder refuses (an unknown knob, a fraction for an
+	// integer one) is answered with an error like any other bad argument
+	// instead of ending the connection as an undecodable request does.
+	Config json.RawMessage `json:"config,omitempty"`
 }
 
 // Neighbor is one search hit on the wire.
@@ -481,7 +486,11 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 		if req.Config == nil {
 			return &Response{Error: "reconfigure: missing config"}
 		}
-		gen, err := s.coll.Reconfigure(*req.Config)
+		var cfg vdms.Config
+		if err := json.Unmarshal(req.Config, &cfg); err != nil {
+			return &Response{Error: "reconfigure: " + err.Error()}
+		}
+		gen, err := s.coll.Reconfigure(cfg)
 		if err != nil {
 			return &Response{Error: err.Error()}
 		}
@@ -632,7 +641,11 @@ func (c *Client) Stats() (*vdms.CollectionStats, error) {
 // run a background migration — the call returns when the new shape
 // serves, with reads and writes admitted throughout.
 func (c *Client) Reconfigure(cfg vdms.Config) (uint64, error) {
-	resp, err := c.call(&Request{Op: "reconfigure", Config: &cfg})
+	raw, err := json.Marshal(cfg)
+	if err != nil {
+		return 0, err
+	}
+	resp, err := c.call(&Request{Op: "reconfigure", Config: raw})
 	if err != nil {
 		return 0, err
 	}

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"bufio"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -567,5 +570,85 @@ func TestReconfigureOverWire(t *testing.T) {
 	}
 	if srv.TakeQueries() != nil {
 		t.Fatal("drained window not empty")
+	}
+}
+
+// TestConfigJSONRoundTrip drives "config" and "reconfigure" as a client
+// without the Go types would: the reply's config object, keyed by knob
+// name, is sent back verbatim and must apply as the same configuration.
+func TestConfigJSONRoundTrip(t *testing.T) {
+	srv, cl := startServer(t)
+	// Every one of the 22 dimensions off its default.
+	want := vdms.Config{IndexType: index.IVFPQ, Concurrency: 7}
+	for i := range vdms.Knobs {
+		k := &vdms.Knobs[i]
+		k.Set(&want, k.Min+(k.Max-k.Min)/3)
+		if k.Get(&want) == k.Default {
+			t.Fatalf("fixture leaves %s at its default", k.Name)
+		}
+	}
+	if _, err := cl.Reconfigure(want); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	lines := bufio.NewReader(conn)
+	exchange := func(req string, ok bool) map[string]json.RawMessage {
+		t.Helper()
+		if _, err := fmt.Fprintln(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		line, err := lines.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%s: %v", req, err)
+		}
+		var reply map[string]json.RawMessage
+		if err := json.Unmarshal(line, &reply); err != nil || string(reply["ok"]) != fmt.Sprint(ok) {
+			t.Fatalf("%s -> %s (%v)", req, line, err)
+		}
+		return reply
+	}
+	call := func(req string) map[string]json.RawMessage { t.Helper(); return exchange(req, true) }
+	reply := call(`{"op":"config"}`)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(reply["config"], &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != len(vdms.Knobs)+2 || string(keys["index_type"]) != `"IVF_PQ"` || string(keys["concurrency"]) != "7" {
+		t.Fatalf("config reply: %s", reply["config"])
+	}
+	for i := range vdms.Knobs {
+		if _, ok := keys[vdms.Knobs[i].Name]; !ok {
+			t.Fatalf("config reply lacks %q: %s", vdms.Knobs[i].Name, reply["config"])
+		}
+	}
+
+	before := string(reply["generation"])
+	reply = call(`{"op":"reconfigure","config":` + string(reply["config"]) + `}`)
+	if string(reply["generation"]) == before {
+		t.Fatalf("reconfigure did not advance generation %s", before)
+	}
+
+	// A configuration the decoder refuses is an answered error, and the
+	// connection and the active configuration survive it.
+	for _, bad := range []string{
+		`{"index_type":"IVF_PQ","ShardCount":2}`,
+		`{"index_type":"IVF_PQ","nlist":12.5}`,
+		`{"nlist":128}`,
+		`{"index_type":"IVF_PQ","queryNode_parallelism":999}`,
+	} {
+		exchange(`{"op":"reconfigure","config":`+bad+`}`, false)
+	}
+	call(`{"op":"ping"}`)
+	got, _, err := cl.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != want {
+		t.Fatalf("after the JSON round trip:\n got %+v\nwant %+v", *got, want)
 	}
 }

@@ -1,19 +1,14 @@
-// Package space defines the VDMS configuration space: the paper's
-// 16 dimensions (§V-A — the index type, the eight index parameters of
-// Table I, and the seven recommended system parameters) plus the three
-// compaction parameters of the engine's segment-compaction extension
-// (trigger ratio, merge fan-in, compactor parallelism), the two
-// durability parameters of its snapshot+WAL persistence extension (fsync
-// policy, group-commit batch), and the shard count of its sharded live
-// engine, 22 dimensions in
-// all. It provides the encoding the surrogate model works in
-// ([0,1]^Dims), decoding back to engine configurations, per-index-type
-// parameter ownership, defaults, and random/LHS sampling restricted to an
-// index type's subspace.
+// Package space is the tuner's view of the VDMS configuration space
+// (paper §IV-A, §V-A): the index type plus every scalar knob the engine
+// declares in vdms.Knobs, one dimension each. It provides the encoding the
+// surrogate model works in ([0,1]^Dims), decoding back to engine
+// configurations, defaults, and random/LHS sampling restricted to an index
+// type's subspace. Ranges, integrality, defaults and per-index-type
+// ownership all come from the knob table, so a decoded configuration is
+// valid by construction.
 package space
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -22,139 +17,19 @@ import (
 	"vdtuner/internal/vdms"
 )
 
-// Param identifies one tunable dimension.
-type Param int
-
-const (
-	// Index parameters (paper Table I).
-	NList Param = iota
-	NProbe
-	PQM
-	PQNBits
-	HNSWM
-	EfConstruction
-	Ef
-	ReorderK
-	// System parameters (Milvus documentation; see vdms.Config).
-	SegmentMaxSize
-	SealProportion
-	GracefulTime
-	InsertBufSize
-	Parallelism
-	CacheRatio
-	FlushInterval
-	// Compaction parameters (engine extension: segment compaction +
-	// tombstone GC; see vdms.Config).
-	CompactionTriggerRatio
-	CompactionMergeFanIn
-	CompactionParallelism
-	// Durability parameters (engine extension: snapshot + WAL
-	// persistence; see vdms.Config and package persist). They shape the
-	// write path's acknowledgement latency and crash-loss window, never
-	// search results.
-	WALFsyncPolicy
-	WALGroupCommit
-	// Sharding parameter (engine extension: the live collection is split
-	// into independently locked shards with per-shard WALs and
-	// compactors; see vdms.Config.ShardCount). It trades write/fsync/
-	// compaction parallelism against segment granularity — exactly the
-	// kind of workload-dependent knob the tuner exists to set.
-	ShardCount
-	numParams
-)
+// Param identifies one tunable dimension: a row of vdms.Knobs.
+type Param = vdms.KnobID
 
 // NumParams is the number of scalar parameters (excluding the index type).
-const NumParams = int(numParams)
+const NumParams = int(vdms.NumKnobs)
 
 // Dims is the total encoded dimensionality: index type + NumParams.
 const Dims = NumParams + 1
 
-// Def describes one parameter: its range, integrality, default, and the
-// index types that own it (nil owners = shared by all types).
-type Def struct {
-	Param   Param
-	Name    string
-	Min     float64
-	Max     float64
-	Integer bool
-	Default float64
-	Owners  []index.Type
-}
-
-// sys builds a system-parameter Def whose bounds come from the engine's
-// own validation table (vdms.SystemKnobRanges), so the space the tuner
-// explores and the range Reconfigure accepts can never drift apart: any
-// decoded configuration is valid by construction.
-func sys(p Param, name string, integer bool, def float64) Def {
-	r, ok := vdms.SystemKnobRanges[name]
-	if !ok {
-		panic(fmt.Sprintf("space: no engine range for system knob %q", name))
-	}
-	return Def{p, name, r.Min, r.Max, integer, def, nil}
-}
-
-var defs = [NumParams]Def{
-	NList:          {NList, "nlist", 16, 1024, true, 128, []index.Type{index.IVFFlat, index.IVFSQ8, index.IVFPQ, index.SCANN}},
-	NProbe:         {NProbe, "nprobe", 1, 256, true, 16, []index.Type{index.IVFFlat, index.IVFSQ8, index.IVFPQ, index.SCANN}},
-	PQM:            {PQM, "m", 2, 16, true, 8, []index.Type{index.IVFPQ}},
-	PQNBits:        {PQNBits, "nbits", 4, 12, true, 8, []index.Type{index.IVFPQ}},
-	HNSWM:          {HNSWM, "M", 4, 64, true, 16, []index.Type{index.HNSW}},
-	EfConstruction: {EfConstruction, "efConstruction", 8, 512, true, 128, []index.Type{index.HNSW}},
-	Ef:             {Ef, "ef", 8, 512, true, 64, []index.Type{index.HNSW}},
-	ReorderK:       {ReorderK, "reorder_k", 10, 500, true, 100, []index.Type{index.SCANN}},
-	SegmentMaxSize: sys(SegmentMaxSize, "segment_maxSize", true, 512),
-	SealProportion: sys(SealProportion, "segment_sealProportion", false, 0.25),
-	GracefulTime:   sys(GracefulTime, "gracefulTime", false, 1000),
-	InsertBufSize:  sys(InsertBufSize, "insertBufSize", true, 256),
-	Parallelism:    sys(Parallelism, "queryNode_parallelism", true, 4),
-	CacheRatio:     sys(CacheRatio, "queryNode_cacheRatio", false, 0.3),
-	FlushInterval:  sys(FlushInterval, "flushInterval", false, 10),
-
-	CompactionTriggerRatio: sys(CompactionTriggerRatio, "compaction_triggerRatio", false, 0.2),
-	CompactionMergeFanIn:   sys(CompactionMergeFanIn, "compaction_mergeFanIn", true, 4),
-	CompactionParallelism:  sys(CompactionParallelism, "compaction_parallelism", true, 2),
-
-	WALFsyncPolicy: sys(WALFsyncPolicy, "wal_fsyncPolicy", true, 2),
-	WALGroupCommit: sys(WALGroupCommit, "wal_groupCommit", true, 64),
-
-	ShardCount: sys(ShardCount, "shard_count", true, 1),
-}
-
-// Lookup returns the definition of p.
-func Lookup(p Param) Def { return defs[p] }
-
-// All returns every parameter definition in declaration order.
-func All() []Def {
-	out := make([]Def, NumParams)
-	copy(out, defs[:])
-	return out
-}
-
-// ByName finds a definition by its Milvus-style name.
-func ByName(name string) (Def, error) {
-	for _, d := range defs {
-		if d.Name == name {
-			return d, nil
-		}
-	}
-	return Def{}, fmt.Errorf("space: unknown parameter %q", name)
-}
-
 // OwnedBy reports whether index type t tunes parameter p. Shared (system)
 // parameters are owned by every type; FLAT and AUTOINDEX own only shared
 // parameters (Table I: "N/A ; N/A").
-func OwnedBy(p Param, t index.Type) bool {
-	d := defs[p]
-	if d.Owners == nil {
-		return true
-	}
-	for _, o := range d.Owners {
-		if o == t {
-			return true
-		}
-	}
-	return false
-}
+func OwnedBy(p Param, t index.Type) bool { return vdms.Knobs[p].OwnedBy(t) }
 
 // Vector is an encoded configuration in [0,1]^Dims: Vector[0] encodes the
 // index type, Vector[1+p] encodes parameter p.
@@ -181,7 +56,7 @@ func DecodeType(v float64) index.Type {
 }
 
 // encodeVal maps a raw parameter value to [0,1].
-func encodeVal(d Def, v float64) float64 {
+func encodeVal(d *vdms.Knob, v float64) float64 {
 	u := (v - d.Min) / (d.Max - d.Min)
 	if u < 0 {
 		u = 0
@@ -194,7 +69,7 @@ func encodeVal(d Def, v float64) float64 {
 
 // decodeVal maps a [0,1] coordinate back to the parameter's range,
 // rounding integer parameters.
-func decodeVal(d Def, u float64) float64 {
+func decodeVal(d *vdms.Knob, u float64) float64 {
 	if u < 0 {
 		u = 0
 	}
@@ -209,43 +84,14 @@ func decodeVal(d Def, u float64) float64 {
 }
 
 // Encode maps an engine configuration to its surrogate-space vector.
+// Zero-means-default knobs encode their resolved value.
 func Encode(cfg vdms.Config) Vector {
 	x := make(Vector, Dims)
 	x[0] = EncodeType(cfg.IndexType)
-	set := func(p Param, v float64) { x[1+int(p)] = encodeVal(defs[p], v) }
-	set(NList, float64(cfg.Build.NList))
-	set(NProbe, float64(cfg.Search.NProbe))
-	set(PQM, float64(cfg.Build.M))
-	set(PQNBits, float64(cfg.Build.NBits))
-	set(HNSWM, float64(cfg.Build.HNSWM))
-	set(EfConstruction, float64(cfg.Build.EfConstruction))
-	set(Ef, float64(cfg.Search.Ef))
-	set(ReorderK, float64(cfg.Search.ReorderK))
-	set(SegmentMaxSize, cfg.SegmentMaxSize)
-	set(SealProportion, cfg.SealProportion)
-	set(GracefulTime, cfg.GracefulTime)
-	set(InsertBufSize, cfg.InsertBufSize)
-	set(Parallelism, float64(cfg.Parallelism))
-	set(CacheRatio, cfg.CacheRatio)
-	set(FlushInterval, cfg.FlushInterval)
-	// Compaction knobs treat zero as "engine default" (configurations
-	// recorded before the compactor existed); encode the resolved value.
-	setOrDefault := func(p Param, v float64) {
-		if v == 0 {
-			v = defs[p].Default
-		}
-		set(p, v)
+	for p := range vdms.Knobs {
+		k := &vdms.Knobs[p]
+		x[1+p] = encodeVal(k, k.Get(&cfg))
 	}
-	setOrDefault(CompactionTriggerRatio, cfg.CompactionTriggerRatio)
-	setOrDefault(CompactionMergeFanIn, float64(cfg.CompactionMergeFanIn))
-	setOrDefault(CompactionParallelism, float64(cfg.CompactionParallelism))
-	// WAL knobs likewise treat zero as "engine default" (configurations
-	// recorded before durability existed).
-	setOrDefault(WALFsyncPolicy, float64(cfg.WALFsyncPolicy))
-	setOrDefault(WALGroupCommit, float64(cfg.WALGroupCommit))
-	// The shard count likewise treats zero as "engine default"
-	// (configurations recorded before the live engine was sharded).
-	setOrDefault(ShardCount, float64(cfg.ShardCount))
 	return x
 }
 
@@ -253,43 +99,14 @@ func Encode(cfg vdms.Config) Vector {
 // Parameters not owned by the decoded index type are reset to defaults, so
 // two vectors that differ only in unowned dimensions decode identically.
 func Decode(x Vector) vdms.Config {
-	t := DecodeType(x[0])
-	get := func(p Param) float64 {
-		if !OwnedBy(p, t) {
-			return defs[p].Default
+	cfg := vdms.Config{IndexType: DecodeType(x[0])}
+	for p := range vdms.Knobs {
+		k := &vdms.Knobs[p]
+		v := k.Default
+		if k.OwnedBy(cfg.IndexType) {
+			v = decodeVal(k, x[1+p])
 		}
-		return decodeVal(defs[p], x[1+int(p)])
-	}
-	cfg := vdms.Config{
-		IndexType: t,
-		Build: index.BuildParams{
-			NList:          int(get(NList)),
-			M:              int(get(PQM)),
-			NBits:          int(get(PQNBits)),
-			HNSWM:          int(get(HNSWM)),
-			EfConstruction: int(get(EfConstruction)),
-		},
-		Search: index.SearchParams{
-			NProbe:   int(get(NProbe)),
-			Ef:       int(get(Ef)),
-			ReorderK: int(get(ReorderK)),
-		},
-		SegmentMaxSize: get(SegmentMaxSize),
-		SealProportion: get(SealProportion),
-		GracefulTime:   get(GracefulTime),
-		InsertBufSize:  get(InsertBufSize),
-		Parallelism:    int(get(Parallelism)),
-		CacheRatio:     get(CacheRatio),
-		FlushInterval:  get(FlushInterval),
-
-		CompactionTriggerRatio: get(CompactionTriggerRatio),
-		CompactionMergeFanIn:   int(get(CompactionMergeFanIn)),
-		CompactionParallelism:  int(get(CompactionParallelism)),
-
-		WALFsyncPolicy: int(get(WALFsyncPolicy)),
-		WALGroupCommit: int(get(WALGroupCommit)),
-
-		ShardCount: int(get(ShardCount)),
+		k.Set(&cfg, v)
 	}
 	return cfg
 }
@@ -299,19 +116,15 @@ func Decode(x Vector) vdms.Config {
 func DefaultVector(t index.Type) Vector {
 	x := make(Vector, Dims)
 	x[0] = EncodeType(t)
-	for p := 0; p < NumParams; p++ {
-		x[1+p] = encodeVal(defs[p], defs[p].Default)
+	for p := range vdms.Knobs {
+		x[1+p] = encodeVal(&vdms.Knobs[p], vdms.Knobs[p].Default)
 	}
 	return x
 }
 
 // DefaultConfig returns the engine default configuration with the index
 // type forced to t.
-func DefaultConfig(t index.Type) vdms.Config {
-	cfg := vdms.DefaultConfig()
-	cfg.IndexType = t
-	return Decode(DefaultVector(t))
-}
+func DefaultConfig(t index.Type) vdms.Config { return Decode(DefaultVector(t)) }
 
 // SampleSubspace draws a uniform random vector for index type t: owned
 // dimensions uniform in [0,1], unowned index parameters at defaults.

@@ -9,15 +9,14 @@ import (
 )
 
 func TestDefsComplete(t *testing.T) {
-	if len(All()) != 21 {
-		t.Fatalf("expected 21 scalar parameters (8 index + 7 system + 3 compaction + 2 durability + 1 sharding), got %d", len(All()))
+	// Changing the dimension count changes what a stored vector means
+	// (knowledge bases are re-encoded on load), so it is pinned here.
+	if Dims != 22 || NumParams != len(vdms.Knobs) {
+		t.Fatalf("Dims = %d over %d knobs, want 22 (paper §V-A's 16 + 3 compaction + 2 durability + 1 sharding extensions)", Dims, len(vdms.Knobs))
 	}
-	if Dims != 22 {
-		t.Fatalf("Dims = %d, want 22 (paper §V-A's 16 + 3 compaction + 2 durability + 1 sharding extensions)", Dims)
-	}
-	for p, d := range All() {
+	for p, d := range vdms.Knobs {
 		if d.Name == "" || d.Min >= d.Max {
-			t.Fatalf("bad def %d: %+v", p, d)
+			t.Fatalf("bad knob %d: %+v", p, d)
 		}
 		if d.Default < d.Min || d.Default > d.Max {
 			t.Fatalf("default out of range: %+v", d)
@@ -28,7 +27,7 @@ func TestDefsComplete(t *testing.T) {
 func TestOwnership(t *testing.T) {
 	// Table I: FLAT and AUTOINDEX have no index parameters.
 	for p := 0; p < NumParams; p++ {
-		d := Lookup(Param(p))
+		d := vdms.Knobs[p]
 		shared := d.Owners == nil
 		if OwnedBy(Param(p), index.Flat) != shared {
 			t.Fatalf("FLAT ownership of %s wrong", d.Name)
@@ -37,16 +36,16 @@ func TestOwnership(t *testing.T) {
 			t.Fatalf("AUTOINDEX ownership of %s wrong", d.Name)
 		}
 	}
-	if !OwnedBy(NList, index.IVFPQ) || !OwnedBy(PQM, index.IVFPQ) {
+	if !OwnedBy(vdms.KnobNList, index.IVFPQ) || !OwnedBy(vdms.KnobPQM, index.IVFPQ) {
 		t.Fatal("IVF_PQ must own nlist and m")
 	}
-	if OwnedBy(PQM, index.IVFFlat) {
+	if OwnedBy(vdms.KnobPQM, index.IVFFlat) {
 		t.Fatal("IVF_FLAT must not own m")
 	}
-	if !OwnedBy(ReorderK, index.SCANN) || OwnedBy(ReorderK, index.HNSW) {
+	if !OwnedBy(vdms.KnobReorderK, index.SCANN) || OwnedBy(vdms.KnobReorderK, index.HNSW) {
 		t.Fatal("reorder_k belongs to SCANN only")
 	}
-	if !OwnedBy(SegmentMaxSize, index.HNSW) {
+	if !OwnedBy(vdms.KnobSegmentMaxSize, index.HNSW) {
 		t.Fatal("system parameters are shared by every type")
 	}
 }
@@ -80,8 +79,8 @@ func TestDecodeResetsUnownedParams(t *testing.T) {
 	x := DefaultVector(index.HNSW)
 	y := make(Vector, len(x))
 	copy(y, x)
-	y[1+int(NList)] = rng.Float64() // HNSW does not own nlist
-	y[1+int(ReorderK)] = rng.Float64()
+	y[1+int(vdms.KnobNList)] = rng.Float64() // HNSW does not own nlist
+	y[1+int(vdms.KnobReorderK)] = rng.Float64()
 	if Decode(x) != Decode(y) {
 		t.Fatal("unowned dimensions leaked into decoded config")
 	}
@@ -122,18 +121,12 @@ func TestDefaultConfigMatchesEngineDefaults(t *testing.T) {
 	if got.IndexType != want.IndexType {
 		t.Fatalf("default type %v, want %v", got.IndexType, want.IndexType)
 	}
-	if got.SegmentMaxSize != want.SegmentMaxSize || got.SealProportion != want.SealProportion ||
-		got.GracefulTime != want.GracefulTime || got.InsertBufSize != want.InsertBufSize ||
-		got.Parallelism != want.Parallelism || got.CacheRatio != want.CacheRatio ||
-		got.FlushInterval != want.FlushInterval {
-		t.Fatalf("space defaults diverge from engine defaults:\n%+v\n%+v", got, want)
-	}
-	if got.CompactionMergeFanIn != want.CompactionMergeFanIn ||
-		got.CompactionParallelism != want.CompactionParallelism {
-		t.Fatalf("compaction defaults diverge from engine defaults:\n%+v\n%+v", got, want)
-	}
-	if d := got.CompactionTriggerRatio - want.CompactionTriggerRatio; d < -1e-9 || d > 1e-9 {
-		t.Fatalf("compaction trigger ratio default %v, want %v", got.CompactionTriggerRatio, want.CompactionTriggerRatio)
+	// Encoding a default and decoding it again must give the default back
+	// exactly, for every system knob.
+	for i := range vdms.Knobs {
+		if k := &vdms.Knobs[i]; k.Owners == nil && k.Get(&got) != k.Get(&want) {
+			t.Fatalf("space default of %s is %v, engine default %v", k.Name, k.Get(&got), k.Get(&want))
+		}
 	}
 }
 
@@ -146,9 +139,9 @@ func TestSampleSubspaceRespectsOwnership(t *testing.T) {
 			t.Fatal("sample changed index type")
 		}
 		// Unowned dims must stay at default encoding.
-		for _, p := range []Param{PQM, PQNBits, HNSWM, Ef, EfConstruction} {
+		for _, p := range []Param{vdms.KnobPQM, vdms.KnobPQNBits, vdms.KnobHNSWM, vdms.KnobEf, vdms.KnobEfConstruction} {
 			if x[1+int(p)] != def[1+int(p)] {
-				t.Fatalf("unowned param %v sampled", Lookup(p).Name)
+				t.Fatalf("unowned param %v sampled", vdms.Knobs[p].Name)
 			}
 		}
 	}
@@ -189,15 +182,5 @@ func TestLHSAcrossTypes(t *testing.T) {
 	}
 	if len(types) < 4 {
 		t.Fatalf("LHS covered only %d index types", len(types))
-	}
-}
-
-func TestByName(t *testing.T) {
-	d, err := ByName("nprobe")
-	if err != nil || d.Param != NProbe {
-		t.Fatalf("ByName(nprobe) = %+v, %v", d, err)
-	}
-	if _, err := ByName("bogus"); err == nil {
-		t.Fatal("ByName accepted junk")
 	}
 }

@@ -54,8 +54,8 @@ type compactInput struct {
 // and the tombstone set, so it is deterministic for a given call sequence.
 func (s *shard) planCompactionLocked() []compactTask {
 	cfg := s.config()
-	trigger := cfg.compactionTriggerRatio()
-	fanIn := cfg.compactionMergeFanIn()
+	trigger := orDefault(cfg.CompactionTriggerRatio, KnobCompactionTriggerRatio)
+	fanIn := orDefault(cfg.CompactionMergeFanIn, KnobCompactionMergeFanIn)
 	var tasks []compactTask
 	rewriting := make(map[*sealedSegment]bool)
 	// (a) rewrite tombstone-heavy segments.
@@ -130,18 +130,7 @@ func buildCompacted(cfg Config, metric linalg.Metric, dim int, in compactInput, 
 	if len(in.ids) == 0 {
 		return nil, nil
 	}
-	m := metric
-	if m == linalg.Angular {
-		m = linalg.L2 // inputs were normalized on insert
-	}
-	idx, err := newSegmentIndex(cfg, m, dim, seq)
-	if err == nil {
-		err = idx.Build(in.store, in.ids)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &sealedSegment{seq: seq, store: in.store, ids: in.ids, idx: idx}, nil
+	return buildSegment(cfg, metric, dim, in.store, in.ids, seq)
 }
 
 // maybeCompactLocked starts a background compaction pass when a trigger
@@ -189,7 +178,7 @@ func (s *shard) compactPass() {
 
 		segs := make([]*sealedSegment, len(plan))
 		errs := make([]error, len(plan))
-		parallel.Parallel(cfg.compactionParallelism(), len(plan), func(i int) {
+		parallel.Parallel(orDefault(cfg.CompactionParallelism, KnobCompactionParallelism), len(plan), func(i int) {
 			segs[i], errs[i] = buildCompacted(cfg, metric, dim, inputs[i], seqs[i])
 		})
 
@@ -225,12 +214,7 @@ func (s *shard) compactPass() {
 			}
 			s.removeSealedLocked(t.sources)
 			if ns := segs[i]; ns != nil {
-				// Deletes may have landed on rows gathered as live.
-				for _, id := range ns.ids {
-					if _, dead := s.tombstones[id]; dead {
-						ns.dead++
-					}
-				}
+				// Counts deletes that landed on rows gathered as live.
 				s.insertSealedLocked(ns)
 			}
 			// The dropped rows exist nowhere anymore (ids are never

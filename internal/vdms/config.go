@@ -12,24 +12,26 @@
 // snapshot+WAL pair when durable — so writes, fsyncs, index builds, and
 // compaction on different shards never contend.
 //
-// The engine exposes the 16-dimensional configuration surface of the
-// paper (index type + 8 index parameters + 7 system parameters), extended
-// with three compaction parameters (trigger ratio, merge fan-in,
-// compactor parallelism), two durability parameters (WAL fsync policy,
-// group-commit batch; see package persist), and the shard count, and
-// reports deterministic simulated performance derived from the real work
-// its index structures perform; see DESIGN.md "Substitutions".
+// The engine exposes the configuration surface of the paper (index type,
+// the index parameters of Table I, the system parameters), extended with
+// compaction, durability (see package persist) and sharding parameters —
+// one table, Knobs, declares them all — and reports deterministic
+// simulated performance derived from the real work its index structures
+// perform; see DESIGN.md "Substitutions".
 package vdms
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/persist"
 )
 
 // Config is one complete VDMS configuration: the selected index type, its
-// build/search parameters, and the seven system parameters.
+// build/search parameters, and the system parameters. Each scalar field
+// is bound to a row of Knobs, which holds its name, range and default.
 type Config struct {
 	// IndexType selects the ANN algorithm for sealed segments.
 	IndexType index.Type
@@ -40,72 +42,67 @@ type Config struct {
 	Search index.SearchParams
 
 	// SegmentMaxSize is the sealed-segment size budget in MB-equivalents
-	// (Milvus segment.maxSize), range [100, 2048].
+	// (Milvus segment.maxSize).
 	SegmentMaxSize float64
 	// SealProportion is the fraction of SegmentMaxSize at which a growing
-	// segment seals (Milvus segment.sealProportion), range [0.05, 1].
+	// segment seals (Milvus segment.sealProportion).
 	SealProportion float64
 	// GracefulTime is the bounded-consistency staleness tolerance in
-	// milliseconds (Milvus gracefulTime), range [0, 5000]. Small values
-	// force queries to wait for sync.
+	// milliseconds (Milvus gracefulTime). Small values force queries to
+	// wait for sync.
 	GracefulTime float64
 	// InsertBufSize is the insert buffer size in MB-equivalents (Milvus
-	// insertBufSize), range [64, 2048]. Larger buffers delay flushes,
-	// enlarging the unindexed tail and memory footprint.
+	// insertBufSize). Larger buffers delay flushes, enlarging the
+	// unindexed tail and memory footprint.
 	InsertBufSize float64
-	// Parallelism is the queryNode worker count, range [1, 32]. It is a
-	// real knob, not just a cost-model input: it sizes the worker pools
-	// of index builds (Open, Collection sealing) and of batched search
-	// (SearchBatch). Results are identical for every value — the engine's
-	// parallel phases are deterministic (see package parallel) — so the
-	// tuner can explore it freely without breaking reproducibility.
+	// Parallelism is the queryNode worker count. It is a real knob, not
+	// just a cost-model input: it sizes the worker pools of index builds
+	// (Open, Collection sealing) and of batched search (SearchBatch).
+	// Results are identical for every value — the engine's parallel phases
+	// are deterministic (see package parallel) — so the tuner can explore
+	// it freely without breaking reproducibility.
 	Parallelism int
-	// CacheRatio is the fraction of index data kept hot in cache,
-	// range [0.05, 1]. Lower values add per-candidate access cost.
+	// CacheRatio is the fraction of index data kept hot in cache. Lower
+	// values add per-candidate access cost.
 	CacheRatio float64
-	// FlushInterval is the background flush cadence in seconds,
-	// range [1, 120]. It trades unindexed-tail size against background
-	// build load.
+	// FlushInterval is the background flush cadence in seconds. It trades
+	// unindexed-tail size against background build load.
 	FlushInterval float64
 
-	// CompactionTriggerRatio is the tombstone ratio (deleted rows /
-	// total rows) at which the compactor rewrites a sealed segment,
-	// physically dropping deleted rows and rebuilding its index, range
-	// [0.05, 0.95]. Zero means the default (0.2). Lower values reclaim
+	// CompactionTriggerRatio is the tombstone ratio (deleted rows / total
+	// rows) at which the compactor rewrites a sealed segment, physically
+	// dropping deleted rows and rebuilding its index. Lower values reclaim
 	// memory eagerly at the cost of more rebuild work.
 	CompactionTriggerRatio float64
 	// CompactionMergeFanIn is the maximum number of undersized sealed
-	// segments merged into one during a compaction pass, range [2, 16].
-	// Zero means the default (4).
+	// segments merged into one during a compaction pass.
 	CompactionMergeFanIn int
 	// CompactionParallelism is the compactor worker-pool size: how many
-	// rewrite/merge tasks of one pass run concurrently, range [1, 16].
-	// Zero means the default (2). Like every engine pool it is
-	// deterministic: any value produces bit-identical segments.
+	// rewrite/merge tasks of one pass run concurrently. Like every engine
+	// pool it is deterministic: any value produces bit-identical segments.
 	CompactionParallelism int
 
 	// WALFsyncPolicy selects when write-ahead-log appends of a durable
 	// collection become crash-proof: 1 = never (fsync only at
 	// checkpoints), 2 = batch (fsync every WALGroupCommit records),
 	// 3 = always (group-committed fsync before every acknowledgement).
-	// Zero means the default (2). Memory-only collections ignore it. The
-	// knob trades acknowledgement latency against the crash-loss window;
-	// it never affects search results.
+	// Memory-only collections ignore it. The knob trades acknowledgement
+	// latency against the crash-loss window; it never affects search
+	// results.
 	WALFsyncPolicy int
 	// WALGroupCommit is the group-commit batch size under the batch
-	// policy: how many buffered records trigger one fsync, range
-	// [1, 1024]. Zero means the default (64).
+	// policy: how many buffered records trigger one fsync.
 	WALGroupCommit int
 
 	// ShardCount is the number of independently locked shards a live
-	// Collection splits into, range [1, 16]. Zero means the default (1).
-	// Writes are routed by a deterministic id hash and searches fan out
-	// over all shards with a fixed-order merge, so results are identical
-	// for every value on layout-independent (FLAT) segments and
-	// bit-identical to the pre-sharding engine at 1; higher values buy
-	// parallel insert/fsync/compaction throughput at the cost of more,
-	// smaller segments. It is a structural knob for durable collections:
-	// a data directory is bound to the shard count it was created with.
+	// Collection splits into. Writes are routed by a deterministic id hash
+	// and searches fan out over all shards with a fixed-order merge, so
+	// results are identical for every value on layout-independent (FLAT)
+	// segments and bit-identical to the pre-sharding engine at 1; higher
+	// values buy parallel insert/fsync/compaction throughput at the cost
+	// of more, smaller segments. It is a structural knob for durable
+	// collections: a data directory is bound to the shard count it was
+	// created with.
 	ShardCount int
 
 	// Concurrency is the number of in-flight search requests during
@@ -114,105 +111,190 @@ type Config struct {
 	Concurrency int
 }
 
+// KnobID names one scalar tunable parameter; it indexes Knobs. The tuner's
+// search space (internal/space) uses it as its dimension index.
+type KnobID int
+
+const (
+	// Index parameters (paper Table I).
+	KnobNList KnobID = iota
+	KnobNProbe
+	KnobPQM
+	KnobPQNBits
+	KnobHNSWM
+	KnobEfConstruction
+	KnobEf
+	KnobReorderK
+	// System parameters (Milvus documentation).
+	KnobSegmentMaxSize
+	KnobSealProportion
+	KnobGracefulTime
+	KnobInsertBufSize
+	KnobParallelism
+	KnobCacheRatio
+	KnobFlushInterval
+	// Engine extensions: compaction, durability, sharding.
+	KnobCompactionTriggerRatio
+	KnobCompactionMergeFanIn
+	KnobCompactionParallelism
+	KnobWALFsyncPolicy
+	KnobWALGroupCommit
+	KnobShardCount
+	// NumKnobs is the number of scalar knobs (the index type is not one).
+	NumKnobs
+)
+
+// Knob is one row of the knob table: everything the engine, the tuner and
+// the serialised forms need to know about one scalar parameter.
+type Knob struct {
+	// Name is the Milvus-style name: the JSON key, the name in error
+	// texts and reports.
+	Name string
+	// Min and Max bound the tuner's search space; for system knobs
+	// (Owners == nil) ValidateConfig also enforces them. Index-knob ranges
+	// only bound the search space: callers may build an index outside them.
+	Min, Max float64
+	// Default is the value of the stock configuration and of every
+	// decoded configuration whose index type does not own the knob. For
+	// build knobs it equals the index constructor's zero fallback.
+	Default float64
+	// Integer knobs are rounded when decoded from the search space.
+	Integer bool
+	// ZeroDefault knobs read zero as Default (they were added after
+	// configurations were first recorded) and are left out of JSON when
+	// zero.
+	ZeroDefault bool
+	// Cold knobs shape the data in memory and on disk: changing one takes
+	// a migration (reconfig.go), where a hot knob takes an atomic swap of
+	// the config generation.
+	Cold bool
+	// Owners lists the index types that tune the knob; nil means a system
+	// knob, shared by all (FLAT and AUTOINDEX own only those: Table I's
+	// "N/A").
+	Owners []index.Type
+	// field returns the address of the knob's Config field, an *int or a
+	// *float64.
+	field func(*Config) any
+}
+
+var (
+	ivfTypes = []index.Type{index.IVFFlat, index.IVFSQ8, index.IVFPQ, index.SCANN}
+	pqOnly   = []index.Type{index.IVFPQ}
+	hnswOnly = []index.Type{index.HNSW}
+)
+
+// Knobs is the one declaration of the tunable parameters. DefaultConfig,
+// ValidateConfig, the hot/cold split of Reconfigure, Config's JSON form
+// and the tuner's search space (internal/space) are loops over it; adding
+// a knob is a Config field, a KnobID and a row here. It is read when a
+// configuration is made, checked, encoded or applied — never per query:
+// the engine's hot paths read Config fields.
+var Knobs = [NumKnobs]Knob{
+	KnobNList:          {Name: "nlist", Min: 16, Max: 1024, Default: 128, Integer: true, Cold: true, Owners: ivfTypes, field: func(c *Config) any { return &c.Build.NList }},
+	KnobNProbe:         {Name: "nprobe", Min: 1, Max: 256, Default: 16, Integer: true, Owners: ivfTypes, field: func(c *Config) any { return &c.Search.NProbe }},
+	KnobPQM:            {Name: "m", Min: 2, Max: 16, Default: 8, Integer: true, Cold: true, Owners: pqOnly, field: func(c *Config) any { return &c.Build.M }},
+	KnobPQNBits:        {Name: "nbits", Min: 4, Max: 12, Default: 8, Integer: true, Cold: true, Owners: pqOnly, field: func(c *Config) any { return &c.Build.NBits }},
+	KnobHNSWM:          {Name: "M", Min: 4, Max: 64, Default: 16, Integer: true, Cold: true, Owners: hnswOnly, field: func(c *Config) any { return &c.Build.HNSWM }},
+	KnobEfConstruction: {Name: "efConstruction", Min: 8, Max: 512, Default: 128, Integer: true, Cold: true, Owners: hnswOnly, field: func(c *Config) any { return &c.Build.EfConstruction }},
+	KnobEf:             {Name: "ef", Min: 8, Max: 512, Default: 64, Integer: true, Owners: hnswOnly, field: func(c *Config) any { return &c.Search.Ef }},
+	KnobReorderK:       {Name: "reorder_k", Min: 10, Max: 500, Default: 100, Integer: true, Owners: []index.Type{index.SCANN}, field: func(c *Config) any { return &c.Search.ReorderK }},
+
+	KnobSegmentMaxSize: {Name: "segment_maxSize", Min: 100, Max: 2048, Default: 512, Integer: true, Cold: true, field: func(c *Config) any { return &c.SegmentMaxSize }},
+	KnobSealProportion: {Name: "segment_sealProportion", Min: 0.05, Max: 1, Default: 0.25, Cold: true, field: func(c *Config) any { return &c.SealProportion }},
+	KnobGracefulTime:   {Name: "gracefulTime", Min: 0, Max: 5000, Default: 1000, field: func(c *Config) any { return &c.GracefulTime }},
+	KnobInsertBufSize:  {Name: "insertBufSize", Min: 64, Max: 2048, Default: 256, Integer: true, field: func(c *Config) any { return &c.InsertBufSize }},
+	KnobParallelism:    {Name: "queryNode_parallelism", Min: 1, Max: 32, Default: 4, Integer: true, field: func(c *Config) any { return &c.Parallelism }},
+	KnobCacheRatio:     {Name: "queryNode_cacheRatio", Min: 0.05, Max: 1, Default: 0.3, field: func(c *Config) any { return &c.CacheRatio }},
+	KnobFlushInterval:  {Name: "flushInterval", Min: 1, Max: 120, Default: 10, field: func(c *Config) any { return &c.FlushInterval }},
+
+	KnobCompactionTriggerRatio: {Name: "compaction_triggerRatio", Min: 0.05, Max: 0.95, Default: 0.2, ZeroDefault: true, field: func(c *Config) any { return &c.CompactionTriggerRatio }},
+	KnobCompactionMergeFanIn:   {Name: "compaction_mergeFanIn", Min: 2, Max: 16, Default: 4, Integer: true, ZeroDefault: true, field: func(c *Config) any { return &c.CompactionMergeFanIn }},
+	KnobCompactionParallelism:  {Name: "compaction_parallelism", Min: 1, Max: 16, Default: 2, Integer: true, ZeroDefault: true, field: func(c *Config) any { return &c.CompactionParallelism }},
+	KnobWALFsyncPolicy:         {Name: "wal_fsyncPolicy", Min: 1, Max: 3, Default: 2, Integer: true, ZeroDefault: true, field: func(c *Config) any { return &c.WALFsyncPolicy }},
+	KnobWALGroupCommit:         {Name: "wal_groupCommit", Min: 1, Max: 1024, Default: 64, Integer: true, ZeroDefault: true, field: func(c *Config) any { return &c.WALGroupCommit }},
+	KnobShardCount:             {Name: "shard_count", Min: 1, Max: 16, Default: 1, Integer: true, ZeroDefault: true, Cold: true, field: func(c *Config) any { return &c.ShardCount }},
+}
+
+// raw reads the knob's Config field as stored.
+func (k *Knob) raw(c *Config) float64 {
+	p := k.field(c)
+	if i, ok := p.(*int); ok {
+		return float64(*i)
+	}
+	return *p.(*float64)
+}
+
+// Get reads the knob's effective value: the Config field, or Default where
+// the field is zero and the knob reads zero that way.
+func (k *Knob) Get(c *Config) float64 {
+	v := k.raw(c)
+	if v == 0 && k.ZeroDefault {
+		return k.Default
+	}
+	return v
+}
+
+// Set writes v to the knob's Config field, truncating for int fields.
+func (k *Knob) Set(c *Config, v float64) {
+	p := k.field(c)
+	if i, ok := p.(*int); ok {
+		*i = int(v)
+		return
+	}
+	*p.(*float64) = v
+}
+
+// OwnedBy reports whether index type t tunes the knob; system knobs are
+// owned by every type.
+func (k *Knob) OwnedBy(t index.Type) bool {
+	return k.Owners == nil || slices.Contains(k.Owners, t)
+}
+
+// KnobByName finds a knob by its Milvus-style name.
+func KnobByName(name string) (*Knob, bool) {
+	for i := range Knobs {
+		if Knobs[i].Name == name {
+			return &Knobs[i], true
+		}
+	}
+	return nil, false
+}
+
+// orDefault resolves a zero-means-default knob that a hot path read
+// straight from its Config field.
+func orDefault[T int | float64](v T, id KnobID) T {
+	if v == 0 {
+		return T(Knobs[id].Default)
+	}
+	return v
+}
+
 // DefaultConfig is the paper's "Default" baseline: AUTOINDEX plus stock
 // system parameters.
 func DefaultConfig() Config {
-	return Config{
-		IndexType:      index.AutoIndex,
-		SegmentMaxSize: 512,
-		SealProportion: 0.25,
-		GracefulTime:   1000,
-		InsertBufSize:  256,
-		Parallelism:    4,
-		CacheRatio:     0.3,
-		FlushInterval:  10,
-
-		CompactionTriggerRatio: 0.2,
-		CompactionMergeFanIn:   4,
-		CompactionParallelism:  2,
-
-		WALFsyncPolicy: 2,
-		WALGroupCommit: 64,
-
-		ShardCount: 1,
-
-		Concurrency: 10,
+	c := Config{IndexType: index.AutoIndex, Concurrency: 10}
+	for i := range Knobs {
+		if k := &Knobs[i]; k.Owners == nil {
+			k.Set(&c, k.Default)
+		}
 	}
+	return c
 }
 
-// KnobRange is the documented [Min, Max] range of one system knob.
-type KnobRange struct {
-	Min, Max float64
-	// ZeroDefault marks knobs that accept zero as "use the engine
-	// default" (knobs added after configurations were first recorded).
-	ZeroDefault bool
-}
-
-// SystemKnobRanges is the single source of truth for the system knobs'
-// documented ranges, keyed by their Milvus-style names. ValidateConfig
-// enforces it, the tuner's space definitions (internal/space) derive
-// their bounds from it, and vdmsd validates its flags through it — one
-// table instead of three restatements.
-var SystemKnobRanges = map[string]KnobRange{
-	"segment_maxSize":         {Min: 100, Max: 2048},
-	"segment_sealProportion":  {Min: 0.05, Max: 1},
-	"gracefulTime":            {Min: 0, Max: 5000},
-	"insertBufSize":           {Min: 64, Max: 2048},
-	"queryNode_parallelism":   {Min: 1, Max: 32},
-	"queryNode_cacheRatio":    {Min: 0.05, Max: 1},
-	"flushInterval":           {Min: 1, Max: 120},
-	"compaction_triggerRatio": {Min: 0.05, Max: 0.95, ZeroDefault: true},
-	"compaction_mergeFanIn":   {Min: 2, Max: 16, ZeroDefault: true},
-	"compaction_parallelism":  {Min: 1, Max: 16, ZeroDefault: true},
-	"wal_fsyncPolicy":         {Min: 1, Max: 3, ZeroDefault: true},
-	"wal_groupCommit":         {Min: 1, Max: 1024, ZeroDefault: true},
-	"shard_count":             {Min: 1, Max: 16, ZeroDefault: true},
-}
-
-// checkKnob validates one knob value against the shared range table.
-func checkKnob(name string, v float64) error {
-	r, ok := SystemKnobRanges[name]
-	if !ok {
-		return fmt.Errorf("vdms: unknown knob %q", name)
-	}
-	if r.ZeroDefault && v == 0 {
-		return nil
-	}
-	if v < r.Min || v > r.Max {
-		return fmt.Errorf("vdms: %s %v outside [%v, %v]", name, v, r.Min, r.Max)
-	}
-	return nil
-}
-
-// ValidateConfig reports configuration errors. Values outside the
-// documented ranges are errors rather than silently clamped: the tuner's
-// encoder is responsible for staying in range, and out-of-range values
-// here indicate a bug. It is the one range check shared by NewCollection,
-// Reconfigure, the tuner, and vdmsd's flag validation.
+// ValidateConfig reports configuration errors: a system knob outside its
+// range in Knobs. Values outside the documented ranges are errors rather
+// than silently clamped: the tuner's encoder is responsible for staying in
+// range, and out-of-range values here indicate a bug. It is the one range
+// check shared by NewCollection, Reconfigure, the tuner, and vdmsd's flag
+// validation.
 func ValidateConfig(c Config) error {
-	for _, k := range [...]struct {
-		name string
-		v    float64
-	}{
-		{"segment_maxSize", c.SegmentMaxSize},
-		{"segment_sealProportion", c.SealProportion},
-		{"gracefulTime", c.GracefulTime},
-		{"insertBufSize", c.InsertBufSize},
-		{"queryNode_parallelism", float64(c.Parallelism)},
-		{"queryNode_cacheRatio", c.CacheRatio},
-		{"flushInterval", c.FlushInterval},
-		// Knobs below accept zero ("use default") for compatibility with
-		// configurations recorded before the corresponding subsystem
-		// (compactor, durability, sharding) existed.
-		{"compaction_triggerRatio", c.CompactionTriggerRatio},
-		{"compaction_mergeFanIn", float64(c.CompactionMergeFanIn)},
-		{"compaction_parallelism", float64(c.CompactionParallelism)},
-		{"wal_fsyncPolicy", float64(c.WALFsyncPolicy)},
-		{"wal_groupCommit", float64(c.WALGroupCommit)},
-		{"shard_count", float64(c.ShardCount)},
-	} {
-		if err := checkKnob(k.name, k.v); err != nil {
-			return err
+	for i := range Knobs {
+		k := &Knobs[i]
+		if k.Owners != nil {
+			continue
+		}
+		if v := k.Get(&c); v < k.Min || v > k.Max {
+			return fmt.Errorf("vdms: %s %v outside [%v, %v]", k.Name, v, k.Min, k.Max)
 		}
 	}
 	return nil
@@ -225,26 +307,24 @@ func (c *Config) Validate() error { return ValidateConfig(*c) }
 // downtime (Reconfigure); knobs split by what the change costs:
 //
 //   - hot knobs take effect by publishing a new immutable config
-//     generation that shards read at operation start — search parameters
-//     (nprobe/ef/reorder_k), gracefulTime, the WAL fsync policy and
-//     group-commit batch, the compaction trigger/fan-in/parallelism,
-//     queryNode parallelism, cache ratio, flush interval, and insert
-//     buffer size;
-//   - cold knobs define the shape of the data on disk and in memory —
-//     the index type and its build parameters, segment sizing
-//     (segment_maxSize, sealProportion), and the shard count — and take
-//     effect via a background migration that rebuilds the shard set and
-//     cuts over under the router lock.
+//     generation that shards read at operation start;
+//   - cold knobs define the shape of the data on disk and in memory and
+//     take effect via a background migration that rebuilds the shard set
+//     and cuts over under the router lock.
+//
+// Which is which is the Cold column of Knobs; besides the scalar knobs the
+// index type and the build seed are cold.
 //
 // coldEqual reports whether two configurations agree on every cold knob
 // (a pure hot swap suffices when they do). Comparisons resolve
 // zero-means-default knobs first.
 func coldEqual(a, b Config) bool {
-	return a.IndexType == b.IndexType &&
-		a.Build == b.Build &&
-		a.SegmentMaxSize == b.SegmentMaxSize &&
-		a.SealProportion == b.SealProportion &&
-		a.shardCount() == b.shardCount()
+	for i := range Knobs {
+		if k := &Knobs[i]; k.Cold && k.Get(&a) != k.Get(&b) {
+			return false
+		}
+	}
+	return a.IndexType == b.IndexType && a.Build.Seed == b.Build.Seed
 }
 
 // GraftColdKnobs returns cfg with every cold knob replaced by from's, so
@@ -253,12 +333,73 @@ func coldEqual(a, b Config) bool {
 // uses it to confine itself to hot knobs unless cold changes were
 // explicitly allowed.
 func GraftColdKnobs(cfg, from Config) Config {
-	cfg.IndexType = from.IndexType
-	cfg.Build = from.Build
-	cfg.SegmentMaxSize = from.SegmentMaxSize
-	cfg.SealProportion = from.SealProportion
-	cfg.ShardCount = from.ShardCount
+	for i := range Knobs {
+		if k := &Knobs[i]; k.Cold {
+			k.Set(&cfg, k.raw(&from))
+		}
+	}
+	cfg.IndexType, cfg.Build.Seed = from.IndexType, from.Build.Seed
 	return cfg
+}
+
+// Config's JSON form is flat and keyed by knob name: "index_type", one key
+// per row of Knobs (zero-means-default knobs left out when zero), and the
+// two non-knob properties "seed" and "concurrency" when set. The server's
+// "config"/"reconfigure" ops and the tuner's knowledge base share it.
+
+// MarshalJSON implements json.Marshaler.
+func (c Config) MarshalJSON() ([]byte, error) {
+	m := map[string]any{"index_type": c.IndexType.String()}
+	for i := range Knobs {
+		if k := &Knobs[i]; !k.ZeroDefault || k.raw(&c) != 0 {
+			m[k.Name] = k.field(&c)
+		}
+	}
+	if c.Build.Seed != 0 {
+		m["seed"] = c.Build.Seed
+	}
+	if c.Concurrency != 0 {
+		m["concurrency"] = c.Concurrency
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON implements json.Unmarshaler. Absent knobs stay zero;
+// unknown keys, a missing or unknown index type, and a fractional value
+// for an int knob are errors.
+func (c *Config) UnmarshalJSON(b []byte) error {
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(b, &m); err != nil {
+		return fmt.Errorf("vdms: config: %w", err)
+	}
+	var typ string
+	*c = Config{}
+	for name, raw := range m {
+		var dst any
+		switch name {
+		case "index_type":
+			dst = &typ
+		case "seed":
+			dst = &c.Build.Seed
+		case "concurrency":
+			dst = &c.Concurrency
+		default:
+			k, ok := KnobByName(name)
+			if !ok {
+				return fmt.Errorf("vdms: config has unknown knob %q", name)
+			}
+			dst = k.field(c)
+		}
+		if err := json.Unmarshal(raw, dst); err != nil {
+			return fmt.Errorf("vdms: config knob %q: %w", name, err)
+		}
+	}
+	t, err := index.ParseType(typ)
+	if err != nil {
+		return fmt.Errorf("vdms: config: %w", err)
+	}
+	c.IndexType = t
+	return nil
 }
 
 func (c *Config) concurrency() int {
@@ -268,44 +409,10 @@ func (c *Config) concurrency() int {
 	return c.Concurrency
 }
 
-func (c *Config) compactionTriggerRatio() float64 {
-	if c.CompactionTriggerRatio == 0 {
-		return 0.2
-	}
-	return c.CompactionTriggerRatio
+// walPolicy returns the WAL fsync policy and group-commit batch.
+func (c *Config) walPolicy() (persist.SyncPolicy, int) {
+	return persist.SyncPolicy(orDefault(c.WALFsyncPolicy, KnobWALFsyncPolicy)),
+		orDefault(c.WALGroupCommit, KnobWALGroupCommit)
 }
 
-func (c *Config) compactionMergeFanIn() int {
-	if c.CompactionMergeFanIn == 0 {
-		return 4
-	}
-	return c.CompactionMergeFanIn
-}
-
-func (c *Config) compactionParallelism() int {
-	if c.CompactionParallelism == 0 {
-		return 2
-	}
-	return c.CompactionParallelism
-}
-
-func (c *Config) walFsyncPolicy() persist.SyncPolicy {
-	if c.WALFsyncPolicy == 0 {
-		return persist.SyncBatch
-	}
-	return persist.SyncPolicy(c.WALFsyncPolicy)
-}
-
-func (c *Config) walGroupCommit() int {
-	if c.WALGroupCommit == 0 {
-		return 64
-	}
-	return c.WALGroupCommit
-}
-
-func (c *Config) shardCount() int {
-	if c.ShardCount == 0 {
-		return 1
-	}
-	return c.ShardCount
-}
+func (c *Config) shardCount() int { return orDefault(c.ShardCount, KnobShardCount) }

@@ -13,22 +13,22 @@ import (
 type Result struct {
 	// QPS is the simulated search throughput (requests/second) at the
 	// workload's concurrency.
-	QPS float64
+	QPS float64 `json:"qps"`
 	// Recall is the mean recall@K across the query set.
-	Recall float64
+	Recall float64 `json:"recall"`
 	// MemoryBytes is the engine's resident footprint.
-	MemoryBytes int64
+	MemoryBytes int64 `json:"memory_bytes"`
 	// BuildSeconds is the simulated data load + index build time.
-	BuildSeconds float64
+	BuildSeconds float64 `json:"build_seconds"`
 	// ReplaySeconds is the simulated end-to-end evaluation time (build +
 	// query replay); the paper's Table VI "workload replay" column.
-	ReplaySeconds float64
+	ReplaySeconds float64 `json:"replay_seconds"`
 	// Failed marks configurations that crashed or timed out. Failed
 	// results carry zero QPS/recall; the tuner substitutes worst-case
 	// values per its own policy (paper §V-A).
-	Failed bool
+	Failed bool `json:"failed,omitempty"`
 	// FailReason explains a failure.
-	FailReason string
+	FailReason string `json:"fail_reason,omitempty"`
 }
 
 // Evaluate opens the dataset under cfg, replays the full query workload,

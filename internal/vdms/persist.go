@@ -152,12 +152,8 @@ func (s *shard) openDurable(sdir string) error {
 	if err != nil {
 		return err
 	}
-	cfg := s.config()
-	w, err := persist.OpenWAL(persist.Options{
-		Dir:         sdir,
-		Policy:      cfg.walFsyncPolicy(),
-		GroupCommit: cfg.walGroupCommit(),
-	}, nextLSN)
+	policy, group := s.config().walPolicy()
+	w, err := persist.OpenWAL(persist.Options{Dir: sdir, Policy: policy, GroupCommit: group}, nextLSN)
 	if err != nil {
 		return err
 	}
@@ -206,7 +202,7 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 	}
 	for i := range snap.Segments {
 		seg := &snap.Segments[i]
-		s.landSegment(seg.Store, seg.IDs, seg.Seq)
+		s.landSegmentLocked(buildSegment(*s.config(), s.metric, s.dim, seg.Store, seg.IDs, seg.Seq))
 		if seg.Seq >= s.sealSeq {
 			s.sealSeq = seg.Seq + 1
 		}
@@ -246,44 +242,6 @@ func (s *shard) applyWALOp(op *persist.WALOp) error {
 	return nil
 }
 
-// landSegment builds the index for one recovered segment and installs it
-// as sealed. A deterministic build failure mirrors the live engine's
-// failed-seal path: the rows fall back into the growing tail (minus any
-// tombstoned ones, whose tombstones are then garbage) and the error is
-// recorded.
-func (s *shard) landSegment(store *linalg.Matrix, ids []int64, seq int64) {
-	m := s.metric
-	if m == linalg.Angular {
-		m = linalg.L2 // inputs were normalized on insert
-	}
-	idx, err := newSegmentIndex(*s.config(), m, s.dim, seq)
-	if err == nil {
-		err = idx.Build(store, ids)
-	}
-	if err != nil {
-		s.buildErrOnce.Do(func() { s.buildErr = err })
-		for i, id := range ids {
-			if _, dead := s.tombstones[id]; dead {
-				delete(s.tombstones, id)
-				continue
-			}
-			if s.growing == nil {
-				s.growing = linalg.NewMatrix(s.dim, store.Rows())
-			}
-			s.growing.AppendRow(store.Row(i))
-			s.growingIDs = append(s.growingIDs, id)
-		}
-		return
-	}
-	ss := &sealedSegment{seq: seq, store: store, ids: ids, idx: idx}
-	for _, id := range ss.ids {
-		if _, dead := s.tombstones[id]; dead {
-			ss.dead++
-		}
-	}
-	s.insertSealedLocked(ss)
-}
-
 // replayFlush replays a RecFlush record: seal the growing tail as segment
 // seq and build its index synchronously.
 func (s *shard) replayFlush(seq int64) {
@@ -296,7 +254,7 @@ func (s *shard) replayFlush(seq int64) {
 	index.SortRowsByID(s.growing, s.growingIDs)
 	store, ids := s.growing, s.growingIDs
 	s.growing, s.growingIDs = nil, nil
-	s.landSegment(store, ids, seq)
+	s.landSegmentLocked(buildSegment(*s.config(), s.metric, s.dim, store, ids, seq))
 }
 
 // replayCompactCommit replays one committed compaction task: rebuild the
@@ -348,11 +306,6 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 	}
 	s.removeSealedLocked(sources)
 	if seg != nil {
-		for _, id := range seg.ids {
-			if _, dead := s.tombstones[id]; dead {
-				seg.dead++
-			}
-		}
 		s.insertSealedLocked(seg)
 	}
 	for _, id := range op.Dropped {

@@ -10,8 +10,7 @@ import (
 // BenchmarkRecovery measures OpenDurable on a crashed data directory: a
 // seeded churn workload (inserts, deletes, seals, compaction) is run
 // once, and each iteration recovers the full state — snapshot load, WAL
-// suffix replay, deterministic index rebuilds. Part of the committed
-// BENCH_query.json trajectory via `make bench-json`.
+// suffix replay, deterministic index rebuilds.
 func BenchmarkRecovery(b *testing.B) {
 	const dim, n = 16, 2000
 	cfg := DefaultConfig()

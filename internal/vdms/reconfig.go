@@ -14,13 +14,13 @@ import (
 // Online reconfiguration: applying a new Config to a live Collection
 // without downtime — the engine half of the paper's tuner→engine loop.
 //
-// Hot knobs (see config.go, coldEqual) take effect by publishing a new
-// immutable config generation: a configGen is written atomically to the
-// collection and every shard, operations load it once at their start, and
-// no lock beyond the ones they already hold is involved, so a hot swap
-// costs the search path nothing. Cold knobs — index shape, segment
-// sizing, shard count — change the physical layout, so they take effect
-// via a migration:
+// Hot knobs (the rows of Knobs not marked Cold; see coldEqual) take effect
+// by publishing a new immutable config generation: a configGen is written
+// atomically to the collection and every shard, operations load it once
+// at their start, and no lock beyond the ones they already hold is
+// involved, so a hot swap costs the search path nothing. Cold knobs — the
+// rows marked Cold, plus the index type and build seed — change the
+// physical layout, so they take effect via a migration:
 //
 //  1. capture (router write lock): the tombstone-filtered (id, vector)
 //     content of every shard is captured — sealed and sealing arenas by
@@ -133,13 +133,11 @@ func (c *Collection) step(name string) error {
 }
 
 // Reconfigure applies cfg to the live collection and returns the new
-// config generation's sequence number. Hot-knob changes (search
-// parameters, WAL fsync policy and group commit, compaction knobs,
-// parallelism, graceful time, cache ratio, flush interval, insert buffer)
-// publish a new generation atomically — concurrent searches and inserts
-// switch between operations, never inside one, and none fails. Cold-knob
-// changes (index type or build parameters, segment sizing, shard count)
-// run the migration documented at the top of this file: reads and writes
+// config generation's sequence number. Hot-knob changes publish a new
+// generation atomically — concurrent searches and inserts switch between
+// operations, never inside one, and none fails. Cold-knob changes (the
+// Cold column of Knobs: index shape, segment sizing, shard count) run the
+// migration documented at the top of this file: reads and writes
 // keep being served by the old shape while the new one is built in the
 // background, with only the capture and the final cutover excluding them
 // briefly. Reconfigure calls serialize; the collection stays fully
@@ -171,7 +169,7 @@ func (c *Collection) hotSwap(cfg Config) uint64 {
 	for _, s := range c.shards {
 		s.gen.Store(g)
 		if s.wal != nil {
-			s.wal.SetPolicy(cfg.walFsyncPolicy(), cfg.walGroupCommit())
+			s.wal.SetPolicy(cfg.walPolicy())
 		}
 	}
 	for _, s := range c.shards {
@@ -361,6 +359,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	newDiskGen := c.diskGen + 1
 	newMan := &persist.Manifest{Shards: n, Dim: c.dim, Metric: c.metric, Generation: newDiskGen}
 	if durable {
+		policy, group := cfg.walPolicy()
 		for i, s := range newShards {
 			if err := c.step(fmt.Sprintf("snapshot-%d", i)); err != nil {
 				c.abortMigration(newShards)
@@ -376,11 +375,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 			// captured state and the log that records everything after it.
 			s.mu.Lock()
 			snap := s.snapshotLocked()
-			w, err := persist.OpenWAL(persist.Options{
-				Dir:         sdir,
-				Policy:      cfg.walFsyncPolicy(),
-				GroupCommit: cfg.walGroupCommit(),
-			}, 1)
+			w, err := persist.OpenWAL(persist.Options{Dir: sdir, Policy: policy, GroupCommit: group}, 1)
 			if err == nil {
 				s.wal = w
 				s.dataDir = sdir

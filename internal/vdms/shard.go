@@ -253,14 +253,7 @@ func (s *shard) sealLocked() {
 	s.builds.Add(1)
 	go func() {
 		defer s.builds.Done()
-		m := s.metric
-		if m == linalg.Angular {
-			m = linalg.L2 // inputs were normalized on insert
-		}
-		idx, err := newSegmentIndex(*s.config(), m, s.dim, seq)
-		if err == nil {
-			err = idx.Build(seg.store, seg.ids)
-		}
+		built, err := buildSegment(*s.config(), s.metric, s.dim, seg.store, seg.ids, seq)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		// Remove seg from the sealing list regardless of outcome.
@@ -270,39 +263,67 @@ func (s *shard) sealLocked() {
 				break
 			}
 		}
-		if err != nil {
-			s.buildErrOnce.Do(func() { s.buildErr = err })
-			// Keep the data searchable: put the rows back into growing.
-			// Rows tombstoned while the build was in flight are dropped
-			// here (growing data is mutable), and their tombstones are
-			// no longer needed.
-			for i, id := range seg.ids {
-				if _, dead := s.tombstones[id]; dead {
-					delete(s.tombstones, id)
-					continue
-				}
-				if s.growing == nil {
-					s.growing = linalg.NewMatrix(s.dim, seg.store.Rows())
-				}
-				s.growing.AppendRow(seg.store.Row(i))
-				s.growingIDs = append(s.growingIDs, id)
-			}
-			return
+		s.landSegmentLocked(built, err)
+		if err == nil {
+			s.maybeCompactLocked()
 		}
-		ss := &sealedSegment{seq: seq, store: seg.store, ids: seg.ids, idx: idx}
-		// Deletes may have landed while the build was in flight.
-		for _, id := range ss.ids {
-			if _, dead := s.tombstones[id]; dead {
-				ss.dead++
-			}
-		}
-		s.insertSealedLocked(ss)
-		s.maybeCompactLocked()
 	}()
 }
 
-// insertSealedLocked places seg into s.sealed keeping seq order.
+// buildSegment builds the index over one segment's rows. Sealing,
+// compaction and crash recovery all build through it (and through
+// newSegmentIndex's seed derivation), which is what makes a recovered or
+// migrated segment bit-identical to the one the live engine built. It
+// takes no lock. On failure the returned segment carries the rows and no
+// index.
+func buildSegment(cfg Config, metric linalg.Metric, dim int, store *linalg.Matrix, ids []int64, seq int64) (*sealedSegment, error) {
+	if metric == linalg.Angular {
+		metric = linalg.L2 // inputs were normalized on insert
+	}
+	seg := &sealedSegment{seq: seq, store: store, ids: ids}
+	idx, err := newSegmentIndex(cfg, metric, dim, seq)
+	if err == nil {
+		err = idx.Build(store, ids)
+	}
+	if err == nil {
+		seg.idx = idx
+	}
+	return seg, err
+}
+
+// landSegmentLocked takes what buildSegment returned for a sealing (or
+// recovered) segment: a built segment joins the sealed list; after a
+// failed build the error is recorded and the rows go back into the growing
+// tail so they stay searchable. Rows tombstoned while the build was in
+// flight are dropped on that path (growing data is mutable), and their
+// tombstones are no longer needed. Callers hold s.mu.
+func (s *shard) landSegmentLocked(seg *sealedSegment, err error) {
+	if err == nil {
+		s.insertSealedLocked(seg)
+		return
+	}
+	s.buildErrOnce.Do(func() { s.buildErr = err })
+	for i, id := range seg.ids {
+		if _, dead := s.tombstones[id]; dead {
+			delete(s.tombstones, id)
+			continue
+		}
+		if s.growing == nil {
+			s.growing = linalg.NewMatrix(s.dim, seg.store.Rows())
+		}
+		s.growing.AppendRow(seg.store.Row(i))
+		s.growingIDs = append(s.growingIDs, id)
+	}
+}
+
+// insertSealedLocked places a freshly built seg into s.sealed keeping seq
+// order, counting the rows deletes tombstoned while it was being built.
 func (s *shard) insertSealedLocked(seg *sealedSegment) {
+	for _, id := range seg.ids {
+		if _, dead := s.tombstones[id]; dead {
+			seg.dead++
+		}
+	}
 	i := sort.Search(len(s.sealed), func(j int) bool { return s.sealed[j].seq > seg.seq })
 	s.sealed = append(s.sealed, nil)
 	copy(s.sealed[i+1:], s.sealed[i:])

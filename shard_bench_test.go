@@ -196,8 +196,7 @@ func TestShardedSearchSpeedup(t *testing.T) {
 // what scales. A warmup insert lands every shard's growing arena before
 // the clock starts — without it the first measured op pays the lazy
 // multi-megabyte arena allocations, which at -benchtime=1x once read as a
-// shards=8 "anomaly". bench-json records rows/sec per shard count — the
-// write-scalability trajectory.
+// shards=8 "anomaly". It reports rows/sec per shard count.
 func BenchmarkShardedInsert(b *testing.B) {
 	const batch, dim = 64, 128
 	for _, shards := range []int{1, 4, 8} {
@@ -262,7 +261,7 @@ func benchSearchBatch(b *testing.B, cfg vdms.Config, n, dim, k, queries int) {
 // router itself: grid scheduling, pooled per-shard probes, and the
 // fixed-order merge. With the zero-alloc grid the sharded runs must match
 // or beat shards=1 (shard-major cell order keeps each shard's smaller
-// arena cache-resident across the whole batch), which bench-json records.
+// arena cache-resident across the whole batch).
 // The corpus is sized past the last-level cache (64000×32×4B = 8MB), the
 // regime where a 64-query batch streaming the whole arena per query
 // thrashes but per-shard slices stay resident.
