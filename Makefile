@@ -8,7 +8,7 @@
 # filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
 # cannot be silently skipped), and a 30s-per-target fuzz smoke pass over
-# the snapshot/WAL decoders. Performance is measured by ./benchmark alone
+# the snapshot/WAL decoders and the binary wire codec. Performance is measured by ./benchmark alone
 # (see benchmark/README.md); nothing here records a baseline.
 
 GO ?= go
@@ -70,11 +70,16 @@ reconfig-gate:
 	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate' -count=1 ./internal/vdms
 	$(GO) test -run 'TestMigrationCrashMatrix' -count=1 ./internal/persist/crashtest
 
-# Native fuzzing smoke pass over the persistence decoders: 30 seconds per
-# target proving hostile snapshot/WAL bytes never panic or OOM — recovery
-# either succeeds or returns a typed persist.CorruptError.
+# Native fuzzing smoke pass over everything that decodes bytes it did not
+# write: 30 seconds per target proving hostile snapshot/WAL bytes never
+# panic or OOM — recovery either succeeds or returns a typed
+# persist.CorruptError — and that hostile binary wire bodies (same payload
+# reader) fail per message, decode to no more than their length justifies,
+# and re-encode to themselves when accepted.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 30s ./internal/persist
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 30s ./internal/persist
+	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRequest' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
 
 ci: vet race purego bench reconfig-gate alloc-gate fuzz-smoke

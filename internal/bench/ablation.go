@@ -41,7 +41,7 @@ func Figure8(w io.Writer, o Options) ([]Figure8Cell, error) {
 	}
 	fprintf(w, "\n")
 	for _, m := range variants {
-		tr := RunWorkers(ds, m, o.iters(), o.Workers)
+		tr := Run(ds, m, o.iters())
 		fprintf(w, "%-28s", m.Name())
 		for _, s := range Sacrifices {
 			qps, ok := tr.BestQPSUnderRecall(1 - s)
@@ -135,7 +135,7 @@ func Figure10(w io.Writer, o Options) ([]Figure10Point, error) {
 	var points []Figure10Point
 	fprintf(w, "Figure 10: sampling quality, native vs polling surrogate\n")
 	for _, m := range variants {
-		tr := RunWorkers(ds, m, o.iters(), o.Workers)
+		tr := Run(ds, m, o.iters())
 		var pts []mobo.Point
 		for _, r := range tr.Records {
 			pts = append(pts, mobo.Point{A: r.Result.QPS, B: r.Result.Recall})
@@ -192,7 +192,7 @@ func Table5(w io.Writer, o Options) ([]Table5Row, error) {
 			return nil, err
 		}
 		tn := core.New(core.Options{Seed: o.Seed})
-		tr := RunWorkers(ds, tn, o.iters(), o.Workers)
+		tr := Run(ds, tn, o.iters())
 		obs := tr.Observations()
 		// "Best": the most balanced non-dominated configuration.
 		front := core.ParetoFront(obs)
@@ -322,7 +322,7 @@ func HolisticVsIndividual(w io.Writer, o Options) (*HolisticResult, error) {
 		return nil, err
 	}
 	holTn := core.New(core.Options{Seed: o.Seed})
-	hol := RunWorkers(ds, holTn, o.iters(), o.Workers)
+	hol := Run(ds, holTn, o.iters())
 	holBest, ok := core.BestUnderRecall(hol.Observations(), 0.85)
 	if !ok {
 		holBest, _ = core.BestUnderRecall(hol.Observations(), 0)
@@ -337,7 +337,7 @@ func HolisticVsIndividual(w io.Writer, o Options) (*HolisticResult, error) {
 	for _, typ := range index.AllTypes() {
 		typ := typ
 		tn := core.New(core.Options{Seed: o.Seed, FixedType: &typ})
-		tr := RunWorkers(ds, tn, perType, o.Workers)
+		tr := Run(ds, tn, perType)
 		b, ok := core.BestUnderRecall(tr.Observations(), 0.85)
 		if !ok {
 			b, ok = core.BestUnderRecall(tr.Observations(), 0)

@@ -41,7 +41,7 @@ func DesignAblations(w io.Writer, o Options) ([]AblationRow, error) {
 	fprintf(w, "Design ablations on %s (%d iters)\n", ds.Name, o.iters())
 	fprintf(w, "%-44s %14s %16s\n", "variant", "QPS@rec>0.9", "recommend (s)")
 	for _, v := range variants {
-		tr := RunWorkers(ds, core.New(v.opts), o.iters(), o.Workers)
+		tr := Run(ds, core.New(v.opts), o.iters())
 		qps, _ := tr.BestQPSUnderRecall(0.9)
 		row := AblationRow{
 			Variant:          v.name,

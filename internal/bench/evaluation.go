@@ -61,7 +61,7 @@ func Table4(w io.Writer, o Options) ([]Table4Row, error) {
 			return nil, err
 		}
 		def := vdms.Evaluate(ds, vdms.DefaultConfig())
-		tr := RunWorkers(ds, newVDTuner(o.Seed), o.iters(), o.Workers)
+		tr := Run(ds, newVDTuner(o.Seed), o.iters())
 
 		spdImp, recImp := 0.0, 0.0
 		for _, r := range tr.Records {
@@ -111,7 +111,7 @@ func Figure6(w io.Writer, o Options) ([]Figure6Cell, error) {
 		}
 		fprintf(w, "\n")
 		for _, m := range AllMethods(o.Seed) {
-			tr := RunWorkers(ds, m, o.iters(), o.Workers)
+			tr := Run(ds, m, o.iters())
 			fprintf(w, "%-26s", m.Name())
 			for _, s := range Sacrifices {
 				qps, ok := tr.BestQPSUnderRecall(1 - s)
@@ -154,7 +154,7 @@ func Figure7(w io.Writer, o Options) ([]Figure7Series, error) {
 	methods := AllMethods(o.Seed)
 	traces := make([]*Trace, len(methods))
 	for i, m := range methods {
-		traces[i] = RunWorkers(ds, m, o.iters(), o.Workers)
+		traces[i] = Run(ds, m, o.iters())
 	}
 	var out []Figure7Series
 	fprintf(w, "Figure 7: optimization curves on %s (%d iters)\n", ds.Name, o.iters())

@@ -47,23 +47,14 @@ type Trace struct {
 }
 
 // Run drives method m for iters iterations against ds, recording wall
-// recommendation time and simulated replay time per iteration. It
-// evaluates with the default worker pool (one worker per CPU); use
-// RunWorkers to pin the pool size.
+// recommendation time and simulated replay time per iteration.
 func Run(ds *workload.Dataset, m Method, iters int) *Trace {
-	return RunWorkers(ds, m, iters, 0)
-}
-
-// RunWorkers is Run with an explicit replay worker-pool size (<= 0 means
-// one worker per CPU). Traces are identical for any value — evaluation is
-// deterministic — so the knob only changes how fast the experiment runs.
-func RunWorkers(ds *workload.Dataset, m Method, iters, workers int) *Trace {
 	tr := &Trace{Method: m.Name(), Dataset: ds.Name}
 	for i := 0; i < iters; i++ {
 		t0 := time.Now()
 		cfg := m.Next()
 		rec := time.Since(t0).Seconds()
-		res := vdms.EvaluateWorkers(ds, cfg, workers)
+		res := vdms.Evaluate(ds, cfg)
 		m.Observe(cfg, res)
 		tr.Records = append(tr.Records, IterRecord{
 			Iter: i, Config: cfg, Result: res,
@@ -171,12 +162,6 @@ type Options struct {
 	Iters int
 	// Seed drives all methods.
 	Seed int64
-	// Workers is the replay worker-pool size passed through to
-	// vdms.EvaluateWorkers; <= 0 means one worker per CPU. Experiment
-	// outputs are identical for any value (evaluation is deterministic);
-	// the knob exists so the harness can be pinned when benchmarking the
-	// engine's own scaling.
-	Workers int
 }
 
 func (o Options) scale() workload.Scale {

@@ -40,8 +40,8 @@ func Figure12(w io.Writer, o Options) ([]Figure12Series, error) {
 	// Variant 1: no constraint model, no bootstrapping — plain
 	// bi-objective VDTuner rerun per phase.
 	{
-		tr1 := RunWorkers(ds, core.New(core.Options{Seed: o.Seed}), iters, o.Workers)
-		tr2 := RunWorkers(ds, core.New(core.Options{Seed: o.Seed + 1}), iters, o.Workers)
+		tr1 := Run(ds, core.New(core.Options{Seed: o.Seed}), iters)
+		tr2 := Run(ds, core.New(core.Options{Seed: o.Seed + 1}), iters)
 		out = append(out, Figure12Series{
 			Variant:  "VDTuner w/o constraint+bootstrap",
 			Curve085: tr1.BestCurve(0.85),
@@ -50,8 +50,8 @@ func Figure12(w io.Writer, o Options) ([]Figure12Series, error) {
 	}
 	// Variant 2: constraint model, fresh start per phase.
 	{
-		tr1 := RunWorkers(ds, core.New(core.Options{Seed: o.Seed, RecallFloor: 0.85}), iters, o.Workers)
-		tr2 := RunWorkers(ds, core.New(core.Options{Seed: o.Seed + 1, RecallFloor: 0.9}), iters, o.Workers)
+		tr1 := Run(ds, core.New(core.Options{Seed: o.Seed, RecallFloor: 0.85}), iters)
+		tr2 := Run(ds, core.New(core.Options{Seed: o.Seed + 1, RecallFloor: 0.9}), iters)
 		out = append(out, Figure12Series{
 			Variant:  "VDTuner w/o bootstrap",
 			Curve085: tr1.BestCurve(0.85),
@@ -62,10 +62,10 @@ func Figure12(w io.Writer, o Options) ([]Figure12Series, error) {
 	// the first phase's observations.
 	{
 		tn1 := core.New(core.Options{Seed: o.Seed, RecallFloor: 0.85})
-		tr1 := RunWorkers(ds, tn1, iters, o.Workers)
+		tr1 := Run(ds, tn1, iters)
 		tn2 := core.New(core.Options{Seed: o.Seed + 1, RecallFloor: 0.9,
 			Bootstrap: tn1.Observations()})
-		tr2 := RunWorkers(ds, tn2, iters, o.Workers)
+		tr2 := Run(ds, tn2, iters)
 		out = append(out, Figure12Series{
 			Variant:  "VDTuner",
 			Curve085: tr1.BestCurve(0.85),
@@ -113,9 +113,9 @@ func Figure13(w io.Writer, o Options) (*Figure13Result, error) {
 		return nil, err
 	}
 	costTn := core.New(core.Options{Seed: o.Seed, CostAware: true})
-	costTr := RunWorkers(ds, costTn, o.iters(), o.Workers)
+	costTr := Run(ds, costTn, o.iters())
 	spdTn := core.New(core.Options{Seed: o.Seed})
-	spdTr := RunWorkers(ds, spdTn, o.iters(), o.Workers)
+	spdTr := Run(ds, spdTn, o.iters())
 
 	res := &Figure13Result{
 		RelQPD: map[float64]float64{},
@@ -318,7 +318,7 @@ func Table6(w io.Writer, o Options) ([]Table6Row, error) {
 	fprintf(w, "Table VI: time breakdown for %d iterations\n", o.iters())
 	fprintf(w, "%-26s %14s %14s %14s %8s\n", "method", "recommend (s)", "replay (s)", "total (s)", "share")
 	for _, m := range AllMethods(o.Seed) {
-		tr := RunWorkers(ds, m, o.iters(), o.Workers)
+		tr := Run(ds, m, o.iters())
 		r := Table6Row{
 			Method:           m.Name(),
 			RecommendSeconds: tr.TotalRecommendSeconds(),
@@ -357,8 +357,8 @@ func Scalability(w io.Writer, o Options) (*ScalabilityResult, error) {
 		return nil, err
 	}
 	const floor = 0.9
-	vt := RunWorkers(ds, newVDTuner(o.Seed), o.iters(), o.Workers)
-	qe := RunWorkers(ds, newBaselines(o.Seed)[3], o.iters(), o.Workers)
+	vt := Run(ds, newVDTuner(o.Seed), o.iters())
+	qe := Run(ds, newBaselines(o.Seed)[3], o.iters())
 
 	vq, _ := vt.BestQPSUnderRecall(floor)
 	qq, _ := qe.BestQPSUnderRecall(floor)

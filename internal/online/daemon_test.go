@@ -1,6 +1,7 @@
 package online
 
 import (
+	"reflect"
 	"testing"
 
 	"vdtuner/internal/core"
@@ -111,6 +112,57 @@ func TestDaemonClosesTheLoop(t *testing.T) {
 	// The engine must still serve after everything the daemon did.
 	if _, err := coll.SearchBatch(w3.Queries[:4], 5, nil); err != nil {
 		t.Fatalf("engine unusable after daemon loop: %v", err)
+	}
+}
+
+// TestDaemonTunesAnAngularEngine: vdmsd's default metric. The daemon's
+// window is the normalized rows an angular engine stores plus the raw
+// queries it was sent; the dataset it scores candidates on must be the
+// canonical (normalized, L2) form, or the quantizing index types are
+// scored on a metric nobody serves and none of their configurations ever
+// clears a recall floor. The caller's window is left as it was sent.
+func TestDaemonTunesAnAngularEngine(t *testing.T) {
+	pq := index.IVFPQ
+	cfg := vdms.DefaultConfig()
+	cfg.IndexType = pq
+	corpus := window(t, "angular-corpus", 8, 0.4, 41)
+	coll, err := vdms.NewCollection(cfg, linalg.Angular, corpus.Dim, len(corpus.Vectors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	if _, err := coll.Insert(corpus.Vectors); err != nil {
+		t.Fatal(err)
+	}
+	if err := coll.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDaemon(coll, DaemonOptions{
+		Manager: ManagerOptions{
+			Tuning:       core.Options{Seed: 9, Candidates: 32, MCSamples: 8, FixedType: &pq, RecallFloor: 0.7},
+			InitialIters: 10,
+		},
+		SampleSize: 800,
+		K:          5,
+	})
+	var raw, sent [][]float32
+	for i, q := range window(t, "angular-w1", 8, 0.4, 42).Queries {
+		q = linalg.Clone(q)
+		linalg.Scale(q, 0.5+float32(i))
+		raw, sent = append(raw, q), append(sent, linalg.Clone(q))
+	}
+	rep, err := d.ObserveWindow(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(raw, sent) {
+		t.Fatal("the daemon normalized the caller's query window in place")
+	}
+	if !rep.Applied || rep.Window.Result.Failed {
+		t.Fatalf("angular cold start: %+v", rep)
+	}
+	if rep.Window.Result.Recall <= 0.7 {
+		t.Fatalf("deployed IVF_PQ configuration scores recall %.3f on the angular window; the floor was 0.7", rep.Window.Result.Recall)
 	}
 }
 

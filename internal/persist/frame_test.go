@@ -74,7 +74,7 @@ func TestAppendFrameMatchesWALReader(t *testing.T) {
 	// The exported helper must emit the exact frame layout the package's
 	// own record reader accepts — they are one framing.
 	body := beginBody(nil, 7, RecDelete)
-	body = appendInt64s(body, []int64{1, 2, 3})
+	body = AppendInt64s(body, []int64{1, 2, 3})
 	stream := AppendFrame(nil, body)
 	r := reader{data: stream}
 	got, ok := r.next()

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"math"
 )
@@ -103,7 +104,9 @@ func beginBody(dst []byte, lsn uint64, t RecordType) []byte {
 	return append(dst, byte(t))
 }
 
-func appendInt64s(dst []byte, xs []int64) []byte {
+// AppendInt64s appends a u32-counted run of int64s — what
+// PayloadReader.Int64s reads back.
+func AppendInt64s(dst []byte, xs []int64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(xs)))
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
@@ -111,7 +114,8 @@ func appendInt64s(dst []byte, xs []int64) []byte {
 	return dst
 }
 
-func appendFloat32s(dst []byte, xs []float32) []byte {
+// AppendFloat32s appends xs as raw IEEE-754 bit patterns, uncounted.
+func AppendFloat32s(dst []byte, xs []float32) []byte {
 	for _, x := range xs {
 		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
 	}
@@ -127,7 +131,7 @@ func encodeInsert(dst []byte, lsn uint64, firstID int64, vecs [][]float32, dim i
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(vecs)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
 	for _, v := range vecs {
-		dst = appendFloat32s(dst, v)
+		dst = AppendFloat32s(dst, v)
 	}
 	return dst
 }
@@ -136,17 +140,17 @@ func encodeInsert(dst []byte, lsn uint64, firstID int64, vecs [][]float32, dim i
 // followed by the vectors, aligned index-by-index.
 func encodeInsertIDs(dst []byte, lsn uint64, ids []int64, vecs [][]float32, dim int) []byte {
 	dst = beginBody(dst, lsn, RecInsertIDs)
-	dst = appendInt64s(dst, ids)
+	dst = AppendInt64s(dst, ids)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(dim))
 	for _, v := range vecs {
-		dst = appendFloat32s(dst, v)
+		dst = AppendFloat32s(dst, v)
 	}
 	return dst
 }
 
 func encodeDelete(dst []byte, lsn uint64, ids []int64) []byte {
 	dst = beginBody(dst, lsn, RecDelete)
-	return appendInt64s(dst, ids)
+	return AppendInt64s(dst, ids)
 }
 
 func encodeFlush(dst []byte, lsn uint64, seq int64) []byte {
@@ -157,9 +161,9 @@ func encodeFlush(dst []byte, lsn uint64, seq int64) []byte {
 func encodeCompactCommit(dst []byte, lsn uint64, newSeq int64, sources, liveIDs, dropped []int64) []byte {
 	dst = beginBody(dst, lsn, RecCompactCommit)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(newSeq))
-	dst = appendInt64s(dst, sources)
-	dst = appendInt64s(dst, liveIDs)
-	return appendInt64s(dst, dropped)
+	dst = AppendInt64s(dst, sources)
+	dst = AppendInt64s(dst, liveIDs)
+	return AppendInt64s(dst, dropped)
 }
 
 // reader walks a byte buffer of framed records, validating each frame.
@@ -192,60 +196,94 @@ func (r *reader) next() (body []byte, ok bool) {
 	return body, true
 }
 
-// payloadReader decodes one record body with bounds checking on every
-// read; any shortfall is corruption (the frame CRC already matched, so
-// the writer and reader disagree about the schema — or the bytes are
-// hostile).
-type payloadReader struct {
-	path string
-	base int64 // offset of the body within the file, for error reporting
-	buf  []byte
-	off  int
-	err  error
+// PayloadReader decodes one framed body — a WAL or snapshot record here,
+// a wire message in internal/server — with bounds checking on every read.
+// The frame CRC already matched, so a shortfall means writer and reader
+// disagree about the schema, or the bytes are hostile: the first failure
+// is kept (as the error newErr makes of its offset and description), later
+// reads return zero values, and Done reports it. Every count is checked
+// against the bytes actually present before anything is sized by it.
+type PayloadReader struct {
+	buf    []byte
+	off    int
+	err    error
+	newErr func(off int, reason string) error
 }
 
-func (p *payloadReader) fail(format string, args ...any) {
+// NewPayloadReader reads buf from its start; newErr builds the error for a
+// failure at a byte offset of buf.
+func NewPayloadReader(buf []byte, newErr func(off int, reason string) error) *PayloadReader {
+	return &PayloadReader{buf: buf, newErr: newErr}
+}
+
+// recordReader reads the payload of one WAL or snapshot record: failures
+// are *CorruptErrors locating the damage in the file at path, where the
+// payload begins at offset base.
+func recordReader(path string, base int64, payload []byte) *PayloadReader {
+	return NewPayloadReader(payload, func(off int, reason string) error {
+		return corruptf(path, base+int64(off), "%s", reason)
+	})
+}
+
+// Failf records a failure at the current offset; the first one wins.
+func (p *PayloadReader) Failf(format string, args ...any) {
 	if p.err == nil {
-		p.err = corruptf(p.path, p.base+int64(p.off), format, args...)
+		p.err = p.newErr(p.off, fmt.Sprintf(format, args...))
 	}
 }
 
-func (p *payloadReader) take(n int) []byte {
+func (p *PayloadReader) Err() error     { return p.err }
+func (p *PayloadReader) Remaining() int { return len(p.buf) - p.off }
+
+// take returns the next n elements of size bytes each, aliasing the
+// buffer, or nil on a shortfall (n is checked by division: no product of
+// hostile counts can overflow into a match).
+func (p *PayloadReader) take(n, size int) []byte {
+	if p.err == nil && (n < 0 || n > p.Remaining()/size) {
+		p.Failf("need %d x %d payload bytes, have %d", n, size, p.Remaining())
+	}
 	if p.err != nil {
 		return nil
 	}
-	if n < 0 || n > len(p.buf)-p.off {
-		p.fail("need %d payload bytes, have %d", n, len(p.buf)-p.off)
-		return nil
-	}
-	b := p.buf[p.off : p.off+n]
-	p.off += n
+	b := p.buf[p.off : p.off+n*size]
+	p.off += n * size
 	return b
 }
 
-func (p *payloadReader) u32() uint32 {
-	b := p.take(4)
-	if b == nil {
-		return 0
+func (p *PayloadReader) Take(n int) []byte { return p.take(n, 1) }
+
+func (p *PayloadReader) U32() uint32 {
+	if b := p.take(1, 4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	return binary.LittleEndian.Uint32(b)
+	return 0
 }
 
-func (p *payloadReader) u64() uint64 {
-	b := p.take(8)
-	if b == nil {
-		return 0
+func (p *PayloadReader) U64() uint64 {
+	if b := p.take(1, 8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	return binary.LittleEndian.Uint64(b)
+	return 0
 }
 
-func (p *payloadReader) i64() int64 { return int64(p.u64()) }
+func (p *PayloadReader) I64() int64 { return int64(p.U64()) }
 
-// int64s reads a u32-counted run of int64s. The count is validated
-// against the bytes actually present before allocating.
-func (p *payloadReader) int64s() []int64 {
-	n := int(p.u32())
-	b := p.take(n * 8)
+// Count reads a u32 element count and fails unless that many elements of
+// elemBytes each are actually present.
+func (p *PayloadReader) Count(elemBytes int) int {
+	n := int(p.U32())
+	if p.err == nil && n > p.Remaining()/elemBytes {
+		p.Failf("declared %d elements (%dB each), only %d bytes remain", n, elemBytes, p.Remaining())
+		return 0
+	}
+	return n
+}
+
+// Int64s reads a u32-counted run of int64s (what AppendInt64s wrote) into
+// a fresh slice, nil when empty.
+func (p *PayloadReader) Int64s() []int64 {
+	n := int(p.U32())
+	b := p.take(n, 8)
 	if b == nil || n == 0 {
 		return nil
 	}
@@ -256,9 +294,9 @@ func (p *payloadReader) int64s() []int64 {
 	return out
 }
 
-// float32s reads n float32s (count validated by take).
-func (p *payloadReader) float32s(n int) []float32 {
-	b := p.take(n * 4)
+// Float32s reads n raw float32s into a fresh slice, nil when empty.
+func (p *PayloadReader) Float32s(n int) []float32 {
+	b := p.take(n, 4)
 	if b == nil || n == 0 {
 		return nil
 	}
@@ -269,10 +307,21 @@ func (p *payloadReader) float32s(n int) []float32 {
 	return out
 }
 
-// done reports leftover payload bytes as corruption.
-func (p *payloadReader) done() error {
+// Rect reads count rows of dim raw float32s each as one flat slice. The
+// shape is checked by division, so no pair of hostile counts can overflow
+// a product into a match.
+func (p *PayloadReader) Rect(count, dim int) []float32 {
+	if p.err == nil && (count < 0 || dim <= 0 || count > p.Remaining()/4/dim) {
+		p.Failf("batch declares %d x %d floats, payload has %d bytes", count, dim, p.Remaining())
+		return nil
+	}
+	return p.Float32s(count * dim)
+}
+
+// Done fails on leftover bytes and returns the first failure, if any.
+func (p *PayloadReader) Done() error {
 	if p.err == nil && p.off != len(p.buf) {
-		p.fail("%d trailing payload bytes", len(p.buf)-p.off)
+		p.Failf("%d trailing payload bytes", p.Remaining())
 	}
 	return p.err
 }
@@ -283,45 +332,29 @@ func decodeWALOp(path string, base int64, body []byte, op *WALOp) error {
 		LSN:  binary.LittleEndian.Uint64(body[0:8]),
 		Type: RecordType(body[8]),
 	}
-	p := &payloadReader{path: path, base: base + bodyHeaderLen, buf: body[bodyHeaderLen:]}
+	p := recordReader(path, base+bodyHeaderLen, body[bodyHeaderLen:])
 	switch op.Type {
 	case RecInsert:
-		op.FirstID = p.i64()
-		op.Count = int(p.u32())
-		op.Dim = int(p.u32())
-		if p.err == nil && (op.Dim <= 0 || op.Count < 0) {
-			p.fail("insert record with count %d, dim %d", op.Count, op.Dim)
-		}
-		if p.err == nil && op.Count > (len(p.buf)-p.off)/4/op.Dim {
-			p.fail("insert record declares %d×%d floats, payload has %d bytes", op.Count, op.Dim, len(p.buf)-p.off)
-		}
-		if p.err == nil {
-			op.Vectors = p.float32s(op.Count * op.Dim)
-		}
+		op.FirstID = p.I64()
+		op.Count = int(p.U32())
+		op.Dim = int(p.U32())
+		op.Vectors = p.Rect(op.Count, op.Dim)
 	case RecInsertIDs:
-		op.IDs = p.int64s()
+		op.IDs = p.Int64s()
 		op.Count = len(op.IDs)
-		op.Dim = int(p.u32())
-		if p.err == nil && op.Dim <= 0 {
-			p.fail("insert-ids record with dim %d", op.Dim)
-		}
-		if p.err == nil && op.Count > (len(p.buf)-p.off)/4/op.Dim {
-			p.fail("insert-ids record declares %d×%d floats, payload has %d bytes", op.Count, op.Dim, len(p.buf)-p.off)
-		}
-		if p.err == nil {
-			op.Vectors = p.float32s(op.Count * op.Dim)
-		}
+		op.Dim = int(p.U32())
+		op.Vectors = p.Rect(op.Count, op.Dim)
 	case RecDelete:
-		op.IDs = p.int64s()
+		op.IDs = p.Int64s()
 	case RecFlush:
-		op.Seq = p.i64()
+		op.Seq = p.I64()
 	case RecCompactCommit:
-		op.Seq = p.i64()
-		op.Sources = p.int64s()
-		op.LiveIDs = p.int64s()
-		op.Dropped = p.int64s()
+		op.Seq = p.I64()
+		op.Sources = p.Int64s()
+		op.LiveIDs = p.Int64s()
+		op.Dropped = p.Int64s()
 	default:
-		p.fail("unknown WAL record type %d", op.Type)
+		p.Failf("unknown WAL record type %d", op.Type)
 	}
-	return p.done()
+	return p.Done()
 }

@@ -129,7 +129,7 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 		seg := &s.Segments[i]
 		body = beginBody(body[:0], 0, snapSegment)
 		body = binary.LittleEndian.AppendUint64(body, uint64(seg.Seq))
-		body = appendInt64s(body, seg.IDs)
+		body = AppendInt64s(body, seg.IDs)
 		body = appendStore(body, seg.Store)
 		if err := emit(); err != nil {
 			return err
@@ -138,7 +138,7 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 
 	if s.Growing != nil && s.Growing.Rows() > 0 {
 		body = beginBody(body[:0], 0, snapGrowing)
-		body = appendInt64s(body, s.GrowingIDs)
+		body = AppendInt64s(body, s.GrowingIDs)
 		body = appendStore(body, s.Growing)
 		if err := emit(); err != nil {
 			return err
@@ -146,7 +146,7 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 	}
 
 	body = beginBody(body[:0], 0, snapTombstones)
-	body = appendInt64s(body, s.Tombstones)
+	body = AppendInt64s(body, s.Tombstones)
 	if err := emit(); err != nil {
 		return err
 	}
@@ -165,7 +165,7 @@ func appendStore(dst []byte, m *linalg.Matrix) []byte {
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
 	for i := 0; i < rows; i++ {
-		dst = appendFloat32s(dst, m.Row(i))
+		dst = AppendFloat32s(dst, m.Row(i))
 	}
 	return dst
 }
@@ -226,34 +226,34 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 			return nil, corruptf(path, base, "records after snapshot footer")
 		}
 		typ := RecordType(body[8])
-		p := &payloadReader{path: path, base: base + bodyHeaderLen, buf: body[bodyHeaderLen:]}
+		p := recordReader(path, base+bodyHeaderLen, body[bodyHeaderLen:])
 		switch typ {
 		case snapMeta:
 			if seenMeta {
 				return nil, corruptf(path, base, "duplicate snapshot meta record")
 			}
 			seenMeta = true
-			s.CheckpointLSN = p.u64()
-			s.Dim = int(p.u32())
-			mb := p.take(2)
+			s.CheckpointLSN = p.U64()
+			s.Dim = int(p.U32())
+			mb := p.Take(2)
 			if mb != nil {
 				s.Metric = linalg.Metric(mb[0])
 				s.IndexType = index.Type(mb[1])
 			}
-			s.Build.NList = int(p.i64())
-			s.Build.M = int(p.i64())
-			s.Build.NBits = int(p.i64())
-			s.Build.HNSWM = int(p.i64())
-			s.Build.EfConstruction = int(p.i64())
-			s.Build.Seed = p.i64()
-			s.NextID = p.i64()
-			s.SealSeq = p.i64()
-			s.Rows = p.i64()
-			s.CompactionPasses = p.i64()
-			s.CompactedSegments = p.i64()
-			s.ReclaimedRows = p.i64()
-			wantSegs = p.u32()
-			if err := p.done(); err != nil {
+			s.Build.NList = int(p.I64())
+			s.Build.M = int(p.I64())
+			s.Build.NBits = int(p.I64())
+			s.Build.HNSWM = int(p.I64())
+			s.Build.EfConstruction = int(p.I64())
+			s.Build.Seed = p.I64()
+			s.NextID = p.I64()
+			s.SealSeq = p.I64()
+			s.Rows = p.I64()
+			s.CompactionPasses = p.I64()
+			s.CompactedSegments = p.I64()
+			s.ReclaimedRows = p.I64()
+			wantSegs = p.U32()
+			if err := p.Done(); err != nil {
 				return nil, err
 			}
 			if s.Dim <= 0 {
@@ -263,14 +263,14 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 			if !seenMeta {
 				return nil, corruptf(path, base, "segment record before meta")
 			}
-			seg := SnapSegment{Seq: p.i64()}
-			seg.IDs = p.int64s()
+			seg := SnapSegment{Seq: p.I64()}
+			seg.IDs = p.Int64s()
 			var err error
 			seg.Store, err = decodeStore(p, s.Dim)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.done(); err != nil {
+			if err := p.Done(); err != nil {
 				return nil, err
 			}
 			if len(seg.IDs) != seg.Store.Rows() {
@@ -282,13 +282,13 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 				return nil, corruptf(path, base, "unexpected growing record")
 			}
 			seenGrowing = true
-			s.GrowingIDs = p.int64s()
+			s.GrowingIDs = p.Int64s()
 			var err error
 			s.Growing, err = decodeStore(p, s.Dim)
 			if err != nil {
 				return nil, err
 			}
-			if err := p.done(); err != nil {
+			if err := p.Done(); err != nil {
 				return nil, err
 			}
 			if len(s.GrowingIDs) != s.Growing.Rows() {
@@ -299,14 +299,14 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 				return nil, corruptf(path, base, "unexpected tombstone record")
 			}
 			seenTombs = true
-			s.Tombstones = p.int64s()
-			if err := p.done(); err != nil {
+			s.Tombstones = p.Int64s()
+			if err := p.Done(); err != nil {
 				return nil, err
 			}
 		case snapFooter:
 			seenFooter = true
-			footerCount = p.u32()
-			if err := p.done(); err != nil {
+			footerCount = p.U32()
+			if err := p.Done(); err != nil {
 				return nil, err
 			}
 		default:
@@ -329,19 +329,19 @@ func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 }
 
 // decodeStore reads a u32-counted run of rows into a fresh packed matrix.
-func decodeStore(p *payloadReader, dim int) (*linalg.Matrix, error) {
-	rows := int(p.u32())
-	if p.err == nil && (rows < 0 || rows > (len(p.buf)-p.off)/4/dim) {
-		p.fail("store declares %d×%d floats, payload has %d bytes", rows, dim, len(p.buf)-p.off)
+func decodeStore(p *PayloadReader, dim int) (*linalg.Matrix, error) {
+	rows := int(p.U32())
+	if p.Err() == nil && (rows < 0 || rows > (p.Remaining())/4/dim) {
+		p.Failf("store declares %d×%d floats, payload has %d bytes", rows, dim, p.Remaining())
 	}
-	if p.err != nil {
-		return nil, p.err
+	if p.Err() != nil {
+		return nil, p.Err()
 	}
 	m := linalg.NewMatrix(dim, rows)
 	for r := 0; r < rows; r++ {
-		vals := p.float32s(dim)
-		if p.err != nil {
-			return nil, p.err
+		vals := p.Float32s(dim)
+		if p.Err() != nil {
+			return nil, p.Err()
 		}
 		m.AppendRow(vals)
 	}

@@ -44,6 +44,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"vdtuner/internal/persist"
 )
 
 // binPreamble is the magic a client sends to negotiate the binary
@@ -80,11 +82,21 @@ func appendU32(dst []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(dst, uint32(v))
 }
 
-func appendRawFloat32s(dst []byte, xs []float32) []byte {
-	for _, x := range xs {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(x))
+// appendRows appends a batch as u32 count | u32 dim | count*dim raw f32 —
+// what readRows reads back. The rows must be rectangular.
+func appendRows(dst []byte, rows [][]float32, what string) ([]byte, error) {
+	dim := 0
+	if len(rows) > 0 {
+		dim = len(rows[0])
 	}
-	return dst
+	dst = appendU32(appendU32(dst, len(rows)), dim)
+	for _, v := range rows {
+		if len(v) != dim {
+			return nil, fmt.Errorf("server: ragged %s batch (row of %d floats in a dim-%d batch) cannot be binary-encoded", what, len(v), dim)
+		}
+		dst = persist.AppendFloat32s(dst, v)
+	}
+	return dst, nil
 }
 
 // encodeBinRequest builds the body of one request. Vector arguments must
@@ -95,48 +107,17 @@ func encodeBinRequest(dst []byte, id uint64, req *Request) ([]byte, error) {
 	case "ping":
 		return beginWireBody(dst, id, binPing), nil
 	case "insert":
-		dim := 0
-		if len(req.Vectors) > 0 {
-			dim = len(req.Vectors[0])
-		}
-		dst = beginWireBody(dst, id, binInsert)
-		dst = appendU32(dst, len(req.Vectors))
-		dst = appendU32(dst, dim)
-		for _, v := range req.Vectors {
-			if len(v) != dim {
-				return nil, fmt.Errorf("server: ragged insert batch (row of %d floats in a dim-%d batch) cannot be binary-encoded", len(v), dim)
-			}
-			dst = appendRawFloat32s(dst, v)
-		}
-		return dst, nil
+		return appendRows(beginWireBody(dst, id, binInsert), req.Vectors, "insert")
 	case "search":
 		dst = beginWireBody(dst, id, binSearch)
 		dst = appendU32(dst, req.K)
 		dst = appendU32(dst, len(req.Query))
-		return appendRawFloat32s(dst, req.Query), nil
+		return persist.AppendFloat32s(dst, req.Query), nil
 	case "searchBatch":
-		dim := 0
-		if len(req.Queries) > 0 {
-			dim = len(req.Queries[0])
-		}
-		dst = beginWireBody(dst, id, binSearchBatch)
-		dst = appendU32(dst, req.K)
-		dst = appendU32(dst, len(req.Queries))
-		dst = appendU32(dst, dim)
-		for _, q := range req.Queries {
-			if len(q) != dim {
-				return nil, fmt.Errorf("server: ragged query batch (row of %d floats in a dim-%d batch) cannot be binary-encoded", len(q), dim)
-			}
-			dst = appendRawFloat32s(dst, q)
-		}
-		return dst, nil
+		dst = appendU32(beginWireBody(dst, id, binSearchBatch), req.K)
+		return appendRows(dst, req.Queries, "query")
 	case "delete":
-		dst = beginWireBody(dst, id, binDelete)
-		dst = appendU32(dst, len(req.IDs))
-		for _, v := range req.IDs {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-		return dst, nil
+		return persist.AppendInt64s(beginWireBody(dst, id, binDelete), req.IDs), nil
 	default:
 		return nil, fmt.Errorf("server: op %q has no binary encoding (use the JSON protocol)", req.Op)
 	}
@@ -154,12 +135,7 @@ func encodeBinResponse(dst []byte, id uint64, reqKind byte, resp *Response) []by
 	case binPing:
 		return beginWireBody(dst, id, binPong)
 	case binInsert:
-		dst = beginWireBody(dst, id, binInsertResp)
-		dst = appendU32(dst, len(resp.IDs))
-		for _, v := range resp.IDs {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
-		}
-		return dst
+		return persist.AppendInt64s(beginWireBody(dst, id, binInsertResp), resp.IDs)
 	case binSearch:
 		dst = beginWireBody(dst, id, binSearchResp)
 		return appendNeighbors(dst, resp.Neighbors)
@@ -188,100 +164,29 @@ func appendNeighbors(dst []byte, ns []Neighbor) []byte {
 	return dst
 }
 
-// wireReader decodes one message body with bounds checking on every read.
-// The frame CRC already matched, so a shortfall means the peer and we
-// disagree about the schema — a per-message error, not stream corruption.
-type wireReader struct {
-	buf []byte
-	off int
-	err error
+// newWireReader reads one message body with persist's bounds-checked
+// payload reader — the one the WAL and snapshot decoders use, so the wire
+// and the disk share every hostile-size check. The frame CRC already
+// matched, so a shortfall means the peer and we disagree about the schema:
+// a per-message error, not stream corruption.
+func newWireReader(body []byte) *persist.PayloadReader {
+	return persist.NewPayloadReader(body, func(off int, reason string) error {
+		return fmt.Errorf("server: malformed binary payload at offset %d: %s", off, reason)
+	})
 }
 
-func (r *wireReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("server: malformed binary payload at offset %d: %s", r.off, fmt.Sprintf(format, args...))
+// readRows reads a batch of count rows of dim raw floats each as a
+// slice-of-slices over one flat backing array (two allocations, never
+// aliasing the reusable frame buffer). An empty batch is spelled 0 x 0.
+func readRows(r *persist.PayloadReader, count, dim int) [][]float32 {
+	if count == 0 && dim == 0 {
+		return [][]float32{}
 	}
-}
-
-func (r *wireReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.buf)-r.off {
-		r.fail("need %d bytes, have %d", n, len(r.buf)-r.off)
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *wireReader) u32() int {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return int(binary.LittleEndian.Uint32(b))
-}
-
-func (r *wireReader) u64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// count reads a u32 element count and sanity-checks it against the bytes
-// actually present (elemBytes per element), so a hostile count cannot
-// force an allocation beyond the frame's real size.
-func (r *wireReader) count(elemBytes int) int {
-	n := r.u32()
-	if r.err == nil && n*elemBytes > len(r.buf)-r.off {
-		r.fail("declared %d elements (%dB each), only %d bytes remain", n, elemBytes, len(r.buf)-r.off)
-		return 0
-	}
-	return n
-}
-
-// checkRect validates that exactly count rows of dim raw floats remain —
-// by division, so hostile count/dim pairs cannot overflow a product into
-// a bogus match and force a giant allocation downstream.
-func (r *wireReader) checkRect(count, dim int) {
-	if r.err != nil {
-		return
-	}
-	rem := len(r.buf) - r.off
 	if count == 0 {
-		if dim != 0 || rem != 0 {
-			r.fail("empty batch with dim %d and %d payload bytes", dim, rem)
-		}
-		return
+		r.Failf("empty batch with dim %d", dim)
 	}
-	if dim <= 0 || rem%4 != 0 || (rem/4)%dim != 0 || (rem/4)/dim != count {
-		r.fail("batch declares %d x %d floats, %d payload bytes", count, dim, rem)
-	}
-}
-
-// float32s reads n raw floats into a fresh slice (never aliasing the
-// reusable frame buffer).
-func (r *wireReader) float32s(n int) []float32 {
-	b := r.take(4 * n)
-	if b == nil {
-		return nil
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// rows reads count rows of dim raw floats each as a slice-of-slices over
-// one flat backing array (two allocations total).
-func (r *wireReader) rows(count, dim int) [][]float32 {
-	flat := r.float32s(count * dim)
-	if r.err != nil {
+	flat := r.Rect(count, dim)
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([][]float32, count)
@@ -291,34 +196,28 @@ func (r *wireReader) rows(count, dim int) [][]float32 {
 	return out
 }
 
-func (r *wireReader) int64s(n int) []int64 {
-	b := r.take(8 * n)
-	if b == nil {
+func readNeighbors(r *persist.PayloadReader) []Neighbor {
+	n := r.Count(12)
+	if r.Err() != nil {
 		return nil
 	}
-	out := make([]int64, n)
+	out := make([]Neighbor, n)
 	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+		out[i].ID = r.I64()
+		out[i].Dist = math.Float32frombits(r.U32())
 	}
 	return out
-}
-
-func (r *wireReader) done() error {
-	if r.err == nil && r.off != len(r.buf) {
-		r.fail("%d trailing bytes", len(r.buf)-r.off)
-	}
-	return r.err
 }
 
 // decodeBinRequest decodes a request body into the shared Request shape
 // (so the binary path reuses the same dispatch as JSON). Decoded slices
 // are fresh copies; the frame buffer is reusable immediately.
 func decodeBinRequest(body []byte) (id uint64, kind byte, req *Request, err error) {
-	r := &wireReader{buf: body}
-	id = r.u64()
-	kb := r.take(1)
-	if r.err != nil {
-		return 0, 0, nil, r.err
+	r := newWireReader(body)
+	id = r.U64()
+	kb := r.Take(1)
+	if r.Err() != nil {
+		return 0, 0, nil, r.Err()
 	}
 	kind = kb[0]
 	req = &Request{}
@@ -327,30 +226,24 @@ func decodeBinRequest(body []byte) (id uint64, kind byte, req *Request, err erro
 		req.Op = "ping"
 	case binInsert:
 		req.Op = "insert"
-		count := r.u32()
-		dim := r.u32()
-		r.checkRect(count, dim)
-		req.Vectors = r.rows(count, dim)
+		count, dim := int(r.U32()), int(r.U32())
+		req.Vectors = readRows(r, count, dim)
 	case binSearch:
 		req.Op = "search"
-		req.K = r.u32()
-		dim := r.count(4)
-		req.Query = r.float32s(dim)
+		req.K = int(r.U32())
+		req.Query = r.Float32s(int(r.U32()))
 	case binSearchBatch:
 		req.Op = "searchBatch"
-		req.K = r.u32()
-		count := r.u32()
-		dim := r.u32()
-		r.checkRect(count, dim)
-		req.Queries = r.rows(count, dim)
+		req.K = int(r.U32())
+		count, dim := int(r.U32()), int(r.U32())
+		req.Queries = readRows(r, count, dim)
 	case binDelete:
 		req.Op = "delete"
-		n := r.count(8)
-		req.IDs = r.int64s(n)
+		req.IDs = r.Int64s()
 	default:
 		return id, kind, nil, fmt.Errorf("server: unknown binary request kind %d", kind)
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return id, kind, nil, err
 	}
 	return id, kind, req, nil
@@ -360,53 +253,39 @@ func decodeBinRequest(body []byte) (id uint64, kind byte, req *Request, err erro
 // shape. Fixed-width fields mean a zero Deleted count round-trips
 // faithfully — there is no omitted-field ambiguity on this codec.
 func decodeBinResponse(body []byte) (id uint64, resp *Response, err error) {
-	r := &wireReader{buf: body}
-	id = r.u64()
-	kb := r.take(1)
-	if r.err != nil {
-		return 0, nil, r.err
+	r := newWireReader(body)
+	id = r.U64()
+	kb := r.Take(1)
+	if r.Err() != nil {
+		return 0, nil, r.Err()
 	}
 	resp = &Response{}
 	switch kb[0] {
 	case binErr:
-		resp.Error = string(r.buf[r.off:])
-		r.off = len(r.buf)
+		resp.Error = string(r.Take(r.Remaining()))
 	case binPong:
 		resp.OK = true
 	case binInsertResp:
 		resp.OK = true
-		resp.IDs = r.int64s(r.count(8))
+		resp.IDs = r.Int64s()
 	case binSearchResp:
 		resp.OK = true
-		resp.Neighbors = r.neighbors()
+		resp.Neighbors = readNeighbors(r)
 	case binSearchBatchResp:
 		resp.OK = true
-		nb := r.count(4)
+		nb := r.Count(4)
 		resp.Batches = make([][]Neighbor, 0, nb)
-		for i := 0; i < nb && r.err == nil; i++ {
-			resp.Batches = append(resp.Batches, r.neighbors())
+		for i := 0; i < nb && r.Err() == nil; i++ {
+			resp.Batches = append(resp.Batches, readNeighbors(r))
 		}
 	case binDeleteResp:
 		resp.OK = true
-		resp.Deleted = r.u32()
+		resp.Deleted = int(r.U32())
 	default:
 		return id, nil, fmt.Errorf("server: unknown binary response kind %d", kb[0])
 	}
-	if err := r.done(); err != nil {
+	if err := r.Done(); err != nil {
 		return id, nil, err
 	}
 	return id, resp, nil
-}
-
-func (r *wireReader) neighbors() []Neighbor {
-	n := r.count(12)
-	if r.err != nil {
-		return nil
-	}
-	out := make([]Neighbor, n)
-	for i := range out {
-		out[i].ID = int64(r.u64())
-		out[i].Dist = math.Float32frombits(uint32(r.u32()))
-	}
-	return out
 }

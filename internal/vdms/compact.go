@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"fmt"
+	"slices"
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
@@ -52,6 +53,8 @@ type compactInput struct {
 // planCompactionLocked selects the current pass's tasks. Callers hold
 // s.mu. The plan depends only on the sealed-segment state (seq-ordered)
 // and the tombstone set, so it is deterministic for a given call sequence.
+// A segment whose index is still pending is not plannable: its landing
+// re-checks the triggers.
 func (s *shard) planCompactionLocked() []compactTask {
 	cfg := s.config()
 	trigger := orDefault(cfg.CompactionTriggerRatio, KnobCompactionTriggerRatio)
@@ -59,8 +62,9 @@ func (s *shard) planCompactionLocked() []compactTask {
 	var tasks []compactTask
 	rewriting := make(map[*sealedSegment]bool)
 	// (a) rewrite tombstone-heavy segments.
+	plannable := func(seg *sealedSegment) bool { return seg.idx != nil && !seg.noCompact }
 	for _, seg := range s.sealed {
-		if seg.noCompact {
+		if !plannable(seg) {
 			continue
 		}
 		if seg.dead > 0 && float64(seg.dead) >= trigger*float64(len(seg.ids)) {
@@ -82,7 +86,7 @@ func (s *shard) planCompactionLocked() []compactTask {
 		groupLive = 0
 	}
 	for _, seg := range s.sealed {
-		if rewriting[seg] || seg.noCompact {
+		if rewriting[seg] || !plannable(seg) {
 			continue
 		}
 		live := len(seg.ids) - seg.dead
@@ -126,11 +130,14 @@ func (s *shard) gatherLocked(t compactTask) compactInput {
 // buildCompacted builds the replacement segment for one task outside the
 // lock. A task whose rows are all dead yields (nil, nil): the sources are
 // simply dropped.
-func buildCompacted(cfg Config, metric linalg.Metric, dim int, in compactInput, seq int64) (*sealedSegment, error) {
+func (s *shard) buildCompacted(in compactInput, seq int64) (*sealedSegment, error) {
 	if len(in.ids) == 0 {
 		return nil, nil
 	}
-	return buildSegment(cfg, metric, dim, in.store, in.ids, seq)
+	seg := &sealedSegment{seq: seq, store: in.store, ids: in.ids}
+	idx, err := s.buildSegment(seg)
+	seg.idx = idx
+	return seg, err
 }
 
 // maybeCompactLocked starts a background compaction pass when a trigger
@@ -165,8 +172,7 @@ func (s *shard) compactPass() {
 			s.mu.Unlock()
 			return
 		}
-		cfg := *s.config()
-		metric, dim := s.metric, s.dim
+		workers := orDefault(s.config().CompactionParallelism, KnobCompactionParallelism)
 		inputs := make([]compactInput, len(plan))
 		seqs := make([]int64, len(plan))
 		for i, t := range plan {
@@ -178,8 +184,8 @@ func (s *shard) compactPass() {
 
 		segs := make([]*sealedSegment, len(plan))
 		errs := make([]error, len(plan))
-		parallel.Parallel(orDefault(cfg.CompactionParallelism, KnobCompactionParallelism), len(plan), func(i int) {
-			segs[i], errs[i] = buildCompacted(cfg, metric, dim, inputs[i], seqs[i])
+		parallel.Parallel(workers, len(plan), func(i int) {
+			segs[i], errs[i] = s.buildCompacted(inputs[i], seqs[i])
 		})
 
 		s.mu.Lock()
@@ -267,20 +273,7 @@ func (s *shard) compactPass() {
 // removeSealedLocked drops the given segments from s.sealed. Callers hold
 // s.mu.
 func (s *shard) removeSealedLocked(drop []*sealedSegment) {
-	dropping := make(map[*sealedSegment]bool, len(drop))
-	for _, seg := range drop {
-		dropping[seg] = true
-	}
-	keep := s.sealed[:0]
-	for _, seg := range s.sealed {
-		if !dropping[seg] {
-			keep = append(keep, seg)
-		}
-	}
-	for i := len(keep); i < len(s.sealed); i++ {
-		s.sealed[i] = nil
-	}
-	s.sealed = keep
+	s.sealed = slices.DeleteFunc(s.sealed, func(seg *sealedSegment) bool { return slices.Contains(drop, seg) })
 }
 
 // Compact synchronously runs compaction to quiescence on every shard: it

@@ -1,16 +1,19 @@
 // Package vdms implements the vector data management system under tuning:
-// a Milvus-like engine with a segmented storage layer, growing/sealed
-// segment lifecycle, per-segment ANN indexes, a bounded-consistency window,
-// intra-query parallelism, and memory accounting.
+// a Milvus-like engine with a segmented storage layer, a growing → sealed
+// (index pending) → sealed (indexed) → compacted segment lifecycle,
+// per-segment ANN indexes, a bounded-consistency window, intra-query
+// parallelism, and memory accounting.
 //
-// The live engine is split along a shard/router boundary: Collection
-// (live.go) is a thin router that assigns ids from one atomic counter,
-// routes Insert/Delete to shards by a deterministic id hash, and
-// scatter-gathers Search/SearchBatch across them with a fixed-order
-// merge; shard (shard.go) is the single-lock engine — growing arena,
-// sealing/sealed segments, tombstones, compactor, and an independent
-// snapshot+WAL pair when durable — so writes, fsyncs, index builds, and
-// compaction on different shards never contend.
+// There is one engine, shard (shard.go): the single-lock unit holding a
+// growing arena, sealed segments, tombstones, a compactor, and an
+// independent snapshot+WAL pair when durable. Segments are built by
+// buildSegment, shards are probed by searchMultiLocked, batches are split
+// by partition — no path has its own. Collection (live.go) is a thin
+// router over N shards: it assigns ids from one atomic counter, routes
+// writes by a deterministic id hash, and scatter-gathers searches with a
+// fixed-order merge, so work on different shards never contends. Instance
+// (engine.go, Open/Evaluate) is the tuner's steady-state model over one
+// read-only shard, so what the tuner scores is what is served.
 //
 // The engine exposes the configuration surface of the paper (index type,
 // the index parameters of Table I, the system parameters), extended with

@@ -4,17 +4,16 @@ import (
 	"fmt"
 
 	"vdtuner/internal/linalg"
-	"vdtuner/internal/parallel"
 )
 
 // Deletion support for live collections. Milvus implements deletes as
 // tombstones filtered at query time until compaction; this file does the
-// same, per shard: deleted ids in sealed/sealing data are recorded in the
-// owning shard's tombstone set and filtered out of every search until its
-// compactor (compact.go) rewrites their segments, while deletes of
-// growing rows are applied physically at once and never tombstoned. Each
-// tombstone set therefore stays bounded by the dead rows actually
-// awaiting compaction on that shard.
+// same, per shard: deleted ids in sealed data (indexed or index-pending)
+// are recorded in the owning shard's tombstone set and filtered out of
+// every search until its compactor (compact.go) rewrites their segments,
+// while deletes of growing rows are applied physically at once and never
+// tombstoned. Each tombstone set therefore stays bounded by the dead rows
+// actually awaiting compaction on that shard.
 
 // Delete marks ids as deleted. Unknown or already-deleted ids are ignored
 // (idempotent, as in Milvus). It returns the number of ids newly deleted,
@@ -30,61 +29,31 @@ func (c *Collection) Delete(ids []int64) (int, error) {
 	}
 	c.router.RLock()
 	defer c.router.RUnlock()
+	counts := make([]int, len(c.shards))
 	// During a migration each shard reports which ids it actually deleted
 	// (not which were requested): replaying a requested-but-not-applied
 	// delete could kill a row that a concurrent insert creates under that
 	// id later in the migration window.
-	var captured []*[]int64
-	capture := func() *[]int64 {
-		if c.delta == nil {
-			return nil
+	var applied [][]int64
+	if c.delta != nil {
+		applied = make([][]int64, len(c.shards))
+	}
+	err := c.route(ids, nil, 0, func(si int, ids []int64, _ [][]float32) (err error) {
+		var captured *[]int64
+		if applied != nil {
+			captured = &applied[si]
 		}
-		p := new([]int64)
-		captured = append(captured, p)
-		return p
-	}
-	defer func() {
-		for _, p := range captured {
-			c.delta.addDeletes(*p)
-		}
-	}()
-	if len(c.shards) == 1 {
-		return c.shards[0].delete(ids, capture())
-	}
-	parts := make([][]int64, len(c.shards))
-	for _, id := range ids {
-		si := c.shardFor(id)
-		parts[si] = append(parts[si], id)
-	}
-	touched := make([]int, 0, len(c.shards))
-	for si, part := range parts {
-		if len(part) > 0 {
-			touched = append(touched, si)
-		}
-	}
-	// Like Insert, durable deletes dispatch in parallel so the per-shard
-	// WAL commits overlap their fsyncs; memory-only deletes stay inline.
-	counts := make([]int, len(touched))
-	errs := make([]error, len(touched))
-	caps := make([]*[]int64, len(touched))
-	for i := range touched {
-		caps[i] = capture()
-	}
-	dispatch := func(i int) {
-		counts[i], errs[i] = c.shards[touched[i]].delete(parts[touched[i]], caps[i])
-	}
-	if c.dataDir != "" && len(touched) > 1 {
-		parallel.Parallel(len(touched), len(touched), dispatch)
-	} else {
-		for i := range touched {
-			dispatch(i)
-		}
-	}
+		counts[si], err = c.shards[si].delete(ids, captured)
+		return err
+	})
 	total := 0
-	for _, n := range counts {
+	for si, n := range counts {
 		total += n
+		if applied != nil {
+			c.delta.addDeletes(applied[si])
+		}
 	}
-	return total, firstError(errs)
+	return total, err
 }
 
 // delete applies one routed batch of deletions to this shard: WAL-log,
@@ -139,8 +108,8 @@ func (s *shard) deleteLocked(ids []int64, captured *[]int64) int {
 		if _, dup := s.tombstones[id]; dup {
 			continue
 		}
-		seg, present := s.locateLocked(id)
-		if !present {
+		seg := s.locateLocked(id)
+		if seg == nil {
 			if growing == nil {
 				growing = make(map[int64]struct{}, len(s.growingIDs))
 				for _, gid := range s.growingIDs {
@@ -187,20 +156,9 @@ func (s *shard) deleteLocked(ids []int64, captured *[]int64) int {
 }
 
 // Deleted reports the live tombstone count across shards: deleted ids
-// still physically present in sealed/sealing data and awaiting
-// compaction. It is the search over-fetch margin, not the all-time delete
-// count.
-func (c *Collection) Deleted() int {
-	c.router.RLock()
-	defer c.router.RUnlock()
-	c.rlockAll()
-	defer c.runlockAll()
-	total := 0
-	for _, s := range c.shards {
-		total += len(s.tombstones)
-	}
-	return total
-}
+// still physically present in sealed data and awaiting compaction — the
+// search over-fetch margin, not the all-time delete count.
+func (c *Collection) Deleted() int { return c.Stats().Tombstones }
 
 // filterTombstones drops deleted ids from a result list in place.
 func (s *shard) filterTombstones(res []linalg.Neighbor) []linalg.Neighbor {

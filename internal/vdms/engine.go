@@ -8,19 +8,17 @@ import (
 	"vdtuner/internal/workload"
 )
 
-// Instance is an opened collection: the dataset partitioned into sealed
-// (indexed) segments plus a growing tail that is brute-force searched, as
-// in Milvus. Instances are immutable after Open and safe for concurrent
-// Search calls. They model a delete-free snapshot: churn (deletes,
-// tombstone GC, segment compaction) is the live Collection's domain — see
-// live.go and compact.go.
+// Instance is the tuner's steady-state model of a collection serving a
+// dataset under one configuration: the rows laid out the way a long-running
+// engine would hold them — sealed (indexed) segments plus a growing tail
+// that is brute-force searched, as in Milvus — in one memory-only shard of
+// the engine vdmsd serves (shard.go), plus the modelled costs the simulated
+// clock charges on top. Nothing here builds or searches an index itself.
+// The shard is never written after Open, so Search takes no lock and is
+// safe for concurrent use; churn (deletes, tombstone GC, compaction) is the
+// live Collection's domain.
 type Instance struct {
-	cfg Config
-	ds  *workload.Dataset
-
-	sealed     []index.Index
-	growing    *linalg.Matrix // growing-tail view of the dataset arena
-	growingIDs []int64
+	sh *shard
 
 	// segments counts sealed segments plus the growing tail (if any).
 	segments int
@@ -49,23 +47,8 @@ type FailureError struct{ Reason string }
 
 func (e *FailureError) Error() string { return "vdms: configuration failed: " + e.Reason }
 
-// newSegmentIndex constructs the (unbuilt) index for the sealed segment
-// with sequence number seq: the build seed is derived deterministically
-// from the configuration seed and the sequence number, and the build
-// worker pool is sized by the queryNode parallelism. Every layer that
-// builds a segment — bulk load (Open), live sealing, compaction, and
-// crash recovery — goes through this one derivation, which is what makes
-// a recovered segment's index bit-identical to the one the pre-crash
-// engine built or would have built.
-func newSegmentIndex(cfg Config, m linalg.Metric, dim int, seq int64) (index.Index, error) {
-	bp := cfg.Build
-	bp.Seed = cfg.Build.Seed + seq*7919
-	bp.Workers = cfg.Parallelism
-	return index.New(cfg.IndexType, m, dim, bp)
-}
-
-// Open partitions the dataset according to cfg, builds the per-segment
-// indexes, and returns a searchable instance.
+// Open lays the dataset out according to cfg's steady-state segment model,
+// builds the per-segment indexes, and returns a searchable instance.
 func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -74,7 +57,6 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("vdms: empty dataset")
 	}
-	inst := &Instance{cfg: cfg, ds: ds}
 
 	// Scaled segment model: segment_maxSize=512MB at sealProportion=1
 	// corresponds to the full corpus; smaller budgets shard it. The
@@ -99,6 +81,9 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 
 	ids := ds.IDs()
 	store := ds.Store()
+	sh := newShard(&configGen{cfg: cfg}, ds.Metric, ds.Dim, sealRows)
+	sh.rows, sh.nextID = int64(n), int64(n)
+	inst := &Instance{sh: sh}
 	var buildWork index.Stats
 	row := 0
 	for s := 0; s < numSealed; s++ {
@@ -106,30 +91,25 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 		if end > sealedRows {
 			end = sealedRows
 		}
-		// queryNode parallelism doubles as the real build worker-pool
-		// size; builds are deterministic for any value (see package
-		// parallel), so the simulated results stay reproducible.
-		idx, err := newSegmentIndex(cfg, ds.Metric, ds.Dim, int64(s))
+		// Segments build from contiguous row-range views of the dataset
+		// arena — no per-segment copy of the raw vectors.
+		seg := &sealedSegment{seq: int64(s), store: store.Slice(row, end), ids: ids[row:end]}
+		idx, err := sh.buildSegment(seg)
 		if err != nil {
 			return nil, err
 		}
-		// Segments build from contiguous row-range views of the dataset
-		// arena — no per-segment copy of the raw vectors.
-		if err := idx.Build(store.Slice(row, end), ids[row:end]); err != nil {
-			return nil, fmt.Errorf("vdms: building segment %d: %w", s, err)
-		}
+		seg.idx = idx
 		buildWork.Add(idx.BuildStats())
-		inst.sealed = append(inst.sealed, idx)
+		sh.insertSealedLocked(seg)
 		row = end
 	}
-	inst.growing = store.Slice(row, n)
-	inst.growingIDs = ids[row:]
 	inst.segments = numSealed
-	if inst.growing.Rows() > 0 {
+	if growing > 0 {
+		sh.growing, sh.growingIDs = store.Slice(row, n), ids[row:]
 		inst.segments++
 	}
 	inst.extraScanRows = int64(bufRows/2 + flushRows)
-	inst.pendingFraction = (float64(inst.growing.Rows()) + float64(inst.extraScanRows)) / float64(n)
+	inst.pendingFraction = (float64(growing) + float64(inst.extraScanRows)) / float64(n)
 	if inst.pendingFraction > 1 {
 		inst.pendingFraction = 1
 	}
@@ -156,10 +136,10 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	// + hot cache + fixed engine overhead.
 	bytesPerRow := int64(ds.Dim) * 4
 	var mem int64
-	for _, idx := range inst.sealed {
-		mem += idx.MemoryBytes()
+	for _, seg := range sh.sealed {
+		mem += seg.idx.MemoryBytes()
 	}
-	mem += int64(inst.growing.Rows()) * bytesPerRow * 2
+	mem += int64(growing) * bytesPerRow * 2
 	mem += int64(bufRows) * bytesPerRow
 	mem += int64(cfg.CacheRatio * float64(ds.RawBytes()))
 	mem += ds.RawBytes() / 8
@@ -179,20 +159,17 @@ func (in *Instance) MemoryBytes() int64 { return in.memoryBytes }
 // BuildSeconds reports the simulated load + index build time.
 func (in *Instance) BuildSeconds() float64 { return in.buildSeconds }
 
-// Search answers one query: every sealed segment index and the brute-force
-// scan of the growing tail offer their candidates, in that order, into one
-// collector, and the work performed is reported into st (which may be
-// nil).
+// Search answers one query: the shard probe on the one-query tile — every
+// sealed segment's index in seq order, then the brute-force scan of the
+// growing tail, into one collector — with the work performed reported into
+// st (which may be nil).
 func (in *Instance) Search(q []float32, k int, st *index.Stats) []linalg.Neighbor {
-	top := linalg.NewTopK(k)
-	for _, idx := range in.sealed {
-		idx.SearchInto(q, k, in.cfg.Search, st, top)
-	}
-	index.ScanStoreMultiInto(in.ds.Metric, [][]float32{q}, in.growing, in.growingIDs, []*linalg.TopK{top}, st)
+	var ps probeScratch
+	res := in.sh.searchMultiLocked([][]float32{q}, in.sh.metric, k, st, &ps)[0]
 	if st != nil && in.extraScanRows > 0 {
 		// Insert-buffer scan: duplicates recent rows, so it costs work
 		// without changing results.
 		st.Add(index.Stats{DistComps: in.extraScanRows})
 	}
-	return top.Results()
+	return res
 }

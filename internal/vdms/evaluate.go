@@ -31,19 +31,11 @@ type Result struct {
 	FailReason string `json:"fail_reason,omitempty"`
 }
 
-// Evaluate opens the dataset under cfg, replays the full query workload,
-// and returns the measured performance. It is deterministic for a given
+// Evaluate opens the dataset under cfg, replays the full query workload
+// (one worker per CPU; the pool size never shows in the result), and
+// returns the measured performance. It is deterministic for a given
 // (dataset, cfg) pair.
 func Evaluate(ds *workload.Dataset, cfg Config) Result {
-	return EvaluateWorkers(ds, cfg, 0)
-}
-
-// EvaluateWorkers is Evaluate with an explicit replay worker-pool size
-// (<= 0 means one worker per CPU). The result is identical for any value
-// — per-query slots are independent and build parallelism is deterministic
-// — so the knob only trades wall-clock time, which is what the bench
-// harness tunes.
-func EvaluateWorkers(ds *workload.Dataset, cfg Config, workers int) Result {
 	inst, err := Open(ds, cfg)
 	if err != nil {
 		var fe *FailureError
@@ -58,7 +50,7 @@ func EvaluateWorkers(ds *workload.Dataset, cfg Config, workers int) Result {
 	recalls := make([]float64, nq)
 	wait := syncWaitMs(&cfg, inst.pendingFraction)
 
-	parallel.Parallel(workers, nq, func(qi int) {
+	parallel.Parallel(0, nq, func(qi int) {
 		var st index.Stats
 		res := inst.Search(ds.Queries[qi], ds.K, &st)
 		recalls[qi] = ds.Recall(qi, res)

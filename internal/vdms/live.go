@@ -14,29 +14,30 @@ import (
 // Collection is the live (streaming) face of the engine: a thin router
 // over Config.ShardCount independent shards, the way a Milvus-style
 // vector DBMS scales writes by sharding a collection across channels.
-// Each shard (see shard.go) is the full single-lock engine of the
-// pre-sharding design — growing arena, sealing/sealed segment lifecycle,
-// tombstones, compactor, and (when durable) a private snapshot+WAL pair —
-// so inserts, fsyncs, index builds, and compaction passes on different
-// shards never contend on a lock.
+// Each shard (see shard.go) is the full single-lock engine — growing
+// arena, sealed segments (index pending, then indexed), tombstones,
+// compactor, and (when durable) a private snapshot+WAL pair — so inserts,
+// fsyncs, index builds, and compaction passes on different shards never
+// contend on a lock.
 //
 // Routing and determinism:
 //
-//   - ids are assigned by one collection-wide atomic counter and routed to
-//     shardFor(id), a fixed hash — the same id lands on the same shard in
-//     every run and after every recovery;
+//   - ids are assigned by one collection-wide atomic counter and every
+//     batch is split by partition, which routes each id to shardFor(id, S),
+//     a fixed hash — the same id lands on the same shard in every run and
+//     after every recovery;
 //   - Search/SearchBatch scatter per-shard probes over the deterministic
 //     worker pool (a query × shard grid for batches) and merge the
 //     per-shard top-k lists in fixed shard order from a pooled result
-//     grid, so results are bit-identical for any worker count; with
-//     ShardCount=1 the router delegates straight to its single shard,
-//     which is bit-identical to the pre-sharding engine;
+//     grid, so results are bit-identical for any worker count;
+//     ShardCount=1 is the same paths over a set of one, not a fork;
 //   - each shard's parallel phases are themselves deterministic (see
 //     package parallel), so a fixed op sequence yields fixed results.
 //
-// Collection complements Open/Evaluate (the static, simulated-clock path
-// used by the tuner): it is the substrate for wall-clock measurements and
-// for the online-tuning extension.
+// Collection complements Open/Evaluate (the tuner's steady-state model and
+// simulated clock over one read-only shard of this same engine): it is the
+// substrate for wall-clock measurements and for the online-tuning
+// extension.
 type Collection struct {
 	// gen is the published config generation: the active Config plus its
 	// sequence number. Reconfigure swaps it atomically (see reconfig.go);
@@ -86,11 +87,11 @@ type Collection struct {
 	// dataDir is the durable data directory ("" for memory-only).
 	dataDir string
 	// gatherPool recycles scatter-gather working sets (per-worker probe
-	// scratches, the query×shard result grid); insertPool the routed
-	// Insert's partition state. Both keep the steady-state hot paths
-	// allocation-free; see scratch.go.
+	// scratches, the query×shard result grid); partPool the routed writes'
+	// partitions. Both keep the steady-state hot paths allocation-free;
+	// see scratch.go.
 	gatherPool sync.Pool
-	insertPool sync.Pool
+	partPool   sync.Pool
 }
 
 // sealRowsFor derives the rows-per-segment seal threshold from the
@@ -118,16 +119,24 @@ func NewCollection(cfg Config, metric linalg.Metric, dim, expectedRows int) (*Co
 	if expectedRows <= 0 {
 		return nil, fmt.Errorf("vdms: expectedRows must be positive, got %d", expectedRows)
 	}
-	n := cfg.shardCount()
-	perShard := (expectedRows + n - 1) / n
-	sealRows := sealRowsFor(cfg, perShard)
-	c := &Collection{metric: metric, dim: dim, expectedRows: expectedRows, shards: make([]*shard, n)}
+	c := &Collection{metric: metric, dim: dim, expectedRows: expectedRows}
 	g := &configGen{cfg: cfg}
 	c.gen.Store(g)
-	for i := range c.shards {
-		c.shards[i] = newShard(g, metric, dim, sealRows)
-	}
+	c.shards = newShardSet(g, metric, dim, expectedRows)
 	return c, nil
+}
+
+// newShardSet creates the empty shard set of one config generation — a
+// fresh collection's or a migration's target — each of its ShardCount
+// shards budgeting its segments for a 1/ShardCount slice of expectedRows.
+func newShardSet(g *configGen, metric linalg.Metric, dim, expectedRows int) []*shard {
+	n := g.cfg.shardCount()
+	sealRows := sealRowsFor(g.cfg, (expectedRows+n-1)/n)
+	shards := make([]*shard, n)
+	for i := range shards {
+		shards[i] = newShard(g, metric, dim, sealRows)
+	}
+	return shards
 }
 
 // Config returns the collection's active configuration (the newest
@@ -152,12 +161,13 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// shardFor routes an id to its owning shard.
-func (c *Collection) shardFor(id int64) int {
-	if len(c.shards) == 1 {
+// shardFor routes an id to its owning shard in a set of n (an argument: a
+// migration routes into a set that is not yet the collection's).
+func shardFor(id int64, n int) int {
+	if n == 1 {
 		return 0
 	}
-	return int(splitmix64(uint64(id)) % uint64(len(c.shards)))
+	return int(splitmix64(uint64(id)) % uint64(n))
 }
 
 // firstError returns the first non-nil error of a per-shard dispatch, in
@@ -201,78 +211,47 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	}
 	c.router.RLock()
 	defer c.router.RUnlock()
-	if len(c.shards) == 1 {
-		if err := c.shards[0].insert(ids, vecs); err != nil {
-			return nil, err
-		}
-		c.recordInsertDelta(ids, vecs)
-		return ids, nil
-	}
-	// Partition the batch: per-shard id/vector sub-slices in batch order
-	// (ascending ids within each shard), carved out of pooled flat arenas
-	// — count, prefix-sum, then fill — so the routing hash runs once per
-	// row and the partition allocates nothing at steady state. Shards
-	// copy rows into their own arenas, so nothing here outlives the call.
-	is := c.getInsert(n, len(c.shards))
-	for i, id := range ids {
-		s := c.shardFor(id)
-		is.owner[i] = uint8(s)
-		is.counts[s]++
-	}
-	off := 0
-	for s, cnt := range is.counts {
-		is.offs[s] = off
-		is.cur[s] = off
-		off += cnt
-	}
-	for i, id := range ids {
-		s := is.owner[i]
-		is.idsBuf[is.cur[s]] = id
-		is.vecsBuf[is.cur[s]] = vecs[i]
-		is.cur[s]++
-	}
-	for s, cnt := range is.counts {
-		is.parts[s] = is.idsBuf[is.offs[s] : is.offs[s]+cnt]
-		is.partVecs[s] = is.vecsBuf[is.offs[s] : is.offs[s]+cnt]
-	}
-	start := 0
-	if n > 0 {
-		start = int(uint64(base) % uint64(len(c.shards)))
-	}
-	for o := 0; o < len(c.shards); o++ {
-		si := (start + o) % len(c.shards)
-		if len(is.parts[si]) > 0 {
-			is.touched = append(is.touched, si)
-		}
-	}
-	// Every touched shard is applied even if an earlier one fails — the
-	// faithful generalization of the single-lock engine's failure mode
-	// (rows applied in memory, the durability failure surfaced instead of
-	// an acknowledgement, no ids returned). On a durable collection the
-	// sub-batches dispatch in parallel: each shard's WAL commit fsyncs a
-	// different file, so one acknowledgement costs one fsync of wall
-	// time, not shard-count of them. Memory-only inserts stay on the
-	// calling goroutine — their per-shard work is a short arena copy, not
-	// worth a fan-out.
-	errs := is.errs[:len(is.touched)]
-	dispatch := func(i int) {
-		si := is.touched[i]
-		errs[i] = c.shards[si].insert(is.parts[si], is.partVecs[si])
-	}
-	if c.dataDir != "" && len(is.touched) > 1 {
-		parallel.Parallel(len(is.touched), len(is.touched), dispatch)
-	} else {
-		for i := range is.touched {
-			dispatch(i)
-		}
-	}
-	err := firstError(errs)
-	c.putInsert(is)
+	err := c.route(ids, vecs, int(uint64(base)%uint64(len(c.shards))), func(si int, ids []int64, vecs [][]float32) error {
+		return c.shards[si].insert(ids, vecs)
+	})
 	if err != nil {
 		return nil, err
 	}
-	c.recordInsertDelta(ids, vecs)
+	if d := c.delta; d != nil { // an in-flight migration replays it at cutover
+		d.addInserts(ids, vecs)
+	}
 	return ids, nil
+}
+
+// route is the one path of a routed write: the batch is split by owning
+// shard (partition) and apply runs on every shard that received rows,
+// visited from shard `start` round the set. Every touched shard is applied
+// even if an earlier one fails — the faithful generalization of the
+// single-lock engine's failure mode (rows applied in memory, the
+// durability failure surfaced instead of an acknowledgement). On a durable
+// collection the sub-batches dispatch in parallel: each shard's WAL commit
+// fsyncs a different file, so one acknowledgement costs one fsync of wall
+// time, not shard-count of them; memory-only writes are a short arena copy
+// per shard and stay on the calling goroutine. Shards copy what they keep,
+// so the pooled partition goes back when route returns. Callers hold the
+// router read lock.
+func (c *Collection) route(ids []int64, vecs [][]float32, start int, apply func(si int, ids []int64, vecs [][]float32) error) error {
+	p := c.getPartition()
+	defer c.putPartition(p)
+	p.split(ids, vecs, len(c.shards))
+	touched, errs := p.touched(start)
+	run := func(i int) {
+		si := touched[i]
+		errs[i] = apply(si, p.ids[si], p.vecs[si])
+	}
+	if c.dataDir != "" && len(touched) > 1 {
+		parallel.Parallel(len(touched), len(touched), run)
+	} else {
+		for i := range touched {
+			run(i)
+		}
+	}
+	return firstError(errs)
 }
 
 // Flush seals every shard's growing segment (even if partial) and blocks
@@ -284,7 +263,11 @@ func (c *Collection) Flush() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
 	for _, s := range c.shards {
-		s.sealPartial()
+		s.mu.Lock()
+		if s.growingRowsLocked() > 0 {
+			s.sealLocked()
+		}
+		s.mu.Unlock()
 	}
 	var syncErr error
 	for _, s := range c.shards {
@@ -390,8 +373,8 @@ func (c *Collection) queryTileSize(q, s int) int {
 }
 
 // SearchBatch is the collection's one search entry: it answers queries[i]
-// into result slot i from every segment state — indexed sealed segments,
-// in-flight sealing segments (scanned exactly), and the growing tails. It
+// into result slot i from every segment state — sealed segments, indexed
+// or (while a build is in flight) scanned exactly, and the growing tails. It
 // scatters a (shard × query-tile) probe grid across a worker pool sized by
 // the configured queryNode parallelism — both axes feed the same worker
 // budget, so a single query on many shards and many queries on one shard
@@ -527,7 +510,7 @@ type CollectionStats struct {
 	GrowingRows int
 	MemoryBytes int64
 	// Tombstones is the number of deleted ids still physically present
-	// in sealed/sealing data — the search over-fetch margin. Compaction
+	// in sealed data — the search over-fetch margin. Compaction
 	// drives it back toward zero.
 	Tombstones int
 	// CompactionPasses counts completed compactor passes;
@@ -634,39 +617,31 @@ func (c *Collection) Close() error {
 // SampleVectors returns up to n of the collection's live vectors (copies,
 // in routing order), for callers that need a representative sample of the
 // stored distribution — the online tuning daemon builds its evaluation
-// window from it. Angular collections return the normalized rows the
-// engine stores.
+// window from it. n arrives from the wire, so it is bounded by the live
+// rows before it sizes anything. Angular collections return the normalized
+// rows the engine stores.
 func (c *Collection) SampleVectors(n int) [][]float32 {
-	if n <= 0 {
-		return nil
-	}
 	c.router.RLock()
 	defer c.router.RUnlock()
 	c.rlockAll()
 	defer c.runlockAll()
+	var rows int64
+	for _, s := range c.shards {
+		rows += s.rows
+	}
+	if int64(n) > rows {
+		n = int(rows)
+	}
+	if n <= 0 {
+		return nil
+	}
 	out := make([][]float32, 0, n)
 	for _, s := range c.shards {
-		appendRows := func(store *linalg.Matrix, ids []int64) {
-			for i := range ids {
-				if len(out) >= n {
-					return
-				}
-				if _, dead := s.tombstones[ids[i]]; dead {
-					continue
-				}
-				out = append(out, linalg.Clone(store.Row(i)))
-			}
-		}
-		for _, seg := range s.sealed {
-			appendRows(seg.store, seg.ids)
-		}
-		for _, seg := range s.sealing {
-			appendRows(seg.store, seg.ids)
-		}
-		if s.growingRowsLocked() > 0 {
-			appendRows(s.growing, s.growingIDs)
-		}
-		if len(out) >= n {
+		s.forEachLiveRowLocked(func(_ int64, row []float32, _ bool) bool {
+			out = append(out, linalg.Clone(row))
+			return len(out) < n
+		})
+		if len(out) == n {
 			break
 		}
 	}

@@ -200,11 +200,12 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 		s.growing = snap.Growing
 		s.growingIDs = snap.GrowingIDs
 	}
-	for i := range snap.Segments {
-		seg := &snap.Segments[i]
-		s.landSegmentLocked(buildSegment(*s.config(), s.metric, s.dim, seg.Store, seg.IDs, seg.Seq))
-		if seg.Seq >= s.sealSeq {
-			s.sealSeq = seg.Seq + 1
+	for _, sn := range snap.Segments {
+		seg := &sealedSegment{seq: sn.Seq, store: sn.Store, ids: sn.IDs}
+		s.insertSealedLocked(seg)
+		s.buildSegmentLocked(seg)
+		if seg.seq >= s.sealSeq {
+			s.sealSeq = seg.seq + 1
 		}
 	}
 	return nil
@@ -248,13 +249,9 @@ func (s *shard) replayFlush(seq int64) {
 	if seq >= s.sealSeq {
 		s.sealSeq = seq + 1
 	}
-	if s.growingRowsLocked() == 0 {
-		return
+	if s.growingRowsLocked() > 0 {
+		s.buildSegmentLocked(s.sealGrowingLocked(seq))
 	}
-	index.SortRowsByID(s.growing, s.growingIDs)
-	store, ids := s.growing, s.growingIDs
-	s.growing, s.growingIDs = nil, nil
-	s.landSegmentLocked(buildSegment(*s.config(), s.metric, s.dim, store, ids, seq))
 }
 
 // replayCompactCommit replays one committed compaction task: rebuild the
@@ -295,7 +292,7 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 		return fmt.Errorf("vdms: WAL replay: compaction commit lists %d surviving ids, sources hold %d of them", len(op.LiveIDs), len(in.ids))
 	}
 	index.SortRowsByID(in.store, in.ids)
-	seg, err := buildCompacted(*s.config(), s.metric, s.dim, in, op.Seq)
+	seg, err := s.buildCompacted(in, op.Seq)
 	if err != nil {
 		// Mirror the live engine: sources stay, excluded from future plans.
 		s.buildErrOnce.Do(func() { s.buildErr = err })
@@ -316,9 +313,9 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 	return nil
 }
 
-// snapshotLocked captures the shard's full durable state. Sealed and
-// sealing stores are immutable, so the snapshot references them directly;
-// the growing tail is mutable and gets copied. Callers hold s.mu.
+// snapshotLocked captures the shard's full durable state. Sealed stores
+// are immutable, so the snapshot references them directly; the growing
+// tail is mutable and gets copied. Callers hold s.mu.
 func (s *shard) snapshotLocked() *persist.Snapshot {
 	cfg := s.config()
 	snap := &persist.Snapshot{
@@ -339,15 +336,11 @@ func (s *shard) snapshotLocked() *persist.Snapshot {
 	if s.wal != nil {
 		snap.CheckpointLSN = s.wal.LastLSN()
 	}
+	// In-flight builds are not waited for: every segment snapshots as its
+	// rows + seq, and recovery rebuilds the identical index.
 	for _, seg := range s.sealed {
 		snap.Segments = append(snap.Segments, persist.SnapSegment{Seq: seg.seq, IDs: seg.ids, Store: seg.store})
 	}
-	// In-flight builds are not waited for: a sealing segment snapshots as
-	// its rows + seq, and recovery rebuilds the identical index.
-	for _, seg := range s.sealing {
-		snap.Segments = append(snap.Segments, persist.SnapSegment{Seq: seg.seq, IDs: seg.ids, Store: seg.store})
-	}
-	sort.Slice(snap.Segments, func(i, j int) bool { return snap.Segments[i].Seq < snap.Segments[j].Seq })
 	if n := s.growingRowsLocked(); n > 0 {
 		g := linalg.NewMatrix(s.dim, n)
 		for i := 0; i < n; i++ {

@@ -23,8 +23,8 @@ import (
 // physical layout, so they take effect via a migration:
 //
 //  1. capture (router write lock): the tombstone-filtered (id, vector)
-//     content of every shard is captured — sealed and sealing arenas by
-//     reference (immutable), the growing tails by copy — and a delta
+//     content of every shard is captured — sealed arenas by reference
+//     (immutable), the growing tails by copy — and a delta
 //     starts recording every write that lands from here on;
 //  2. build (off every lock): the rows are fed, in ascending id order,
 //     through the new configuration's routing into a freshly built shard
@@ -99,15 +99,6 @@ func (d *migrationDelta) addDeletes(ids []int64) {
 	d.mu.Lock()
 	d.deletes = append(d.deletes, ids...)
 	d.mu.Unlock()
-}
-
-// recordInsertDelta forwards an acknowledged insert to the in-flight
-// migration's delta, if one exists. Callers hold the router read lock,
-// under which c.delta is stable.
-func (c *Collection) recordInsertDelta(ids []int64, vecs [][]float32) {
-	if d := c.delta; d != nil {
-		d.addInserts(ids, vecs)
-	}
 }
 
 // SetReconfigureHook installs a hook called before each named migration
@@ -196,7 +187,7 @@ func (p *idRowSorter) Swap(i, j int) {
 }
 
 // captureLocked gathers the collection's live (id, vector) content in
-// ascending id order: sealed/sealing rows by reference (their arenas are
+// ascending id order: sealed rows by reference (their arenas are
 // immutable), growing rows by copy (those arenas mutate in place).
 // Callers hold the router write lock; each shard's lock is taken for
 // reading against its background builders and compactors.
@@ -205,28 +196,14 @@ func (c *Collection) captureLocked() ([]int64, [][]float32) {
 	var rows [][]float32
 	for _, s := range c.shards {
 		s.mu.RLock()
-		collect := func(store *linalg.Matrix, segIDs []int64, copyRows bool) {
-			for i, id := range segIDs {
-				if _, dead := s.tombstones[id]; dead {
-					continue
-				}
-				r := store.Row(i)
-				if copyRows {
-					r = linalg.Clone(r)
-				}
-				ids = append(ids, id)
-				rows = append(rows, r)
+		s.forEachLiveRowLocked(func(id int64, row []float32, growing bool) bool {
+			if growing {
+				row = linalg.Clone(row)
 			}
-		}
-		for _, seg := range s.sealed {
-			collect(seg.store, seg.ids, false)
-		}
-		for _, seg := range s.sealing {
-			collect(seg.store, seg.ids, false)
-		}
-		if s.growingRowsLocked() > 0 {
-			collect(s.growing, s.growingIDs, true)
-		}
+			ids = append(ids, id)
+			rows = append(rows, row)
+			return true
+		})
 		s.mu.RUnlock()
 	}
 	sort.Sort(&idRowSorter{ids: ids, rows: rows})
@@ -242,15 +219,7 @@ func (s *shard) migrateRows(ids []int64, rows [][]float32) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i, v := range rows {
-		if s.growing == nil {
-			s.growing = linalg.NewMatrix(s.dim, s.sealRows)
-		}
-		s.growing.AppendRow(v)
-		s.growingIDs = append(s.growingIDs, ids[i])
-		s.rows++
-		if ids[i] >= s.nextID {
-			s.nextID = ids[i] + 1
-		}
+		s.appendGrowingLocked(ids[i], v)
 		if s.growing.Rows() >= s.sealRows {
 			s.sealLocked()
 		}
@@ -265,13 +234,17 @@ func (s *shard) migrateRows(ids []int64, rows [][]float32) {
 // failures model a process kill faithfully.
 func (c *Collection) abortMigration(newShards []*shard) {
 	c.router.Lock()
+	c.abortMigrationLocked(newShards)
+}
+
+// abortMigrationLocked is abortMigration for a caller already holding the
+// router write lock (the cutover); it releases the lock.
+func (c *Collection) abortMigrationLocked(newShards []*shard) {
 	c.delta = nil
 	c.migrating.Store(false)
 	c.router.Unlock()
 	for _, s := range newShards {
-		if s != nil {
-			s.crash()
-		}
+		s.crash()
 	}
 }
 
@@ -294,13 +267,10 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	}
 	oldGen := c.gen.Load()
 	capIDs, capRows := c.captureLocked()
-	noAutoCkpt := false
-	if len(c.shards) > 0 {
-		s0 := c.shards[0]
-		s0.mu.RLock()
-		noAutoCkpt = s0.noAutoCkpt
-		s0.mu.RUnlock()
-	}
+	s0 := c.shards[0]
+	s0.mu.RLock()
+	noAutoCkpt := s0.noAutoCkpt
+	s0.mu.RUnlock()
 	c.delta = &migrationDelta{}
 	c.migrating.Store(true)
 	c.router.Unlock()
@@ -311,30 +281,18 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		c.abortMigration(nil)
 		return 0, err
 	}
-	n := cfg.shardCount()
-	perShard := (c.expectedRows + n - 1) / n
-	sealRows := sealRowsFor(cfg, perShard)
 	newGen := &configGen{seq: oldGen.seq + 1, cfg: cfg}
-	newShards := make([]*shard, n)
-	for i := range newShards {
-		newShards[i] = newShard(newGen, c.metric, c.dim, sealRows)
-		newShards[i].noAutoCkpt = noAutoCkpt
+	newShards := newShardSet(newGen, c.metric, c.dim, c.expectedRows)
+	n := len(newShards)
+	for _, s := range newShards {
+		s.noAutoCkpt = noAutoCkpt
 	}
-	route := func(id int64) int {
-		if n == 1 {
-			return 0
-		}
-		return int(splitmix64(uint64(id)) % uint64(n))
-	}
-	partIDs := make([][]int64, n)
-	partRows := make([][][]float32, n)
-	for i, id := range capIDs {
-		si := route(id)
-		partIDs[si] = append(partIDs[si], id)
-		partRows[si] = append(partRows[si], capRows[i])
-	}
+	// One partition serves the whole migration, split by split: the
+	// captured rows here, then each delta batch at cutover.
+	var p partition
+	p.split(capIDs, capRows, n)
 	parallel.Parallel(cfg.Parallelism, n, func(i int) {
-		newShards[i].migrateRows(partIDs[i], partRows[i])
+		newShards[i].migrateRows(p.ids[i], p.vecs[i])
 	})
 
 	// Wait out the index builds so a build failure aborts the migration
@@ -398,12 +356,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	}
 	c.router.Lock()
 	abortLocked := func(err error) (uint64, error) {
-		c.delta = nil
-		c.migrating.Store(false)
-		c.router.Unlock()
-		for _, s := range newShards {
-			s.crash()
-		}
+		c.abortMigrationLocked(newShards)
 		return 0, err
 	}
 	if c.closed.Load() {
@@ -419,35 +372,23 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		return abortLocked(err)
 	}
 	for _, b := range delta.batches {
-		bp := make([][]int64, n)
-		bv := make([][][]float32, n)
-		for i, id := range b.ids {
-			si := route(id)
-			bp[si] = append(bp[si], id)
-			bv[si] = append(bv[si], b.vecs[i])
-		}
-		for si := range bp {
-			if len(bp[si]) == 0 {
+		p.split(b.ids, b.vecs, n)
+		for si, part := range p.ids {
+			if len(part) == 0 {
 				continue
 			}
-			if err := newShards[si].insert(bp[si], bv[si]); err != nil {
+			if err := newShards[si].insert(part, p.vecs[si]); err != nil {
 				return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 			}
 		}
 	}
-	if len(delta.deletes) > 0 {
-		dp := make([][]int64, n)
-		for _, id := range delta.deletes {
-			si := route(id)
-			dp[si] = append(dp[si], id)
+	p.split(delta.deletes, nil, n)
+	for si, part := range p.ids {
+		if len(part) == 0 {
+			continue
 		}
-		for si := range dp {
-			if len(dp[si]) == 0 {
-				continue
-			}
-			if _, err := newShards[si].delete(dp[si], nil); err != nil {
-				return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
-			}
+		if _, err := newShards[si].delete(part, nil); err != nil {
+			return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 		}
 	}
 

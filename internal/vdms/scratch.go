@@ -7,6 +7,16 @@ import (
 	"vdtuner/internal/linalg"
 )
 
+// grow returns s resized to n elements, reusing its array when it is large
+// enough (holding whatever the last use left: callers overwrite or clear).
+// Every pooled buffer below grows to its high-water mark through it.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // probeScratch is one scatter-gather worker's reusable state for probing a
 // single shard with a query tile (searchMultiLocked). One worker owns one
 // probeScratch for a whole fan-out and probes one (shard × query-tile)
@@ -36,15 +46,9 @@ func (ps *probeScratch) ensureMulti(qn, fetch int) {
 		copy(mtops, ps.mtops) // keep the warmed heap arrays
 		ps.mtops = mtops
 	}
-	if qn > cap(ps.mtopPtr) {
-		ps.mtopPtr = make([]*linalg.TopK, qn)
-		ps.mouts = make([][]linalg.Neighbor, qn)
-	}
-	ps.mtopPtr = ps.mtopPtr[:qn]
-	ps.mouts = ps.mouts[:qn]
-	if cap(ps.moutBuf) < qn*fetch {
-		ps.moutBuf = make([]linalg.Neighbor, qn*fetch)
-	}
+	ps.mtopPtr = grow(ps.mtopPtr, qn)
+	ps.mouts = grow(ps.mouts, qn)
+	ps.moutBuf = grow(ps.moutBuf, qn*fetch)
 }
 
 // gatherScratch is the working set of one scatter-gather call
@@ -88,25 +92,11 @@ func (c *Collection) getGather(q, s, k, workers, tiles int) *gatherScratch {
 		g.probes = probes
 	}
 	cells := q * s
-	if cap(g.cells) < cells*k {
-		g.cells = make([]linalg.Neighbor, cells*k)
-	}
-	g.cells = g.cells[:cells*k]
-	if cap(g.cellLen) < cells {
-		g.cellLen = make([]int32, cells)
-	}
-	g.cellLen = g.cellLen[:cells]
-	if cap(g.stats) < cells {
-		g.stats = make([]index.Stats, cells)
-	}
-	g.stats = g.stats[:cells]
-	for i := range g.stats {
-		g.stats[i] = index.Stats{}
-	}
-	if cap(g.pending) < tiles {
-		g.pending = make([]atomic.Int32, tiles)
-	}
-	g.pending = g.pending[:tiles]
+	g.cells = grow(g.cells, cells*k)
+	g.cellLen = grow(g.cellLen, cells)
+	g.stats = grow(g.stats, cells)
+	clear(g.stats)
+	g.pending = grow(g.pending, tiles)
 	for i := range g.pending {
 		g.pending[i].Store(int32(s))
 	}
@@ -115,69 +105,88 @@ func (c *Collection) getGather(q, s, k, workers, tiles int) *gatherScratch {
 
 func (c *Collection) putGather(g *gatherScratch) { c.gatherPool.Put(g) }
 
-// insertScratch is the pooled partition state of a routed Insert: the
-// routing pass (owner, counts, cursors) and the per-shard sub-batch views
-// carved out of two flat arenas. Nothing here survives the call — shards
-// copy rows into their arenas and the WAL frames its own bytes — so the
-// buffers are safe to reuse; the vector pointers are cleared on put so a
-// pooled scratch does not pin the caller's last batch.
-type insertScratch struct {
-	owner    []uint8
-	counts   []int
-	offs     []int
-	cur      []int
-	idsBuf   []int64
-	vecsBuf  [][]float32
-	parts    [][]int64
-	partVecs [][][]float32
-	touched  []int
-	errs     []error
+// partition is the router's one batch split — Insert, Delete and every
+// stage of a migration go through it: ids, with their vectors when the
+// batch carries any, grouped by owning shard, batch order kept inside every
+// shard. The routing hash runs once per row (count, prefix-sum, fill) and
+// the per-shard views are carved out of flat arenas that grow to the
+// high-water mark, so a pooled partition allocates nothing at steady state.
+// Nothing here outlives the call that split — shards copy rows into their
+// arenas and the WAL frames its own bytes — so the buffers are reusable.
+type partition struct {
+	owner   []uint8
+	cur     []int
+	idsBuf  []int64
+	vecsBuf [][]float32
+	// ids[s] and vecs[s] are shard s's sub-batch (vecs[s] is nil for a
+	// batch without vectors).
+	ids  [][]int64
+	vecs [][][]float32
+	// order lists the shards a dispatch visits (see touched); errs has a
+	// slot per shard for its outcome.
+	order []int
+	errs  []error
 }
 
-// getInsert checks an insert scratch out of the pool, sized for an n-row
-// batch across s shards. counts come back zeroed; everything else is
-// length-set and overwritten by the partition passes.
-func (c *Collection) getInsert(n, s int) *insertScratch {
-	is, _ := c.insertPool.Get().(*insertScratch)
-	if is == nil {
-		is = &insertScratch{}
+// split partitions the batch across a set of `shards` shards by shardFor.
+// vecs is nil for a batch of bare ids (deletes).
+func (p *partition) split(ids []int64, vecs [][]float32, shards int) {
+	n := len(ids)
+	p.owner, p.idsBuf, p.vecsBuf = grow(p.owner, n), grow(p.idsBuf, n), grow(p.vecsBuf, n)
+	p.cur, p.ids, p.vecs = grow(p.cur, shards), grow(p.ids, shards), grow(p.vecs, shards)
+	p.order, p.errs = grow(p.order, shards), grow(p.errs, shards)
+	clear(p.cur)
+	for i, id := range ids {
+		s := shardFor(id, shards)
+		p.owner[i] = uint8(s)
+		p.cur[s]++
 	}
-	if cap(is.owner) < n {
-		is.owner = make([]uint8, n)
-		is.idsBuf = make([]int64, n)
-		is.vecsBuf = make([][]float32, n)
+	off := 0
+	for s, cnt := range p.cur {
+		p.cur[s] = off
+		off += cnt
 	}
-	is.owner = is.owner[:n]
-	is.idsBuf = is.idsBuf[:n]
-	is.vecsBuf = is.vecsBuf[:n]
-	if cap(is.counts) < s {
-		is.counts = make([]int, s)
-		is.offs = make([]int, s)
-		is.cur = make([]int, s)
-		is.parts = make([][]int64, s)
-		is.partVecs = make([][][]float32, s)
-		is.touched = make([]int, 0, s)
-		is.errs = make([]error, s)
+	for i, id := range ids {
+		at := p.cur[p.owner[i]]
+		p.idsBuf[at] = id
+		if vecs != nil {
+			p.vecsBuf[at] = vecs[i]
+		}
+		p.cur[p.owner[i]] = at + 1
 	}
-	is.counts = is.counts[:s]
-	for i := range is.counts {
-		is.counts[i] = 0
+	lo := 0
+	for s, hi := range p.cur { // cur[s] is now one past shard s's run
+		p.ids[s], p.vecs[s] = p.idsBuf[lo:hi], nil
+		if vecs != nil {
+			p.vecs[s] = p.vecsBuf[lo:hi]
+		}
+		lo = hi
 	}
-	is.offs = is.offs[:s]
-	is.cur = is.cur[:s]
-	is.parts = is.parts[:s]
-	is.partVecs = is.partVecs[:s]
-	is.touched = is.touched[:0]
-	is.errs = is.errs[:s]
-	return is
 }
 
-func (c *Collection) putInsert(is *insertScratch) {
-	for i := range is.vecsBuf {
-		is.vecsBuf[i] = nil
+// touched lists the shards that received rows, visited from shard `start`
+// round the set, and returns it with one error slot per listed shard.
+func (p *partition) touched(start int) ([]int, []error) {
+	p.order = p.order[:0]
+	for o := range p.ids {
+		if s := (start + o) % len(p.ids); len(p.ids[s]) > 0 {
+			p.order = append(p.order, s)
+		}
 	}
-	for i := range is.errs {
-		is.errs[i] = nil
+	return p.order, p.errs[:len(p.order)]
+}
+
+func (c *Collection) getPartition() *partition {
+	if p, _ := c.partPool.Get().(*partition); p != nil {
+		return p
 	}
-	c.insertPool.Put(is)
+	return &partition{}
+}
+
+// putPartition returns p to the pool, cleared of what would pin the
+// caller's last batch.
+func (c *Collection) putPartition(p *partition) {
+	clear(p.vecsBuf[:cap(p.vecsBuf)])
+	clear(p.errs[:cap(p.errs)])
+	c.partPool.Put(p)
 }

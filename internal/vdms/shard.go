@@ -11,12 +11,13 @@ import (
 	"vdtuner/internal/persist"
 )
 
-// shard is one independently locked slice of a live collection: a growing
-// arena, sealing/sealed segments, a tombstone set, a compactor, and (when
-// durable) a private snapshot+WAL pair. It is the pre-sharding Collection
-// engine verbatim — same lifecycle, same determinism guarantees — behind a
-// lowercase door: the Collection router owns N of these, routes writes to
-// them by id hash, and fans reads out across all of them (see live.go).
+// shard is the engine: a growing arena, sealed segments (growing → sealed,
+// index pending → sealed, indexed → compacted), a tombstone set, a
+// compactor, and (when durable) a private snapshot+WAL pair. Segments are
+// built by buildSegment and the shard is probed by searchMultiLocked,
+// whoever owns it: the Collection router owns N, routes writes to them by
+// id hash and fans reads out across all of them (see live.go); the tuner's
+// Instance models one that is never written after Open (see engine.go).
 // Nothing a shard does ever takes another shard's lock, which is the whole
 // point: an insert, fsync, index build, or compaction pass on one shard
 // proceeds while every other shard keeps serving.
@@ -47,16 +48,15 @@ type shard struct {
 	// the first insert after a seal); growingIDs are its row ids.
 	growing    *linalg.Matrix
 	growingIDs []int64
-	// sealing holds segments whose index build is in flight; they are
-	// scanned exactly until the build lands.
-	sealing []*sealingSegment
-	// sealed holds indexed segments, kept sorted by seq so iteration
-	// order (and therefore planning and merging) is deterministic no
-	// matter when each background build happened to land.
+	// sealed holds every sealed segment from the moment it seals, kept
+	// sorted by seq so iteration order (and therefore planning and
+	// merging) is deterministic no matter when each background build
+	// happened to land. A segment whose build is still in flight has a nil
+	// idx and is scanned exactly until the index lands.
 	sealed  []*sealedSegment
 	sealSeq int64
 	// tombstones holds deleted ids that are still physically present in
-	// sealed or sealing data; they are filtered from every search (see
+	// sealed data; they are filtered from every search (see
 	// delete.go) and garbage-collected when compaction drops the rows.
 	// Deleted growing rows are removed physically at once and never
 	// linger here, so len(tombstones) — the search over-fetch margin —
@@ -95,15 +95,11 @@ type shard struct {
 	buildErr     error
 }
 
-type sealingSegment struct {
-	seq   int64
-	store *linalg.Matrix
-	ids   []int64
-}
-
-// sealedSegment is one indexed segment. The raw row arena is retained next
+// sealedSegment is one sealed segment. The raw row arena is retained next
 // to the built index (the analogue of Milvus keeping segment binlogs): it
-// is what compaction rewrites. ids are ascending.
+// is what compaction rewrites, and what searches scan while idx is nil
+// (the build is in flight; it lands under the shard lock, once). ids are
+// ascending.
 type sealedSegment struct {
 	seq   int64
 	store *linalg.Matrix
@@ -203,13 +199,19 @@ func (s *shard) insert(ids []int64, vecs [][]float32) error {
 // the shared core of insert and WAL replay. Angular inputs are normalized
 // in place on their arena row (no temporary copy). Callers hold s.mu.
 func (s *shard) applyInsertRowLocked(id int64, v []float32) {
+	s.appendGrowingLocked(id, v)
+	if s.metric == linalg.Angular {
+		linalg.Normalize(s.growing.Row(s.growing.Rows() - 1))
+	}
+}
+
+// appendGrowingLocked appends one row to the growing arena exactly as
+// given. Callers hold s.mu.
+func (s *shard) appendGrowingLocked(id int64, v []float32) {
 	if s.growing == nil {
 		s.growing = linalg.NewMatrix(s.dim, s.sealRows)
 	}
 	s.growing.AppendRow(v)
-	if s.metric == linalg.Angular {
-		linalg.Normalize(s.growing.Row(s.growing.Rows() - 1))
-	}
 	s.growingIDs = append(s.growingIDs, id)
 	s.rows++
 	if id >= s.nextID {
@@ -226,14 +228,9 @@ func (s *shard) growingRowsLocked() int {
 	return s.growing.Rows()
 }
 
-// sealLocked moves the growing segment into the sealing state and starts
-// its background index build. Callers hold s.mu.
+// sealLocked seals the growing segment and starts its background index
+// build. Callers hold s.mu.
 func (s *shard) sealLocked() {
-	// Canonical row order: growing rows are normally already ascending by
-	// id, but rows requeued by a failed build (or landed by interleaved
-	// concurrent batches) may not be; sorting here keeps the
-	// sealed-segment invariant (ids ascending) unconditionally.
-	index.SortRowsByID(s.growing, s.growingIDs)
 	seq := s.sealSeq
 	s.sealSeq++
 	if s.wal != nil {
@@ -245,64 +242,89 @@ func (s *shard) sealLocked() {
 			s.buildErrOnce.Do(func() { s.buildErr = err })
 		}
 	}
-	seg := &sealingSegment{seq: seq, store: s.growing, ids: s.growingIDs}
-	s.growing = nil
-	s.growingIDs = nil
-	s.sealing = append(s.sealing, seg)
-
+	seg := s.sealGrowingLocked(seq)
 	s.builds.Add(1)
 	go func() {
 		defer s.builds.Done()
-		built, err := buildSegment(*s.config(), s.metric, s.dim, seg.store, seg.ids, seq)
+		idx, err := s.buildSegment(seg)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		// Remove seg from the sealing list regardless of outcome.
-		for i, sl := range s.sealing {
-			if sl == seg {
-				s.sealing = append(s.sealing[:i], s.sealing[i+1:]...)
-				break
-			}
-		}
-		s.landSegmentLocked(built, err)
+		s.landSegmentLocked(seg, idx, err)
 		if err == nil {
 			s.maybeCompactLocked()
 		}
 	}()
 }
 
-// buildSegment builds the index over one segment's rows. Sealing,
-// compaction and crash recovery all build through it (and through
-// newSegmentIndex's seed derivation), which is what makes a recovered or
-// migrated segment bit-identical to the one the live engine built. It
-// takes no lock. On failure the returned segment carries the rows and no
-// index.
-func buildSegment(cfg Config, metric linalg.Metric, dim int, store *linalg.Matrix, ids []int64, seq int64) (*sealedSegment, error) {
+// sealGrowingLocked is the seal step, shared by live seals and WAL replay:
+// the growing rows become segment seq of s.sealed, index pending, and the
+// growing tail starts over. Callers hold s.mu.
+func (s *shard) sealGrowingLocked(seq int64) *sealedSegment {
+	// Canonical row order: growing rows are normally already ascending by
+	// id, but rows requeued by a failed build (or landed by interleaved
+	// concurrent batches) may not be; sorting here keeps the
+	// sealed-segment invariant (ids ascending) unconditionally.
+	index.SortRowsByID(s.growing, s.growingIDs)
+	seg := &sealedSegment{seq: seq, store: s.growing, ids: s.growingIDs}
+	s.growing, s.growingIDs = nil, nil
+	s.insertSealedLocked(seg)
+	return seg
+}
+
+// newSegmentIndex constructs the (unbuilt) index for segment seq: the build
+// seed is derived from the configuration seed and the sequence number, and
+// the build worker pool is sized by the queryNode parallelism (builds are
+// deterministic for any value, see package parallel).
+func newSegmentIndex(cfg *Config, m linalg.Metric, dim int, seq int64) (index.Index, error) {
+	bp := cfg.Build
+	bp.Seed += seq * 7919
+	bp.Workers = cfg.Parallelism
+	return index.New(cfg.IndexType, m, dim, bp)
+}
+
+// buildSegment builds the index over one segment's rows — the only place
+// in the package an index is constructed or built. Bulk load (Open),
+// sealing, compaction, migration and crash recovery all come through here
+// and through newSegmentIndex's seed derivation, which is what makes a
+// recovered or migrated segment bit-identical to the one the live engine
+// built, and the tuner's segments the served ones. It takes no lock and
+// leaves seg alone: landSegmentLocked publishes the index under the lock.
+func (s *shard) buildSegment(seg *sealedSegment) (index.Index, error) {
+	metric := s.metric
 	if metric == linalg.Angular {
 		metric = linalg.L2 // inputs were normalized on insert
 	}
-	seg := &sealedSegment{seq: seq, store: store, ids: ids}
-	idx, err := newSegmentIndex(cfg, metric, dim, seq)
-	if err == nil {
-		err = idx.Build(store, ids)
+	idx, err := newSegmentIndex(s.config(), metric, s.dim, seg.seq)
+	if err != nil {
+		return nil, err
 	}
-	if err == nil {
-		seg.idx = idx
+	if err := idx.Build(seg.store, seg.ids); err != nil {
+		return nil, fmt.Errorf("vdms: building segment %d: %w", seg.seq, err)
 	}
-	return seg, err
+	return idx, nil
 }
 
-// landSegmentLocked takes what buildSegment returned for a sealing (or
-// recovered) segment: a built segment joins the sealed list; after a
-// failed build the error is recorded and the rows go back into the growing
-// tail so they stay searchable. Rows tombstoned while the build was in
-// flight are dropped on that path (growing data is mutable), and their
-// tombstones are no longer needed. Callers hold s.mu.
-func (s *shard) landSegmentLocked(seg *sealedSegment, err error) {
+// buildSegmentLocked builds and lands seg synchronously — recovery's form
+// of a seal, run in log order before the shard is shared.
+func (s *shard) buildSegmentLocked(seg *sealedSegment) {
+	idx, err := s.buildSegment(seg)
+	s.landSegmentLocked(seg, idx, err)
+}
+
+// landSegmentLocked takes what buildSegment returned for seg, an
+// index-pending entry of s.sealed: a built index is published on it; after
+// a failed build the error is recorded, the segment leaves the list and
+// its rows go back into the growing tail so they stay searchable. Rows
+// tombstoned while the build was in flight are dropped on that path
+// (growing data is mutable), and their tombstones are no longer needed.
+// Callers hold s.mu.
+func (s *shard) landSegmentLocked(seg *sealedSegment, idx index.Index, err error) {
 	if err == nil {
-		s.insertSealedLocked(seg)
+		seg.idx = idx
 		return
 	}
 	s.buildErrOnce.Do(func() { s.buildErr = err })
+	s.removeSealedLocked([]*sealedSegment{seg})
 	for i, id := range seg.ids {
 		if _, dead := s.tombstones[id]; dead {
 			delete(s.tombstones, id)
@@ -316,8 +338,9 @@ func (s *shard) landSegmentLocked(seg *sealedSegment, err error) {
 	}
 }
 
-// insertSealedLocked places a freshly built seg into s.sealed keeping seq
-// order, counting the rows deletes tombstoned while it was being built.
+// insertSealedLocked places seg into s.sealed keeping seq order, counting
+// the rows already tombstoned (a recovered segment's, or a compaction
+// replacement's whose rows were deleted while it was being built).
 func (s *shard) insertSealedLocked(seg *sealedSegment) {
 	for _, id := range seg.ids {
 		if _, dead := s.tombstones[id]; dead {
@@ -340,45 +363,55 @@ func containsSorted(ids []int64, id int64) bool {
 	return i < n && ids[i] == id
 }
 
-// locateLocked reports where id currently lives among the immutable
-// segment states: the sealed segment containing it (nil when it is in a
-// sealing segment) and whether it was found at all. Sealed and sealing
-// segments keep their ids ascending (sealLocked sorts), so each probe is
-// a binary search. Growing data is NOT consulted — its ids can be
-// unsorted after a failed-build requeue; callers that need growing
-// membership build a set (see delete.go). Callers hold s.mu.
-func (s *shard) locateLocked(id int64) (*sealedSegment, bool) {
+// locateLocked returns the sealed segment (indexed or index-pending)
+// holding id, or nil. Sealed segments keep their ids ascending (the seal
+// step sorts), so each probe is a binary search. Growing data is NOT
+// consulted — its ids can be unsorted after a failed-build requeue; callers
+// that need growing membership build a set (see delete.go). Callers hold
+// s.mu.
+func (s *shard) locateLocked(id int64) *sealedSegment {
 	for _, seg := range s.sealed {
 		if containsSorted(seg.ids, id) {
-			return seg, true
+			return seg
 		}
 	}
-	for _, seg := range s.sealing {
-		if containsSorted(seg.ids, id) {
-			return nil, true
+	return nil
+}
+
+// forEachLiveRowLocked visits the shard's live rows — sealed segments in
+// seq order, then the growing tail, tombstoned rows skipped — until visit
+// returns false. Sealed rows are immutable and may be kept by reference;
+// growing marks a row of the mutable tail, which must be copied to be
+// kept. Callers hold s.mu (read side suffices).
+func (s *shard) forEachLiveRowLocked(visit func(id int64, row []float32, growing bool) bool) {
+	walk := func(store *linalg.Matrix, ids []int64, growing bool) bool {
+		for i, id := range ids {
+			if _, dead := s.tombstones[id]; dead {
+				continue
+			}
+			if !visit(id, store.Row(i), growing) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, seg := range s.sealed {
+		if !walk(seg.store, seg.ids, false) {
+			return
 		}
 	}
-	return nil, false
+	walk(s.growing, s.growingIDs, true)
 }
 
-// sealPartial seals a non-empty growing segment (Flush's first phase).
-func (s *shard) sealPartial() {
-	s.mu.Lock()
-	if s.growingRowsLocked() > 0 {
-		s.sealLocked()
-	}
-	s.mu.Unlock()
-}
-
-// searchMultiLocked is the shard's one probe: it answers a tile of
-// already-normalized queries against the current segment states — indexed
-// sealed segments, in-flight sealing segments (scanned exactly), and the
-// growing tail. Each segment is visited once and scored against the whole
+// searchMultiLocked is the engine's one probe: it answers a tile of
+// already-normalized queries against the current segment states — sealed
+// segments (through their index, or by exact scan while it is pending) and
+// the growing tail. Each segment is visited once and scored against the whole
 // tile with the multi-query blocked kernels (SearchMultiInto /
 // ScanStoreMultiInto), so sealed arenas and scan tails stream from memory
 // once per tile, not once per query, and offers its candidates straight
 // into the per-query shard-level collectors in fixed segment order —
-// sealed by seq, then sealing, then growing — so no per-segment list is
+// sealed by seq, then growing — so no per-segment list is
 // materialized and the merge is the collector itself. Ids are disjoint
 // across segments (an id lives in exactly one), so the collected set equals
 // a deduplicating merge of per-segment lists. Per query the offered
@@ -402,10 +435,11 @@ func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *in
 		ps.mtopPtr[qi] = ps.mtops[qi].Reset(fetch)
 	}
 	for _, seg := range s.sealed {
+		if seg.idx == nil {
+			index.ScanStoreMultiInto(m, qs, seg.store, seg.ids, ps.mtopPtr, st)
+			continue
+		}
 		seg.idx.SearchMultiInto(qs, fetch, search, st, ps.mtopPtr)
-	}
-	for _, seg := range s.sealing {
-		index.ScanStoreMultiInto(m, qs, seg.store, seg.ids, ps.mtopPtr, st)
 	}
 	if s.growingRowsLocked() > 0 {
 		index.ScanStoreMultiInto(m, qs, s.growing, s.growingIDs, ps.mtopPtr, st)
@@ -429,8 +463,6 @@ func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *in
 func (s *shard) statsLocked() ShardStats {
 	st := ShardStats{
 		Rows:              s.rows,
-		Sealed:            len(s.sealed),
-		Sealing:           len(s.sealing),
 		GrowingRows:       s.growingRowsLocked(),
 		Tombstones:        len(s.tombstones),
 		CompactionPasses:  s.compactionPasses,
@@ -444,6 +476,12 @@ func (s *shard) statsLocked() ShardStats {
 	}
 	bytesPerRow := int64(s.dim) * 4
 	for _, seg := range s.sealed {
+		if seg.idx == nil {
+			st.Sealing++
+			st.MemoryBytes += seg.store.Bytes()
+			continue
+		}
+		st.Sealed++
 		st.MemoryBytes += seg.idx.MemoryBytes()
 		// The retained raw arena (the binlog analogue compaction
 		// rewrites) is already inside MemoryBytes when the index adopted
@@ -453,9 +491,6 @@ func (s *shard) statsLocked() ShardStats {
 		if !seg.idx.StoreAdopted() {
 			st.MemoryBytes += seg.store.Bytes()
 		}
-	}
-	for _, seg := range s.sealing {
-		st.MemoryBytes += seg.store.Bytes()
 	}
 	st.MemoryBytes += int64(s.growingRowsLocked()) * bytesPerRow * 2
 	return st

@@ -132,18 +132,8 @@ func LoadFile(s FileSpec) (*Dataset, error) {
 		return nil, fmt.Errorf("workload: query dim %d != base dim %d", len(queries[0]), len(base[0]))
 	}
 
-	metric := s.Metric
-	if metric == linalg.Angular {
-		for _, v := range base {
-			linalg.Normalize(v)
-		}
-		for _, v := range queries {
-			linalg.Normalize(v)
-		}
-		metric = linalg.L2
-	}
 	d := &Dataset{
-		Name: s.Name, Dim: len(base[0]), Metric: metric,
+		Name: s.Name, Dim: len(base[0]), Metric: canonicalMetric(s.Metric, base, queries),
 		Vectors: base, Queries: queries, K: s.K,
 	}
 	d.Store() // seal the arena before the dataset escapes

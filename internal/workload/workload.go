@@ -130,13 +130,40 @@ func (d *Dataset) computeTruth() {
 	wg.Wait()
 }
 
+// canonicalMetric puts a corpus into the form every Dataset carries and
+// returns the metric it is then searched under: angular vectors and
+// queries are normalized in place and the metric becomes L2 — what an
+// angular engine does with its rows and queries. Every constructor comes
+// through here, so no Dataset reaches vdms.Open carrying Angular.
+func canonicalMetric(metric linalg.Metric, vectors, queries [][]float32) linalg.Metric {
+	if metric != linalg.Angular {
+		return metric
+	}
+	for _, v := range vectors {
+		linalg.Normalize(v)
+	}
+	for _, q := range queries {
+		linalg.Normalize(q)
+	}
+	return linalg.L2
+}
+
+func cloneRows(rows [][]float32) [][]float32 {
+	out := make([][]float32, len(rows))
+	for i, r := range rows {
+		out[i] = linalg.Clone(r)
+	}
+	return out
+}
+
 // FromLive builds an evaluation dataset from a live system's state: a
 // sample of its stored vectors and the query window it just served. The
 // online tuning daemon uses it to score candidate configurations against
 // the workload actually hitting the engine instead of a synthetic proxy.
 // Exact ground truth is computed over the sample by brute force, so
 // recall is measured relative to the sampled corpus. Vectors and queries
-// are referenced, not copied; callers must not mutate them afterwards.
+// are referenced, not copied (callers must not mutate them afterwards),
+// except under the angular metric, which normalizes copies.
 func FromLive(name string, metric linalg.Metric, vectors, queries [][]float32, k int) (*Dataset, error) {
 	if len(vectors) == 0 || len(queries) == 0 {
 		return nil, fmt.Errorf("workload: live dataset needs vectors and queries (have %d, %d)", len(vectors), len(queries))
@@ -158,10 +185,13 @@ func FromLive(name string, metric linalg.Metric, vectors, queries [][]float32, k
 	if k > len(vectors) {
 		k = len(vectors)
 	}
+	if metric == linalg.Angular {
+		vectors, queries = cloneRows(vectors), cloneRows(queries)
+	}
 	d := &Dataset{
 		Name:    name,
 		Dim:     dim,
-		Metric:  metric,
+		Metric:  canonicalMetric(metric, vectors, queries),
 		Vectors: vectors,
 		Queries: queries,
 		K:       k,
@@ -192,8 +222,9 @@ type Spec struct {
 	Seed       int64
 }
 
-// Generate builds the dataset (vectors, queries, exact ground truth).
-// Angular data is normalized here and searched with L2 downstream.
+// Generate builds the dataset (vectors, queries, exact ground truth). The
+// generated corpora are angular: normalized here, searched with L2
+// downstream.
 func Generate(s Spec) (*Dataset, error) {
 	if s.N <= 0 || s.NQ <= 0 || s.Dim <= 0 {
 		return nil, fmt.Errorf("workload: invalid spec %+v", s)
@@ -238,14 +269,12 @@ func Generate(s Spec) (*Dataset, error) {
 				v[j] = 0.7*v[j-1] + 0.3*v[j]
 			}
 		}
-		linalg.Normalize(v)
 		return v
 	}
 
 	d := &Dataset{
 		Name:    s.Name,
 		Dim:     s.Dim,
-		Metric:  linalg.L2, // angular handled by normalization above
 		Vectors: make([][]float32, s.N),
 		Queries: make([][]float32, s.NQ),
 		K:       s.K,
@@ -256,6 +285,7 @@ func Generate(s Spec) (*Dataset, error) {
 	for i := range d.Queries {
 		d.Queries[i] = gen()
 	}
+	d.Metric = canonicalMetric(linalg.Angular, d.Vectors, d.Queries)
 	d.Store() // seal the arena before the dataset escapes
 	d.computeTruth()
 	return d, nil
