@@ -3,7 +3,8 @@
 # kernel-calling packages again on the portable kernels, a single pass
 # over every Go benchmark so the macro experiments and the assertions the
 # micro-benchmarks make before their clocks start at least compile and
-# run, the online-reconfiguration gate (migration determinism
+# run, the goldens and worker-invariance tests at GOMAXPROCS 1 and 4, the
+# online-reconfiguration gate (migration determinism
 # and the migration crash matrix, run explicitly so they cannot be
 # filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
@@ -13,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: all build test race purego vet bench alloc-gate reconfig-gate fuzz-smoke ci
+.PHONY: all build test race purego cpu-matrix vet bench alloc-gate reconfig-gate fuzz-smoke ci
 
 all: build
 
@@ -38,6 +39,13 @@ race:
 # bit-identity tests included — with them forced.
 purego:
 	$(GO) test -tags purego ./internal/linalg ./internal/index ./internal/kmeans ./internal/vdms
+
+# vdms.Open and Evaluate size their pools from GOMAXPROCS, and the suite
+# otherwise runs only at the machine's own value: run every golden and
+# worker-invariance test on one CPU and on four, so a result that depends
+# on the pool size fails here and not on somebody else's machine.
+cpu-matrix:
+	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|IdenticalAcrossWorkers|DeterministicAcrossWorkers' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
 
 # One iteration of every benchmark (root figure/table suite, the churn
 # benchmark BenchmarkSearchAfterDeletes, and package micro-benchmarks) —
@@ -82,4 +90,4 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRequest' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
 
-ci: vet race purego bench reconfig-gate alloc-gate fuzz-smoke
+ci: vet race purego cpu-matrix bench reconfig-gate alloc-gate fuzz-smoke

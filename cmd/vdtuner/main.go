@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"time"
 
 	"vdtuner/internal/core"
 	"vdtuner/internal/vdms"
@@ -62,10 +63,21 @@ func main() {
 		CostAware:   *costAware,
 		Bootstrap:   bootstrap,
 	})
+	// The paper's Table VI on the real clock: where the loop's wall time
+	// goes, beside the replay time the simulated clock charged.
+	var nextT, evalT, observeT time.Duration
+	var replaySec float64
 	for i := 0; i < *iters; i++ {
+		t0 := time.Now()
 		cfg := tn.Next()
+		t1 := time.Now()
 		res := vdms.Evaluate(ds, cfg)
+		t2 := time.Now()
 		tn.Observe(cfg, res)
+		nextT += t1.Sub(t0)
+		evalT += t2.Sub(t1)
+		observeT += time.Since(t2)
+		replaySec += res.ReplaySeconds
 		if *verbose {
 			status := fmt.Sprintf("QPS %8.1f recall %.4f", res.QPS, res.Recall)
 			if res.Failed {
@@ -99,16 +111,17 @@ func main() {
 	if floor == 0 {
 		floor = def.Recall - 1e-9
 	}
-	best, ok := tn.BestUnderRecall(floor)
-	if !ok {
+	if best, ok := tn.BestUnderRecall(floor); !ok {
 		fmt.Printf("\nno configuration found with recall > %.4f\n", floor)
-		return
+	} else {
+		fmt.Printf("\nrecommended configuration (recall > %.4f):\n", floor)
+		printConfig(best.Config)
+		fmt.Printf("  -> %s %.1f (default %.1f), recall %.4f (default %.4f)\n",
+			objName, best.ObjA, def.QPS, best.Result.Recall, def.Recall)
+		fmt.Printf("remaining index types: %v, abandoned: %v\n", tn.Remaining(), tn.Abandoned())
 	}
-	fmt.Printf("\nrecommended configuration (recall > %.4f):\n", floor)
-	printConfig(best.Config)
-	fmt.Printf("  -> %s %.1f (default %.1f), recall %.4f (default %.4f)\n",
-		objName, best.ObjA, def.QPS, best.Result.Recall, def.Recall)
-	fmt.Printf("remaining index types: %v, abandoned: %v\n", tn.Remaining(), tn.Abandoned())
+	fmt.Printf("\ntuning time over %d iterations: Next %.2fs, Evaluate %.2fs, Observe %.2fs wall clock; simulated replay %.0fs\n",
+		*iters, nextT.Seconds(), evalT.Seconds(), observeT.Seconds(), replaySec)
 }
 
 func pickDataset(name string, scale workload.Scale) (workload.Spec, error) {

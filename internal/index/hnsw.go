@@ -33,13 +33,19 @@ import (
 // because the engine derives simulated build time from them.
 //
 // Build is parallel but deterministic. Nodes are inserted in waves whose
-// sizes depend only on the corpus size: every node in a wave plans its
-// neighbor lists concurrently against the frozen pre-wave graph (a pure
-// read), then the planned links are applied sequentially in node order
-// (reverse links, pruning, entry-point updates). Because planning never
-// observes intra-wave mutations and the wave schedule ignores the worker
-// count, workers=1 and workers=N build byte-identical graphs; per-node
-// planning Stats are merged in node order so build accounting is exact.
+// sizes depend only on the corpus size, and a wave has three steps. Every
+// node plans its neighbor lists concurrently against the frozen pre-wave
+// graph (a pure read). The plans are then adopted sequentially in node
+// order: forward links, the entry point, and the wave's reverse links
+// recorded as (target, layer, node) ops in a fixed number of buckets keyed
+// by target. Last, the buckets are replayed concurrently, each in recorded
+// order: every reverse-link target is a pre-wave node (plans saw nothing
+// newer), and one (target, layer) list depends only on its own ops, in
+// their order, and on the vectors, so lists in different buckets never
+// touch. Planning never observes intra-wave mutations, and neither the wave
+// schedule nor the bucket count depends on the worker count, so workers=1
+// and workers=N build byte-identical graphs; Stats are integer sums over
+// plans and buckets, so build accounting is exact.
 type hnsw struct {
 	metric  linalg.Metric
 	dim     int
@@ -56,9 +62,6 @@ type hnsw struct {
 	maxLevel int
 	built    bool
 	work     Stats
-	// prune is the transient state of pruneNeighbors, used only by the
-	// sequential apply phase of Build.
-	prune pruneScratch
 
 	levelMult float64
 	scratch   scratchPool
@@ -68,6 +71,12 @@ type hnsw struct {
 // constant (never derived from the worker count) so the wave schedule, and
 // therefore the built graph, is identical for any Workers value.
 const hnswWaveCap = 64
+
+// hnswLinkBuckets is how many buckets a wave's reverse links are sharded
+// into (by target node). Like hnswWaveCap it is a constant: the built graph
+// does not depend on it, and the unit of parallel work must not depend on
+// the worker count.
+const hnswLinkBuckets = 64
 
 func newHNSW(metric linalg.Metric, dim int, p BuildParams) (*hnsw, error) {
 	m := p.HNSWM
@@ -148,6 +157,8 @@ func (h *hnsw) Build(store *linalg.Matrix, ids []int64) error {
 	// the actual parallelism. Scratch state never influences results, so
 	// this does not affect the deterministic wave schedule.
 	scratches := make([]searchScratch, parallel.WorkerCount(workers, hnswWaveCap))
+	buckets := make([]hnswLinkBucket, hnswLinkBuckets)
+	linkBack := func(b int) { h.linkBack(&buckets[b]) }
 	for lo := 1; lo < n; {
 		// Wave size grows with the inserted prefix (so early nodes still
 		// see a dense graph) up to the fixed cap; it never depends on the
@@ -164,14 +175,19 @@ func (h *hnsw) Build(store *linalg.Matrix, ids []int64) error {
 		parallel.WorkerParallel(workers, wave, func(worker, w int) {
 			h.plan(lo+w, &plans[w], &scratches[worker])
 		})
-		// Apply phase: sequential, in node order.
+		// Adopt phase: sequential, in node order.
 		for w := 0; w < wave; w++ {
 			h.work.Add(plans[w].work)
-			h.apply(lo+w, &plans[w])
+			h.adopt(lo+w, &plans[w], buckets)
 		}
+		// Reverse-link phase: buckets hold disjoint targets, so they replay
+		// concurrently.
+		parallel.Parallel(workers, len(buckets), linkBack)
 		lo += wave
 	}
-	h.prune = pruneScratch{}
+	for b := range buckets {
+		h.work.Add(buckets[b].work)
+	}
 	h.repairConnectivity()
 	h.built = true
 	return nil
@@ -234,33 +250,61 @@ func (h *hnsw) plan(node int, pl *hnswPlan, scratch *searchScratch) {
 	}
 }
 
-// apply installs a planned node: adopts its forward links, adds reverse
-// links (pruning overfull neighbors), and advances the entry point. Callers
-// run applies sequentially in node order; the pruning work is charged to
-// build stats.
-func (h *hnsw) apply(node int, pl *hnswPlan) {
+// hnswLinkOp is one planned reverse link: node joins target's list on layer.
+type hnswLinkOp struct {
+	target, node int32
+	layer        int
+}
+
+// hnswLinkBucket is one shard of a wave's reverse links — the ops whose
+// target falls in the bucket, in adoption order — with the pruning scratch
+// of whichever goroutine replays it and the pruning work of the whole build
+// so far.
+type hnswLinkBucket struct {
+	ops   []hnswLinkOp
+	prune pruneScratch
+	work  Stats
+}
+
+// adopt installs a planned node's own side: its forward links, the entry
+// point if it tops the graph, and one reverse-link op per selected neighbor
+// in the target's bucket. Callers run it sequentially in node order, which
+// is therefore the order of every (target, layer) list's ops.
+func (h *hnsw) adopt(node int, pl *hnswPlan, buckets []hnswLinkBucket) {
 	level := h.levels[node]
 	h.links[node] = make([][]int32, level+1)
 	for l := len(pl.layers) - 1; l >= 0; l-- {
 		// selectNeighbors returned a fresh slice, so the graph can adopt
 		// it directly.
-		selected := pl.layers[l]
-		h.links[node][l] = selected
-		maxM := h.m
-		if l == 0 {
-			maxM = 2 * h.m
-		}
-		for _, nb := range selected {
-			h.links[nb][l] = append(h.links[nb][l], int32(node))
-			if len(h.links[nb][l]) > maxM {
-				h.links[nb][l] = h.pruneNeighbors(int(nb), h.links[nb][l], maxM)
-			}
+		h.links[node][l] = pl.layers[l]
+		for _, nb := range pl.layers[l] {
+			b := &buckets[int(nb)%len(buckets)]
+			b.ops = append(b.ops, hnswLinkOp{target: nb, node: int32(node), layer: l})
 		}
 	}
 	if level > h.maxLevel {
 		h.maxLevel = level
 		h.entry = node
 	}
+}
+
+// linkBack replays one bucket's reverse links in recorded order, pruning
+// every list that overflows, and adds the pruning work to b.work. It
+// writes only the lists of the bucket's own targets and reads only those
+// and the vectors, so distinct buckets may run concurrently.
+func (h *hnsw) linkBack(b *hnswLinkBucket) {
+	for _, op := range b.ops {
+		maxM := h.m
+		if op.layer == 0 {
+			maxM = 2 * h.m
+		}
+		list := append(h.links[op.target][op.layer], op.node)
+		if len(list) > maxM {
+			list = h.pruneNeighbors(int(op.target), list, maxM, &b.prune, &b.work)
+		}
+		h.links[op.target][op.layer] = list
+	}
+	b.ops = b.ops[:0]
 }
 
 // greedyLayer walks layer l greedily from cur (at distance curD from q)
@@ -447,15 +491,16 @@ func (p *pruneScratch) Swap(i, j int) {
 // same Algorithm 4 heuristic applied with the node itself as the query).
 // The list's distances to the node are computed once and carried through
 // the sort into the selection; the sort is charged the two evaluations per
-// comparison its comparator used to make. It runs only in the sequential
-// apply phase and charges h.work.
-func (h *hnsw) pruneNeighbors(node int, nbs []int32, maxM int) []int32 {
-	p := &h.prune
+// comparison its comparator used to make. It reads the vectors and nbs,
+// never the graph, keeps its transient state in p and charges st, so calls
+// with distinct p and st (one pair per reverse-link bucket) may run
+// concurrently.
+func (h *hnsw) pruneNeighbors(node int, nbs []int32, maxM int, p *pruneScratch, st *Stats) []int32 {
 	p.nbs, p.d, p.compars = nbs, f32Buf(p.d, len(nbs)), 0
 	linalg.DistanceRows(h.metric, h.row(int32(node)), h.store, nbs, p.d)
 	sort.Sort(p)
-	h.work.DistComps += 2 * p.compars
-	return h.selectNeighbors(nbs, p.d, maxM, &h.work, &p.rejected)
+	st.DistComps += 2 * p.compars
+	return h.selectNeighbors(nbs, p.d, maxM, st, &p.rejected)
 }
 
 // repairConnectivity links any layer-0 node unreachable from the entry

@@ -74,20 +74,42 @@ func TestBuildWorkerCountInvariant(t *testing.T) {
 }
 
 // TestHNSWGraphIdenticalAcrossWorkers compares the raw graph structure,
-// not just observable search behavior.
+// not just observable search behavior: a stock build; one whose lists are
+// so short against its beam (M=2, efConstruction=200) that nearly every
+// reverse link overflows and prunes, the work the concurrent bucket replay
+// carries; and a corpus with fewer nodes than reverse-link buckets. Under
+// -race the workers=4 and 8 builds are also the detector's view of that
+// replay.
 func TestHNSWGraphIdenticalAcrossWorkers(t *testing.T) {
-	vecs, ids, _, _ := testData(t, 1200, 1, 16, 1, 78)
-	seq := buildWithWorkers(t, HNSW, BuildParams{HNSWM: 8, EfConstruction: 64}, 1, vecs, ids).(*hnsw)
-	par := buildWithWorkers(t, HNSW, BuildParams{HNSWM: 8, EfConstruction: 64}, 8, vecs, ids).(*hnsw)
-	if seq.entry != par.entry || seq.maxLevel != par.maxLevel {
-		t.Fatalf("entry/maxLevel differ: (%d,%d) vs (%d,%d)",
-			seq.entry, seq.maxLevel, par.entry, par.maxLevel)
-	}
-	if !reflect.DeepEqual(seq.levels, par.levels) {
-		t.Fatal("level assignments differ")
-	}
-	if !reflect.DeepEqual(seq.links, par.links) {
-		t.Fatal("adjacency lists differ between workers=1 and workers=8")
+	for _, tc := range []struct {
+		name string
+		n    int
+		bp   BuildParams
+	}{
+		{"stock", 1200, BuildParams{HNSWM: 8, EfConstruction: 64}},
+		{"prune-heavy", 1200, BuildParams{HNSWM: 2, EfConstruction: 200}},
+		{"fewer-nodes-than-buckets", hnswLinkBuckets - 24, BuildParams{HNSWM: 8, EfConstruction: 64}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vecs, ids, _, _ := testData(t, tc.n, 1, 16, 1, 78)
+			seq := buildWithWorkers(t, HNSW, tc.bp, 1, vecs, ids).(*hnsw)
+			for _, workers := range []int{4, 8} {
+				par := buildWithWorkers(t, HNSW, tc.bp, workers, vecs, ids).(*hnsw)
+				if seq.entry != par.entry || seq.maxLevel != par.maxLevel {
+					t.Fatalf("workers=%d: entry/maxLevel differ: (%d,%d) vs (%d,%d)",
+						workers, seq.entry, seq.maxLevel, par.entry, par.maxLevel)
+				}
+				if !reflect.DeepEqual(seq.levels, par.levels) {
+					t.Fatalf("workers=%d: level assignments differ", workers)
+				}
+				if !reflect.DeepEqual(seq.links, par.links) {
+					t.Fatalf("workers=%d: adjacency lists differ from workers=1", workers)
+				}
+				if seq.work != par.work {
+					t.Fatalf("workers=%d: build stats %+v != workers=1 %+v", workers, par.work, seq.work)
+				}
+			}
+		})
 	}
 }
 

@@ -84,24 +84,29 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	sh := newShard(&configGen{cfg: cfg}, ds.Metric, ds.Dim, sealRows)
 	sh.rows, sh.nextID = int64(n), int64(n)
 	inst := &Instance{sh: sh}
-	var buildWork index.Stats
+	// Segments build from contiguous row-range views of the dataset
+	// arena — no per-segment copy of the raw vectors.
+	segs := make([]*sealedSegment, numSealed)
 	row := 0
-	for s := 0; s < numSealed; s++ {
+	for i := range segs {
 		end := row + sealRows
 		if end > sealedRows {
 			end = sealedRows
 		}
-		// Segments build from contiguous row-range views of the dataset
-		// arena — no per-segment copy of the raw vectors.
-		seg := &sealedSegment{seq: int64(s), store: store.Slice(row, end), ids: ids[row:end]}
-		idx, err := sh.buildSegment(seg)
-		if err != nil {
-			return nil, err
-		}
-		seg.idx = idx
-		buildWork.Add(idx.BuildStats())
-		sh.insertSealedLocked(seg)
+		segs[i] = &sealedSegment{seq: int64(i), store: store.Slice(row, end), ids: ids[row:end]}
 		row = end
+	}
+	// The builds overlap on every core. That pool is wall-clock only, like
+	// Evaluate's replay pool: the simulated clock below charges buildPool.
+	idxs, errs := sh.buildSegments(0, segs)
+	if err := firstError(errs); err != nil {
+		return nil, err
+	}
+	var buildWork index.Stats
+	for i, seg := range segs {
+		seg.idx = idxs[i]
+		buildWork.Add(seg.idx.BuildStats())
+		sh.insertSealedLocked(seg)
 	}
 	inst.segments = numSealed
 	if growing > 0 {

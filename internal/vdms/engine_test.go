@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"vdtuner/internal/index"
@@ -413,5 +415,102 @@ func TestInFlightSnapshotBytesGolden(t *testing.T) {
 	h.Write(persist.EncodeSnapshot(snap))
 	if got, want := h.Sum64(), uint64(0x457806dde79bba5); got != want || len(snap.Segments) != 2 {
 		t.Fatalf("in-flight snapshot hashes to %#x over %d segments, want %#x over 2", got, len(snap.Segments), want)
+	}
+}
+
+// fiveSegments lays ds's first 5×rows rows out as five sealed segments of a
+// fresh memory-only shard, index pending and not yet in the list: what Open
+// hands to buildSegments.
+func fiveSegments(ds *workload.Dataset, cfg Config, rows int) (*shard, []*sealedSegment) {
+	s := newShard(&configGen{cfg: cfg}, ds.Metric, ds.Dim, rows)
+	store, ids := ds.Store(), ds.IDs()
+	segs := make([]*sealedSegment, 5)
+	for i := range segs {
+		segs[i] = &sealedSegment{seq: int64(i), store: store.Slice(i*rows, (i+1)*rows), ids: ids[i*rows : (i+1)*rows]}
+	}
+	return s, segs
+}
+
+// TestOpenSegmentBuildsWorkerInvariant: the pool that overlaps Open's
+// segment builds shows in nothing but the wall clock. Five segments built
+// one at a time and eight at a time carry the same BuildStats and answer
+// every query with the same ids, distance bits and work, and Evaluate —
+// whose Open sizes the pool from GOMAXPROCS — returns the same Result on
+// one CPU and on eight.
+func TestOpenSegmentBuildsWorkerInvariant(t *testing.T) {
+	ds, err := workload.Load(workload.Spec{
+		Name: "open-builds", N: 1000, NQ: 20, Dim: 24, K: 10,
+		Clusters: 6, ClusterStd: 0.5, Correlated: true, Seed: 33,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, typ := range []index.Type{index.HNSW, index.IVFPQ, index.Flat} {
+		t.Run(typ.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.IndexType = typ
+			cfg.Build = index.BuildParams{NList: 8, M: 4, NBits: 4, HNSWM: 6, EfConstruction: 40}
+			cfg.Search = index.SearchParams{NProbe: 4, Ef: 32}
+			cfg.SegmentMaxSize = 512
+			cfg.SealProportion = 0.2 // 200-row segments: five, no partial one
+			cfg.InsertBufSize = 64
+			cfg.FlushInterval = 1
+			probe := func(workers int) ([]index.Stats, uint64, index.Stats) {
+				s, segs := fiveSegments(ds, cfg, 200)
+				idxs, errs := s.buildSegments(workers, segs)
+				if err := firstError(errs); err != nil {
+					t.Fatal(err)
+				}
+				built := make([]index.Stats, len(segs))
+				for i, seg := range segs {
+					seg.idx = idxs[i]
+					built[i] = seg.idx.BuildStats()
+					s.insertSealedLocked(seg)
+				}
+				var st index.Stats
+				var ps probeScratch
+				res := s.searchMultiLocked(ds.Queries, ds.Metric, ds.K, &st, &ps)
+				return built, hashResults(res), st
+			}
+			b1, h1, st1 := probe(1)
+			b8, h8, st8 := probe(8)
+			if !reflect.DeepEqual(b1, b8) {
+				t.Fatalf("BuildStats differ: workers=1 %+v, workers=8 %+v", b1, b8)
+			}
+			if h1 != h8 || st1 != st8 {
+				t.Fatalf("search differs: workers=1 %#x (%+v), workers=8 %#x (%+v)", h1, st1, h8, st8)
+			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			r1 := Evaluate(ds, cfg)
+			runtime.GOMAXPROCS(8)
+			if r8 := Evaluate(ds, cfg); r1 != r8 || r1.Failed {
+				t.Fatalf("Evaluate at GOMAXPROCS=1 %+v, at 8 %+v", r1, r8)
+			}
+		})
+	}
+}
+
+// TestSegmentBuildsReturnLowestSeqError: overlapped builds finish in any
+// order, so the error that surfaces is chosen by seq, not by time — the one
+// a one-at-a-time loop would have stopped at.
+func TestSegmentBuildsReturnLowestSeqError(t *testing.T) {
+	ds, err := workload.Load(workload.Spec{Name: "open-errors", N: 500, NQ: 1, Dim: 8, K: 1, Clusters: 2, ClusterStd: 0.5, Seed: 34})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.IndexType = index.HNSW
+	s, segs := fiveSegments(ds, cfg, 100)
+	// An id list shorter than its arena is refused by every index's Build.
+	segs[3].ids = segs[3].ids[:99]
+	segs[1].ids = segs[1].ids[:99]
+	idxs, errs := s.buildSegments(8, segs)
+	for i := range segs {
+		if failed := i == 1 || i == 3; (errs[i] != nil) != failed || (idxs[i] == nil) != failed {
+			t.Fatalf("segment %d: index set = %v, err = %v", i, idxs[i] != nil, errs[i])
+		}
+	}
+	if err := firstError(errs); err != errs[1] || !strings.Contains(err.Error(), "building segment 1:") {
+		t.Fatalf("surfaced %v, want segment 1's error", err)
 	}
 }

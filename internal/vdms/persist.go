@@ -200,13 +200,20 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 		s.growing = snap.Growing
 		s.growingIDs = snap.GrowingIDs
 	}
-	for _, sn := range snap.Segments {
-		seg := &sealedSegment{seq: sn.Seq, store: sn.Store, ids: sn.IDs}
-		s.insertSealedLocked(seg)
-		s.buildSegmentLocked(seg)
-		if seg.seq >= s.sealSeq {
-			s.sealSeq = seg.seq + 1
+	// Every segment enters the list index-pending, the builds overlap, and
+	// the results land in snapshot order, so rows requeued by failed builds
+	// reach the growing tail in the order a one-by-one rebuild left them.
+	segs := make([]*sealedSegment, len(snap.Segments))
+	for i, sn := range snap.Segments {
+		segs[i] = &sealedSegment{seq: sn.Seq, store: sn.Store, ids: sn.IDs}
+		s.insertSealedLocked(segs[i])
+		if sn.Seq >= s.sealSeq {
+			s.sealSeq = sn.Seq + 1
 		}
+	}
+	idxs, errs := s.buildSegments(cfg.Parallelism, segs)
+	for i, seg := range segs {
+		s.landSegmentLocked(seg, idxs[i], errs[i])
 	}
 	return nil
 }
@@ -250,7 +257,9 @@ func (s *shard) replayFlush(seq int64) {
 		s.sealSeq = seq + 1
 	}
 	if s.growingRowsLocked() > 0 {
-		s.buildSegmentLocked(s.sealGrowingLocked(seq))
+		seg := s.sealGrowingLocked(seq)
+		idx, err := s.buildSegment(seg)
+		s.landSegmentLocked(seg, idx, err)
 	}
 }
 

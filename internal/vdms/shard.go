@@ -8,6 +8,7 @@ import (
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
+	"vdtuner/internal/parallel"
 	"vdtuner/internal/persist"
 )
 
@@ -304,11 +305,19 @@ func (s *shard) buildSegment(seg *sealedSegment) (index.Index, error) {
 	return idx, nil
 }
 
-// buildSegmentLocked builds and lands seg synchronously — recovery's form
-// of a seal, run in log order before the shard is shared.
-func (s *shard) buildSegmentLocked(seg *sealedSegment) {
-	idx, err := s.buildSegment(seg)
-	s.landSegmentLocked(seg, idx, err)
+// buildSegments builds every segment of segs through buildSegment, up to
+// workers at a time (0: one per CPU), and returns what each returned, by
+// position. The index builds are deterministic for any pool size, the inner
+// pools stay as newSegmentIndex sizes them, and the caller lands the
+// results in its own order, so the pool size shows in nothing but the wall
+// clock.
+func (s *shard) buildSegments(workers int, segs []*sealedSegment) ([]index.Index, []error) {
+	idxs := make([]index.Index, len(segs))
+	errs := make([]error, len(segs))
+	parallel.Parallel(workers, len(segs), func(i int) {
+		idxs[i], errs[i] = s.buildSegment(segs[i])
+	})
+	return idxs, errs
 }
 
 // landSegmentLocked takes what buildSegment returned for seg, an
