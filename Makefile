@@ -1,9 +1,9 @@
 # Developer / CI entry points. `make ci` is the gate: vet, the full test
 # suite under the race detector (crash-matrix recovery tests included), the
 # kernel-calling packages again on the portable kernels, a single pass
-# over every Go benchmark so the macro experiments and the assertions the
-# micro-benchmarks make before their clocks start at least compile and
-# run, the goldens and worker-invariance tests at GOMAXPROCS 1 and 4, the
+# over every Go benchmark so every experiment of bench.Experiments and the
+# assertions the micro-benchmarks make before their clocks start at least
+# compile and run, the goldens and worker-invariance tests at GOMAXPROCS 1 and 4, the
 # online-reconfiguration gate (migration determinism
 # and the migration crash matrix, run explicitly so they cannot be
 # filtered out), the alloc-gate tests in strict mode (so the
@@ -14,7 +14,7 @@
 
 GO ?= go
 
-.PHONY: all build test race purego cpu-matrix vet bench alloc-gate reconfig-gate fuzz-smoke ci
+.PHONY: all build test race purego cpu-matrix vet bench alloc-gate reconfig-gate fuzz-smoke loc ci
 
 all: build
 
@@ -47,9 +47,10 @@ purego:
 cpu-matrix:
 	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|IdenticalAcrossWorkers|DeterministicAcrossWorkers' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
 
-# One iteration of every benchmark (root figure/table suite, the churn
-# benchmark BenchmarkSearchAfterDeletes, and package micro-benchmarks) —
-# a compile-and-smoke pass, not a measurement.
+# One iteration of every benchmark (BenchmarkExperiments: each entry of
+# bench.Experiments once; the churn benchmark BenchmarkSearchAfterDeletes;
+# the package micro-benchmarks) — a compile-and-smoke pass, not a
+# measurement.
 bench:
 	$(GO) test -bench=. -benchtime=1x ./...
 
@@ -89,5 +90,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 30s ./internal/persist
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRequest' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
+
+# Non-test Go lines outside benchmark/, per package directory and in
+# total: the size figure ROADMAP tracks.
+LOC_FILES = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
+loc:
+	@for d in $$(find . -type d ! -path './.*' ! -path './benchmark*' | sort); do \
+		n=$$(find $$d -maxdepth 1 $(LOC_FILES) -exec cat {} + | wc -l); \
+		[ $$n -eq 0 ] || printf '%7d %s\n' $$n $$d; done
+	@printf '%7d total\n' $$(find . $(LOC_FILES) -exec cat {} + | wc -l)
 
 ci: vet race purego cpu-matrix bench reconfig-gate alloc-gate fuzz-smoke

@@ -1,7 +1,7 @@
-// Package vdtuner's root benchmark suite: one testing.B benchmark per
-// table and figure of the paper's evaluation. Each benchmark regenerates
-// its experiment end to end at a reduced scale; cmd/experiments runs the
-// same experiments at configurable scale with full printed output.
+// Package vdtuner's root benchmarks: BenchmarkExperiments regenerates
+// every experiment of bench.Experiments (the paper's tables and figures)
+// end to end at a reduced scale; cmd/experiments runs the same list at
+// configurable scale with full printed output.
 //
 // Run with: go test -bench=. -benchmem
 package vdtuner
@@ -18,156 +18,19 @@ func benchOpts(seed int64) bench.Options {
 	return bench.Options{Scale: 0.1, Iters: 10, Seed: seed}
 }
 
-func BenchmarkFigure1Heatmap(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure1(io.Discard, benchOpts(1)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure2IndexVsSystem(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure2(io.Discard, benchOpts(2)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure3IndexProfiles(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := bench.Figure3(io.Discard, benchOpts(3)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable4Improvement(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table4(io.Discard, benchOpts(4)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure6TuningEfficiency(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure6(io.Discard, benchOpts(5)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure7Curves(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure7(io.Discard, benchOpts(6)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure8Ablation(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure8(io.Discard, benchOpts(7)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure9ScoreWeights(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure9(io.Discard, benchOpts(8)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure10Sampling(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure10(io.Discard, benchOpts(9)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable5BestConfigs(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table5(io.Discard, benchOpts(10)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure11Convergence(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure11(io.Discard, benchOpts(11)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure12Preference(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure12(io.Discard, benchOpts(12)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFigure13CostAware(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Figure13(io.Discard, benchOpts(13)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTable6Overhead(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Table6(io.Discard, benchOpts(14)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkScalabilityLargeDataset(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Scalability(io.Discard, benchOpts(15)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHolisticVsIndividual(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.HolisticVsIndividual(io.Discard, benchOpts(16)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDesignAblations(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.DesignAblations(io.Discard, benchOpts(17)); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkExperiments runs every experiment of bench.Experiments as a
+// sub-benchmark named after it; experiment i runs at seed i+1.
+func BenchmarkExperiments(b *testing.B) {
+	for i, e := range bench.Experiments {
+		i, e := i, e // go.mod says go 1.21: loop variables are shared
+		b.Run(e.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				if err := e.Run(io.Discard, benchOpts(int64(i+1))); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -201,8 +201,10 @@ func searchGoldenIndex(t *testing.T, c searchGoldenCase, vecs [][]float32, ids [
 	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 		t.Fatal(err)
 	}
-	if pq, ok := idx.(*ivfPQ); ok && (bp.NBits == 9) != (pq.codes16 != nil) {
-		t.Fatalf("%s: nbits=%d packed codes16=%v", c.Type, bp.NBits, pq.codes16 != nil)
+	if typ == IVFPQ {
+		if wide := pqPayload(t, idx).codes16 != nil; wide != (bp.NBits == 9) {
+			t.Fatalf("%s: nbits=%d packed codes16=%v", c.Type, bp.NBits, wide)
+		}
 	}
 	return idx
 }

@@ -47,10 +47,14 @@ import (
 // and workers=N build byte-identical graphs; Stats are integer sums over
 // plans and buckets, so build accounting is exact.
 type hnsw struct {
-	metric  linalg.Metric
-	dim     int
-	m       int // max links per node on upper layers; layer 0 allows 2M
-	efCons  int
+	typ    Type // HNSW, or AUTOINDEX: the same graph with pinned parameters
+	metric linalg.Metric
+	dim    int
+	m      int // max links per node on upper layers; layer 0 allows 2M
+	efCons int
+	// pinEf, when positive, is the query beam width whatever
+	// SearchParams.Ef says (AUTOINDEX).
+	pinEf   int
 	seed    int64
 	workers int
 
@@ -78,7 +82,7 @@ const hnswWaveCap = 64
 // the worker count.
 const hnswLinkBuckets = 64
 
-func newHNSW(metric linalg.Metric, dim int, p BuildParams) (*hnsw, error) {
+func newHNSW(t Type, metric linalg.Metric, dim int, p BuildParams, pinEf int) (*hnsw, error) {
 	m := p.HNSWM
 	if m == 0 {
 		m = 16
@@ -94,14 +98,14 @@ func newHNSW(metric linalg.Metric, dim int, p BuildParams) (*hnsw, error) {
 		ef = m
 	}
 	return &hnsw{
-		metric: metric, dim: dim, m: m, efCons: ef, seed: p.Seed,
-		workers: p.Workers,
-		entry:   -1, maxLevel: -1,
+		typ: t, metric: metric, dim: dim, m: m, efCons: ef, pinEf: pinEf,
+		seed: p.Seed, workers: p.Workers,
+		entry: -1, maxLevel: -1,
 		levelMult: 1 / math.Log(float64(m)),
 	}, nil
 }
 
-func (h *hnsw) Type() Type { return HNSW }
+func (h *hnsw) Type() Type { return h.typ }
 
 // dist evaluates one distance and charges it to st.
 func (h *hnsw) dist(st *Stats, a, b []float32) float32 {
@@ -574,6 +578,9 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 		return
 	}
 	ef := p.Ef
+	if h.pinEf > 0 {
+		ef = h.pinEf
+	}
 	if ef < k {
 		ef = k
 	}

@@ -7,7 +7,7 @@
 //	IVF_PQ     IVF with product quantization          (nlist, m, nbits; nprobe)
 //	HNSW       hierarchical navigable small world     (M, efConstruction; ef)
 //	SCANN      quantized IVF with exact re-ranking    (nlist; nprobe, reorder_k)
-//	AUTOINDEX  a fixed default configuration
+//	AUTOINDEX  HNSW at a fixed default configuration   (no parameters)
 //
 // Every index counts the work it performs (full-precision distance
 // computations, quantized-code computations, PQ table lookups) in a Stats
@@ -32,15 +32,20 @@
 // spreads a shard × query-tile grid over its pool). Build itself is not
 // reentrant (it may be called once, by one goroutine).
 //
-// # One scan body per index type
+// # One scan body per implementation, one table row per type
 //
-// Every index type has exactly one function that walks its posting lists,
-// arena or graph; every other entry point wraps it. FLAT and the IVF
-// family scan in SearchMultiInto — a tile of queries shares each
-// cache-resident row tile — and their SearchInto is that body at Q=1;
-// HNSW (and AUTOINDEX over it) traverses the graph per query, and its
-// SearchMultiInto is the loop over that. The package helper Search is
-// SearchInto into a fresh collector. See DESIGN.md ("One scan body").
+// The seven types are seven rows of the types table below over three
+// implementations — flat, ivf and hnsw — each with exactly one function
+// that walks its arena, posting lists or graph; every other entry point
+// wraps it. FLAT and IVF scan in SearchMultiInto — a tile of queries
+// shares each cache-resident row tile — and their SearchInto is that body
+// at Q=1; HNSW traverses the graph per query, and its SearchMultiInto is
+// the loop over that. A type is a table row: what differs between IVF
+// types lives in the row's cell payload (raw rows, SQ8 codes, PQ codes) or
+// its replay (SCANN re-ranks), what differs between HNSW and AUTOINDEX in
+// the row's pinned parameters, never in a branch on Type. The package
+// helper Search is SearchInto into a fresh collector. See DESIGN.md ("One
+// scan body").
 //
 // # Memory layout and the query path
 //
@@ -74,38 +79,71 @@ const (
 	numTypes
 )
 
+// Fixed AUTOINDEX configuration, deliberately not exposed for tuning.
+const (
+	autoM      = 16
+	autoEfCons = 128
+	autoEf     = 64
+)
+
+// types is the one declaration of the index types: a row per Type, its
+// Milvus-style name and its constructor. New, String, ParseType and
+// AllTypes are lookups or loops over it, and nothing below it branches on
+// Type (package comment, "one table row per type").
+var types = [numTypes]struct {
+	name string
+	new  func(m linalg.Metric, dim int, p BuildParams) (Index, error)
+}{
+	Flat: {"FLAT", func(m linalg.Metric, dim int, _ BuildParams) (Index, error) {
+		return newFlat(m, dim), nil
+	}},
+	IVFFlat: {"IVF_FLAT", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		return newIVF(IVFFlat, m, dim, p, &rawCells{metric: m}, replayRegions)
+	}},
+	IVFSQ8: {"IVF_SQ8", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		return newIVF(IVFSQ8, m, dim, p, newSQ8Cells(m, p.Workers), replayRegions)
+	}},
+	IVFPQ: {"IVF_PQ", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		return newIVF(IVFPQ, m, dim, p, newPQCells(m, dim, p), replayRegions)
+	}},
+	HNSW: {"HNSW", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		return newHNSW(HNSW, m, dim, p, 0)
+	}},
+	SCANN: {"SCANN", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		cells := newRerankCells(m, p.Workers)
+		return newIVF(SCANN, m, dim, p, cells, cells.replay)
+	}},
+	// AUTOINDEX mirrors Milvus': a fixed, reasonable default with no
+	// user-tunable parameters — an HNSW graph with stock settings and a
+	// pinned beam width, ignoring the build and search parameters.
+	AutoIndex: {"AUTOINDEX", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
+		pinned := BuildParams{HNSWM: autoM, EfConstruction: autoEfCons, Seed: p.Seed, Workers: p.Workers}
+		return newHNSW(AutoIndex, m, dim, pinned, autoEf)
+	}},
+}
+
 // AllTypes lists every selectable index type in a stable order.
 func AllTypes() []Type {
-	return []Type{Flat, IVFFlat, IVFSQ8, IVFPQ, HNSW, SCANN, AutoIndex}
+	all := make([]Type, numTypes)
+	for t := range all {
+		all[t] = Type(t)
+	}
+	return all
 }
 
 // String returns the Milvus-style name of the index type.
 func (t Type) String() string {
-	switch t {
-	case Flat:
-		return "FLAT"
-	case IVFFlat:
-		return "IVF_FLAT"
-	case IVFSQ8:
-		return "IVF_SQ8"
-	case IVFPQ:
-		return "IVF_PQ"
-	case HNSW:
-		return "HNSW"
-	case SCANN:
-		return "SCANN"
-	case AutoIndex:
-		return "AUTOINDEX"
-	default:
+	if t < 0 || t >= numTypes {
 		return fmt.Sprintf("Type(%d)", int(t))
 	}
+	return types[t].name
 }
 
 // ParseType maps a Milvus-style name back to a Type.
 func ParseType(s string) (Type, error) {
-	for _, t := range AllTypes() {
-		if t.String() == s {
-			return t, nil
+	for t, row := range types {
+		if row.name == s {
+			return Type(t), nil
 		}
 	}
 	return 0, fmt.Errorf("index: unknown type %q", s)
@@ -158,6 +196,11 @@ type Stats struct {
 	// Lookups counts PQ ADC table lookups (one per subquantizer per
 	// candidate).
 	Lookups int64
+}
+
+// times returns s scaled by n: the work of n units of s.
+func (s Stats) times(n int64) Stats {
+	return Stats{DistComps: s.DistComps * n, CodeComps: s.CodeComps * n, Lookups: s.Lookups * n}
 }
 
 // Add accumulates o into s.
@@ -215,24 +258,10 @@ func New(t Type, m linalg.Metric, dim int, p BuildParams) (Index, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("index: dimension must be positive, got %d", dim)
 	}
-	switch t {
-	case Flat:
-		return newFlat(m, dim), nil
-	case IVFFlat:
-		return newIVFFlat(m, dim, p)
-	case IVFSQ8:
-		return newIVFSQ8(m, dim, p)
-	case IVFPQ:
-		return newIVFPQ(m, dim, p)
-	case HNSW:
-		return newHNSW(m, dim, p)
-	case SCANN:
-		return newSCANN(m, dim, p)
-	case AutoIndex:
-		return newAutoIndex(m, dim, p)
-	default:
+	if t < 0 || t >= numTypes {
 		return nil, fmt.Errorf("index: unknown type %v", t)
 	}
+	return types[t].new(m, dim, p)
 }
 
 // Search returns up to k nearest neighbors of q in ascending distance,

@@ -66,6 +66,16 @@ func recallOf(results []linalg.Neighbor, truth []int64) float64 {
 	return float64(hit) / float64(len(truth))
 }
 
+// pqPayload returns the PQ payload of an IVF_PQ index.
+func pqPayload(t *testing.T, idx Index) *pqCells {
+	t.Helper()
+	pq, ok := idx.(*ivf).cells.(*pqCells)
+	if !ok {
+		t.Fatalf("%v: payload is %T, want *pqCells", idx.Type(), idx.(*ivf).cells)
+	}
+	return pq
+}
+
 func buildAndMeasure(t *testing.T, typ Type, bp BuildParams, sp SearchParams) (recall float64, work Stats, idx Index) {
 	t.Helper()
 	const k = 10
@@ -158,7 +168,7 @@ func TestIVFPQRoundsMToDivisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq := idx.(*ivfPQ)
+	pq := pqPayload(t, idx)
 	if 32%pq.m != 0 {
 		t.Fatalf("m=%d does not divide 32", pq.m)
 	}
@@ -204,15 +214,68 @@ func TestSCANNMixesCodeAndExactWork(t *testing.T) {
 	}
 }
 
-func TestAutoIndexIgnoresSearchParams(t *testing.T) {
-	a, _, _ := buildAndMeasure(t, AutoIndex, BuildParams{Seed: 10}, SearchParams{})
-	b, _, _ := buildAndMeasure(t, AutoIndex, BuildParams{Seed: 10}, SearchParams{Ef: 999, NProbe: 999})
-	if a != b {
-		t.Fatalf("AUTOINDEX behaviour depends on search params: %v vs %v", a, b)
+// TestIndexTypeTable holds the type table to its contract: every Type has
+// exactly one row, names round-trip, and a row's constructor builds an
+// index that answers with the row's Type. AUTOINDEX is the HNSW row with
+// pinned parameters: neither the caller's graph parameters nor its search
+// parameters change what it builds or returns.
+func TestIndexTypeTable(t *testing.T) {
+	all := AllTypes()
+	if len(all) != int(numTypes) {
+		t.Fatalf("AllTypes has %d entries, want %d", len(all), numTypes)
 	}
-	if a < 0.85 {
-		t.Fatalf("AUTOINDEX recall = %v, want >= 0.85", a)
+	names := map[string]Type{}
+	for i, typ := range all {
+		if typ != Type(i) {
+			t.Fatalf("AllTypes[%d] = %v", i, typ)
+		}
+		row := types[typ]
+		if row.name == "" || row.new == nil {
+			t.Fatalf("Type(%d) has no table row", i)
+		}
+		if prev, dup := names[row.name]; dup {
+			t.Fatalf("%v and %v share the name %q", prev, typ, row.name)
+		}
+		names[row.name] = typ
+		if got, err := ParseType(typ.String()); err != nil || got != typ {
+			t.Errorf("ParseType(%q) = %v, %v", typ.String(), got, err)
+		}
+		idx, err := New(typ, linalg.L2, 16, BuildParams{})
+		if err != nil {
+			t.Fatalf("New(%v): %v", typ, err)
+		}
+		if idx.Type() != typ {
+			t.Errorf("New(%v).Type() = %v", typ, idx.Type())
+		}
 	}
+	for _, bad := range []Type{-1, numTypes} {
+		if _, err := New(bad, linalg.L2, 16, BuildParams{}); err == nil {
+			t.Errorf("New(%v) succeeded", bad)
+		}
+		if _, err := ParseType(bad.String()); err == nil {
+			t.Errorf("ParseType(%q) succeeded", bad.String())
+		}
+	}
+
+	t.Run("AutoIndexIgnoresParams", func(t *testing.T) {
+		a, aWork, aIdx := buildAndMeasure(t, AutoIndex, BuildParams{Seed: 10}, SearchParams{})
+		b, bWork, bIdx := buildAndMeasure(t, AutoIndex, BuildParams{Seed: 10, HNSWM: 4, EfConstruction: 8}, SearchParams{Ef: 999, NProbe: 999})
+		if a != b || aWork != bWork {
+			t.Fatalf("AUTOINDEX behaviour depends on params: recall %v vs %v, work %+v vs %+v", a, b, aWork, bWork)
+		}
+		if aIdx.BuildStats() != bIdx.BuildStats() || aIdx.MemoryBytes() != bIdx.MemoryBytes() {
+			t.Fatalf("AUTOINDEX build depends on HNSWM/EfConstruction: %+v/%d vs %+v/%d",
+				aIdx.BuildStats(), aIdx.MemoryBytes(), bIdx.BuildStats(), bIdx.MemoryBytes())
+		}
+		if a < 0.85 {
+			t.Fatalf("AUTOINDEX recall = %v, want >= 0.85", a)
+		}
+		// The pinned row is stock HNSW at (autoM, autoEfCons, autoEf).
+		h, hWork, hIdx := buildAndMeasure(t, HNSW, BuildParams{Seed: 10, HNSWM: autoM, EfConstruction: autoEfCons}, SearchParams{Ef: autoEf})
+		if a != h || aWork != hWork || aIdx.BuildStats() != hIdx.BuildStats() {
+			t.Fatalf("AUTOINDEX differs from HNSW at its pinned parameters")
+		}
+	})
 }
 
 func TestAllTypesReturnSortedResults(t *testing.T) {

@@ -27,13 +27,6 @@ type ivfCoarse struct {
 	buildWork Stats
 }
 
-func newIVFCoarse(m linalg.Metric, dim, nlist int, seed int64, workers int) (*ivfCoarse, error) {
-	if nlist < 1 {
-		return nil, fmt.Errorf("ivf: nlist must be >= 1, got %d", nlist)
-	}
-	return &ivfCoarse{metric: m, dim: dim, nlist: nlist, seed: seed, workers: workers}, nil
-}
-
 // train clusters the vectors and returns the grouping permutation: grouped
 // row g holds original row order[g], cells in index order, within-cell rows
 // in original row order (the posting-list order of the previous layout, so
@@ -257,29 +250,27 @@ func (c *ivfCoarse) probers(cell, nprobe int, rows [][]float32, s *searchScratch
 	return lo, hi, s.mqrows, s.mouts
 }
 
-// replayRegions replays each query's materialized probe-slot regions in
-// probe order: push (ids[row], dist) into a private top-k, then offer its
+// replayRegions is the replay of the types whose scan distances are their
+// results: each query's materialized probe-slot regions are replayed in
+// probe order — push (ids[row], dist) into a private top-k, then offer its
 // sorted results to the caller's collector. Per query the sequence depends
 // only on its own probe order, never on the tile it rode in, so results
 // and ties are bit-identical for any tile width.
-func (c *ivfCoarse) replayRegions(probes []int32, nprobe, k int, ids []int64, s *searchScratch, tops []*linalg.TopK) {
+func replayRegions(x *ivf, _ [][]float32, probes []int32, nprobe, k int, _ SearchParams, s *searchScratch, tops []*linalg.TopK) Stats {
 	for qi := range tops {
 		top := s.top.Reset(k)
 		for pi := 0; pi < nprobe; pi++ {
 			slot := qi*nprobe + pi
-			lo, hi := c.cellRange(probes[slot])
+			lo, hi := x.coarse.cellRange(probes[slot])
 			if lo == hi {
 				continue
 			}
 			o := s.mregion[slot]
-			top.PushBlock(ids[lo:hi], s.mbuf[o:o+hi-lo])
+			top.PushBlock(x.ids[lo:hi], s.mbuf[o:o+hi-lo])
 		}
-		s.res = top.AppendResults(s.res[:0])
-		dst := tops[qi]
-		for _, nb := range s.res {
-			dst.Push(nb.ID, nb.Dist)
-		}
+		s.offer(top, tops[qi])
 	}
+	return Stats{}
 }
 
 func (c *ivfCoarse) clampProbe(nprobe int) int {
@@ -317,89 +308,149 @@ func gatherIDs(ids []int64, order []int32) []int64 {
 	return out
 }
 
-// ivfFlat stores raw vectors grouped cell-major and scans the probed
-// cells exactly with the blocked kernels, matching Milvus' IVF_FLAT.
-type ivfFlat struct {
+// cellPayload is what an IVF type keeps of its rows, grouped cell-major:
+// raw vectors, SQ8 codes or PQ codes. It hides the storage format — the
+// one thing the IVF types differ in besides SCANN's replay — behind the
+// steps the shared Build and SearchMultiInto need of it.
+type cellPayload interface {
+	// train encodes store's rows in grouped order (grouped row g is
+	// store.Row(order[g])) and returns the build work it did beyond the
+	// coarse training.
+	train(store *linalg.Matrix, order []int32) (Stats, error)
+	// prepare returns the per-query kernel arguments of one tile — the
+	// queries themselves, SQ8 residuals, or ADC tables — charging st
+	// whatever building them costs. The views live in s.
+	prepare(queries [][]float32, st *Stats, s *searchScratch) [][]float32
+	// scan scores grouped rows [lo, hi) against every prepared argument in
+	// qrows with one multi-query kernel call, filling outs[i][:hi-lo].
+	scan(lo, hi int32, qrows, outs [][]float32)
+	// unit is the work of scoring one row against one query.
+	unit() Stats
+	// bytes is the resident size of the payload.
+	bytes() int64
+}
+
+// replayFunc turns the (query, probe-slot) regions a tile's scan left in
+// s.mbuf into each query's offers to its collector and returns the work
+// it did beyond the scan. Per query it may depend only on that query's own
+// probe order, never on the tile it rode in.
+type replayFunc func(x *ivf, queries [][]float32, probes []int32, nprobe, k int, p SearchParams, s *searchScratch, tops []*linalg.TopK) Stats
+
+// ivf is the inverted-file index (Jégou et al.): a coarse quantizer over
+// cell-major posting lists. IVF_FLAT, IVF_SQ8, IVF_PQ and SCANN are this
+// struct with a different payload (and, for SCANN, a different replay);
+// see the table in index.go.
+type ivf struct {
+	typ     Type
 	coarse  *ivfCoarse
-	store   *linalg.Matrix // grouped cell-major
-	ids     []int64        // grouped
+	ids     []int64 // grouped; set last by Build, so non-empty means built
+	cells   cellPayload
+	replay  replayFunc
 	scratch scratchPool
 }
 
-func newIVFFlat(m linalg.Metric, dim int, p BuildParams) (*ivfFlat, error) {
+func newIVF(t Type, m linalg.Metric, dim int, p BuildParams, cells cellPayload, replay replayFunc) (*ivf, error) {
 	nlist := p.NList
 	if nlist == 0 {
 		nlist = 128
 	}
-	c, err := newIVFCoarse(m, dim, nlist, p.Seed, p.Workers)
-	if err != nil {
-		return nil, err
+	if nlist < 1 {
+		return nil, fmt.Errorf("ivf: nlist must be >= 1, got %d", nlist)
 	}
-	return &ivfFlat{coarse: c}, nil
+	c := &ivfCoarse{metric: m, dim: dim, nlist: nlist, seed: p.Seed, workers: p.Workers}
+	return &ivf{typ: t, coarse: c, cells: cells, replay: replay}, nil
 }
 
-func (x *ivfFlat) Type() Type { return IVFFlat }
+func (x *ivf) Type() Type { return x.typ }
 
-func (x *ivfFlat) Build(store *linalg.Matrix, ids []int64) error {
+func (x *ivf) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {
-		return fmt.Errorf("ivf_flat: %d vectors but %d ids", store.Rows(), len(ids))
+		return fmt.Errorf("ivf: %d vectors but %d ids", store.Rows(), len(ids))
 	}
 	order, err := x.coarse.train(store)
 	if err != nil {
 		return err
 	}
-	x.store = gatherRows(store, order)
+	work, err := x.cells.train(store, order)
+	if err != nil {
+		return err
+	}
+	x.coarse.buildWork.Add(work)
 	x.ids = gatherIDs(ids, order)
 	return nil
 }
 
-func (x *ivfFlat) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
+func (x *ivf) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
 	searchOneInto(x, q, k, p, st, top)
 }
 
 // SearchMultiInto shares the posting-list streaming across the query
-// tile. Three phases: (1) batched coarse assignment (probeMulti); (2) the
-// probe table is inverted cell→probers with a counting sort, and each
-// probed cell's contiguous row range is scanned once by the multi-query
+// tile. Three phases: (1) batched coarse assignment (probeMulti) and the
+// payload's per-query kernel arguments (prepare); (2) the probe table is
+// inverted cell→probers with a counting sort, and each probed cell's
+// contiguous row range is scanned once by the payload's multi-query
 // kernel for all of its probers, materializing every (query, probe-slot)
 // distance region in scratch; (3) per query, the regions are replayed in
-// probe order — pushing into a private top-k and offering its sorted
-// results to the caller's collector — so results, ties, and Stats are
-// tile-width invariant while each cell's rows are loaded from memory once
-// per tile instead of once per probing query.
-func (x *ivfFlat) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	if x.store == nil || x.store.Rows() == 0 || k < 1 || len(queries) == 0 {
+// probe order, so results, ties, and Stats are tile-width invariant while
+// each cell's rows are loaded from memory once per tile instead of once
+// per probing query.
+func (x *ivf) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
+	if len(x.ids) == 0 || k < 1 || len(queries) == 0 {
 		return
 	}
 	s := x.scratch.get()
 	nprobe := x.coarse.clampProbe(p.NProbe)
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
+	rows := x.cells.prepare(queries, st, s)
 	scanned := x.coarse.invertProbes(probes, s)
-
-	data := x.store.Data()
-	dim := x.store.Dim()
 	for cell := 0; cell < x.coarse.cents.Rows(); cell++ {
-		lo, hi, qrows, outs := x.coarse.probers(cell, nprobe, queries, s)
+		lo, hi, qrows, outs := x.coarse.probers(cell, nprobe, rows, s)
 		if len(qrows) > 0 {
-			linalg.DistanceMultiScatter(x.coarse.metric, qrows, data[int(lo)*dim:int(hi)*dim], outs)
+			x.cells.scan(lo, hi, qrows, outs)
 		}
 	}
-
-	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{DistComps: int64(scanned)})
+	accumulate(st, x.cells.unit().times(int64(scanned)))
+	accumulate(st, x.replay(x, queries, probes, nprobe, k, p, s, tops))
 	x.scratch.put(s)
 }
 
-func (x *ivfFlat) MemoryBytes() int64 {
-	if x.store == nil {
-		return 0
-	}
-	return x.store.Bytes() +
-		x.coarse.centroidBytes() + int64(x.store.Rows())*4 // grouped row ids
+func (x *ivf) MemoryBytes() int64 {
+	return x.cells.bytes() + x.coarse.centroidBytes() +
+		int64(len(x.ids))*4 // grouped row ids
 }
 
-func (x *ivfFlat) BuildStats() Stats { return x.coarse.buildWork }
+func (x *ivf) BuildStats() Stats { return x.coarse.buildWork }
 
-// StoreAdopted: the IVF family copies its payloads into cell-major
-// storage; the caller's arena is not retained.
-func (x *ivfFlat) StoreAdopted() bool { return false }
+// StoreAdopted: every payload is a cell-major copy or encoding; the
+// caller's arena is not retained.
+func (x *ivf) StoreAdopted() bool { return false }
+
+// rawCells is IVF_FLAT's payload: the vectors themselves, scanned exactly
+// by the blocked kernels.
+type rawCells struct {
+	metric linalg.Metric
+	store  *linalg.Matrix // grouped cell-major
+}
+
+func (c *rawCells) train(store *linalg.Matrix, order []int32) (Stats, error) {
+	c.store = gatherRows(store, order)
+	return Stats{}, nil
+}
+
+func (c *rawCells) prepare(queries [][]float32, _ *Stats, _ *searchScratch) [][]float32 {
+	return queries
+}
+
+func (c *rawCells) scan(lo, hi int32, qrows, outs [][]float32) {
+	dim := c.store.Dim()
+	linalg.DistanceMultiScatter(c.metric, qrows, c.store.Data()[int(lo)*dim:int(hi)*dim], outs)
+}
+
+func (c *rawCells) unit() Stats { return Stats{DistComps: 1} }
+
+func (c *rawCells) bytes() int64 {
+	if c.store == nil {
+		return 0
+	}
+	return c.store.Bytes()
+}

@@ -201,13 +201,13 @@ func TestPQCodeWidth(t *testing.T) {
 	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 		t.Fatal(err)
 	}
-	pq := idx.(*ivfPQ)
+	pq := pqPayload(t, idx)
 	if pq.codes8 == nil || pq.codes16 != nil {
 		t.Fatalf("ksubN=%d should pack 1-byte codes (codes8=%v codes16=%v)",
 			pq.ksubN, pq.codes8 != nil, pq.codes16 != nil)
 	}
 	limit := uint16(1) << pq.nbits
-	for i := range pq.ids {
+	for i := range idx.(*ivf).ids {
 		for s, c := range pq.codes8[i*pq.m : (i+1)*pq.m] {
 			if uint16(c) >= limit {
 				t.Fatalf("vector %d subspace %d code %d >= %d", i, s, c, limit)
@@ -249,7 +249,7 @@ func TestTopKQuickProperty(t *testing.T) {
 }
 
 // TestPQBuildDistCompsFormula pins the codebook-training cost charged by
-// ivfPQ.Build: the full-dimension-equivalent comparisons on top of the
+// pqCells.train: the full-dimension-equivalent comparisons on top of the
 // shared coarse training are exactly n*ksubN (m subspace passes of n*ksubN
 // comparisons, each touching subDim = dim/m of the dimensions), and
 // encoding charges one code-domain pass over the corpus.
@@ -274,7 +274,7 @@ func TestPQBuildDistCompsFormula(t *testing.T) {
 	if err := idx.Build(store, ids); err != nil {
 		t.Fatal(err)
 	}
-	pq := idx.(*ivfPQ)
+	pq := pqPayload(t, idx)
 	st := idx.BuildStats()
 
 	n := int64(len(vecs))
@@ -303,7 +303,7 @@ func TestPQWideCodesMultiMatchesSingle(t *testing.T) {
 	if err := idx.Build(linalg.MatrixFromRows(vecs), ids); err != nil {
 		t.Fatal(err)
 	}
-	pq := idx.(*ivfPQ)
+	pq := pqPayload(t, idx)
 	if pq.ksubN <= 256 {
 		t.Fatalf("nbits=9 trained only %d codewords; test needs ksubN > 256", pq.ksubN)
 	}

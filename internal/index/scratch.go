@@ -98,6 +98,16 @@ func (s *searchScratch) beginVisit(n int) uint32 {
 	return s.epoch
 }
 
+// offer pushes a query's private top-k, sorted ascending, into the
+// caller's collector by way of s.res, so the scatter-gather path
+// materializes no per-probe slices.
+func (s *searchScratch) offer(top, dst *linalg.TopK) {
+	s.res = top.AppendResults(s.res[:0])
+	for _, nb := range s.res {
+		dst.Push(nb.ID, nb.Dist)
+	}
+}
+
 // f32Buf returns a length-n float32 buffer, growing buf's capacity only at
 // the high-water mark.
 func f32Buf(buf []float32, n int) []float32 {

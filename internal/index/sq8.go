@@ -1,8 +1,6 @@
 package index
 
 import (
-	"fmt"
-
 	"vdtuner/internal/linalg"
 	"vdtuner/internal/parallel"
 )
@@ -99,10 +97,10 @@ func (c *sq8Codec) encode(v []float32, dst []byte) {
 	}
 }
 
-// scanMetric maps the index metric onto the SQ8 kernel family: negative
+// sq8ScanMetric maps the index metric onto the SQ8 kernel family: negative
 // dot for InnerProduct, reconstruction L2 for everything else (Angular
 // inputs are normalized upstream, so squared L2 ranks identically).
-func (c *sq8Codec) scanMetric(m linalg.Metric) linalg.Metric {
+func sq8ScanMetric(m linalg.Metric) linalg.Metric {
 	if m == linalg.InnerProduct {
 		return linalg.InnerProduct
 	}
@@ -113,117 +111,63 @@ func (c *sq8Codec) scanMetric(m linalg.Metric) linalg.Metric {
 // the scalar form of the blocked kernel contract, bit-identical to a
 // one-row DistanceSQ8Block call.
 func (c *sq8Codec) dist(m linalg.Metric, q []float32, code []byte) float32 {
-	return linalg.SQ8Distance(c.scanMetric(m), q, c.min, c.scale, code)
+	return linalg.SQ8Distance(sq8ScanMetric(m), q, c.min, c.scale, code)
 }
 
 func (c *sq8Codec) bytes() int64 {
 	return 2 * int64(c.dim) * float32Bytes // min/scale
 }
 
-// scanProbed is the quantized cell scan IVF_SQ8 and SCANN's stage 1 share:
-// after invertProbes, every probed cell's contiguous code range streams
-// once through the multi-query SQ8 decode kernels for all of its probers,
-// filling each (query, probe-slot) region of s.mbuf. The per-query affine
-// constant is hoisted up front: the L2 kernels take the residual q - min,
-// the dot kernels the raw query.
-func (c *sq8Codec) scanProbed(coarse *ivfCoarse, codes []byte, queries [][]float32, nprobe int, s *searchScratch) {
-	dim := c.dim
-	sm := c.scanMetric(coarse.metric)
-	rows := queries
-	if sm == linalg.L2 {
-		s.mres = f32Buf(s.mres, len(queries)*dim)
-		s.mrows = f32sBuf(s.mrows, len(queries))
-		for qi, q := range queries {
-			s.mrows[qi] = s.mres[qi*dim : (qi+1)*dim]
-			linalg.SQ8Residual(q, c.min, s.mrows[qi])
-		}
-		rows = s.mrows
-	}
-	for cell := 0; cell < coarse.cents.Rows(); cell++ {
-		lo, hi, qrows, outs := coarse.probers(cell, nprobe, rows, s)
-		if len(qrows) > 0 {
-			linalg.DistanceSQ8MultiScatter(sm, qrows, c.min, c.scale, codes[int(lo)*dim:int(hi)*dim], outs)
-		}
-	}
-}
-
-// ivfSQ8 is IVF with SQ8-compressed posting lists: the probed cells are
-// scanned in the quantized domain (cheaper per candidate, small recall
-// loss), and raw vectors are not retained, matching Milvus' IVF_SQ8.
-// Codes live in one flat arena grouped cell-major, so each probe streams
-// a contiguous byte range.
-type ivfSQ8 struct {
-	coarse  *ivfCoarse
+// sq8Cells is the SQ8 payload of IVF_SQ8 and of SCANN's stage 1: one byte
+// per dimension in one flat arena grouped cell-major, so each probe
+// streams a contiguous byte range through the multi-query SQ8 decode
+// kernels. Scanning in the quantized domain is cheaper per candidate at a
+// small recall loss; raw vectors are not retained (Milvus' IVF_SQ8).
+type sq8Cells struct {
+	metric  linalg.Metric // the kernel family: sq8ScanMetric of the index metric
+	workers int
 	codec   *sq8Codec
-	codes   []byte // grouped, store.Rows()*dim bytes
-	ids     []int64
-	scratch scratchPool
+	codes   []byte // grouped, dim bytes per row
 }
 
-func newIVFSQ8(m linalg.Metric, dim int, p BuildParams) (*ivfSQ8, error) {
-	nlist := p.NList
-	if nlist == 0 {
-		nlist = 128
-	}
-	c, err := newIVFCoarse(m, dim, nlist, p.Seed, p.Workers)
-	if err != nil {
-		return nil, err
-	}
-	return &ivfSQ8{coarse: c}, nil
+func newSQ8Cells(m linalg.Metric, workers int) *sq8Cells {
+	return &sq8Cells{metric: sq8ScanMetric(m), workers: workers}
 }
 
-func (x *ivfSQ8) Type() Type { return IVFSQ8 }
-
-func (x *ivfSQ8) Build(store *linalg.Matrix, ids []int64) error {
-	if store.Rows() != len(ids) {
-		return fmt.Errorf("ivf_sq8: %d vectors but %d ids", store.Rows(), len(ids))
-	}
-	order, err := x.coarse.train(store)
-	if err != nil {
-		return err
-	}
-	x.codec = trainSQ8(store, x.coarse.dim, x.coarse.workers)
-	x.codes = x.codec.encodeGrouped(store, order, x.coarse.workers)
-	x.ids = gatherIDs(ids, order)
-	// Encoding charges one code-domain pass over the data.
-	x.coarse.buildWork.Add(Stats{CodeComps: int64(store.Rows())})
-	return nil
+// train charges one code-domain pass over the data for the encoding.
+func (c *sq8Cells) train(store *linalg.Matrix, order []int32) (Stats, error) {
+	c.codec = trainSQ8(store, store.Dim(), c.workers)
+	c.codes = c.codec.encodeGrouped(store, order, c.workers)
+	return Stats{CodeComps: int64(len(order))}, nil
 }
 
-func (x *ivfSQ8) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
-	searchOneInto(x, q, k, p, st, top)
-}
-
-// SearchMultiInto shares the byte-domain posting-list streaming across
-// the query tile, the same three phases as IVF_FLAT's: batched coarse
-// assignment, cell→prober inversion with each probed cell's code range
-// decoded once per quad of probers (scanProbed), and the tile-width
-// invariant per-query replay.
-func (x *ivfSQ8) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *Stats, tops []*linalg.TopK) {
-	if len(x.codes) == 0 || k < 1 || len(queries) == 0 {
-		return
+// prepare hoists the per-query affine constant: the L2 kernels take the
+// residual q - min, the dot kernels the raw query.
+func (c *sq8Cells) prepare(queries [][]float32, _ *Stats, s *searchScratch) [][]float32 {
+	if c.metric != linalg.L2 {
+		return queries
 	}
-	s := x.scratch.get()
-	nprobe := x.coarse.clampProbe(p.NProbe)
-	probes := x.coarse.probeMulti(queries, nprobe, st, s)
-	scanned := x.coarse.invertProbes(probes, s)
-	x.codec.scanProbed(x.coarse, x.codes, queries, nprobe, s)
-	x.coarse.replayRegions(probes, nprobe, k, x.ids, s, tops)
-	accumulate(st, Stats{CodeComps: int64(scanned)})
-	x.scratch.put(s)
-}
-
-func (x *ivfSQ8) MemoryBytes() int64 {
-	var codecBytes int64
-	if x.codec != nil {
-		codecBytes = x.codec.bytes()
+	dim := c.codec.dim
+	s.mres = f32Buf(s.mres, len(queries)*dim)
+	s.mrows = f32sBuf(s.mrows, len(queries))
+	for qi, q := range queries {
+		s.mrows[qi] = s.mres[qi*dim : (qi+1)*dim]
+		linalg.SQ8Residual(q, c.codec.min, s.mrows[qi])
 	}
-	return int64(len(x.codes)) + // 1 byte/dim codes
-		x.coarse.centroidBytes() +
-		codecBytes +
-		int64(len(x.ids))*4 // grouped row ids
+	return s.mrows
 }
 
-func (x *ivfSQ8) BuildStats() Stats { return x.coarse.buildWork }
+func (c *sq8Cells) scan(lo, hi int32, qrows, outs [][]float32) {
+	dim := c.codec.dim
+	linalg.DistanceSQ8MultiScatter(c.metric, qrows, c.codec.min, c.codec.scale,
+		c.codes[int(lo)*dim:int(hi)*dim], outs)
+}
 
-func (x *ivfSQ8) StoreAdopted() bool { return false }
+func (c *sq8Cells) unit() Stats { return Stats{CodeComps: 1} }
+
+func (c *sq8Cells) bytes() int64 {
+	if c.codec == nil {
+		return 0
+	}
+	return int64(len(c.codes)) + c.codec.bytes()
+}

@@ -192,18 +192,3 @@ func Clone(v []float32) []float32 {
 	copy(c, v)
 	return c
 }
-
-// Mean returns the element-wise mean of the given vectors. It panics if
-// vecs is empty. All vectors must share the same dimension.
-func Mean(vecs [][]float32) []float32 {
-	if len(vecs) == 0 {
-		panic("linalg: Mean of empty set")
-	}
-	dim := len(vecs[0])
-	m := make([]float32, dim)
-	for _, v := range vecs {
-		AddInto(m, v)
-	}
-	Scale(m, 1/float32(len(vecs)))
-	return m
-}

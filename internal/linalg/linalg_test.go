@@ -155,22 +155,6 @@ func TestDistanceMetricsAgreeOnOrdering(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	m := Mean([][]float32{{1, 2}, {3, 4}, {5, 6}})
-	if m[0] != 3 || m[1] != 4 {
-		t.Fatalf("Mean = %v, want [3 4]", m)
-	}
-}
-
-func TestMeanEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Mean of empty set did not panic")
-		}
-	}()
-	Mean(nil)
-}
-
 func TestTopKExactness(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 30; trial++ {

@@ -38,18 +38,16 @@ func MultiRowTile(dim, q int) int {
 	return rows
 }
 
-// multiScatter is the shared core: queries[i] scored against every row of
-// block, written to outs[i] (each len(block)/dim long). l2 selects the
-// squared-L2 kernels; otherwise the dot kernels run with the fused op
-// epilogue. Row tiles are processed innermost so each tile is reused
-// across all queries while cache-resident.
-func multiScatter(l2 bool, op int, queries [][]float32, block []float32, outs [][]float32) {
-	qn := len(queries)
-	if qn == 0 {
-		return
-	}
-	dim := len(queries[0])
-	if dim == 0 {
+// multiTiles is the one tile loop of the multi-query kernels: query(i) is
+// scored against every row of block and written to out(i) (len(block)/dim
+// long), for i in [0, qn). l2 selects the squared-L2 kernels; otherwise
+// the dot kernels run with the fused op epilogue. Row tiles are processed
+// innermost so each tile is reused across all queries while
+// cache-resident. The accessors let the slice and Matrix query forms share
+// the body; they are called per (tile, query), beside a kernel call that
+// streams the whole tile.
+func multiTiles(l2 bool, op int, qn, dim int, block []float32, query, out func(i int) []float32) {
+	if qn == 0 || dim == 0 {
 		return
 	}
 	rows := len(block) / dim
@@ -62,22 +60,32 @@ func multiScatter(l2 bool, op int, queries [][]float32, block []float32, outs []
 		b := block[lo*dim : hi*dim]
 		qi := 0
 		for ; qi+4 <= qn; qi += 4 {
+			q0, q1, q2, q3 := query(qi), query(qi+1), query(qi+2), query(qi+3)
+			o0, o1, o2, o3 := out(qi)[lo:hi], out(qi + 1)[lo:hi], out(qi + 2)[lo:hi], out(qi + 3)[lo:hi]
 			if l2 {
-				l2Multi4Kernel(queries[qi], queries[qi+1], queries[qi+2], queries[qi+3], b,
-					outs[qi][lo:hi], outs[qi+1][lo:hi], outs[qi+2][lo:hi], outs[qi+3][lo:hi])
+				l2Multi4Kernel(q0, q1, q2, q3, b, o0, o1, o2, o3)
 			} else {
-				dotMulti4Kernel(queries[qi], queries[qi+1], queries[qi+2], queries[qi+3], b,
-					outs[qi][lo:hi], outs[qi+1][lo:hi], outs[qi+2][lo:hi], outs[qi+3][lo:hi], op)
+				dotMulti4Kernel(q0, q1, q2, q3, b, o0, o1, o2, o3, op)
 			}
 		}
 		for ; qi < qn; qi++ {
 			if l2 {
-				l2BlockKernel(queries[qi], b, outs[qi][lo:hi])
+				l2BlockKernel(query(qi), b, out(qi)[lo:hi])
 			} else {
-				dotBlockKernel(queries[qi], b, outs[qi][lo:hi], op)
+				dotBlockKernel(query(qi), b, out(qi)[lo:hi], op)
 			}
 		}
 	}
+}
+
+// multiScatter is multiTiles over query and output slices.
+func multiScatter(l2 bool, op int, queries [][]float32, block []float32, outs [][]float32) {
+	if len(queries) == 0 {
+		return
+	}
+	multiTiles(l2, op, len(queries), len(queries[0]), block,
+		func(i int) []float32 { return queries[i] },
+		func(i int) []float32 { return outs[i] })
 }
 
 // metricKernel maps a metric to the kernel selector: the l2 kernel family
@@ -106,70 +114,18 @@ func DistanceMultiScatter(m Metric, queries [][]float32, block []float32, outs [
 	multiScatter(l2, op, queries, block, outs)
 }
 
-// multiMatrix adapts the Matrix query form onto multiScatter: out is
-// query-major, out[qi*rows : (qi+1)*rows] holding query qi's results.
-func multiMatrix(l2 bool, op int, queries *Matrix, block []float32, out []float32) {
-	qn := queries.Rows()
-	if qn == 0 {
-		return
-	}
+// SquaredL2MultiBlock computes the squared Euclidean distance of every
+// query row of queries to every row of the packed arena block:
+// out[qi*rows+r] is bitwise equal to SquaredL2(queries.Row(qi), row_r),
+// with rows = len(block)/dim. out must hold queries.Rows()*rows values. It
+// is multiTiles with the Matrix supplying the query rows and a query-major
+// flat output.
+func SquaredL2MultiBlock(queries *Matrix, block []float32, out []float32) {
 	dim := queries.Dim()
 	if dim == 0 {
 		return
 	}
 	rows := len(block) / dim
-	tile := MultiRowTile(dim, qn)
-	for lo := 0; lo < rows; lo += tile {
-		hi := lo + tile
-		if hi > rows {
-			hi = rows
-		}
-		b := block[lo*dim : hi*dim]
-		qi := 0
-		for ; qi+4 <= qn; qi += 4 {
-			o0 := out[qi*rows:]
-			o1 := out[(qi+1)*rows:]
-			o2 := out[(qi+2)*rows:]
-			o3 := out[(qi+3)*rows:]
-			if l2 {
-				l2Multi4Kernel(queries.Row(qi), queries.Row(qi+1), queries.Row(qi+2), queries.Row(qi+3), b,
-					o0[lo:hi], o1[lo:hi], o2[lo:hi], o3[lo:hi])
-			} else {
-				dotMulti4Kernel(queries.Row(qi), queries.Row(qi+1), queries.Row(qi+2), queries.Row(qi+3), b,
-					o0[lo:hi], o1[lo:hi], o2[lo:hi], o3[lo:hi], op)
-			}
-		}
-		for ; qi < qn; qi++ {
-			o := out[qi*rows:]
-			if l2 {
-				l2BlockKernel(queries.Row(qi), b, o[lo:hi])
-			} else {
-				dotBlockKernel(queries.Row(qi), b, o[lo:hi], op)
-			}
-		}
-	}
-}
-
-// DotMultiBlock computes the dot product of every query row of queries
-// against every row of the packed arena block: out[qi*rows+r] is bitwise
-// equal to Dot(queries.Row(qi), row_r), with rows = len(block)/dim. out
-// must hold queries.Rows()*rows values.
-func DotMultiBlock(queries *Matrix, block []float32, out []float32) {
-	multiMatrix(false, opNone, queries, block, out)
-}
-
-// SquaredL2MultiBlock is the squared-Euclidean counterpart of
-// DotMultiBlock: out[qi*rows+r] == SquaredL2(queries.Row(qi), row_r),
-// bitwise.
-func SquaredL2MultiBlock(queries *Matrix, block []float32, out []float32) {
-	multiMatrix(true, opNone, queries, block, out)
-}
-
-// DistanceMultiBlock computes the distance of every query row to every
-// arena row under metric m: out[qi*rows+r] == Distance(m,
-// queries.Row(qi), row_r), bitwise. The metric epilogue is fused into the
-// scoring loop like DistanceBlock's.
-func DistanceMultiBlock(m Metric, queries *Matrix, block []float32, out []float32) {
-	l2, op := metricKernel(m)
-	multiMatrix(l2, op, queries, block, out)
+	multiTiles(true, opNone, queries.Rows(), dim, block, queries.Row,
+		func(i int) []float32 { return out[i*rows : (i+1)*rows] })
 }

@@ -108,29 +108,9 @@ func TestMultiKernelBitIdentity(t *testing.T) {
 						}
 					}
 				}
-				// Matrix multi kernel.
-				flat := make([]float32, qn*rows)
-				DistanceMultiBlock(m, qm, block, flat)
-				for i := 0; i < qn; i++ {
-					for r := 0; r < rows; r++ {
-						if !f32Equal(flat[i*rows+r], single[i][r]) {
-							t.Fatalf("dim=%d m=%v q=%d row=%d: matrix multi=%x single=%x",
-								dim, m, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(single[i][r]))
-						}
-					}
-				}
 			}
-			// Dot / SquaredL2 multi forms against their scalar references.
+			// The Matrix query form against the scalar reference.
 			flat := make([]float32, qn*rows)
-			DotMultiBlock(qm, block, flat)
-			for i, q := range queries {
-				for r := 0; r < rows; r++ {
-					if want := refDot(q, block[r*dim:(r+1)*dim]); !f32Equal(flat[i*rows+r], want) {
-						t.Fatalf("dim=%d q=%d row=%d: DotMultiBlock=%x Dot=%x",
-							dim, i, r, math.Float32bits(flat[i*rows+r]), math.Float32bits(want))
-					}
-				}
-			}
 			SquaredL2MultiBlock(qm, block, flat)
 			for i, q := range queries {
 				for r := 0; r < rows; r++ {

@@ -1,10 +1,11 @@
 package linalg
 
 // Neighbor is a candidate search result: a vector id and its distance to
-// the query under the active metric (smaller is better).
+// the query under the active metric (smaller is better). The JSON form is
+// the server's wire form of a search hit.
 type Neighbor struct {
-	ID   int64
-	Dist float32
+	ID   int64   `json:"id"`
+	Dist float32 `json:"dist"`
 }
 
 // TopK maintains the k nearest neighbors seen so far using a bounded

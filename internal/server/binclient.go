@@ -16,8 +16,11 @@ import (
 // interleaved on the single connection, and a background reader matches
 // responses — which the server may send out of order — back to their
 // callers. N goroutines sharing one BinClient therefore keep N requests
-// pipelined on one TCP connection with no head-of-line blocking.
+// pipelined on one TCP connection with no head-of-line blocking. It
+// carries the hot ops only (hotOps); vectors travel raw, 4 bytes per
+// float.
 type BinClient struct {
+	hotOps
 	conn net.Conn
 
 	// Write side: callers serialize frame writes only (not round trips).
@@ -56,6 +59,7 @@ func DialBinary(addr string) (*BinClient, error) {
 		return nil, err
 	}
 	c := &BinClient{conn: conn, bw: bw, pending: map[uint64]chan binReply{}}
+	c.hotOps.call = c.call
 	go c.readLoop()
 	return c, nil
 }
@@ -155,49 +159,4 @@ func (c *BinClient) call(req *Request) (*Response, error) {
 		return reply.resp, errors.New(reply.resp.Error)
 	}
 	return reply.resp, nil
-}
-
-// Ping checks liveness.
-func (c *BinClient) Ping() error {
-	_, err := c.call(&Request{Op: "ping"})
-	return err
-}
-
-// Insert sends rows raw (4 bytes per float on the wire) and returns their
-// assigned ids.
-func (c *BinClient) Insert(vecs [][]float32) ([]int64, error) {
-	resp, err := c.call(&Request{Op: "insert", Vectors: vecs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
-}
-
-// Search returns the k nearest neighbors of q.
-func (c *BinClient) Search(q []float32, k int) ([]Neighbor, error) {
-	resp, err := c.call(&Request{Op: "search", Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// SearchBatch answers every query in one round trip; result i corresponds
-// to queries[i]. Concurrent SearchBatch calls pipeline on the one
-// connection.
-func (c *BinClient) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	resp, err := c.call(&Request{Op: "searchBatch", Queries: queries, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Batches, nil
-}
-
-// Delete tombstones ids on the server and reports how many were new.
-func (c *BinClient) Delete(ids []int64) (int, error) {
-	resp, err := c.call(&Request{Op: "delete", IDs: ids})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Deleted, nil
 }

@@ -102,11 +102,9 @@ type Request struct {
 	Config json.RawMessage `json:"config,omitempty"`
 }
 
-// Neighbor is one search hit on the wire.
-type Neighbor struct {
-	ID   int64   `json:"id"`
-	Dist float32 `json:"dist"`
-}
+// Neighbor is one search hit on the wire: the engine's own result type,
+// so dispatch hands search results to the codecs without a copy.
+type Neighbor = linalg.Neighbor
 
 // Response is the server's reply to one Request.
 type Response struct {
@@ -435,11 +433,7 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 			return &Response{Error: err.Error()}
 		}
 		s.recordQueries(req.Query)
-		out := make([]Neighbor, len(res))
-		for i, n := range res {
-			out[i] = Neighbor{ID: n.ID, Dist: n.Dist}
-		}
-		return &Response{OK: true, Neighbors: out}
+		return &Response{OK: true, Neighbors: res}
 	case "searchBatch":
 		if req.K < 1 {
 			return &Response{Error: "searchBatch: k must be >= 1"}
@@ -450,14 +444,7 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 			return &Response{Error: err.Error()}
 		}
 		s.recordQueries(req.Queries...)
-		batches := make([][]Neighbor, len(res))
-		for i, list := range res {
-			batches[i] = make([]Neighbor, len(list))
-			for j, n := range list {
-				batches[i][j] = Neighbor{ID: n.ID, Dist: n.Dist}
-			}
-		}
-		return &Response{OK: true, Batches: batches}
+		return &Response{OK: true, Batches: res}
 	case "delete":
 		n, err := s.coll.Delete(req.IDs)
 		if err != nil {
@@ -513,9 +500,62 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 	}
 }
 
+// hotOps declares once the five ops both protocols carry, over whichever
+// round trip its owner supplies; Client and BinClient embed it.
+type hotOps struct {
+	call func(*Request) (*Response, error)
+}
+
+// Ping checks liveness.
+func (h hotOps) Ping() error {
+	_, err := h.call(&Request{Op: "ping"})
+	return err
+}
+
+// Insert sends rows and returns their assigned ids.
+func (h hotOps) Insert(vecs [][]float32) ([]int64, error) {
+	resp, err := h.call(&Request{Op: "insert", Vectors: vecs})
+	if err != nil {
+		return nil, err
+	}
+	return resp.IDs, nil
+}
+
+// Search returns the k nearest neighbors of q.
+func (h hotOps) Search(q []float32, k int) ([]Neighbor, error) {
+	resp, err := h.call(&Request{Op: "search", Query: q, K: k})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Neighbors, nil
+}
+
+// SearchBatch answers every query in one round trip; result i corresponds
+// to queries[i]. The server fans the batch across its configured
+// parallelism, so a batched call is both cheaper on the wire and faster to
+// serve than k sequential Searches. On a BinClient, concurrent SearchBatch
+// calls pipeline on the one connection.
+func (h hotOps) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
+	resp, err := h.call(&Request{Op: "searchBatch", Queries: queries, K: k})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Batches, nil
+}
+
+// Delete tombstones ids on the server and reports how many were new.
+func (h hotOps) Delete(ids []int64) (int, error) {
+	resp, err := h.call(&Request{Op: "delete", IDs: ids})
+	if err != nil {
+		return 0, err
+	}
+	return resp.Deleted, nil
+}
+
 // Client is a synchronous connection to a Server. It is safe for
 // concurrent use; requests are serialized on the single connection.
 type Client struct {
+	hotOps
 	mu   sync.Mutex
 	conn net.Conn
 	enc  *json.Encoder
@@ -530,12 +570,14 @@ func Dial(addr string) (*Client, error) {
 		return nil, err
 	}
 	w := bufio.NewWriter(conn)
-	return &Client{
+	c := &Client{
 		conn: conn,
 		enc:  json.NewEncoder(w),
 		dec:  json.NewDecoder(bufio.NewReader(conn)),
 		w:    w,
-	}, nil
+	}
+	c.hotOps.call = c.call
+	return c, nil
 }
 
 // Close closes the connection.
@@ -558,51 +600,6 @@ func (c *Client) call(req *Request) (*Response, error) {
 		return &resp, errors.New(resp.Error)
 	}
 	return &resp, nil
-}
-
-// Ping checks liveness.
-func (c *Client) Ping() error {
-	_, err := c.call(&Request{Op: "ping"})
-	return err
-}
-
-// Insert sends rows and returns their assigned ids.
-func (c *Client) Insert(vecs [][]float32) ([]int64, error) {
-	resp, err := c.call(&Request{Op: "insert", Vectors: vecs})
-	if err != nil {
-		return nil, err
-	}
-	return resp.IDs, nil
-}
-
-// Search returns the k nearest neighbors of q.
-func (c *Client) Search(q []float32, k int) ([]Neighbor, error) {
-	resp, err := c.call(&Request{Op: "search", Query: q, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Neighbors, nil
-}
-
-// SearchBatch answers every query in one round trip; result i corresponds
-// to queries[i]. The server fans the batch across its configured
-// parallelism, so a batched call is both cheaper on the wire and faster to
-// serve than k sequential Searches.
-func (c *Client) SearchBatch(queries [][]float32, k int) ([][]Neighbor, error) {
-	resp, err := c.call(&Request{Op: "searchBatch", Queries: queries, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Batches, nil
-}
-
-// Delete tombstones ids on the server and reports how many were new.
-func (c *Client) Delete(ids []int64) (int, error) {
-	resp, err := c.call(&Request{Op: "delete", IDs: ids})
-	if err != nil {
-		return 0, err
-	}
-	return resp.Deleted, nil
 }
 
 // Flush seals and waits for index builds on the server.
