@@ -42,10 +42,12 @@ purego:
 
 # vdms.Open and Evaluate size their pools from GOMAXPROCS, and the suite
 # otherwise runs only at the machine's own value: run every golden and
-# worker-invariance test on one CPU and on four, so a result that depends
-# on the pool size fails here and not on somebody else's machine.
+# worker-invariance test — the landed-snapshot byte golden and the
+# sealed-row read-back check included — on one CPU and on four, so a
+# result that depends on the pool size fails here and not on somebody
+# else's machine.
 cpu-matrix:
-	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|IdenticalAcrossWorkers|DeterministicAcrossWorkers' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
+	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|IdenticalAcrossWorkers|DeterministicAcrossWorkers|ReadBackBitExact' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
 
 # One iteration of every benchmark (BenchmarkExperiments: each entry of
 # bench.Experiments once; the churn benchmark BenchmarkSearchAfterDeletes;

@@ -66,7 +66,9 @@ func (f *flat) MemoryBytes() int64 {
 
 func (f *flat) BuildStats() Stats { return Stats{} }
 
-// StoreAdopted: flat retains the caller's arena as its only storage.
+// RawRows: flat retains the caller's arena as its only storage.
+func (f *flat) RawRows() (*linalg.Matrix, []int64) { return f.store, f.ids }
+
 func (f *flat) StoreAdopted() bool { return true }
 
 // scanPool serves ScanStoreMultiInto: FLAT segments and the scans of

@@ -637,5 +637,7 @@ func (h *hnsw) MemoryBytes() int64 {
 
 func (h *hnsw) BuildStats() Stats { return h.work }
 
-// StoreAdopted: hnsw retains the caller's arena as its vector storage.
+// RawRows: hnsw retains the caller's arena as its vector storage.
+func (h *hnsw) RawRows() (*linalg.Matrix, []int64) { return h.store, h.ids }
+
 func (h *hnsw) StoreAdopted() bool { return true }

@@ -221,11 +221,17 @@ type Index interface {
 	// views do not). The index adopts (and may retain) the store, which
 	// must not be mutated afterwards. Build may be called once.
 	Build(store *linalg.Matrix, ids []int64) error
-	// StoreAdopted reports whether Build retained the caller's arena as
-	// its own vector storage (graph/flat indexes) rather than copying
-	// what it needs (the IVF family re-groups payloads cell-major into
-	// private storage). The engine uses it to account retained segment
-	// binlogs exactly once.
+	// RawRows returns the built index's full-precision rows and the ids in
+	// its row order (ids[g] labels arena row g), or (nil, nil) when its
+	// payload is lossy (IVF_SQ8 and IVF_PQ keep codes) or it is unbuilt.
+	// FLAT, HNSW and AUTOINDEX return the arena Build adopted, in the
+	// caller's row order; IVF_FLAT and SCANN their cell-major copy. The
+	// arena is immutable. The engine reads a sealed segment's rows back
+	// through it instead of keeping a second copy.
+	RawRows() (*linalg.Matrix, []int64)
+	// StoreAdopted reports whether the built index holds every row at full
+	// precision (RawRows is non-nil), so the rows' bytes are inside
+	// MemoryBytes and a caller that keeps no other copy counts them once.
 	StoreAdopted() bool
 	// SearchInto offers q's candidates to the caller-owned collector,
 	// accumulating the work performed into st (which may be nil):

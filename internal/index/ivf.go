@@ -328,6 +328,9 @@ type cellPayload interface {
 	unit() Stats
 	// bytes is the resident size of the payload.
 	bytes() int64
+	// raw is the payload's full-precision rows in grouped order, or nil
+	// when it keeps only lossy codes.
+	raw() *linalg.Matrix
 }
 
 // replayFunc turns the (query, probe-slot) regions a tile's scan left in
@@ -421,9 +424,16 @@ func (x *ivf) MemoryBytes() int64 {
 
 func (x *ivf) BuildStats() Stats { return x.coarse.buildWork }
 
-// StoreAdopted: every payload is a cell-major copy or encoding; the
-// caller's arena is not retained.
-func (x *ivf) StoreAdopted() bool { return false }
+// RawRows: the payload's full-precision rows, grouped cell-major, when it
+// keeps them (IVF_FLAT, SCANN); codes-only payloads answer nil.
+func (x *ivf) RawRows() (*linalg.Matrix, []int64) {
+	if raw := x.cells.raw(); raw != nil {
+		return raw, x.ids
+	}
+	return nil, nil
+}
+
+func (x *ivf) StoreAdopted() bool { return x.cells.raw() != nil }
 
 // rawCells is IVF_FLAT's payload: the vectors themselves, scanned exactly
 // by the blocked kernels.
@@ -447,6 +457,8 @@ func (c *rawCells) scan(lo, hi int32, qrows, outs [][]float32) {
 }
 
 func (c *rawCells) unit() Stats { return Stats{DistComps: 1} }
+
+func (c *rawCells) raw() *linalg.Matrix { return c.store }
 
 func (c *rawCells) bytes() int64 {
 	if c.store == nil {

@@ -157,6 +157,8 @@ func (c *pqCells) scan(lo, hi int32, tables, outs [][]float32) {
 // unit: one ADC table lookup per subquantizer.
 func (c *pqCells) unit() Stats { return Stats{Lookups: int64(c.m)} }
 
+func (c *pqCells) raw() *linalg.Matrix { return nil }
+
 func (c *pqCells) bytes() int64 {
 	if c.books == nil {
 		return 0

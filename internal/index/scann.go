@@ -12,7 +12,7 @@ import "vdtuner/internal/linalg"
 type rerankCells struct {
 	*sq8Cells
 	exact linalg.Metric  // the index metric, which the re-rank scores under
-	raw   *linalg.Matrix // grouped raw vectors kept for re-ranking
+	rows  *linalg.Matrix // grouped raw vectors kept for re-ranking
 }
 
 func newRerankCells(m linalg.Metric, workers int) *rerankCells {
@@ -20,27 +20,29 @@ func newRerankCells(m linalg.Metric, workers int) *rerankCells {
 }
 
 func (c *rerankCells) train(store *linalg.Matrix, order []int32) (Stats, error) {
-	c.raw = gatherRows(store, order)
+	c.rows = gatherRows(store, order)
 	return c.sq8Cells.train(store, order)
 }
 
 func (c *rerankCells) bytes() int64 {
-	if c.raw == nil {
+	if c.rows == nil {
 		return 0
 	}
-	return c.raw.Bytes() + c.sq8Cells.bytes()
+	return c.rows.Bytes() + c.sq8Cells.bytes()
 }
+
+func (c *rerankCells) raw() *linalg.Matrix { return c.rows }
 
 // rerank gathers the stage-1 survivors in s.neighbors into the contiguous
 // s.gath arena and scores them exactly with one blocked kernel call,
 // leaving candidate ci's distance in s.dists[ci]. Gathered rows are exact
 // copies, so each output is bitwise equal to a per-row linalg.Distance.
 func (c *rerankCells) rerank(q []float32, s *searchScratch) {
-	dim := c.raw.Dim()
+	dim := c.rows.Dim()
 	n := len(s.neighbors)
 	s.gath = f32Buf(s.gath, n*dim)
 	for ci, nb := range s.neighbors {
-		copy(s.gath[ci*dim:(ci+1)*dim], c.raw.Row(int(nb.ID)))
+		copy(s.gath[ci*dim:(ci+1)*dim], c.rows.Row(int(nb.ID)))
 	}
 	s.dists = f32Buf(s.dists, n)
 	linalg.DistanceBlock(c.exact, q, s.gath[:n*dim], s.dists)

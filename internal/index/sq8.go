@@ -165,6 +165,8 @@ func (c *sq8Cells) scan(lo, hi int32, qrows, outs [][]float32) {
 
 func (c *sq8Cells) unit() Stats { return Stats{CodeComps: 1} }
 
+func (c *sq8Cells) raw() *linalg.Matrix { return nil }
+
 func (c *sq8Cells) bytes() int64 {
 	if c.codec == nil {
 		return 0

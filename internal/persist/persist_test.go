@@ -337,6 +337,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if len(got.Tombstones) != 2 || got.Tombstones[1] != 5 {
 		t.Fatalf("tombstones mismatch: %v", got.Tombstones)
 	}
+	// A segment whose rows sit permuted in another arena is written through
+	// its Order: the same bytes as its rows in order.
+	permuted := testSnapshot()
+	rev := linalg.NewMatrix(3, 2)
+	rev.AppendRow([]float32{4, 5, 6})
+	rev.AppendRow([]float32{1, 2, 3})
+	permuted.Segments[0].Store, permuted.Segments[0].Order = rev, []int32{1, 0}
+	if !bytes.Equal(EncodeSnapshot(permuted), EncodeSnapshot(s)) {
+		t.Fatal("a segment written through its Order encodes differently from its rows in order")
+	}
 }
 
 // TestSnapshotDecodeRejectsDamage flips bytes and truncates; decode must

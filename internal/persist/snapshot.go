@@ -53,11 +53,15 @@ type Snapshot struct {
 
 // SnapSegment is one segment's durable form: its sequence number (which
 // derives the deterministic index build seed), ascending row ids, and the
-// raw row arena.
+// raw rows. Row i is Store.Row(Order[i]) when Order is set — a segment that
+// reads its rows back from its index's arena is written in id order
+// without copying them — and Store.Row(i) otherwise; decoded segments
+// never carry an Order.
 type SnapSegment struct {
 	Seq   int64
 	IDs   []int64
 	Store *linalg.Matrix
+	Order []int32
 }
 
 // Snapshot file header: magic, version, CRC over both.
@@ -130,7 +134,7 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 		body = beginBody(body[:0], 0, snapSegment)
 		body = binary.LittleEndian.AppendUint64(body, uint64(seg.Seq))
 		body = AppendInt64s(body, seg.IDs)
-		body = appendStore(body, seg.Store)
+		body = appendStore(body, seg.Store, seg.Order)
 		if err := emit(); err != nil {
 			return err
 		}
@@ -139,7 +143,7 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 	if s.Growing != nil && s.Growing.Rows() > 0 {
 		body = beginBody(body[:0], 0, snapGrowing)
 		body = AppendInt64s(body, s.GrowingIDs)
-		body = appendStore(body, s.Growing)
+		body = appendStore(body, s.Growing, nil)
 		if err := emit(); err != nil {
 			return err
 		}
@@ -157,15 +161,19 @@ func encodeSnapshotTo(w io.Writer, s *Snapshot) error {
 }
 
 // appendStore encodes a matrix's rows row-by-row (views need not be
-// packed).
-func appendStore(dst []byte, m *linalg.Matrix) []byte {
+// packed): row i is m.Row(order[i]) when order is non-nil.
+func appendStore(dst []byte, m *linalg.Matrix, order []int32) []byte {
 	rows := 0
 	if m != nil {
 		rows = m.Rows()
 	}
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(rows))
 	for i := 0; i < rows; i++ {
-		dst = AppendFloat32s(dst, m.Row(i))
+		r := i
+		if order != nil {
+			r = int(order[i])
+		}
+		dst = AppendFloat32s(dst, m.Row(r))
 	}
 	return dst
 }

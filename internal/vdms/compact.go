@@ -117,7 +117,7 @@ func (s *shard) gatherLocked(t compactTask) compactInput {
 				in.dropped = append(in.dropped, id)
 				continue
 			}
-			in.store.AppendRow(seg.store.Row(i))
+			in.store.AppendRow(seg.row(i))
 			in.ids = append(in.ids, id)
 		}
 	}
@@ -135,9 +135,12 @@ func (s *shard) buildCompacted(in compactInput, seq int64) (*sealedSegment, erro
 		return nil, nil
 	}
 	seg := &sealedSegment{seq: seq, store: in.store, ids: in.ids}
-	idx, err := s.buildSegment(seg)
-	seg.idx = idx
-	return seg, err
+	l, err := s.buildSegment(seg)
+	if err != nil {
+		return nil, err
+	}
+	seg.land(l) // not shared until its commit
+	return seg, nil
 }
 
 // maybeCompactLocked starts a background compaction pass when a trigger

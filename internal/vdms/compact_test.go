@@ -1,6 +1,7 @@
 package vdms
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -135,66 +136,68 @@ func TestCompactionReclaimsChurn(t *testing.T) {
 }
 
 func TestCompactionDeterministicAcrossWorkers(t *testing.T) {
-	// workers=1 and workers=N must produce bit-identical sealed segments
-	// and search results.
-	mk := func(parallelism, compactWorkers int) *Collection {
-		cfg := liveConfig()
-		cfg.Parallelism = parallelism
-		cfg.CompactionParallelism = compactWorkers
-		coll, _, _ := churnCollection(t, cfg)
-		if err := coll.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		return coll
-	}
-	a := mk(1, 1)
-	b := mk(8, 8)
-
-	// These collections run at the default shard_count of 1; compare the
-	// single shard's sealed layout directly.
-	a.shards[0].mu.RLock()
-	bSegs := b.shards[0].sealed
-	aSegs := a.shards[0].sealed
-	a.shards[0].mu.RUnlock()
-	if len(aSegs) != len(bSegs) {
-		t.Fatalf("segment layouts differ: %d vs %d", len(aSegs), len(bSegs))
-	}
-	for i := range aSegs {
-		if len(aSegs[i].ids) != len(bSegs[i].ids) {
-			t.Fatalf("segment %d sizes differ: %d vs %d", i, len(aSegs[i].ids), len(bSegs[i].ids))
-		}
-		for j := range aSegs[i].ids {
-			if aSegs[i].ids[j] != bSegs[i].ids[j] {
-				t.Fatalf("segment %d id %d differs: %d vs %d", i, j, aSegs[i].ids[j], bSegs[i].ids[j])
+	// workers=1 and workers=N must produce bit-identical sealed segments —
+	// ids, rows read back through the index (IVF_FLAT's and SCANN's
+	// cell-major arenas) and index sizes — and search results.
+	for _, typ := range []index.Type{index.IVFFlat, index.SCANN} {
+		t.Run(typ.String(), func(t *testing.T) {
+			mk := func(parallelism, compactWorkers int) *Collection {
+				cfg := liveConfig()
+				cfg.IndexType = typ
+				cfg.Parallelism = parallelism
+				cfg.CompactionParallelism = compactWorkers
+				coll, _, _ := churnCollection(t, cfg)
+				if err := coll.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				return coll
 			}
-		}
-		if aSegs[i].idx.MemoryBytes() != bSegs[i].idx.MemoryBytes() {
-			t.Fatalf("segment %d index sizes differ", i)
-		}
-	}
+			a := mk(1, 1)
+			b := mk(8, 8)
 
-	queries := randVecs(20, 8, 77)
-	var stA, stB index.Stats
-	resA, err := a.SearchBatch(queries, 7, &stA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := b.SearchBatch(queries, 7, &stB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stA != stB {
-		t.Fatalf("search work differs: %+v vs %+v", stA, stB)
-	}
-	for qi := range resA {
-		if len(resA[qi]) != len(resB[qi]) {
-			t.Fatalf("query %d result lengths differ", qi)
-		}
-		for j := range resA[qi] {
-			if resA[qi][j] != resB[qi][j] {
-				t.Fatalf("query %d result %d differs: %+v vs %+v", qi, j, resA[qi][j], resB[qi][j])
+			// These collections run at the default shard_count of 1; compare
+			// the single shard's sealed layout directly.
+			a.shards[0].mu.RLock()
+			bSegs := b.shards[0].sealed
+			aSegs := a.shards[0].sealed
+			a.shards[0].mu.RUnlock()
+			if len(aSegs) != len(bSegs) {
+				t.Fatalf("segment layouts differ: %d vs %d", len(aSegs), len(bSegs))
 			}
-		}
+			for i := range aSegs {
+				if len(aSegs[i].ids) != len(bSegs[i].ids) {
+					t.Fatalf("segment %d sizes differ: %d vs %d", i, len(aSegs[i].ids), len(bSegs[i].ids))
+				}
+				for j := range aSegs[i].ids {
+					if aSegs[i].ids[j] != bSegs[i].ids[j] {
+						t.Fatalf("segment %d id %d differs: %d vs %d", i, j, aSegs[i].ids[j], bSegs[i].ids[j])
+					}
+					if !reflect.DeepEqual(aSegs[i].row(j), bSegs[i].row(j)) {
+						t.Fatalf("segment %d row %d differs", i, j)
+					}
+				}
+				if aSegs[i].pos == nil || aSegs[i].idx.MemoryBytes() != bSegs[i].idx.MemoryBytes() {
+					t.Fatalf("segment %d: permuted = %v, index sizes %d vs %d", i, aSegs[i].pos != nil, aSegs[i].idx.MemoryBytes(), bSegs[i].idx.MemoryBytes())
+				}
+			}
+
+			queries := randVecs(20, 8, 77)
+			var stA, stB index.Stats
+			resA, err := a.SearchBatch(queries, 7, &stA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resB, err := b.SearchBatch(queries, 7, &stB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stA != stB {
+				t.Fatalf("search work differs: %+v vs %+v", stA, stB)
+			}
+			if !reflect.DeepEqual(resA, resB) {
+				t.Fatal("search results differ")
+			}
+		})
 	}
 }
 

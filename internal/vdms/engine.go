@@ -98,15 +98,15 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	}
 	// The builds overlap on every core. That pool is wall-clock only, like
 	// Evaluate's replay pool: the simulated clock below charges buildPool.
-	idxs, errs := sh.buildSegments(0, segs)
+	lands, errs := sh.buildSegments(0, segs)
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
 	var buildWork index.Stats
 	for i, seg := range segs {
-		seg.idx = idxs[i]
-		buildWork.Add(seg.idx.BuildStats())
 		sh.insertSealedLocked(seg)
+		sh.landSegmentLocked(seg, lands[i], nil)
+		buildWork.Add(seg.idx.BuildStats())
 	}
 	inst.segments = numSealed
 	if growing > 0 {

@@ -305,12 +305,12 @@ func TestInFlightSegmentIsOneStruct(t *testing.T) {
 		t.Fatalf("in-flight snapshot: %d segments, growing %d, tombstones %v", len(snap.Segments), snap.Growing.Rows(), snap.Tombstones)
 	}
 	// The build, and its landing, by hand.
-	idx, err := s.buildSegment(seg)
+	l, err := s.buildSegment(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.landSegmentLocked(seg, idx, nil)
+	s.landSegmentLocked(seg, l, nil)
 	s.mu.Unlock()
 	if seg.idx == nil || seg.dead != 2 {
 		t.Fatalf("landed segment: idx set = %v, dead = %d (want counted once: 2)", seg.idx != nil, seg.dead)
@@ -366,7 +366,7 @@ func TestInFlightBuildFailureRequeues(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.mu.Lock()
-	s.landSegmentLocked(seg, nil, errInjectedBuild)
+	s.landSegmentLocked(seg, landing{}, errInjectedBuild)
 	s.mu.Unlock()
 	if st := coll.Stats(); st.Sealing != 0 || st.Sealed != 0 || st.GrowingRows != 148 || st.Tombstones != 0 || st.Rows != 148 {
 		t.Fatalf("after a failed build: %+v", st)
@@ -457,13 +457,13 @@ func TestOpenSegmentBuildsWorkerInvariant(t *testing.T) {
 			cfg.FlushInterval = 1
 			probe := func(workers int) ([]index.Stats, uint64, index.Stats) {
 				s, segs := fiveSegments(ds, cfg, 200)
-				idxs, errs := s.buildSegments(workers, segs)
+				lands, errs := s.buildSegments(workers, segs)
 				if err := firstError(errs); err != nil {
 					t.Fatal(err)
 				}
 				built := make([]index.Stats, len(segs))
 				for i, seg := range segs {
-					seg.idx = idxs[i]
+					seg.land(lands[i])
 					built[i] = seg.idx.BuildStats()
 					s.insertSealedLocked(seg)
 				}
@@ -504,10 +504,10 @@ func TestSegmentBuildsReturnLowestSeqError(t *testing.T) {
 	// An id list shorter than its arena is refused by every index's Build.
 	segs[3].ids = segs[3].ids[:99]
 	segs[1].ids = segs[1].ids[:99]
-	idxs, errs := s.buildSegments(8, segs)
+	lands, errs := s.buildSegments(8, segs)
 	for i := range segs {
-		if failed := i == 1 || i == 3; (errs[i] != nil) != failed || (idxs[i] == nil) != failed {
-			t.Fatalf("segment %d: index set = %v, err = %v", i, idxs[i] != nil, errs[i])
+		if failed := i == 1 || i == 3; (errs[i] != nil) != failed || (lands[i].idx == nil) != failed {
+			t.Fatalf("segment %d: index set = %v, err = %v", i, lands[i].idx != nil, errs[i])
 		}
 	}
 	if err := firstError(errs); err != errs[1] || !strings.Contains(err.Error(), "building segment 1:") {

@@ -211,9 +211,9 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 			s.sealSeq = sn.Seq + 1
 		}
 	}
-	idxs, errs := s.buildSegments(cfg.Parallelism, segs)
+	lands, errs := s.buildSegments(cfg.Parallelism, segs)
 	for i, seg := range segs {
-		s.landSegmentLocked(seg, idxs[i], errs[i])
+		s.landSegmentLocked(seg, lands[i], errs[i])
 	}
 	return nil
 }
@@ -258,8 +258,8 @@ func (s *shard) replayFlush(seq int64) {
 	}
 	if s.growingRowsLocked() > 0 {
 		seg := s.sealGrowingLocked(seq)
-		idx, err := s.buildSegment(seg)
-		s.landSegmentLocked(seg, idx, err)
+		l, err := s.buildSegment(seg)
+		s.landSegmentLocked(seg, l, err)
 	}
 }
 
@@ -292,7 +292,7 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 	for _, seg := range sources {
 		for i, id := range seg.ids {
 			if _, ok := live[id]; ok {
-				in.store.AppendRow(seg.store.Row(i))
+				in.store.AppendRow(seg.row(i))
 				in.ids = append(in.ids, id)
 			}
 		}
@@ -322,9 +322,11 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 	return nil
 }
 
-// snapshotLocked captures the shard's full durable state. Sealed stores
-// are immutable, so the snapshot references them directly; the growing
-// tail is mutable and gets copied. Callers hold s.mu.
+// snapshotLocked captures the shard's full durable state. Sealed arenas
+// are immutable, so the snapshot references them directly — through the
+// segment's row order when it reads its rows back from its index, so the
+// bytes are the id-ordered rows either way; the growing tail is mutable
+// and gets copied. Callers hold s.mu.
 func (s *shard) snapshotLocked() *persist.Snapshot {
 	cfg := s.config()
 	snap := &persist.Snapshot{
@@ -348,7 +350,7 @@ func (s *shard) snapshotLocked() *persist.Snapshot {
 	// In-flight builds are not waited for: every segment snapshots as its
 	// rows + seq, and recovery rebuilds the identical index.
 	for _, seg := range s.sealed {
-		snap.Segments = append(snap.Segments, persist.SnapSegment{Seq: seg.seq, IDs: seg.ids, Store: seg.store})
+		snap.Segments = append(snap.Segments, persist.SnapSegment{Seq: seg.seq, IDs: seg.ids, Store: seg.store, Order: seg.pos})
 	}
 	if n := s.growingRowsLocked(); n > 0 {
 		g := linalg.NewMatrix(s.dim, n)

@@ -258,7 +258,7 @@ func TestMemoryCollectionUnaffected(t *testing.T) {
 // workers=1 and workers=N, across index types.
 func TestRecoveryDeterminism(t *testing.T) {
 	const dim, n, k, queries = 8, 900, 10, 32
-	for _, typ := range []index.Type{index.Flat, index.HNSW, index.IVFFlat} {
+	for _, typ := range []index.Type{index.Flat, index.HNSW, index.IVFFlat, index.SCANN} {
 		for _, workers := range []int{1, 8} {
 			for _, mode := range []string{"ckpt", "log"} {
 				mode := mode

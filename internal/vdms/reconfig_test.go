@@ -173,63 +173,85 @@ func TestHotSwapUnderChurn(t *testing.T) {
 // TestMigrateBitIdenticalToFreshBuild: migrating a quiesced collection to
 // a new cold shape (index type change, shard count change) yields
 // SearchBatch results bit-identical to a collection freshly built at the
-// target configuration from the same rows.
+// target configuration from the same rows. The capture reads the source's
+// rows from FLAT segments' own arenas, or back through the cell-major
+// arenas of IVF_FLAT and SCANN indexes (subtests named after the source
+// type).
 func TestMigrateBitIdenticalToFreshBuild(t *testing.T) {
 	const dim, n, k = 8, 1200, 10
 	vecs := randVecs(n, dim, 7)
 	queries := randVecs(24, dim, 8)
 
-	from := flatConfig(1)
-	target := from
+	target := flatConfig(1)
 	target.IndexType = index.HNSW
 	target.Build.HNSWM = 8
 	target.Build.EfConstruction = 40
 	target.Search.Ef = 32
 	target.ShardCount = 4
 
-	for _, metric := range []linalg.Metric{linalg.L2, linalg.Angular} {
-		t.Run(fmt.Sprint(metric), func(t *testing.T) {
-			c, err := NewCollection(from, metric, dim, n)
-			if err != nil {
-				t.Fatal(err)
+	for _, source := range []index.Type{index.Flat, index.IVFFlat, index.SCANN} {
+		for _, metric := range []linalg.Metric{linalg.L2, linalg.Angular} {
+			name := fmt.Sprint(metric)
+			if source != index.Flat {
+				name = source.String() + "/" + name
 			}
-			defer c.Close()
-			if _, err := c.Insert(vecs); err != nil {
-				t.Fatal(err)
-			}
-			gen, err := c.Reconfigure(target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if gen != 1 {
-				t.Fatalf("generation = %d, want 1", gen)
-			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			st := c.Stats()
-			if st.ShardCount != 4 || st.IndexType != index.HNSW || st.Rows != n {
-				t.Fatalf("post-migration stats = %+v", st)
-			}
+			from := flatConfig(1)
+			from.IndexType = source
+			from.Build.NList = 8
+			t.Run(name, func(t *testing.T) {
+				migrateMatchesFresh(t, from, target, metric, vecs, queries, k)
+			})
+		}
+	}
+}
 
-			fresh, err := NewCollection(target, metric, dim, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fresh.Close()
-			if _, err := fresh.Insert(vecs); err != nil {
-				t.Fatal(err)
-			}
-			if err := fresh.Flush(); err != nil {
-				t.Fatal(err)
-			}
+// migrateMatchesFresh migrates a quiesced collection of vecs (every build
+// landed) from one configuration to target and compares its answers with a
+// fresh build at target.
+func migrateMatchesFresh(t *testing.T, from, target Config, metric linalg.Metric, vecs, queries [][]float32, k int) {
+	dim, n := len(vecs[0]), len(vecs)
+	c, err := NewCollection(from, metric, dim, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Insert(vecs); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := c.Reconfigure(target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gen != 1 {
+		t.Fatalf("generation = %d, want 1", gen)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	if st.ShardCount != 4 || st.IndexType != index.HNSW || st.Rows != int64(n) {
+		t.Fatalf("post-migration stats = %+v", st)
+	}
 
-			got := searchAll(t, c, queries, k)
-			want := searchAll(t, fresh, queries, k)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("migrated collection's results differ from a fresh build at the target config")
-			}
-		})
+	fresh, err := NewCollection(target, metric, dim, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	if _, err := fresh.Insert(vecs); err != nil {
+		t.Fatal(err)
+	}
+	if err := fresh.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	got := searchAll(t, c, queries, k)
+	want := searchAll(t, fresh, queries, k)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("migrated collection's results differ from a fresh build at the target config")
 	}
 }
 

@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,14 +97,22 @@ type shard struct {
 	buildErr     error
 }
 
-// sealedSegment is one sealed segment. The raw row arena is retained next
-// to the built index (the analogue of Milvus keeping segment binlogs): it
-// is what compaction rewrites, and what searches scan while idx is nil
-// (the build is in flight; it lands under the shard lock, once). ids are
-// ascending.
+// sealedSegment is one sealed segment, holding its full-precision rows
+// once. ids are ascending. While the build is in flight (idx is nil) store
+// is the segment's own arena in id order, which searches scan exactly. The
+// index lands under the shard lock, once (landSegmentLocked), and the
+// segment then adopts what the index holds: when the index keeps every row
+// at full precision (FLAT, HNSW, AUTOINDEX, IVF_FLAT, SCANN) store becomes
+// the index's arena and the segment's own copy is dropped; pos[i] is the
+// arena row of segment row i, nil when the two orders agree (FLAT and the
+// graph indexes adopted the segment's arena itself). IVF_SQ8 and IVF_PQ
+// keep only codes, so their segments keep their own arena beside the
+// index: compaction, snapshots and migration read rows (row), never store
+// directly.
 type sealedSegment struct {
 	seq   int64
 	store *linalg.Matrix
+	pos   []int32
 	ids   []int64
 	idx   index.Index
 	// dead counts this segment's rows that are tombstoned.
@@ -113,6 +122,49 @@ type sealedSegment struct {
 	// compactor forever; the segment stays searchable and its tombstones
 	// keep filtering.
 	noCompact bool
+}
+
+// row returns the vector of segment row i (id ids[i]). Sealed rows are
+// immutable and may be kept by reference.
+func (seg *sealedSegment) row(i int) []float32 {
+	if seg.pos != nil {
+		return seg.store.Row(int(seg.pos[i]))
+	}
+	return seg.store.Row(i)
+}
+
+// landing is a finished build, ready to publish on its segment: the index
+// and the arena (plus row permutation) the segment reads its rows from
+// once it lands. buildSegment prepares it off the shard lock.
+type landing struct {
+	idx   index.Index
+	store *linalg.Matrix
+	pos   []int32
+}
+
+// readBack prepares seg's landing on idx. When idx holds every row at full
+// precision in an arena other than seg's own (IVF_FLAT and SCANN group
+// theirs cell-major), pos maps each segment row to its arena row by binary
+// search of the index's ids in seg.ids — O(n log n), once per build.
+// Otherwise the segment keeps its arena, in its own order.
+func readBack(seg *sealedSegment, idx index.Index) landing {
+	arena, ids := idx.RawRows()
+	if arena == nil || arena == seg.store {
+		return landing{idx: idx, store: seg.store}
+	}
+	pos := make([]int32, len(ids))
+	for g, id := range ids {
+		i, _ := slices.BinarySearch(seg.ids, id)
+		pos[i] = int32(g)
+	}
+	return landing{idx: idx, store: arena, pos: pos}
+}
+
+// land publishes a finished build on seg: the one adopt step, taken by
+// landSegmentLocked and by compaction's replacement segments before they
+// are shared. Callers hold s.mu or own seg.
+func (seg *sealedSegment) land(l landing) {
+	seg.idx, seg.store, seg.pos = l.idx, l.store, l.pos
 }
 
 // newShard creates an empty shard sealing at sealRows rows per segment,
@@ -247,10 +299,10 @@ func (s *shard) sealLocked() {
 	s.builds.Add(1)
 	go func() {
 		defer s.builds.Done()
-		idx, err := s.buildSegment(seg)
+		l, err := s.buildSegment(seg)
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		s.landSegmentLocked(seg, idx, err)
+		s.landSegmentLocked(seg, l, err)
 		if err == nil {
 			s.maybeCompactLocked()
 		}
@@ -289,20 +341,21 @@ func newSegmentIndex(cfg *Config, m linalg.Metric, dim int, seq int64) (index.In
 // and through newSegmentIndex's seed derivation, which is what makes a
 // recovered or migrated segment bit-identical to the one the live engine
 // built, and the tuner's segments the served ones. It takes no lock and
-// leaves seg alone: landSegmentLocked publishes the index under the lock.
-func (s *shard) buildSegment(seg *sealedSegment) (index.Index, error) {
+// leaves seg alone: it prepares the landing (readBack), and
+// landSegmentLocked publishes it under the lock.
+func (s *shard) buildSegment(seg *sealedSegment) (landing, error) {
 	metric := s.metric
 	if metric == linalg.Angular {
 		metric = linalg.L2 // inputs were normalized on insert
 	}
 	idx, err := newSegmentIndex(s.config(), metric, s.dim, seg.seq)
 	if err != nil {
-		return nil, err
+		return landing{}, err
 	}
 	if err := idx.Build(seg.store, seg.ids); err != nil {
-		return nil, fmt.Errorf("vdms: building segment %d: %w", seg.seq, err)
+		return landing{}, fmt.Errorf("vdms: building segment %d: %w", seg.seq, err)
 	}
-	return idx, nil
+	return readBack(seg, idx), nil
 }
 
 // buildSegments builds every segment of segs through buildSegment, up to
@@ -311,25 +364,27 @@ func (s *shard) buildSegment(seg *sealedSegment) (index.Index, error) {
 // pools stay as newSegmentIndex sizes them, and the caller lands the
 // results in its own order, so the pool size shows in nothing but the wall
 // clock.
-func (s *shard) buildSegments(workers int, segs []*sealedSegment) ([]index.Index, []error) {
-	idxs := make([]index.Index, len(segs))
+func (s *shard) buildSegments(workers int, segs []*sealedSegment) ([]landing, []error) {
+	lands := make([]landing, len(segs))
 	errs := make([]error, len(segs))
 	parallel.Parallel(workers, len(segs), func(i int) {
-		idxs[i], errs[i] = s.buildSegment(segs[i])
+		lands[i], errs[i] = s.buildSegment(segs[i])
 	})
-	return idxs, errs
+	return lands, errs
 }
 
 // landSegmentLocked takes what buildSegment returned for seg, an
-// index-pending entry of s.sealed: a built index is published on it; after
-// a failed build the error is recorded, the segment leaves the list and
-// its rows go back into the growing tail so they stay searchable. Rows
-// tombstoned while the build was in flight are dropped on that path
-// (growing data is mutable), and their tombstones are no longer needed.
-// Callers hold s.mu.
-func (s *shard) landSegmentLocked(seg *sealedSegment, idx index.Index, err error) {
+// index-pending entry of s.sealed, and is the only way a segment's index
+// lands (Open, seals, WAL replay and snapshot restore all come through
+// it): a built index is published on it, and the segment adopts the
+// index's arena (land). After a failed build the error is recorded, the
+// segment leaves the list and its rows go back into the growing tail so
+// they stay searchable. Rows tombstoned while the build was in flight are
+// dropped on that path (growing data is mutable), and their tombstones are
+// no longer needed. Callers hold s.mu.
+func (s *shard) landSegmentLocked(seg *sealedSegment, l landing, err error) {
 	if err == nil {
-		seg.idx = idx
+		seg.land(l)
 		return
 	}
 	s.buildErrOnce.Do(func() { s.buildErr = err })
@@ -342,7 +397,7 @@ func (s *shard) landSegmentLocked(seg *sealedSegment, idx index.Index, err error
 		if s.growing == nil {
 			s.growing = linalg.NewMatrix(s.dim, seg.store.Rows())
 		}
-		s.growing.AppendRow(seg.store.Row(i))
+		s.growing.AppendRow(seg.row(i))
 		s.growingIDs = append(s.growingIDs, id)
 	}
 }
@@ -393,23 +448,25 @@ func (s *shard) locateLocked(id int64) *sealedSegment {
 // growing marks a row of the mutable tail, which must be copied to be
 // kept. Callers hold s.mu (read side suffices).
 func (s *shard) forEachLiveRowLocked(visit func(id int64, row []float32, growing bool) bool) {
-	walk := func(store *linalg.Matrix, ids []int64, growing bool) bool {
+	walk := func(row func(int) []float32, ids []int64, growing bool) bool {
 		for i, id := range ids {
 			if _, dead := s.tombstones[id]; dead {
 				continue
 			}
-			if !visit(id, store.Row(i), growing) {
+			if !visit(id, row(i), growing) {
 				return false
 			}
 		}
 		return true
 	}
 	for _, seg := range s.sealed {
-		if !walk(seg.store, seg.ids, false) {
+		if !walk(seg.row, seg.ids, false) {
 			return
 		}
 	}
-	walk(s.growing, s.growingIDs, true)
+	if s.growingRowsLocked() > 0 {
+		walk(s.growing.Row, s.growingIDs, true)
+	}
 }
 
 // searchMultiLocked is the engine's one probe: it answers a tile of
@@ -491,12 +548,12 @@ func (s *shard) statsLocked() ShardStats {
 			continue
 		}
 		st.Sealed++
-		st.MemoryBytes += seg.idx.MemoryBytes()
-		// The retained raw arena (the binlog analogue compaction
-		// rewrites) is already inside MemoryBytes when the index adopted
-		// it as its storage; otherwise (the IVF family re-groups its
-		// payloads cell-major into private storage) the binlog arena is
-		// an additional resident copy, counted separately.
+		// A landed segment holds its rows once: inside the index when it
+		// keeps them at full precision (read back through pos, 4 B a row,
+		// when the orders differ), beside it when it keeps only codes
+		// (IVF_SQ8, IVF_PQ), where the segment's own arena is resident
+		// too.
+		st.MemoryBytes += seg.idx.MemoryBytes() + int64(len(seg.pos))*4
 		if !seg.idx.StoreAdopted() {
 			st.MemoryBytes += seg.store.Bytes()
 		}
