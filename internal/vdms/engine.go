@@ -83,6 +83,7 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	store := ds.Store()
 	sh := newShard(&configGen{cfg: cfg}, ds.Metric, ds.Dim, sealRows)
 	sh.rows, sh.nextID = int64(n), int64(n)
+	sh.viewSegments = true
 	inst := &Instance{sh: sh}
 	// Segments build from contiguous row-range views of the dataset
 	// arena — no per-segment copy of the raw vectors.

@@ -254,11 +254,9 @@ func TestSealedRowsHeldOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer coll.Close()
-			func() {
-				if _, err := coll.Insert(randVecs(n, dim, 97)); err != nil {
-					t.Fatal(err)
-				}
-			}()
+			if _, err := coll.Insert(randVecs(n, dim, 97)); err != nil {
+				t.Fatal(err)
+			}
 			if err := coll.Flush(); err != nil {
 				t.Fatal(err)
 			}

@@ -91,6 +91,12 @@ type shard struct {
 	// DisableAutoCheckpoint.
 	noAutoCkpt bool
 
+	// viewSegments marks a shard whose sealed segments are views of an
+	// arena the caller owns (Open's dataset): dropping them frees nothing
+	// and nothing reads sealed rows back, so landings keep the view and
+	// skip the permutation.
+	viewSegments bool
+
 	builds sync.WaitGroup
 	// buildErr records the first background build failure.
 	buildErrOnce sync.Once
@@ -146,10 +152,11 @@ type landing struct {
 // precision in an arena other than seg's own (IVF_FLAT and SCANN group
 // theirs cell-major), pos maps each segment row to its arena row by binary
 // search of the index's ids in seg.ids — O(n log n), once per build.
-// Otherwise the segment keeps its arena, in its own order.
-func readBack(seg *sealedSegment, idx index.Index) landing {
+// Otherwise, and on a shard of views, the segment keeps its arena, in its
+// own order.
+func (s *shard) readBack(seg *sealedSegment, idx index.Index) landing {
 	arena, ids := idx.RawRows()
-	if arena == nil || arena == seg.store {
+	if arena == nil || arena == seg.store || s.viewSegments {
 		return landing{idx: idx, store: seg.store}
 	}
 	pos := make([]int32, len(ids))
@@ -355,7 +362,7 @@ func (s *shard) buildSegment(seg *sealedSegment) (landing, error) {
 	if err := idx.Build(seg.store, seg.ids); err != nil {
 		return landing{}, fmt.Errorf("vdms: building segment %d: %w", seg.seq, err)
 	}
-	return readBack(seg, idx), nil
+	return s.readBack(seg, idx), nil
 }
 
 // buildSegments builds every segment of segs through buildSegment, up to
@@ -551,10 +558,10 @@ func (s *shard) statsLocked() ShardStats {
 		// A landed segment holds its rows once: inside the index when it
 		// keeps them at full precision (read back through pos, 4 B a row,
 		// when the orders differ), beside it when it keeps only codes
-		// (IVF_SQ8, IVF_PQ), where the segment's own arena is resident
-		// too.
+		// (IVF_SQ8, IVF_PQ), where the segment's own arena — any store
+		// that is not the index's — is resident too.
 		st.MemoryBytes += seg.idx.MemoryBytes() + int64(len(seg.pos))*4
-		if !seg.idx.StoreAdopted() {
+		if arena, _ := seg.idx.RawRows(); arena != seg.store {
 			st.MemoryBytes += seg.store.Bytes()
 		}
 	}
