@@ -33,8 +33,8 @@ race:
 	$(GO) test -race ./...
 
 # The portable kernels (kernels.go) are the only scalar float32 distance
-# arithmetic and the reference the SSE ones are tested against, but an
-# amd64 build never compiles them in: run the packages that call the
+# arithmetic and the reference the SSE and AVX2 ones are tested against,
+# but an amd64 build dispatches past them: run the packages that call the
 # kernels — goldens (search fixture, Evaluate) and the engine's
 # bit-identity tests included — with them forced.
 purego:

@@ -184,30 +184,39 @@ func (c *ivfCoarse) selectCells(dists []float32, nprobe int, s *searchScratch) [
 }
 
 // invertProbes inverts a flat Q×nprobe probe table cell→probers with a
-// counting sort: s.mcnt[c]..s.mcnt[c+1] bound cell c's entries in s.ment
-// (global probe-slot ids, gathered in ascending slot = ascending query
-// order, deterministically), and s.mregion assigns each (query,
-// probe-slot) its contiguous region of s.mbuf, sized by its cell. The
-// total region length — the number of (query, row) pairs the scan will
-// score — is returned and s.mbuf is sized to it. This is the shared
-// phase-2 skeleton of every IVF-family SearchMultiInto: after it, the
-// owner scans each probed cell once for all of its probers into the
-// regions (see probers), then replays per query.
+// counting sort over the probed cells only, in O(Q·nprobe) whatever nlist
+// is: s.mcells lists the probed cells in first-touch slot order,
+// s.mcnt[i]..s.mcnt[i+1] bound the i-th one's entries in s.ment (global
+// probe-slot ids, in ascending slot = ascending query order), and
+// s.mregion assigns each (query, probe-slot) its contiguous region of
+// s.mbuf, sized by its cell. The total region length — the number of
+// (query, row) pairs the scan will score — is returned and s.mbuf is sized
+// to it. This is the shared phase-2 skeleton of every IVF-family
+// SearchMultiInto: after it, the owner scans each probed cell once for all
+// of its probers into the regions (see probers), then replays per query in
+// probe order, so the order cells are scanned in never reaches a result.
 func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
-	ncells := c.cents.Rows()
 	slots := len(probes)
-	s.mcnt = i32Buf(s.mcnt, ncells+1)
-	for i := range s.mcnt {
-		s.mcnt[i] = 0
-	}
+	// s.mfill is per cell and all zero between calls: here it marks a
+	// probed cell with its 1-based position in s.mcells, then serves as
+	// its fill cursor, and is reset for exactly the cells touched.
+	s.mfill = i32Buf(s.mfill, c.cents.Rows())
+	s.mcells = s.mcells[:0]
+	s.mcnt = i32Buf(s.mcnt, slots+1)
+	clear(s.mcnt)
 	for _, cell := range probes {
-		s.mcnt[cell+1]++
+		pos := s.mfill[cell]
+		if pos == 0 {
+			s.mcells = append(s.mcells, cell)
+			pos = int32(len(s.mcells))
+			s.mfill[cell] = pos
+		}
+		s.mcnt[pos]++
 	}
-	for cell := 0; cell < ncells; cell++ {
-		s.mcnt[cell+1] += s.mcnt[cell]
+	for i, cell := range s.mcells {
+		s.mcnt[i+1] += s.mcnt[i]
+		s.mfill[cell] = s.mcnt[i]
 	}
-	s.mfill = i32Buf(s.mfill, ncells)
-	copy(s.mfill, s.mcnt[:ncells])
 	s.ment = i32Buf(s.ment, slots)
 	for slot, cell := range probes {
 		e := s.mfill[cell]
@@ -216,27 +225,27 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	}
 	s.mregion = i32Buf(s.mregion, slots)
 	total := int32(0)
-	for cell := 0; cell < ncells; cell++ {
-		lo, hi := c.cellRange(int32(cell))
-		clen := hi - lo
-		for e := s.mcnt[cell]; e < s.mcnt[cell+1]; e++ {
-			s.mregion[s.ment[e]] = total
-			total += clen
+	for i, cell := range s.mcells {
+		s.mfill[cell] = 0
+		lo, hi := c.cellRange(cell)
+		for _, slot := range s.ment[s.mcnt[i]:s.mcnt[i+1]] {
+			s.mregion[slot] = total
+			total += hi - lo
 		}
 	}
 	s.mbuf = f32Buf(s.mbuf, int(total))
 	return int(total)
 }
 
-// probers gathers the scan arguments of one cell: its grouped row range
-// and, for every (query, probe-slot) probing it, in ascending slot order,
-// the query's kernel argument rows[query] and the slot's output region of
-// s.mbuf. The views alias s.mqrows/s.mouts and are valid until the next
-// call; they are empty when nobody probes the cell or the cell has no rows.
-func (c *ivfCoarse) probers(cell, nprobe int, rows [][]float32, s *searchScratch) (lo, hi int32, qrows, outs [][]float32) {
-	elo, ehi := int(s.mcnt[cell]), int(s.mcnt[cell+1])
-	lo, hi = c.cellRange(int32(cell))
-	if elo == ehi || lo == hi {
+// probers gathers the scan arguments of the i-th probed cell: its grouped
+// row range and, for every (query, probe-slot) probing it, in ascending
+// slot order, the query's kernel argument rows[query] and the slot's
+// output region of s.mbuf. The views alias s.mqrows/s.mouts and are valid
+// until the next call; they are empty when the cell has no rows.
+func (c *ivfCoarse) probers(i, nprobe int, rows [][]float32, s *searchScratch) (lo, hi int32, qrows, outs [][]float32) {
+	elo, ehi := int(s.mcnt[i]), int(s.mcnt[i+1])
+	lo, hi = c.cellRange(s.mcells[i])
+	if lo == hi {
 		return lo, hi, nil, nil
 	}
 	nq := ehi - elo
@@ -406,8 +415,8 @@ func (x *ivf) SearchMultiInto(queries [][]float32, k int, p SearchParams, st *St
 	probes := x.coarse.probeMulti(queries, nprobe, st, s)
 	rows := x.cells.prepare(queries, st, s)
 	scanned := x.coarse.invertProbes(probes, s)
-	for cell := 0; cell < x.coarse.cents.Rows(); cell++ {
-		lo, hi, qrows, outs := x.coarse.probers(cell, nprobe, rows, s)
+	for i := range s.mcells {
+		lo, hi, qrows, outs := x.coarse.probers(i, nprobe, rows, s)
 		if len(qrows) > 0 {
 			x.cells.scan(lo, hi, qrows, outs)
 		}

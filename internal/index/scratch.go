@@ -47,9 +47,10 @@ type searchScratch struct {
 	// Query-tile state (SearchMultiInto). mdists is the Q×ncells coarse
 	// distance matrix; mprobe the flat Q×nprobe probe table; mregion maps
 	// each (query, probe-slot) to its offset in mbuf, the materialized
-	// per-slot distance regions of the shared posting-list scans; mcnt and
-	// mfill are the cell→prober counting-sort arrays and ment the inverted
-	// entries (global probe-slot ids, cell-major); mouts and mqrows are the
+	// per-slot distance regions of the shared posting-list scans; mcells
+	// lists the probed cells, mcnt and mfill are the cell→prober
+	// counting-sort arrays and ment the inverted entries (global probe-slot
+	// ids, grouped by probed cell); mouts and mqrows are the
 	// gathered output/query views handed to the scatter kernel, and mrows
 	// the per-query kernel arguments they are gathered from when those are
 	// not the queries themselves (SQ8 residuals, PQ ADC tables).
@@ -60,6 +61,7 @@ type searchScratch struct {
 	mrows   [][]float32
 	mprobe  []int32
 	mregion []int32
+	mcells  []int32
 	mcnt    []int32
 	mfill   []int32
 	ment    []int32

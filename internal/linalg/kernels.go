@@ -11,6 +11,20 @@ const (
 	opOneMinus = 2 // out = 1 - dot   (Angular)
 )
 
+// kernelTier names an implementation of the float kernels. Every tier
+// computes the same bits; they differ only in register width.
+type kernelTier int
+
+const (
+	tierPortable kernelTier = iota // the Go loops below
+	tierSSE                        // kernels_amd64.s: one row per XMM register
+	tierAVX2                       // kernels_amd64.s: two rows per YMM register
+)
+
+func (t kernelTier) String() string {
+	return [...]string{"portable", "SSE", "AVX2"}[t]
+}
+
 // dotBlockGo is the portable scalar dot-product scan: q against every row
 // of the packed arena block, with the op epilogue fused per row. Its
 // accumulation — four accumulators over a 4-way unrolled loop, tail into

@@ -2,14 +2,70 @@
 
 package linalg
 
-// The SSE2 kernels in kernels_amd64.s mirror the scalar loops exactly:
-// XMM lane l accumulates the elements at indices ≡ l (mod 4) — the same
-// partial sums s0..s3 as the Go code — the scalar tail adds into lane 0,
-// and the horizontal reduce sums ((s0+s1)+s2)+s3 with scalar ADDSS in
-// that order. No FMA, no wider vectors, no re-association: every output
-// is bitwise equal to the portable kernels, which the bit-identity tests
-// in multi_test.go assert. The op epilogue uses exact operations only
-// (sign-flip via XOR, 1-x via SUBSS from the constant 1.0).
+// The float kernels in kernels_amd64.s mirror the scalar loops exactly, in
+// two tiers. SSE2: XMM lane l accumulates the elements at indices ≡ l
+// (mod 4) — the same partial sums s0..s3 as the Go code — the scalar tail
+// adds into lane 0, and the horizontal reduce sums ((s0+s1)+s2)+s3 with
+// scalar ADDSS in that order. AVX2: a YMM register carries two rows, one
+// per 128-bit half, each half holding that row's four mod-4 sums — two
+// SSE accumulators side by side, never one row's sums spread over more
+// lanes — and each half is finished by the SSE tail, reduce and epilogue.
+// No FMA, no re-association: every output is bitwise equal to the
+// portable kernels, which the bit-identity tests in multi_test.go assert
+// at every tier. The op epilogue uses exact operations only (sign-flip via
+// XOR, 1-x via SUBSS from the constant 1.0).
+
+// cpuTier is the widest float tier this CPU runs, read once from CPUID.
+var cpuTier = detectTier(readCPU())
+
+// floatTier is the tier the float kernels dispatch to. Only tests change
+// it, to run every tier under the bit-identity checks.
+var floatTier = cpuTier
+
+// cpuWords are the CPUID and XGETBV words tier detection reads.
+type cpuWords struct {
+	maxLeaf uint32 // CPUID leaf 0 EAX: the highest standard leaf
+	ecx1    uint32 // CPUID leaf 1 ECX: bit 27 OSXSAVE, bit 28 AVX
+	ebx7    uint32 // CPUID leaf 7.0 EBX: bit 5 AVX2
+	xcr0    uint32 // XGETBV(0) EAX: bits 1–2, XMM and YMM state saved by the OS
+}
+
+// detectTier picks the widest float tier the words allow: AVX2 when the
+// CPU has AVX and AVX2 and the OS saves YMM state, else SSE, which every
+// amd64 CPU has.
+func detectTier(w cpuWords) kernelTier {
+	const (
+		osxsave  = 1 << 27
+		avx      = 1 << 28
+		avx2     = 1 << 5
+		ymmState = 1<<1 | 1<<2
+	)
+	if w.ecx1&(osxsave|avx) != osxsave|avx || w.xcr0&ymmState != ymmState ||
+		w.maxLeaf < 7 || w.ebx7&avx2 == 0 {
+		return tierSSE
+	}
+	return tierAVX2
+}
+
+// readCPU reads the words detectTier needs. XGETBV faults unless OSXSAVE
+// is set, so it runs only then; leaf 7 is read only where it exists.
+func readCPU() cpuWords {
+	var w cpuWords
+	w.maxLeaf, _, _, _ = cpuid(0, 0)
+	_, _, w.ecx1, _ = cpuid(1, 0)
+	if w.maxLeaf >= 7 {
+		_, w.ebx7, _, _ = cpuid(7, 0)
+	}
+	if w.ecx1&(1<<27) != 0 {
+		w.xcr0 = xgetbv()
+	}
+	return w
+}
+
+//go:noescape
+func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() uint32
 
 //go:noescape
 func dotBlockSSE(q, block, out []float32, op int64)
@@ -23,58 +79,106 @@ func dotMulti4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
 //go:noescape
 func l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
 
+// The AVX2 bodies score whole groups of rows only: len(out) (len(o0)) is a
+// positive multiple of four for the single-query kernels, of two for the
+// quad kernels.
+
+//go:noescape
+func dotBlockAVX2(q, block, out []float32, op int64)
+
+//go:noescape
+func l2BlockAVX2(q, block, out []float32)
+
+//go:noescape
+func dotMulti4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
+
+//go:noescape
+func l2Multi4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
+
+// Each wrapper reads floatTier once. At the AVX2 tier the AVX2 body takes
+// the leading whole groups of rows and the SSE body the rest; a call
+// shorter than a group (HNSW's one-row calls) goes straight to SSE.
+
 func dotBlockKernel(q, block []float32, out []float32, op int) {
-	dim := len(q)
-	if len(out) == 0 {
+	rows, dim, tier := len(out), len(q), floatTier
+	if rows == 0 {
 		return
 	}
-	if dim == 0 {
+	if dim == 0 || tier == tierPortable {
 		dotBlockGo(q, block, out, op)
 		return
 	}
-	_ = block[len(out)*dim-1] // one bounds check for the whole arena scan
+	_ = block[rows*dim-1] // one bounds check for the whole arena scan
+	if n := rows &^ 3; n > 0 && tier == tierAVX2 {
+		dotBlockAVX2(q, block[:n*dim], out[:n], int64(op))
+		if n == rows {
+			return
+		}
+		block, out = block[n*dim:], out[n:]
+	}
 	dotBlockSSE(q, block, out, int64(op))
 }
 
 func l2BlockKernel(q, block []float32, out []float32) {
-	dim := len(q)
-	if len(out) == 0 {
+	rows, dim, tier := len(out), len(q), floatTier
+	if rows == 0 {
 		return
 	}
-	if dim == 0 {
+	if dim == 0 || tier == tierPortable {
 		l2BlockGo(q, block, out)
 		return
 	}
-	_ = block[len(out)*dim-1]
+	_ = block[rows*dim-1]
+	if n := rows &^ 3; n > 0 && tier == tierAVX2 {
+		l2BlockAVX2(q, block[:n*dim], out[:n])
+		if n == rows {
+			return
+		}
+		block, out = block[n*dim:], out[n:]
+	}
 	l2BlockSSE(q, block, out)
 }
 
 func dotMulti4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32, op int) {
-	rows := len(o0)
-	dim := len(q0)
+	rows, dim, tier := len(o0), len(q0), floatTier
 	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim {
+	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim || tier == tierPortable {
 		dotMulti4Go(q0, q1, q2, q3, block, o0, o1, o2, o3, op)
 		return
 	}
 	_ = block[rows*dim-1]
-	dotMulti4SSE(q0, q1, q2, q3, block, o0, o1[:rows], o2[:rows], o3[:rows], int64(op))
+	o1, o2, o3 = o1[:rows], o2[:rows], o3[:rows]
+	if n := rows &^ 1; n > 0 && tier == tierAVX2 {
+		dotMulti4AVX2(q0, q1, q2, q3, block[:n*dim], o0[:n], o1[:n], o2[:n], o3[:n], int64(op))
+		if n == rows {
+			return
+		}
+		block, o0, o1, o2, o3 = block[n*dim:], o0[n:], o1[n:], o2[n:], o3[n:]
+	}
+	dotMulti4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3, int64(op))
 }
 
 func l2Multi4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
-	rows := len(o0)
-	dim := len(q0)
+	rows, dim, tier := len(o0), len(q0), floatTier
 	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim {
+	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim || tier == tierPortable {
 		l2Multi4Go(q0, q1, q2, q3, block, o0, o1, o2, o3)
 		return
 	}
 	_ = block[rows*dim-1]
-	l2Multi4SSE(q0, q1, q2, q3, block, o0, o1[:rows], o2[:rows], o3[:rows])
+	o1, o2, o3 = o1[:rows], o2[:rows], o3[:rows]
+	if n := rows &^ 1; n > 0 && tier == tierAVX2 {
+		l2Multi4AVX2(q0, q1, q2, q3, block[:n*dim], o0[:n], o1[:n], o2[:n], o3[:n])
+		if n == rows {
+			return
+		}
+		block, o0, o1, o2, o3 = block[n*dim:], o0[n:], o1[n:], o2[n:], o3[n:]
+	}
+	l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3)
 }
 
 // SQ8 byte-domain kernels: same lane contract, with the u8 code row

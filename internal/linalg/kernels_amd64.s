@@ -2,14 +2,16 @@
 
 #include "textflag.h"
 
-// SSE2 distance kernels. The bit-identity contract (see kernels.go):
-// XMM lane l holds partial sum s_l (elements at indices ≡ l mod 4), the
-// scalar tail accumulates into lane 0, and the reduce is the scalar
-// chain ((s0+s1)+s2)+s3. MULPS/ADDPS/SUBPS round each lane exactly like
-// the corresponding scalar ops, so every output is bitwise equal to the
-// portable Go kernels. FMA and 8-wide vectors are deliberately not used:
-// fused rounding and a different accumulator split would both break the
-// contract.
+// SSE2 and AVX2 distance kernels. The bit-identity contract (see
+// kernels.go): XMM lane l holds partial sum s_l (elements at indices ≡ l
+// mod 4), the scalar tail accumulates into lane 0, and the reduce is the
+// scalar chain ((s0+s1)+s2)+s3. MULPS/ADDPS/SUBPS round each lane exactly
+// like the corresponding scalar ops, so every output is bitwise equal to
+// the portable Go kernels. A wider register may carry more rows — the
+// AVX2 bodies put two rows' s0..s3 side by side in one YMM — but one
+// row's sums are never split across more than four lanes, and FMA is not
+// used: a different accumulator split or fused rounding would both break
+// the contract.
 
 DATA signmask32<>+0(SB)/4, $0x80000000
 GLOBL signmask32<>(SB), RODATA|NOPTR, $4
@@ -404,6 +406,245 @@ l2m4reduce:
 	JNZ  l2m4row
 
 l2m4done:
+	RET
+
+// AVX2 float kernels: each 128-bit half of a YMM register is one row's
+// XMM accumulator of the SSE bodies above, so the vector loop is the SSE
+// loop run on two rows at once. After it, each half is extracted to its
+// own XMM register, VZEROUPPER returns to legacy SSE, and every row is
+// finished by the SSE sequence: scalar tail into lane 0, HREDUCE, the op
+// epilogue. Operand order follows the SSE bodies (d = q - row,
+// p = q * row, acc = acc + x). The Go wrappers pass whole groups only;
+// the rows left over go to the SSE bodies.
+
+// Vector steps on a YMM row pair: the difference or product lands in d
+// (q or r), then adds into acc.
+#define VL2(q, r, d, acc) VSUBPS r, q, d; VMULPS d, d, d; VADDPS d, acc, acc
+#define VDOT(q, r, d, acc) VMULPS r, q, d; VADDPS d, acc, acc
+
+// Scalar tail steps on one element, overwriting q.
+#define SL2(q, r, acc) SUBSS r, q; MULSS q, q; ADDSS q, acc
+#define SDOT(q, r, acc) MULSS r, q; ADDSS q, acc
+
+// Stores of the finished sums: four rows of one query (single-query), or
+// rows r and r+1 of four queries (quad).
+#define STORE4 MOVSS X0, (DX); MOVSS X1, 4(DX); MOVSS X2, 8(DX); MOVSS X3, 12(DX)
+#define STORE8 \
+	MOVSS X0, (DX); MOVSS X4, 4(DX) \
+	MOVSS X1, (R11); MOVSS X5, 4(R11) \
+	MOVSS X2, (R13); MOVSS X6, 4(R13) \
+	MOVSS X3, (R9); MOVSS X7, 4(R9)
+
+#define NEG(x) XORPS X11, x
+#define ONEMINUS(x) MOVAPS X10, X9; SUBSS x, X9; MOVAPS X9, x
+#define EACH4(F) F(X0); F(X1); F(X2); F(X3)
+#define EACH8(F) EACH4(F); F(X4); F(X5); F(X6); F(X7)
+
+// DOTEPI applies the op in register op (1: -x, 2: 1-x, else x) to EACH
+// finished sum, then STOREs them. Uses X9-X11.
+#define DOTEPI(op, EACH, STORE) \
+	CMPQ op, $1 \
+	JE   epneg \
+	CMPQ op, $2 \
+	JNE  epstore \
+	MOVSS one32<>(SB), X10 \
+	EACH(ONEMINUS) \
+	JMP  epstore \
+epneg: \
+	MOVSS signmask32<>(SB), X11 \
+	EACH(NEG) \
+epstore: \
+	STORE
+
+// BLOCK4 is the single-query body: CX groups of four rows, rows 0-1 in Y0
+// and rows 2-3 in Y2, sharing one broadcast of q[j..j+3]. Two accumulators
+// keep two add chains in flight. In: SI = q, DI = block, DX = out,
+// BX = dim, CX = groups. Uses R8, R10-R14, X0-X3, X6-X14.
+#define BLOCK4(VSTEP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	MOVQ BX, R11 \
+	SHLQ $2, R11 \
+b4group: \
+	LEAQ (DI)(R11*1), R12 \
+	LEAQ (R12)(R11*1), R13 \
+	LEAQ (R13)(R11*1), R14 \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y2, Y2, Y2 \
+	XORQ   R8, R8 \
+	TESTQ  R10, R10 \
+	JE     b4split \
+b4vec: \
+	VBROADCASTF128 (SI)(R8*4), Y8 \
+	VMOVUPS        (DI)(R8*4), X6 \
+	VINSERTF128    $1, (R12)(R8*4), Y6, Y6 \
+	VSTEP(Y8, Y6, Y6, Y0) \
+	VMOVUPS        (R13)(R8*4), X7 \
+	VINSERTF128    $1, (R14)(R8*4), Y7, Y7 \
+	VSTEP(Y8, Y7, Y7, Y2) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   b4vec \
+b4split: \
+	VEXTRACTF128 $1, Y0, X1 \
+	VEXTRACTF128 $1, Y2, X3 \
+	VZEROUPPER \
+	CMPQ R8, BX \
+	JGE  b4reduce \
+b4tail: \
+	MOVSS (SI)(R8*4), X8; MOVSS (DI)(R8*4), X9; SSTEP(X8, X9, X0) \
+	MOVSS (SI)(R8*4), X8; MOVSS (R12)(R8*4), X9; SSTEP(X8, X9, X1) \
+	MOVSS (SI)(R8*4), X8; MOVSS (R13)(R8*4), X9; SSTEP(X8, X9, X2) \
+	MOVSS (SI)(R8*4), X8; MOVSS (R14)(R8*4), X9; SSTEP(X8, X9, X3) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   b4tail \
+b4reduce: \
+	EACH4(HREDUCE) \
+	EPI \
+	ADDQ $16, DX \
+	LEAQ (DI)(R11*4), DI \
+	DECQ CX \
+	JNZ  b4group
+
+// MULTI2 is the quad body: CX pairs of rows against four queries, row r
+// in the low and row r+1 in the high half of one shared load (Y8), each
+// query broadcast to both halves, one accumulator per query (Y0-Y3). In:
+// SI, R14, R15, AX = q0..q3; DI = block; DX, R11, R13, R9 = o0..o3;
+// BX = dim; CX = pairs. Uses R8, R10, R12, X0-X14.
+#define MULTI2(VSTEP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+m2pair: \
+	LEAQ   (DI)(BX*4), R12 \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y1, Y1, Y1 \
+	VXORPS Y2, Y2, Y2 \
+	VXORPS Y3, Y3, Y3 \
+	XORQ   R8, R8 \
+	TESTQ  R10, R10 \
+	JE     m2split \
+m2vec: \
+	VMOVUPS        (DI)(R8*4), X8 \
+	VINSERTF128    $1, (R12)(R8*4), Y8, Y8 \
+	VBROADCASTF128 (SI)(R8*4), Y9 \
+	VSTEP(Y9, Y8, Y9, Y0) \
+	VBROADCASTF128 (R14)(R8*4), Y10 \
+	VSTEP(Y10, Y8, Y10, Y1) \
+	VBROADCASTF128 (R15)(R8*4), Y11 \
+	VSTEP(Y11, Y8, Y11, Y2) \
+	VBROADCASTF128 (AX)(R8*4), Y12 \
+	VSTEP(Y12, Y8, Y12, Y3) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   m2vec \
+m2split: \
+	VEXTRACTF128 $1, Y0, X4 \
+	VEXTRACTF128 $1, Y1, X5 \
+	VEXTRACTF128 $1, Y2, X6 \
+	VEXTRACTF128 $1, Y3, X7 \
+	VZEROUPPER \
+	CMPQ R8, BX \
+	JGE  m2reduce \
+m2tail: \
+	MOVSS (DI)(R8*4), X8; MOVSS (R12)(R8*4), X9 \
+	MOVSS (SI)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X0); SSTEP(X11, X9, X4) \
+	MOVSS (R14)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X1); SSTEP(X11, X9, X5) \
+	MOVSS (R15)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X2); SSTEP(X11, X9, X6) \
+	MOVSS (AX)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X3); SSTEP(X11, X9, X7) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   m2tail \
+m2reduce: \
+	EACH8(HREDUCE) \
+	EPI \
+	ADDQ $8, DX \
+	ADDQ $8, R11 \
+	ADDQ $8, R13 \
+	ADDQ $8, R9 \
+	LEAQ (DI)(BX*8), DI \
+	DECQ CX \
+	JNZ  m2pair
+
+// func l2BlockAVX2(q, block, out []float32)
+TEXT ·l2BlockAVX2(SB), NOSPLIT, $0-72
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ block_base+24(FP), DI
+	MOVQ out_base+48(FP), DX
+	MOVQ out_len+56(FP), CX
+	SHRQ $2, CX
+	BLOCK4(VL2, SL2, STORE4)
+	RET
+
+// func dotBlockAVX2(q, block, out []float32, op int64)
+#define DOTEPI4 DOTEPI(R9, EACH4, STORE4)
+TEXT ·dotBlockAVX2(SB), NOSPLIT, $0-80
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ block_base+24(FP), DI
+	MOVQ out_base+48(FP), DX
+	MOVQ out_len+56(FP), CX
+	MOVQ op+72(FP), R9
+	SHRQ $2, CX
+	BLOCK4(VDOT, SDOT, DOTEPI4)
+	RET
+
+// func l2Multi4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
+TEXT ·l2Multi4AVX2(SB), NOSPLIT, $0-216
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R15
+	MOVQ q3_base+72(FP), AX
+	MOVQ block_base+96(FP), DI
+	MOVQ o0_base+120(FP), DX
+	MOVQ o0_len+128(FP), CX
+	MOVQ o1_base+144(FP), R11
+	MOVQ o2_base+168(FP), R13
+	MOVQ o3_base+192(FP), R9
+	SHRQ $1, CX
+	MULTI2(VL2, SL2, STORE8)
+	RET
+
+// func dotMulti4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
+// Every GP register is taken, so op waits in X15 until the epilogue.
+#define DOTEPI8 MOVQ X15, R12; DOTEPI(R12, EACH8, STORE8)
+TEXT ·dotMulti4AVX2(SB), NOSPLIT, $0-224
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R15
+	MOVQ q3_base+72(FP), AX
+	MOVQ block_base+96(FP), DI
+	MOVQ o0_base+120(FP), DX
+	MOVQ o0_len+128(FP), CX
+	MOVQ o1_base+144(FP), R11
+	MOVQ o2_base+168(FP), R13
+	MOVQ o3_base+192(FP), R9
+	MOVQ op+216(FP), R12
+	MOVQ R12, X15
+	SHRQ $1, CX
+	MULTI2(VDOT, SDOT, DOTEPI8)
+	RET
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() uint32
+// XCR0's low word. Callers check CPUID's OSXSAVE bit first.
+TEXT ·xgetbv(SB), NOSPLIT, $0-4
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, ret+0(FP)
 	RET
 
 // SQ8 byte-domain kernels. The decode runs in-register: four code bytes

@@ -6,6 +6,12 @@ package linalg
 // `purego` build tag forces this path on amd64 too (useful for
 // differential testing and as an escape hatch).
 
+// cpuTier and floatTier mirror kernels_amd64.go's for the tests: this
+// build has one tier, and dispatch does not consult them.
+const cpuTier = tierPortable
+
+var floatTier = cpuTier
+
 func dotBlockKernel(q, block []float32, out []float32, op int) {
 	dotBlockGo(q, block, out, op)
 }

@@ -8,7 +8,8 @@
 // The rule of the package: kernels.go holds the only scalar float32
 // distance arithmetic — the portable kernels, which define the bit-exact
 // contract (four accumulators over indices mod 4, tail into the first,
-// summed in order, no FMA) and which the SSE kernels reproduce bitwise. Every
+// summed in order, no FMA) and which the SSE and AVX2 kernels reproduce
+// bitwise. Every
 // distance entry point is a caller of the dispatched block kernels: Dot,
 // SquaredL2 and Distance on one row, DistanceRows on scattered rows, the
 // *Block and *Multi* forms on packed arenas. A new distance loop written
@@ -87,9 +88,9 @@ func SquaredL2(a, b []float32) float32 {
 // Matrix), writing row i's product to out[i]. Results are bit-identical to
 // calling Dot row by row (Dot is this kernel on one row); the win is
 // streaming contiguous memory instead of chasing per-row pointers. On
-// amd64 the scan runs as an SSE kernel whose lane structure mirrors the
-// portable kernel's scalar accumulators exactly (see kernels_amd64.go),
-// preserving bit-identity.
+// amd64 the scan runs as an SSE or AVX2 kernel whose lane structure
+// mirrors the portable kernel's scalar accumulators exactly (see
+// kernels_amd64.go), preserving bit-identity.
 func DotBlock(q, block []float32, out []float32) {
 	dotBlockKernel(q, block, out, opNone)
 }

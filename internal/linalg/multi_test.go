@@ -1,10 +1,43 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// forEachTier runs f as one subtest per float-kernel tier, named after it,
+// with floatTier set to that tier. A tier this CPU or build lacks is
+// skipped with the reason, so the log shows which tiers ran.
+func forEachTier(t *testing.T, f func(t *testing.T)) {
+	for tier := tierPortable; tier <= tierAVX2; tier++ {
+		t.Run(tier.String(), func(t *testing.T) {
+			if tier > cpuTier {
+				t.Skipf("no %v kernels here: the widest tier this build and CPU run is %v", tier, cpuTier)
+			}
+			defer func(saved kernelTier) { floatTier = saved }(floatTier)
+			floatTier = tier
+			f(t)
+		})
+	}
+}
+
+// kernelDims are the dims the float-kernel tests sweep: 1–67 crosses the
+// 4-way unroll boundary many times, with every tail length; 100 and 101
+// are the benchmark's dim without and with a tail.
+var kernelDims = func() []int {
+	var dims []int
+	for d := 1; d <= 67; d++ {
+		dims = append(dims, d)
+	}
+	return append(dims, 100, 101)
+}()
+
+// TestKernelTier logs the float tier dispatch chose on this machine.
+func TestKernelTier(t *testing.T) {
+	t.Logf("float kernels run the %v tier", cpuTier)
+}
 
 // randVec fills vectors with a mix of ordinary values and hard cases
 // (negative zero, denormals, huge magnitudes) so bit-identity is tested
@@ -57,15 +90,18 @@ func refDistance(m Metric, a, b []float32) float32 {
 	return out[0]
 }
 
-// TestMultiKernelBitIdentity sweeps dims 1..67 (crossing the 4-way unroll
-// boundary many times), all three metrics, ragged final tiles, and
-// Q ∈ {1,2,7,64}: the multi-query kernels, the per-query blocked kernels,
-// and the scalar reference must agree bit-for-bit on every (query, row)
-// pair.
+// TestMultiKernelBitIdentity sweeps kernelDims, all three metrics, ragged
+// final tiles, and Q ∈ {1,2,7,64} at every tier: the multi-query kernels,
+// the per-query blocked kernels, and the scalar reference must agree
+// bit-for-bit on every (query, row) pair.
 func TestMultiKernelBitIdentity(t *testing.T) {
+	forEachTier(t, testMultiKernelBitIdentity)
+}
+
+func testMultiKernelBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	metrics := []Metric{L2, InnerProduct, Angular}
-	for dim := 1; dim <= 67; dim++ {
+	for _, dim := range kernelDims {
 		rows := 1 + rng.Intn(41) // ragged vs any tile size
 		block := make([]float32, rows*dim)
 		copy(block, randVec(rng, rows*dim))
@@ -189,60 +225,61 @@ func TestFusedDistanceBlockExact(t *testing.T) {
 	}
 }
 
-// TestKernelAsmMatchesGo pins the arch-specific kernels to the portable
-// ones (on non-amd64 builds the two are the same function and the test is
-// trivially green).
+// TestKernelAsmMatchesGo pins the dispatched float kernels, at every
+// tier, to the portable ones: both kernel shapes × the three ops × every
+// kernelDims dim × 0–13 rows, which covers every split of the rows into
+// the AVX2 groups (four rows single-query, two quad) plus the SSE
+// remainder. The output slot past the last row must stay untouched.
 func TestKernelAsmMatchesGo(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for dim := 1; dim <= 67; dim++ {
-		rows := 1 + rng.Intn(9)
-		block := randVec(rng, rows*dim)[:rows*dim]
-		q0, q1, q2, q3 := randVec(rng, dim), randVec(rng, dim), randVec(rng, dim), randVec(rng, dim)
-		for op := opNone; op <= opOneMinus; op++ {
-			got := make([]float32, rows)
-			want := make([]float32, rows)
-			dotBlockKernel(q0, block, got, op)
-			dotBlockGo(q0, block, want, op)
-			for i := range got {
-				if !f32Equal(got[i], want[i]) {
-					t.Fatalf("dotBlock dim=%d op=%d row=%d: kernel=%x go=%x", dim, op, i,
-						math.Float32bits(got[i]), math.Float32bits(want[i]))
-				}
-			}
-			g := [4][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-			w := [4][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-			dotMulti4Kernel(q0, q1, q2, q3, block, g[0], g[1], g[2], g[3], op)
-			dotMulti4Go(q0, q1, q2, q3, block, w[0], w[1], w[2], w[3], op)
-			for qi := 0; qi < 4; qi++ {
-				for i := range g[qi] {
-					if !f32Equal(g[qi][i], w[qi][i]) {
-						t.Fatalf("dotMulti4 dim=%d op=%d q=%d row=%d: kernel=%x go=%x", dim, op, qi, i,
-							math.Float32bits(g[qi][i]), math.Float32bits(w[qi][i]))
+	const canary = 12345
+	forEachTier(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		for _, dim := range kernelDims {
+			q := [4][]float32{randVec(rng, dim), randVec(rng, dim), randVec(rng, dim), randVec(rng, dim)}
+			for rows := 0; rows <= 13; rows++ {
+				block := randVec(rng, rows*dim)
+				// op == -1 selects the l2 kernels; the rest the dot kernels.
+				for op := -1; op <= opOneMinus; op++ {
+					// got and want end in a canary slot; g and w are the
+					// rows-long outputs the kernels see.
+					var got, want, g, w [4][]float32
+					for i := range got {
+						got[i] = append(make([]float32, rows), canary)
+						want[i] = append(make([]float32, rows), canary)
+						g[i], w[i] = got[i][:rows], want[i][:rows]
+					}
+					if op < 0 {
+						l2BlockKernel(q[0], block, g[0])
+						l2BlockGo(q[0], block, w[0])
+					} else {
+						dotBlockKernel(q[0], block, g[0], op)
+						dotBlockGo(q[0], block, w[0], op)
+					}
+					same(t, "block", dim, rows, op, got[0], want[0])
+					if op < 0 {
+						l2Multi4Kernel(q[0], q[1], q[2], q[3], block, g[0], g[1], g[2], g[3])
+						l2Multi4Go(q[0], q[1], q[2], q[3], block, w[0], w[1], w[2], w[3])
+					} else {
+						dotMulti4Kernel(q[0], q[1], q[2], q[3], block, g[0], g[1], g[2], g[3], op)
+						dotMulti4Go(q[0], q[1], q[2], q[3], block, w[0], w[1], w[2], w[3], op)
+					}
+					for i := range got {
+						same(t, fmt.Sprintf("multi4 q%d", i), dim, rows, op, got[i], want[i])
 					}
 				}
 			}
 		}
-		got := make([]float32, rows)
-		want := make([]float32, rows)
-		l2BlockKernel(q0, block, got)
-		l2BlockGo(q0, block, want)
-		for i := range got {
-			if !f32Equal(got[i], want[i]) {
-				t.Fatalf("l2Block dim=%d row=%d: kernel=%x go=%x", dim, i,
-					math.Float32bits(got[i]), math.Float32bits(want[i]))
-			}
-		}
-		g := [4][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-		w := [4][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-		l2Multi4Kernel(q0, q1, q2, q3, block, g[0], g[1], g[2], g[3])
-		l2Multi4Go(q0, q1, q2, q3, block, w[0], w[1], w[2], w[3])
-		for qi := 0; qi < 4; qi++ {
-			for i := range g[qi] {
-				if !f32Equal(g[qi][i], w[qi][i]) {
-					t.Fatalf("l2Multi4 dim=%d q=%d row=%d: kernel=%x go=%x", dim, qi, i,
-						math.Float32bits(g[qi][i]), math.Float32bits(w[qi][i]))
-				}
-			}
+	})
+}
+
+// same fails the test at the first output of got whose bits differ from
+// want's.
+func same(t *testing.T, kernel string, dim, rows, op int, got, want []float32) {
+	t.Helper()
+	for i := range got {
+		if !f32Equal(got[i], want[i]) {
+			t.Fatalf("%s dim=%d rows=%d op=%d [%d]: kernel=%x go=%x", kernel, dim, rows, op, i,
+				math.Float32bits(got[i]), math.Float32bits(want[i]))
 		}
 	}
 }
@@ -251,7 +288,12 @@ func TestKernelAsmMatchesGo(t *testing.T) {
 // SquaredL2 and Distance, its one-pair cases — to the portable reference:
 // 0–9 scattered rows cover empty input, every quad/remainder split, and
 // repeated rows; the dims cover tail-only, quad-only and quad+tail loops.
+// It runs at every tier.
 func TestDistanceRowsBitIdentity(t *testing.T) {
+	forEachTier(t, testDistanceRowsBitIdentity)
+}
+
+func testDistanceRowsBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, dim := range []int{1, 3, 4, 100, 101} {
 		store := NewMatrix(dim, 23)
