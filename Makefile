@@ -58,15 +58,16 @@ bench:
 
 # The allocation regression fence, run without -race and in strict mode:
 # a skipped or missing gate fails the build instead of passing silently.
-# Covers the zero-allocation index query path and the persistence gate
+# Covers the zero-allocation index query path, the persistence gate
 # (durable collections must search with exactly the allocations of
-# memory-only ones). Every gate is named (whole-line match, so one gate's
+# memory-only ones) and the deletion gate (tombstones must cost no
+# allocations either). Every gate is named (whole-line match, so one gate's
 # name cannot stand in for another's): the run cannot pass by absence.
 alloc-gate:
 	@for g in TestAllocGateSearch TestAllocGateSearchBatch TestAllocGateSearchMultiInto; do \
 		$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx $$g \
 			|| { echo "alloc-gate test $$g missing from ./internal/index"; exit 1; }; done
-	@for g in TestAllocGatePersistentSearch TestAllocGateShardedSearch; do \
+	@for g in TestAllocGatePersistentSearch TestAllocGateShardedSearch TestAllocGateTombstonedSearch; do \
 		$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx $$g \
 			|| { echo "alloc-gate test $$g missing from ./internal/vdms"; exit 1; }; done
 	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms

@@ -13,8 +13,8 @@ import (
 // replay cannot express. It loads a live collection, deletes half the
 // corpus, and reports the segment layout, footprint, and per-query
 // scanned work before the deletes, after the deletes + compaction, and
-// the compactor's own counters — the evidence that tombstone GC keeps
-// search over-fetch bounded under sustained churn.
+// the compactor's own counters — the evidence that tombstone GC keeps the
+// set of deleted rows every search excludes bounded under sustained churn.
 
 // ChurnResult summarizes one churn run.
 type ChurnResult struct {

@@ -111,10 +111,7 @@ func ScanStoreMultiInto(m linalg.Metric, queries [][]float32, store *linalg.Matr
 		}
 		linalg.DistanceMultiScatter(m, queries, data[lo*dim:hi*dim], s.mouts)
 		for qi := 0; qi < qn; qi++ {
-			top := tops[qi]
-			for i, d := range s.mouts[qi] {
-				top.Push(ids[lo+i], d)
-			}
+			tops[qi].PushBlock(ids[lo:hi], s.mouts[qi])
 		}
 	}
 	accumulate(st, Stats{DistComps: int64(qn) * int64(n)})

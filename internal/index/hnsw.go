@@ -13,7 +13,7 @@ import (
 // hnsw implements the Hierarchical Navigable Small World graph (Malkov &
 // Yashunin), matching Milvus' HNSW index. Build parameters: M (graph
 // degree) and efConstruction (build beam width). Search parameter: ef
-// (query beam width, clamped up to k).
+// (query beam width, clamped up to k plus the collector's excluded ids).
 //
 // Vectors live in a flat arena (linalg.Matrix); the beam search tracks
 // visited nodes in an epoch-stamped array and draws its frontier and
@@ -569,10 +569,13 @@ func (h *hnsw) repairConnectivity() {
 }
 
 // searchWith is HNSW's one search body: greedy descent through the upper
-// layers, an ef-wide beam on layer 0, and the beam's k best — by private
-// top-k, so the result does not depend on the caller's collector capacity
-// — left sorted in s.res.
-func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *searchScratch) {
+// layers, an ef-wide beam on layer 0, and the beam's k best ids not in
+// excl — by private top-k, so the result does not depend on the caller's
+// collector capacity — left sorted in s.res. The beam walks through
+// excluded nodes like any other, so its width is floored at k plus the
+// excluded ids: it still holds k live nodes when every excluded id sits
+// among the nearest.
+func (h *hnsw) searchWith(q []float32, k int, excl map[int64]struct{}, p SearchParams, st *Stats, s *searchScratch) {
 	s.res = s.res[:0]
 	if h.store == nil || h.store.Rows() == 0 || k < 1 || h.entry < 0 {
 		return
@@ -581,9 +584,7 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 	if h.pinEf > 0 {
 		ef = h.pinEf
 	}
-	if ef < k {
-		ef = k
-	}
+	ef = max(ef, k+len(excl))
 	var work Stats
 	cur := h.entry
 	curD := h.dist(&work, q, h.row(int32(cur)))
@@ -595,7 +596,7 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 	// so the top-k is filled straight from it — no re-computation (and no
 	// second DistComps charge) for the returned candidates.
 	cands := h.searchLayer(q, s.eps, ef, 0, &work, s)
-	top := s.top.Reset(k)
+	top := s.top.Reset(k).Exclude(excl)
 	for _, c := range cands {
 		top.Push(h.ids[c.ID], c.Dist)
 	}
@@ -605,7 +606,7 @@ func (h *hnsw) searchWith(q []float32, k int, p SearchParams, st *Stats, s *sear
 
 func (h *hnsw) SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK) {
 	s := h.scratch.get()
-	h.searchWith(q, k, p, st, s)
+	h.searchWith(q, k, top.Excluded(), p, st, s)
 	for _, n := range s.res {
 		top.Push(n.ID, n.Dist)
 	}

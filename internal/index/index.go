@@ -237,9 +237,13 @@ type Index interface {
 	// accumulating the work performed into st (which may be nil):
 	// approximate indexes offer their k best, exhaustive ones may offer
 	// every stored row. For a collector of capacity >= k the surviving set
-	// is the k nearest the index can find, with first-offered-wins tie
-	// handling; the call performs no heap allocation at steady state. It is
-	// exactly SearchMultiInto over the one-query tile.
+	// is the k nearest the index can find among the ids the collector does
+	// not exclude (linalg.TopK.Exclude), with first-offered-wins tie
+	// handling: the index's private collectors exclude the same ids, and
+	// the stages that rank before them (HNSW's beam, SCANN's stage 1) are
+	// floored at k plus the excluded count. The call performs no heap
+	// allocation at steady state. It is exactly SearchMultiInto over the
+	// one-query tile.
 	SearchInto(q []float32, k int, p SearchParams, st *Stats, top *linalg.TopK)
 	// SearchMultiInto answers queries[i] into collector tops[i]. For
 	// every i the offered candidate sequence — and therefore the

@@ -261,13 +261,14 @@ func (c *ivfCoarse) probers(i, nprobe int, rows [][]float32, s *searchScratch) (
 
 // replayRegions is the replay of the types whose scan distances are their
 // results: each query's materialized probe-slot regions are replayed in
-// probe order — push (ids[row], dist) into a private top-k, then offer its
-// sorted results to the caller's collector. Per query the sequence depends
-// only on its own probe order, never on the tile it rode in, so results
-// and ties are bit-identical for any tile width.
+// probe order — push (ids[row], dist) into a private top-k that excludes
+// what the caller's collector excludes, then offer its sorted results to
+// that collector. Per query the sequence depends only on its own probe
+// order, never on the tile it rode in, so results and ties are
+// bit-identical for any tile width.
 func replayRegions(x *ivf, _ [][]float32, probes []int32, nprobe, k int, _ SearchParams, s *searchScratch, tops []*linalg.TopK) Stats {
 	for qi := range tops {
-		top := s.top.Reset(k)
+		top := s.top.Reset(k).Exclude(tops[qi].Excluded())
 		for pi := 0; pi < nprobe; pi++ {
 			slot := qi*nprobe + pi
 			lo, hi := x.coarse.cellRange(probes[slot])

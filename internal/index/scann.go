@@ -51,14 +51,15 @@ func (c *rerankCells) rerank(q []float32, s *searchScratch) {
 // replay is SCANN's replayFunc: per query, select the reorder_k stage-1
 // survivors by grouped row in probe order and re-rank them exactly through
 // the blocked float kernel — per query nothing depends on the tile width.
+// Stage 1 keys on grouped rows and excludes nothing, so its width is
+// floored at k plus the collector's excluded ids: the re-rank still finds
+// k live candidates when every excluded id sits among the best. Excluded
+// ids are dropped in the re-ranked top-k.
 func (c *rerankCells) replay(x *ivf, queries [][]float32, probes []int32, nprobe, k int, p SearchParams, s *searchScratch, tops []*linalg.TopK) Stats {
-	reorder := p.ReorderK
-	if reorder < k {
-		reorder = k
-	}
 	var reranked int64
 	for qi, q := range queries {
-		stage1 := s.stage1.Reset(reorder)
+		excl := tops[qi].Excluded()
+		stage1 := s.stage1.Reset(max(p.ReorderK, k+len(excl)))
 		for pi := 0; pi < nprobe; pi++ {
 			slot := qi*nprobe + pi
 			lo, hi := x.coarse.cellRange(probes[slot])
@@ -72,7 +73,7 @@ func (c *rerankCells) replay(x *ivf, queries [][]float32, probes []int32, nprobe
 		}
 		s.neighbors = stage1.AppendResults(s.neighbors[:0])
 		c.rerank(q, s)
-		top := s.top.Reset(k)
+		top := s.top.Reset(k).Exclude(excl)
 		for ci, nb := range s.neighbors {
 			top.Push(x.ids[int(nb.ID)], s.dists[ci])
 		}

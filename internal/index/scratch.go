@@ -149,10 +149,12 @@ func (sp *scratchPool) get() *searchScratch {
 }
 
 // put returns s to the pool, dropping the views it gathered of the
-// caller's query slices so a pooled scratch does not pin them.
+// caller's query slices and the exclusion set its private collector was
+// reset from, so a pooled scratch pins neither.
 func (sp *scratchPool) put(s *searchScratch) {
 	clear(s.mqrows[:cap(s.mqrows)])
 	clear(s.mrows[:cap(s.mrows)])
+	s.top.Exclude(nil)
 	sp.p.Put(s)
 }
 

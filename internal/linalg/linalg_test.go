@@ -3,6 +3,7 @@ package linalg
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -218,6 +219,83 @@ func TestTopKRejectsWorse(t *testing.T) {
 	}
 	if !top.Push(4, 0.05) {
 		t.Fatal("Push rejected a better candidate")
+	}
+}
+
+// TestTopKExcludeMatchesPrefiltered: a collector with an exclusion set,
+// fed by Push and PushBlock in random blocks, holds after every call
+// exactly the heap — entry for entry, so ties land where they would — of
+// a plain collector that was Pushed the same sequence with the excluded
+// ids taken out first, and drains to the same results. Distances come
+// from eight values (dense ties), ids repeat, k runs 1–20, the excluded
+// share 0–100 %, and the set is also nil or empty.
+func TestTopKExcludeMatchesPrefiltered(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 600; trial++ {
+		k := rng.Intn(20) + 1
+		n := rng.Intn(300)
+		ids := make([]int64, n)
+		dists := make([]float32, n)
+		for i := range ids {
+			ids[i] = int64(rng.Intn(n/2 + 1))
+			dists[i] = float32(rng.Intn(8))
+		}
+		var set map[int64]struct{}
+		switch trial % 3 {
+		case 1:
+			set = map[int64]struct{}{}
+		case 2:
+			set = map[int64]struct{}{}
+			share := float64(trial%11) / 10
+			for id := int64(0); id <= int64(n/2); id++ {
+				if rng.Float64() < share {
+					set[id] = struct{}{}
+				}
+			}
+		}
+		got := NewTopK(k).Exclude(set)
+		ref := NewTopK(k)
+		for lo := 0; lo < n; {
+			hi := min(n, lo+1+rng.Intn(24))
+			if rng.Intn(2) == 0 {
+				got.PushBlock(ids[lo:hi], dists[lo:hi])
+				for i := lo; i < hi; i++ {
+					if _, dead := set[ids[i]]; !dead {
+						ref.Push(ids[i], dists[i])
+					}
+				}
+			} else {
+				for i := lo; i < hi; i++ {
+					_, dead := set[ids[i]]
+					want := !dead && ref.Push(ids[i], dists[i])
+					if kept := got.Push(ids[i], dists[i]); kept != want {
+						t.Fatalf("trial %d: Push(%d, %v) = %v, prefiltered %v", trial, ids[i], dists[i], kept, want)
+					}
+				}
+			}
+			if !reflect.DeepEqual(append([]Neighbor{}, got.heap...), append([]Neighbor{}, ref.heap...)) {
+				t.Fatalf("trial %d after [%d, %d): heap %v, prefiltered %v", trial, lo, hi, got.heap, ref.heap)
+			}
+			lo = hi
+		}
+		if g, w := got.AppendResults(nil), ref.AppendResults(nil); !reflect.DeepEqual(g, w) {
+			t.Fatalf("trial %d: results %v, prefiltered %v", trial, g, w)
+		}
+	}
+}
+
+// TestTopKExcludeLifetime: Reset and Exclude(nil) let go of the set.
+func TestTopKExcludeLifetime(t *testing.T) {
+	set := map[int64]struct{}{7: {}}
+	top := NewTopK(2).Exclude(set)
+	if top.Push(7, 0) || top.Excluded() == nil {
+		t.Fatal("excluded id retained")
+	}
+	if top.Reset(2).Excluded() != nil || !top.Push(7, 0) {
+		t.Fatal("Reset kept the exclusion set")
+	}
+	if top.Exclude(set).Exclude(nil).Excluded() != nil || !top.Push(7, 1) {
+		t.Fatal("Exclude(nil) kept the exclusion set")
 	}
 }
 

@@ -12,10 +12,18 @@ type Neighbor struct {
 // max-heap keyed on distance: the root is the worst retained neighbor, so a
 // new candidate replaces it in O(log k) when closer.
 //
+// A collector may carry an exclusion set (Exclude): an id in it is never
+// retained, as if it had not been offered. The set is consulted only for a
+// candidate that would be retained otherwise — while the heap fills, or
+// when it beats the current worst — so the common reject stays a single
+// comparison, and an empty or nil set costs a length check per retained
+// candidate.
+//
 // The zero value is not usable; construct with NewTopK.
 type TopK struct {
 	k    int
 	heap []Neighbor
+	excl map[int64]struct{}
 }
 
 // NewTopK returns a collector for the k nearest neighbors. k must be >= 1.
@@ -26,17 +34,42 @@ func NewTopK(k int) *TopK {
 	return &TopK{k: k, heap: make([]Neighbor, 0, k)}
 }
 
-// Reset empties the collector and re-targets it to the k nearest, keeping
-// the heap's backing array so a pooled collector performs no steady-state
-// allocations. It returns the receiver for call chaining, and makes the
-// zero TopK usable.
+// Reset empties the collector, drops its exclusion set and re-targets it to
+// the k nearest, keeping the heap's backing array so a pooled collector
+// performs no steady-state allocations. It returns the receiver for call
+// chaining, and makes the zero TopK usable.
 func (t *TopK) Reset(k int) *TopK {
 	if k < 1 {
 		panic("linalg: TopK requires k >= 1")
 	}
 	t.k = k
 	t.heap = t.heap[:0]
+	t.excl = nil
 	return t
+}
+
+// Exclude makes every later offer of an id in set a no-op, and returns the
+// receiver for call chaining. The collector only reads the set, and holds
+// it until the next Reset or Exclude: Exclude(nil) lets go of it, which a
+// pool does before it shelves the collector. Neighbors already retained
+// are not re-checked.
+func (t *TopK) Exclude(set map[int64]struct{}) *TopK {
+	t.excl = set
+	return t
+}
+
+// Excluded returns the collector's exclusion set (nil when it has none), so
+// a private collector feeding this one can be reset to exclude the same
+// ids.
+func (t *TopK) Excluded() map[int64]struct{} { return t.excl }
+
+// excluded reports whether id is in the exclusion set.
+func (t *TopK) excluded(id int64) bool {
+	if len(t.excl) == 0 {
+		return false
+	}
+	_, ok := t.excl[id]
+	return ok
 }
 
 // Len reports how many neighbors are currently retained.
@@ -49,14 +82,18 @@ func (t *TopK) Full() bool { return len(t.heap) == t.k }
 // the collector is empty; callers should guard with Full or Len.
 func (t *TopK) Worst() float32 { return t.heap[0].Dist }
 
-// Push offers a candidate. It reports whether the candidate was retained.
+// Push offers a candidate. It reports whether the candidate was retained;
+// an excluded id never is.
 func (t *TopK) Push(id int64, dist float32) bool {
 	if len(t.heap) < t.k {
+		if t.excluded(id) {
+			return false
+		}
 		t.heap = append(t.heap, Neighbor{ID: id, Dist: dist})
 		t.siftUp(len(t.heap) - 1)
 		return true
 	}
-	if dist >= t.heap[0].Dist {
+	if dist >= t.heap[0].Dist || t.excluded(id) {
 		return false
 	}
 	t.heap[0] = Neighbor{ID: id, Dist: dist}
@@ -80,7 +117,7 @@ func (t *TopK) PushBlock(ids []int64, dists []float32) {
 	worst := t.heap[0].Dist
 	for ; i < len(dists); i++ {
 		d := dists[i]
-		if d >= worst {
+		if d >= worst || t.excluded(ids[i]) {
 			continue
 		}
 		t.heap[0] = Neighbor{ID: ids[i], Dist: d}
@@ -90,7 +127,7 @@ func (t *TopK) PushBlock(ids []int64, dists []float32) {
 }
 
 // Results returns the retained neighbors sorted by ascending distance and
-// resets the collector.
+// empties the collector.
 func (t *TopK) Results() []Neighbor {
 	out := make([]Neighbor, 0, len(t.heap))
 	return t.AppendResults(out)

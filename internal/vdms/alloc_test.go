@@ -71,6 +71,82 @@ func TestAllocGatePersistentSearch(t *testing.T) {
 	}
 }
 
+// TestAllocGateTombstonedSearch is the deletion alloc gate: tombstones are
+// excluded where candidates are offered, by collectors that only read the
+// shard's set, so on a two-shard IVF_SQ8 collection Search and SearchBatch
+// allocate exactly as much with 240 tombstones as with none — nothing is
+// sized by the tombstone count.
+func TestAllocGateTombstonedSearch(t *testing.T) {
+	strict := os.Getenv("ALLOC_GATE_STRICT") != ""
+	if raceEnabled {
+		if strict {
+			t.Fatal("alloc-gate tests cannot run under -race, but ALLOC_GATE_STRICT is set; run them without -race")
+		}
+		t.Skip("allocation counts are meaningless under -race")
+	}
+	const dim, n, k, queries, deletes = 16, 2400, 10, 32, 240
+	cfg := DefaultConfig()
+	cfg.IndexType = index.IVFSQ8
+	cfg.Build.NList = 16
+	cfg.Search.NProbe = 4
+	cfg.Parallelism = 1
+	cfg.ShardCount = 2
+	cfg.CompactionTriggerRatio = 0.95
+	// Budgeted for 8n rows, each shard seals one segment at Flush, which
+	// no merge can pick up alone.
+	c, err := NewCollection(cfg, linalg.L2, dim, 8*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ids, err := c.Insert(randVecs(n, dim, 106))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	q := randVecs(1, dim, 107)[0]
+	qs := randVecs(queries, dim, 108)
+	measure := func() (search, batch float64) {
+		for i := 0; i < 10; i++ {
+			if _, err := c.SearchBatch(qs, k, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		search = testing.AllocsPerRun(200, func() {
+			if _, err := c.Search(q, k, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		batch = testing.AllocsPerRun(50, func() {
+			if _, err := c.SearchBatch(qs, k, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return search, batch
+	}
+	cleanSearch, cleanBatch := measure()
+	var dead []int64
+	for i := 0; i < n; i += n / deletes {
+		dead = append(dead, ids[i])
+	}
+	if _, err := c.Delete(dead); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Tombstones; got != deletes {
+		t.Fatalf("%d tombstones, want %d: compaction was not held off", got, deletes)
+	}
+	deadSearch, deadBatch := measure()
+	if deadSearch != cleanSearch || deadBatch != cleanBatch {
+		t.Fatalf("with %d tombstones Search allocates %.1f/op and SearchBatch %.1f/op; with none %.1f/op and %.1f/op",
+			deletes, deadSearch, deadBatch, cleanSearch, cleanBatch)
+	}
+}
+
 // TestAllocGateShardedSearch is the sharding alloc gate: shard probes run
 // over pooled probe scratches and feed a pooled result grid, and every
 // segment offers its candidates straight into the shard-level collector

@@ -157,11 +157,12 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 // recovery, a query answered alone, inside a 7-query batch (one ragged
 // tile) and inside the 70-query batch (several query tiles with a ragged
 // tail) returns bit-identical results with exactly-summed stats. The
-// churned workload leaves tombstones so the over-fetch margin is
-// exercised. The bits are anchored twice: segments are FLAT, so every
-// answer must equal a brute-force scan of the live rows, and the whole
-// result set must hash to the value recorded at the parent commit through
-// the per-query shard probe this path replaced.
+// churned workload leaves tombstones, so deleted rows are excluded where
+// they are offered. The bits are anchored twice: segments are FLAT, so
+// every answer must equal a brute-force scan of the live rows, and the
+// whole result set must hash to the value recorded at the parent commit
+// through the per-query shard probe this path replaced (and, then, a
+// k+T-wide collector filtered afterwards).
 func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 	const dim, n, k = 8, 500, 6
 	const goldenHash = 0xeba97a629f0def25

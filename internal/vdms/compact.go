@@ -21,8 +21,9 @@ import (
 //     threshold) are merged into full ones, up to
 //     Config.CompactionMergeFanIn sources and one seal budget per new
 //     segment;
-//   - tombstones whose rows were dropped are garbage-collected, restoring
-//     the bounded search over-fetch (k + live tombstones).
+//   - tombstones whose rows were dropped are garbage-collected, so the
+//     set every search excludes (and HNSW's beam and SCANN's stage 1
+//     widen by) stays bounded by the dead rows awaiting compaction.
 //
 // Every shard runs its own compactor under its own lock, so a pass
 // rewriting one shard's segments never blocks writes or searches on

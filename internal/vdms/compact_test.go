@@ -82,8 +82,8 @@ func TestCompactionReclaimsChurn(t *testing.T) {
 	}
 
 	st := coll.Stats()
-	// All tombstones must be garbage-collected: the over-fetch margin
-	// (k + Tombstones) no longer scales with the all-time delete count.
+	// All tombstones must be garbage-collected: the set every search
+	// excludes no longer scales with the all-time delete count.
 	if st.Tombstones != 0 {
 		t.Fatalf("tombstones = %d after compaction, want 0 (all GC'd)", st.Tombstones)
 	}

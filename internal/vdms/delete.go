@@ -1,19 +1,17 @@
 package vdms
 
-import (
-	"fmt"
-
-	"vdtuner/internal/linalg"
-)
+import "fmt"
 
 // Deletion support for live collections. Milvus implements deletes as
-// tombstones filtered at query time until compaction; this file does the
-// same, per shard: deleted ids in sealed data (indexed or index-pending)
-// are recorded in the owning shard's tombstone set and filtered out of
-// every search until its compactor (compact.go) rewrites their segments,
-// while deletes of growing rows are applied physically at once and never
-// tombstoned. Each tombstone set therefore stays bounded by the dead rows
-// actually awaiting compaction on that shard.
+// tombstones that the segment search skips until compaction (a delete
+// bitset handed to the index); this file does the same, per shard: deleted
+// ids in sealed data (indexed or index-pending) are recorded in the owning
+// shard's tombstone set, which every search's collectors exclude where
+// candidates are offered (searchMultiLocked), until its compactor
+// (compact.go) rewrites their segments, while deletes of growing rows are
+// applied physically at once and never tombstoned. Each tombstone set
+// therefore stays bounded by the dead rows actually awaiting compaction on
+// that shard.
 
 // Delete marks ids as deleted. Unknown or already-deleted ids are ignored
 // (idempotent, as in Milvus). It returns the number of ids newly deleted,
@@ -156,21 +154,6 @@ func (s *shard) deleteLocked(ids []int64, captured *[]int64) int {
 }
 
 // Deleted reports the live tombstone count across shards: deleted ids
-// still physically present in sealed data and awaiting compaction — the
-// search over-fetch margin, not the all-time delete count.
+// still physically present in sealed data and awaiting compaction, not
+// the all-time delete count.
 func (c *Collection) Deleted() int { return c.Stats().Tombstones }
-
-// filterTombstones drops deleted ids from a result list in place.
-func (s *shard) filterTombstones(res []linalg.Neighbor) []linalg.Neighbor {
-	if len(s.tombstones) == 0 {
-		return res
-	}
-	keep := res[:0]
-	for _, n := range res {
-		if _, dead := s.tombstones[n.ID]; dead {
-			continue
-		}
-		keep = append(keep, n)
-	}
-	return keep
-}

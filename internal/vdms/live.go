@@ -510,8 +510,8 @@ type CollectionStats struct {
 	GrowingRows int
 	MemoryBytes int64
 	// Tombstones is the number of deleted ids still physically present
-	// in sealed data — the search over-fetch margin. Compaction
-	// drives it back toward zero.
+	// in sealed data, which every search excludes where candidates are
+	// offered. Compaction drives it back toward zero.
 	Tombstones int
 	// CompactionPasses counts completed compactor passes;
 	// CompactedSegments the source segments rewritten or merged away;

@@ -341,7 +341,7 @@ func TestDeleteFromSealed(t *testing.T) {
 			}
 		}
 		if len(res) != 5 {
-			t.Fatalf("over-fetch failed: got %d results", len(res))
+			t.Fatalf("tombstones cost result slots: got %d results", len(res))
 		}
 	}
 }

@@ -38,9 +38,9 @@ type probeScratch struct {
 	mouts   [][]linalg.Neighbor
 }
 
-// ensureMulti sizes the multi-query tile state for a qn-query tile at
-// fetch results per query, keeping every warmed buffer.
-func (ps *probeScratch) ensureMulti(qn, fetch int) {
+// ensureMulti sizes the multi-query tile state for a qn-query tile at k
+// results per query, keeping every warmed buffer.
+func (ps *probeScratch) ensureMulti(qn, k int) {
 	if qn > len(ps.mtops) {
 		mtops := make([]linalg.TopK, qn)
 		copy(mtops, ps.mtops) // keep the warmed heap arrays
@@ -48,7 +48,7 @@ func (ps *probeScratch) ensureMulti(qn, fetch int) {
 	}
 	ps.mtopPtr = grow(ps.mtopPtr, qn)
 	ps.mouts = grow(ps.mouts, qn)
-	ps.moutBuf = grow(ps.moutBuf, qn*fetch)
+	ps.moutBuf = grow(ps.moutBuf, qn*k)
 }
 
 // gatherScratch is the working set of one scatter-gather call

@@ -58,12 +58,12 @@ type shard struct {
 	sealed  []*sealedSegment
 	sealSeq int64
 	// tombstones holds deleted ids that are still physically present in
-	// sealed data; they are filtered from every search (see
-	// delete.go) and garbage-collected when compaction drops the rows.
-	// Deleted growing rows are removed physically at once and never
-	// linger here, so len(tombstones) — the search over-fetch margin —
-	// is bounded by the dead rows awaiting compaction, not by the
-	// all-time delete count.
+	// sealed data; every search's collectors exclude them where they are
+	// offered (see searchMultiLocked), and they are garbage-collected
+	// when compaction drops the rows. Deleted growing rows are removed
+	// physically at once and never linger here, so len(tombstones) —
+	// what HNSW's beam and SCANN's stage 1 widen by — is bounded by the
+	// dead rows awaiting compaction, not by the all-time delete count.
 	tombstones map[int64]struct{}
 	closed     bool
 
@@ -487,46 +487,39 @@ func (s *shard) forEachLiveRowLocked(visit func(id int64, row []float32, growing
 // sealed by seq, then growing — so no per-segment list is
 // materialized and the merge is the collector itself. Ids are disjoint
 // across segments (an id lives in exactly one), so the collected set equals
-// a deduplicating merge of per-segment lists. Per query the offered
-// candidate sequence — segment order, row order, over-fetch margin,
-// tombstone filter — does not depend on the tile, so results are
-// bit-identical for any tile width. The returned row slices alias
-// ps.moutBuf: consume them before the worker's next probe. Callers hold
-// s.mu (read side suffices): the method only reads shard state, so any
-// number of goroutines holding the same read lock may call it concurrently
-// — that is how SearchBatch fans out.
+// a deduplicating merge of per-segment lists. Deleted rows still present in
+// sealed data are excluded where they are offered: every collector carries
+// the shard's tombstone set (linalg.TopK.Exclude), so each is k wide and
+// nothing is filtered afterwards. Per query the offered candidate sequence
+// — segment order, row order, excluded ids — does not depend on the tile,
+// so results are bit-identical for any tile width. The returned row slices
+// alias ps.moutBuf: consume them before the worker's next probe. Callers
+// hold s.mu (read side suffices): the method only reads shard state (the
+// collectors read the tombstone set, and let go of it before returning),
+// so any number of goroutines holding the same read lock may call it
+// concurrently — that is how SearchBatch fans out.
 func (s *shard) searchMultiLocked(qs [][]float32, m linalg.Metric, k int, st *index.Stats, ps *probeScratch) [][]linalg.Neighbor {
 	qn := len(qs)
-	// Over-fetch to survive tombstone filtering: deleted ids may occupy
-	// top slots inside immutable sealed segments. The margin is this
-	// shard's live tombstone count — dead rows still physically present
-	// and awaiting compaction — not the all-time delete count.
-	fetch := k + len(s.tombstones)
 	search := s.config().Search // one generation for the whole probe
-	ps.ensureMulti(qn, fetch)
+	ps.ensureMulti(qn, k)
 	for qi := 0; qi < qn; qi++ {
-		ps.mtopPtr[qi] = ps.mtops[qi].Reset(fetch)
+		ps.mtopPtr[qi] = ps.mtops[qi].Reset(k).Exclude(s.tombstones)
 	}
 	for _, seg := range s.sealed {
 		if seg.idx == nil {
 			index.ScanStoreMultiInto(m, qs, seg.store, seg.ids, ps.mtopPtr, st)
 			continue
 		}
-		seg.idx.SearchMultiInto(qs, fetch, search, st, ps.mtopPtr)
+		seg.idx.SearchMultiInto(qs, k, search, st, ps.mtopPtr)
 	}
 	if s.growingRowsLocked() > 0 {
 		index.ScanStoreMultiInto(m, qs, s.growing, s.growingIDs, ps.mtopPtr, st)
 	}
 	for qi := 0; qi < qn; qi++ {
 		// Each query's row gets a capacity-capped region of the flat
-		// buffer (Len <= fetch by construction), filtered in place.
-		off := qi * fetch
-		res := ps.mtops[qi].AppendResults(ps.moutBuf[off : off : off+fetch])
-		merged := s.filterTombstones(res)
-		if len(merged) > k {
-			merged = merged[:k]
-		}
-		ps.mouts[qi] = merged
+		// buffer (Len <= k by construction).
+		off := qi * k
+		ps.mouts[qi] = ps.mtops[qi].Exclude(nil).AppendResults(ps.moutBuf[off : off : off+k])
 	}
 	return ps.mouts
 }

@@ -8,6 +8,7 @@
 package vdtuner
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -400,6 +401,61 @@ func BenchmarkShardedSearchBatchPQ(b *testing.B) {
 			cfg.Build.NBits = 8
 			cfg.Search.NProbe = 16
 			benchSearchBatchQuantized(b, cfg, n, dim, k, queries, 0.35)
+		})
+	}
+}
+
+// BenchmarkSearchBatchTombstoned measures the batched read path over a
+// two-shard IVF_SQ8 collection holding T deleted rows that await
+// compaction (held off: trigger ratio 0.95, one segment per shard), at
+// T = 0, 256 and 2048. Deleted rows are excluded where candidates are
+// offered, so every collector stays k wide and the cost should stay flat
+// as T grows. The tombstone count is checked before the clock starts.
+func BenchmarkSearchBatchTombstoned(b *testing.B) {
+	const n, dim, k, queries = 16000, 32, 10, 64
+	for _, dead := range []int{0, 256, 2048} {
+		b.Run(fmt.Sprintf("T=%d", dead), func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := shardedConfig(2)
+			cfg.IndexType = index.IVFSQ8
+			cfg.Build.NList = 64
+			cfg.Search.NProbe = 16
+			cfg.CompactionTriggerRatio = 0.95
+			coll, err := vdms.NewCollection(cfg, linalg.L2, dim, 8*n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer coll.Close()
+			ids, err := coll.Insert(randomVectors(n, dim, 9))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := coll.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			var del []int64
+			for i := 0; i < dead; i++ {
+				del = append(del, ids[i*n/dead])
+			}
+			if _, err := coll.Delete(del); err != nil {
+				b.Fatal(err)
+			}
+			if err := coll.Compact(); err != nil {
+				b.Fatal(err)
+			}
+			if got := coll.Stats().Tombstones; got != dead {
+				b.Fatalf("%d tombstones, want %d", got, dead)
+			}
+			qs := randomVectors(queries, dim, 10)
+			if _, err := coll.SearchBatch(qs, k, nil); err != nil { // warm scratch pools
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := coll.SearchBatch(qs, k, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }
