@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,58 +103,47 @@ func TestSQ8KernelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSQ8KernelAsmMatchesGo pins the dispatched kernels (SSE on amd64)
-// against the portable contract kernels directly, including the ragged
-// quad remainder the multi4 kernels never see via the public entry.
+// TestSQ8KernelAsmMatchesGo pins the dispatched SQ8 kernels (SSE on
+// amd64) to the portable contract kernels in TestKernelAsmMatchesGo's
+// shape: both kernel shapes × the three ops × every kernelDims dim × 0–13
+// rows, including the ragged quad remainder the multi4 kernels never see
+// via the public entry. The output slot past the last row must stay
+// untouched on every output, the four quad outputs included.
 func TestSQ8KernelAsmMatchesGo(t *testing.T) {
+	const canary = 12345
 	rng := rand.New(rand.NewSource(7))
-	for dim := 1; dim <= 35; dim++ {
-		rows := 1 + rng.Intn(17)
-		codes := randCodes(rng, rows*dim)
+	for _, dim := range kernelDims {
 		min, scale := randAffine(rng, dim)
-		qs := make([][]float32, 4)
-		for i := range qs {
-			qs[i] = randVec(rng, dim)
-		}
-		got := make([]float32, rows)
-		want := make([]float32, rows)
-
-		sq8L2BlockKernel(qs[0], scale, codes, got)
-		sq8L2BlockGo(qs[0], scale, codes, want)
-		for r := range got {
-			if !f32Equal(got[r], want[r]) {
-				t.Fatalf("l2 block dim=%d row=%d: %x vs %x", dim, r, math.Float32bits(got[r]), math.Float32bits(want[r]))
-			}
-		}
-		for op := opNone; op <= opOneMinus; op++ {
-			sq8DotBlockKernel(qs[0], min, scale, codes, got, op)
-			sq8DotBlockGo(qs[0], min, scale, codes, want, op)
-			for r := range got {
-				if !f32Equal(got[r], want[r]) {
-					t.Fatalf("dot block dim=%d op=%d row=%d: %x vs %x", dim, op, r, math.Float32bits(got[r]), math.Float32bits(want[r]))
+		q := [4][]float32{randVec(rng, dim), randVec(rng, dim), randVec(rng, dim), randVec(rng, dim)}
+		for rows := 0; rows <= 13; rows++ {
+			codes := randCodes(rng, rows*dim)
+			// op == -1 selects the l2 kernels; the rest the dot kernels.
+			for op := -1; op <= opOneMinus; op++ {
+				// got and want end in a canary slot; g and w are the
+				// rows-long outputs the kernels see.
+				var got, want, g, w [4][]float32
+				for i := range got {
+					got[i] = append(make([]float32, rows), canary)
+					want[i] = append(make([]float32, rows), canary)
+					g[i], w[i] = got[i][:rows], want[i][:rows]
 				}
-			}
-		}
-
-		gots := [][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-		wants := [][]float32{make([]float32, rows), make([]float32, rows), make([]float32, rows), make([]float32, rows)}
-		sq8L2Multi4Kernel(qs[0], qs[1], qs[2], qs[3], scale, codes, gots[0], gots[1], gots[2], gots[3])
-		sq8L2Multi4Go(qs[0], qs[1], qs[2], qs[3], scale, codes, wants[0], wants[1], wants[2], wants[3])
-		for i := range gots {
-			for r := range gots[i] {
-				if !f32Equal(gots[i][r], wants[i][r]) {
-					t.Fatalf("l2 multi4 dim=%d q=%d row=%d: %x vs %x", dim, i, r, math.Float32bits(gots[i][r]), math.Float32bits(wants[i][r]))
+				if op < 0 {
+					sq8L2BlockKernel(q[0], scale, codes, g[0])
+					sq8L2BlockGo(q[0], scale, codes, w[0])
+				} else {
+					sq8DotBlockKernel(q[0], min, scale, codes, g[0], op)
+					sq8DotBlockGo(q[0], min, scale, codes, w[0], op)
 				}
-			}
-		}
-		for op := opNone; op <= opOneMinus; op++ {
-			sq8DotMulti4Kernel(qs[0], qs[1], qs[2], qs[3], min, scale, codes, gots[0], gots[1], gots[2], gots[3], op)
-			sq8DotMulti4Go(qs[0], qs[1], qs[2], qs[3], min, scale, codes, wants[0], wants[1], wants[2], wants[3], op)
-			for i := range gots {
-				for r := range gots[i] {
-					if !f32Equal(gots[i][r], wants[i][r]) {
-						t.Fatalf("dot multi4 dim=%d op=%d q=%d row=%d: %x vs %x", dim, op, i, r, math.Float32bits(gots[i][r]), math.Float32bits(wants[i][r]))
-					}
+				same(t, "sq8 block", dim, rows, op, got[0], want[0])
+				if op < 0 {
+					sq8L2Multi4Kernel(q[0], q[1], q[2], q[3], scale, codes, g[0], g[1], g[2], g[3])
+					sq8L2Multi4Go(q[0], q[1], q[2], q[3], scale, codes, w[0], w[1], w[2], w[3])
+				} else {
+					sq8DotMulti4Kernel(q[0], q[1], q[2], q[3], min, scale, codes, g[0], g[1], g[2], g[3], op)
+					sq8DotMulti4Go(q[0], q[1], q[2], q[3], min, scale, codes, w[0], w[1], w[2], w[3], op)
+				}
+				for i := range got {
+					same(t, fmt.Sprintf("sq8 multi4 q%d", i), dim, rows, op, got[i], want[i])
 				}
 			}
 		}
