@@ -95,12 +95,14 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
 
 # Non-test Go lines outside benchmark/, per package directory and in
-# total: the size figure ROADMAP tracks.
+# total, then the hand-written assembly lines (*.s) on a line of their
+# own: the size figures ROADMAP tracks.
 LOC_FILES = -name '*.go' ! -name '*_test.go' ! -path './benchmark/*'
 loc:
 	@for d in $$(find . -type d ! -path './.*' ! -path './benchmark*' | sort); do \
 		n=$$(find $$d -maxdepth 1 $(LOC_FILES) -exec cat {} + | wc -l); \
 		[ $$n -eq 0 ] || printf '%7d %s\n' $$n $$d; done
 	@printf '%7d total\n' $$(find . $(LOC_FILES) -exec cat {} + | wc -l)
+	@printf '%7d assembly\n' $$(find . -name '*.s' ! -path './.*' ! -path './benchmark/*' -exec cat {} + | wc -l)
 
 ci: vet race purego cpu-matrix bench reconfig-gate alloc-gate fuzz-smoke

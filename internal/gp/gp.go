@@ -170,9 +170,6 @@ func (m *Model) Predict(x []float64) (mean, variance float64) {
 	return mu*m.yStd + m.yMean, varStd * m.yStd * m.yStd
 }
 
-// LogMarginalLikelihood reports the model's training fit criterion.
-func (m *Model) LogMarginalLikelihood() float64 { return m.lml }
-
 // Lengthscale reports the selected kernel lengthscale.
 func (m *Model) Lengthscale() float64 { return m.lengthscale }
 

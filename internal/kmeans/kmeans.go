@@ -275,11 +275,3 @@ func recompute(points *linalg.Matrix, assign []int, centroids *linalg.Matrix, rn
 		linalg.Scale(centroids.Row(c), 1/float32(counts[c]))
 	}
 }
-
-// NearestCentroid returns the index of the centroid closest to p and the
-// squared distance to it.
-func NearestCentroid(p []float32, centroids *linalg.Matrix) (int, float32) {
-	d := make([]float32, centroids.Rows())
-	linalg.SquaredL2Block(p, centroids.Data(), d)
-	return argmin(d)
-}

@@ -65,9 +65,10 @@ func TestRunAssignmentOptimality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	d := make([]float32, res.Centroids.Rows())
 	for i := 0; i < points.Rows(); i++ {
-		nearest, _ := NearestCentroid(points.Row(i), res.Centroids)
-		if res.Assign[i] != nearest {
+		linalg.DistanceBlock(linalg.L2, points.Row(i), res.Centroids.Data(), d)
+		if nearest, _ := argmin(d); res.Assign[i] != nearest {
 			t.Fatalf("point %d assigned to %d, nearest is %d", i, res.Assign[i], nearest)
 		}
 	}

@@ -2,18 +2,25 @@
 
 package linalg
 
-// The float kernels in kernels_amd64.s mirror the scalar loops exactly, in
-// two tiers. SSE2: XMM lane l accumulates the elements at indices ≡ l
-// (mod 4) — the same partial sums s0..s3 as the Go code — the scalar tail
-// adds into lane 0, and the horizontal reduce sums ((s0+s1)+s2)+s3 with
-// scalar ADDSS in that order. AVX2: a YMM register carries two rows, one
-// per 128-bit half, each half holding that row's four mod-4 sums — two
-// SSE accumulators side by side, never one row's sums spread over more
-// lanes — and each half is finished by the SSE tail, reduce and epilogue.
-// No FMA, no re-association: every output is bitwise equal to the
-// portable kernels, which the bit-identity tests in multi_test.go assert
-// at every tier. The op epilogue uses exact operations only (sign-flip via
-// XOR, 1-x via SUBSS from the constant 1.0).
+// The kernels in kernels_amd64.s mirror the scalar loops exactly. The
+// float kernels come in two tiers. SSE2: XMM lane l accumulates the
+// elements at indices ≡ l (mod 4) — the same partial sums s0..s3 as the Go
+// code — the scalar tail adds into lane 0, and the horizontal reduce sums
+// ((s0+s1)+s2)+s3 with scalar ADDSS in that order. AVX2: a YMM register
+// carries two rows, one per 128-bit half, each half holding that row's
+// four mod-4 sums — two SSE accumulators side by side, never one row's
+// sums spread over more lanes — and each half is finished by the SSE tail,
+// reduce and epilogue. The SQ8 and PQ kernels are SSE2 only. No FMA, no
+// re-association: every output is bitwise equal to the portable kernels,
+// which the bit-identity tests assert at every tier. The op epilogue uses
+// exact operations only (sign-flip via XOR, 1-x via SUBSS from the
+// constant 1.0).
+//
+// Every float and SQ8 kernel symbol is a call of one body macro, written
+// once per kernel shape and register width, with its metric's step macros
+// and epilogue: the L2 and dot kernels of a shape differ in nothing else.
+// Every kernel needs at least one row; the wrappers below return before
+// calling with none.
 
 // cpuTier is the widest float tier this CPU runs, read once from CPUID.
 var cpuTier = detectTier(readCPU())

@@ -12,6 +12,21 @@
 // row's sums are never split across more than four lanes, and FMA is not
 // used: a different accumulator split or fused rounding would both break
 // the contract.
+//
+// Each kernel shape is written once per register width, as a body macro:
+// BLOCK1 and MULTI4 (SSE float), BLOCK4 and MULTI2 (AVX2 float),
+// SQ8BLOCK1 and SQ8MULTI4 (SSE SQ8). A body takes the metric as step
+// macros and its ending as an epilogue macro, so a TEXT symbol is its
+// argument loads plus one body call. HREDUCE is the only reduce and
+// DOTEPI the only op epilogue. Every kernel assumes at least one row: the
+// Go wrappers return before calling with none.
+//
+// Each SSE body starts its row loop on a 64-byte line (PCALIGN), which
+// fixes where its vector loop falls in the instruction cache wherever the
+// linker places the function. The SQ8 scan's speed depends on that
+// placement: moved by code elsewhere in this file, with not one of its
+// own instructions changed, it cost the engine's IVF_SQ8 search about a
+// tenth of its rate on a 2-vCPU Sapphire Rapids guest.
 
 DATA signmask32<>+0(SB)/4, $0x80000000
 GLOBL signmask32<>(SB), RODATA|NOPTR, $4
@@ -19,154 +34,17 @@ GLOBL signmask32<>(SB), RODATA|NOPTR, $4
 DATA one32<>+0(SB)/4, $0x3F800000
 GLOBL one32<>(SB), RODATA|NOPTR, $4
 
-// func dotBlockSSE(q, block, out []float32, op int64)
-// q: dim floats; block: len(out)*dim floats; op: 0 dot, 1 -dot, 2 1-dot.
-TEXT ·dotBlockSSE(SB), NOSPLIT, $0-80
-	MOVQ  q_base+0(FP), SI
-	MOVQ  q_len+8(FP), BX     // dim
-	MOVQ  block_base+24(FP), DI
-	MOVQ  out_base+48(FP), DX
-	MOVQ  out_len+56(FP), CX  // rows
-	MOVQ  op+72(FP), R9
-
-	TESTQ CX, CX
-	JE    dbdone
-
-	MOVSS signmask32<>(SB), X7
-	MOVSS one32<>(SB), X6
-
-	MOVQ  BX, R10
-	ANDQ  $-4, R10            // vecend = dim &^ 3
-
-dbrow:
-	XORPS X0, X0              // lanes = s0..s3
-	XORQ  R8, R8              // j = 0
-	TESTQ R10, R10
-	JE    dbtail
-
-dbvec:
-	MOVUPS (SI)(R8*4), X1
-	MOVUPS (DI)(R8*4), X2
-	MULPS  X2, X1
-	ADDPS  X1, X0
-	ADDQ   $4, R8
-	CMPQ   R8, R10
-	JL     dbvec
-
-dbtail:
-	CMPQ R8, BX
-	JGE  dbreduce
-
-dbtailloop:
-	MOVSS (SI)(R8*4), X1
-	MOVSS (DI)(R8*4), X2
-	MULSS X2, X1
-	ADDSS X1, X0              // tail adds into lane 0 = s0
-	INCQ  R8
-	CMPQ  R8, BX
-	JL    dbtailloop
-
-dbreduce:
-	// Extract s1..s3 before touching lane 0, then sum ((s0+s1)+s2)+s3.
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	MOVAPS X0, X2
-	SHUFPS $0xAA, X2, X2
-	MOVAPS X0, X3
-	SHUFPS $0xFF, X3, X3
-	ADDSS  X1, X0
-	ADDSS  X2, X0
-	ADDSS  X3, X0
-
-	CMPQ R9, $1
-	JE   dbneg
-	CMPQ R9, $2
-	JE   dboneminus
-	MOVSS X0, (DX)
-	JMP   dbnext
-
-dbneg:
-	XORPS X7, X0              // exact sign flip
-	MOVSS X0, (DX)
-	JMP   dbnext
-
-dboneminus:
-	MOVAPS X6, X5
-	SUBSS  X0, X5             // 1 - dot, exact
-	MOVSS  X5, (DX)
-
-dbnext:
-	ADDQ $4, DX               // out++
-	LEAQ (DI)(BX*4), DI       // block += dim
-	DECQ CX
-	JNZ  dbrow
-
-dbdone:
-	RET
-
-// func l2BlockSSE(q, block, out []float32)
-TEXT ·l2BlockSSE(SB), NOSPLIT, $0-72
-	MOVQ  q_base+0(FP), SI
-	MOVQ  q_len+8(FP), BX
-	MOVQ  block_base+24(FP), DI
-	MOVQ  out_base+48(FP), DX
-	MOVQ  out_len+56(FP), CX
-
-	TESTQ CX, CX
-	JE    l2done
-
-	MOVQ BX, R10
-	ANDQ $-4, R10
-
-l2row:
-	XORPS X0, X0
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    l2tail
-
-l2vec:
-	MOVUPS (SI)(R8*4), X1
-	MOVUPS (DI)(R8*4), X2
-	SUBPS  X2, X1             // d = q - row
-	MULPS  X1, X1
-	ADDPS  X1, X0
-	ADDQ   $4, R8
-	CMPQ   R8, R10
-	JL     l2vec
-
-l2tail:
-	CMPQ R8, BX
-	JGE  l2reduce
-
-l2tailloop:
-	MOVSS (SI)(R8*4), X1
-	MOVSS (DI)(R8*4), X2
-	SUBSS X2, X1
-	MULSS X1, X1
-	ADDSS X1, X0
-	INCQ  R8
-	CMPQ  R8, BX
-	JL    l2tailloop
-
-l2reduce:
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	MOVAPS X0, X2
-	SHUFPS $0xAA, X2, X2
-	MOVAPS X0, X3
-	SHUFPS $0xFF, X3, X3
-	ADDSS  X1, X0
-	ADDSS  X2, X0
-	ADDSS  X3, X0
-	MOVSS  X0, (DX)
-
-	ADDQ $4, DX
-	LEAQ (DI)(BX*4), DI
-	DECQ CX
-	JNZ  l2row
-
-l2done:
-	RET
+// Steps: the difference or product of a query and a row lands in a
+// register (q, or d on a YMM pair), which then adds into acc — operand
+// order as in the portable kernels: d = q - row, p = q * row,
+// acc = acc + x. P* act on a packed XMM, V* on a YMM row pair, S* on one
+// scalar tail element.
+#define PL2(q, r, acc) SUBPS r, q; MULPS q, q; ADDPS q, acc
+#define PDOT(q, r, acc) MULPS r, q; ADDPS q, acc
+#define VL2(q, r, d, acc) VSUBPS r, q, d; VMULPS d, d, d; VADDPS d, acc, acc
+#define VDOT(q, r, d, acc) VMULPS r, q, d; VADDPS d, acc, acc
+#define SL2(q, r, acc) SUBSS r, q; MULSS q, q; ADDSS q, acc
+#define SDOT(q, r, acc) MULSS r, q; ADDSS q, acc
 
 // HREDUCE reduces one accumulator register to its lane-0 scalar sum
 // ((s0+s1)+s2)+s3, using X12/X13/X14 as scratch. Lanes are extracted
@@ -182,252 +60,11 @@ l2done:
 	ADDSS  X13, acc \
 	ADDSS  X14, acc
 
-// func dotMulti4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
-// Four queries share each row load: the row tile is streamed once and
-// reused across the quad. Per query the arithmetic is dotBlockSSE's.
-TEXT ·dotMulti4SSE(SB), NOSPLIT, $0-224
-	MOVQ q0_base+0(FP), SI
-	MOVQ q1_base+24(FP), R14
-	MOVQ q2_base+48(FP), R15
-	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX   // rows
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R12
-	MOVQ o3_base+192(FP), R13
-	MOVQ q0_len+8(FP), BX     // dim
-	MOVQ op+216(FP), R9
-
-	TESTQ CX, CX
-	JE    dm4done
-
-	MOVSS signmask32<>(SB), X7
-	MOVSS one32<>(SB), X6
-
-	MOVQ q3_base+72(FP), AX
-	MOVQ BX, R10
-	ANDQ $-4, R10
-
-dm4row:
-	XORPS X0, X0              // acc q0
-	XORPS X1, X1              // acc q1
-	XORPS X2, X2              // acc q2
-	XORPS X3, X3              // acc q3
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    dm4tail
-
-dm4vec:
-	MOVUPS (DI)(R8*4), X4     // row[j..j+3], loaded once for all 4 queries
-	MOVUPS (SI)(R8*4), X5
-	MULPS  X4, X5
-	ADDPS  X5, X0
-	MOVUPS (R14)(R8*4), X5
-	MULPS  X4, X5
-	ADDPS  X5, X1
-	MOVUPS (R15)(R8*4), X5
-	MULPS  X4, X5
-	ADDPS  X5, X2
-	MOVUPS (AX)(R8*4), X5
-	MULPS  X4, X5
-	ADDPS  X5, X3
-	ADDQ   $4, R8
-	CMPQ   R8, R10
-	JL     dm4vec
-
-dm4tail:
-	CMPQ R8, BX
-	JGE  dm4reduce
-
-dm4tailloop:
-	MOVSS (DI)(R8*4), X4
-	MOVSS (SI)(R8*4), X5
-	MULSS X4, X5
-	ADDSS X5, X0
-	MOVSS (R14)(R8*4), X5
-	MULSS X4, X5
-	ADDSS X5, X1
-	MOVSS (R15)(R8*4), X5
-	MULSS X4, X5
-	ADDSS X5, X2
-	MOVSS (AX)(R8*4), X5
-	MULSS X4, X5
-	ADDSS X5, X3
-	INCQ  R8
-	CMPQ  R8, BX
-	JL    dm4tailloop
-
-dm4reduce:
-	HREDUCE(X0)
-	HREDUCE(X1)
-	HREDUCE(X2)
-	HREDUCE(X3)
-
-	CMPQ R9, $1
-	JE   dm4neg
-	CMPQ R9, $2
-	JE   dm4oneminus
-	MOVSS X0, (DX)
-	MOVSS X1, (R11)
-	MOVSS X2, (R12)
-	MOVSS X3, (R13)
-	JMP   dm4next
-
-dm4neg:
-	XORPS X7, X0
-	XORPS X7, X1
-	XORPS X7, X2
-	XORPS X7, X3
-	MOVSS X0, (DX)
-	MOVSS X1, (R11)
-	MOVSS X2, (R12)
-	MOVSS X3, (R13)
-	JMP   dm4next
-
-dm4oneminus:
-	MOVAPS X6, X5
-	SUBSS  X0, X5
-	MOVSS  X5, (DX)
-	MOVAPS X6, X5
-	SUBSS  X1, X5
-	MOVSS  X5, (R11)
-	MOVAPS X6, X5
-	SUBSS  X2, X5
-	MOVSS  X5, (R12)
-	MOVAPS X6, X5
-	SUBSS  X3, X5
-	MOVSS  X5, (R13)
-
-dm4next:
-	ADDQ $4, DX
-	ADDQ $4, R11
-	ADDQ $4, R12
-	ADDQ $4, R13
-	LEAQ (DI)(BX*4), DI
-	DECQ CX
-	JNZ  dm4row
-
-dm4done:
-	RET
-
-// func l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
-TEXT ·l2Multi4SSE(SB), NOSPLIT, $0-216
-	MOVQ q0_base+0(FP), SI
-	MOVQ q1_base+24(FP), R14
-	MOVQ q2_base+48(FP), R15
-	MOVQ q3_base+72(FP), AX
-	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R12
-	MOVQ o3_base+192(FP), R13
-	MOVQ q0_len+8(FP), BX
-
-	TESTQ CX, CX
-	JE    l2m4done
-
-	MOVQ BX, R10
-	ANDQ $-4, R10
-
-l2m4row:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    l2m4tail
-
-l2m4vec:
-	MOVUPS (DI)(R8*4), X4
-	MOVUPS (SI)(R8*4), X5
-	SUBPS  X4, X5
-	MULPS  X5, X5
-	ADDPS  X5, X0
-	MOVUPS (R14)(R8*4), X5
-	SUBPS  X4, X5
-	MULPS  X5, X5
-	ADDPS  X5, X1
-	MOVUPS (R15)(R8*4), X5
-	SUBPS  X4, X5
-	MULPS  X5, X5
-	ADDPS  X5, X2
-	MOVUPS (AX)(R8*4), X5
-	SUBPS  X4, X5
-	MULPS  X5, X5
-	ADDPS  X5, X3
-	ADDQ   $4, R8
-	CMPQ   R8, R10
-	JL     l2m4vec
-
-l2m4tail:
-	CMPQ R8, BX
-	JGE  l2m4reduce
-
-l2m4tailloop:
-	MOVSS (DI)(R8*4), X4
-	MOVSS (SI)(R8*4), X5
-	SUBSS X4, X5
-	MULSS X5, X5
-	ADDSS X5, X0
-	MOVSS (R14)(R8*4), X5
-	SUBSS X4, X5
-	MULSS X5, X5
-	ADDSS X5, X1
-	MOVSS (R15)(R8*4), X5
-	SUBSS X4, X5
-	MULSS X5, X5
-	ADDSS X5, X2
-	MOVSS (AX)(R8*4), X5
-	SUBSS X4, X5
-	MULSS X5, X5
-	ADDSS X5, X3
-	INCQ  R8
-	CMPQ  R8, BX
-	JL    l2m4tailloop
-
-l2m4reduce:
-	HREDUCE(X0)
-	HREDUCE(X1)
-	HREDUCE(X2)
-	HREDUCE(X3)
-	MOVSS X0, (DX)
-	MOVSS X1, (R11)
-	MOVSS X2, (R12)
-	MOVSS X3, (R13)
-
-	ADDQ $4, DX
-	ADDQ $4, R11
-	ADDQ $4, R12
-	ADDQ $4, R13
-	LEAQ (DI)(BX*4), DI
-	DECQ CX
-	JNZ  l2m4row
-
-l2m4done:
-	RET
-
-// AVX2 float kernels: each 128-bit half of a YMM register is one row's
-// XMM accumulator of the SSE bodies above, so the vector loop is the SSE
-// loop run on two rows at once. After it, each half is extracted to its
-// own XMM register, VZEROUPPER returns to legacy SSE, and every row is
-// finished by the SSE sequence: scalar tail into lane 0, HREDUCE, the op
-// epilogue. Operand order follows the SSE bodies (d = q - row,
-// p = q * row, acc = acc + x). The Go wrappers pass whole groups only;
-// the rows left over go to the SSE bodies.
-
-// Vector steps on a YMM row pair: the difference or product lands in d
-// (q or r), then adds into acc.
-#define VL2(q, r, d, acc) VSUBPS r, q, d; VMULPS d, d, d; VADDPS d, acc, acc
-#define VDOT(q, r, d, acc) VMULPS r, q, d; VADDPS d, acc, acc
-
-// Scalar tail steps on one element, overwriting q.
-#define SL2(q, r, acc) SUBSS r, q; MULSS q, q; ADDSS q, acc
-#define SDOT(q, r, acc) MULSS r, q; ADDSS q, acc
-
-// Stores of the finished sums: four rows of one query (single-query), or
-// rows r and r+1 of four queries (quad).
+// Stores of the finished sums: one row of one query (STORE1), one row of
+// four queries (STORE4Q), four rows of one query (STORE4), rows r and r+1
+// of four queries (STORE8).
+#define STORE1 MOVSS X0, (DX)
+#define STORE4Q MOVSS X0, (DX); MOVSS X1, (R11); MOVSS X2, (R13); MOVSS X3, (R9)
 #define STORE4 MOVSS X0, (DX); MOVSS X1, 4(DX); MOVSS X2, 8(DX); MOVSS X3, 12(DX)
 #define STORE8 \
 	MOVSS X0, (DX); MOVSS X4, 4(DX) \
@@ -435,13 +72,28 @@ l2m4done:
 	MOVSS X2, (R13); MOVSS X6, 4(R13) \
 	MOVSS X3, (R9); MOVSS X7, 4(R9)
 
+// SQ8STORE is STORE4Q for the SQ8 quad body, whose out pointers do not fit
+// in the free registers: each is reloaded from its frame offset into R12
+// and written at byte offset R11. Its uses sit here, before the first
+// TEXT, because vet's asmdecl checks a line's (FP) references against the
+// function the line falls in, and these serve two.
+#define SQ8STORE(off0, off1, off2, off3) \
+	MOVQ o0_base+off0(FP), R12; MOVSS X0, (R12)(R11*1) \
+	MOVQ o1_base+off1(FP), R12; MOVSS X1, (R12)(R11*1) \
+	MOVQ o2_base+off2(FP), R12; MOVSS X2, (R12)(R11*1) \
+	MOVQ o3_base+off3(FP), R12; MOVSS X3, (R12)(R11*1)
+#define SQ8L2STORE SQ8STORE(144, 168, 192, 216)
+#define SQ8DOTSTORE SQ8STORE(168, 192, 216, 240)
+
 #define NEG(x) XORPS X11, x
 #define ONEMINUS(x) MOVAPS X10, X9; SUBSS x, X9; MOVAPS X9, x
+#define EACH1(F) F(X0)
 #define EACH4(F) F(X0); F(X1); F(X2); F(X3)
 #define EACH8(F) EACH4(F); F(X4); F(X5); F(X6); F(X7)
 
 // DOTEPI applies the op in register op (1: -x, 2: 1-x, else x) to EACH
-// finished sum, then STOREs them. Uses X9-X11.
+// finished sum, then STOREs them. Uses X9-X11. Sign flip by XOR and 1-x by
+// SUBSS from the constant 1.0 are exact.
 #define DOTEPI(op, EACH, STORE) \
 	CMPQ op, $1 \
 	JE   epneg \
@@ -455,6 +107,156 @@ epneg: \
 	EACH(NEG) \
 epstore: \
 	STORE
+
+// The SSE dot kernels read op from R12 (the SQ8 quad parks it in X15).
+#define DOTEPI1 DOTEPI(R12, EACH1, STORE1)
+
+// BLOCK1 is the SSE single-query body: CX rows, one XMM accumulator (X0).
+// In: SI = q, DI = block, DX = out, BX = dim, CX = rows. Uses R8, R10,
+// X0-X2, X9-X14.
+#define BLOCK1(PSTEP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	PCALIGN $64 \
+b1row: \
+	XORPS X0, X0 \
+	XORQ  R8, R8 \
+	TESTQ R10, R10 \
+	JE    b1tail \
+b1vec: \
+	MOVUPS (SI)(R8*4), X1; MOVUPS (DI)(R8*4), X2; PSTEP(X1, X2, X0) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   b1vec \
+b1tail: \
+	CMPQ R8, BX \
+	JGE  b1reduce \
+b1tailloop: \
+	MOVSS (SI)(R8*4), X1; MOVSS (DI)(R8*4), X2; SSTEP(X1, X2, X0) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   b1tailloop \
+b1reduce: \
+	HREDUCE(X0) \
+	EPI \
+	ADDQ $4, DX \
+	LEAQ (DI)(BX*4), DI \
+	DECQ CX \
+	JNZ  b1row
+
+// MULTI4 is the SSE quad body: CX rows against four queries, each row
+// loaded once (X4) and shared by one accumulator per query (X0-X3). In:
+// SI, R14, R15, AX = q0..q3; DI = block; DX, R11, R13, R9 = o0..o3;
+// BX = dim; CX = rows. Uses R8, R10, X0-X5, X9-X14.
+#define MULTI4(PSTEP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	PCALIGN $64 \
+m4row: \
+	XORPS X0, X0 \
+	XORPS X1, X1 \
+	XORPS X2, X2 \
+	XORPS X3, X3 \
+	XORQ  R8, R8 \
+	TESTQ R10, R10 \
+	JE    m4tail \
+m4vec: \
+	MOVUPS (DI)(R8*4), X4 \
+	MOVUPS (SI)(R8*4), X5; PSTEP(X5, X4, X0) \
+	MOVUPS (R14)(R8*4), X5; PSTEP(X5, X4, X1) \
+	MOVUPS (R15)(R8*4), X5; PSTEP(X5, X4, X2) \
+	MOVUPS (AX)(R8*4), X5; PSTEP(X5, X4, X3) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   m4vec \
+m4tail: \
+	CMPQ R8, BX \
+	JGE  m4reduce \
+m4tailloop: \
+	MOVSS (DI)(R8*4), X4 \
+	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
+	MOVSS (R14)(R8*4), X5; SSTEP(X5, X4, X1) \
+	MOVSS (R15)(R8*4), X5; SSTEP(X5, X4, X2) \
+	MOVSS (AX)(R8*4), X5; SSTEP(X5, X4, X3) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   m4tailloop \
+m4reduce: \
+	EACH4(HREDUCE) \
+	EPI \
+	ADDQ $4, DX \
+	ADDQ $4, R11 \
+	ADDQ $4, R13 \
+	ADDQ $4, R9 \
+	LEAQ (DI)(BX*4), DI \
+	DECQ CX \
+	JNZ  m4row
+
+// func l2BlockSSE(q, block, out []float32)
+TEXT ·l2BlockSSE(SB), NOSPLIT, $0-72
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ block_base+24(FP), DI
+	MOVQ out_base+48(FP), DX
+	MOVQ out_len+56(FP), CX
+	BLOCK1(PL2, SL2, STORE1)
+	RET
+
+// func dotBlockSSE(q, block, out []float32, op int64)
+// q: dim floats; block: len(out)*dim floats; op: 0 dot, 1 -dot, 2 1-dot.
+TEXT ·dotBlockSSE(SB), NOSPLIT, $0-80
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ block_base+24(FP), DI
+	MOVQ out_base+48(FP), DX
+	MOVQ out_len+56(FP), CX
+	MOVQ op+72(FP), R12
+	BLOCK1(PDOT, SDOT, DOTEPI1)
+	RET
+
+// func l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
+// Four queries share each row load: the row tile is streamed once and
+// reused across the quad. Per query the arithmetic is l2BlockSSE's.
+TEXT ·l2Multi4SSE(SB), NOSPLIT, $0-216
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R15
+	MOVQ q3_base+72(FP), AX
+	MOVQ block_base+96(FP), DI
+	MOVQ o0_base+120(FP), DX
+	MOVQ o0_len+128(FP), CX
+	MOVQ o1_base+144(FP), R11
+	MOVQ o2_base+168(FP), R13
+	MOVQ o3_base+192(FP), R9
+	MULTI4(PL2, SL2, STORE4Q)
+	RET
+
+// func dotMulti4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
+#define DOTEPI4Q DOTEPI(R12, EACH4, STORE4Q)
+TEXT ·dotMulti4SSE(SB), NOSPLIT, $0-224
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R15
+	MOVQ q3_base+72(FP), AX
+	MOVQ block_base+96(FP), DI
+	MOVQ o0_base+120(FP), DX
+	MOVQ o0_len+128(FP), CX
+	MOVQ o1_base+144(FP), R11
+	MOVQ o2_base+168(FP), R13
+	MOVQ o3_base+192(FP), R9
+	MOVQ op+216(FP), R12
+	MULTI4(PDOT, SDOT, DOTEPI4Q)
+	RET
+
+// AVX2 float kernels: each 128-bit half of a YMM register is one row's
+// XMM accumulator of the SSE bodies above, so the vector loop is the SSE
+// loop run on two rows at once. After it, each half is extracted to its
+// own XMM register, VZEROUPPER returns to legacy SSE, and every row is
+// finished by the SSE sequence: scalar tail into lane 0, HREDUCE, the op
+// epilogue. The Go wrappers pass whole groups only; the rows left over go
+// to the SSE bodies.
 
 // BLOCK4 is the single-query body: CX groups of four rows, rows 0-1 in Y0
 // and rows 2-3 in Y2, sharing one broadcast of q[j..j+3]. Two accumulators
@@ -651,435 +453,180 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 // load with one MOVL, widen u8→s32 (PUNPCKLBW/PUNPCKLWL against zero),
 // convert with CVTPL2PS, and scale with one MULPS — so lane l holds the
 // decoded element at index ≡ l mod 4, the same split as the float
-// kernels, and every downstream op (SUBPS/MULPS/ADDPS, scalar tail into
-// lane 0, ((s0+s1)+s2)+s3 reduce) matches the portable contract in
-// kernels_sq8.go bitwise. X6 stays zero throughout for the unpacks.
+// kernels, and every downstream op (the float steps, scalar tail into
+// lane 0, HREDUCE, DOTEPI) matches the portable contract in
+// kernels_sq8.go bitwise.
+
+// VDECODE decodes codes[j..j+3] and SDECODE codes[j] (j = R8) into
+// t = float32(code)*scale in X4. In: DI = codes, R15 = scale, X6 = 0.
+// Uses AX, X5.
+#define VDECODE \
+	MOVL      (DI)(R8*1), AX \
+	MOVQ      AX, X4 \
+	PUNPCKLBW X6, X4 \
+	PUNPCKLWL X6, X4 \
+	CVTPL2PS  X4, X4 \
+	MOVUPS    (R15)(R8*4), X5 \
+	MULPS     X5, X4
+#define SDECODE \
+	MOVBLZX  (DI)(R8*1), AX \
+	CVTSL2SS AX, X4 \
+	MOVSS    (R15)(R8*4), X5 \
+	MULSS    X5, X4
+
+// PREP turns t into what every query of the row is scored against. Dot
+// rebuilds rec = min + t (R9 = min); L2 scores the hoisted residual
+// r = q - min against t itself, so it has none.
+#define VMINADD MOVUPS (R9)(R8*4), X5; ADDPS X5, X4
+#define SMINADD MOVSS (R9)(R8*4), X5; ADDSS X5, X4
+#define NOPREP
+
+// SQ8BLOCK1 is the SQ8 single-query body: CX code rows, one XMM
+// accumulator (X0). In: SI = q (r for L2), DI = codes, R15 = scale,
+// R9 = min, DX = out, BX = dim, CX = rows. Uses AX, R8, R10, X0, X4-X6,
+// X9-X14.
+#define SQ8BLOCK1(VPREP, VSTEP, SPREP, SSTEP, EPI) \
+	PXOR X6, X6 \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	PCALIGN $64 \
+s1row: \
+	XORPS X0, X0 \
+	XORQ  R8, R8 \
+	TESTQ R10, R10 \
+	JE    s1tail \
+s1vec: \
+	VDECODE \
+	VPREP \
+	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   s1vec \
+s1tail: \
+	CMPQ R8, BX \
+	JGE  s1reduce \
+s1tailloop: \
+	SDECODE \
+	SPREP \
+	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   s1tailloop \
+s1reduce: \
+	HREDUCE(X0) \
+	EPI \
+	ADDQ $4, DX \
+	LEAQ (DI)(BX*1), DI \
+	DECQ CX \
+	JNZ  s1row
+
+// SQ8MULTI4 is the SQ8 quad body: each code row is decoded once (X4) and
+// scored against four queries, so the widen + scale multiply — the
+// dominant per-element cost of a byte scan — is paid once per row instead
+// of once per (query, row). In: SI, R14, R13, DX = q0..q3 (r0..r3 for
+// L2); DI = codes; R15 = scale; R9 = min; BX = dim; CX = rows. R11 is the
+// current row's byte offset into every out slice. Uses AX, R8, R10-R12,
+// X0-X6, X9-X14.
+#define SQ8MULTI4(VPREP, VSTEP, SPREP, SSTEP, EPI) \
+	PXOR X6, X6 \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	XORQ R11, R11 \
+	PCALIGN $64 \
+q8row: \
+	XORPS X0, X0 \
+	XORPS X1, X1 \
+	XORPS X2, X2 \
+	XORPS X3, X3 \
+	XORQ  R8, R8 \
+	TESTQ R10, R10 \
+	JE    q8tail \
+q8vec: \
+	VDECODE \
+	VPREP \
+	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
+	MOVUPS (R14)(R8*4), X5; VSTEP(X5, X4, X1) \
+	MOVUPS (R13)(R8*4), X5; VSTEP(X5, X4, X2) \
+	MOVUPS (DX)(R8*4), X5; VSTEP(X5, X4, X3) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   q8vec \
+q8tail: \
+	CMPQ R8, BX \
+	JGE  q8reduce \
+q8tailloop: \
+	SDECODE \
+	SPREP \
+	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
+	MOVSS (R14)(R8*4), X5; SSTEP(X5, X4, X1) \
+	MOVSS (R13)(R8*4), X5; SSTEP(X5, X4, X2) \
+	MOVSS (DX)(R8*4), X5; SSTEP(X5, X4, X3) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   q8tailloop \
+q8reduce: \
+	EACH4(HREDUCE) \
+	EPI \
+	ADDQ $4, R11 \
+	LEAQ (DI)(BX*1), DI \
+	DECQ CX \
+	JNZ  q8row
 
 // func sq8L2BlockSSE(r, scale []float32, codes []byte, out []float32)
 // r is the hoisted residual q - min; out[i] = Σ (r[j] - b[j]*scale[j])².
 TEXT ·sq8L2BlockSSE(SB), NOSPLIT, $0-96
-	MOVQ  r_base+0(FP), SI
-	MOVQ  r_len+8(FP), BX     // dim
-	MOVQ  scale_base+24(FP), R15
-	MOVQ  codes_base+48(FP), DI
-	MOVQ  out_base+72(FP), DX
-	MOVQ  out_len+80(FP), CX  // rows
-
-	TESTQ CX, CX
-	JE    sq8l2done
-
-	PXOR X6, X6               // zero lanes for the byte unpack
-
-	MOVQ BX, R10
-	ANDQ $-4, R10             // vecend = dim &^ 3
-
-sq8l2row:
-	XORPS X0, X0
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    sq8l2tail
-
-sq8l2vec:
-	MOVL      (DI)(R8*1), AX
-	MOVQ      AX, X1
-	PUNPCKLBW X6, X1
-	PUNPCKLWL X6, X1
-	CVTPL2PS  X1, X1          // f32(b[j..j+3])
-	MOVUPS    (R15)(R8*4), X2
-	MULPS     X2, X1          // t = b*scale
-	MOVUPS    (SI)(R8*4), X2
-	SUBPS     X1, X2          // d = r - t
-	MULPS     X2, X2
-	ADDPS     X2, X0
-	ADDQ      $4, R8
-	CMPQ      R8, R10
-	JL        sq8l2vec
-
-sq8l2tail:
-	CMPQ R8, BX
-	JGE  sq8l2reduce
-
-sq8l2tailloop:
-	MOVBLZX  (DI)(R8*1), AX
-	CVTSL2SS AX, X1
-	MOVSS    (R15)(R8*4), X2
-	MULSS    X2, X1
-	MOVSS    (SI)(R8*4), X2
-	SUBSS    X1, X2
-	MULSS    X2, X2
-	ADDSS    X2, X0
-	INCQ     R8
-	CMPQ     R8, BX
-	JL       sq8l2tailloop
-
-sq8l2reduce:
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	MOVAPS X0, X2
-	SHUFPS $0xAA, X2, X2
-	MOVAPS X0, X3
-	SHUFPS $0xFF, X3, X3
-	ADDSS  X1, X0
-	ADDSS  X2, X0
-	ADDSS  X3, X0
-	MOVSS  X0, (DX)
-
-	ADDQ $4, DX
-	LEAQ (DI)(BX*1), DI       // codes += dim bytes
-	DECQ CX
-	JNZ  sq8l2row
-
-sq8l2done:
+	MOVQ r_base+0(FP), SI
+	MOVQ r_len+8(FP), BX
+	MOVQ scale_base+24(FP), R15
+	MOVQ codes_base+48(FP), DI
+	MOVQ out_base+72(FP), DX
+	MOVQ out_len+80(FP), CX
+	SQ8BLOCK1(NOPREP, PL2, NOPREP, SL2, STORE1)
 	RET
 
 // func sq8DotBlockSSE(q, min, scale []float32, codes []byte, out []float32, op int64)
 // out[i] = op(Σ q[j] * (min[j] + b[j]*scale[j])).
 TEXT ·sq8DotBlockSSE(SB), NOSPLIT, $0-128
-	MOVQ  q_base+0(FP), SI
-	MOVQ  q_len+8(FP), BX     // dim
-	MOVQ  min_base+24(FP), R14
-	MOVQ  scale_base+48(FP), R15
-	MOVQ  codes_base+72(FP), DI
-	MOVQ  out_base+96(FP), DX
-	MOVQ  out_len+104(FP), CX // rows
-	MOVQ  op+120(FP), R9
-
-	TESTQ CX, CX
-	JE    sq8dbdone
-
-	PXOR  X6, X6
-	MOVSS signmask32<>(SB), X7
-
-	MOVQ BX, R10
-	ANDQ $-4, R10
-
-sq8dbrow:
-	XORPS X0, X0
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    sq8dbtail
-
-sq8dbvec:
-	MOVL      (DI)(R8*1), AX
-	MOVQ      AX, X1
-	PUNPCKLBW X6, X1
-	PUNPCKLWL X6, X1
-	CVTPL2PS  X1, X1
-	MOVUPS    (R15)(R8*4), X2
-	MULPS     X2, X1          // t = b*scale
-	MOVUPS    (R14)(R8*4), X2
-	ADDPS     X2, X1          // rec = min + t
-	MOVUPS    (SI)(R8*4), X2
-	MULPS     X2, X1          // q*rec
-	ADDPS     X1, X0
-	ADDQ      $4, R8
-	CMPQ      R8, R10
-	JL        sq8dbvec
-
-sq8dbtail:
-	CMPQ R8, BX
-	JGE  sq8dbreduce
-
-sq8dbtailloop:
-	MOVBLZX  (DI)(R8*1), AX
-	CVTSL2SS AX, X1
-	MOVSS    (R15)(R8*4), X2
-	MULSS    X2, X1
-	MOVSS    (R14)(R8*4), X2
-	ADDSS    X2, X1
-	MOVSS    (SI)(R8*4), X2
-	MULSS    X2, X1
-	ADDSS    X1, X0
-	INCQ     R8
-	CMPQ     R8, BX
-	JL       sq8dbtailloop
-
-sq8dbreduce:
-	MOVAPS X0, X1
-	SHUFPS $0x55, X1, X1
-	MOVAPS X0, X2
-	SHUFPS $0xAA, X2, X2
-	MOVAPS X0, X3
-	SHUFPS $0xFF, X3, X3
-	ADDSS  X1, X0
-	ADDSS  X2, X0
-	ADDSS  X3, X0
-
-	CMPQ R9, $1
-	JE   sq8dbneg
-	CMPQ R9, $2
-	JE   sq8dboneminus
-	MOVSS X0, (DX)
-	JMP   sq8dbnext
-
-sq8dbneg:
-	XORPS X7, X0
-	MOVSS X0, (DX)
-	JMP   sq8dbnext
-
-sq8dboneminus:
-	MOVSS one32<>(SB), X5
-	SUBSS X0, X5
-	MOVSS X5, (DX)
-
-sq8dbnext:
-	ADDQ $4, DX
-	LEAQ (DI)(BX*1), DI
-	DECQ CX
-	JNZ  sq8dbrow
-
-sq8dbdone:
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ min_base+24(FP), R9
+	MOVQ scale_base+48(FP), R15
+	MOVQ codes_base+72(FP), DI
+	MOVQ out_base+96(FP), DX
+	MOVQ out_len+104(FP), CX
+	MOVQ op+120(FP), R12
+	SQ8BLOCK1(VMINADD, PDOT, SMINADD, SDOT, DOTEPI1)
 	RET
 
 // func sq8L2Multi4SSE(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32)
-// Four residuals share each decoded row: the u8→f32 widen + scale
-// multiply — the dominant per-element cost of a byte scan — is paid once
-// per row instead of once per (query, row). Out pointers are reloaded
-// from the frame in the per-row epilogue to stay within the 14 free GPs.
 TEXT ·sq8L2Multi4SSE(SB), NOSPLIT, $0-240
-	MOVQ  r0_base+0(FP), SI
-	MOVQ  r0_len+8(FP), BX    // dim
-	MOVQ  r1_base+24(FP), R14
-	MOVQ  r2_base+48(FP), R15
-	MOVQ  r3_base+72(FP), R13
-	MOVQ  scale_base+96(FP), DX
-	MOVQ  codes_base+120(FP), DI
-	MOVQ  o0_len+152(FP), CX  // rows
-
-	TESTQ CX, CX
-	JE    sq8l2m4done
-
-	PXOR X6, X6
-
-	MOVQ BX, R10
-	ANDQ $-4, R10
-	XORQ R11, R11             // out byte offset
-
-sq8l2m4row:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    sq8l2m4tail
-
-sq8l2m4vec:
-	MOVL      (DI)(R8*1), AX
-	MOVQ      AX, X4
-	PUNPCKLBW X6, X4
-	PUNPCKLWL X6, X4
-	CVTPL2PS  X4, X4
-	MOVUPS    (DX)(R8*4), X5
-	MULPS     X5, X4          // t, shared by the quad
-	MOVUPS    (SI)(R8*4), X5
-	SUBPS     X4, X5
-	MULPS     X5, X5
-	ADDPS     X5, X0
-	MOVUPS    (R14)(R8*4), X5
-	SUBPS     X4, X5
-	MULPS     X5, X5
-	ADDPS     X5, X1
-	MOVUPS    (R15)(R8*4), X5
-	SUBPS     X4, X5
-	MULPS     X5, X5
-	ADDPS     X5, X2
-	MOVUPS    (R13)(R8*4), X5
-	SUBPS     X4, X5
-	MULPS     X5, X5
-	ADDPS     X5, X3
-	ADDQ      $4, R8
-	CMPQ      R8, R10
-	JL        sq8l2m4vec
-
-sq8l2m4tail:
-	CMPQ R8, BX
-	JGE  sq8l2m4reduce
-
-sq8l2m4tailloop:
-	MOVBLZX  (DI)(R8*1), AX
-	CVTSL2SS AX, X4
-	MOVSS    (DX)(R8*4), X5
-	MULSS    X5, X4
-	MOVSS    (SI)(R8*4), X5
-	SUBSS    X4, X5
-	MULSS    X5, X5
-	ADDSS    X5, X0
-	MOVSS    (R14)(R8*4), X5
-	SUBSS    X4, X5
-	MULSS    X5, X5
-	ADDSS    X5, X1
-	MOVSS    (R15)(R8*4), X5
-	SUBSS    X4, X5
-	MULSS    X5, X5
-	ADDSS    X5, X2
-	MOVSS    (R13)(R8*4), X5
-	SUBSS    X4, X5
-	MULSS    X5, X5
-	ADDSS    X5, X3
-	INCQ     R8
-	CMPQ     R8, BX
-	JL       sq8l2m4tailloop
-
-sq8l2m4reduce:
-	HREDUCE(X0)
-	HREDUCE(X1)
-	HREDUCE(X2)
-	HREDUCE(X3)
-	MOVQ  o0_base+144(FP), R12
-	MOVSS X0, (R12)(R11*1)
-	MOVQ  o1_base+168(FP), R12
-	MOVSS X1, (R12)(R11*1)
-	MOVQ  o2_base+192(FP), R12
-	MOVSS X2, (R12)(R11*1)
-	MOVQ  o3_base+216(FP), R12
-	MOVSS X3, (R12)(R11*1)
-
-	ADDQ $4, R11
-	LEAQ (DI)(BX*1), DI
-	DECQ CX
-	JNZ  sq8l2m4row
-
-sq8l2m4done:
+	MOVQ r0_base+0(FP), SI
+	MOVQ r0_len+8(FP), BX
+	MOVQ r1_base+24(FP), R14
+	MOVQ r2_base+48(FP), R13
+	MOVQ r3_base+72(FP), DX
+	MOVQ scale_base+96(FP), R15
+	MOVQ codes_base+120(FP), DI
+	MOVQ o0_len+152(FP), CX
+	SQ8MULTI4(NOPREP, PL2, NOPREP, SL2, SQ8L2STORE)
 	RET
 
 // func sq8DotMulti4SSE(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
+// Every GP register is taken, so op waits in X15 until the epilogue.
+#define SQ8DOTEPI MOVQ X15, R12; DOTEPI(R12, EACH4, SQ8DOTSTORE)
 TEXT ·sq8DotMulti4SSE(SB), NOSPLIT, $0-272
-	MOVQ  q0_base+0(FP), SI
-	MOVQ  q0_len+8(FP), BX    // dim
-	MOVQ  q1_base+24(FP), R14
-	MOVQ  q2_base+48(FP), R15
-	MOVQ  q3_base+72(FP), R13
-	MOVQ  min_base+96(FP), R9
-	MOVQ  scale_base+120(FP), DX
-	MOVQ  codes_base+144(FP), DI
-	MOVQ  o0_len+176(FP), CX  // rows
-
-	TESTQ CX, CX
-	JE    sq8dm4done
-
-	PXOR  X6, X6
-	MOVSS signmask32<>(SB), X7
-
-	MOVQ BX, R10
-	ANDQ $-4, R10
-	XORQ R11, R11
-
-sq8dm4row:
-	XORPS X0, X0
-	XORPS X1, X1
-	XORPS X2, X2
-	XORPS X3, X3
-	XORQ  R8, R8
-	TESTQ R10, R10
-	JE    sq8dm4tail
-
-sq8dm4vec:
-	MOVL      (DI)(R8*1), AX
-	MOVQ      AX, X4
-	PUNPCKLBW X6, X4
-	PUNPCKLWL X6, X4
-	CVTPL2PS  X4, X4
-	MOVUPS    (DX)(R8*4), X5
-	MULPS     X5, X4          // t = b*scale
-	MOVUPS    (R9)(R8*4), X5
-	ADDPS     X5, X4          // rec = min + t, shared by the quad
-	MOVUPS    (SI)(R8*4), X5
-	MULPS     X4, X5
-	ADDPS     X5, X0
-	MOVUPS    (R14)(R8*4), X5
-	MULPS     X4, X5
-	ADDPS     X5, X1
-	MOVUPS    (R15)(R8*4), X5
-	MULPS     X4, X5
-	ADDPS     X5, X2
-	MOVUPS    (R13)(R8*4), X5
-	MULPS     X4, X5
-	ADDPS     X5, X3
-	ADDQ      $4, R8
-	CMPQ      R8, R10
-	JL        sq8dm4vec
-
-sq8dm4tail:
-	CMPQ R8, BX
-	JGE  sq8dm4reduce
-
-sq8dm4tailloop:
-	MOVBLZX  (DI)(R8*1), AX
-	CVTSL2SS AX, X4
-	MOVSS    (DX)(R8*4), X5
-	MULSS    X5, X4
-	MOVSS    (R9)(R8*4), X5
-	ADDSS    X5, X4
-	MOVSS    (SI)(R8*4), X5
-	MULSS    X4, X5
-	ADDSS    X5, X0
-	MOVSS    (R14)(R8*4), X5
-	MULSS    X4, X5
-	ADDSS    X5, X1
-	MOVSS    (R15)(R8*4), X5
-	MULSS    X4, X5
-	ADDSS    X5, X2
-	MOVSS    (R13)(R8*4), X5
-	MULSS    X4, X5
-	ADDSS    X5, X3
-	INCQ     R8
-	CMPQ     R8, BX
-	JL       sq8dm4tailloop
-
-sq8dm4reduce:
-	HREDUCE(X0)
-	HREDUCE(X1)
-	HREDUCE(X2)
-	HREDUCE(X3)
-
-	MOVQ op+264(FP), AX
-	CMPQ AX, $1
-	JE   sq8dm4neg
-	CMPQ AX, $2
-	JE   sq8dm4oneminus
-
-sq8dm4store:
-	MOVQ  o0_base+168(FP), R12
-	MOVSS X0, (R12)(R11*1)
-	MOVQ  o1_base+192(FP), R12
-	MOVSS X1, (R12)(R11*1)
-	MOVQ  o2_base+216(FP), R12
-	MOVSS X2, (R12)(R11*1)
-	MOVQ  o3_base+240(FP), R12
-	MOVSS X3, (R12)(R11*1)
-	JMP   sq8dm4next
-
-sq8dm4neg:
-	XORPS X7, X0
-	XORPS X7, X1
-	XORPS X7, X2
-	XORPS X7, X3
-	JMP   sq8dm4store
-
-sq8dm4oneminus:
-	MOVSS  one32<>(SB), X4
-	MOVAPS X4, X5
-	SUBSS  X0, X5
-	MOVAPS X5, X0
-	MOVAPS X4, X5
-	SUBSS  X1, X5
-	MOVAPS X5, X1
-	MOVAPS X4, X5
-	SUBSS  X2, X5
-	MOVAPS X5, X2
-	MOVAPS X4, X5
-	SUBSS  X3, X5
-	MOVAPS X5, X3
-	JMP    sq8dm4store
-
-sq8dm4next:
-	ADDQ $4, R11
-	LEAQ (DI)(BX*1), DI
-	DECQ CX
-	JNZ  sq8dm4row
-
-sq8dm4done:
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R13
+	MOVQ q3_base+72(FP), DX
+	MOVQ min_base+96(FP), R9
+	MOVQ scale_base+120(FP), R15
+	MOVQ codes_base+144(FP), DI
+	MOVQ o0_len+176(FP), CX
+	MOVQ op+264(FP), R12
+	MOVQ R12, X15
+	SQ8MULTI4(VMINADD, PDOT, SMINADD, SDOT, SQ8DOTEPI)
 	RET
 
 // func pqScan8SSE(table []float32, codes []byte, m, ksub int64, out []float32)

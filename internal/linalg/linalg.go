@@ -9,12 +9,11 @@
 // distance arithmetic — the portable kernels, which define the bit-exact
 // contract (four accumulators over indices mod 4, tail into the first,
 // summed in order, no FMA) and which the SSE and AVX2 kernels reproduce
-// bitwise. Every
-// distance entry point is a caller of the dispatched block kernels: Dot,
-// SquaredL2 and Distance on one row, DistanceRows on scattered rows, the
-// *Block and *Multi* forms on packed arenas. A new distance loop written
-// anywhere else is a second copy of that contract and a bug waiting for
-// the first rounding difference.
+// bitwise. Every distance entry point is a caller of the dispatched block
+// kernels: Dot, SquaredL2 and Distance on one row, DistanceRows on
+// scattered rows, DistanceBlock and the *Multi* forms on packed arenas. A
+// new distance loop written anywhere else is a second copy of that
+// contract and a bug waiting for the first rounding difference.
 package linalg
 
 import (
@@ -83,30 +82,16 @@ func SquaredL2(a, b []float32) float32 {
 	return out[0]
 }
 
-// DotBlock computes the dot product of q against every row of block, a
+// DistanceBlock computes the distance of q to every row of block, a
 // packed row-major arena of len(block)/dim rows (one contiguous range of a
-// Matrix), writing row i's product to out[i]. Results are bit-identical to
-// calling Dot row by row (Dot is this kernel on one row); the win is
-// streaming contiguous memory instead of chasing per-row pointers. On
-// amd64 the scan runs as an SSE or AVX2 kernel whose lane structure
-// mirrors the portable kernel's scalar accumulators exactly (see
-// kernels_amd64.go), preserving bit-identity.
-func DotBlock(q, block []float32, out []float32) {
-	dotBlockKernel(q, block, out, opNone)
-}
-
-// SquaredL2Block computes the squared Euclidean distance of q to every row
-// of the packed arena block, writing into out. Bit-identical per row to
-// SquaredL2; see DotBlock.
-func SquaredL2Block(q, block []float32, out []float32) {
-	l2BlockKernel(q, block, out)
-}
-
-// DistanceBlock computes the distance of q to every row of the packed
-// arena block under metric m, writing into out. Each out[i] is bitwise
-// equal to Distance(m, q, row_i): the InnerProduct/Angular epilogue is
-// fused into the scoring loop (negation and 1-x are exact, so fusing
-// changes no bits), saving the second sweep over out.
+// Matrix), under metric m, writing row i's distance to out[i]. Each out[i]
+// is bitwise equal to Distance(m, q, row_i) (Distance is this kernel on
+// one row); the win is streaming contiguous memory instead of chasing
+// per-row pointers. On amd64 the scan runs as an SSE or AVX2 kernel whose
+// lane structure mirrors the portable kernel's scalar accumulators exactly
+// (see kernels_amd64.go). The InnerProduct/Angular epilogue is fused into
+// the scoring loop (negation and 1-x are exact, so fusing changes no
+// bits), saving the second sweep over out.
 func DistanceBlock(m Metric, q, block []float32, out []float32) {
 	switch m {
 	case L2:

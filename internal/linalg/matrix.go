@@ -6,7 +6,8 @@ import "fmt"
 // contiguous arena: row i occupies Data()[i*stride : i*stride+dim]. It is
 // the cache-friendly replacement for [][]float32 throughout the engine —
 // one allocation, no per-row pointer chase, and contiguous row ranges that
-// the blocked kernels (DotBlock, SquaredL2Block) can stream over.
+// the blocked kernels (DistanceBlock and the multi-query forms) can
+// stream over.
 //
 // A Matrix may be a *view*: Slice shares the arena of its parent, and
 // SubspaceView additionally narrows the columns (stride > dim). Views are

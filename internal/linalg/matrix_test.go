@@ -102,16 +102,16 @@ func TestBlockKernelsBitIdentical(t *testing.T) {
 	m := MatrixFromRows(rows)
 	q := randRows(1, 33, 5)[0]
 	out := make([]float32, m.Rows())
-	DotBlock(q, m.Data(), out)
+	dotBlockKernel(q, m.Data(), out, opNone)
 	for i, r := range rows {
 		if want := refDot(q, r); out[i] != want {
-			t.Fatalf("DotBlock row %d: %v != scalar %v", i, out[i], want)
+			t.Fatalf("dotBlockKernel row %d: %v != scalar %v", i, out[i], want)
 		}
 	}
-	SquaredL2Block(q, m.Data(), out)
+	l2BlockKernel(q, m.Data(), out)
 	for i, r := range rows {
 		if want := refSquaredL2(q, r); out[i] != want {
-			t.Fatalf("SquaredL2Block row %d: %v != scalar %v", i, out[i], want)
+			t.Fatalf("l2BlockKernel row %d: %v != scalar %v", i, out[i], want)
 		}
 	}
 	for _, metric := range []Metric{L2, InnerProduct, Angular} {

@@ -195,9 +195,9 @@ func TestMultiKernelRaggedTiles(t *testing.T) {
 	}
 }
 
-// TestFusedDistanceBlockExact asserts the satellite-1 fusion claim
-// directly: the fused InnerProduct/Angular epilogue produces exactly the
-// bits of the two-pass form (DotBlock then a separate -x / 1-x sweep).
+// TestFusedDistanceBlockExact asserts the fusion claim directly: the fused
+// InnerProduct/Angular epilogue produces exactly the bits of the two-pass
+// form (the plain dot scan, then a separate -x / 1-x sweep).
 func TestFusedDistanceBlockExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for _, dim := range []int{1, 5, 32, 67} {
@@ -205,7 +205,7 @@ func TestFusedDistanceBlockExact(t *testing.T) {
 		block := randVec(rng, rows*dim)[:rows*dim]
 		q := randVec(rng, dim)
 		dots := make([]float32, rows)
-		DotBlock(q, block, dots)
+		dotBlockKernel(q, block, dots, opNone)
 
 		fused := make([]float32, rows)
 		DistanceBlock(InnerProduct, q, block, fused)
