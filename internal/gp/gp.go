@@ -170,12 +170,6 @@ func (m *Model) Predict(x []float64) (mean, variance float64) {
 	return mu*m.yStd + m.yMean, varStd * m.yStd * m.yStd
 }
 
-// Lengthscale reports the selected kernel lengthscale.
-func (m *Model) Lengthscale() float64 { return m.lengthscale }
-
-// Noise reports the selected observation noise variance.
-func (m *Model) Noise() float64 { return m.noise }
-
 func meanStd(y []float64) (mean, std float64) {
 	for _, v := range y {
 		mean += v

@@ -221,11 +221,11 @@ func TestHyperparameterSelectionPrefersGoodFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Lengthscale() <= 0.1 {
-		t.Fatalf("selected minimal lengthscale %v for smooth data", m.Lengthscale())
+	if m.lengthscale <= 0.1 {
+		t.Fatalf("selected minimal lengthscale %v for smooth data", m.lengthscale)
 	}
-	if m.Noise() > 1e-2 {
-		t.Fatalf("selected high noise %v for noiseless data", m.Noise())
+	if m.noise > 1e-2 {
+		t.Fatalf("selected high noise %v for noiseless data", m.noise)
 	}
 }
 

@@ -109,7 +109,7 @@ func sq8ScanMetric(m linalg.Metric) linalg.Metric {
 
 // dist computes the approximate distance between query q and one code row:
 // the scalar form of the blocked kernel contract, bit-identical to a
-// one-row DistanceSQ8Block call.
+// one-row blocked scan.
 func (c *sq8Codec) dist(m linalg.Metric, q []float32, code []byte) float32 {
 	return linalg.SQ8Distance(sq8ScanMetric(m), q, c.min, c.scale, code)
 }

@@ -53,31 +53,6 @@ func pqScan8Go(table []float32, codes []byte, m, ksub int, out []float32) {
 	}
 }
 
-// PQScan8 scores every m-entry code row of codes against the flat ADC
-// table (m*ksub entries): out[i] = Σ_s table[s*ksub + codes[i*m+s]].
-func PQScan8(table []float32, codes []byte, m, ksub int, out []float32) {
-	if m == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
-	}
-	pqScan8Kernel(table, codes, m, ksub, out)
-}
-
-// PQScan16 is PQScan8 over wide ([]uint16) codes.
-func PQScan16(table []float32, codes []uint16, m, ksub int, out []float32) {
-	if m == 0 {
-		for i := range out {
-			out[i] = 0
-		}
-		return
-	}
-	for i := range out {
-		out[i] = pqRow16(table, codes[i*m:i*m+m], ksub)
-	}
-}
-
 // pqTileRows bounds the row tile of the multi-table scans so one tile of
 // codes (~16KB) stays L1-resident while every table scans it.
 func pqTileRows(m int) int {
@@ -93,9 +68,9 @@ func pqTileRows(m int) int {
 // arena is loaded once and stays cache-resident while all Q tables scan
 // it (the code-arena traffic, the streaming cost of an out-of-cache scan,
 // is paid once per tile), and within a tile each table runs the blocked
-// single-query kernel. Per (table, row) the arithmetic is exactly
-// PQScan8's, so outs[t] is bitwise equal to a single-query scan with
-// tables[t].
+// single-query kernel. Per (table, row) the arithmetic is exactly the
+// contract's (pqScan8Go), so outs[t] is bitwise equal to a single-query
+// scan with tables[t]: out[i] = Σ_s table[s*ksub + codes[i*m+s]].
 func PQScan8Multi(tables [][]float32, codes []byte, m, ksub int, outs [][]float32) {
 	if m == 0 {
 		for t := range outs {

@@ -64,20 +64,6 @@ func SQ8Distance(m Metric, q, min, scale []float32, code []byte) float32 {
 	return s
 }
 
-// DistanceSQ8Block scores one query against every dim-byte row of codes,
-// writing row i's distance to out[i]. Under L2, q must be the residual
-// q - min (see SQ8Residual); under the dot metrics q is the raw query and
-// min is folded into the decode. Every output is bitwise equal to
-// SQ8Distance on the raw query.
-func DistanceSQ8Block(m Metric, q, min, scale []float32, codes []byte, out []float32) {
-	l2, op := metricKernel(m)
-	if l2 {
-		sq8L2BlockKernel(q, scale, codes, out)
-	} else {
-		sq8DotBlockKernel(q, min, scale, codes, out, op)
-	}
-}
-
 // sq8RowTile sizes the code-row tile of a multi-query SQ8 scan: rows are
 // dim bytes, a quarter of the float width, so four times the float tile
 // fits the same L1 budget.
@@ -93,7 +79,7 @@ func sq8RowTile(dim, q int) int {
 // queries[i] to every code row, writing row r's distance to outs[i][r].
 // Under L2 every queries[i] must be its residual (SQ8Residual); under the
 // dot metrics they are raw queries. Outputs are bitwise equal to
-// DistanceSQ8Block per query; the code arena is streamed once, in
+// SQ8Distance on the raw query; the code arena is streamed once, in
 // cache-resident tiles whose decode each quad of queries shares.
 func DistanceSQ8MultiScatter(m Metric, queries [][]float32, min, scale []float32, codes []byte, outs [][]float32) {
 	l2, op := metricKernel(m)

@@ -45,6 +45,17 @@ func randAffine(rng *rand.Rand, dim int) (min, scale []float32) {
 	return min, scale
 }
 
+// sq8Block scores one query against every dim-byte row of codes with the
+// dispatched blocked kernel of metric m. Under L2, q is the residual
+// q - min (see SQ8Residual); under the dot metrics it is the raw query.
+func sq8Block(m Metric, q, min, scale []float32, codes []byte, out []float32) {
+	if l2, op := metricKernel(m); l2 {
+		sq8L2BlockKernel(q, scale, codes, out)
+	} else {
+		sq8DotBlockKernel(q, min, scale, codes, out, op)
+	}
+}
+
 // TestSQ8KernelBitIdentity sweeps dims 1..67 (crossing the 4-way unroll
 // and in-register decode boundary many times), all three metrics, ragged
 // row counts, and Q ∈ {1,2,7,64}: the multi-query scatter, the blocked
@@ -75,7 +86,7 @@ func TestSQ8KernelBitIdentity(t *testing.T) {
 				single := make([][]float32, qn)
 				for i := range queries {
 					single[i] = make([]float32, rows)
-					DistanceSQ8Block(m, qarg[i], min, scale, codes, single[i])
+					sq8Block(m, qarg[i], min, scale, codes, single[i])
 					for r := 0; r < rows; r++ {
 						want := SQ8Distance(m, queries[i], min, scale, codes[r*dim:(r+1)*dim])
 						if !f32Equal(single[i][r], want) {
@@ -167,8 +178,9 @@ func pqRef(table []float32, row []int, ksub int) float32 {
 }
 
 // TestPQScanBitIdentity sweeps subquantizer counts 1..19 and table sizes
-// across narrow/wide codes: PQScan8/PQScan16 and their multi variants must
-// match the scalar reference bit-for-bit for every (query, row).
+// across narrow/wide codes: the narrow single-table kernel, the wide row
+// loop and both multi-table scans must match the scalar reference
+// bit-for-bit for every (query, row).
 func TestPQScanBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for m := 1; m <= 19; m++ {
@@ -192,9 +204,11 @@ func TestPQScanBitIdentity(t *testing.T) {
 					out8 := make([]float32, rows)
 					out16 := make([]float32, rows)
 					if narrow {
-						PQScan8(tables[q], codes8, m, ksub, out8)
+						pqScan8Kernel(tables[q], codes8, m, ksub, out8)
 					}
-					PQScan16(tables[q], codes16, m, ksub, out16)
+					for r := range out16 {
+						out16[r] = pqRow16(tables[q], codes16[r*m:(r+1)*m], ksub)
+					}
 					for r := 0; r < rows; r++ {
 						want := pqRef(tables[q], idx[r*m:(r+1)*m], ksub)
 						if (narrow && !f32Equal(out8[r], want)) || !f32Equal(out16[r], want) {
@@ -226,9 +240,9 @@ func TestPQScanBitIdentity(t *testing.T) {
 		}
 	}
 	// ksub=700 with qn=64 above covers wide tables; m=0 degenerates to 0.
-	out := []float32{9}
-	PQScan8(nil, nil, 0, 4, out)
-	if out[0] != 0 {
-		t.Fatalf("m=0 scan: got %v, want 0", out[0])
+	outs := [][]float32{{9}}
+	PQScan8Multi(nil, nil, 0, 4, outs)
+	if outs[0][0] != 0 {
+		t.Fatalf("m=0 scan: got %v, want 0", outs[0][0])
 	}
 }

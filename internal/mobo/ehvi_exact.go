@@ -61,15 +61,3 @@ func EHVIExact(meanA, stdA, meanB, stdB float64, ref Point, front []Point) float
 	}
 	return total
 }
-
-// HVImprovement returns the deterministic hypervolume improvement of
-// adding y to the front (the σ→0 limit of EHVI), useful for tests and
-// greedy selection.
-func HVImprovement(y Point, ref Point, front []Point) float64 {
-	base := Hypervolume(ref, front)
-	with := Hypervolume(ref, append(append([]Point(nil), front...), y))
-	if with < base {
-		return 0
-	}
-	return with - base
-}

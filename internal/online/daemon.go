@@ -15,16 +15,14 @@ import (
 // allowed) as an online migration. Evaluation happens off the serving
 // path: each window is scored against a Dataset built from a sample of
 // the live corpus, so candidate configurations are measured on a replica
-// of the real data, never by degrading live traffic.
-//
-// The engine under tuning is abstracted behind the Engine interface: an
-// in-process Collection (NewDaemon) and a remote vdmsd reached through a
-// server client (NewRemoteDaemon) are tuned identically.
+// of the real data, never by degrading live traffic. The daemon runs in
+// the process that serves the collection (vdmsd -tune) and calls it
+// directly.
 //
 // Daemon is not safe for concurrent use; drive it from one goroutine
 // (the serving path it observes can be arbitrarily concurrent).
 type Daemon struct {
-	eng  Engine
+	coll *vdms.Collection
 	mgr  *Manager
 	opts DaemonOptions
 }
@@ -79,12 +77,7 @@ type DaemonReport struct {
 // NewDaemon creates a tuning daemon bound to a live in-process
 // collection.
 func NewDaemon(coll *vdms.Collection, opts DaemonOptions) *Daemon {
-	return NewEngineDaemon(collectionEngine{coll: coll}, opts)
-}
-
-// NewEngineDaemon creates a tuning daemon bound to any Engine.
-func NewEngineDaemon(eng Engine, opts DaemonOptions) *Daemon {
-	return &Daemon{eng: eng, mgr: NewManager(opts.Manager), opts: opts}
+	return &Daemon{coll: coll, mgr: NewManager(opts.Manager), opts: opts}
 }
 
 // ObserveWindow processes one served query window: build an evaluation
@@ -92,18 +85,11 @@ func NewEngineDaemon(eng Engine, opts DaemonOptions) *Daemon {
 // cold-start or drift-retune on it, and push any new winner into the
 // engine via Reconfigure.
 func (d *Daemon) ObserveWindow(queries [][]float32) (*DaemonReport, error) {
-	sample, err := d.eng.SampleVectors(d.opts.sampleSize())
-	if err != nil {
-		return nil, fmt.Errorf("online: sampling the live corpus: %w", err)
-	}
+	sample := d.coll.SampleVectors(d.opts.sampleSize())
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("online: engine holds no vectors to evaluate against")
 	}
-	metric, err := d.eng.Metric()
-	if err != nil {
-		return nil, fmt.Errorf("online: reading the engine metric: %w", err)
-	}
-	ds, err := workload.FromLive("live-window", metric, sample, queries, d.opts.k())
+	ds, err := workload.FromLive("live-window", d.coll.Metric(), sample, queries, d.opts.k())
 	if err != nil {
 		return nil, err
 	}
@@ -112,26 +98,19 @@ func (d *Daemon) ObserveWindow(queries [][]float32) (*DaemonReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	gen, err := d.eng.Generation()
-	if err != nil {
-		return nil, fmt.Errorf("online: reading the engine generation: %w", err)
-	}
-	out := &DaemonReport{Window: *rep, Generation: gen}
+	out := &DaemonReport{Window: *rep, Generation: d.coll.Stats().ConfigGeneration}
 	best, _ := d.mgr.Best()
 	if hadBest && best == prevBest {
 		return out, nil // nothing new to apply
 	}
 
-	active, err := d.eng.Config()
-	if err != nil {
-		return out, fmt.Errorf("online: reading the active configuration: %w", err)
-	}
+	active := d.coll.Config()
 	apply := best
 	if !d.opts.ApplyColdChanges {
 		apply = vdms.GraftColdKnobs(best, active)
 	}
 	out.Migrated = vdms.GraftColdKnobs(apply, active) != apply
-	gen, err = d.eng.Reconfigure(apply)
+	gen, err := d.coll.Reconfigure(apply)
 	if err != nil {
 		return out, fmt.Errorf("online: applying tuned configuration: %w", err)
 	}

@@ -3,7 +3,9 @@
 // drift detector summarizes successive query windows (centroid and
 // per-dimension spread); when the workload moves, the manager re-tunes —
 // bootstrapping the new tuning session from the accumulated knowledge
-// base so adaptation costs a fraction of a cold start (§IV-F).
+// base so adaptation costs a fraction of a cold start (§IV-F). Daemon runs
+// that loop against a live vdms.Collection in the process that serves it
+// (vdmsd -tune).
 package online
 
 import (

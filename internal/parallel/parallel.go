@@ -26,41 +26,13 @@ func Workers(n int) int {
 }
 
 // Parallel runs fn(chunk) for every chunk in [0, chunks) on up to n
-// workers. Chunks are claimed dynamically (work stealing via an atomic
-// counter), so uneven chunk costs balance automatically; fn must therefore
-// not assume any chunk-to-worker affinity. n <= 1 or chunks <= 1 runs
-// inline on the calling goroutine with zero overhead, which is also the
-// reference sequential path. Parallel returns when every chunk is done.
+// workers: WorkerParallel without the worker index. Chunks are claimed
+// dynamically, so uneven chunk costs balance automatically; fn must
+// therefore not assume any chunk-to-worker affinity. n <= 1 or chunks <= 1
+// runs inline on the calling goroutine, which is also the reference
+// sequential path. Parallel returns when every chunk is done.
 func Parallel(n, chunks int, fn func(chunk int)) {
-	if chunks <= 0 {
-		return
-	}
-	n = Workers(n)
-	if n > chunks {
-		n = chunks
-	}
-	if n <= 1 || chunks == 1 {
-		for c := 0; c < chunks; c++ {
-			fn(c)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				fn(c)
-			}
-		}()
-	}
-	wg.Wait()
+	WorkerParallel(n, chunks, func(_, c int) { fn(c) })
 }
 
 // WorkerCount reports how many workers WorkerParallel(n, chunks, ...) will
@@ -80,13 +52,14 @@ func WorkerCount(n, chunks int) int {
 	return n
 }
 
-// WorkerParallel is Parallel with worker identity: fn receives the index of
-// the worker goroutine running it, in [0, WorkerCount(n, chunks)). Each
-// worker index is owned by exactly one goroutine for the whole call, so fn
-// may keep per-worker mutable state (scratch buffers) indexed by it with no
-// further synchronization. Chunk claiming is the same dynamic atomic
-// counter as Parallel, so chunk→worker assignment is NOT deterministic —
-// only per-chunk results reduced in chunk order are.
+// WorkerParallel runs fn(worker, chunk) for every chunk in [0, chunks) on
+// WorkerCount(n, chunks) goroutines; worker is the index of the goroutine
+// running it. Each worker index is owned by exactly one goroutine for the
+// whole call, so fn may keep per-worker mutable state (scratch buffers)
+// indexed by it with no further synchronization. Chunks are claimed from
+// one atomic counter (work stealing), so chunk→worker assignment is NOT
+// deterministic — only per-chunk results reduced in chunk order are. One
+// worker or one chunk runs inline on the calling goroutine.
 func WorkerParallel(n, chunks int, fn func(worker, chunk int)) {
 	if chunks <= 0 {
 		return

@@ -8,6 +8,12 @@ import (
 	"testing"
 )
 
+// isCorrupt reports whether err is (or wraps) a *CorruptError.
+func isCorrupt(err error) bool {
+	var ce *CorruptError
+	return errors.As(err, &ce)
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	bodies := [][]byte{
 		[]byte("hello"),
@@ -48,7 +54,7 @@ func TestReadFrameCorruptCRC(t *testing.T) {
 	frame := AppendFrame(nil, []byte("payload"))
 	frame[len(frame)-1] ^= 0x01
 	_, err := ReadFrame(bytes.NewReader(frame), 1<<20, nil)
-	if !IsCorrupt(err) {
+	if !isCorrupt(err) {
 		t.Fatalf("corrupt body: got %v, want *CorruptError", err)
 	}
 }

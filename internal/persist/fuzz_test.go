@@ -98,7 +98,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 			return nil
 		})
-		if err != nil && !IsCorrupt(err) {
+		if err != nil && !isCorrupt(err) {
 			t.Fatalf("non-corrupt error from hostile bytes: %v", err)
 		}
 		if validEnd < 0 || validEnd > int64(len(data)) {
@@ -137,9 +137,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add([]byte(snapMagic))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+		s, err := decodeSnapshot("", data)
 		if err != nil {
-			if !IsCorrupt(err) {
+			if !isCorrupt(err) {
 				t.Fatalf("non-corrupt error from hostile bytes: %v", err)
 			}
 			return

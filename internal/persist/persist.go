@@ -54,8 +54,7 @@ import (
 // CorruptError reports bytes that cannot be a valid snapshot or WAL: a
 // checksum mismatch, an impossible declared length, a record that
 // contradicts the stream around it. Recovery surfaces it instead of
-// panicking; callers distinguish it from I/O errors with errors.As or
-// IsCorrupt.
+// panicking; callers distinguish it from I/O errors with errors.As.
 type CorruptError struct {
 	// Path names the damaged file when known (empty for in-memory decodes).
 	Path string
@@ -70,21 +69,6 @@ func (e *CorruptError) Error() string {
 		return fmt.Sprintf("persist: corrupt data at offset %d: %s", e.Offset, e.Reason)
 	}
 	return fmt.Sprintf("persist: corrupt data in %s at offset %d: %s", e.Path, e.Offset, e.Reason)
-}
-
-// IsCorrupt reports whether err is (or wraps) a *CorruptError.
-func IsCorrupt(err error) bool {
-	for err != nil {
-		if _, ok := err.(*CorruptError); ok {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
 }
 
 func corruptf(path string, off int64, format string, args ...any) *CorruptError {

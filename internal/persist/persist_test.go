@@ -160,13 +160,13 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte("not json"), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(dir); !IsCorrupt(err) {
+	if _, err := LoadManifest(dir); !isCorrupt(err) {
 		t.Fatalf("damaged manifest: err = %v, want CorruptError", err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(`{"version":1,"shards":0,"dim":4}`), 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadManifest(dir); !IsCorrupt(err) {
+	if _, err := LoadManifest(dir); !isCorrupt(err) {
 		t.Fatalf("zero-shard manifest: err = %v, want CorruptError", err)
 	}
 }
@@ -313,7 +313,7 @@ func testSnapshot() *Snapshot {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := testSnapshot()
-	got, err := DecodeSnapshot(EncodeSnapshot(s))
+	got, err := decodeSnapshot("", EncodeSnapshot(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,9 +355,9 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 	data := EncodeSnapshot(testSnapshot())
 	// Truncations: every prefix must fail (the footer is last).
 	for cut := 0; cut < len(data); cut++ {
-		if _, err := DecodeSnapshot(data[:cut]); err == nil {
+		if _, err := decodeSnapshot("", data[:cut]); err == nil {
 			t.Fatalf("truncation at %d decoded successfully", cut)
-		} else if !IsCorrupt(err) {
+		} else if !isCorrupt(err) {
 			t.Fatalf("truncation at %d: non-corrupt error %v", cut, err)
 		}
 	}
@@ -369,13 +369,13 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 		if bytes.Equal(mut, data) {
 			continue
 		}
-		s, err := DecodeSnapshot(mut)
+		s, err := decodeSnapshot("", mut)
 		if err == nil {
 			// A flip inside float payload bytes is caught by the record
 			// CRC, so success is impossible.
 			t.Fatalf("trial %d: corrupted snapshot decoded, %+v", trial, s)
 		}
-		if !IsCorrupt(err) {
+		if !isCorrupt(err) {
 			t.Fatalf("trial %d: non-corrupt error %v", trial, err)
 		}
 	}

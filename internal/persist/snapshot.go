@@ -190,13 +190,10 @@ func (s *Snapshot) totalBytes() int64 {
 	return n
 }
 
-// DecodeSnapshot parses bytes written by EncodeSnapshot. Hostile or
-// damaged input yields a *CorruptError, never a panic, and never an
-// allocation larger than the input justifies.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return decodeSnapshot("", data)
-}
-
+// decodeSnapshot parses bytes written by EncodeSnapshot, read from path
+// (empty for in-memory input). Hostile or damaged input yields a
+// *CorruptError, never a panic, and never an allocation larger than the
+// input justifies.
 func decodeSnapshot(path string, data []byte) (*Snapshot, error) {
 	if len(data) < snapHeaderLen || string(data[:len(snapMagic)]) != snapMagic {
 		return nil, corruptf(path, 0, "not a snapshot file")

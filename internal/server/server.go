@@ -32,16 +32,14 @@
 // # Ops
 //
 // JSON ops: "ping", "insert", "search", "searchBatch", "delete", "flush",
-// "compact", "persist", "stats", "reconfigure", "config", "sample". The
+// "compact", "persist", "stats", "reconfigure", "config". The
 // "reconfigure" op applies a full vdms.Config (a flat JSON object keyed by
-// knob name; see vdms.Knobs) to the live collection
-// through its online reconfiguration path — hot-knob changes swap
-// atomically, cold-knob changes run a background migration — and answers
-// with the new config generation; "config" reads back the active
-// configuration, generation, metric, and dimensionality; "sample" returns
-// a deterministic sample of live vectors (the remote tuning daemon's
-// evaluation corpus). The "searchBatch" op answers a whole query batch in
-// one round trip; the server fans it across the collection's configured
+// knob name; see vdms.Knobs) to the live collection through its online
+// reconfiguration path — hot-knob changes swap atomically, cold-knob
+// changes run a background migration — and answers with the new config
+// generation; "config" reads back the active configuration and its
+// generation. The "searchBatch" op answers a whole query batch in one
+// round trip; the server fans it across the collection's configured
 // queryNode parallelism under every shard's read lock (acquired in fixed
 // order), so the batch observes one consistent snapshot of the whole
 // segment lifecycle. The "compact" op runs segment compaction to
@@ -79,13 +77,11 @@ import (
 // Request is one client command.
 type Request struct {
 	// Op is one of "ping", "insert", "search", "searchBatch", "delete",
-	// "flush", "compact", "persist", "stats", "reconfigure", "config",
-	// "sample".
+	// "flush", "compact", "persist", "stats", "reconfigure", "config".
 	Op string `json:"op"`
 	// Vectors carries the rows for "insert".
 	Vectors [][]float32 `json:"vectors,omitempty"`
-	// Query and K parameterize "search"; K is shared with "searchBatch"
-	// and doubles as the sample size for "sample".
+	// Query and K parameterize "search"; K is shared with "searchBatch".
 	Query []float32 `json:"query,omitempty"`
 	K     int       `json:"k,omitempty"`
 	// Queries carries the batch for "searchBatch". The server fans the
@@ -125,12 +121,6 @@ type Response struct {
 	// active one for "config"). Never omitempty: generation 0 is the
 	// legitimate state of every fresh collection.
 	Generation uint64 `json:"generation"`
-	// Metric and Dim describe the collection on a "config" reply (the
-	// metric in its String form: "L2", "IP", "Angular").
-	Metric string `json:"metric,omitempty"`
-	Dim    int    `json:"dim,omitempty"`
-	// Vectors answers a "sample" request with live corpus rows.
-	Vectors [][]float32 `json:"vectors,omitempty"`
 }
 
 // Options hardens and tunes the access layer. The zero value is the
@@ -484,17 +474,7 @@ func (s *Server) dispatch(req *Request) (resp *Response) {
 		return &Response{OK: true, Generation: gen}
 	case "config":
 		cfg := s.coll.Config()
-		return &Response{
-			OK: true, Config: &cfg,
-			Generation: s.coll.Stats().ConfigGeneration,
-			Metric:     s.coll.Metric().String(),
-			Dim:        s.coll.Dim(),
-		}
-	case "sample":
-		if req.K < 1 {
-			return &Response{Error: "sample: count must be >= 1"}
-		}
-		return &Response{OK: true, Vectors: s.coll.SampleVectors(req.K)}
+		return &Response{OK: true, Config: &cfg, Generation: s.coll.Stats().ConfigGeneration}
 	default:
 		return &Response{Error: fmt.Sprintf("unknown op %q", req.Op)}
 	}
@@ -656,27 +636,4 @@ func (c *Client) Config() (*vdms.Config, uint64, error) {
 		return nil, 0, err
 	}
 	return resp.Config, resp.Generation, nil
-}
-
-// Info fetches the collection's distance metric and dimensionality.
-func (c *Client) Info() (linalg.Metric, int, error) {
-	resp, err := c.call(&Request{Op: "config"})
-	if err != nil {
-		return 0, 0, err
-	}
-	m, err := linalg.ParseMetric(resp.Metric)
-	if err != nil {
-		return 0, 0, err
-	}
-	return m, resp.Dim, nil
-}
-
-// SampleVectors fetches a deterministic sample of up to n live corpus
-// vectors — the evaluation corpus of a remote tuning daemon.
-func (c *Client) SampleVectors(n int) ([][]float32, error) {
-	resp, err := c.call(&Request{Op: "sample", K: n})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Vectors, nil
 }

@@ -246,35 +246,6 @@ func TestSearchKBoundedByRows(t *testing.T) {
 	}
 }
 
-// TestSampleBoundedByRows: the sample op's count arrives from the wire like
-// k does and sizes the answer's backing array, so the engine bounds it by
-// the live rows first. 2^31-1 vectors asked of 100 rows answers with the
-// 100; unbounded, that one JSON line is a 48 GB allocation the runtime
-// refuses with a fatal error no recover can catch.
-func TestSampleBoundedByRows(t *testing.T) {
-	_, cl := startServer(t)
-	const rows = 100
-	if _, err := cl.Insert(vecsFor(rows, 63)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Delete([]int64{3}); err != nil {
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	vecs, err := cl.SampleVectors(math.MaxInt32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if len(vecs) != rows-1 {
-		t.Fatalf("sampled %d vectors, want the %d live rows", len(vecs), rows-1)
-	}
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
-		t.Fatalf("sample of %d over %d rows allocated %d bytes", math.MaxInt32, rows, grown)
-	}
-}
-
 func TestSearchBatchWireErrors(t *testing.T) {
 	_, cl := startServer(t)
 	if _, err := cl.Insert(vecsFor(20, 6)); err != nil {

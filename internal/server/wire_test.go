@@ -438,7 +438,7 @@ func TestPipelinedInterleavedBurst(t *testing.T) {
 						return
 					}
 				case 2:
-					qs := [][]float32{seed[w % len(seed)], seed[(w+1)%len(seed)]}
+					qs := [][]float32{seed[w%len(seed)], seed[(w+1)%len(seed)]}
 					res, err := cl.SearchBatch(qs, 2)
 					if err != nil {
 						errs <- err
@@ -612,31 +612,5 @@ func TestCloseInterruptsIdleConnections(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Server.Close hung on idle connections")
-	}
-}
-
-// TestSampleOverWire covers the remote tuning daemon's corpus-sampling
-// op and the metric/dim info read.
-func TestSampleOverWire(t *testing.T) {
-	_, cl := startServer(t)
-	if _, err := cl.Insert(vecsFor(50, 29)); err != nil {
-		t.Fatal(err)
-	}
-	vecs, err := cl.SampleVectors(20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vecs) != 20 || len(vecs[0]) != 8 {
-		t.Fatalf("sampled %d vectors of dim %d", len(vecs), len(vecs[0]))
-	}
-	if _, err := cl.SampleVectors(0); err == nil {
-		t.Fatal("sample count 0 accepted")
-	}
-	m, dim, err := cl.Info()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m != linalg.L2 || dim != 8 {
-		t.Fatalf("Info = (%v, %d), want (L2, 8)", m, dim)
 	}
 }

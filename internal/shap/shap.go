@@ -11,40 +11,6 @@ import (
 	"math/rand"
 )
 
-// Values returns one attribution per dimension: the permutation-sampled
-// Shapley value of moving that dimension from background to x under f.
-// The sum of attributions equals f(x) − f(background) up to sampling
-// noise; for additive f the values are exact in expectation.
-func Values(f func([]float64) float64, x, background []float64, permutations int, rng *rand.Rand) ([]float64, error) {
-	if len(x) != len(background) {
-		return nil, fmt.Errorf("shap: point dim %d != background dim %d", len(x), len(background))
-	}
-	if len(x) == 0 {
-		return nil, fmt.Errorf("shap: empty point")
-	}
-	if permutations < 1 {
-		permutations = 50
-	}
-	d := len(x)
-	attr := make([]float64, d)
-	cur := make([]float64, d)
-	for p := 0; p < permutations; p++ {
-		perm := rng.Perm(d)
-		copy(cur, background)
-		prev := f(cur)
-		for _, j := range perm {
-			cur[j] = x[j]
-			next := f(cur)
-			attr[j] += next - prev
-			prev = next
-		}
-	}
-	for j := range attr {
-		attr[j] /= float64(permutations)
-	}
-	return attr, nil
-}
-
 // GroupValues attributes over groups of dimensions: each group is toggled
 // between background and x atomically. groups maps a group name to its
 // dimension indexes. It returns per-group attributions.

@@ -3,8 +3,27 @@ package shap
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 )
+
+// values is per-dimension attribution: GroupValues with one group per
+// dimension, returned in dimension order.
+func values(f func([]float64) float64, x, background []float64, permutations int, rng *rand.Rand) ([]float64, error) {
+	groups := map[string][]int{}
+	for j := range x {
+		groups[strconv.Itoa(j)] = []int{j}
+	}
+	byName, err := GroupValues(f, x, background, groups, permutations, rng)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, len(x))
+	for j := range out {
+		out[j] = byName[strconv.Itoa(j)]
+	}
+	return out, nil
+}
 
 func TestValuesAdditiveExact(t *testing.T) {
 	// For additive f, the Shapley value of dim i is a_i*(x_i - bg_i)
@@ -16,7 +35,7 @@ func TestValuesAdditiveExact(t *testing.T) {
 	x := []float64{1, 1, 1}
 	bg := []float64{0, 0.5, -1}
 	rng := rand.New(rand.NewSource(1))
-	got, err := Values(f, x, bg, 20, rng)
+	got, err := values(f, x, bg, 20, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +56,7 @@ func TestValuesSumToDelta(t *testing.T) {
 	x := []float64{0.7, 0.3, 1.2}
 	bg := []float64{0, 0, 0}
 	rng := rand.New(rand.NewSource(2))
-	got, err := Values(f, x, bg, 100, rng)
+	got, err := values(f, x, bg, 100, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +74,7 @@ func TestValuesInteractionSplit(t *testing.T) {
 	// f = x0*x1 with x=(1,1), bg=(0,0): symmetric dims share the credit.
 	f := func(x []float64) float64 { return x[0] * x[1] }
 	rng := rand.New(rand.NewSource(3))
-	got, err := Values(f, []float64{1, 1}, []float64{0, 0}, 2000, rng)
+	got, err := values(f, []float64{1, 1}, []float64{0, 0}, 2000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +86,10 @@ func TestValuesInteractionSplit(t *testing.T) {
 func TestValuesErrors(t *testing.T) {
 	f := func(x []float64) float64 { return 0 }
 	rng := rand.New(rand.NewSource(4))
-	if _, err := Values(f, []float64{1}, []float64{1, 2}, 10, rng); err == nil {
+	if _, err := values(f, []float64{1}, []float64{1, 2}, 10, rng); err == nil {
 		t.Fatal("accepted mismatched dims")
 	}
-	if _, err := Values(f, nil, nil, 10, rng); err == nil {
+	if _, err := values(f, nil, nil, 10, rng); err == nil {
 		t.Fatal("accepted empty point")
 	}
 }

@@ -262,7 +262,7 @@ func TestDeleteReclaimedIDsStayDeleted(t *testing.T) {
 	if n, _ := coll.Delete(ids[:10]); n != 10 {
 		t.Fatalf("Delete = %d, want 10", n)
 	}
-	if d := coll.Deleted(); d != 0 {
+	if d := coll.Stats().Tombstones; d != 0 {
 		t.Fatalf("growing deletes left %d tombstones, want 0 (physically removed)", d)
 	}
 	if n, _ := coll.Delete(ids[:10]); n != 0 {
@@ -274,7 +274,7 @@ func TestDeleteReclaimedIDsStayDeleted(t *testing.T) {
 
 	// Same invariant through the sealed + compacted path.
 	sealed, _, sids := churnCollection(t, liveConfig())
-	if d := sealed.Deleted(); d != 0 {
+	if d := sealed.Stats().Tombstones; d != 0 {
 		t.Fatalf("tombstones = %d after compaction, want 0", d)
 	}
 	var again []int64

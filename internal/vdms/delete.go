@@ -152,8 +152,3 @@ func (s *shard) deleteLocked(ids []int64, captured *[]int64) int {
 	}
 	return added
 }
-
-// Deleted reports the live tombstone count across shards: deleted ids
-// still physically present in sealed data and awaiting compaction, not
-// the all-time delete count.
-func (c *Collection) Deleted() int { return c.Stats().Tombstones }

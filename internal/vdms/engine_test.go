@@ -290,8 +290,8 @@ func TestInFlightSegmentIsOneStruct(t *testing.T) {
 	if n, err := coll.Delete([]int64{5, 60, 130}); err != nil || n != 3 {
 		t.Fatalf("Delete = %d, %v", n, err)
 	}
-	if seg.dead != 2 || coll.Deleted() != 2 {
-		t.Fatalf("pending segment counts %d dead, %d tombstones; want 2 and 2 (the growing row is pruned)", seg.dead, coll.Deleted())
+	if seg.dead != 2 || coll.Stats().Tombstones != 2 {
+		t.Fatalf("pending segment counts %d dead, %d tombstones; want 2 and 2 (the growing row is pruned)", seg.dead, coll.Stats().Tombstones)
 	}
 	if res, _ := coll.Search(vecs[60], 1, nil); res[0].ID == 60 {
 		t.Fatal("deleted in-flight row still returned")

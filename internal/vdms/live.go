@@ -617,9 +617,8 @@ func (c *Collection) Close() error {
 // SampleVectors returns up to n of the collection's live vectors (copies,
 // in routing order), for callers that need a representative sample of the
 // stored distribution — the online tuning daemon builds its evaluation
-// window from it. n arrives from the wire, so it is bounded by the live
-// rows before it sizes anything. Angular collections return the normalized
-// rows the engine stores.
+// window from it. n is bounded by the live rows before it sizes anything.
+// Angular collections return the normalized rows the engine stores.
 func (c *Collection) SampleVectors(n int) [][]float32 {
 	c.router.RLock()
 	defer c.router.RUnlock()

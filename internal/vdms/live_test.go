@@ -1,7 +1,9 @@
 package vdms
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -51,6 +53,37 @@ func TestCollectionInsertSearch(t *testing.T) {
 	}
 	if len(res) != 1 || res[0].ID != ids[7] {
 		t.Fatalf("self-search returned %+v, want id %d", res, ids[7])
+	}
+}
+
+// TestSampleBoundedByRows: SampleVectors' count sizes the answer's
+// backing array, so the collection bounds it by the live rows first.
+// 2^31-1 vectors asked of 100 rows answers with the live ones; unbounded,
+// that is a 48 GB allocation the runtime refuses with a fatal error no
+// recover can catch.
+func TestSampleBoundedByRows(t *testing.T) {
+	const rows = 100
+	coll, err := NewCollection(liveConfig(), linalg.L2, 8, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	ids, err := coll.Insert(randVecs(rows, 8, 63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coll.Delete(ids[3:4]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	vecs := coll.SampleVectors(math.MaxInt32)
+	runtime.ReadMemStats(&after)
+	if len(vecs) != rows-1 {
+		t.Fatalf("sampled %d vectors, want the %d live rows", len(vecs), rows-1)
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("sample of %d over %d rows allocated %d bytes", math.MaxInt32, rows, grown)
 	}
 }
 
@@ -278,6 +311,10 @@ func TestMeasureWallClock(t *testing.T) {
 	if res.Queries != 40 {
 		t.Fatalf("served %d queries, want 40", res.Queries)
 	}
+	// One load path: the measured instance is the one Evaluate scores.
+	if want := Evaluate(ds, cfg).Recall; res.Recall != want {
+		t.Fatalf("wall-clock recall %v, Evaluate's %v", res.Recall, want)
+	}
 }
 
 func TestDeleteFromGrowing(t *testing.T) {
@@ -327,8 +364,8 @@ func TestDeleteFromSealed(t *testing.T) {
 	if _, err := coll.Delete(ids[:10]); err != nil {
 		t.Fatal(err)
 	}
-	if coll.Deleted() != 10 {
-		t.Fatalf("Deleted = %d", coll.Deleted())
+	if coll.Stats().Tombstones != 10 {
+		t.Fatalf("Tombstones = %d", coll.Stats().Tombstones)
 	}
 	for probe := 0; probe < 10; probe++ {
 		res, err := coll.Search(vecs[probe], 5, nil)

@@ -1,18 +1,16 @@
 package vdms
 
 import (
-	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
+	"vdtuner/internal/parallel"
 	"vdtuner/internal/workload"
 )
 
-// WallClockResult is a measured (not simulated) evaluation of a live
-// collection — the engine's second evaluation mode, useful for validating
-// that the simulated clock preserves ordering on real hardware.
+// WallClockResult is a measured (not simulated) evaluation of a
+// configuration — the engine's second look at real hardware, useful for
+// validating that the simulated clock preserves ordering.
 type WallClockResult struct {
 	// QPS is measured throughput: queries served / wall time.
 	QPS float64
@@ -24,71 +22,42 @@ type WallClockResult struct {
 	Queries int
 }
 
-// MeasureWallClock loads the dataset into a live collection under cfg and
-// replays the query set `rounds` times at the configured concurrency,
-// measuring real throughput and recall. It is inherently noisy (it
-// measures this process on this machine); the tuner uses the simulated
-// path instead, see DESIGN.md.
+// MeasureWallClock opens the dataset under cfg — the Instance Evaluate
+// scores — and replays the query set `rounds` times through the shared
+// pool at the configured concurrency, timing every search. Its Recall is
+// Evaluate's: the first round's per-query recalls, summed in query order.
+// It is inherently noisy (it measures this process on this machine); the
+// tuner uses the simulated clock instead, see DESIGN.md.
 func MeasureWallClock(ds *workload.Dataset, cfg Config, rounds int) (*WallClockResult, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
-	coll, err := NewCollection(cfg, ds.Metric, ds.Dim, len(ds.Vectors))
+	inst, err := Open(ds, cfg)
 	if err != nil {
 		return nil, err
-	}
-	defer coll.Close()
-	if _, err := coll.Insert(ds.Vectors); err != nil {
-		return nil, err
-	}
-	if err := coll.Flush(); err != nil {
-		return nil, fmt.Errorf("vdms: index build during load: %w", err)
 	}
 
 	nq := len(ds.Queries)
 	total := nq * rounds
 	latencies := make([]time.Duration, total)
-	recalls := make([]float64, total)
-	var next int64 = -1
-
-	workers := cfg.concurrency()
-	var wg sync.WaitGroup
-	var firstErr atomic.Value
+	recalls := make([]float64, nq)
 	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= total {
-					return
-				}
-				qi := i % nq
-				t0 := time.Now()
-				res, err := coll.Search(ds.Queries[qi], ds.K, nil)
-				if err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				latencies[i] = time.Since(t0)
-				recalls[i] = ds.Recall(qi, res)
-			}
-		}()
-	}
-	wg.Wait()
+	parallel.Parallel(cfg.concurrency(), total, func(i int) {
+		qi := i % nq
+		t0 := time.Now()
+		res := inst.Search(ds.Queries[qi], ds.K, nil)
+		latencies[i] = time.Since(t0)
+		if i < nq {
+			recalls[qi] = ds.Recall(qi, res)
+		}
+	})
 	elapsed := time.Since(start)
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return nil, err
-	}
 
-	out := &WallClockResult{Queries: total}
-	out.QPS = float64(total) / elapsed.Seconds()
-	var recSum float64
+	out := &WallClockResult{Queries: total, QPS: float64(total) / elapsed.Seconds()}
 	for _, r := range recalls {
-		recSum += r
+		out.Recall += r
 	}
-	out.Recall = recSum / float64(total)
+	out.Recall /= float64(nq)
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	out.P50 = latencies[total/2].Seconds()
 	out.P99 = latencies[(total*99)/100].Seconds()

@@ -11,10 +11,10 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 
 	"vdtuner/internal/linalg"
+	"vdtuner/internal/parallel"
 )
 
 // Dataset is an immutable evaluation corpus: stored vectors, query vectors
@@ -95,39 +95,22 @@ func (d *Dataset) Recall(qi int, results []linalg.Neighbor) float64 {
 	return float64(hit) / float64(len(truth))
 }
 
-// computeTruth fills d.Truth by exact parallel brute force under d.Metric.
+// computeTruth fills d.Truth by exact brute force under d.Metric, one
+// query per chunk of the shared pool.
 func (d *Dataset) computeTruth() {
 	d.Truth = make([][]int64, len(d.Queries))
-	workers := runtime.GOMAXPROCS(0)
-	var wg sync.WaitGroup
-	chunk := (len(d.Queries) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(d.Queries) {
-			hi = len(d.Queries)
+	parallel.Parallel(0, len(d.Queries), func(qi int) {
+		top := linalg.NewTopK(d.K)
+		for i, v := range d.Vectors {
+			top.Push(int64(i), linalg.Distance(d.Metric, d.Queries[qi], v))
 		}
-		if lo >= hi {
-			break
+		res := top.Results()
+		ids := make([]int64, len(res))
+		for i, r := range res {
+			ids[i] = r.ID
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for qi := lo; qi < hi; qi++ {
-				top := linalg.NewTopK(d.K)
-				for i, v := range d.Vectors {
-					top.Push(int64(i), linalg.Distance(d.Metric, d.Queries[qi], v))
-				}
-				res := top.Results()
-				ids := make([]int64, len(res))
-				for i, r := range res {
-					ids[i] = r.ID
-				}
-				d.Truth[qi] = ids
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+		d.Truth[qi] = ids
+	})
 }
 
 // canonicalMetric puts a corpus into the form every Dataset carries and
