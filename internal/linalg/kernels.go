@@ -11,8 +11,8 @@ const (
 	opOneMinus = 2 // out = 1 - dot   (Angular)
 )
 
-// kernelTier names an implementation of the float kernels. Every tier
-// computes the same bits; they differ only in register width.
+// kernelTier names an implementation of the kernels. Every tier computes
+// the same bits; they differ only in register width.
 type kernelTier int
 
 const (

@@ -3,14 +3,14 @@
 package linalg
 
 // The kernels in kernels_amd64.s mirror the scalar loops exactly. The
-// float kernels come in two tiers. SSE2: XMM lane l accumulates the
+// float and SQ8 kernels come in two tiers. SSE2: XMM lane l accumulates the
 // elements at indices ≡ l (mod 4) — the same partial sums s0..s3 as the Go
 // code — the scalar tail adds into lane 0, and the horizontal reduce sums
 // ((s0+s1)+s2)+s3 with scalar ADDSS in that order. AVX2: a YMM register
 // carries two rows, one per 128-bit half, each half holding that row's
 // four mod-4 sums — two SSE accumulators side by side, never one row's
 // sums spread over more lanes — and each half is finished by the SSE tail,
-// reduce and epilogue. The SQ8 and PQ kernels are SSE2 only. No FMA, no
+// reduce and epilogue. The PQ kernel is SSE2 only. No FMA, no
 // re-association: every output is bitwise equal to the portable kernels,
 // which the bit-identity tests assert at every tier. The op epilogue uses
 // exact operations only (sign-flip via XOR, 1-x via SUBSS from the
@@ -22,12 +22,13 @@ package linalg
 // Every kernel needs at least one row; the wrappers below return before
 // calling with none.
 
-// cpuTier is the widest float tier this CPU runs, read once from CPUID.
+// cpuTier is the widest tier this CPU runs, read once from CPUID.
 var cpuTier = detectTier(readCPU())
 
-// floatTier is the tier the float kernels dispatch to. Only tests change
-// it, to run every tier under the bit-identity checks.
-var floatTier = cpuTier
+// dispatchTier is the tier every kernel wrapper dispatches to: float and
+// SQ8 up to AVX2, PQ up to SSE. Only tests change it, to run every tier
+// under the bit-identity checks.
+var dispatchTier = cpuTier
 
 // cpuWords are the CPUID and XGETBV words tier detection reads.
 type cpuWords struct {
@@ -37,7 +38,7 @@ type cpuWords struct {
 	xcr0    uint32 // XGETBV(0) EAX: bits 1–2, XMM and YMM state saved by the OS
 }
 
-// detectTier picks the widest float tier the words allow: AVX2 when the
+// detectTier picks the widest tier the words allow: AVX2 when the
 // CPU has AVX and AVX2 and the OS saves YMM state, else SSE, which every
 // amd64 CPU has.
 func detectTier(w cpuWords) kernelTier {
@@ -102,12 +103,12 @@ func dotMulti4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
 //go:noescape
 func l2Multi4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
 
-// Each wrapper reads floatTier once. At the AVX2 tier the AVX2 body takes
+// Each wrapper reads dispatchTier once. At the AVX2 tier the AVX2 body takes
 // the leading whole groups of rows and the SSE body the rest; a call
 // shorter than a group (HNSW's one-row calls) goes straight to SSE.
 
 func dotBlockKernel(q, block []float32, out []float32, op int) {
-	rows, dim, tier := len(out), len(q), floatTier
+	rows, dim, tier := len(out), len(q), dispatchTier
 	if rows == 0 {
 		return
 	}
@@ -127,7 +128,7 @@ func dotBlockKernel(q, block []float32, out []float32, op int) {
 }
 
 func l2BlockKernel(q, block []float32, out []float32) {
-	rows, dim, tier := len(out), len(q), floatTier
+	rows, dim, tier := len(out), len(q), dispatchTier
 	if rows == 0 {
 		return
 	}
@@ -147,7 +148,7 @@ func l2BlockKernel(q, block []float32, out []float32) {
 }
 
 func dotMulti4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32, op int) {
-	rows, dim, tier := len(o0), len(q0), floatTier
+	rows, dim, tier := len(o0), len(q0), dispatchTier
 	if rows == 0 {
 		return
 	}
@@ -168,7 +169,7 @@ func dotMulti4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32, 
 }
 
 func l2Multi4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
-	rows, dim, tier := len(o0), len(q0), floatTier
+	rows, dim, tier := len(o0), len(q0), dispatchTier
 	if rows == 0 {
 		return
 	}
@@ -189,9 +190,11 @@ func l2Multi4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
 }
 
 // SQ8 byte-domain kernels: same lane contract, with the u8 code row
-// widened in-register (PUNPCKLBW/PUNPCKLWL + CVTPL2PS) — four bytes decode
-// to four float32 lanes per step, so lane l still accumulates indices
-// ≡ l mod 4 and outputs stay bitwise equal to the portable kernels.
+// widened in-register (PUNPCKLBW/PUNPCKLWL + CVTPL2PS; VPMOVZXBD +
+// VCVTDQ2PS for a YMM row pair) — four bytes decode to four float32 lanes
+// per step, so lane l still accumulates indices ≡ l mod 4 and outputs stay
+// bitwise equal to the portable kernels. The wrappers dispatch as the
+// float ones do.
 
 //go:noescape
 func sq8L2BlockSSE(r, scale []float32, codes []byte, out []float32)
@@ -205,58 +208,98 @@ func sq8L2Multi4SSE(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o
 //go:noescape
 func sq8DotMulti4SSE(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
 
+//go:noescape
+func sq8L2BlockAVX2(r, scale []float32, codes []byte, out []float32)
+
+//go:noescape
+func sq8DotBlockAVX2(q, min, scale []float32, codes []byte, out []float32, op int64)
+
+//go:noescape
+func sq8L2Multi4AVX2(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32)
+
+//go:noescape
+func sq8DotMulti4AVX2(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
+
 func sq8L2BlockKernel(r, scale []float32, codes []byte, out []float32) {
-	dim := len(r)
-	if len(out) == 0 {
+	rows, dim, tier := len(out), len(r), dispatchTier
+	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(scale) != dim {
+	if dim == 0 || len(scale) != dim || tier == tierPortable {
 		sq8L2BlockGo(r, scale, codes, out)
 		return
 	}
-	_ = codes[len(out)*dim-1] // one bounds check for the whole arena scan
+	_ = codes[rows*dim-1] // one bounds check for the whole arena scan
+	if n := rows &^ 3; n > 0 && tier == tierAVX2 {
+		sq8L2BlockAVX2(r, scale, codes[:n*dim], out[:n])
+		if n == rows {
+			return
+		}
+		codes, out = codes[n*dim:], out[n:]
+	}
 	sq8L2BlockSSE(r, scale, codes, out)
 }
 
 func sq8DotBlockKernel(q, min, scale []float32, codes []byte, out []float32, op int) {
-	dim := len(q)
-	if len(out) == 0 {
+	rows, dim, tier := len(out), len(q), dispatchTier
+	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(min) != dim || len(scale) != dim {
+	if dim == 0 || len(min) != dim || len(scale) != dim || tier == tierPortable {
 		sq8DotBlockGo(q, min, scale, codes, out, op)
 		return
 	}
-	_ = codes[len(out)*dim-1]
+	_ = codes[rows*dim-1]
+	if n := rows &^ 3; n > 0 && tier == tierAVX2 {
+		sq8DotBlockAVX2(q, min, scale, codes[:n*dim], out[:n], int64(op))
+		if n == rows {
+			return
+		}
+		codes, out = codes[n*dim:], out[n:]
+	}
 	sq8DotBlockSSE(q, min, scale, codes, out, int64(op))
 }
 
 func sq8L2Multi4Kernel(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32) {
-	rows := len(o0)
-	dim := len(r0)
+	rows, dim, tier := len(o0), len(r0), dispatchTier
 	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(r1) != dim || len(r2) != dim || len(r3) != dim || len(scale) != dim {
+	if dim == 0 || len(r1) != dim || len(r2) != dim || len(r3) != dim || len(scale) != dim || tier == tierPortable {
 		sq8L2Multi4Go(r0, r1, r2, r3, scale, codes, o0, o1, o2, o3)
 		return
 	}
 	_ = codes[rows*dim-1]
-	sq8L2Multi4SSE(r0, r1, r2, r3, scale, codes, o0, o1[:rows], o2[:rows], o3[:rows])
+	o1, o2, o3 = o1[:rows], o2[:rows], o3[:rows]
+	if n := rows &^ 1; n > 0 && tier == tierAVX2 {
+		sq8L2Multi4AVX2(r0, r1, r2, r3, scale, codes[:n*dim], o0[:n], o1[:n], o2[:n], o3[:n])
+		if n == rows {
+			return
+		}
+		codes, o0, o1, o2, o3 = codes[n*dim:], o0[n:], o1[n:], o2[n:], o3[n:]
+	}
+	sq8L2Multi4SSE(r0, r1, r2, r3, scale, codes, o0, o1, o2, o3)
 }
 
 func sq8DotMulti4Kernel(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int) {
-	rows := len(o0)
-	dim := len(q0)
+	rows, dim, tier := len(o0), len(q0), dispatchTier
 	if rows == 0 {
 		return
 	}
-	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim || len(min) != dim || len(scale) != dim {
+	if dim == 0 || len(q1) != dim || len(q2) != dim || len(q3) != dim || len(min) != dim || len(scale) != dim || tier == tierPortable {
 		sq8DotMulti4Go(q0, q1, q2, q3, min, scale, codes, o0, o1, o2, o3, op)
 		return
 	}
 	_ = codes[rows*dim-1]
-	sq8DotMulti4SSE(q0, q1, q2, q3, min, scale, codes, o0, o1[:rows], o2[:rows], o3[:rows], int64(op))
+	o1, o2, o3 = o1[:rows], o2[:rows], o3[:rows]
+	if n := rows &^ 1; n > 0 && tier == tierAVX2 {
+		sq8DotMulti4AVX2(q0, q1, q2, q3, min, scale, codes[:n*dim], o0[:n], o1[:n], o2[:n], o3[:n], int64(op))
+		if n == rows {
+			return
+		}
+		codes, o0, o1, o2, o3 = codes[n*dim:], o0[n:], o1[n:], o2[n:], o3[n:]
+	}
+	sq8DotMulti4SSE(q0, q1, q2, q3, min, scale, codes, o0, o1, o2, o3, int64(op))
 }
 
 //go:noescape
@@ -272,7 +315,7 @@ func pqScan8Kernel(table []float32, codes []byte, m, ksub int, out []float32) {
 	if rows == 0 {
 		return
 	}
-	if m <= 0 || ksub <= 0 || len(table) < (m-1)*ksub+256 || len(codes) < rows*m {
+	if m <= 0 || ksub <= 0 || len(table) < (m-1)*ksub+256 || len(codes) < rows*m || dispatchTier == tierPortable {
 		pqScan8Go(table, codes, m, ksub, out)
 		return
 	}

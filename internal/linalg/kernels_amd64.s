@@ -15,18 +15,21 @@
 //
 // Each kernel shape is written once per register width, as a body macro:
 // BLOCK1 and MULTI4 (SSE float), BLOCK4 and MULTI2 (AVX2 float),
-// SQ8BLOCK1 and SQ8MULTI4 (SSE SQ8). A body takes the metric as step
-// macros and its ending as an epilogue macro, so a TEXT symbol is its
-// argument loads plus one body call. HREDUCE is the only reduce and
-// DOTEPI the only op epilogue. Every kernel assumes at least one row: the
-// Go wrappers return before calling with none.
+// SQ8BLOCK1 and SQ8MULTI4 (SSE SQ8), SQ8BLOCK4 and SQ8MULTI2 (AVX2 SQ8).
+// A body takes the metric as step macros and its ending as an epilogue
+// macro, so a TEXT symbol is its argument loads plus one body call.
+// HREDUCE is the only reduce and DOTEPI the only op epilogue. Every
+// kernel assumes at least one row: the Go wrappers return before calling
+// with none.
 //
-// Each SSE body starts its row loop on a 64-byte line (PCALIGN), which
-// fixes where its vector loop falls in the instruction cache wherever the
-// linker places the function. The SQ8 scan's speed depends on that
-// placement: moved by code elsewhere in this file, with not one of its
-// own instructions changed, it cost the engine's IVF_SQ8 search about a
-// tenth of its rate on a 2-vCPU Sapphire Rapids guest.
+// Each SSE and SQ8 body starts its row loop on a 64-byte line (PCALIGN),
+// which fixes where its vector loop falls in the instruction cache
+// wherever the linker places the function. The SQ8 scan's speed depends
+// on that placement: moved by code elsewhere in this file, with not one of
+// its own instructions changed, it cost the engine's IVF_SQ8 search about
+// a tenth of its rate on a 2-vCPU Sapphire Rapids guest. BLOCK4 and
+// MULTI2 stay unaligned: aligned, the IVF_FLAT scan ran slower in four of
+// five paired runs.
 
 DATA signmask32<>+0(SB)/4, $0x80000000
 GLOBL signmask32<>(SB), RODATA|NOPTR, $4
@@ -72,18 +75,23 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 	MOVSS X2, (R13); MOVSS X6, 4(R13) \
 	MOVSS X3, (R9); MOVSS X7, 4(R9)
 
-// SQ8STORE is STORE4Q for the SQ8 quad body, whose out pointers do not fit
-// in the free registers: each is reloaded from its frame offset into R12
-// and written at byte offset R11. Its uses sit here, before the first
-// TEXT, because vet's asmdecl checks a line's (FP) references against the
-// function the line falls in, and these serve two.
-#define SQ8STORE(off0, off1, off2, off3) \
-	MOVQ o0_base+off0(FP), R12; MOVSS X0, (R12)(R11*1) \
-	MOVQ o1_base+off1(FP), R12; MOVSS X1, (R12)(R11*1) \
-	MOVQ o2_base+off2(FP), R12; MOVSS X2, (R12)(R11*1) \
-	MOVQ o3_base+off3(FP), R12; MOVSS X3, (R12)(R11*1)
-#define SQ8L2STORE SQ8STORE(144, 168, 192, 216)
-#define SQ8DOTSTORE SQ8STORE(168, 192, 216, 240)
+// SQ8STORE is STORE4Q (STORE8 with NEXT = ROW1) for the SQ8 quad bodies,
+// whose out pointers do not fit in the free registers: each is reloaded
+// from its frame offset into R12 and written at byte offset R11, row r+1's
+// sum (X4-X7) four bytes on. Its uses sit here, before the first TEXT,
+// because vet's asmdecl checks a line's (FP) references against the
+// function the line falls in, and these serve four.
+#define NOROW1(x)
+#define ROW1(x) MOVSS x, 4(R12)(R11*1)
+#define SQ8STORE(off0, off1, off2, off3, NEXT) \
+	MOVQ o0_base+off0(FP), R12; MOVSS X0, (R12)(R11*1); NEXT(X4) \
+	MOVQ o1_base+off1(FP), R12; MOVSS X1, (R12)(R11*1); NEXT(X5) \
+	MOVQ o2_base+off2(FP), R12; MOVSS X2, (R12)(R11*1); NEXT(X6) \
+	MOVQ o3_base+off3(FP), R12; MOVSS X3, (R12)(R11*1); NEXT(X7)
+#define SQ8L2STORE SQ8STORE(144, 168, 192, 216, NOROW1)
+#define SQ8DOTSTORE SQ8STORE(168, 192, 216, 240, NOROW1)
+#define SQ8L2STORE8 SQ8STORE(144, 168, 192, 216, ROW1)
+#define SQ8DOTSTORE8 SQ8STORE(168, 192, 216, 240, ROW1)
 
 #define NEG(x) XORPS X11, x
 #define ONEMINUS(x) MOVAPS X10, X9; SUBSS x, X9; MOVAPS X9, x
@@ -457,9 +465,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 // lane 0, HREDUCE, DOTEPI) matches the portable contract in
 // kernels_sq8.go bitwise.
 
-// VDECODE decodes codes[j..j+3] and SDECODE codes[j] (j = R8) into
-// t = float32(code)*scale in X4. In: DI = codes, R15 = scale, X6 = 0.
-// Uses AX, X5.
+// VDECODE decodes codes[j..j+3] (j = R8) into t = float32(code)*scale in
+// X4. In: DI = codes, R15 = scale, X6 = 0. Uses AX, X5.
 #define VDECODE \
 	MOVL      (DI)(R8*1), AX \
 	MOVQ      AX, X4 \
@@ -468,18 +475,35 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	CVTPL2PS  X4, X4 \
 	MOVUPS    (R15)(R8*4), X5 \
 	MULPS     X5, X4
-#define SDECODE \
-	MOVBLZX  (DI)(R8*1), AX \
-	CVTSL2SS AX, X4 \
-	MOVSS    (R15)(R8*4), X5 \
-	MULSS    X5, X4
 
-// PREP turns t into what every query of the row is scored against. Dot
-// rebuilds rec = min + t (R9 = min); L2 scores the hoisted residual
-// r = q - min against t itself, so it has none.
-#define VMINADD MOVUPS (R9)(R8*4), X5; ADDPS X5, X4
-#define SMINADD MOVSS (R9)(R8*4), X5; ADDSS X5, X4
-#define NOPREP
+// YDECODE is VDECODE for a YMM row pair: codes[j..j+3] of the row at lo
+// land in the low half of y and those of the row at hi in the high half,
+// each multiplied by scale[j..j+3], broadcast to both halves in Y9. x is
+// y's low half.
+#define YDECODE(lo, hi, x, y) \
+	VMOVD     (lo)(R8*1), x \
+	VPINSRD   $1, (hi)(R8*1), x, x \
+	VPMOVZXBD x, y \
+	VCVTDQ2PS y, y \
+	VMULPS    Y9, y, y
+
+// SDECODE decodes codes[j] of the row at row into t through the GP
+// register gp.
+#define SDECODE(row, gp, t) \
+	MOVBLZX  (row)(R8*1), gp \
+	CVTSL2SS gp, t \
+	MULSS    (R15)(R8*4), t
+
+// PREP turns a decoded t into what every query of the row is scored
+// against. Dot rebuilds rec = min + t (R9 = min): VMINADD on a packed XMM
+// (X5 scratch), SMINADD on one scalar, YMINADD on a YMM row pair from the
+// min[j..j+3] YMINLD broadcast into Y10 once per step. L2 scores the
+// hoisted residual r = q - min against t itself, so it has NOPREP.
+#define VMINADD(t) MOVUPS (R9)(R8*4), X5; ADDPS X5, t
+#define SMINADD(t) ADDSS (R9)(R8*4), t
+#define YMINLD(m) VBROADCASTF128 (R9)(R8*4), m
+#define YMINADD(t) VADDPS Y10, t, t
+#define NOPREP(t)
 
 // SQ8BLOCK1 is the SQ8 single-query body: CX code rows, one XMM
 // accumulator (X0). In: SI = q (r for L2), DI = codes, R15 = scale,
@@ -497,7 +521,7 @@ s1row: \
 	JE    s1tail \
 s1vec: \
 	VDECODE \
-	VPREP \
+	VPREP(X4) \
 	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
 	ADDQ $4, R8 \
 	CMPQ R8, R10 \
@@ -506,8 +530,8 @@ s1tail: \
 	CMPQ R8, BX \
 	JGE  s1reduce \
 s1tailloop: \
-	SDECODE \
-	SPREP \
+	SDECODE(DI, AX, X4) \
+	SPREP(X4) \
 	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
 	INCQ R8 \
 	CMPQ R8, BX \
@@ -543,7 +567,7 @@ q8row: \
 	JE    q8tail \
 q8vec: \
 	VDECODE \
-	VPREP \
+	VPREP(X4) \
 	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
 	MOVUPS (R14)(R8*4), X5; VSTEP(X5, X4, X1) \
 	MOVUPS (R13)(R8*4), X5; VSTEP(X5, X4, X2) \
@@ -555,8 +579,8 @@ q8tail: \
 	CMPQ R8, BX \
 	JGE  q8reduce \
 q8tailloop: \
-	SDECODE \
-	SPREP \
+	SDECODE(DI, AX, X4) \
+	SPREP(X4) \
 	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
 	MOVSS (R14)(R8*4), X5; SSTEP(X5, X4, X1) \
 	MOVSS (R13)(R8*4), X5; SSTEP(X5, X4, X2) \
@@ -571,6 +595,115 @@ q8reduce: \
 	LEAQ (DI)(BX*1), DI \
 	DECQ CX \
 	JNZ  q8row
+
+// The AVX2 SQ8 bodies are BLOCK4 and MULTI2 with YDECODE in front of the
+// step: one decoded row pair per YMM, the SSE tail, reduce and epilogue
+// after it.
+
+// SQ8BLOCK4 is the single-query body: CX groups of four code rows, rows
+// 0-1 in Y0 and rows 2-3 in Y2, sharing one broadcast of q[j..j+3] (Y8),
+// scale (Y9) and min (Y10, dot only) per step. In: SI = q (r for L2),
+// DI = codes, R15 = scale, R9 = min, DX = out, BX = dim, CX = groups.
+// Uses AX, R8, R10, R12-R14, X0-X14.
+#define SQ8BLOCK4(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	PCALIGN $64 \
+s4group: \
+	LEAQ (DI)(BX*1), R12 \
+	LEAQ (R12)(BX*1), R13 \
+	LEAQ (R13)(BX*1), R14 \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y2, Y2, Y2 \
+	XORQ   R8, R8 \
+	TESTQ  R10, R10 \
+	JE     s4split \
+s4vec: \
+	VBROADCASTF128 (SI)(R8*4), Y8 \
+	VBROADCASTF128 (R15)(R8*4), Y9 \
+	VLOAD(Y10) \
+	YDECODE(DI, R12, X6, Y6); VPREP(Y6); VSTEP(Y8, Y6, Y6, Y0) \
+	YDECODE(R13, R14, X7, Y7); VPREP(Y7); VSTEP(Y8, Y7, Y7, Y2) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   s4vec \
+s4split: \
+	VEXTRACTF128 $1, Y0, X1 \
+	VEXTRACTF128 $1, Y2, X3 \
+	VZEROUPPER \
+	CMPQ R8, BX \
+	JGE  s4reduce \
+s4tail: \
+	SDECODE(DI, AX, X4); SPREP(X4); MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
+	SDECODE(R12, AX, X4); SPREP(X4); MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X1) \
+	SDECODE(R13, AX, X4); SPREP(X4); MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X2) \
+	SDECODE(R14, AX, X4); SPREP(X4); MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X3) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   s4tail \
+s4reduce: \
+	EACH4(HREDUCE) \
+	EPI \
+	ADDQ $16, DX \
+	LEAQ (DI)(BX*4), DI \
+	DECQ CX \
+	JNZ  s4group
+
+// SQ8MULTI2 is the quad body: CX pairs of code rows against four queries,
+// row r (DI) in the low and row r+1 (AX) in the high half of one decoded
+// pair (Y8), each query broadcast to both halves, one accumulator per
+// query (Y0-Y3). In: SI, R14, R13, DX = q0..q3 (r0..r3 for L2);
+// DI = codes; R15 = scale; R9 = min; BX = dim; CX = pairs. R11 is row r's
+// byte offset into every out slice. Uses AX, R8, R10-R12, X0-X14.
+#define SQ8MULTI2(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	XORQ R11, R11 \
+	PCALIGN $64 \
+q2pair: \
+	LEAQ   (DI)(BX*1), AX \
+	VXORPS Y0, Y0, Y0 \
+	VXORPS Y1, Y1, Y1 \
+	VXORPS Y2, Y2, Y2 \
+	VXORPS Y3, Y3, Y3 \
+	XORQ   R8, R8 \
+	TESTQ  R10, R10 \
+	JE     q2split \
+q2vec: \
+	VBROADCASTF128 (R15)(R8*4), Y9 \
+	VLOAD(Y10) \
+	YDECODE(DI, AX, X8, Y8); VPREP(Y8) \
+	VBROADCASTF128 (SI)(R8*4), Y11; VSTEP(Y11, Y8, Y11, Y0) \
+	VBROADCASTF128 (R14)(R8*4), Y12; VSTEP(Y12, Y8, Y12, Y1) \
+	VBROADCASTF128 (R13)(R8*4), Y13; VSTEP(Y13, Y8, Y13, Y2) \
+	VBROADCASTF128 (DX)(R8*4), Y14; VSTEP(Y14, Y8, Y14, Y3) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   q2vec \
+q2split: \
+	VEXTRACTF128 $1, Y0, X4 \
+	VEXTRACTF128 $1, Y1, X5 \
+	VEXTRACTF128 $1, Y2, X6 \
+	VEXTRACTF128 $1, Y3, X7 \
+	VZEROUPPER \
+	CMPQ R8, BX \
+	JGE  q2reduce \
+q2tail: \
+	SDECODE(DI, R12, X8); SPREP(X8); SDECODE(AX, R12, X9); SPREP(X9) \
+	MOVSS (SI)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X0); SSTEP(X11, X9, X4) \
+	MOVSS (R14)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X1); SSTEP(X11, X9, X5) \
+	MOVSS (R13)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X2); SSTEP(X11, X9, X6) \
+	MOVSS (DX)(R8*4), X10; MOVAPS X10, X11; SSTEP(X10, X8, X3); SSTEP(X11, X9, X7) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   q2tail \
+q2reduce: \
+	EACH8(HREDUCE) \
+	EPI \
+	ADDQ $8, R11 \
+	LEAQ (DI)(BX*2), DI \
+	DECQ CX \
+	JNZ  q2pair
 
 // func sq8L2BlockSSE(r, scale []float32, codes []byte, out []float32)
 // r is the hoisted residual q - min; out[i] = Σ (r[j] - b[j]*scale[j])².
@@ -627,6 +760,65 @@ TEXT ·sq8DotMulti4SSE(SB), NOSPLIT, $0-272
 	MOVQ op+264(FP), R12
 	MOVQ R12, X15
 	SQ8MULTI4(VMINADD, PDOT, SMINADD, SDOT, SQ8DOTEPI)
+	RET
+
+// func sq8L2BlockAVX2(r, scale []float32, codes []byte, out []float32)
+TEXT ·sq8L2BlockAVX2(SB), NOSPLIT, $0-96
+	MOVQ r_base+0(FP), SI
+	MOVQ r_len+8(FP), BX
+	MOVQ scale_base+24(FP), R15
+	MOVQ codes_base+48(FP), DI
+	MOVQ out_base+72(FP), DX
+	MOVQ out_len+80(FP), CX
+	SHRQ $2, CX
+	SQ8BLOCK4(NOPREP, NOPREP, VL2, NOPREP, SL2, STORE4)
+	RET
+
+// func sq8DotBlockAVX2(q, min, scale []float32, codes []byte, out []float32, op int64)
+#define SQ8DOTEPI4 DOTEPI(R11, EACH4, STORE4)
+TEXT ·sq8DotBlockAVX2(SB), NOSPLIT, $0-128
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ min_base+24(FP), R9
+	MOVQ scale_base+48(FP), R15
+	MOVQ codes_base+72(FP), DI
+	MOVQ out_base+96(FP), DX
+	MOVQ out_len+104(FP), CX
+	MOVQ op+120(FP), R11
+	SHRQ $2, CX
+	SQ8BLOCK4(YMINLD, YMINADD, VDOT, SMINADD, SDOT, SQ8DOTEPI4)
+	RET
+
+// func sq8L2Multi4AVX2(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32)
+TEXT ·sq8L2Multi4AVX2(SB), NOSPLIT, $0-240
+	MOVQ r0_base+0(FP), SI
+	MOVQ r0_len+8(FP), BX
+	MOVQ r1_base+24(FP), R14
+	MOVQ r2_base+48(FP), R13
+	MOVQ r3_base+72(FP), DX
+	MOVQ scale_base+96(FP), R15
+	MOVQ codes_base+120(FP), DI
+	MOVQ o0_len+152(FP), CX
+	SHRQ $1, CX
+	SQ8MULTI2(NOPREP, NOPREP, VL2, NOPREP, SL2, SQ8L2STORE8)
+	RET
+
+// func sq8DotMulti4AVX2(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
+#define SQ8DOTEPI8 MOVQ X15, R12; DOTEPI(R12, EACH8, SQ8DOTSTORE8)
+TEXT ·sq8DotMulti4AVX2(SB), NOSPLIT, $0-272
+	MOVQ q0_base+0(FP), SI
+	MOVQ q0_len+8(FP), BX
+	MOVQ q1_base+24(FP), R14
+	MOVQ q2_base+48(FP), R13
+	MOVQ q3_base+72(FP), DX
+	MOVQ min_base+96(FP), R9
+	MOVQ scale_base+120(FP), R15
+	MOVQ codes_base+144(FP), DI
+	MOVQ o0_len+176(FP), CX
+	MOVQ op+264(FP), R12
+	MOVQ R12, X15
+	SHRQ $1, CX
+	SQ8MULTI2(YMINLD, YMINADD, VDOT, SMINADD, SDOT, SQ8DOTEPI8)
 	RET
 
 // func pqScan8SSE(table []float32, codes []byte, m, ksub int64, out []float32)

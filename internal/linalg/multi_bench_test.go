@@ -40,8 +40,8 @@ func BenchmarkKernelMultiQuery(b *testing.B) {
 			}
 			for tier := tierPortable; tier <= cpuTier; tier++ {
 				b.Run(fmt.Sprintf("%s/Q=%d/%v", sz.name, qn, tier), func(b *testing.B) {
-					defer func(saved kernelTier) { floatTier = saved }(floatTier)
-					floatTier = tier
+					defer func(saved kernelTier) { dispatchTier = saved }(dispatchTier)
+					dispatchTier = tier
 					b.SetBytes(int64(sz.rows) * int64(sz.dim) * 4)
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {

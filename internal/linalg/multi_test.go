@@ -7,8 +7,8 @@ import (
 	"testing"
 )
 
-// forEachTier runs f as one subtest per float-kernel tier, named after it,
-// with floatTier set to that tier. A tier this CPU or build lacks is
+// forEachTier runs f as one subtest per kernel tier, named after it,
+// with dispatchTier set to that tier. A tier this CPU or build lacks is
 // skipped with the reason, so the log shows which tiers ran.
 func forEachTier(t *testing.T, f func(t *testing.T)) {
 	for tier := tierPortable; tier <= tierAVX2; tier++ {
@@ -16,8 +16,8 @@ func forEachTier(t *testing.T, f func(t *testing.T)) {
 			if tier > cpuTier {
 				t.Skipf("no %v kernels here: the widest tier this build and CPU run is %v", tier, cpuTier)
 			}
-			defer func(saved kernelTier) { floatTier = saved }(floatTier)
-			floatTier = tier
+			defer func(saved kernelTier) { dispatchTier = saved }(dispatchTier)
+			dispatchTier = tier
 			f(t)
 		})
 	}
@@ -34,9 +34,10 @@ var kernelDims = func() []int {
 	return append(dims, 100, 101)
 }()
 
-// TestKernelTier logs the float tier dispatch chose on this machine.
+// TestKernelTier logs the tier dispatch chose on this machine, per
+// kernel family: PQ has no tier above SSE.
 func TestKernelTier(t *testing.T) {
-	t.Logf("float kernels run the %v tier", cpuTier)
+	t.Logf("float and SQ8 kernels run the %v tier; PQ the %v tier", cpuTier, min(cpuTier, tierSSE))
 }
 
 // randVec fills vectors with a mix of ordinary values and hard cases

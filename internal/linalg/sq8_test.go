@@ -58,11 +58,14 @@ func sq8Block(m Metric, q, min, scale []float32, codes []byte, out []float32) {
 
 // TestSQ8KernelBitIdentity sweeps dims 1..67 (crossing the 4-way unroll
 // and in-register decode boundary many times), all three metrics, ragged
-// row counts, and Q ∈ {1,2,7,64}: the multi-query scatter, the blocked
-// kernel (SSE on amd64, portable under -tags purego), and the scalar
-// contract reference SQ8Distance must agree bit-for-bit on every
-// (query, row) pair.
+// row counts, and Q ∈ {1,2,7,64} at every tier: the multi-query scatter,
+// the blocked kernel, and the scalar contract reference SQ8Distance must
+// agree bit-for-bit on every (query, row) pair.
 func TestSQ8KernelBitIdentity(t *testing.T) {
+	forEachTier(t, testSQ8KernelBitIdentity)
+}
+
+func testSQ8KernelBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	metrics := []Metric{L2, InnerProduct, Angular}
 	for dim := 1; dim <= 67; dim++ {
@@ -114,13 +117,18 @@ func TestSQ8KernelBitIdentity(t *testing.T) {
 	}
 }
 
-// TestSQ8KernelAsmMatchesGo pins the dispatched SQ8 kernels (SSE on
-// amd64) to the portable contract kernels in TestKernelAsmMatchesGo's
+// TestSQ8KernelAsmMatchesGo pins the dispatched SQ8 kernels, at every
+// tier, to the portable contract kernels in TestKernelAsmMatchesGo's
 // shape: both kernel shapes × the three ops × every kernelDims dim × 0–13
-// rows, including the ragged quad remainder the multi4 kernels never see
-// via the public entry. The output slot past the last row must stay
-// untouched on every output, the four quad outputs included.
+// rows, which covers every split of the rows into the AVX2 groups (four
+// rows single-query, two quad) plus the SSE remainder. The output slot
+// past the last row must stay untouched on every output, the four quad
+// outputs included.
 func TestSQ8KernelAsmMatchesGo(t *testing.T) {
+	forEachTier(t, testSQ8KernelAsmMatchesGo)
+}
+
+func testSQ8KernelAsmMatchesGo(t *testing.T) {
 	const canary = 12345
 	rng := rand.New(rand.NewSource(7))
 	for _, dim := range kernelDims {
@@ -178,10 +186,14 @@ func pqRef(table []float32, row []int, ksub int) float32 {
 }
 
 // TestPQScanBitIdentity sweeps subquantizer counts 1..19 and table sizes
-// across narrow/wide codes: the narrow single-table kernel, the wide row
-// loop and both multi-table scans must match the scalar reference
-// bit-for-bit for every (query, row).
+// across narrow/wide codes at every tier: the narrow single-table kernel,
+// the wide row loop and both multi-table scans must match the scalar
+// reference bit-for-bit for every (query, row).
 func TestPQScanBitIdentity(t *testing.T) {
+	forEachTier(t, testPQScanBitIdentity)
+}
+
+func testPQScanBitIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for m := 1; m <= 19; m++ {
 		for _, ksub := range []int{1, 7, 256, 700} {
