@@ -24,8 +24,10 @@ build:
 test:
 	$(GO) test ./...
 
+# go vet, and gofmt: any file gofmt would rewrite fails the target.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l .); [ -z "$$out" ] || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 # The race-tested suite: every package, including the concurrent
 # SearchBatch / live-collection / server-client tests.

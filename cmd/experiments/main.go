@@ -7,7 +7,9 @@
 //
 // Experiment names are bench.Experiments' (fig1 fig2 fig3 table4 fig6 fig7
 // fig8 fig9 fig10 table5 fig11 fig12 fig13 table6 scalability holistic
-// ablations), or "all".
+// ablations), or "all". Flags are validated up front: an unknown
+// experiment name or a non-positive -scale or -iters is a usage error
+// (exit code 2) before any experiment runs.
 package main
 
 import (
@@ -22,6 +24,14 @@ import (
 	"vdtuner/internal/workload"
 )
 
+// usageError prints the message and the flag summary, then exits 2 — the
+// conventional "bad invocation" code — before any work starts.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (comma separated), or 'all'")
 	scale := flag.Float64("scale", 0.25, "dataset scale factor (1.0 = full synthetic size)")
@@ -29,6 +39,27 @@ func main() {
 	seed := flag.Int64("seed", 42, "random seed")
 	outDir := flag.String("out", "", "also write each experiment's output to <out>/<name>.txt")
 	flag.Parse()
+
+	if *scale <= 0 {
+		usageError("-scale must be positive, got %g", *scale)
+	}
+	if *iters <= 0 {
+		usageError("-iters must be positive, got %d", *iters)
+	}
+	known := map[string]bool{"all": true}
+	var names []string
+	for _, e := range bench.Experiments {
+		known[e.Name] = true
+		names = append(names, e.Name)
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if !known[name] {
+			usageError("unknown experiment %q; known: %s", name, strings.Join(names, " "))
+		}
+		want[name] = true
+	}
 
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
@@ -39,16 +70,10 @@ func main() {
 
 	opts := bench.Options{Scale: workload.Scale(*scale), Iters: *iters, Seed: *seed}
 
-	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	ranAny := false
 	for _, e := range bench.Experiments {
 		if !want["all"] && !want[e.Name] {
 			continue
 		}
-		ranAny = true
 		fmt.Printf("=== %s ===\n", e.Name)
 		var w io.Writer = os.Stdout
 		var f *os.File
@@ -70,13 +95,5 @@ func main() {
 			f.Close()
 		}
 		fmt.Printf("(%s in %.1fs)\n\n", e.Name, time.Since(t0).Seconds())
-	}
-	if !ranAny {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", *exp)
-		for _, e := range bench.Experiments {
-			fmt.Fprintf(os.Stderr, " %s", e.Name)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
 	}
 }

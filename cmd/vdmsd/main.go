@@ -20,9 +20,10 @@
 // op (server.Client.Reconfigure) applies a full configuration — hot knobs
 // swap atomically, cold knobs (index type/build parameters, segment
 // sizing, shard count) migrate in the background while the engine keeps
-// serving. With -tune the daemon closes the loop itself: it windows the
-// queries it serves, re-tunes when the workload drifts, and applies each
-// winner through the same path (hot knobs only unless -tune-cold).
+// serving. With -tune an online.Daemon closes the loop in-process: it
+// windows the queries the server answers, tunes on the first window,
+// re-tunes when the workload drifts, and applies each winner through the
+// same path (hot knobs only unless -tune-cold).
 //
 // With -data-dir the collection is durable: every insert/delete is
 // write-ahead logged under the configured -fsync policy, the per-shard
@@ -207,19 +208,18 @@ func main() {
 	fmt.Printf("vdmsd listening on %s (dim=%d, metric=%s, index=%v, shards=%d)\n",
 		srv.Addr(), *dim, metric, typ, *shards)
 
-	// The tuning daemon: every -tune-interval, drain the window of queries
-	// the server just served; once it holds enough, tune against a live
-	// sample of the corpus and push the winner into the engine through the
-	// same Reconfigure path a client would use.
+	// The tuning loop: every -tune-interval, drain the window of queries
+	// the server just served; once it holds enough, hand it to the one
+	// online.Daemon, which tunes (cold on the first window, warm on drift)
+	// against a live sample of the corpus and pushes a new winner into the
+	// engine through the same Reconfigure path a client would use.
 	tuneDone := make(chan struct{})
 	var tuneWG sync.WaitGroup
 	if *tune {
 		srv.EnableQueryLog(4 * *tuneWindow)
 		daemon := online.NewDaemon(coll, online.DaemonOptions{
-			Manager: online.ManagerOptions{
-				Tuning:       core.Options{Seed: 1},
-				InitialIters: *tuneIters,
-			},
+			Tuning:           core.Options{Seed: 1},
+			InitialIters:     *tuneIters,
 			ApplyColdChanges: *tuneCold,
 		})
 		fmt.Printf("tuning daemon watching query windows (interval=%s, window>=%d, cold=%v)\n",
@@ -250,8 +250,8 @@ func main() {
 						kind = "migration"
 					}
 					fmt.Printf("tuner applied generation %d via %s (drift=%.3f retuned=%v, recall=%.3f qps=%.0f)\n",
-						rep.Generation, kind, rep.Window.DriftScore, rep.Window.Retuned,
-						rep.Window.Result.Recall, rep.Window.Result.QPS)
+						rep.Generation, kind, rep.DriftScore, rep.Retuned,
+						rep.Result.Recall, rep.Result.QPS)
 				}
 			}
 		}()

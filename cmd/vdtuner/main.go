@@ -1,6 +1,7 @@
 // Command vdtuner tunes the built-in vector data management engine on a
 // named workload and reports the Pareto front and the recommended
-// configuration.
+// configuration. Flags are validated up front: a value outside its range
+// is a usage error (exit code 2) before any dataset is generated.
 //
 // Usage:
 //
@@ -20,6 +21,14 @@ import (
 	"vdtuner/internal/workload"
 )
 
+// usageError prints the message and the flag summary, then exits 2 — the
+// conventional "bad invocation" code — before any work starts.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "vdtuner: "+format+"\n", args...)
+	flag.Usage()
+	os.Exit(2)
+}
+
 func main() {
 	dataset := flag.String("dataset", "glove", "workload: glove, keyword, geo, arxiv, deep")
 	iters := flag.Int("iters", 60, "tuning iterations (paper: 200)")
@@ -32,10 +41,18 @@ func main() {
 	verbose := flag.Bool("v", false, "print every iteration")
 	flag.Parse()
 
+	if *iters <= 0 {
+		usageError("-iters must be positive, got %d", *iters)
+	}
+	if *scale <= 0 {
+		usageError("-scale must be positive, got %g", *scale)
+	}
+	if *recallFloor < 0 || *recallFloor >= 1 {
+		usageError("-recall-floor must be in [0, 1), got %g", *recallFloor)
+	}
 	spec, err := pickDataset(*dataset, workload.Scale(*scale))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		usageError("%v", err)
 	}
 	fmt.Printf("generating %s (n=%d, dim=%d) ...\n", spec.Name, spec.N, spec.Dim)
 	ds, err := workload.Load(spec)

@@ -96,7 +96,7 @@ func (t *Tuner) pickEHVI(norm []mobo.Point, modelA, modelB *gp.Model, cands []sp
 		mb, vb := modelB.Predict(c)
 		var v float64
 		if t.opts.MonteCarloEHVI {
-			v = mobo.EHVI(ma, math.Sqrt(va), mb, math.Sqrt(vb), ref, front, hv, t.opts.mcSamples(), t.rng)
+			v = mobo.EHVI(ma, math.Sqrt(va), mb, math.Sqrt(vb), ref, front, hv, mcSamples, t.rng)
 		} else {
 			v = mobo.EHVIExact(ma, math.Sqrt(va), mb, math.Sqrt(vb), ref, front)
 		}

@@ -14,7 +14,7 @@ import (
 // failed-configuration policy, §V-A).
 func TestTunerSurvivesFlakyEvaluator(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	tn := New(Options{Seed: 99, Candidates: 48, MCSamples: 8})
+	tn := New(Options{Seed: 99, Candidates: 48})
 	failures := 0
 	for i := 0; i < 40; i++ {
 		cfg := tn.Next()
@@ -55,7 +55,7 @@ func TestTunerSurvivesFlakyEvaluator(t *testing.T) {
 // TestTunerAllFailures drives the tuner with nothing but failures: it
 // must keep cycling without panicking and report no feasible result.
 func TestTunerAllFailures(t *testing.T) {
-	tn := New(Options{Seed: 100, Candidates: 32, MCSamples: 8})
+	tn := New(Options{Seed: 100, Candidates: 32})
 	for i := 0; i < 20; i++ {
 		cfg := tn.Next()
 		tn.Observe(cfg, vdms.Result{Failed: true, FailReason: "always down"})
@@ -72,7 +72,7 @@ func TestTunerAllFailures(t *testing.T) {
 // reach; the tuner must still operate (CEI with an empty incumbent).
 func TestConstraintModeWithInfeasibleFloor(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
-	tn := New(Options{Seed: 101, RecallFloor: 0.999999, Candidates: 32, MCSamples: 8})
+	tn := New(Options{Seed: 101, RecallFloor: 0.999999, Candidates: 32})
 	for i := 0; i < 20; i++ {
 		cfg := tn.Next()
 		tn.Observe(cfg, vdms.Result{
@@ -88,7 +88,7 @@ func TestConstraintModeWithInfeasibleFloor(t *testing.T) {
 // proposal must carry it.
 func TestFixedTypeRestriction(t *testing.T) {
 	typ := index.IVFPQ
-	tn := New(Options{Seed: 102, FixedType: &typ, Candidates: 32, MCSamples: 8})
+	tn := New(Options{Seed: 102, FixedType: &typ, Candidates: 32})
 	rng := rand.New(rand.NewSource(102))
 	for i := 0; i < 12; i++ {
 		cfg := tn.Next()

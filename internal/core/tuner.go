@@ -47,13 +47,10 @@ type Options struct {
 	// Candidates is the acquisition candidate-set size per iteration.
 	// Zero means 160.
 	Candidates int
-	// MCSamples is the EHVI Monte Carlo sample count when MonteCarloEHVI
-	// is set. Zero means 48.
-	MCSamples int
 	// MonteCarloEHVI selects the paper's Monte Carlo EHVI estimator
-	// instead of the exact 2-D closed form. The two agree in expectation
-	// (property-tested); the closed form is the default because it is
-	// noise-free and faster.
+	// (mcSamples samples) instead of the exact 2-D closed form. The two
+	// agree in expectation (property-tested); the closed form is the
+	// default because it is noise-free and faster.
 	MonteCarloEHVI bool
 	// RecallFloor, when positive, switches to the constraint model
 	// (§IV-F): maximize speed subject to recall > RecallFloor via CEI.
@@ -74,6 +71,9 @@ type Options struct {
 	FixedType *index.Type
 }
 
+// mcSamples is the Monte Carlo EHVI sample count.
+const mcSamples = 48
+
 func (o *Options) window() int {
 	if o.AbandonWindow <= 0 {
 		return 10
@@ -86,13 +86,6 @@ func (o *Options) candidates() int {
 		return 160
 	}
 	return o.Candidates
-}
-
-func (o *Options) mcSamples() int {
-	if o.MCSamples <= 0 {
-		return 48
-	}
-	return o.MCSamples
 }
 
 // Tuner is VDTuner's polling Bayesian optimization engine (Algorithm 1).

@@ -53,7 +53,7 @@ func TestTuningImprovesOverDefault(t *testing.T) {
 	if def.Failed {
 		t.Fatalf("default failed: %s", def.FailReason)
 	}
-	tn := New(Options{Seed: 2, AbandonWindow: 6, Candidates: 96, MCSamples: 24})
+	tn := New(Options{Seed: 2, AbandonWindow: 6, Candidates: 96})
 	drive(t, tn, ds, 40)
 	best, ok := tn.BestUnderRecall(def.Recall - 1e-9)
 	if !ok {
@@ -67,7 +67,7 @@ func TestTuningImprovesOverDefault(t *testing.T) {
 
 func TestSuccessiveAbandonShrinksTypes(t *testing.T) {
 	ds := smallDataset(t)
-	tn := New(Options{Seed: 3, AbandonWindow: 3, Candidates: 64, MCSamples: 16})
+	tn := New(Options{Seed: 3, AbandonWindow: 3, Candidates: 64})
 	drive(t, tn, ds, 45)
 	if len(tn.Remaining()) >= len(index.AllTypes()) {
 		t.Fatalf("no index type abandoned after 45 iterations (remaining %v)", tn.Remaining())
@@ -82,7 +82,7 @@ func TestSuccessiveAbandonShrinksTypes(t *testing.T) {
 
 func TestRoundRobinNeverAbandons(t *testing.T) {
 	ds := smallDataset(t)
-	tn := New(Options{Seed: 4, RoundRobin: true, AbandonWindow: 2, Candidates: 48, MCSamples: 8})
+	tn := New(Options{Seed: 4, RoundRobin: true, AbandonWindow: 2, Candidates: 48})
 	drive(t, tn, ds, 30)
 	if len(tn.Remaining()) != len(index.AllTypes()) {
 		t.Fatalf("round-robin ablation abandoned types: %v", tn.Remaining())
@@ -91,7 +91,7 @@ func TestRoundRobinNeverAbandons(t *testing.T) {
 
 func TestPollingCyclesRemainingTypes(t *testing.T) {
 	ds := smallDataset(t)
-	tn := New(Options{Seed: 5, RoundRobin: true, Candidates: 32, MCSamples: 8})
+	tn := New(Options{Seed: 5, RoundRobin: true, Candidates: 32})
 	nTypes := len(index.AllTypes())
 	drive(t, tn, ds, nTypes+nTypes) // init + one full polling cycle
 	polled := tn.Observations()[nTypes:]
@@ -108,7 +108,7 @@ func TestPollingCyclesRemainingTypes(t *testing.T) {
 
 func TestConstraintModeFocusesOnFeasibleSpeed(t *testing.T) {
 	ds := smallDataset(t)
-	tn := New(Options{Seed: 6, RecallFloor: 0.8, Candidates: 64, MCSamples: 8, AbandonWindow: 5})
+	tn := New(Options{Seed: 6, RecallFloor: 0.8, Candidates: 64, AbandonWindow: 5})
 	drive(t, tn, ds, 35)
 	best, ok := tn.BestUnderRecall(0.8)
 	if !ok {
@@ -121,9 +121,9 @@ func TestConstraintModeFocusesOnFeasibleSpeed(t *testing.T) {
 
 func TestBootstrapWarmStart(t *testing.T) {
 	ds := smallDataset(t)
-	first := New(Options{Seed: 7, RecallFloor: 0.7, Candidates: 48, MCSamples: 8})
+	first := New(Options{Seed: 7, RecallFloor: 0.7, Candidates: 48})
 	drive(t, first, ds, 20)
-	second := New(Options{Seed: 8, RecallFloor: 0.85, Candidates: 48, MCSamples: 8,
+	second := New(Options{Seed: 8, RecallFloor: 0.85, Candidates: 48,
 		Bootstrap: first.Observations()})
 	if len(second.Observations()) != len(first.Observations()) {
 		t.Fatal("bootstrap observations not loaded")

@@ -22,8 +22,6 @@ func newFlat(m linalg.Metric, dim int) *flat {
 	return &flat{metric: m, dim: dim}
 }
 
-func (f *flat) Type() Type { return Flat }
-
 func (f *flat) Build(store *linalg.Matrix, ids []int64) error {
 	if f.built {
 		return fmt.Errorf("flat: Build called twice")

@@ -47,7 +47,6 @@ import (
 // and workers=N build byte-identical graphs; Stats are integer sums over
 // plans and buckets, so build accounting is exact.
 type hnsw struct {
-	typ    Type // HNSW, or AUTOINDEX: the same graph with pinned parameters
 	metric linalg.Metric
 	dim    int
 	m      int // max links per node on upper layers; layer 0 allows 2M
@@ -82,7 +81,7 @@ const hnswWaveCap = 64
 // the worker count.
 const hnswLinkBuckets = 64
 
-func newHNSW(t Type, metric linalg.Metric, dim int, p BuildParams, pinEf int) (*hnsw, error) {
+func newHNSW(metric linalg.Metric, dim int, p BuildParams, pinEf int) (*hnsw, error) {
 	m := p.HNSWM
 	if m == 0 {
 		m = 16
@@ -98,14 +97,12 @@ func newHNSW(t Type, metric linalg.Metric, dim int, p BuildParams, pinEf int) (*
 		ef = m
 	}
 	return &hnsw{
-		typ: t, metric: metric, dim: dim, m: m, efCons: ef, pinEf: pinEf,
+		metric: metric, dim: dim, m: m, efCons: ef, pinEf: pinEf,
 		seed: p.Seed, workers: p.Workers,
 		entry: -1, maxLevel: -1,
 		levelMult: 1 / math.Log(float64(m)),
 	}, nil
 }
-
-func (h *hnsw) Type() Type { return h.typ }
 
 // dist evaluates one distance and charges it to st.
 func (h *hnsw) dist(st *Stats, a, b []float32) float32 {

@@ -98,27 +98,27 @@ var types = [numTypes]struct {
 		return newFlat(m, dim), nil
 	}},
 	IVFFlat: {"IVF_FLAT", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
-		return newIVF(IVFFlat, m, dim, p, &rawCells{metric: m}, replayRegions)
+		return newIVF(m, dim, p, &rawCells{metric: m}, replayRegions)
 	}},
 	IVFSQ8: {"IVF_SQ8", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
-		return newIVF(IVFSQ8, m, dim, p, newSQ8Cells(m, p.Workers), replayRegions)
+		return newIVF(m, dim, p, newSQ8Cells(m, p.Workers), replayRegions)
 	}},
 	IVFPQ: {"IVF_PQ", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
-		return newIVF(IVFPQ, m, dim, p, newPQCells(m, dim, p), replayRegions)
+		return newIVF(m, dim, p, newPQCells(m, dim, p), replayRegions)
 	}},
 	HNSW: {"HNSW", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
-		return newHNSW(HNSW, m, dim, p, 0)
+		return newHNSW(m, dim, p, 0)
 	}},
 	SCANN: {"SCANN", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
 		cells := newRerankCells(m, p.Workers)
-		return newIVF(SCANN, m, dim, p, cells, cells.replay)
+		return newIVF(m, dim, p, cells, cells.replay)
 	}},
 	// AUTOINDEX mirrors Milvus': a fixed, reasonable default with no
 	// user-tunable parameters — an HNSW graph with stock settings and a
 	// pinned beam width, ignoring the build and search parameters.
 	AutoIndex: {"AUTOINDEX", func(m linalg.Metric, dim int, p BuildParams) (Index, error) {
 		pinned := BuildParams{HNSWM: autoM, EfConstruction: autoEfCons, Seed: p.Seed, Workers: p.Workers}
-		return newHNSW(AutoIndex, m, dim, pinned, autoEf)
+		return newHNSW(m, dim, pinned, autoEf)
 	}},
 }
 
@@ -213,8 +213,6 @@ func (s *Stats) Add(o Stats) {
 // Index is a built ANN structure over one immutable set of vectors
 // (one sealed segment in the engine).
 type Index interface {
-	// Type identifies the index algorithm.
-	Type() Type
 	// Build trains and populates the index from a flat vector arena.
 	// ids[i] labels store.Row(i); the lengths must match and the store
 	// must be packed (stride == dim; Slice views qualify, SubspaceView

@@ -354,7 +354,6 @@ type replayFunc func(x *ivf, queries [][]float32, probes []int32, nprobe, k int,
 // struct with a different payload (and, for SCANN, a different replay);
 // see the table in index.go.
 type ivf struct {
-	typ     Type
 	coarse  *ivfCoarse
 	ids     []int64 // grouped; set last by Build, so non-empty means built
 	cells   cellPayload
@@ -362,7 +361,7 @@ type ivf struct {
 	scratch scratchPool
 }
 
-func newIVF(t Type, m linalg.Metric, dim int, p BuildParams, cells cellPayload, replay replayFunc) (*ivf, error) {
+func newIVF(m linalg.Metric, dim int, p BuildParams, cells cellPayload, replay replayFunc) (*ivf, error) {
 	nlist := p.NList
 	if nlist == 0 {
 		nlist = 128
@@ -371,10 +370,8 @@ func newIVF(t Type, m linalg.Metric, dim int, p BuildParams, cells cellPayload, 
 		return nil, fmt.Errorf("ivf: nlist must be >= 1, got %d", nlist)
 	}
 	c := &ivfCoarse{metric: m, dim: dim, nlist: nlist, seed: p.Seed, workers: p.Workers}
-	return &ivf{typ: t, coarse: c, cells: cells, replay: replay}, nil
+	return &ivf{coarse: c, cells: cells, replay: replay}, nil
 }
-
-func (x *ivf) Type() Type { return x.typ }
 
 func (x *ivf) Build(store *linalg.Matrix, ids []int64) error {
 	if store.Rows() != len(ids) {

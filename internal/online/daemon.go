@@ -3,13 +3,22 @@ package online
 import (
 	"fmt"
 
+	"vdtuner/internal/core"
 	"vdtuner/internal/vdms"
 	"vdtuner/internal/workload"
 )
 
+const (
+	// sampleSize is how many live vectors each window's evaluation
+	// dataset samples from the collection.
+	sampleSize = 2000
+	// evalK is the evaluation recall depth.
+	evalK = 10
+)
+
 // Daemon closes the tuner→engine loop on a live collection: it watches
-// the query windows the engine actually serves, re-tunes (via the
-// drift-detecting Manager) when the workload moves, and applies the
+// the query windows the engine actually serves, tunes once up front,
+// re-tunes (warm-started) when the workload drifts, and applies the
 // winning configuration back to the engine through Reconfigure — hot
 // knobs as an atomic generation swap, cold knobs (only when explicitly
 // allowed) as an online migration. Evaluation happens off the serving
@@ -22,20 +31,25 @@ import (
 // Daemon is not safe for concurrent use; drive it from one goroutine
 // (the serving path it observes can be arbitrarily concurrent).
 type Daemon struct {
-	coll *vdms.Collection
-	mgr  *Manager
-	opts DaemonOptions
+	coll     *vdms.Collection
+	opts     DaemonOptions
+	detector driftDetector
+
+	kb       []core.Observation // every session's observations, the next session's bootstrap
+	best     vdms.Config        // the deployed configuration
+	haveBest bool               // false until the first window has been tuned
+	retunes  int                // drift-triggered sessions run
+	sessions int
 }
 
 // DaemonOptions configures a tuning daemon.
 type DaemonOptions struct {
-	// Manager configures the underlying drift-detecting tuning manager.
-	Manager ManagerOptions
-	// SampleSize is how many live vectors each window's evaluation
-	// dataset samples from the collection. Zero means 2000.
-	SampleSize int
-	// K is the evaluation recall depth. Zero means 10.
-	K int
+	// Tuning configures the underlying VDTuner sessions.
+	Tuning core.Options
+	// InitialIters is the cold-start tuning budget; a drift-triggered
+	// re-tune (bootstrapped, so it can be smaller) runs half of it,
+	// rounded up. Zero means 40.
+	InitialIters int
 	// ApplyColdChanges permits the daemon to apply cold-knob winners
 	// (index type, build parameters, segment sizing, shard count), which
 	// trigger an online migration. When false — the default — cold knobs
@@ -44,26 +58,22 @@ type DaemonOptions struct {
 	ApplyColdChanges bool
 }
 
-func (o *DaemonOptions) sampleSize() int {
-	if o.SampleSize <= 0 {
-		return 2000
+func (o *DaemonOptions) initialIters() int {
+	if o.InitialIters <= 0 {
+		return 40
 	}
-	return o.SampleSize
-}
-
-func (o *DaemonOptions) k() int {
-	if o.K <= 0 {
-		return 10
-	}
-	return o.K
+	return o.InitialIters
 }
 
 // DaemonReport is the outcome of one observed window.
 type DaemonReport struct {
-	// Window is the manager's view: measured performance of the deployed
-	// configuration on this window, the drift score, and whether the
-	// window triggered re-tuning.
-	Window WindowReport
+	// Result is the deployed configuration's performance on the window.
+	Result vdms.Result
+	// DriftScore is the detector's score for the window.
+	DriftScore float64
+	// Retuned reports whether this window triggered re-tuning (the
+	// Result is measured with the new configuration when it did).
+	Retuned bool
 	// Applied reports whether this window changed the engine's
 	// configuration (the first window always does).
 	Applied bool
@@ -77,50 +87,96 @@ type DaemonReport struct {
 // NewDaemon creates a tuning daemon bound to a live in-process
 // collection.
 func NewDaemon(coll *vdms.Collection, opts DaemonOptions) *Daemon {
-	return &Daemon{coll: coll, mgr: NewManager(opts.Manager), opts: opts}
+	return &Daemon{coll: coll, opts: opts}
 }
 
 // ObserveWindow processes one served query window: build an evaluation
-// dataset from a live corpus sample plus the window, let the manager
-// cold-start or drift-retune on it, and push any new winner into the
-// engine via Reconfigure.
+// dataset from a live corpus sample plus the window, cold-start or
+// drift-retune on it, and push any new winner into the engine via
+// Reconfigure.
 func (d *Daemon) ObserveWindow(queries [][]float32) (*DaemonReport, error) {
-	sample := d.coll.SampleVectors(d.opts.sampleSize())
+	sample := d.coll.SampleVectors(sampleSize)
 	if len(sample) == 0 {
 		return nil, fmt.Errorf("online: engine holds no vectors to evaluate against")
 	}
-	ds, err := workload.FromLive("live-window", d.coll.Metric(), sample, queries, d.opts.k())
+	ds, err := workload.FromLive("live-window", d.coll.Metric(), sample, queries, evalK)
 	if err != nil {
 		return nil, err
 	}
-	prevBest, hadBest := d.mgr.Best()
-	rep, err := d.mgr.ServeWindow(ds)
+	prevBest, hadBest := d.best, d.haveBest
+	rep, err := d.step(ds)
 	if err != nil {
 		return nil, err
 	}
-	out := &DaemonReport{Window: *rep, Generation: d.coll.Stats().ConfigGeneration}
-	best, _ := d.mgr.Best()
-	if hadBest && best == prevBest {
-		return out, nil // nothing new to apply
+	rep.Generation = d.coll.Stats().ConfigGeneration
+	if hadBest && d.best == prevBest {
+		return rep, nil // nothing new to apply
 	}
 
 	active := d.coll.Config()
-	apply := best
+	apply := d.best
 	if !d.opts.ApplyColdChanges {
-		apply = vdms.GraftColdKnobs(best, active)
+		apply = vdms.GraftColdKnobs(apply, active)
 	}
-	out.Migrated = vdms.GraftColdKnobs(apply, active) != apply
+	rep.Migrated = vdms.GraftColdKnobs(apply, active) != apply
 	gen, err := d.coll.Reconfigure(apply)
 	if err != nil {
-		return out, fmt.Errorf("online: applying tuned configuration: %w", err)
+		return rep, fmt.Errorf("online: applying tuned configuration: %w", err)
 	}
-	out.Applied = true
-	out.Generation = gen
-	return out, nil
+	rep.Applied = true
+	rep.Generation = gen
+	return rep, nil
 }
 
-// Best exposes the manager's currently deployed configuration.
-func (d *Daemon) Best() (vdms.Config, bool) { return d.mgr.Best() }
+// step serves one evaluation window: score it for drift, tune cold on
+// the first window or re-tune (warm-started) if it drifted, and evaluate
+// the deployed configuration on it.
+func (d *Daemon) step(ds *workload.Dataset) (*DaemonReport, error) {
+	score, drifted, err := d.detector.Observe(ds.Queries)
+	if err != nil {
+		return nil, err
+	}
+	rep := &DaemonReport{DriftScore: score}
+	if !d.haveBest {
+		if err := d.tune(ds, d.opts.initialIters()); err != nil {
+			return nil, err
+		}
+	} else if drifted {
+		// The knowledge base was collected on the old workload; keep it
+		// as a prior but re-measure with a fresh session on the new one.
+		if err := d.tune(ds, (d.opts.initialIters()+1)/2); err != nil {
+			return nil, err
+		}
+		d.retunes++
+		rep.Retuned = true
+	}
+	rep.Result = vdms.Evaluate(ds, d.best)
+	return rep, nil
+}
 
-// Retunes reports how many drift-triggered re-tuning sessions have run.
-func (d *Daemon) Retunes() int { return d.mgr.Retunes() }
+// tune runs a tuning session of the given budget against ds and deploys
+// the best configuration found. Sessions after the first are warm-started
+// from the accumulated knowledge base.
+func (d *Daemon) tune(ds *workload.Dataset, iters int) error {
+	opts := d.opts.Tuning
+	opts.Seed += int64(d.sessions) * 101
+	opts.Bootstrap = d.kb
+	d.sessions++
+	tn := core.New(opts)
+	for i := 0; i < iters; i++ {
+		cfg := tn.Next()
+		tn.Observe(cfg, vdms.Evaluate(ds, cfg))
+	}
+	d.kb = tn.Observations()
+
+	best, ok := tn.BestUnderRecall(opts.RecallFloor)
+	if !ok {
+		best, ok = tn.BestUnderRecall(0)
+	}
+	if !ok {
+		return fmt.Errorf("online: tuning session found no usable configuration")
+	}
+	d.best = best.Config
+	d.haveBest = true
+	return nil
+}

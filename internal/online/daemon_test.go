@@ -34,15 +34,7 @@ func liveCollection(t *testing.T) (*vdms.Collection, vdms.Config) {
 func TestDaemonClosesTheLoop(t *testing.T) {
 	coll, base := liveCollection(t)
 	defer coll.Close()
-	d := NewDaemon(coll, DaemonOptions{
-		Manager: ManagerOptions{
-			Tuning:       core.Options{Seed: 9, Candidates: 32, MCSamples: 8},
-			InitialIters: 10,
-			RetuneIters:  6,
-		},
-		SampleSize: 400,
-		K:          5,
-	})
+	d := NewDaemon(coll, DaemonOptions{Tuning: core.Options{Seed: 9, Candidates: 32}, InitialIters: 10})
 
 	// Window 1: cold start must tune and push a configuration into the
 	// engine as a hot swap — cold knobs stay the engine's own.
@@ -57,20 +49,19 @@ func TestDaemonClosesTheLoop(t *testing.T) {
 	if rep1.Migrated {
 		t.Fatal("cold-knob migration applied with ApplyColdChanges=false")
 	}
-	if rep1.Window.Result.Failed {
-		t.Fatalf("deployed config failed on its window: %s", rep1.Window.Result.FailReason)
+	if rep1.Result.Failed {
+		t.Fatalf("deployed config failed on its window: %s", rep1.Result.FailReason)
 	}
 	active := coll.Config()
 	if active.IndexType != base.IndexType || active.ShardCount != base.ShardCount ||
 		active.SegmentMaxSize != base.SegmentMaxSize {
 		t.Fatalf("hot application changed cold knobs: %+v", active)
 	}
-	best, ok := d.Best()
-	if !ok {
+	if !d.haveBest {
 		t.Fatal("no deployed configuration after cold start")
 	}
-	if active.Search != best.Search {
-		t.Fatalf("engine search knobs %+v, tuner deployed %+v", active.Search, best.Search)
+	if active.Search != d.best.Search {
+		t.Fatalf("engine search knobs %+v, tuner deployed %+v", active.Search, d.best.Search)
 	}
 	gen1 := coll.Stats().ConfigGeneration
 	if gen1 == 0 || rep1.Generation != gen1 {
@@ -78,13 +69,13 @@ func TestDaemonClosesTheLoop(t *testing.T) {
 	}
 
 	// Window 2: same distribution (same generator seed, as in the
-	// manager's stability test) — no drift, no re-tune, no new apply.
+	// cold-start-then-stable test) — no drift, no re-tune, no new apply.
 	w2 := window(t, "daemon-w2", 8, 0.4, 42)
 	rep2, err := d.ObserveWindow(w2.Queries)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Window.Retuned || rep2.Applied {
+	if rep2.Retuned || rep2.Applied {
 		t.Fatalf("stable window re-applied: %+v", rep2)
 	}
 	if got := coll.Stats().ConfigGeneration; got != gen1 {
@@ -98,7 +89,7 @@ func TestDaemonClosesTheLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep3.Window.Retuned || d.Retunes() != 1 {
+	if !rep3.Retuned || d.retunes != 1 {
 		t.Fatalf("drifted window did not re-tune: %+v", rep3)
 	}
 	if rep3.Migrated {
@@ -138,12 +129,8 @@ func TestDaemonTunesAnAngularEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := NewDaemon(coll, DaemonOptions{
-		Manager: ManagerOptions{
-			Tuning:       core.Options{Seed: 9, Candidates: 32, MCSamples: 8, FixedType: &pq, RecallFloor: 0.7},
-			InitialIters: 10,
-		},
-		SampleSize: 800,
-		K:          5,
+		Tuning:       core.Options{Seed: 9, Candidates: 32, FixedType: &pq, RecallFloor: 0.7},
+		InitialIters: 10,
 	})
 	var raw, sent [][]float32
 	for i, q := range window(t, "angular-w1", 8, 0.4, 42).Queries {
@@ -158,11 +145,11 @@ func TestDaemonTunesAnAngularEngine(t *testing.T) {
 	if !reflect.DeepEqual(raw, sent) {
 		t.Fatal("the daemon normalized the caller's query window in place")
 	}
-	if !rep.Applied || rep.Window.Result.Failed {
+	if !rep.Applied || rep.Result.Failed {
 		t.Fatalf("angular cold start: %+v", rep)
 	}
-	if rep.Window.Result.Recall <= 0.7 {
-		t.Fatalf("deployed IVF_PQ configuration scores recall %.3f on the angular window; the floor was 0.7", rep.Window.Result.Recall)
+	if rep.Result.Recall <= 0.7 {
+		t.Fatalf("deployed IVF_PQ configuration scores recall %.3f on the angular window; the floor was 0.7", rep.Result.Recall)
 	}
 }
 
@@ -174,9 +161,7 @@ func TestDaemonRequiresData(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer coll.Close()
-	d := NewDaemon(coll, DaemonOptions{Manager: ManagerOptions{
-		Tuning: core.Options{Seed: 1, Candidates: 16, MCSamples: 4}, InitialIters: 4,
-	}})
+	d := NewDaemon(coll, DaemonOptions{Tuning: core.Options{Seed: 1, Candidates: 16}, InitialIters: 4})
 	if _, err := d.ObserveWindow([][]float32{{0, 0, 0, 0, 0, 0, 0, 1}}); err == nil {
 		t.Fatal("daemon tuned against an empty collection")
 	}

@@ -20,7 +20,7 @@ func window(t *testing.T, name string, clusters int, std float64, seed int64) *w
 }
 
 func TestDriftDetectorStableWorkload(t *testing.T) {
-	var d DriftDetector
+	var d driftDetector
 	a := window(t, "stable-a", 8, 0.4, 1)
 	// Two windows from the same distribution (different queries, same
 	// generator family) should not trigger.
@@ -38,7 +38,7 @@ func TestDriftDetectorStableWorkload(t *testing.T) {
 }
 
 func TestDriftDetectorFlagsShift(t *testing.T) {
-	var d DriftDetector
+	var d driftDetector
 	a := window(t, "shift-a", 4, 0.3, 2)
 	b := window(t, "shift-b", 32, 1.5, 77) // very different structure
 	if _, _, err := d.Observe(a.Queries); err != nil {
@@ -54,7 +54,7 @@ func TestDriftDetectorFlagsShift(t *testing.T) {
 }
 
 func TestDriftDetectorErrors(t *testing.T) {
-	var d DriftDetector
+	var d driftDetector
 	if _, _, err := d.Observe(nil); err == nil {
 		t.Fatal("accepted empty window")
 	}
@@ -63,16 +63,13 @@ func TestDriftDetectorErrors(t *testing.T) {
 	}
 }
 
-func TestManagerColdStartThenStable(t *testing.T) {
-	m := NewManager(ManagerOptions{
-		Tuning:       core.Options{Seed: 3, Candidates: 48, MCSamples: 8},
-		InitialIters: 14,
-	})
-	if _, ok := m.Best(); ok {
-		t.Fatal("Best before tuning")
+func TestDaemonColdStartThenStable(t *testing.T) {
+	d := NewDaemon(nil, DaemonOptions{Tuning: core.Options{Seed: 3, Candidates: 48}, InitialIters: 14})
+	if d.haveBest {
+		t.Fatal("deployed configuration before tuning")
 	}
 	w1 := window(t, "mgr-1", 8, 0.4, 4)
-	rep, err := m.ServeWindow(w1)
+	rep, err := d.step(w1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,68 +79,58 @@ func TestManagerColdStartThenStable(t *testing.T) {
 	if rep.Result.Failed {
 		t.Fatalf("deployed config failed: %s", rep.Result.FailReason)
 	}
-	if _, ok := m.Best(); !ok {
+	if !d.haveBest {
 		t.Fatal("no deployed config after cold start")
 	}
 	// Same workload again: no re-tune.
-	rep2, err := m.ServeWindow(w1)
+	rep2, err := d.step(w1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep2.Retuned || m.Retunes() != 0 {
+	if rep2.Retuned || d.retunes != 0 {
 		t.Fatal("stable workload triggered re-tuning")
 	}
 }
 
-func TestManagerRetunesOnDrift(t *testing.T) {
-	m := NewManager(ManagerOptions{
-		Tuning:       core.Options{Seed: 5, Candidates: 48, MCSamples: 8},
-		InitialIters: 14,
-		RetuneIters:  8,
-	})
+func TestDaemonRetunesOnDrift(t *testing.T) {
+	d := NewDaemon(nil, DaemonOptions{Tuning: core.Options{Seed: 5, Candidates: 48}, InitialIters: 14})
 	w1 := window(t, "drift-1", 4, 0.3, 6)
-	if _, err := m.ServeWindow(w1); err != nil {
+	if _, err := d.step(w1); err != nil {
 		t.Fatal(err)
 	}
 	w2 := window(t, "drift-2", 32, 1.5, 88)
-	rep, err := m.ServeWindow(w2)
+	rep, err := d.step(w2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep.Retuned || m.Retunes() != 1 {
+	if !rep.Retuned || d.retunes != 1 {
 		t.Fatalf("drifted window did not re-tune: %+v", rep)
 	}
 	if rep.Result.Failed {
 		t.Fatalf("re-tuned config failed: %s", rep.Result.FailReason)
 	}
 	// The re-deployed configuration must be serviceable on the new
-	// workload — compare against the *old* config evaluated there.
-	old, _ := m.Best()
-	_ = old
+	// workload.
 	if rep.Result.Recall <= 0 {
 		t.Fatalf("re-tuned recall %v", rep.Result.Recall)
 	}
 }
 
-func TestManagerWarmStartCarriesKnowledge(t *testing.T) {
-	m := NewManager(ManagerOptions{
-		Tuning:       core.Options{Seed: 7, Candidates: 32, MCSamples: 8},
-		InitialIters: 10,
-		RetuneIters:  6,
-	})
+func TestDaemonWarmStartCarriesKnowledge(t *testing.T) {
+	d := NewDaemon(nil, DaemonOptions{Tuning: core.Options{Seed: 7, Candidates: 32}, InitialIters: 10})
 	w1 := window(t, "warm-1", 8, 0.4, 8)
-	if _, err := m.ServeWindow(w1); err != nil {
+	if _, err := d.step(w1); err != nil {
 		t.Fatal(err)
 	}
-	kbBefore := len(m.kb)
+	kbBefore := len(d.kb)
 	if kbBefore == 0 {
 		t.Fatal("knowledge base empty after cold start")
 	}
 	w2 := window(t, "warm-2", 32, 1.6, 99)
-	if _, err := m.ServeWindow(w2); err != nil {
+	if _, err := d.step(w2); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.kb) <= kbBefore {
-		t.Fatalf("knowledge base did not grow across sessions: %d -> %d", kbBefore, len(m.kb))
+	if len(d.kb) <= kbBefore {
+		t.Fatalf("knowledge base did not grow across sessions: %d -> %d", kbBefore, len(d.kb))
 	}
 }

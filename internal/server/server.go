@@ -588,21 +588,6 @@ func (c *Client) Flush() error {
 	return err
 }
 
-// Compact runs segment compaction on the server until no segment exceeds
-// the configured tombstone-ratio trigger and no merge is possible.
-func (c *Client) Compact() error {
-	_, err := c.call(&Request{Op: "compact"})
-	return err
-}
-
-// Persist checkpoints the server's collection: a full snapshot is written
-// to its data directory and the write-ahead log is truncated to the
-// records beyond it. On a memory-only collection it is a no-op.
-func (c *Client) Persist() error {
-	_, err := c.call(&Request{Op: "persist"})
-	return err
-}
-
 // Stats fetches the collection snapshot.
 func (c *Client) Stats() (*vdms.CollectionStats, error) {
 	resp, err := c.call(&Request{Op: "stats"})

@@ -33,7 +33,7 @@ func TestPersistOpAndRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Persist(); err != nil {
+	if _, err := cl.call(&Request{Op: "persist"}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cl.Stats()
@@ -98,7 +98,7 @@ func TestPersistOpOnMemoryCollection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	if err := cl.Persist(); err != nil {
+	if _, err := cl.call(&Request{Op: "persist"}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -441,7 +441,7 @@ func TestCompactOverWire(t *testing.T) {
 	if _, err := cl.Delete(ids[:200]); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.Compact(); err != nil {
+	if _, err := cl.call(&Request{Op: "compact"}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := cl.Stats()

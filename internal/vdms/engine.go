@@ -156,15 +156,6 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	return inst, nil
 }
 
-// Segments reports the number of active segments (sealed + growing tail).
-func (in *Instance) Segments() int { return in.segments }
-
-// MemoryBytes reports the instance's resident footprint.
-func (in *Instance) MemoryBytes() int64 { return in.memoryBytes }
-
-// BuildSeconds reports the simulated load + index build time.
-func (in *Instance) BuildSeconds() float64 { return in.buildSeconds }
-
 // Search answers one query: the shard probe on the one-query tile — every
 // sealed segment's index in seq order, then the brute-force scan of the
 // growing tail, into one collector — with the work performed reported into

@@ -55,7 +55,7 @@ func TestInstanceSearchMatchesCollection(t *testing.T) {
 	if err := coll.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := inst.Segments(), coll.Stats().Sealed; got != want || want != 6 {
+	if got, want := inst.segments, coll.Stats().Sealed; got != want || want != 6 {
 		t.Fatalf("instance models %d segments, collection sealed %d, want 6 and 6 (a growing tail would void the comparison)", got, want)
 	}
 	for qi, q := range ds.Queries {

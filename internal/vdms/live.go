@@ -148,9 +148,6 @@ func (c *Collection) Config() Config {
 // Metric returns the distance metric the collection was created with.
 func (c *Collection) Metric() linalg.Metric { return c.metric }
 
-// Dim returns the collection's vector dimensionality.
-func (c *Collection) Dim() int { return c.dim }
-
 // splitmix64 is the id-routing hash: a full-avalanche finalizer, so dense
 // sequential ids spread evenly across shards while the mapping stays a
 // pure function of the id (deterministic across runs and recoveries).

@@ -159,8 +159,8 @@ func TestSegmentInterdependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if is.Segments() <= ib.Segments() {
-		t.Fatalf("small segments %d not more numerous than big %d", is.Segments(), ib.Segments())
+	if is.segments <= ib.segments {
+		t.Fatalf("small segments %d not more numerous than big %d", is.segments, ib.segments)
 	}
 }
 
