@@ -9,7 +9,7 @@
 # filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
 # cannot be silently skipped), and a 30s-per-target fuzz smoke pass over
-# the snapshot/WAL decoders and the binary wire codec. Performance is measured by ./benchmark alone
+# the snapshot/WAL decoders and both wire codecs. Performance is measured by ./benchmark alone
 # (see benchmark/README.md); nothing here records a baseline.
 
 GO ?= go
@@ -62,9 +62,11 @@ bench:
 # a skipped or missing gate fails the build instead of passing silently.
 # Covers the zero-allocation index query path, the persistence gate
 # (durable collections must search with exactly the allocations of
-# memory-only ones) and the deletion gate (tombstones must cost no
-# allocations either). Every gate is named (whole-line match, so one gate's
-# name cannot stand in for another's): the run cannot pass by absence.
+# memory-only ones), the deletion gate (tombstones must cost no
+# allocations either) and the JSON append encoders (a hot message written
+# into a reused buffer allocates nothing). Every gate is named (whole-line
+# match, so one gate's name cannot stand in for another's): the run cannot
+# pass by absence.
 alloc-gate:
 	@for g in TestAllocGateSearch TestAllocGateSearchBatch TestAllocGateSearchMultiInto; do \
 		$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx $$g \
@@ -72,7 +74,10 @@ alloc-gate:
 	@for g in TestAllocGatePersistentSearch TestAllocGateShardedSearch TestAllocGateTombstonedSearch; do \
 		$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx $$g \
 			|| { echo "alloc-gate test $$g missing from ./internal/vdms"; exit 1; }; done
-	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms
+	@for g in TestAllocGateJSONEncode; do \
+		$(GO) test -list 'TestAllocGate' ./internal/server | grep -qx $$g \
+			|| { echo "alloc-gate test $$g missing from ./internal/server"; exit 1; }; done
+	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms ./internal/server
 
 # The online-reconfiguration gate, run explicitly (not just as part of
 # the suite) so neither half can be filtered out: migration determinism —
@@ -89,12 +94,15 @@ reconfig-gate:
 # panic or OOM — recovery either succeeds or returns a typed
 # persist.CorruptError — and that hostile binary wire bodies (same payload
 # reader) fail per message, decode to no more than their length justifies,
-# and re-encode to themselves when accepted.
+# and re-encode to themselves when accepted; and that the JSON codec's
+# fast paths decode and encode exactly as encoding/json does.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 30s ./internal/persist
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 30s ./internal/persist
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryRequest' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONRequest' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONResponse' -fuzztime 30s ./internal/server
 
 # Non-test Go lines outside benchmark/, per package directory and in
 # total, then the hand-written assembly lines (*.s) on a line of their

@@ -3,7 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"math"
+	"reflect"
 	"testing"
+
+	"vdtuner/internal/vdms"
 )
 
 // The fuzz contract for the binary wire, the one the snapshot/WAL decoders
@@ -13,8 +18,13 @@ import (
 // with a per-message error. It never panics, what it decodes is never
 // larger than a small multiple of the body that declared it, and every
 // accepted message is canonical: re-encoding what was decoded gives back
-// the body, byte for byte (so it also decodes equal). `make fuzz-smoke`
-// runs both targets.
+// the body, byte for byte (so it also decodes equal).
+//
+// The JSON wire is held to encoding/json instead (jsonwire.go): arbitrary
+// bytes decode through the fast paths to what json.Decoder makes of them
+// by reflection alone, or both refuse them, and every accepted value
+// encodes to json.Encoder's bytes, or both refuse it. `make fuzz-smoke`
+// runs all four targets.
 
 // maxDecodedPerBodyByte bounds a decoded message's heap size by its body's
 // length. The worst honest case is a batch of dim-1 rows: 4 body bytes
@@ -135,5 +145,165 @@ func FuzzBinaryResponse(f *testing.F) {
 		if again := encodeBinResponse(nil, id, requestKindOf[body[wireBodyHeaderLen-1]], resp); !bytes.Equal(again, body) {
 			t.Fatalf("accepted response is not canonical:\n got  %x\n want %x", again, body)
 		}
+	})
+}
+
+// refRequest and refResponse are Request and Response with the plain
+// field types: what encoding/json decodes and encodes by reflection alone.
+// TestJSONReferenceMirrorsWire keeps them field for field in step.
+type refRequest struct {
+	Op      string          `json:"op"`
+	Vectors [][]float32     `json:"vectors,omitempty"`
+	Query   []float32       `json:"query,omitempty"`
+	K       int             `json:"k,omitempty"`
+	Queries [][]float32     `json:"queries,omitempty"`
+	IDs     []int64         `json:"ids,omitempty"`
+	Config  json.RawMessage `json:"config,omitempty"`
+}
+
+type refResponse struct {
+	OK         bool                  `json:"ok"`
+	Error      string                `json:"error,omitempty"`
+	IDs        []int64               `json:"ids,omitempty"`
+	Neighbors  []Neighbor            `json:"neighbors,omitempty"`
+	Batches    [][]Neighbor          `json:"batches,omitempty"`
+	Stats      *vdms.CollectionStats `json:"stats,omitempty"`
+	Deleted    int                   `json:"deleted"`
+	Config     *vdms.Config          `json:"config,omitempty"`
+	Generation uint64                `json:"generation"`
+}
+
+func refOfRequest(r *Request) *refRequest {
+	return &refRequest{r.Op, r.Vectors, r.Query, r.K, r.Queries, r.IDs, r.Config}
+}
+
+func refOfResponse(r *Response) *refResponse {
+	return &refResponse{r.OK, r.Error, r.IDs, r.Neighbors, r.Batches, r.Stats, r.Deleted, r.Config, r.Generation}
+}
+
+// decodeBoth decodes data as the server and the client do (one value off
+// a json.Decoder) into the wire type and into its reference twin, and
+// fails unless both refuse it or both make the same value of it.
+func decodeBoth(t *testing.T, data []byte, got, want any, ref func() any) bool {
+	t.Helper()
+	gotErr := json.NewDecoder(bytes.NewReader(data)).Decode(got)
+	wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%q: fast path error %v, encoding/json error %v", data, gotErr, wantErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(ref(), want) {
+		t.Fatalf("%q: fast path decoded %+v, encoding/json %+v", data, ref(), want)
+	}
+	return gotErr == nil
+}
+
+// encodeBoth fails unless the append encoder and json.Encoder both refuse
+// a value for the same reason or write the same bytes for it.
+func encodeBoth(t *testing.T, got []byte, gotErr error, ref any) {
+	t.Helper()
+	var want bytes.Buffer
+	wantErr := json.NewEncoder(&want).Encode(ref)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%+v: append encoder error %v, json.Encoder error %v", ref, gotErr, wantErr)
+	}
+	if gotErr == nil && !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("append encoder wrote\n %s\njson.Encoder wrote\n %s", got, want.Bytes())
+	}
+}
+
+// floatEdgeBits are the float32s where encoding/json's format switches or
+// refuses: the 'e' cut-offs at 1e-6 and 1e21 from both sides, the signed
+// zeros, subnormals, and the non-finite values.
+var floatEdgeBits = []uint32{
+	math.Float32bits(1e-6), math.Float32bits(9.9e-7), math.Float32bits(1e21), math.Float32bits(9.99e20),
+	math.Float32bits(-1e-7), math.Float32bits(123456.79), 0, 0x80000000, 1, 0x007fffff, 0x80000001,
+	math.Float32bits(math.MaxFloat32), 0x7f800000, 0xff800000, 0x7fc00000,
+}
+
+func FuzzJSONRequest(f *testing.F) {
+	for i, seed := range []string{
+		`{"op":"search","query":[0.5,-1,1e-7,3e21,-0,1.5e-45],"k":20}`,
+		`{"op":"insert","vectors":[[1,2],[3,4],[]]}`,
+		`{"op":"searchBatch","queries":[[1,2],null,[3]],"k":2}`,
+		`{"op":"search","query":[1e40],"k":1}`,
+		`{"op":"search","query":["1",2]}`,
+		`{"op":"search","query":[1,null]}`,
+		`{"op":"search","query":{}}`,
+		`{"op":"search","query":null,"vectors":"x"}`,
+		`{"OP":"search","Query":[1,2],"K":3,"QUERIES":[[1]]}`,
+		`{"op":"search","query":[1,2,3],"query":[4],"query":[5,6]}`,
+		`{"op":"insert","vectors":[[1,2,3]],"vectors":[[4]]}`,
+		`{"op":"x","unknown":[1,2],"query":[1]}`,
+		" { \"op\" : \"search\" ,\n\t\"query\" : [ 1 , 2E+2 ] , \"k\" : 1 } \r\n",
+		`{"op":"\u0073earch","query":[1]}`,
+		`{"op":"<&>\u2028\n\"\\","query":[1]}`,
+		"{\"op\":\"\xff\"}",
+		`{"op":"search","query":[01]}`,
+		`{"op":"search","query":[1.]}`,
+		`{"op":"search","query":[-]}`,
+		`{"op":"reconfigure","config":{ "nprobe" : 8 , "x":"<"}}`,
+		`{"op":"delete","ids":[1,-2,9223372036854775807]}`,
+		`{"op":"ping"}{"op":"flush"}`,
+		`{"op":"search","query":[],"k":0}`,
+		`null`, `[]`, ``, `{`,
+	} {
+		f.Add([]byte(seed), floatEdgeBits[i%len(floatEdgeBits)])
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits uint32) {
+		var got Request
+		var want refRequest
+		if !decodeBoth(t, data, &got, &want, func() any { return refOfRequest(&got) }) {
+			got = Request{Op: "search", K: 1}
+		}
+		b, err := appendRequestJSON(nil, &got)
+		encodeBoth(t, b, err, refOfRequest(&got))
+		// Any float32 at all, in each float field.
+		f := math.Float32frombits(bits)
+		got.Query = append(got.Query, f)
+		got.Vectors = append(got.Vectors, []float32{f})
+		got.Queries = append(got.Queries, nil, []float32{f, -f})
+		b, err = appendRequestJSON(b[:0], &got)
+		encodeBoth(t, b, err, refOfRequest(&got))
+	})
+}
+
+func FuzzJSONResponse(f *testing.F) {
+	for i, seed := range []string{
+		`{"ok":true,"neighbors":[{"id":1,"dist":0.5},{"id":-2,"dist":1e-7},{"id":3,"dist":-0}],"deleted":0,"generation":0}`,
+		`{"ok":true,"batches":[[{"id":1,"dist":2}],[],null],"deleted":0,"generation":0}`,
+		`{"ok":true,"neighbors":[{"dist":0.5,"id":1}]}`,
+		`{"ok":true,"neighbors":[{"ID":1,"Dist":0.5}]}`,
+		`{"ok":true,"neighbors":[{"id":1,"dist":0.5,"x":1}]}`,
+		`{"ok":true,"neighbors":[{"id":1}]}`,
+		`{"ok":true,"neighbors":[{"id":1.5,"dist":0.5}]}`,
+		`{"ok":true,"neighbors":[{"id":1,"dist":"0.5"}]}`,
+		`{"ok":true,"neighbors":[{"id":1,"dist":1e40}]}`,
+		`{"ok":true,"neighbors":[{"id":99999999999999999999,"dist":1}]}`,
+		`{"ok":true,"neighbors":[null,{"id":1,"dist":1}]}`,
+		`{"neighbors":[{"id":1,"dist":2},{"id":3,"dist":4}],"neighbors":[{"id":5}]}`,
+		`{"batches":[[{"id":1,"dist":2},{"id":3,"dist":4}]],"batches":[[{"id":5,"dist":6}]],"batches":[[{"id":7},{"id":8}]]}`,
+		" {\"ok\" : true , \"neighbors\" : [ { \"id\" : 1 , \"dist\" : 1E-3 } ] } ",
+		`{"ok":false,"error":"unknown op \"x\" <&>\u2028","deleted":0,"generation":0}`,
+		`{"ok":true,"stats":{"Rows":3},"deleted":1,"generation":7}`,
+		`{"ok":true,"config":{"nprobe":8},"generation":2}`,
+		`{"ok":true,"ids":[1,2,-3]}`,
+		`{"ok":"yes"}`, `null`, ``,
+	} {
+		f.Add([]byte(seed), floatEdgeBits[i%len(floatEdgeBits)])
+	}
+	f.Fuzz(func(t *testing.T, data []byte, bits uint32) {
+		var got Response
+		var want refResponse
+		if !decodeBoth(t, data, &got, &want, func() any { return refOfResponse(&got) }) {
+			got = Response{OK: true}
+		}
+		b, err := appendResponseJSON(nil, &got)
+		encodeBoth(t, b, err, refOfResponse(&got))
+		// Any float32 at all, as a distance in each neighbor field.
+		n := Neighbor{ID: int64(int32(bits)), Dist: math.Float32frombits(bits)}
+		got.Neighbors = append(got.Neighbors, n)
+		got.Batches = append(got.Batches, nil, []Neighbor{n, {ID: 1, Dist: -n.Dist}})
+		b, err = appendResponseJSON(b[:0], &got)
+		encodeBoth(t, b, err, refOfResponse(&got))
 	})
 }

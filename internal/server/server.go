@@ -22,6 +22,14 @@
 // codec.go for the exact frame layout, and the README's "Wire protocol"
 // section for the negotiation and pipelining semantics.
 //
+// JSON messages are written by append encoders and their hot fields read
+// through typed fast paths (jsonwire.go), with the bytes on the wire
+// exactly json.Encoder's: encoding/json stays the reference, framing
+// every incoming message and handling whatever is not in the canonical
+// shape. A result JSON cannot spell (a distance that overflowed to +Inf)
+// is answered with an error naming the op and the value, and the
+// connection stays up; the binary protocol carries the value as is.
+//
 // Both protocols are hardened against misbehaving peers: a single request
 // may not exceed Options.MaxRequestBytes on the wire (an oversized
 // request gets an error response and the connection is dropped — never an
@@ -74,20 +82,22 @@ import (
 	"vdtuner/internal/vdms"
 )
 
-// Request is one client command.
+// Request is one client command. Its vector fields, like Response's
+// neighbor lists, have the plain slice types beneath a JSON decoding fast
+// path, so values of the plain types assign to and from them.
 type Request struct {
 	// Op is one of "ping", "insert", "search", "searchBatch", "delete",
 	// "flush", "compact", "persist", "stats", "reconfigure", "config".
 	Op string `json:"op"`
 	// Vectors carries the rows for "insert".
-	Vectors [][]float32 `json:"vectors,omitempty"`
+	Vectors jsonRows `json:"vectors,omitempty"`
 	// Query and K parameterize "search"; K is shared with "searchBatch".
-	Query []float32 `json:"query,omitempty"`
-	K     int       `json:"k,omitempty"`
+	Query jsonFloats `json:"query,omitempty"`
+	K     int        `json:"k,omitempty"`
 	// Queries carries the batch for "searchBatch". The server fans the
 	// batch across the collection's configured parallelism and answers
 	// all queries in one round trip.
-	Queries [][]float32 `json:"queries,omitempty"`
+	Queries jsonRows `json:"queries,omitempty"`
 	// IDs carries the ids for "delete".
 	IDs []int64 `json:"ids,omitempty"`
 	// Config carries the target configuration for "reconfigure": a
@@ -104,12 +114,12 @@ type Neighbor = linalg.Neighbor
 
 // Response is the server's reply to one Request.
 type Response struct {
-	OK        bool       `json:"ok"`
-	Error     string     `json:"error,omitempty"`
-	IDs       []int64    `json:"ids,omitempty"`
-	Neighbors []Neighbor `json:"neighbors,omitempty"`
+	OK        bool          `json:"ok"`
+	Error     string        `json:"error,omitempty"`
+	IDs       []int64       `json:"ids,omitempty"`
+	Neighbors jsonNeighbors `json:"neighbors,omitempty"`
 	// Batches[i] answers Queries[i] of a "searchBatch" request.
-	Batches [][]Neighbor          `json:"batches,omitempty"`
+	Batches jsonBatches           `json:"batches,omitempty"`
 	Stats   *vdms.CollectionStats `json:"stats,omitempty"`
 	// Deleted is the number of ids newly tombstoned by "delete". Never
 	// omitempty: a delete that tombstoned nothing legitimately answers 0,
@@ -366,27 +376,32 @@ func (s *Server) handle(conn net.Conn) {
 // handleJSON serves the newline-delimited JSON protocol: strictly ordered
 // request/response pairs, exactly as every pre-binary client expects.
 func (s *Server) handleJSON(conn net.Conn, cr *connReader, br *bufio.Reader) {
-	w := bufio.NewWriter(conn)
 	dec := json.NewDecoder(br)
-	enc := json.NewEncoder(w)
+	var out []byte // the reply buffer, reused across messages
 	for {
 		cr.reset(s.opts.maxRequestBytes())
 		var req Request
 		if err := dec.Decode(&req); err != nil {
 			if errors.Is(err, errRequestTooLarge) {
 				// Tell the client why before dropping: the stream is mid-
-				// message and cannot be resynchronized.
-				enc.Encode(&Response{Error: fmt.Sprintf(
+				// message and cannot be resynchronized. An error-only
+				// response always encodes.
+				out, _ = appendResponseJSON(out[:0], &Response{Error: fmt.Sprintf(
 					"request exceeds the server's %d-byte limit", s.opts.maxRequestBytes())})
-				w.Flush()
+				conn.Write(out) // best effort: the connection is dropped either way
 			}
 			return // EOF, timeout, or broken stream: drop the connection
 		}
 		resp := s.dispatch(&req)
-		if err := enc.Encode(resp); err != nil {
-			return
+		var err error
+		if out, err = appendResponseJSON(out[:0], resp); err != nil {
+			// A result JSON cannot spell, such as a distance that
+			// overflowed to +Inf: answer this request with the reason and
+			// keep the connection. (The binary codec carries it as is.)
+			out, _ = appendResponseJSON(out[:0], &Response{Error: fmt.Sprintf(
+				"%s: the result cannot be sent as JSON: %v", req.Op, err)})
 		}
-		if err := w.Flush(); err != nil {
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
 	}
@@ -538,9 +553,8 @@ type Client struct {
 	hotOps
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *json.Encoder
 	dec  *json.Decoder
-	w    *bufio.Writer
+	buf  []byte // request scratch, reused across calls; guarded by mu
 }
 
 // Dial connects to a server address.
@@ -549,13 +563,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := bufio.NewWriter(conn)
-	c := &Client{
-		conn: conn,
-		enc:  json.NewEncoder(w),
-		dec:  json.NewDecoder(bufio.NewReader(conn)),
-		w:    w,
-	}
+	c := &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
 	c.hotOps.call = c.call
 	return c, nil
 }
@@ -566,10 +574,11 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) call(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err := c.enc.Encode(req); err != nil {
+	var err error
+	if c.buf, err = appendRequestJSON(c.buf[:0], req); err != nil {
 		return nil, err
 	}
-	if err := c.w.Flush(); err != nil {
+	if _, err := c.conn.Write(c.buf); err != nil {
 		return nil, err
 	}
 	var resp Response

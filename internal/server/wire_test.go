@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -40,6 +41,39 @@ func startServerOpts(t *testing.T, opts Options) *Server {
 		coll.Close()
 	})
 	return srv
+}
+
+// startFlat serves an empty FLAT collection of the given metric and
+// dimension, so a test can choose the exact distances its searches
+// return.
+func startFlat(t *testing.T, metric linalg.Metric, dim int) *Server {
+	t.Helper()
+	cfg := vdms.DefaultConfig()
+	cfg.IndexType = index.Flat
+	coll, err := vdms.NewCollection(cfg, metric, dim, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(coll, "127.0.0.1:0")
+	if err != nil {
+		coll.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		coll.Close()
+	})
+	return srv
+}
+
+func dialJSON(t *testing.T, srv *Server) *Client {
+	t.Helper()
+	cl, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	return cl
 }
 
 func dialBin(t *testing.T, srv *Server) *BinClient {
@@ -183,6 +217,75 @@ func TestBinaryJSONParity(t *testing.T) {
 		t.Fatalf("single-query parity broken: %+v vs %+v", jres, bres)
 	}
 	_ = ids
+
+	// The distances where JSON's float format switches ('e' below 1e-6
+	// and from 1e21 up), −0 and subnormals: with 1-d rows under inner
+	// product and the query [1], each distance is its row negated (the
+	// zero row scores −0).
+	srv = startFlat(t, linalg.InnerProduct, 1)
+	jcl, bcl = dialJSON(t, srv), dialBin(t, srv)
+	edges := []float32{1e-6, 9.9e-7, 1e21, 9.99e20, 0, math.Float32frombits(1), math.Float32frombits(0x007fffff), -1e-7}
+	rows := make([][]float32, len(edges))
+	for i, d := range edges {
+		rows[i] = []float32{-d}
+	}
+	if _, err := jcl.Insert(rows); err != nil {
+		t.Fatal(err)
+	}
+	q := []float32{1}
+	jres, err = jcl.Search(q, len(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jb, err = jcl.SearchBatch([][]float32{q}, len(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bres, err = bcl.Search(q, len(edges))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint32]bool{}
+	for _, row := range rows {
+		want[math.Float32bits(linalg.Distance(linalg.InnerProduct, q, row))] = true
+	}
+	for _, got := range [][]Neighbor{jres, jb[0]} {
+		if len(got) != len(edges) || len(bres) != len(edges) {
+			t.Fatalf("JSON answered %d hits, binary %d, want %d", len(got), len(bres), len(edges))
+		}
+		for i := range got {
+			jn, bn := got[i], bres[i]
+			if jn.ID != bn.ID || math.Float32bits(jn.Dist) != math.Float32bits(bn.Dist) || !want[math.Float32bits(bn.Dist)] {
+				t.Fatalf("hit %d: JSON %+v (bits %08x), binary %+v (bits %08x)", i, jn, math.Float32bits(jn.Dist), bn, math.Float32bits(bn.Dist))
+			}
+		}
+	}
+}
+
+// TestNonFiniteResultAnsweredOverJSON: a result JSON cannot spell — here
+// a squared L2 distance between finite rows that overflows to +Inf — is
+// answered with an error naming the op and the value, and the same
+// connection goes on serving. The binary codec carries the +Inf as is.
+func TestNonFiniteResultAnsweredOverJSON(t *testing.T) {
+	srv := startFlat(t, linalg.L2, 4)
+	jcl := dialJSON(t, srv)
+	if _, err := jcl.Insert([][]float32{{3e19, 3e19, 3e19, 3e19}}); err != nil {
+		t.Fatal(err)
+	}
+	q := []float32{-3e19, -3e19, -3e19, -3e19}
+	if _, err := jcl.Search(q, 1); err == nil || !strings.HasPrefix(err.Error(), "search:") || !strings.Contains(err.Error(), "+Inf") {
+		t.Fatalf("JSON search of an overflowing distance: %v", err)
+	}
+	if _, err := jcl.SearchBatch([][]float32{q}, 1); err == nil || !strings.HasPrefix(err.Error(), "searchBatch:") || !strings.Contains(err.Error(), "+Inf") {
+		t.Fatalf("JSON searchBatch of an overflowing distance: %v", err)
+	}
+	if err := jcl.Ping(); err != nil {
+		t.Fatalf("connection dropped after an unencodable result: %v", err)
+	}
+	res, err := dialBin(t, srv).Search(q, 1)
+	if err != nil || len(res) != 1 || !math.IsInf(float64(res[0].Dist), 1) {
+		t.Fatalf("binary search = %+v, %v; want one hit at +Inf", res, err)
+	}
 }
 
 // TestZeroValuesSurviveBothCodecs is the regression test for the
