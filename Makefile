@@ -63,10 +63,11 @@ bench:
 # Covers the zero-allocation index query path, the persistence gate
 # (durable collections must search with exactly the allocations of
 # memory-only ones), the deletion gate (tombstones must cost no
-# allocations either) and the JSON append encoders (a hot message written
-# into a reused buffer allocates nothing). Every gate is named (whole-line
-# match, so one gate's name cannot stand in for another's): the run cannot
-# pass by absence.
+# allocations either), the JSON append encoders (a hot message written
+# into a reused buffer allocates nothing) and the JSON reader (a hot
+# message decodes with one allocation per slice it hands on, plus the op).
+# Every gate is named (whole-line match, so one gate's name cannot stand
+# in for another's): the run cannot pass by absence.
 alloc-gate:
 	@for g in TestAllocGateSearch TestAllocGateSearchBatch TestAllocGateSearchMultiInto; do \
 		$(GO) test -list 'TestAllocGate' ./internal/index | grep -qx $$g \
@@ -74,7 +75,7 @@ alloc-gate:
 	@for g in TestAllocGatePersistentSearch TestAllocGateShardedSearch TestAllocGateTombstonedSearch; do \
 		$(GO) test -list 'TestAllocGate' ./internal/vdms | grep -qx $$g \
 			|| { echo "alloc-gate test $$g missing from ./internal/vdms"; exit 1; }; done
-	@for g in TestAllocGateJSONEncode; do \
+	@for g in TestAllocGateJSONEncode TestAllocGateJSONDecode; do \
 		$(GO) test -list 'TestAllocGate' ./internal/server | grep -qx $$g \
 			|| { echo "alloc-gate test $$g missing from ./internal/server"; exit 1; }; done
 	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms ./internal/server
@@ -94,8 +95,9 @@ reconfig-gate:
 # panic or OOM — recovery either succeeds or returns a typed
 # persist.CorruptError — and that hostile binary wire bodies (same payload
 # reader) fail per message, decode to no more than their length justifies,
-# and re-encode to themselves when accepted; and that the JSON codec's
-# fast paths decode and encode exactly as encoding/json does.
+# and re-encode to themselves when accepted; and that the JSON codec
+# decodes and encodes exactly as encoding/json does, message by message and
+# over whole streams split anywhere.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzWALReplay' -fuzztime 30s ./internal/persist
 	$(GO) test -run '^$$' -fuzz 'FuzzSnapshotDecode' -fuzztime 30s ./internal/persist
@@ -103,6 +105,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz 'FuzzBinaryResponse' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzJSONRequest' -fuzztime 30s ./internal/server
 	$(GO) test -run '^$$' -fuzz 'FuzzJSONResponse' -fuzztime 30s ./internal/server
+	$(GO) test -run '^$$' -fuzz 'FuzzJSONStream' -fuzztime 30s ./internal/server
 
 # Non-test Go lines outside benchmark/, per package directory and in
 # total, then the hand-written assembly lines (*.s) on a line of their

@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vdtuner/internal/vdms"
@@ -21,10 +24,11 @@ import (
 // the body, byte for byte (so it also decodes equal).
 //
 // The JSON wire is held to encoding/json instead (jsonwire.go): arbitrary
-// bytes decode through the fast paths to what json.Decoder makes of them
-// by reflection alone, or both refuse them, and every accepted value
-// encodes to json.Encoder's bytes, or both refuse it. `make fuzz-smoke`
-// runs all four targets.
+// bytes, one message or a whole stream of them, decode through the
+// jsonReader to what json.Decoder makes of them by reflection alone, or
+// both refuse them at the same value, and every accepted value encodes to
+// json.Encoder's bytes, or both refuse it. `make fuzz-smoke` runs all five
+// targets.
 
 // maxDecodedPerBodyByte bounds a decoded message's heap size by its body's
 // length. The worst honest case is a batch of dim-1 rows: 4 body bytes
@@ -148,8 +152,9 @@ func FuzzBinaryResponse(f *testing.F) {
 	})
 }
 
-// refRequest and refResponse are Request and Response with the plain
-// field types: what encoding/json decodes and encodes by reflection alone.
+// refRequest and refResponse are Request and Response as types of the
+// tests' own, which no method of the package's can reach: what
+// encoding/json decodes and encodes by reflection alone.
 // TestJSONReferenceMirrorsWire keeps them field for field in step.
 type refRequest struct {
 	Op      string          `json:"op"`
@@ -182,17 +187,18 @@ func refOfResponse(r *Response) *refResponse {
 }
 
 // decodeBoth decodes data as the server and the client do (one value off
-// a json.Decoder) into the wire type and into its reference twin, and
-// fails unless both refuse it or both make the same value of it.
-func decodeBoth(t *testing.T, data []byte, got, want any, ref func() any) bool {
+// a jsonReader) into the wire type, and as json.Decoder does into its
+// reference twin, and fails unless both refuse it or both make the same
+// value of it.
+func decodeBoth(t *testing.T, data []byte, read func(*jsonReader) error, want any, ref func() any) bool {
 	t.Helper()
-	gotErr := json.NewDecoder(bytes.NewReader(data)).Decode(got)
+	gotErr := read(newJSONReader(bufio.NewReader(bytes.NewReader(data))))
 	wantErr := json.NewDecoder(bytes.NewReader(data)).Decode(want)
 	if (gotErr == nil) != (wantErr == nil) {
-		t.Fatalf("%q: fast path error %v, encoding/json error %v", data, gotErr, wantErr)
+		t.Fatalf("%q: jsonReader error %v, json.Decoder error %v", data, gotErr, wantErr)
 	}
 	if gotErr == nil && !reflect.DeepEqual(ref(), want) {
-		t.Fatalf("%q: fast path decoded %+v, encoding/json %+v", data, ref(), want)
+		t.Fatalf("%q: jsonReader decoded %+v, json.Decoder %+v", data, ref(), want)
 	}
 	return gotErr == nil
 }
@@ -220,39 +226,75 @@ var floatEdgeBits = []uint32{
 	math.Float32bits(math.MaxFloat32), 0x7f800000, 0xff800000, 0x7fc00000,
 }
 
+// jsonRequestSeeds and jsonResponseSeeds are canonical messages and the
+// shapes around them the parser must decline: nulls, strings, reordered,
+// duplicate and differently cased keys, escapes, non-ASCII, numbers out of
+// range or grammar, cold fields, and values that are not objects.
+var jsonRequestSeeds = []string{
+	`{"op":"search","query":[0.5,-1,1e-7,3e21,-0,1.5e-45],"k":20}`,
+	`{"op":"insert","vectors":[[1,2],[3,4],[]]}`,
+	`{"op":"searchBatch","queries":[[1,2],null,[3]],"k":2}`,
+	`{"op":"search","query":[1e40],"k":1}`,
+	`{"op":"search","query":["1",2]}`,
+	`{"op":"search","query":[1,null]}`,
+	`{"op":"search","query":{}}`,
+	`{"op":"search","query":null,"vectors":"x"}`,
+	`{"OP":"search","Query":[1,2],"K":3,"QUERIES":[[1]]}`,
+	`{"op":"search","query":[1,2,3],"query":[4],"query":[5,6]}`,
+	`{"op":"insert","vectors":[[1,2,3]],"vectors":[[4]]}`,
+	`{"op":"x","unknown":[1,2],"query":[1]}`,
+	" { \"op\" : \"search\" ,\n\t\"query\" : [ 1 , 2E+2 ] , \"k\" : 1 } \r\n",
+	`{"op":"\u0073earch","query":[1]}`,
+	`{"op":"<&>\u2028\n\"\\","query":[1]}`,
+	"{\"op\":\"\xff\"}",
+	`{"op":"search","query":[01]}`,
+	`{"op":"search","query":[1.]}`,
+	`{"op":"search","query":[-]}`,
+	`{"op":"reconfigure","config":{ "nprobe" : 8 , "x":"<"}}`,
+	`{"op":"delete","ids":[1,-2,9223372036854775807]}`,
+	`{"op":"ping"}{"op":"flush"}`,
+	`{"op":"search","query":[],"k":0}`,
+	`null`, `[]`, ``, `{`,
+	`{"op":"ping"} null{"op":"flush"}nullx`,
+	`{"op":"search","query":[1,2],"k":3,"ids":[],"vectors":[[1]]}`,
+	"{\"op\":\"ping\",\"k\":1.0}\n{\"op\":\"search\",\"query\":[1],\"k\":1}",
+	`{"op":"search","query":[1,2] 3]}`,
+}
+
+var jsonResponseSeeds = []string{
+	`{"ok":true,"neighbors":[{"id":1,"dist":0.5},{"id":-2,"dist":1e-7},{"id":3,"dist":-0}],"deleted":0,"generation":0}`,
+	`{"ok":true,"batches":[[{"id":1,"dist":2}],[],null],"deleted":0,"generation":0}`,
+	`{"ok":true,"neighbors":[{"dist":0.5,"id":1}]}`,
+	`{"ok":true,"neighbors":[{"ID":1,"Dist":0.5}]}`,
+	`{"ok":true,"neighbors":[{"id":1,"dist":0.5,"x":1}]}`,
+	`{"ok":true,"neighbors":[{"id":1}]}`,
+	`{"ok":true,"neighbors":[{"id":1.5,"dist":0.5}]}`,
+	`{"ok":true,"neighbors":[{"id":1,"dist":"0.5"}]}`,
+	`{"ok":true,"neighbors":[{"id":1,"dist":1e40}]}`,
+	`{"ok":true,"neighbors":[{"id":99999999999999999999,"dist":1}]}`,
+	`{"ok":true,"neighbors":[null,{"id":1,"dist":1}]}`,
+	`{"neighbors":[{"id":1,"dist":2},{"id":3,"dist":4}],"neighbors":[{"id":5}]}`,
+	`{"batches":[[{"id":1,"dist":2},{"id":3,"dist":4}]],"batches":[[{"id":5,"dist":6}]],"batches":[[{"id":7},{"id":8}]]}`,
+	" {\"ok\" : true , \"neighbors\" : [ { \"id\" : 1 , \"dist\" : 1E-3 } ] } ",
+	`{"ok":false,"error":"unknown op \"x\" <&>\u2028","deleted":0,"generation":0}`,
+	`{"ok":true,"stats":{"Rows":3},"deleted":1,"generation":7}`,
+	`{"ok":true,"config":{"nprobe":8},"generation":2}`,
+	`{"ok":true,"ids":[1,2,-3]}`,
+	`{"ok":"yes"}`, `null`, ``,
+	`{"ok":true,"ids":[],"neighbors":[],"batches":[[]],"deleted":-0,"generation":18446744073709551615}`,
+	`{"ok":true,"generation":-1}`,
+	`{"ok":tru}{"ok":true}`,
+}
+
 func FuzzJSONRequest(f *testing.F) {
-	for i, seed := range []string{
-		`{"op":"search","query":[0.5,-1,1e-7,3e21,-0,1.5e-45],"k":20}`,
-		`{"op":"insert","vectors":[[1,2],[3,4],[]]}`,
-		`{"op":"searchBatch","queries":[[1,2],null,[3]],"k":2}`,
-		`{"op":"search","query":[1e40],"k":1}`,
-		`{"op":"search","query":["1",2]}`,
-		`{"op":"search","query":[1,null]}`,
-		`{"op":"search","query":{}}`,
-		`{"op":"search","query":null,"vectors":"x"}`,
-		`{"OP":"search","Query":[1,2],"K":3,"QUERIES":[[1]]}`,
-		`{"op":"search","query":[1,2,3],"query":[4],"query":[5,6]}`,
-		`{"op":"insert","vectors":[[1,2,3]],"vectors":[[4]]}`,
-		`{"op":"x","unknown":[1,2],"query":[1]}`,
-		" { \"op\" : \"search\" ,\n\t\"query\" : [ 1 , 2E+2 ] , \"k\" : 1 } \r\n",
-		`{"op":"\u0073earch","query":[1]}`,
-		`{"op":"<&>\u2028\n\"\\","query":[1]}`,
-		"{\"op\":\"\xff\"}",
-		`{"op":"search","query":[01]}`,
-		`{"op":"search","query":[1.]}`,
-		`{"op":"search","query":[-]}`,
-		`{"op":"reconfigure","config":{ "nprobe" : 8 , "x":"<"}}`,
-		`{"op":"delete","ids":[1,-2,9223372036854775807]}`,
-		`{"op":"ping"}{"op":"flush"}`,
-		`{"op":"search","query":[],"k":0}`,
-		`null`, `[]`, ``, `{`,
-	} {
+	for i, seed := range jsonRequestSeeds {
 		f.Add([]byte(seed), floatEdgeBits[i%len(floatEdgeBits)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte, bits uint32) {
 		var got Request
 		var want refRequest
-		if !decodeBoth(t, data, &got, &want, func() any { return refOfRequest(&got) }) {
+		read := func(rd *jsonReader) error { return rd.readRequest(&got) }
+		if !decodeBoth(t, data, read, &want, func() any { return refOfRequest(&got) }) {
 			got = Request{Op: "search", K: 1}
 		}
 		b, err := appendRequestJSON(nil, &got)
@@ -268,33 +310,14 @@ func FuzzJSONRequest(f *testing.F) {
 }
 
 func FuzzJSONResponse(f *testing.F) {
-	for i, seed := range []string{
-		`{"ok":true,"neighbors":[{"id":1,"dist":0.5},{"id":-2,"dist":1e-7},{"id":3,"dist":-0}],"deleted":0,"generation":0}`,
-		`{"ok":true,"batches":[[{"id":1,"dist":2}],[],null],"deleted":0,"generation":0}`,
-		`{"ok":true,"neighbors":[{"dist":0.5,"id":1}]}`,
-		`{"ok":true,"neighbors":[{"ID":1,"Dist":0.5}]}`,
-		`{"ok":true,"neighbors":[{"id":1,"dist":0.5,"x":1}]}`,
-		`{"ok":true,"neighbors":[{"id":1}]}`,
-		`{"ok":true,"neighbors":[{"id":1.5,"dist":0.5}]}`,
-		`{"ok":true,"neighbors":[{"id":1,"dist":"0.5"}]}`,
-		`{"ok":true,"neighbors":[{"id":1,"dist":1e40}]}`,
-		`{"ok":true,"neighbors":[{"id":99999999999999999999,"dist":1}]}`,
-		`{"ok":true,"neighbors":[null,{"id":1,"dist":1}]}`,
-		`{"neighbors":[{"id":1,"dist":2},{"id":3,"dist":4}],"neighbors":[{"id":5}]}`,
-		`{"batches":[[{"id":1,"dist":2},{"id":3,"dist":4}]],"batches":[[{"id":5,"dist":6}]],"batches":[[{"id":7},{"id":8}]]}`,
-		" {\"ok\" : true , \"neighbors\" : [ { \"id\" : 1 , \"dist\" : 1E-3 } ] } ",
-		`{"ok":false,"error":"unknown op \"x\" <&>\u2028","deleted":0,"generation":0}`,
-		`{"ok":true,"stats":{"Rows":3},"deleted":1,"generation":7}`,
-		`{"ok":true,"config":{"nprobe":8},"generation":2}`,
-		`{"ok":true,"ids":[1,2,-3]}`,
-		`{"ok":"yes"}`, `null`, ``,
-	} {
+	for i, seed := range jsonResponseSeeds {
 		f.Add([]byte(seed), floatEdgeBits[i%len(floatEdgeBits)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte, bits uint32) {
 		var got Response
 		var want refResponse
-		if !decodeBoth(t, data, &got, &want, func() any { return refOfResponse(&got) }) {
+		read := func(rd *jsonReader) error { return rd.readResponse(&got) }
+		if !decodeBoth(t, data, read, &want, func() any { return refOfResponse(&got) }) {
 			got = Response{OK: true}
 		}
 		b, err := appendResponseJSON(nil, &got)
@@ -305,5 +328,71 @@ func FuzzJSONResponse(f *testing.F) {
 		got.Batches = append(got.Batches, nil, []Neighbor{n, {ID: 1, Dist: -n.Dist}})
 		b, err = appendResponseJSON(b[:0], &got)
 		encodeBoth(t, b, err, refOfResponse(&got))
+	})
+}
+
+// chunkReader hands data out in reads of the fuzzed sizes, cycled, so a
+// message can end anywhere relative to a read.
+type chunkReader struct {
+	data, sizes []byte
+	n           int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	size := 1
+	if len(r.sizes) > 0 {
+		size = int(r.sizes[r.n%len(r.sizes)]) + 1
+		r.n++
+	}
+	n := copy(p[:min(size, len(p))], r.data)
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// checkStream reads data to its end as a stream of W through a jsonReader
+// over chunked reads and a bufio.Reader of the given size, and as a stream
+// of its reference twin R through json.Decoder. The values must match one
+// for one up to the first error, which must come at the same value on both
+// sides (io.EOF on both or neither); after it the reader stays failed.
+func checkStream[W, R any](t *testing.T, data, chunks []byte, size int, read func(*jsonReader, *W) error, ref func(*W) *R) {
+	t.Helper()
+	rd := newJSONReader(bufio.NewReaderSize(&chunkReader{data: data, sizes: chunks}, size))
+	dec := json.NewDecoder(bytes.NewReader(data))
+	for i := 0; ; i++ {
+		var got W
+		var want R
+		gotErr, wantErr := read(rd, &got), dec.Decode(&want)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr == io.EOF) != (wantErr == io.EOF) {
+			t.Fatalf("%q value %d: jsonReader error %v, json.Decoder error %v", data, i, gotErr, wantErr)
+		}
+		if gotErr != nil {
+			if err := read(rd, &got); err == nil {
+				t.Fatalf("%q: the reader read value %d after failing at it", data, i+1)
+			}
+			return
+		}
+		if !reflect.DeepEqual(ref(&got), &want) {
+			t.Fatalf("%q value %d: jsonReader decoded %+v, json.Decoder %+v", data, i, ref(&got), want)
+		}
+	}
+}
+
+// FuzzJSONStream holds the reader to json.Decoder over whole streams:
+// messages back to back, split across reads anywhere, through buffers from
+// 16 bytes (nearly every message framed) to 2 KiB (most parsed in place).
+func FuzzJSONStream(f *testing.F) {
+	for i, seeds := range [][]string{jsonRequestSeeds, jsonResponseSeeds} {
+		for j := 0; j+2 < len(seeds); j += 3 {
+			stream := strings.Join(seeds[j:j+3], []string{"", "\n", " \r\n\t"}[j%3])
+			f.Add([]byte(stream), []byte{byte(i + j), 200, 3}, uint8(j))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data, chunks []byte, bufShift uint8) {
+		size := 16 << (bufShift % 8)
+		checkStream(t, data, chunks, size, (*jsonReader).readRequest, refOfRequest)
+		checkStream(t, data, chunks, size, (*jsonReader).readResponse, refOfResponse)
 	})
 }

@@ -1,28 +1,31 @@
 package server
 
-// The JSON protocol's hot path, without reflection. A JSON message is one
-// object per line, and the bytes are exactly what json.Encoder writes for
-// Request and Response: appendRequestJSON and appendResponseJSON emit the
-// fields in struct order, honour each tag's omitempty, and format float32s
-// by encoding/json's rule ('f', or 'e' below 1e-6 and from 1e21 up, with
-// "e-09" cleaned to "e-9"; NaN and ±Inf are a json.UnsupportedValueError).
-// On the read side json.Decoder still frames every message, and the hot
-// fields carry types whose UnmarshalJSON parses the canonical shape (an
-// array of plain numbers, {"id":…,"dist":…} objects) directly and hands
-// any other bytes to json.Unmarshal into the plain type.
+// The JSON protocol without reflection on its hot path. A JSON message is
+// one object per line, and the bytes are exactly what json.Encoder writes
+// for Request and Response: appendRequestJSON and appendResponseJSON emit
+// the fields in struct order, honour each tag's omitempty, and format
+// float32s by encoding/json's rule ('f', or 'e' below 1e-6 and from 1e21
+// up, with "e-09" cleaned to "e-9"; NaN and ±Inf are a
+// json.UnsupportedValueError). On the read side a jsonReader parses that
+// canonical message straight from the connection's read buffer, one pass
+// over its bytes, and frames anything else for json.Unmarshal.
 //
 // encoding/json stays the reference semantics rather than a second codec
 // beside this one: it marshals the cold nested values (Stats, Config, the
 // reconfigure RawMessage) and every string that needs escaping, and it
-// decodes whatever the fast paths decline. FuzzJSONRequest and
-// FuzzJSONResponse hold both directions to it byte for byte.
+// decodes whatever the parser declines. FuzzJSONRequest,
+// FuzzJSONResponse and FuzzJSONStream hold both directions to it, the
+// last against json.Decoder over whole streams.
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 )
 
 // appendRequestJSON appends req as json.Encoder writes it, newline
@@ -206,120 +209,250 @@ func appendNeighborsJSON(dst []byte, ns []Neighbor) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// The hot fields' types. Each is its plain slice type with an
-// UnmarshalJSON that parses the canonical shape into freshly allocated
-// slices (rows share one backing array, each capped at its own length, so
-// no row can grow into the next) and hands any other bytes, and a field
-// a duplicate key already filled, to json.Unmarshal into the plain type.
-type (
-	jsonFloats    []float32
-	jsonRows      [][]float32
-	jsonNeighbors []Neighbor
-	jsonBatches   [][]Neighbor
-)
-
-func (v *jsonFloats) UnmarshalJSON(data []byte) error {
-	return unmarshalFast((*[]float32)(v), data, parseFloats)
+// jsonReader reads one connection's JSON messages, one value per call,
+// with json.Decoder's stream semantics: any whitespace between values, no
+// newline required, values back to back, and io.EOF only at a clean end.
+// Unlike json.Decoder it fails for good at its first error of any kind,
+// so no later call parses from the middle of a broken stream.
+//
+// A message is parsed where it lies in the bufio.Reader's buffer when it
+// is canonical (the shape the append encoders write: keys in field
+// order, plain strings, arrays of numbers and {"id":…,"dist":…} objects)
+// and whole in the buffer; the reader then discards exactly the bytes
+// parsed. Anything else — a message the buffer splits or cannot hold,
+// reordered, duplicate or differently cased keys, null, escapes,
+// non-ASCII, stats or config — is framed into the reused buf by a
+// string-aware depth scan, parsed from there by the same steps, and
+// handed to json.Unmarshal when they refuse it.
+type jsonReader struct {
+	br  *bufio.Reader
+	buf []byte // the framed value, reused across messages
+	s   jsonScanner
+	err error
 }
 
-func (v *jsonRows) UnmarshalJSON(data []byte) error {
-	return unmarshalFast((*[][]float32)(v), data, parseRows)
+func newJSONReader(br *bufio.Reader) *jsonReader { return &jsonReader{br: br} }
+
+func (r *jsonReader) readRequest(req *Request) error {
+	return readJSON(r, req, (*jsonScanner).request)
 }
 
-func (v *jsonNeighbors) UnmarshalJSON(data []byte) error {
-	return unmarshalFast((*[]Neighbor)(v), data, parseNeighbors)
+func (r *jsonReader) readResponse(resp *Response) error {
+	return readJSON(r, resp, (*jsonScanner).response)
 }
 
-func (v *jsonBatches) UnmarshalJSON(data []byte) error {
-	return unmarshalFast((*[][]Neighbor)(v), data, parseBatches)
-}
-
-// unmarshalFast sets *v from parse. A value parse declines, and a field
-// an earlier duplicate key filled (which encoding/json decodes into
-// rather than replacing), go to json.Unmarshal.
-func unmarshalFast[T any](v *[]T, data []byte, parse func([]byte) ([]T, bool)) error {
-	if *v == nil {
-		if out, ok := parse(data); ok {
-			*v = out
+// readJSON reads the next value into *v, which it zeroes first.
+func readJSON[T any](r *jsonReader, v *T, parse func(*jsonScanner, *T)) error {
+	var zero T
+	*v = zero
+	if r.err != nil {
+		return r.err
+	}
+	c, err := r.skipSpace()
+	if err != nil {
+		r.err = err
+		return err
+	}
+	if c == '{' {
+		buffered, _ := r.br.Peek(r.br.Buffered())
+		r.s.reset(buffered)
+		if parse(&r.s, v); r.s.ok {
+			r.br.Discard(r.s.i) // the bytes are buffered: Discard cannot fail
 			return nil
 		}
+		*v = zero
 	}
-	return json.Unmarshal(data, v)
+	if err := r.frame(c); err != nil {
+		r.err = err
+		return err
+	}
+	r.s.reset(r.buf)
+	if parse(&r.s, v); r.s.ok {
+		return nil
+	}
+	*v = zero
+	if err := json.Unmarshal(r.buf, v); err != nil {
+		r.err = err
+		return err
+	}
+	return nil
 }
 
-// parseFloats parses an array of plain numbers.
-func parseFloats(data []byte) ([]float32, bool) {
-	if !isArray(data) {
-		return nil, false
+// skipSpace consumes whitespace and returns the first byte of the next
+// value, unconsumed.
+func (r *jsonReader) skipSpace() (byte, error) {
+	for {
+		b, err := r.br.Peek(1)
+		if err != nil {
+			return 0, err
+		}
+		if !isSpace(b[0]) {
+			return b[0], nil
+		}
+		r.br.Discard(1)
 	}
-	s := jsonScanner{b: data, ok: true}
-	out := make([]float32, 0, countByte(data, ',')+1)
-	s.array(func() { out = append(out, s.f32()) })
-	return out, s.end()
 }
 
-// parseRows parses an array of arrays of plain numbers.
-func parseRows(data []byte) ([][]float32, bool) {
-	if !isArray(data) {
-		return nil, false
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// errNotObject refuses a top-level value no message can be: anything but
+// an object or null, which json.Decoder decodes into a struct only to
+// report a type error.
+var errNotObject = errors.New("server: a JSON message must be an object")
+
+// frame consumes the value starting with c into r.buf. An object ends at
+// the byte that closes it; the scan stops early, keeping the byte, at one
+// that cannot appear where it stands in any JSON value, so a peer sending
+// garbage fails now instead of when it closes the stream.
+func (r *jsonReader) frame(c byte) error {
+	r.buf = r.buf[:0]
+	switch c {
+	case '{':
+	case 'n':
+		b, err := r.br.Peek(4)
+		if string(b) != "null" {
+			if err != nil {
+				return unexpectedEOF(err)
+			}
+			return errNotObject
+		}
+		r.buf = append(r.buf, b...)
+		r.br.Discard(4)
+		return nil
+	default:
+		return errNotObject
 	}
-	s := jsonScanner{b: data, ok: true}
-	flat := make([]float32, 0, countByte(data, ',')+1)
-	rows := make([][]float32, 0, countByte(data, '[')-1)
-	s.array(func() {
-		start := len(flat)
-		s.array(func() { flat = append(flat, s.f32()) })
-		rows = append(rows, flat[start:len(flat):len(flat)])
-	})
-	return rows, s.end()
+	depth, inString, escaped := 0, false, false
+	for {
+		b, _ := r.br.Peek(r.br.Buffered())
+		if len(b) == 0 {
+			if _, err := r.br.Peek(1); err != nil {
+				return unexpectedEOF(err)
+			}
+			continue
+		}
+		for i, c := range b {
+			end := false
+			switch {
+			case inString:
+				switch {
+				case escaped:
+					escaped = false
+				case c == '\\':
+					escaped = true
+				case c == '"':
+					inString = false
+				case c < 0x20:
+					end = true
+				}
+			case c == '"':
+				inString = true
+			case c == '{' || c == '[':
+				depth++
+			case c == '}' || c == ']':
+				depth--
+				end = depth == 0
+			default:
+				end = !jsonValueByte(c)
+			}
+			if end {
+				r.buf = append(r.buf, b[:i+1]...)
+				r.br.Discard(i + 1)
+				return nil
+			}
+		}
+		r.buf = append(r.buf, b...)
+		r.br.Discard(len(b))
+	}
 }
 
-// parseNeighbors parses an array of {"id":…,"dist":…} objects.
-func parseNeighbors(data []byte) ([]Neighbor, bool) {
-	if !isArray(data) {
-		return nil, false
+// jsonValueByte reports whether c may stand outside a string in a JSON
+// value: whitespace, a separator, or a byte of a number or a literal.
+func jsonValueByte(c byte) bool {
+	switch {
+	case isSpace(c), c == ',', c == ':', '0' <= c && c <= '9', c == '-', c == '+', c == '.':
+		return true
 	}
-	s := jsonScanner{b: data, ok: true}
-	out := make([]Neighbor, 0, countByte(data, '{'))
-	s.array(func() { out = append(out, s.neighbor()) })
-	return out, s.end()
+	return strings.IndexByte("eEtrufalsn", c) >= 0
 }
 
-// parseBatches parses an array of arrays of {"id":…,"dist":…} objects.
-func parseBatches(data []byte) ([][]Neighbor, bool) {
-	if !isArray(data) {
-		return nil, false
+// unexpectedEOF is json.Decoder's report of a stream that ends inside a
+// value.
+func unexpectedEOF(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
 	}
-	s := jsonScanner{b: data, ok: true}
-	flat := make([]Neighbor, 0, countByte(data, '{'))
-	lists := make([][]Neighbor, 0, countByte(data, '[')-1)
-	s.array(func() {
-		start := len(flat)
-		s.array(func() { flat = append(flat, s.neighbor()) })
-		lists = append(lists, flat[start:len(flat):len(flat)])
-	})
-	return lists, s.end()
+	return err
 }
 
-// isArray keeps the fast paths from allocating for a value that cannot be
-// theirs (null, above all).
-func isArray(data []byte) bool { return len(data) > 0 && data[0] == '[' }
-
-// countByte bounds a fast path's allocation: an array holds at most one
-// more number than it has commas, and one list per '[' inside it.
-func countByte(data []byte, c byte) int { return bytes.Count(data, []byte{c}) }
-
-// jsonScanner reads one canonical shape out of a value json.Decoder has
-// framed. The first deviation clears ok and makes every later step a
-// no-op, so a parse is a straight line of steps checked once at the end.
+// jsonScanner parses one canonical message. Running out of bytes, or the
+// first deviation from the canonical shape, clears ok and makes every
+// later step a no-op, so a parse is a straight line of steps checked
+// once at the end. The array steps collect into scratch the scanner keeps
+// across messages and copy out into fresh slices: the query log and the
+// engine keep what a message decodes to.
 type jsonScanner struct {
 	b  []byte
 	i  int
 	ok bool
+
+	floats []float32
+	lens   []int
+	nbs    []Neighbor
+	ints   []int64
+}
+
+func (s *jsonScanner) reset(b []byte) { s.b, s.i, s.ok = b, 0, true }
+
+// requestKeys and responseKeys are the keys a canonical message may
+// carry, in the order the encoders write them.
+var (
+	requestKeys  = []string{"op", "vectors", "query", "k", "queries", "ids"}
+	responseKeys = []string{"ok", "error", "ids", "neighbors", "batches", "deleted", "generation"}
+)
+
+func (s *jsonScanner) request(req *Request) {
+	s.object(requestKeys, func(key string) {
+		switch key {
+		case "op":
+			req.Op = string(s.str())
+		case "vectors":
+			req.Vectors = lists(s, &s.floats, s.f32)
+		case "query":
+			req.Query = list(s, &s.floats, s.f32)
+		case "k":
+			req.K = int(s.int(strconv.IntSize))
+		case "queries":
+			req.Queries = lists(s, &s.floats, s.f32)
+		case "ids":
+			req.IDs = list(s, &s.ints, s.int64)
+		}
+	})
+}
+
+func (s *jsonScanner) response(resp *Response) {
+	s.object(responseKeys, func(key string) {
+		switch key {
+		case "ok":
+			resp.OK = s.bool()
+		case "error":
+			resp.Error = string(s.str())
+		case "ids":
+			resp.IDs = list(s, &s.ints, s.int64)
+		case "neighbors":
+			resp.Neighbors = list(s, &s.nbs, s.neighbor)
+		case "batches":
+			resp.Batches = lists(s, &s.nbs, s.neighbor)
+		case "deleted":
+			resp.Deleted = int(s.int(strconv.IntSize))
+		case "generation":
+			resp.Generation = s.uint64()
+		}
+	})
 }
 
 func (s *jsonScanner) space() {
-	for s.i < len(s.b) && (s.b[s.i] == ' ' || s.b[s.i] == '\t' || s.b[s.i] == '\n' || s.b[s.i] == '\r') {
+	for s.i < len(s.b) && isSpace(s.b[s.i]) {
 		s.i++
 	}
 }
@@ -350,15 +483,45 @@ func (s *jsonScanner) next(c byte) bool {
 	return false
 }
 
-// end reports whether the whole input was read without a deviation.
-func (s *jsonScanner) end() bool {
-	s.space()
-	return s.ok && s.i == len(s.b)
+// expect consumes c after optional whitespace.
+func (s *jsonScanner) expect(c byte) {
+	if !s.next(c) {
+		s.ok = false
+	}
+}
+
+// object reads one object whose keys are among keys, each at most once
+// and in that order, calling field with each key met. A
+// key out of order also catches a duplicate, which encoding/json decodes
+// into the field again rather than replacing it.
+func (s *jsonScanner) object(keys []string, field func(key string)) {
+	s.expect('{')
+	if s.next('}') {
+		return
+	}
+	at := 0
+	for s.ok {
+		name := s.str()
+		for at < len(keys) && string(name) != keys[at] {
+			at++
+		}
+		if at == len(keys) {
+			s.ok = false
+			return
+		}
+		s.expect(':')
+		field(keys[at])
+		at++
+		if s.next('}') {
+			return
+		}
+		s.expect(',')
+	}
 }
 
 // array reads one JSON array, calling elem once per element.
 func (s *jsonScanner) array(elem func()) {
-	s.lit("[")
+	s.expect('[')
 	if s.next(']') {
 		return
 	}
@@ -367,49 +530,84 @@ func (s *jsonScanner) array(elem func()) {
 		if s.next(']') {
 			return
 		}
-		s.lit(",")
+		s.expect(',')
 	}
 }
 
-func (s *jsonScanner) digits() int {
+// str reads a string of printable ASCII without escapes and returns its
+// bytes, which alias the input.
+func (s *jsonScanner) str() []byte {
+	s.expect('"')
 	start := s.i
-	for s.i < len(s.b) && '0' <= s.b[s.i] && s.b[s.i] <= '9' {
-		s.i++
+	for s.ok && s.i < len(s.b) {
+		switch c := s.b[s.i]; {
+		case c == '"':
+			s.i++
+			return s.b[start : s.i-1]
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			s.ok = false
+		default:
+			s.i++
+		}
 	}
-	return s.i - start
+	s.ok = false
+	return nil
 }
 
-// number reads one number of JSON's grammar and returns its bytes.
+func (s *jsonScanner) bool() bool {
+	if s.next('t') {
+		s.lit("rue")
+		return true
+	}
+	s.lit("false")
+	return false
+}
+
+// skipDigits returns the index of the first byte at or after i in b that
+// is not a decimal digit.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// number reads one number of JSON's grammar and returns its bytes. (One
+// the input ends in may go on past it, but it is never the last byte of a
+// canonical message: the step after it fails.)
 func (s *jsonScanner) number() []byte {
 	if !s.ok {
 		return nil
 	}
 	s.space()
-	start := s.i
-	if s.i < len(s.b) && s.b[s.i] == '-' {
-		s.i++
+	b, start := s.b, s.i
+	i := start
+	if i < len(b) && b[i] == '-' {
+		i++
 	}
-	if s.i < len(s.b) && s.b[s.i] == '0' {
-		s.i++
-	} else if s.digits() == 0 {
+	if i < len(b) && b[i] == '0' {
+		i++
+	} else if j := skipDigits(b, i); j > i {
+		i = j
+	} else {
 		s.ok = false
 	}
-	if s.i < len(s.b) && s.b[s.i] == '.' {
-		s.i++
-		if s.digits() == 0 {
-			s.ok = false
-		}
+	if i < len(b) && b[i] == '.' {
+		j := skipDigits(b, i+1)
+		s.ok = s.ok && j > i+1
+		i = j
 	}
-	if s.i < len(s.b) && (s.b[s.i] == 'e' || s.b[s.i] == 'E') {
-		s.i++
-		if s.i < len(s.b) && (s.b[s.i] == '+' || s.b[s.i] == '-') {
-			s.i++
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
 		}
-		if s.digits() == 0 {
-			s.ok = false
-		}
+		j := skipDigits(b, i)
+		s.ok = s.ok && j > i
+		i = j
 	}
-	return s.b[start:s.i]
+	s.i = i
+	return b[start:i]
 }
 
 // f32 reads a number as encoding/json decodes one into a float32; a
@@ -426,29 +624,75 @@ func (s *jsonScanner) f32() float32 {
 	return float32(f)
 }
 
-// i64 reads a number as encoding/json decodes one into an int64.
-func (s *jsonScanner) i64() int64 {
+// int reads a number as encoding/json decodes one into a signed integer
+// of the given size.
+func (s *jsonScanner) int(bits int) int64 {
 	tok := s.number()
 	if !s.ok {
 		return 0
 	}
-	n, err := strconv.ParseInt(string(tok), 10, 64)
+	n, err := strconv.ParseInt(string(tok), 10, bits)
 	if err != nil {
 		s.ok = false
 	}
 	return n
 }
 
+func (s *jsonScanner) uint64() uint64 {
+	tok := s.number()
+	if !s.ok {
+		return 0
+	}
+	n, err := strconv.ParseUint(string(tok), 10, 64)
+	if err != nil {
+		s.ok = false
+	}
+	return n
+}
+
+func (s *jsonScanner) int64() int64 { return s.int(64) }
+
 // neighbor reads {"id":…,"dist":…}, keys exactly so and in that order.
 func (s *jsonScanner) neighbor() (n Neighbor) {
-	s.lit("{")
-	s.lit(`"id"`)
-	s.lit(":")
-	n.ID = s.i64()
-	s.lit(",")
-	s.lit(`"dist"`)
-	s.lit(":")
+	s.lit(`{"id":`)
+	n.ID = s.int64()
+	s.lit(`,"dist":`)
 	n.Dist = s.f32()
-	s.lit("}")
+	s.expect('}')
 	return n
+}
+
+// list reads an array into a fresh slice, collecting it in *scratch
+// first. An empty array is an empty slice, not nil, as encoding/json
+// decodes it.
+func list[T any](s *jsonScanner, scratch *[]T, elem func() T) []T {
+	buf := (*scratch)[:0]
+	s.array(func() { buf = append(buf, elem()) })
+	*scratch = buf
+	if !s.ok {
+		return nil
+	}
+	return append(make([]T, 0, len(buf)), buf...)
+}
+
+// lists reads an array of arrays. The lists share one fresh backing
+// array, each capped at its own length so that none can grow into the
+// next.
+func lists[T any](s *jsonScanner, scratch *[]T, elem func() T) [][]T {
+	buf, lens := (*scratch)[:0], s.lens[:0]
+	s.array(func() {
+		n := len(buf)
+		s.array(func() { buf = append(buf, elem()) })
+		lens = append(lens, len(buf)-n)
+	})
+	*scratch, s.lens = buf, lens
+	if !s.ok {
+		return nil
+	}
+	flat := append(make([]T, 0, len(buf)), buf...)
+	out := make([][]T, len(lens))
+	for i, n := range lens {
+		out[i], flat = flat[:n:n], flat[n:]
+	}
+	return out
 }

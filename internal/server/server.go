@@ -22,13 +22,13 @@
 // codec.go for the exact frame layout, and the README's "Wire protocol"
 // section for the negotiation and pipelining semantics.
 //
-// JSON messages are written by append encoders and their hot fields read
-// through typed fast paths (jsonwire.go), with the bytes on the wire
-// exactly json.Encoder's: encoding/json stays the reference, framing
-// every incoming message and handling whatever is not in the canonical
-// shape. A result JSON cannot spell (a distance that overflowed to +Inf)
-// is answered with an error naming the op and the value, and the
-// connection stays up; the binary protocol carries the value as is.
+// JSON messages are written by append encoders and read by a parser that
+// works in the connection's read buffer (jsonwire.go), with the bytes on
+// the wire exactly json.Encoder's: encoding/json stays the reference,
+// decoding whatever is not in the canonical shape. A result JSON cannot
+// spell (a distance that overflowed to +Inf) is answered with an error
+// naming the op and the value, and the connection stays up; the binary
+// protocol carries the value as is.
 //
 // Both protocols are hardened against misbehaving peers: a single request
 // may not exceed Options.MaxRequestBytes on the wire (an oversized
@@ -82,22 +82,20 @@ import (
 	"vdtuner/internal/vdms"
 )
 
-// Request is one client command. Its vector fields, like Response's
-// neighbor lists, have the plain slice types beneath a JSON decoding fast
-// path, so values of the plain types assign to and from them.
+// Request is one client command.
 type Request struct {
 	// Op is one of "ping", "insert", "search", "searchBatch", "delete",
 	// "flush", "compact", "persist", "stats", "reconfigure", "config".
 	Op string `json:"op"`
 	// Vectors carries the rows for "insert".
-	Vectors jsonRows `json:"vectors,omitempty"`
+	Vectors [][]float32 `json:"vectors,omitempty"`
 	// Query and K parameterize "search"; K is shared with "searchBatch".
-	Query jsonFloats `json:"query,omitempty"`
-	K     int        `json:"k,omitempty"`
+	Query []float32 `json:"query,omitempty"`
+	K     int       `json:"k,omitempty"`
 	// Queries carries the batch for "searchBatch". The server fans the
 	// batch across the collection's configured parallelism and answers
 	// all queries in one round trip.
-	Queries jsonRows `json:"queries,omitempty"`
+	Queries [][]float32 `json:"queries,omitempty"`
 	// IDs carries the ids for "delete".
 	IDs []int64 `json:"ids,omitempty"`
 	// Config carries the target configuration for "reconfigure": a
@@ -114,12 +112,12 @@ type Neighbor = linalg.Neighbor
 
 // Response is the server's reply to one Request.
 type Response struct {
-	OK        bool          `json:"ok"`
-	Error     string        `json:"error,omitempty"`
-	IDs       []int64       `json:"ids,omitempty"`
-	Neighbors jsonNeighbors `json:"neighbors,omitempty"`
+	OK        bool       `json:"ok"`
+	Error     string     `json:"error,omitempty"`
+	IDs       []int64    `json:"ids,omitempty"`
+	Neighbors []Neighbor `json:"neighbors,omitempty"`
 	// Batches[i] answers Queries[i] of a "searchBatch" request.
-	Batches jsonBatches           `json:"batches,omitempty"`
+	Batches [][]Neighbor          `json:"batches,omitempty"`
 	Stats   *vdms.CollectionStats `json:"stats,omitempty"`
 	// Deleted is the number of ids newly tombstoned by "delete". Never
 	// omitempty: a delete that tombstoned nothing legitimately answers 0,
@@ -306,7 +304,7 @@ func (s *Server) acceptLoop() {
 }
 
 // errRequestTooLarge is the sentinel a connReader returns when one
-// message exhausts its byte budget. It surfaces from json.Decoder (which
+// message exhausts its byte budget. It surfaces from the jsonReader (which
 // returns reader errors verbatim) and marks the connection for an
 // apologetic error response before the drop.
 var errRequestTooLarge = errors.New("server: request exceeds the per-request byte limit")
@@ -376,12 +374,12 @@ func (s *Server) handle(conn net.Conn) {
 // handleJSON serves the newline-delimited JSON protocol: strictly ordered
 // request/response pairs, exactly as every pre-binary client expects.
 func (s *Server) handleJSON(conn net.Conn, cr *connReader, br *bufio.Reader) {
-	dec := json.NewDecoder(br)
+	rd := newJSONReader(br)
 	var out []byte // the reply buffer, reused across messages
 	for {
 		cr.reset(s.opts.maxRequestBytes())
 		var req Request
-		if err := dec.Decode(&req); err != nil {
+		if err := rd.readRequest(&req); err != nil {
 			if errors.Is(err, errRequestTooLarge) {
 				// Tell the client why before dropping: the stream is mid-
 				// message and cannot be resynchronized. An error-only
@@ -548,12 +546,15 @@ func (h hotOps) Delete(ids []int64) (int, error) {
 }
 
 // Client is a synchronous connection to a Server. It is safe for
-// concurrent use; requests are serialized on the single connection.
+// concurrent use; requests are serialized on the single connection. A
+// response it cannot read breaks the connection: that call and every
+// later one fail without sending, since the stream can no longer be
+// resynchronized.
 type Client struct {
 	hotOps
 	mu   sync.Mutex
 	conn net.Conn
-	dec  *json.Decoder
+	rd   *jsonReader
 	buf  []byte // request scratch, reused across calls; guarded by mu
 }
 
@@ -563,7 +564,7 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, dec: json.NewDecoder(bufio.NewReader(conn))}
+	c := &Client{conn: conn, rd: newJSONReader(bufio.NewReader(conn))}
 	c.hotOps.call = c.call
 	return c, nil
 }
@@ -574,6 +575,9 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) call(req *Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.rd.err != nil {
+		return nil, c.rd.err
+	}
 	var err error
 	if c.buf, err = appendRequestJSON(c.buf[:0], req); err != nil {
 		return nil, err
@@ -582,7 +586,7 @@ func (c *Client) call(req *Request) (*Response, error) {
 		return nil, err
 	}
 	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	if err := c.rd.readResponse(&resp); err != nil {
 		return nil, err
 	}
 	if !resp.OK {

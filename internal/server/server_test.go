@@ -415,6 +415,31 @@ func TestWrongDimSearchOverWire(t *testing.T) {
 	}
 }
 
+// TestNonFiniteVectorsOverBinary: a NaN row or query sent over the binary
+// codec, which carries float32 bits as they are, is a per-request error and
+// the connection stays up. Stored, the NaN row pushed the true second
+// neighbour of the origin ({1,1,1,1}, id 1) out of an exact k=2 search.
+func TestNonFiniteVectorsOverBinary(t *testing.T) {
+	srv := startFlat(t, linalg.L2, 4)
+	cl := dialBin(t, srv)
+	nan := float32(math.NaN())
+	for i, row := range [][]float32{{0, 0, 0, 0}, {1, 1, 1, 1}, {nan, 0, 0, 0}, {2, 2, 2, 2}} {
+		if _, err := cl.Insert([][]float32{row}); (err != nil) != (i == 2) {
+			t.Fatalf("insert %v: %v", row, err)
+		}
+	}
+	res, err := cl.Search([]float32{0, 0, 0, 0}, 2)
+	if err != nil || len(res) != 2 || res[0].ID != 0 || res[1].ID != 1 {
+		t.Fatalf("k=2 search at the origin = %+v, %v; want ids 0 and 1", res, err)
+	}
+	if res, err := cl.Search([]float32{0, nan, 0, 0}, 2); err == nil {
+		t.Fatalf("NaN query answered: %+v", res)
+	}
+	if err := cl.Ping(); err != nil {
+		t.Fatalf("connection dropped after a non-finite vector: %v", err)
+	}
+}
+
 func TestDispatchRecoversPanic(t *testing.T) {
 	// A panicking handler must yield an error response, not crash the
 	// process. A nil collection makes every data op panic.

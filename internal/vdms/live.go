@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -180,8 +181,9 @@ func firstError(errs []error) error {
 
 // Insert appends vectors and returns their assigned ids. Vectors are
 // copied; the caller may reuse the slices. Growing data is searchable
-// immediately. A batch containing a wrong-dimension vector is rejected
-// whole, before any row is applied or logged. Ids are assigned from the
+// immediately. A batch containing a wrong-dimension vector, or one with a
+// NaN or ±Inf component, is rejected whole, before any row is applied or
+// logged. Ids are assigned from the
 // collection-wide counter and the batch is partitioned across shards by
 // id hash; each shard applies, WAL-logs, and fsyncs its sub-batch under
 // its own lock, so concurrent Insert calls proceed in parallel on
@@ -198,6 +200,9 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	for i, v := range vecs {
 		if len(v) != c.dim {
 			return nil, fmt.Errorf("vdms: vector %d has dim %d, want %d", i, len(v), c.dim)
+		}
+		if err := checkFinite("vector", i, v); err != nil {
+			return nil, err
 		}
 	}
 	n := len(vecs)
@@ -218,6 +223,19 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 		d.addInserts(ids, vecs)
 	}
 	return ids, nil
+}
+
+// checkFinite refuses a vector with a NaN or ±Inf component. Every
+// distance to such a vector is NaN, which orders unpredictably: a stored
+// one pushes true neighbours out of other queries' results, and a query
+// answers NaN distances.
+func checkFinite(what string, i int, v []float32) error {
+	for j, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("vdms: %s %d component %d is %v", what, i, j, x)
+		}
+	}
+	return nil
 }
 
 // route is the one path of a routed write: the batch is split by owning
@@ -389,7 +407,8 @@ func (c *Collection) queryTileSize(q, s int) int {
 // shard's segment lifecycle even while concurrent Insert/Delete/Flush
 // calls are queued. Per-probe work is accumulated into private per-cell
 // Stats and merged into st in cell order (exact, since the counts are
-// integers).
+// integers). A query of the wrong dimension, or with a NaN or ±Inf
+// component, fails the whole batch before any probe runs.
 func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([][]linalg.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vdms: k must be >= 1, got %d", k)
@@ -397,6 +416,9 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 	for i, q := range queries {
 		if len(q) != c.dim {
 			return nil, fmt.Errorf("vdms: query %d has dim %d, want %d", i, len(q), c.dim)
+		}
+		if err := checkFinite("query", i, q); err != nil {
+			return nil, err
 		}
 	}
 	m := c.metric

@@ -400,3 +400,44 @@ func TestDeleteIdempotentAndBounds(t *testing.T) {
 		t.Fatalf("re-delete counted %d, want 0", n)
 	}
 }
+
+// TestNonFiniteVectorsRefused: a NaN or ±Inf component is refused in an
+// inserted row, rejecting its whole batch before anything is applied or
+// logged, and in a query. At one time the NaN row was stored and, at NaN
+// distance from everything, pushed a true neighbour out of an exact
+// search's top 2.
+func TestNonFiniteVectorsRefused(t *testing.T) {
+	cfg := durableConfig(index.Flat)
+	coll, err := OpenDurable(t.TempDir(), cfg, linalg.L2, 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	rows := [][]float32{{0, 0, 0, 0}, {1, 1, 1, 1}, {nan, 0, 0, 0}, {2, 2, 2, 2}}
+	for _, batch := range [][][]float32{rows, {{0, 0, -inf, 0}}} {
+		if ids, err := coll.Insert(batch); err == nil {
+			t.Fatalf("insert of a non-finite row accepted: ids %v", ids)
+		}
+	}
+	if st := coll.Stats(); st.Rows != 0 || st.WALLastLSN != 0 {
+		t.Fatalf("a refused batch left %d rows and WAL head %d", st.Rows, st.WALLastLSN)
+	}
+	for i, row := range rows {
+		if _, err := coll.Insert([][]float32{row}); (err != nil) != (i == 2) {
+			t.Fatalf("insert %v: %v", row, err)
+		}
+	}
+	res, err := coll.Search([]float32{0, 0, 0, 0}, 2, nil)
+	if err != nil || len(res) != 2 || res[0].ID != 0 || res[1].ID != 1 {
+		t.Fatalf("k=2 search at the origin = %+v, %v; want ids 0 and 1", res, err)
+	}
+	for _, q := range [][]float32{{nan, 0, 0, 0}, {0, inf, 0, 0}, {0, 0, 0, -inf}} {
+		if res, err := coll.Search(q, 2, nil); err == nil {
+			t.Fatalf("search for %v accepted: %+v", q, res)
+		}
+		if res, err := coll.SearchBatch([][]float32{{0, 0, 0, 0}, q}, 2, nil); err == nil {
+			t.Fatalf("batch holding %v accepted: %+v", q, res)
+		}
+	}
+}
