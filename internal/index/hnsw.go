@@ -16,17 +16,19 @@ import (
 // (query beam width, clamped up to k plus the collector's excluded ids).
 //
 // Vectors live in a flat arena (linalg.Matrix); the beam search tracks
-// visited nodes in an epoch-stamped array and draws its frontier and
-// result heaps from a reusable scratch, so a steady-state query performs
-// no heap allocations beyond the returned neighbor slice.
+// visited nodes in an epoch-stamped array and draws its frontier and its
+// beam — a bounded max-heap that keeps and orders tied candidates exactly
+// as a linalg.TopK would — from a reusable scratch, so a steady-state
+// query performs no heap allocations beyond the returned neighbor slice.
 //
 // Neither traversal nor pruning scores a node's neighbors one pair at a
 // time. Expansion is batched: a traversal step first collects the node's
-// unvisited neighbors, scores them in one linalg.DistanceRows call, then
-// pushes them in link order, so the beam sees the same distances in the
-// same order as a pair-by-pair walk. Pruning scores once: an overfull link list's distances to its
-// node are computed in one call, the (neighbor, distance) pairs sorted,
-// and the distances handed on to the selection heuristic. Stats are a
+// unvisited neighbors, scores them in one linalg.DistanceRows call (four
+// gathered rows per kernel call), then pushes them in link order, so the
+// beam sees the same distances in the same order as a pair-by-pair walk.
+// Pruning scores once: an overfull link list's distances to its node are
+// computed in one call, the (neighbor, distance) pairs sorted, and the
+// distances handed on to the selection heuristic. Stats are a
 // cost model, not a call count, and stay those of the pair-by-pair
 // formulation — pruning is charged two evaluations per sort comparison
 // and selection one per candidate examined, though neither recomputes —
@@ -244,8 +246,8 @@ func (h *hnsw) plan(node int, pl *hnswPlan, scratch *searchScratch) {
 		// and the next layer's entry points.
 		pl.eps, pl.epD = pl.eps[:0], pl.epD[:0]
 		for _, c := range cands {
-			pl.eps = append(pl.eps, int32(c.ID))
-			pl.epD = append(pl.epD, c.Dist)
+			pl.eps = append(pl.eps, c.node)
+			pl.epD = append(pl.epD, c.d)
 		}
 		pl.layers[l] = h.selectNeighbors(pl.eps, pl.epD, h.m, &pl.work, &pl.rejected)
 	}
@@ -332,19 +334,27 @@ func (h *hnsw) greedyLayer(q []float32, cur int, curD float32, l int, st *Stats,
 }
 
 // searchLayer is the beam search of the HNSW paper (Algorithm 2). It
-// returns up to ef candidates as (node, dist) pairs sorted by ascending
-// distance, charging every distance evaluation to st. The returned slice
-// is owned by s and valid until s's next searchLayer. It only reads the
-// graph, so concurrent calls with distinct scratches are safe while no
-// writer runs.
-func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *searchScratch) []linalg.Neighbor {
+// returns up to ef candidates sorted by ascending distance, charging every
+// distance evaluation to st. The returned slice is owned by s and valid
+// until s's next searchLayer. It only reads the graph, so concurrent calls
+// with distinct scratches are safe while no writer runs.
+//
+// It keeps the paper's two structures: the beam, an ef-bounded max-heap
+// (s.beam) whose root is the worst kept candidate, and the frontier, the
+// unexpanded candidates in ascending-distance order. The heap makes the
+// same comparisons in the same order as a linalg.TopK of width ef, so it
+// keeps — and evicts — the same candidates, ties included, and sorts them
+// out in the same order. The walk stops at the first frontier entry farther
+// than a full beam's worst; that worst never rises, so such an entry can
+// only ever end the walk, and the frontier drops it as soon as it is one.
+func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *searchScratch) []hnswCand {
 	stamp := s.beginVisit(h.store.Rows())
 	frontier := s.frontier[:0]
-	results := s.stage1.Reset(ef)
+	beam := s.beam[:0]
 	for i, ep := range h.scoreUnvisited(q, eps, stamp, st, s) {
 		d := s.dists[i]
 		frontier = append(frontier, hnswCand{ep, d})
-		results.Push(int64(ep), d)
+		beam = beamPush(beam, ef, hnswCand{ep, d})
 	}
 	// Entry points arrive in ascending-distance order (a previous beam's
 	// sorted output, or a single node), so this insertion sort is a
@@ -356,54 +366,129 @@ func (h *hnsw) searchLayer(q []float32, eps []int32, ef, l int, st *Stats, s *se
 		}
 	}
 	// head is the frontier's pop cursor: frontier[head:] is the live
-	// min-ordered queue, kept sorted by binary-search inserts.
+	// min-ordered queue, kept sorted by insertion.
 	head := 0
 	for head < len(frontier) {
 		c := frontier[head]
 		head++
-		if results.Full() && c.d > results.Worst() {
+		if len(beam) == ef && c.d > beam[0].d {
 			break
 		}
 		for i, nb := range h.scoreUnvisited(q, h.links[c.node][l], stamp, st, s) {
 			d := s.dists[i]
-			if !results.Full() || d < results.Worst() {
-				results.Push(int64(nb), d)
-				// Insert keeping frontier[head:] sorted (small beams,
-				// the linear shift is cheaper than heap churn).
-				lo, hi := head, len(frontier)
-				for lo < hi {
-					mid := int(uint(lo+hi) >> 1)
-					if frontier[mid].d < d {
-						lo = mid + 1
-					} else {
-						hi = mid
-					}
+			if len(beam) == ef && d >= beam[0].d {
+				continue
+			}
+			beam = beamPush(beam, ef, hnswCand{nb, d})
+			// Insert keeping frontier[head:] sorted, ahead of equal
+			// distances, by shifting the farther entries up one from the
+			// tail (the queue stays about ef long, so this beats heap
+			// churn), then drop the tail a full beam has passed.
+			j := len(frontier)
+			frontier = append(frontier, hnswCand{})
+			for j > head && frontier[j-1].d >= d {
+				frontier[j] = frontier[j-1]
+				j--
+			}
+			frontier[j] = hnswCand{nb, d}
+			if len(beam) == ef {
+				worst, n := beam[0].d, len(frontier)
+				for n > head && frontier[n-1].d > worst {
+					n--
 				}
-				frontier = append(frontier, hnswCand{})
-				copy(frontier[lo+1:], frontier[lo:])
-				frontier[lo] = hnswCand{nb, d}
+				frontier = frontier[:n]
 			}
 		}
 	}
 	s.frontier = frontier
-	s.beamOut = results.AppendResults(s.beamOut[:0])
-	return s.beamOut
+	beamSort(beam)
+	s.beam = beam
+	return beam
+}
+
+// beamPush offers c to the beam, a max-heap on distance of at most ef
+// candidates, exactly as linalg.TopK.Push does: appended and sifted up
+// while there is room, else kept in place of the root only when strictly
+// closer than it.
+func beamPush(beam []hnswCand, ef int, c hnswCand) []hnswCand {
+	if len(beam) < ef {
+		beam = append(beam, c)
+		i := len(beam) - 1
+		for i > 0 {
+			p := (i - 1) / 2
+			if beam[p].d >= c.d {
+				break
+			}
+			beam[i] = beam[p]
+			i = p
+		}
+		beam[i] = c
+		return beam
+	}
+	if c.d >= beam[0].d {
+		return beam
+	}
+	beamSiftDown(beam, c)
+	return beam
+}
+
+// beamSiftDown places c in the heap from the root down, moving a hole
+// instead of swapping: at each level it makes linalg.TopK's siftDown
+// comparisons in the same order (left child, then right, each against the
+// larger so far), so the heap ends in the same layout.
+func beamSiftDown(beam []hnswCand, c hnswCand) {
+	n, i := len(beam), 0
+	for {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		big, bigD := i, c.d
+		if beam[l].d > bigD {
+			big, bigD = l, beam[l].d
+		}
+		if r := l + 1; r < n && beam[r].d > bigD {
+			big = r
+		}
+		if big == i {
+			break
+		}
+		beam[i] = beam[big]
+		i = big
+	}
+	beam[i] = c
+}
+
+// beamSort heap-sorts the beam into ascending distance in place, moving
+// the root to the end of the shrinking heap as linalg.TopK.AppendResults
+// does, so the order of equal distances is the same.
+func beamSort(beam []hnswCand) {
+	for last := len(beam) - 1; last > 0; last-- {
+		root := beam[0]
+		beamSiftDown(beam[:last], beam[last])
+		beam[last] = root
+	}
 }
 
 // scoreUnvisited marks the not-yet-visited nodes among nodes as visited and
 // scores them against q in one batched call. It returns them in their
 // original order (valid until s's next scoreUnvisited) with their
-// distances in s.dists, one evaluation each charged to st.
+// distances in s.dists, one evaluation each charged to st. The marking
+// loop has no branch: every node is written to the next free slot, which
+// only a node not yet stamped claims.
 func (h *hnsw) scoreUnvisited(q []float32, nodes []int32, stamp uint32, st *Stats, s *searchScratch) []int32 {
-	fresh := s.fresh[:0]
+	fresh := i32Buf(s.fresh, len(nodes))
+	visited := s.visited
+	n := 0
 	for _, nb := range nodes {
-		if s.visited[nb] != stamp {
-			s.visited[nb] = stamp
-			fresh = append(fresh, nb)
-		}
+		fresh[n] = nb
+		seen := visited[nb] ^ stamp // 0 iff already visited
+		visited[nb] = stamp
+		n += int((seen | -seen) >> 31)
 	}
+	fresh = fresh[:n]
 	s.fresh = fresh
-	s.dists = f32Buf(s.dists, len(fresh))
+	s.dists = f32Buf(s.dists, n)
 	h.distRows(st, q, fresh, s.dists)
 	return fresh
 }
@@ -595,7 +680,7 @@ func (h *hnsw) searchWith(q []float32, k int, excl map[int64]struct{}, p SearchP
 	cands := h.searchLayer(q, s.eps, ef, 0, &work, s)
 	top := s.top.Reset(k).Exclude(excl)
 	for _, c := range cands {
-		top.Push(h.ids[c.ID], c.Dist)
+		top.Push(h.ids[c.node], c.d)
 	}
 	accumulate(st, work)
 	s.res = top.AppendResults(s.res)

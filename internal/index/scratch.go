@@ -18,16 +18,18 @@ type searchScratch struct {
 	// ~4 billion queries) epoch wrap.
 	visited []uint32
 	epoch   uint32
-	// frontier is the HNSW beam's sorted candidate queue; fresh the nodes
-	// one expansion step found unvisited, scored together into dists.
+	// frontier is the HNSW beam search's queue of unexpanded candidates,
+	// in ascending-distance order and cut where a full beam's worst
+	// passes; beam its ef-bounded max-heap of kept candidates, sorted in
+	// place into searchLayer's result; fresh the nodes one expansion step
+	// found unvisited, scored together into dists.
 	frontier []hnswCand
+	beam     []hnswCand
 	fresh    []int32
-	// beamOut receives searchLayer's (node, dist) results.
-	beamOut []linalg.Neighbor
 	// eps is the entry-point buffer for the layer-0 beam.
 	eps []int32
-	// top is the primary result collector; stage1 the secondary one
-	// (HNSW beam, SCANN quantized stage).
+	// top is the primary result collector; stage1 SCANN's quantized-stage
+	// collector.
 	top    linalg.TopK
 	stage1 linalg.TopK
 	// dists receives blocked-kernel distance outputs (HNSW node

@@ -102,3 +102,20 @@ func l2Multi4Go(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
 	l2BlockGo(q2, block, o2)
 	l2BlockGo(q3, block, o3)
 }
+
+// dotGather4Go scores q against four rows anywhere in memory, each exactly
+// as dotBlockGo scores a one-row block: the gathered kernels' reference.
+func dotGather4Go(q, r0, r1, r2, r3 []float32, out *[4]float32, op int) {
+	dotBlockGo(q, r0, out[0:1], op)
+	dotBlockGo(q, r1, out[1:2], op)
+	dotBlockGo(q, r2, out[2:3], op)
+	dotBlockGo(q, r3, out[3:4], op)
+}
+
+// l2Gather4Go is the squared-L2 counterpart of dotGather4Go.
+func l2Gather4Go(q, r0, r1, r2, r3 []float32, out *[4]float32) {
+	l2BlockGo(q, r0, out[0:1])
+	l2BlockGo(q, r1, out[1:2])
+	l2BlockGo(q, r2, out[2:3])
+	l2BlockGo(q, r3, out[3:4])
+}

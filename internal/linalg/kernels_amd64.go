@@ -103,9 +103,25 @@ func dotMulti4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
 //go:noescape
 func l2Multi4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
 
-// Each wrapper reads dispatchTier once. At the AVX2 tier the AVX2 body takes
-// the leading whole groups of rows and the SSE body the rest; a call
-// shorter than a group (HNSW's one-row calls) goes straight to SSE.
+// The gathered kernels score q against four rows given by address — one
+// group of YGATHER4 at the AVX2 tier, GATHER4's four accumulators at SSE.
+
+//go:noescape
+func l2Gather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
+
+//go:noescape
+func dotGather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32, op int64)
+
+//go:noescape
+func l2Gather4AVX2(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
+
+//go:noescape
+func dotGather4AVX2(q []float32, r0, r1, r2, r3 *float32, out *[4]float32, op int64)
+
+// Each wrapper reads dispatchTier once. At the AVX2 tier a block wrapper's
+// AVX2 body takes the leading whole groups of rows and the SSE body the
+// rest, so a call shorter than a group (a one-pair Distance) runs SSE; the
+// gather wrappers always score a whole group of four.
 
 func dotBlockKernel(q, block []float32, out []float32, op int) {
 	rows, dim, tier := len(out), len(q), dispatchTier
@@ -187,6 +203,34 @@ func l2Multi4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
 		block, o0, o1, o2, o3 = block[n*dim:], o0[n:], o1[n:], o2[n:], o3[n:]
 	}
 	l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3)
+}
+
+func l2Gather4Kernel(q, r0, r1, r2, r3 []float32, out *[4]float32) {
+	dim, tier := len(q), dispatchTier
+	if dim == 0 || tier == tierPortable {
+		l2Gather4Go(q, r0, r1, r2, r3, out)
+		return
+	}
+	_, _, _, _ = r0[dim-1], r1[dim-1], r2[dim-1], r3[dim-1] // the rows the kernel reads
+	if tier == tierAVX2 {
+		l2Gather4AVX2(q, &r0[0], &r1[0], &r2[0], &r3[0], out)
+		return
+	}
+	l2Gather4SSE(q, &r0[0], &r1[0], &r2[0], &r3[0], out)
+}
+
+func dotGather4Kernel(q, r0, r1, r2, r3 []float32, out *[4]float32, op int) {
+	dim, tier := len(q), dispatchTier
+	if dim == 0 || tier == tierPortable {
+		dotGather4Go(q, r0, r1, r2, r3, out, op)
+		return
+	}
+	_, _, _, _ = r0[dim-1], r1[dim-1], r2[dim-1], r3[dim-1]
+	if tier == tierAVX2 {
+		dotGather4AVX2(q, &r0[0], &r1[0], &r2[0], &r3[0], out, int64(op))
+		return
+	}
+	dotGather4SSE(q, &r0[0], &r1[0], &r2[0], &r3[0], out, int64(op))
 }
 
 // SQ8 byte-domain kernels: same lane contract, with the u8 code row

@@ -14,8 +14,9 @@
 // the contract.
 //
 // Each kernel shape is written once per register width, as a body macro:
-// BLOCK1 and MULTI4 (SSE float), BLOCK4 and MULTI2 (AVX2 float),
-// SQ8BLOCK1 and SQ8MULTI4 (SSE SQ8), SQ8BLOCK4 and SQ8MULTI2 (AVX2 SQ8).
+// BLOCK1, MULTI4 and GATHER4 (SSE float), YGATHER4 — which BLOCK4 runs
+// once per group of consecutive rows — and MULTI2 (AVX2 float), SQ8BLOCK1
+// and SQ8MULTI4 (SSE SQ8), SQ8BLOCK4 and SQ8MULTI2 (AVX2 SQ8).
 // A body takes the metric as step macros and its ending as an epilogue
 // macro, so a TEXT symbol is its argument loads plus one body call.
 // HREDUCE is the only reduce and DOTEPI the only op epilogue. Every
@@ -29,7 +30,8 @@
 // its own instructions changed, it cost the engine's IVF_SQ8 search about
 // a tenth of its rate on a 2-vCPU Sapphire Rapids guest. BLOCK4 and
 // MULTI2 stay unaligned: aligned, the IVF_FLAT scan ran slower in four of
-// five paired runs.
+// five paired runs. The gathered bodies score one group per call and have
+// no row loop to align.
 
 DATA signmask32<>+0(SB)/4, $0x80000000
 GLOBL signmask32<>(SB), RODATA|NOPTR, $4
@@ -92,6 +94,20 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 #define SQ8DOTSTORE SQ8STORE(168, 192, 216, 240, NOROW1)
 #define SQ8L2STORE8 SQ8STORE(144, 168, 192, 216, ROW1)
 #define SQ8DOTSTORE8 SQ8STORE(168, 192, 216, 240, ROW1)
+
+// GATHER4LOAD loads the arguments every gathered kernel shares (q, the
+// four row addresses, out) into GATHER4's and YGATHER4's registers, and
+// dim &^ 3 into R10; it sits here for the same reason.
+#define GATHER4LOAD \
+	MOVQ q_base+0(FP), SI \
+	MOVQ q_len+8(FP), BX \
+	MOVQ r0+24(FP), DI \
+	MOVQ r1+32(FP), R12 \
+	MOVQ r2+40(FP), R13 \
+	MOVQ r3+48(FP), R14 \
+	MOVQ out+56(FP), DX \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10
 
 #define NEG(x) XORPS X11, x
 #define ONEMINUS(x) MOVAPS X10, X9; SUBSS x, X9; MOVAPS X9, x
@@ -200,6 +216,43 @@ m4reduce: \
 	DECQ CX \
 	JNZ  m4row
 
+// GATHER4 is the SSE gathered body: one query against four rows anywhere
+// in memory, one XMM accumulator per row (X0-X3), q loaded once per step
+// (X4) and copied into each row's step. In: SI = q, DI, R12, R13, R14 =
+// rows 0-3, DX = out, BX = dim, R10 = dim &^ 3. Uses R8, X0-X6, X9-X14.
+#define GATHER4(PSTEP, SSTEP, EPI) \
+	XORPS X0, X0 \
+	XORPS X1, X1 \
+	XORPS X2, X2 \
+	XORPS X3, X3 \
+	XORQ  R8, R8 \
+	TESTQ R10, R10 \
+	JE    g4tail \
+g4vec: \
+	MOVUPS (SI)(R8*4), X4 \
+	MOVAPS X4, X5; MOVUPS (DI)(R8*4), X6; PSTEP(X5, X6, X0) \
+	MOVAPS X4, X5; MOVUPS (R12)(R8*4), X6; PSTEP(X5, X6, X1) \
+	MOVAPS X4, X5; MOVUPS (R13)(R8*4), X6; PSTEP(X5, X6, X2) \
+	MOVAPS X4, X5; MOVUPS (R14)(R8*4), X6; PSTEP(X5, X6, X3) \
+	ADDQ $4, R8 \
+	CMPQ R8, R10 \
+	JL   g4vec \
+g4tail: \
+	CMPQ R8, BX \
+	JGE  g4reduce \
+g4tailloop: \
+	MOVSS (SI)(R8*4), X4 \
+	MOVAPS X4, X5; MOVSS (DI)(R8*4), X6; SSTEP(X5, X6, X0) \
+	MOVAPS X4, X5; MOVSS (R12)(R8*4), X6; SSTEP(X5, X6, X1) \
+	MOVAPS X4, X5; MOVSS (R13)(R8*4), X6; SSTEP(X5, X6, X2) \
+	MOVAPS X4, X5; MOVSS (R14)(R8*4), X6; SSTEP(X5, X6, X3) \
+	INCQ R8 \
+	CMPQ R8, BX \
+	JL   g4tailloop \
+g4reduce: \
+	EACH4(HREDUCE) \
+	EPI
+
 // func l2BlockSSE(q, block, out []float32)
 TEXT ·l2BlockSSE(SB), NOSPLIT, $0-72
 	MOVQ q_base+0(FP), SI
@@ -266,19 +319,13 @@ TEXT ·dotMulti4SSE(SB), NOSPLIT, $0-224
 // epilogue. The Go wrappers pass whole groups only; the rows left over go
 // to the SSE bodies.
 
-// BLOCK4 is the single-query body: CX groups of four rows, rows 0-1 in Y0
-// and rows 2-3 in Y2, sharing one broadcast of q[j..j+3]. Two accumulators
-// keep two add chains in flight. In: SI = q, DI = block, DX = out,
-// BX = dim, CX = groups. Uses R8, R10-R14, X0-X3, X6-X14.
-#define BLOCK4(VSTEP, SSTEP, EPI) \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	MOVQ BX, R11 \
-	SHLQ $2, R11 \
-b4group: \
-	LEAQ (DI)(R11*1), R12 \
-	LEAQ (R12)(R11*1), R13 \
-	LEAQ (R13)(R11*1), R14 \
+// YGATHER4 is the AVX2 body for one group of four rows anywhere in
+// memory: rows 0-1 in Y0 and rows 2-3 in Y2, each pair loaded from its two
+// addresses into one YMM (VINSERTF128), sharing one broadcast of q[j..j+3].
+// Two accumulators keep two add chains in flight. In: SI = q, DI, R12, R13,
+// R14 = rows 0-3, DX = out, BX = dim, R10 = dim &^ 3. Uses R8, X0-X3,
+// X6-X14.
+#define YGATHER4(VSTEP, SSTEP, EPI) \
 	VXORPS Y0, Y0, Y0 \
 	VXORPS Y2, Y2, Y2 \
 	XORQ   R8, R8 \
@@ -311,7 +358,21 @@ b4tail: \
 	JL   b4tail \
 b4reduce: \
 	EACH4(HREDUCE) \
-	EPI \
+	EPI
+
+// BLOCK4 is the single-query body: CX groups of four consecutive rows,
+// each group YGATHER4 at a stride of one row. In: SI = q, DI = block,
+// DX = out, BX = dim, CX = groups. Uses R8, R10-R14, X0-X3, X6-X14.
+#define BLOCK4(VSTEP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	MOVQ BX, R11 \
+	SHLQ $2, R11 \
+b4group: \
+	LEAQ (DI)(R11*1), R12 \
+	LEAQ (R12)(R11*1), R13 \
+	LEAQ (R13)(R11*1), R14 \
+	YGATHER4(VSTEP, SSTEP, EPI) \
 	ADDQ $16, DX \
 	LEAQ (DI)(R11*4), DI \
 	DECQ CX \
@@ -436,6 +497,36 @@ TEXT ·dotMulti4AVX2(SB), NOSPLIT, $0-224
 	MOVQ R12, X15
 	SHRQ $1, CX
 	MULTI2(VDOT, SDOT, DOTEPI8)
+	RET
+
+// The gathered kernels: q against four rows given by address, the form a
+// graph walk needs. Their arguments load as GATHER4LOAD says (above the
+// first TEXT, for vet); the dot kernels read op into R9 for DOTEPI4.
+
+// func l2Gather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
+TEXT ·l2Gather4SSE(SB), NOSPLIT, $0-64
+	GATHER4LOAD
+	GATHER4(PL2, SL2, STORE4)
+	RET
+
+// func dotGather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32, op int64)
+TEXT ·dotGather4SSE(SB), NOSPLIT, $0-72
+	GATHER4LOAD
+	MOVQ op+64(FP), R9
+	GATHER4(PDOT, SDOT, DOTEPI4)
+	RET
+
+// func l2Gather4AVX2(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
+TEXT ·l2Gather4AVX2(SB), NOSPLIT, $0-64
+	GATHER4LOAD
+	YGATHER4(VL2, SL2, STORE4)
+	RET
+
+// func dotGather4AVX2(q []float32, r0, r1, r2, r3 *float32, out *[4]float32, op int64)
+TEXT ·dotGather4AVX2(SB), NOSPLIT, $0-72
+	GATHER4LOAD
+	MOVQ op+64(FP), R9
+	YGATHER4(VDOT, SDOT, DOTEPI4)
 	RET
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)

@@ -28,6 +28,14 @@ func l2Multi4Kernel(q0, q1, q2, q3, block []float32, o0, o1, o2, o3 []float32) {
 	l2Multi4Go(q0, q1, q2, q3, block, o0, o1, o2, o3)
 }
 
+func l2Gather4Kernel(q, r0, r1, r2, r3 []float32, out *[4]float32) {
+	l2Gather4Go(q, r0, r1, r2, r3, out)
+}
+
+func dotGather4Kernel(q, r0, r1, r2, r3 []float32, out *[4]float32, op int) {
+	dotGather4Go(q, r0, r1, r2, r3, out, op)
+}
+
 func sq8L2BlockKernel(r, scale []float32, codes []byte, out []float32) {
 	sq8L2BlockGo(r, scale, codes, out)
 }

@@ -133,27 +133,33 @@ func Distance(m Metric, a, b []float32) float32 {
 // DistanceRows computes the distance of q to the scattered rows
 // store.Row(rows[i]) under metric m, writing it to out[i] — the gather
 // form of DistanceBlock for graph traversal, where the rows to score are
-// a node's neighbors and not contiguous. Rows are scored four at a
-// time by the multi-query kernels with the roles swapped: the four rows
-// are the "queries" and q a one-row block. (a-b)² and a·b commute
-// exactly, so every out[i] is bitwise equal to Distance(m, q, row_i).
+// a node's neighbors and not contiguous. Rows are scored four at a time
+// by the gathered kernels, which take four row addresses; a final group
+// of one to three rows repeats its last row and drops the extra results.
+// Per row the arithmetic is the block kernels', so every out[i] is bitwise
+// equal to Distance(m, q, row_i).
 func DistanceRows(m Metric, q []float32, store *Matrix, rows []int32, out []float32) {
 	l2, op := metricKernel(m)
-	i := 0
-	for ; i+4 <= len(rows); i += 4 {
-		r0, r1 := store.Row(int(rows[i])), store.Row(int(rows[i+1]))
-		r2, r3 := store.Row(int(rows[i+2])), store.Row(int(rows[i+3]))
-		if l2 {
-			l2Multi4Kernel(r0, r1, r2, r3, q, out[i:i+1], out[i+1:i+2], out[i+2:i+3], out[i+3:i+4])
-		} else {
-			dotMulti4Kernel(r0, r1, r2, r3, q, out[i:i+1], out[i+1:i+2], out[i+2:i+3], out[i+3:i+4], op)
+	out = out[:len(rows)]
+	var spare [4]float32
+	for i := 0; i < len(rows); i += 4 {
+		g := rows[i:min(i+4, len(rows))]
+		last := len(g) - 1
+		r0 := store.Row(int(g[0]))
+		r1 := store.Row(int(g[min(1, last)]))
+		r2 := store.Row(int(g[min(2, last)]))
+		r3 := store.Row(int(g[last]))
+		dst := &spare
+		if last == 3 {
+			dst = (*[4]float32)(out[i : i+4])
 		}
-	}
-	for ; i < len(rows); i++ {
 		if l2 {
-			l2BlockKernel(q, store.Row(int(rows[i])), out[i:i+1])
+			l2Gather4Kernel(q, r0, r1, r2, r3, dst)
 		} else {
-			dotBlockKernel(q, store.Row(int(rows[i])), out[i:i+1], op)
+			dotGather4Kernel(q, r0, r1, r2, r3, dst, op)
+		}
+		if last < 3 {
+			copy(out[i:], spare[:len(g)])
 		}
 	}
 }

@@ -53,3 +53,51 @@ func BenchmarkKernelMultiQuery(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKernelGather measures the gathered kernels at every float tier:
+// 32 rows picked at random from an in-cache 3 000 × 100-d store (1.2 MB,
+// the size of the `point` workload's HNSW segment), scored by DistanceRows
+// — one gathered-kernel call per four rows, as an HNSW expansion scores a
+// node's unvisited neighbours — and, as the bound it is measured against,
+// the same 32 rows copied contiguous and scored by DistanceBlock (BLOCK4 at
+// the AVX2 tier). ns/row divides one call by its 32 rows.
+func BenchmarkKernelGather(b *testing.B) {
+	const rows, dim, n = 3000, 100, 32
+	rng := rand.New(rand.NewSource(1))
+	store := NewMatrix(dim, rows)
+	row := make([]float32, dim)
+	for i := 0; i < rows; i++ {
+		for j := range row {
+			row[j] = rng.Float32()
+		}
+		store.AppendRow(row)
+	}
+	q := make([]float32, dim)
+	for j := range q {
+		q[j] = rng.Float32()
+	}
+	picked := make([]int32, n)
+	tile := make([]float32, 0, n*dim)
+	for i := range picked {
+		picked[i] = int32(rng.Intn(rows))
+		tile = append(tile, store.Row(int(picked[i]))...)
+	}
+	out := make([]float32, n)
+	for tier := tierPortable; tier <= cpuTier; tier++ {
+		for _, layout := range []string{"gathered", "contiguous"} {
+			b.Run(fmt.Sprintf("%s/%v", layout, tier), func(b *testing.B) {
+				defer func(saved kernelTier) { dispatchTier = saved }(dispatchTier)
+				dispatchTier = tier
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if layout == "gathered" {
+						DistanceRows(L2, q, store, picked, out)
+					} else {
+						DistanceBlock(L2, q, tile, out)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
+	}
+}

@@ -285,45 +285,57 @@ func same(t *testing.T, kernel string, dim, rows, op int, got, want []float32) {
 	}
 }
 
-// TestDistanceRowsBitIdentity pins the gather form — and with it Dot,
-// SquaredL2 and Distance, its one-pair cases — to the portable reference:
-// 0–9 scattered rows cover empty input, every quad/remainder split, and
-// repeated rows; the dims cover tail-only, quad-only and quad+tail loops.
-// It runs at every tier.
+// TestDistanceRowsBitIdentity pins the gather form — the gathered kernels,
+// and with them Dot, SquaredL2 and Distance, its one-pair cases — to the
+// portable reference at every tier: 0–13 rows, which covers every split
+// into whole groups of four and a padded remainder, × every kernelDims dim
+// × the three metrics, with a canary slot past the output. Each row list
+// is drawn three ways: at random, one row repeated (four times and more,
+// so a group's four addresses coincide), and a run of adjacent rows.
 func TestDistanceRowsBitIdentity(t *testing.T) {
 	forEachTier(t, testDistanceRowsBitIdentity)
 }
 
 func testDistanceRowsBitIdentity(t *testing.T) {
+	const canary = 12345
 	rng := rand.New(rand.NewSource(13))
-	for _, dim := range []int{1, 3, 4, 100, 101} {
+	for _, dim := range kernelDims {
 		store := NewMatrix(dim, 23)
 		for i := 0; i < 23; i++ {
 			store.AppendRow(randVec(rng, dim))
 		}
 		q := randVec(rng, dim)
-		for _, m := range []Metric{L2, InnerProduct, Angular} {
-			for n := 0; n <= 9; n++ {
+		for n := 0; n <= 13; n++ {
+			for _, pick := range []string{"random", "repeated", "adjacent"} {
 				rows := make([]int32, n)
+				first := rng.Intn(store.Rows())
 				for i := range rows {
-					rows[i] = int32(rng.Intn(store.Rows()))
-				}
-				out := make([]float32, n+1)
-				out[n] = 12345 // canary: nothing is written past n
-				DistanceRows(m, q, store, rows, out[:n])
-				for i, r := range rows {
-					want := refDistance(m, q, store.Row(int(r)))
-					if !f32Equal(out[i], want) {
-						t.Fatalf("dim=%d m=%v n=%d i=%d: DistanceRows=%x ref=%x",
-							dim, m, n, i, math.Float32bits(out[i]), math.Float32bits(want))
-					}
-					if got := Distance(m, q, store.Row(int(r))); !f32Equal(got, want) {
-						t.Fatalf("dim=%d m=%v row=%d: Distance=%x ref=%x",
-							dim, m, r, math.Float32bits(got), math.Float32bits(want))
+					switch pick {
+					case "random":
+						rows[i] = int32(rng.Intn(store.Rows()))
+					case "repeated":
+						rows[i] = int32(first)
+					case "adjacent":
+						rows[i] = int32((first + i) % store.Rows())
 					}
 				}
-				if out[n] != 12345 {
-					t.Fatalf("dim=%d m=%v n=%d: wrote past the output", dim, m, n)
+				for _, m := range []Metric{L2, InnerProduct, Angular} {
+					out := append(make([]float32, n), canary)
+					DistanceRows(m, q, store, rows, out[:n])
+					for i, r := range rows {
+						want := refDistance(m, q, store.Row(int(r)))
+						if !f32Equal(out[i], want) {
+							t.Fatalf("dim=%d m=%v %s n=%d i=%d: DistanceRows=%x ref=%x",
+								dim, m, pick, n, i, math.Float32bits(out[i]), math.Float32bits(want))
+						}
+						if got := Distance(m, q, store.Row(int(r))); !f32Equal(got, want) {
+							t.Fatalf("dim=%d m=%v row=%d: Distance=%x ref=%x",
+								dim, m, r, math.Float32bits(got), math.Float32bits(want))
+						}
+					}
+					if out[n] != canary {
+						t.Fatalf("dim=%d m=%v %s n=%d: wrote past the output", dim, m, pick, n)
+					}
 				}
 			}
 		}
