@@ -1,16 +1,17 @@
 package server
 
 // The binary protocol's connection handler: pipelined, out-of-order, and
-// bounded. One goroutine reads frames; each decoded request is dispatched
-// on its own goroutine (so a slow search never blocks a ping behind it —
-// no head-of-line blocking); completed responses are enqueued on a
-// bounded channel drained by one writer goroutine. Two bounds give
-// backpressure instead of unbounded buffering: a semaphore caps requests
-// in flight (the reader blocks acquiring a slot, i.e. stops reading), and
-// the response queue's capacity caps completed-but-unwritten responses
-// (workers block enqueueing, holding their slots). A client that outruns
-// the server is therefore throttled by TCP flow control while server
-// memory stays O(PipelineDepth × request size).
+// bounded, with no goroutine per request. The connection goroutine reads
+// frames and hands each decoded request, over one unbuffered channel, to
+// an idle request worker; workers start lazily, at most pipelineDepth of
+// them, and live as long as the connection. A worker dispatches its
+// request and writes its own response frame under the connection's write
+// mutex, so a reply waits only on replies that are already finished,
+// never on an unfinished request: a slow search never blocks a ping
+// behind it (no head-of-line blocking). When every worker is busy the
+// reader blocks on the hand-off and stops reading, so a client that
+// outruns the server is throttled by TCP flow control while server memory
+// stays O(pipelineDepth × request size).
 
 import (
 	"bufio"
@@ -18,43 +19,53 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"vdtuner/internal/persist"
 )
 
+// pipelineDepth bounds the binary requests in flight on one connection:
+// it is the number of request workers the connection may start.
+const pipelineDepth = 64
+
+// binCall is one decoded request on its way to a worker.
+type binCall struct {
+	id   uint64
+	kind byte
+	req  *Request
+}
+
+// binWriter is the write side of one binary connection, shared by its
+// reader and its workers.
+type binWriter struct {
+	mu    sync.Mutex
+	bw    *bufio.Writer
+	err   error        // the first write error; later frames are dropped
+	ready atomic.Int32 // finished frames waiting for mu or writing under it
+}
+
+// write sends one frame. It flushes unless another finished frame is
+// already waiting for the mutex: that writer's flush carries both, so
+// back-to-back replies share one flush and none waits on unfinished work.
+func (w *binWriter) write(frame []byte) {
+	w.ready.Add(1)
+	w.mu.Lock()
+	if w.err == nil {
+		_, w.err = w.bw.Write(frame)
+	}
+	if w.ready.Add(-1) == 0 && w.err == nil {
+		w.err = w.bw.Flush()
+	}
+	w.mu.Unlock()
+}
+
 // handleBinary serves one connection that completed the binary preamble.
 func (s *Server) handleBinary(conn net.Conn, cr *connReader, br *bufio.Reader) {
 	maxReq := s.opts.maxRequestBytes()
-	depth := s.opts.pipelineDepth()
-
-	bw := bufio.NewWriter(conn)
-	respCh := make(chan []byte, depth)
-	writerDone := make(chan struct{})
-	go func() {
-		// The writer: drain completed response frames, flushing when the
-		// queue momentarily empties (batching consecutive writes). After a
-		// write error it keeps draining so no worker blocks forever.
-		defer close(writerDone)
-		var werr error
-		for frame := range respCh {
-			if werr != nil {
-				continue
-			}
-			if _, err := bw.Write(frame); err != nil {
-				werr = err
-				continue
-			}
-			if len(respCh) == 0 {
-				werr = bw.Flush()
-			}
-		}
-		if werr == nil {
-			bw.Flush()
-		}
-	}()
-
-	sem := make(chan struct{}, depth)
+	w := &binWriter{bw: bufio.NewWriter(conn)}
+	calls := make(chan binCall)
 	var workers sync.WaitGroup
+	started := 0
 	var frame []byte
 	for {
 		cr.reset(maxReq + persist.FrameHeaderLen)
@@ -67,7 +78,7 @@ func (s *Server) handleBinary(conn net.Conn, cr *connReader, br *bufio.Reader) {
 			// never read) so the client learns why it was dropped.
 			var tooBig *persist.FrameTooLargeError
 			if errors.As(err, &tooBig) {
-				enqueueBestEffort(respCh, frameResponse(0, 0, &Response{
+				w.write(frameResponse(0, 0, &Response{
 					Error: fmt.Sprintf("request frame of %d bytes exceeds the server's %d-byte limit", tooBig.Declared, tooBig.Limit)}))
 			}
 			break
@@ -81,54 +92,47 @@ func (s *Server) handleBinary(conn net.Conn, cr *connReader, br *bufio.Reader) {
 			if derr != nil {
 				msg = derr.Error()
 			}
-			enqueueBestEffort(respCh, frameResponse(0, 0, &Response{Error: msg}))
+			w.write(frameResponse(0, 0, &Response{Error: msg}))
 			break
 		}
 		if derr != nil {
 			// A malformed payload (or unknown kind) inside a checksummed
 			// frame: the stream itself is still in sync, so answer that
-			// request and go on — under the same backpressure as real
-			// work.
-			sem <- struct{}{}
-			respCh <- frameResponse(id, 0, &Response{Error: derr.Error()})
-			<-sem
+			// request and go on.
+			w.write(frameResponse(id, 0, &Response{Error: derr.Error()}))
 			continue
 		}
-		sem <- struct{}{} // backpressure: stop reading at depth in-flight
-		workers.Add(1)
-		go func(id uint64, kind byte, req *Request) {
-			defer workers.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					// dispatch recovers its own panics; this guards the
-					// encoder. Losing a response would wedge the client's
-					// pipelined call forever, so answer something.
-					enqueueBestEffort(respCh, frameResponse(id, 0, &Response{
-						Error: fmt.Sprintf("internal error encoding response: %v", r)}))
+		c := binCall{id, kind, req}
+		select {
+		case calls <- c: // an idle worker took it
+			continue
+		default:
+		}
+		if started < pipelineDepth {
+			started++
+			workers.Add(1)
+			go func() {
+				defer workers.Done()
+				for c := range calls {
+					w.write(frameResponse(c.id, c.kind, s.dispatch(c.req)))
 				}
-				<-sem
 			}()
-			resp := s.dispatch(req)
-			respCh <- frameResponse(id, kind, resp)
-		}(id, kind, req)
+		}
+		calls <- c // backpressure: with every worker busy, stop reading
 	}
+	close(calls)
 	workers.Wait()
-	close(respCh)
-	<-writerDone
 }
 
-// frameResponse encodes a response body and wraps it in a wire frame
-// ready for the writer goroutine.
-func frameResponse(id uint64, reqKind byte, resp *Response) []byte {
+// frameResponse encodes a response body and wraps it in a wire frame.
+// dispatch recovers its own panics; this guards the encoder. Losing a
+// response would wedge the client's pipelined call forever (and a panic
+// on a request worker would end the process), so answer something.
+func frameResponse(id uint64, reqKind byte, resp *Response) (frame []byte) {
+	defer func() {
+		if r := recover(); r != nil {
+			frame = frameResponse(id, 0, &Response{Error: fmt.Sprintf("internal error encoding response: %v", r)})
+		}
+	}()
 	return persist.AppendFrame(nil, encodeBinResponse(nil, id, reqKind, resp))
-}
-
-// enqueueBestEffort offers a final frame without blocking: on a teardown
-// path the writer may already be saturated, and the connection is being
-// dropped either way.
-func enqueueBestEffort(ch chan []byte, frame []byte) {
-	select {
-	case ch <- frame:
-	default:
-	}
 }

@@ -15,12 +15,12 @@
 // float32 payloads, and request pipelining — every frame carries a
 // request id, a client may keep many requests in flight on one
 // connection, and the server answers each as soon as it completes,
-// possibly out of order. In-flight binary requests per connection are
-// bounded (Options.PipelineDepth): when the bound is reached the server
-// simply stops reading the connection, so a client that outruns the
-// server is backpressured by TCP instead of ballooning server memory. See
-// codec.go for the exact frame layout, and the README's "Wire protocol"
-// section for the negotiation and pipelining semantics.
+// possibly out of order. Each binary connection serves its requests on at
+// most 64 long-lived request workers: when all of them are busy the
+// server simply stops reading the connection, so a client that outruns
+// the server is backpressured by TCP instead of ballooning server memory
+// (binconn.go). See codec.go for the exact frame layout, and the README's
+// "Wire protocol" section for the negotiation and pipelining semantics.
 //
 // JSON messages are written by append encoders and read by a parser that
 // works in the connection's read buffer (jsonwire.go), with the bytes on
@@ -60,11 +60,12 @@
 // rows, segment states, tombstones, WAL position of every shard, in
 // shard order).
 //
-// Connections are handled on one goroutine each (plus a bounded worker
-// pool per pipelined binary connection), and the underlying collection is
-// safe for concurrent use, so any number of clients may mix reads and
-// writes across both protocols. A panicking request handler answers that
-// request with an error response instead of taking down the process.
+// Connections are handled on one goroutine each (plus at most 64
+// request workers per pipelined binary connection), and the underlying
+// collection is safe for concurrent use, so any number of clients may mix
+// reads and writes across both protocols. A panicking request handler
+// answers that request with an error response instead of taking down the
+// process.
 package server
 
 import (
@@ -131,10 +132,10 @@ type Response struct {
 	Generation uint64 `json:"generation"`
 }
 
-// Options hardens and tunes the access layer. The zero value is the
-// library default: a generous request cap, no idle timeout (so in-process
-// tests and trusted links behave exactly as before), and a pipeline depth
-// of 64. vdmsd turns the idle timeout on.
+// Options hardens the access layer. The zero value is the library
+// default: a generous request cap and no idle timeout (so in-process
+// tests and trusted links behave exactly as before). vdmsd turns the idle
+// timeout on.
 type Options struct {
 	// MaxRequestBytes caps the wire size of one request on both
 	// protocols: the declared frame length on the binary protocol, and
@@ -146,30 +147,15 @@ type Options struct {
 	// this long, so dead clients cannot leak a handler goroutine and file
 	// descriptor forever. 0 means no timeout.
 	IdleTimeout time.Duration
-	// PipelineDepth bounds the in-flight binary requests per connection
-	// (being served or queued for writing). When the bound is hit the
-	// server stops reading that connection until responses drain —
-	// backpressure instead of unbounded buffering. 0 means 64.
-	PipelineDepth int
 }
 
-const (
-	defaultMaxRequestBytes = 64 << 20
-	defaultPipelineDepth   = 64
-)
+const defaultMaxRequestBytes = 64 << 20
 
 func (o Options) maxRequestBytes() int {
 	if o.MaxRequestBytes <= 0 {
 		return defaultMaxRequestBytes
 	}
 	return o.MaxRequestBytes
-}
-
-func (o Options) pipelineDepth() int {
-	if o.PipelineDepth <= 0 {
-		return defaultPipelineDepth
-	}
-	return o.PipelineDepth
 }
 
 // Server exposes one collection over TCP.

@@ -8,7 +8,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
+	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -419,6 +422,58 @@ func TestOversizedBinaryFrameRefused(t *testing.T) {
 		t.Fatal("connection survived an oversized frame")
 	}
 	assertServerAlive(t, srv)
+
+	// With a request in flight on the same connection, the reason still
+	// reaches the client, and so does the in-flight reply: both arrive
+	// before the drop, in either order.
+	if _, err := dialBin(t, srv).Insert(vecsFor(50, 24)); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	body, err := encodeBinRequest(nil, 7, &Request{Op: "searchBatch", Queries: vecsFor(100, 23), K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := persist.AppendFrame([]byte(binPreamble), body)
+	msg = binary.LittleEndian.AppendUint32(msg, 1<<20) // declared length over the cap
+	msg = append(msg, 0, 0, 0, 0)                      // its CRC; no body follows
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	var inFlight, fatal *Response
+	for {
+		respBody, err := persist.ReadFrame(br, maxResponseBytes, nil)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatalf("connection not dropped cleanly after its replies: %v", err)
+		}
+		id, resp, err := decodeBinResponse(respBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch id {
+		case 7:
+			inFlight = resp
+		case 0:
+			fatal = resp
+		default:
+			t.Fatalf("reply with unexpected id %d", id)
+		}
+	}
+	if inFlight == nil || !inFlight.OK || len(inFlight.Batches) != 100 {
+		t.Fatalf("in-flight reply lost before the drop: %+v", inFlight)
+	}
+	if fatal == nil || !strings.Contains(fatal.Error, "limit") {
+		t.Fatalf("connection-fatal reason lost before the drop: %+v", fatal)
+	}
 }
 
 func TestOversizedJSONRequestRefused(t *testing.T) {
@@ -504,20 +559,21 @@ func TestMalformedPayloadAnswersWithoutDropping(t *testing.T) {
 	}
 }
 
-// TestPipelinedInterleavedBurst hammers one binary connection from many
-// goroutines at a small pipeline depth, proving response-to-request
+// TestPipelinedInterleavedBurst hammers one binary connection from more
+// goroutines than the pipeline depth, proving response-to-request
 // matching under out-of-order completion and backpressure.
 func TestPipelinedInterleavedBurst(t *testing.T) {
-	srv := startServerOpts(t, Options{PipelineDepth: 4})
+	srv := startServerOpts(t, Options{})
 	cl := dialBin(t, srv)
 	seed := vecsFor(64, 27)
 	ids, err := cl.Insert(seed)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const callers = pipelineDepth + 16
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 16; w++ {
+	errs := make(chan error, callers)
+	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -564,6 +620,181 @@ func TestPipelinedInterleavedBurst(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestBinaryNoHeadOfLine: on one connection, a ping sent behind a slow
+// batch search is answered first, and the batch's reply follows intact.
+// A reply waits only on replies that are already finished, never on an
+// unfinished request.
+func TestBinaryNoHeadOfLine(t *testing.T) {
+	const dim = 32
+	srv := startFlat(t, linalg.L2, dim)
+	cl := dialBin(t, srv)
+	rng := rand.New(rand.NewSource(41))
+	randVecs := func(n int) [][]float32 {
+		out := make([][]float32, n)
+		for i := range out {
+			out[i] = make([]float32, dim)
+			for j := range out[i] {
+				out[i][j] = float32(rng.NormFloat64())
+			}
+		}
+		return out
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := cl.Insert(randVecs(1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := dialJSON(t, srv).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// Double the batch until answering it takes at least 50 ms here.
+	queries := randVecs(128)
+	var want [][]Neighbor
+	for {
+		start := time.Now()
+		var err error
+		if want, err = cl.SearchBatch(queries, 10); err != nil {
+			t.Fatal(err)
+		}
+		if time.Since(start) >= 50*time.Millisecond {
+			break
+		}
+		queries = append(queries, randVecs(len(queries))...)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	msg := []byte(binPreamble)
+	for _, r := range []struct {
+		id  uint64
+		req *Request
+	}{{1, &Request{Op: "searchBatch", Queries: queries, K: 10}}, {2, &Request{Op: "ping"}}} {
+		body, err := encodeBinRequest(nil, r.id, r.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg = persist.AppendFrame(msg, body)
+	}
+	if _, err := conn.Write(msg); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(conn)
+	for i, wantID := range []uint64{2, 1} {
+		respBody, err := persist.ReadFrame(br, maxResponseBytes, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, resp, err := decodeBinResponse(respBody)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id != wantID {
+			t.Fatalf("reply %d carries id %d, want %d: the ping waited behind the batch", i, id, wantID)
+		}
+		if !resp.OK || (id == 1 && !reflect.DeepEqual(resp.Batches, want)) {
+			t.Fatalf("reply %d (id %d) is not intact: ok=%v error=%q", i, id, resp.OK, resp.Error)
+		}
+	}
+}
+
+// TestBinaryGoroutinesBounded: four connections, each with more callers
+// than the pipeline depth, run a bounded number of goroutines; a ping on a
+// fifth connection is still answered promptly; and every request worker
+// ends with its connection.
+func TestBinaryGoroutinesBounded(t *testing.T) {
+	srv := startServerOpts(t, Options{})
+	if _, err := dialJSON(t, srv).Insert(vecsFor(200, 29)); err != nil {
+		t.Fatal(err)
+	}
+	probe := dialBin(t, srv)
+	if err := probe.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	// The probe's connection goroutine, its one request worker and its
+	// client reader are part of the baseline.
+	baseline := runtime.NumGoroutine()
+	const conns = 4
+	const perConn = pipelineDepth + 16
+	const callers = conns * perConn
+	// Each loaded connection runs the server's connection goroutine, at
+	// most pipelineDepth request workers, and the client's reader.
+	limit := baseline + callers + conns*(pipelineDepth+2)
+
+	// One query on one shard: the collection answers it inline, on the
+	// request worker, so the server starts no goroutine the limit omits.
+	q := vecsFor(1, 30)
+	stop := make(chan struct{})
+	errs := make(chan error, callers)
+	var wg sync.WaitGroup
+	clients := make([]*BinClient, conns)
+	for i := range clients {
+		cl := dialBin(t, srv)
+		clients[i] = cl
+		for j := 0; j < perConn; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					if _, err := cl.SearchBatch(q, 5); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}()
+		}
+	}
+	peak := 0
+	start := time.Now()
+	pinged := false
+	for time.Since(start) < 400*time.Millisecond {
+		if n := runtime.NumGoroutine(); n > peak {
+			peak = n
+		}
+		if !pinged && time.Since(start) > 100*time.Millisecond {
+			pinged = true
+			t0 := time.Now()
+			if err := probe.Ping(); err != nil {
+				t.Fatal(err)
+			}
+			if d := time.Since(t0); d > 2*time.Second {
+				t.Fatalf("ping on an idle connection took %v beside %d busy callers", d, callers)
+			}
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("peak %d goroutines, limit %d, baseline %d", peak, limit, baseline)
+	if peak > limit {
+		t.Fatalf("%d goroutines at peak, limit %d (baseline %d + %d callers + %d x (pipelineDepth %d + 2))",
+			peak, limit, baseline, callers, conns, pipelineDepth)
+	}
+
+	for _, cl := range clients {
+		cl.Close()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for n := runtime.NumGoroutine(); n > baseline; n = runtime.NumGoroutine() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after the clients closed, baseline %d: request workers leaked", n, baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
