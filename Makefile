@@ -4,9 +4,9 @@
 # over every Go benchmark so every experiment of bench.Experiments and the
 # assertions the micro-benchmarks make before their clocks start at least
 # compile and run, the goldens and worker-invariance tests at GOMAXPROCS 1 and 4, the
-# online-reconfiguration gate (migration determinism
-# and the migration crash matrix, run explicitly so they cannot be
-# filtered out), the alloc-gate tests in strict mode (so the
+# online-reconfiguration gate (migration determinism, the migration
+# crash matrix and the every-knob-acts table test, run explicitly so they
+# cannot be filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
 # cannot be silently skipped), and a 30s-per-target fuzz smoke pass over
 # the snapshot/WAL decoders and both wire codecs. Performance is measured by ./benchmark alone
@@ -81,13 +81,18 @@ alloc-gate:
 	ALLOC_GATE_STRICT=1 $(GO) test -run 'TestAllocGate' -count=1 ./internal/index ./internal/vdms ./internal/server
 
 # The online-reconfiguration gate, run explicitly (not just as part of
-# the suite) so neither half can be filtered out: migration determinism —
+# the suite) so no part can be filtered out: migration determinism —
 # post-migration state bit-identical to a fresh build at the target
-# configuration, hot swaps and reshards under churn — and the migration
+# configuration, hot swaps and reshards under churn — the migration
 # crash matrix — a kill injected at every protocol step recovers to
-# exactly the old or the new generation, never a mix.
+# exactly the old or the new generation, never a mix — and the knob
+# table's invariant: every row moves the engine that serves, bar a named
+# exemption list that can only shrink. That test is named, so the run
+# cannot pass by its absence.
 reconfig-gate:
-	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate' -count=1 ./internal/vdms
+	@$(GO) test -list 'TestEveryKnobActsOnTheServedEngine' ./internal/vdms | grep -qx TestEveryKnobActsOnTheServedEngine \
+		|| { echo "reconfig-gate test TestEveryKnobActsOnTheServedEngine missing from ./internal/vdms"; exit 1; }
+	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate|^TestEveryKnobActsOnTheServedEngine$$' -count=1 ./internal/vdms
 	$(GO) test -run 'TestMigrationCrashMatrix' -count=1 ./internal/persist/crashtest
 
 # Native fuzzing smoke pass over everything that decodes bytes it did not

@@ -10,8 +10,9 @@
 // The collection is sharded (-shards): inserts and deletes are routed to
 // independently locked shards by id hash, searches scatter-gather across
 // all of them deterministically, and with -data-dir every shard keeps its
-// own write-ahead log and snapshots under <data-dir>/shard-<i>, described
-// by a versioned, generation-stamped manifest. A data directory is bound
+// own write-ahead log and snapshots in <data-dir>/shard-<i>, or after the
+// G-th migration <data-dir>/gen-<G>/shard-<i>, as a versioned manifest
+// records (internal/persist/manifest.go). A data directory is bound
 // to the shard count it was created with; reopening it with a different
 // -shards value is refused — open it at its recorded count and reshard
 // online through the "reconfigure" op instead.

@@ -14,15 +14,16 @@ import (
 
 // TestTunerTrajectoryGolden pins one whole tuning run: every vector the
 // tuner proposed, the configuration it decoded to, and the result the
-// engine gave back, folded into one FNV hash. The value was recorded
-// before the knob table (vdms.Knobs) replaced the hand-written
-// Encode/Decode/defs, so it is the proof that deriving the search space
-// from the table changed no arithmetic: not a default, not a bound, not a
-// rounding.
+// engine gave back, folded into one FNV hash. The value recorded before
+// the knob table (vdms.Knobs) replaced the hand-written Encode/Decode/defs
+// held through that change, the proof that deriving the search space from
+// the table changed no arithmetic. It was re-recorded once since, when
+// queryNode_cacheRatio left the table: the space lost a dimension, so the
+// proposals (and the memory charge) changed.
 func TestTunerTrajectoryGolden(t *testing.T) {
 	const (
 		iters = 42
-		want  = uint64(0x429a4c53d038602c)
+		want  = uint64(0xd6bcdbf19a514607)
 	)
 	ds := smallDataset(t)
 	tn := New(Options{Seed: 7})
@@ -49,9 +50,13 @@ func TestTunerTrajectoryGolden(t *testing.T) {
 
 // kbGoldenObservations is the fixture testdata/kb_v1.json was written
 // from (by SaveObservations, at the commit before vdms.Config learned to
-// serialise itself): a configuration with all 21 scalar knobs off their
-// defaults, one recorded before the zero-means-default knobs existed, and
-// a failed evaluation.
+// serialise itself): a configuration with all 21 scalar knobs of the time
+// off their defaults, one recorded before the zero-means-default knobs
+// existed, and a failed evaluation. The file still carries the retired
+// queryNode_cacheRatio key and 22-dimensional vectors: decoding ignores
+// the key, and LoadObservations re-encodes vectors of another length, so
+// the observations below (without the field, vectors from space.Encode)
+// are what it must load.
 func kbGoldenObservations() []Observation {
 	full := vdms.Config{
 		IndexType: index.IVFPQ,
@@ -59,7 +64,7 @@ func kbGoldenObservations() []Observation {
 		Search:    index.SearchParams{NProbe: 36, Ef: 96, ReorderK: 283},
 
 		SegmentMaxSize: 1024, SealProportion: 0.625, GracefulTime: 250.5,
-		InsertBufSize: 128, Parallelism: 7, CacheRatio: 0.45, FlushInterval: 33.25,
+		InsertBufSize: 128, Parallelism: 7, FlushInterval: 33.25,
 		CompactionTriggerRatio: 0.35, CompactionMergeFanIn: 6, CompactionParallelism: 3,
 		WALFsyncPolicy: 3, WALGroupCommit: 17, ShardCount: 4,
 		Concurrency: 12,
@@ -70,7 +75,7 @@ func kbGoldenObservations() []Observation {
 		Search:    index.SearchParams{NProbe: 16, Ef: 64, ReorderK: 100},
 
 		SegmentMaxSize: 512, SealProportion: 0.25, GracefulTime: 1000,
-		InsertBufSize: 256, Parallelism: 4, CacheRatio: 0.3, FlushInterval: 10,
+		InsertBufSize: 256, Parallelism: 4, FlushInterval: 10,
 	}
 	def := vdms.DefaultConfig()
 	return []Observation{

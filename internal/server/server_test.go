@@ -603,7 +603,7 @@ func TestReconfigureOverWire(t *testing.T) {
 // name, is sent back verbatim and must apply as the same configuration.
 func TestConfigJSONRoundTrip(t *testing.T) {
 	srv, cl := startServer(t)
-	// Every one of the 22 dimensions off its default.
+	// Every knob off its default.
 	want := vdms.Config{IndexType: index.IVFPQ, Concurrency: 7}
 	for i := range vdms.Knobs {
 		k := &vdms.Knobs[i]
@@ -652,10 +652,17 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 		}
 	}
 
-	before := string(reply["generation"])
-	reply = call(`{"op":"reconfigure","config":` + string(reply["config"]) + `}`)
+	before, sent := string(reply["generation"]), string(reply["config"])
+	reply = call(`{"op":"reconfigure","config":` + sent + `}`)
 	if string(reply["generation"]) == before {
 		t.Fatalf("reconfigure did not advance generation %s", before)
+	}
+	// The shape every config reply had while queryNode_cacheRatio was a
+	// knob: the retired key rides along, is ignored, and the rest applies.
+	before = string(reply["generation"])
+	reply = call(`{"op":"reconfigure","config":` + `{"queryNode_cacheRatio":0.3,` + sent[1:] + `}`)
+	if string(reply["generation"]) == before {
+		t.Fatalf("reconfigure carrying the retired key did not advance generation %s", before)
 	}
 
 	// A configuration the decoder refuses is an answered error, and the

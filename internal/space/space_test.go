@@ -11,8 +11,8 @@ import (
 func TestDefsComplete(t *testing.T) {
 	// Changing the dimension count changes what a stored vector means
 	// (knowledge bases are re-encoded on load), so it is pinned here.
-	if Dims != 22 || NumParams != len(vdms.Knobs) {
-		t.Fatalf("Dims = %d over %d knobs, want 22 (paper §V-A's 16 + 3 compaction + 2 durability + 1 sharding extensions)", Dims, len(vdms.Knobs))
+	if Dims != 21 || NumParams != len(vdms.Knobs) {
+		t.Fatalf("Dims = %d over %d knobs, want 21 (paper §V-A's 16, less queryNode_cacheRatio, + 3 compaction + 2 durability + 1 sharding extensions)", Dims, len(vdms.Knobs))
 	}
 	for p, d := range vdms.Knobs {
 		if d.Name == "" || d.Min >= d.Max {

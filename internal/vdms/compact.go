@@ -176,7 +176,7 @@ func (s *shard) compactPass() {
 			s.mu.Unlock()
 			return
 		}
-		workers := orDefault(s.config().CompactionParallelism, KnobCompactionParallelism)
+		workers := s.config().compactWorkers()
 		inputs := make([]compactInput, len(plan))
 		seqs := make([]int64, len(plan))
 		for i, t := range plan {
@@ -285,17 +285,13 @@ func (s *shard) removeSealedLocked(drop []*sealedSegment) {
 // compactors go idle. It returns the first background error, if any.
 // Searches remain served throughout; shards compact independently.
 func (c *Collection) Compact() error {
+	c.router.RLock()
+	defer c.router.RUnlock()
 	if c.closed.Load() {
 		return fmt.Errorf("vdms: collection closed")
 	}
-	c.router.RLock()
-	defer c.router.RUnlock()
 	for _, s := range c.shards {
 		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return fmt.Errorf("vdms: collection closed")
-		}
 		s.maybeCompactLocked()
 		s.mu.Unlock()
 	}

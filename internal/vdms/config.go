@@ -65,9 +65,6 @@ type Config struct {
 	// are deterministic (see package parallel) — so the tuner can explore
 	// it freely without breaking reproducibility.
 	Parallelism int
-	// CacheRatio is the fraction of index data kept hot in cache. Lower
-	// values add per-candidate access cost.
-	CacheRatio float64
 	// FlushInterval is the background flush cadence in seconds. It trades
 	// unindexed-tail size against background build load.
 	FlushInterval float64
@@ -134,7 +131,6 @@ const (
 	KnobGracefulTime
 	KnobInsertBufSize
 	KnobParallelism
-	KnobCacheRatio
 	KnobFlushInterval
 	// Engine extensions: compaction, durability, sharding.
 	KnobCompactionTriggerRatio
@@ -207,7 +203,6 @@ var Knobs = [NumKnobs]Knob{
 	KnobGracefulTime:   {Name: "gracefulTime", Min: 0, Max: 5000, Default: 1000, field: func(c *Config) any { return &c.GracefulTime }},
 	KnobInsertBufSize:  {Name: "insertBufSize", Min: 64, Max: 2048, Default: 256, Integer: true, field: func(c *Config) any { return &c.InsertBufSize }},
 	KnobParallelism:    {Name: "queryNode_parallelism", Min: 1, Max: 32, Default: 4, Integer: true, field: func(c *Config) any { return &c.Parallelism }},
-	KnobCacheRatio:     {Name: "queryNode_cacheRatio", Min: 0.05, Max: 1, Default: 0.3, field: func(c *Config) any { return &c.CacheRatio }},
 	KnobFlushInterval:  {Name: "flushInterval", Min: 1, Max: 120, Default: 10, field: func(c *Config) any { return &c.FlushInterval }},
 
 	KnobCompactionTriggerRatio: {Name: "compaction_triggerRatio", Min: 0.05, Max: 0.95, Default: 0.2, ZeroDefault: true, field: func(c *Config) any { return &c.CompactionTriggerRatio }},
@@ -369,7 +364,9 @@ func (c Config) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON implements json.Unmarshaler. Absent knobs stay zero;
 // unknown keys, a missing or unknown index type, and a fractional value
-// for an int knob are errors.
+// for an int knob are errors. The retired queryNode_cacheRatio is not
+// unknown: configurations written while it was a row carry it, and its
+// value is ignored.
 func (c *Config) UnmarshalJSON(b []byte) error {
 	var m map[string]json.RawMessage
 	if err := json.Unmarshal(b, &m); err != nil {
@@ -386,6 +383,8 @@ func (c *Config) UnmarshalJSON(b []byte) error {
 			dst = &c.Build.Seed
 		case "concurrency":
 			dst = &c.Concurrency
+		case "queryNode_cacheRatio":
+			continue
 		default:
 			k, ok := KnobByName(name)
 			if !ok {
@@ -419,3 +418,7 @@ func (c *Config) walPolicy() (persist.SyncPolicy, int) {
 }
 
 func (c *Config) shardCount() int { return orDefault(c.ShardCount, KnobShardCount) }
+
+func (c *Config) compactWorkers() int {
+	return orDefault(c.CompactionParallelism, KnobCompactionParallelism)
+}

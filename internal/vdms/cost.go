@@ -20,9 +20,10 @@ const (
 	// nsSegmentDispatch is the per-segment task dispatch overhead of the
 	// query pipeline.
 	nsSegmentDispatch = 8_000
-	// cacheMissPenalty scales candidate access cost when cache is cold:
-	// multiplier is 1 + cacheMissPenalty*(1-cacheRatio).
+	// cacheMissPenalty is the extra cost of a cold candidate access, and
+	// queryMissMult a query's multiplier with 30 % of index data hot.
 	cacheMissPenalty = 1.5
+	queryMissMult    = 1 + cacheMissPenalty*(1-0.3)
 	// parallelCoordCost is the coordination overhead fraction added per
 	// worker (Amdahl-style diminishing returns).
 	parallelCoordCost = 0.02
@@ -47,12 +48,11 @@ const (
 )
 
 // workNanos converts index work counts into nanoseconds for vectors of the
-// given dimension under the given cache ratio.
-func workNanos(st index.Stats, dim int, cacheRatio float64) float64 {
-	mult := 1 + cacheMissPenalty*(1-cacheRatio)
-	return (float64(st.DistComps)*float64(dim)*nsPerFullDim +
+// given dimension.
+func workNanos(st index.Stats, dim int) float64 {
+	return float64(st.DistComps)*float64(dim)*nsPerFullDim +
 		float64(st.CodeComps)*float64(dim)*nsPerCodeDim +
-		float64(st.Lookups)*nsPerLookup) * mult
+		float64(st.Lookups)*nsPerLookup
 }
 
 // queryLatencySec converts one query's work into simulated seconds under

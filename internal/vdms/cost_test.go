@@ -8,29 +8,31 @@ import (
 
 func TestWorkNanosComposition(t *testing.T) {
 	st := index.Stats{DistComps: 10, CodeComps: 20, Lookups: 30}
-	got := workNanos(st, 100, 1.0) // full cache: multiplier 1
+	got := workNanos(st, 100)
 	want := 10*100*nsPerFullDim + 20*100*nsPerCodeDim + 30*nsPerLookup
 	if got != want {
 		t.Fatalf("workNanos = %v, want %v", got, want)
 	}
 }
 
+// TestWorkNanosCacheMultiplier: the query path's miss multiplier is the
+// constant the retired queryNode_cacheRatio knob gave at its stock value,
+// to the bit — the value computed at run time from a float64 0.3, as the
+// knob's Config field held it — so no stock-config result moves.
 func TestWorkNanosCacheMultiplier(t *testing.T) {
-	st := index.Stats{DistComps: 100}
-	hot := workNanos(st, 64, 1.0)
-	cold := workNanos(st, 64, 0.05)
-	if cold <= hot {
-		t.Fatalf("cold cache %v not more expensive than hot %v", cold, hot)
+	stock := 0.3
+	if got := 1 + cacheMissPenalty*(1-stock); queryMissMult != got {
+		t.Fatalf("queryMissMult = %v, the knob's stock value gave %v", queryMissMult, got)
 	}
-	if cold > hot*(1+cacheMissPenalty)+1e-9 {
-		t.Fatalf("cold cache multiplier exceeds bound: %v vs %v", cold, hot*(1+cacheMissPenalty))
+	if queryMissMult <= 1 || queryMissMult > 1+cacheMissPenalty {
+		t.Fatalf("queryMissMult %v outside (1, %v]", queryMissMult, 1+cacheMissPenalty)
 	}
 }
 
 func TestWorkNanosMonotoneInWork(t *testing.T) {
 	prev := -1.0
 	for comps := int64(0); comps < 1000; comps += 100 {
-		v := workNanos(index.Stats{DistComps: comps}, 32, 0.5)
+		v := workNanos(index.Stats{DistComps: comps}, 32)
 		if v <= prev {
 			t.Fatalf("workNanos not increasing at %d distcomps", comps)
 		}

@@ -22,11 +22,11 @@ import "fmt"
 // as issued (idempotence makes replaying them exact) and the
 // acknowledgement honors the fsync policy.
 func (c *Collection) Delete(ids []int64) (int, error) {
+	c.router.RLock()
+	defer c.router.RUnlock()
 	if c.closed.Load() {
 		return 0, fmt.Errorf("vdms: collection closed")
 	}
-	c.router.RLock()
-	defer c.router.RUnlock()
 	counts := make([]int, len(c.shards))
 	// During a migration each shard reports which ids it actually deleted
 	// (not which were requested): replaying a requested-but-not-applied
@@ -58,10 +58,6 @@ func (c *Collection) Delete(ids []int64) (int, error) {
 // tombstone/prune, maybe trigger compaction, commit.
 func (s *shard) delete(ids []int64, captured *[]int64) (int, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0, fmt.Errorf("vdms: collection closed")
-	}
 	if s.wal != nil && len(ids) > 0 {
 		if _, err := s.wal.AppendDelete(ids); err != nil {
 			s.mu.Unlock()

@@ -126,7 +126,7 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	if buildPool > 8 {
 		buildPool = 8
 	}
-	buildNs := workNanos(buildWork, ds.Dim, 1.0)
+	buildNs := workNanos(buildWork, ds.Dim)
 	loadSec := float64(ds.RawBytes()) / 100e6
 	inst.buildSeconds = buildNs/1e9*simBuildFactor/buildPool + loadSec
 
@@ -139,7 +139,7 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	}
 
 	// Memory: indexes + growing raw (plus its WAL copy) + insert buffer
-	// + hot cache + fixed engine overhead.
+	// + fixed engine overhead.
 	bytesPerRow := int64(ds.Dim) * 4
 	var mem int64
 	for _, seg := range sh.sealed {
@@ -147,7 +147,6 @@ func Open(ds *workload.Dataset, cfg Config) (*Instance, error) {
 	}
 	mem += int64(growing) * bytesPerRow * 2
 	mem += int64(bufRows) * bytesPerRow
-	mem += int64(cfg.CacheRatio * float64(ds.RawBytes()))
 	mem += ds.RawBytes() / 8
 	inst.memoryBytes = mem
 	if float64(mem) > memBudgetMultiple*float64(ds.RawBytes()) {

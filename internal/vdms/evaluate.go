@@ -54,7 +54,7 @@ func Evaluate(ds *workload.Dataset, cfg Config) Result {
 		var st index.Stats
 		res := inst.Search(ds.Queries[qi], ds.K, &st)
 		recalls[qi] = ds.Recall(qi, res)
-		workNs := workNanos(st, ds.Dim, cfg.CacheRatio)
+		workNs := workNanos(st, ds.Dim) * queryMissMult
 		latencies[qi] = queryLatencySec(workNs, inst.segments, &cfg, wait, inst.bgLoad)
 	})
 

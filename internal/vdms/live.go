@@ -80,8 +80,9 @@ type Collection struct {
 	// outside any shard lock, so concurrent inserts assign disjoint id
 	// runs without serializing on each other.
 	nextID atomic.Int64
-	// closed gates the public API; each shard additionally carries its own
-	// flag (set first by Close) so racing inserts cannot outlive shutdown.
+	// closed gates the public API: Close and Crash set it before taking the
+	// router write lock, entry points read it under the read lock, so an
+	// operation that finds it false keeps open shards to its end.
 	closed atomic.Bool
 	// migrating reports an in-flight migration for Stats.
 	migrating atomic.Bool
@@ -194,9 +195,6 @@ func firstError(errs []error) error {
 // policy, so a returned id is exactly as crash-proof as that policy
 // promises.
 func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
-	if c.closed.Load() {
-		return nil, fmt.Errorf("vdms: collection closed")
-	}
 	for i, v := range vecs {
 		if len(v) != c.dim {
 			return nil, fmt.Errorf("vdms: vector %d has dim %d, want %d", i, len(v), c.dim)
@@ -205,14 +203,17 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 			return nil, err
 		}
 	}
+	c.router.RLock()
+	defer c.router.RUnlock()
+	if c.closed.Load() {
+		return nil, fmt.Errorf("vdms: collection closed")
+	}
 	n := len(vecs)
 	base := c.nextID.Add(int64(n)) - int64(n)
 	ids := make([]int64, n)
 	for i := range ids {
 		ids[i] = base + int64(i)
 	}
-	c.router.RLock()
-	defer c.router.RUnlock()
 	err := c.route(ids, vecs, int(uint64(base)%uint64(len(c.shards))), func(si int, ids []int64, vecs [][]float32) error {
 		return c.shards[si].insert(ids, vecs)
 	})
@@ -277,6 +278,9 @@ func (c *Collection) route(ids []int64, vecs [][]float32, start int, apply func(
 func (c *Collection) Flush() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
+	if c.closed.Load() {
+		return fmt.Errorf("vdms: collection closed")
+	}
 	for _, s := range c.shards {
 		s.mu.Lock()
 		if s.growingRowsLocked() > 0 {
@@ -431,11 +435,11 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 		}
 		m = linalg.L2
 	}
+	c.router.RLock()
+	defer c.router.RUnlock()
 	if c.closed.Load() {
 		return nil, fmt.Errorf("vdms: collection closed")
 	}
-	c.router.RLock()
-	defer c.router.RUnlock()
 	c.rlockAll()
 	defer c.runlockAll()
 	out := make([][]linalg.Neighbor, len(qs))

@@ -17,9 +17,10 @@ import (
 // persist Milvus-style segment storage per channel:
 //
 //	dir/
-//	  MANIFEST     shard count, dimension, metric (versioned; see persist)
-//	  shard-0/     shard 0's snapshots + WAL
-//	  shard-1/     ...
+//	  MANIFEST          generation, shard count, dimension, metric
+//	  shard-0/          shard 0's snapshots + WAL (generation 0)
+//	  shard-1/          ...
+//	  gen-<G>/shard-0/  the same, after the G-th migration (persist/manifest.go)
 //
 // Each shard is an independent durability domain:
 //
@@ -424,6 +425,9 @@ func (s *shard) checkpoint() error {
 func (c *Collection) Checkpoint() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
+	if c.closed.Load() {
+		return fmt.Errorf("vdms: collection closed")
+	}
 	errs := make([]error, len(c.shards))
 	parallel.Parallel(len(c.shards), len(c.shards), func(i int) {
 		errs[i] = c.shards[i].checkpoint()

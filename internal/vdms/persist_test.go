@@ -191,6 +191,48 @@ func TestDurableCloseIdempotent(t *testing.T) {
 	}
 }
 
+// TestFlushAndCheckpointRefuseClosed: after Close or Crash, memory-only or
+// durable, Flush and Checkpoint refuse like every other mutating entry
+// point and change nothing: in particular Flush seals no growing tail (and
+// so starts no build) behind Close's back.
+func TestFlushAndCheckpointRefuseClosed(t *testing.T) {
+	const dim, n = 8, 300
+	for _, durable := range []bool{false, true} {
+		for _, crash := range []bool{false, true} {
+			t.Run(fmt.Sprintf("durable=%v/crash=%v", durable, crash), func(t *testing.T) {
+				cfg := durableConfig(index.Flat)
+				c, err := NewCollection(cfg, linalg.L2, dim, n)
+				if durable {
+					c, err = OpenDurable(t.TempDir(), cfg, linalg.L2, dim, n)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Insert(randVecs(20, dim, 3)); err != nil {
+					t.Fatal(err)
+				}
+				if crash {
+					c.Crash()
+				} else if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				before := c.Stats()
+				if before.GrowingRows != 20 || before.Sealed != 0 {
+					t.Fatalf("set-up: want a 20-row growing tail and nothing sealed, have %+v", before)
+				}
+				for name, op := range map[string]func() error{"Flush": c.Flush, "Checkpoint": c.Checkpoint} {
+					if err := op(); err == nil || err.Error() != "vdms: collection closed" {
+						t.Fatalf("%s on a closed collection: %v", name, err)
+					}
+				}
+				if after := c.Stats(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("Stats moved:\n before %+v\n after  %+v", before, after)
+				}
+			})
+		}
+	}
+}
+
 // TestDurableConfigMismatchRejected: recovery refuses silently different
 // index configurations.
 func TestDurableConfigMismatchRejected(t *testing.T) {

@@ -165,9 +165,7 @@ func (c *Collection) hotSwap(cfg Config) uint64 {
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		if !s.closed {
-			s.maybeCompactLocked()
-		}
+		s.maybeCompactLocked() // a no-op on a closed shard
 		s.mu.Unlock()
 	}
 	return g.seq

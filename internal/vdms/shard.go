@@ -199,10 +199,6 @@ func (s *shard) config() *Config {
 // order, which concurrent routed inserts may interleave.
 func (s *shard) insert(ids []int64, vecs [][]float32) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("vdms: collection closed")
-	}
 	// Insert records are split at seal boundaries: each record covers
 	// exactly the rows that entered the growing segment before the next
 	// RecFlush, so replaying "insert, insert, flush, insert" rebuilds the
@@ -570,9 +566,9 @@ func (s *shard) getBuildErr() error {
 }
 
 // markClosed sets the closed flag and reports whether it was already set.
-// The flag is set under the lock *before* any waiting so that no insert
-// racing with Close can seal a segment whose background build the closer
-// would miss.
+// The flag is set under the lock *before* any waiting, so no build that
+// lands while the closer waits can start a compaction pass it would miss.
+// (Writes cannot race it: the router's closed flag turns them away.)
 func (s *shard) markClosed() (already bool) {
 	s.mu.Lock()
 	already = s.closed

@@ -37,7 +37,6 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		func(c *Config) { c.InsertBufSize = 10 },
 		func(c *Config) { c.Parallelism = 0 },
 		func(c *Config) { c.Parallelism = 64 },
-		func(c *Config) { c.CacheRatio = 0 },
 		func(c *Config) { c.FlushInterval = 0 },
 	}
 	for i, mutate := range cases {
@@ -161,22 +160,6 @@ func TestSegmentInterdependence(t *testing.T) {
 	}
 	if is.segments <= ib.segments {
 		t.Fatalf("small segments %d not more numerous than big %d", is.segments, ib.segments)
-	}
-}
-
-func TestCacheRatioAffectsSpeedAndMemory(t *testing.T) {
-	ds := testDataset(t)
-	cold := DefaultConfig()
-	cold.CacheRatio = 0.05
-	hot := DefaultConfig()
-	hot.CacheRatio = 1.0
-	rc := Evaluate(ds, cold)
-	rh := Evaluate(ds, hot)
-	if rh.QPS <= rc.QPS {
-		t.Fatalf("hot cache QPS %v not better than cold %v", rh.QPS, rc.QPS)
-	}
-	if rh.MemoryBytes <= rc.MemoryBytes {
-		t.Fatalf("hot cache memory %v not larger than cold %v", rh.MemoryBytes, rc.MemoryBytes)
 	}
 }
 
