@@ -2,6 +2,9 @@ package index
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"vdtuner/internal/kmeans"
 	"vdtuner/internal/linalg"
@@ -94,11 +97,12 @@ func (c *ivfCoarse) cellRange(cell int32) (lo, hi int32) {
 // against all queries in one multi-query blocked pass (the centroid arena
 // is itself a small scan) and charged to st, then each query's nprobe
 // nearest cells are selected in ascending centroid distance (ties broken
-// by cell id, keeping the order deterministic). The returned flat table
-// holds query qi's probe order at [qi*nprobe : (qi+1)*nprobe]; it aliases
-// s.mprobe and is valid until the scratch's next probe. nprobe must
-// already be clamped to the cell count, so every query selects exactly
-// nprobe cells.
+// by cell id, keeping the order deterministic; a NaN distance, which an
+// overflowing inner product can produce, sorts after +Inf). The returned
+// flat table holds query qi's probe order at [qi*nprobe : (qi+1)*nprobe];
+// it aliases s.mprobe and is valid until the scratch's next probe. nprobe
+// must already be clamped to the cell count, so every query selects
+// exactly nprobe cells.
 func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *searchScratch) []int32 {
 	ncells := c.cents.Rows()
 	qn := len(queries)
@@ -111,76 +115,90 @@ func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *se
 	accumulate(st, Stats{DistComps: int64(qn) * int64(ncells)})
 	s.mprobe = i32Buf(s.mprobe, qn*nprobe)
 	for qi := 0; qi < qn; qi++ {
-		sel := c.selectCells(s.mouts[qi], nprobe, s)
-		copy(s.mprobe[qi*nprobe:(qi+1)*nprobe], sel)
+		selectCells(s.mouts[qi], s.mprobe[qi*nprobe:(qi+1)*nprobe], s)
 	}
 	return s.mprobe
 }
 
-// selectCells runs the partial selection over precomputed centroid
-// distances: a bounded max-heap of the best nprobe (distance, cell)
-// pairs, worst at the root; ties order by larger cell id = worse, so the
-// retained set and the final order are id-deterministic. The selection is
-// O(nlist log nprobe) instead of a full sort — the common nprobe ≪ nlist
-// case skips almost all of the sort work.
-func (c *ivfCoarse) selectCells(dists []float32, nprobe int, s *searchScratch) []int32 {
-	heap := i32Buf(s.probe, nprobe)[:0]
-	heapD := f32Buf(s.probeD, nprobe)[:0]
-	worse := func(i, j int) bool {
-		return heapD[i] > heapD[j] || (heapD[i] == heapD[j] && heap[i] > heap[j])
+// selectCells writes the len(dst) cells nearest by precomputed centroid
+// distance into dst, in ascending distance with ties broken by cell id.
+// Every cell becomes one cellKey, so the keys are distinct and their
+// unsigned order is the probe order: an exact selection moves the len(dst)
+// smallest to the front of s.keys and only those survivors are sorted.
+// len(dst) must lie in [1, len(dists)].
+func selectCells(dists []float32, dst []int32, s *searchScratch) {
+	keys, tmp := u64Buf(s.keys, len(dists)), u64Buf(s.keysTmp, len(dists))
+	s.keys, s.keysTmp = keys, tmp
+	for cell, d := range dists {
+		keys[cell] = cellKey(d, cell)
 	}
-	swap := func(i, j int) {
-		heap[i], heap[j] = heap[j], heap[i]
-		heapD[i], heapD[j] = heapD[j], heapD[i]
+	sel := selectSmallest(keys, tmp, len(dst))
+	slices.Sort(sel)
+	for i, key := range sel {
+		dst[i] = int32(uint32(key))
 	}
-	siftDown := func(i, n int) {
-		for {
-			l, r := 2*i+1, 2*i+2
-			w := i
-			if l < n && worse(l, w) {
-				w = l
+}
+
+// cellKey packs a centroid distance above its cell id into one key whose
+// unsigned order is (distance, id) order: the distance's bits are mapped so
+// that unsigned order is float order (a negative flipped whole, the sign
+// bit set on the rest). d+0 folds −0 onto +0 so the two tie, and a NaN of
+// any sign or payload maps to the top, after +Inf.
+func cellKey(d float32, cell int) uint64 {
+	b := math.Float32bits(d + 0)
+	b ^= uint32(int32(b)>>31) | 1<<31
+	if d != d {
+		b = math.MaxUint32
+	}
+	return uint64(b)<<32 | uint64(uint32(cell))
+}
+
+// selectSmallest moves the n smallest of the distinct keys to keys[:n],
+// unordered, and returns that prefix; tmp (at least len(keys) long) is the
+// partition buffer. It is a quickselect: each round partitions the open
+// window around its median of three into tmp without a data-dependent
+// branch (every key is written to both open ends and the end it belongs to
+// advances) and copies it back, after which the pivot sits at its final
+// rank. A window still open after 2·log2(len(keys)) rounds is sorted
+// instead, so the worst case stays O(m log m) for m = len(keys).
+func selectSmallest(keys, tmp []uint64, n int) []uint64 {
+	lo, hi := 0, len(keys) // keys[:lo] are among the n smallest, keys[hi:] are not
+	for budget := 2 * bits.Len(uint(len(keys))); lo < n && n < hi; budget-- {
+		w := keys[lo:hi]
+		if budget == 0 {
+			slices.Sort(w)
+			break
+		}
+		a, b, c := 0, len(w)/2, len(w)-1
+		if w[b] < w[a] {
+			a, b = b, a
+		}
+		if w[c] < w[b] {
+			b = c
+			if w[b] < w[a] {
+				b = a
 			}
-			if r < n && worse(r, w) {
-				w = r
-			}
-			if w == i {
-				return
-			}
-			swap(i, w)
-			i = w
+		}
+		last := len(w) - 1
+		w[b], w[last] = w[last], w[b]
+		pivot := w[last]
+		t := tmp[:len(w)]
+		l, r := 0, last
+		for _, x := range w[:last] {
+			t[l], t[r] = x, x
+			_, less := bits.Sub64(x, pivot, 0)
+			l += int(less)
+			r -= int(less ^ 1)
+		}
+		t[l] = pivot
+		copy(w, t)
+		if p := lo + l; p < n {
+			lo = p + 1
+		} else {
+			hi = p
 		}
 	}
-	for cell := 0; cell < len(dists); cell++ {
-		d := dists[cell]
-		if len(heap) < nprobe {
-			heap = append(heap, int32(cell))
-			heapD = append(heapD, d)
-			// Sift up.
-			for i := len(heap) - 1; i > 0; {
-				parent := (i - 1) / 2
-				if !worse(i, parent) {
-					break
-				}
-				swap(i, parent)
-				i = parent
-			}
-			continue
-		}
-		// Replace the root when strictly better: smaller distance, or
-		// equal distance and smaller id.
-		if d > heapD[0] || (d == heapD[0] && int32(cell) > heap[0]) {
-			continue
-		}
-		heap[0], heapD[0] = int32(cell), d
-		siftDown(0, nprobe)
-	}
-	// Heap-sort ascending: pop the worst to the shrinking tail.
-	for n := len(heap) - 1; n > 0; n-- {
-		swap(0, n)
-		siftDown(0, n)
-	}
-	s.probe, s.probeD = heap[:cap(heap)], heapD[:cap(heapD)]
-	return heap
+	return keys[:n]
 }
 
 // invertProbes inverts a flat Q×nprobe probe table cell→probers with a

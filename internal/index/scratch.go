@@ -35,10 +35,10 @@ type searchScratch struct {
 	// dists receives blocked-kernel distance outputs (HNSW node
 	// expansions, the SCANN re-rank).
 	dists []float32
-	// probe holds the selected IVF probe order; probeD the paired
-	// centroid distances during selection.
-	probe  []int32
-	probeD []float32
+	// keys holds the IVF cell selection's packed (distance, cell) keys
+	// (see cellKey); keysTmp is its partition buffer.
+	keys    []uint64
+	keysTmp []uint64
 	// neighbors is a transient neighbor buffer (SCANN stage-1 results).
 	neighbors []linalg.Neighbor
 	// res is the reusable result buffer: a query's private top-k lands
@@ -125,6 +125,14 @@ func f32Buf(buf []float32, n int) []float32 {
 func i32Buf(buf []int32, n int) []int32 {
 	if cap(buf) < n {
 		return make([]int32, n)
+	}
+	return buf[:n]
+}
+
+// u64Buf returns a length-n uint64 buffer, growing at the high-water mark.
+func u64Buf(buf []uint64, n int) []uint64 {
+	if cap(buf) < n {
+		return make([]uint64, n)
 	}
 	return buf[:n]
 }

@@ -155,8 +155,8 @@ func TestSearchBatchMatchesSearch(t *testing.T) {
 // TestSearchBatchMatchesSearchMatrix is the tiled batch path's
 // equivalence gate: across shard counts, worker counts, and a post-crash
 // recovery, a query answered alone, inside a 7-query batch (one ragged
-// tile) and inside the 70-query batch (several query tiles with a ragged
-// tail) returns bit-identical results with exactly-summed stats. The
+// tile) and inside the 70-query batch (two query tiles, the second
+// ragged) returns bit-identical results with exactly-summed stats. The
 // churned workload leaves tombstones, so deleted rows are excluded where
 // they are offered. The bits are anchored twice: segments are FLAT, so
 // every answer must equal a brute-force scan of the live rows, and the
@@ -239,6 +239,93 @@ func TestSearchBatchMatchesSearchMatrix(t *testing.T) {
 					}
 				})
 			}
+		}
+	}
+}
+
+// TestSearchBatchTilesIdenticalAcrossWorkers covers batches that form
+// several query tiles per shard, which only batches of more than 64
+// queries do: a 2·64+5-query batch over IVF_FLAT segments (sealed and
+// indexed, plus a growing tail), at 1 and 3 shards and queryNode
+// parallelism 1 and 8, must answer every query with the bits of sequential
+// Search, its Stats summing exactly to theirs, and the same bits at either
+// worker count.
+func TestSearchBatchTilesIdenticalAcrossWorkers(t *testing.T) {
+	const dim, n, k = 8, 1500, 7
+	vecs := randVecs(n, dim, 61)
+	qs := randVecs(2*64+5, dim, 62)
+	for _, shards := range []int{1, 3} {
+		var first [][]linalg.Neighbor
+		for _, workers := range []int{1, 8} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.IndexType = index.IVFFlat
+				cfg.Build.NList = 16
+				cfg.Search.NProbe = 5
+				cfg.SegmentMaxSize = 400
+				cfg.ShardCount = shards
+				cfg.Parallelism = workers
+				coll, err := NewCollection(cfg, linalg.L2, dim, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer coll.Close()
+				if _, err := coll.Insert(vecs[:n-100]); err != nil {
+					t.Fatal(err)
+				}
+				if err := coll.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := coll.Insert(vecs[n-100:]); err != nil {
+					t.Fatal(err)
+				}
+				if st := coll.Stats(); st.Sealed == 0 || st.GrowingRows == 0 {
+					t.Fatalf("want sealed segments and a growing tail, have %+v", st)
+				}
+				if tiles := (len(qs) + coll.queryTileSize() - 1) / coll.queryTileSize(); tiles != 3 {
+					t.Fatalf("%d tiles per shard, want 3", tiles)
+				}
+				var seqSt, batchSt index.Stats
+				want := searchEach(t, coll, qs, k, &seqSt)
+				got, err := coll.SearchBatch(qs, k, &batchSt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi := range qs {
+					if !reflect.DeepEqual(got[qi], want[qi]) {
+						t.Fatalf("query %d: in the batch %v, alone %v", qi, got[qi], want[qi])
+					}
+				}
+				if batchSt != seqSt || batchSt.DistComps == 0 {
+					t.Fatalf("batch stats %+v, one at a time %+v", batchSt, seqSt)
+				}
+				if first == nil {
+					first = got
+				} else if !reflect.DeepEqual(got, first) {
+					t.Fatal("results differ from the one-worker run")
+				}
+			})
+		}
+	}
+}
+
+// TestQueryTileSize pins the query-tile width per dimension and shows it
+// does not depend on the worker count: the L1 rule alone, clamped to
+// [4, 64], at queryNode parallelism 1, 2 and 8.
+func TestQueryTileSize(t *testing.T) {
+	want := map[int]int{1: 64, 8: 64, 100: 64, 128: 64, 200: 40, 512: 16, 1000: 8, 4096: 4}
+	for dim, tile := range want {
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.Parallelism = workers
+			coll, err := NewCollection(cfg, linalg.L2, dim, 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := coll.queryTileSize(); got != tile {
+				t.Errorf("dim %d parallelism %d: tile %d, want %d", dim, workers, got, tile)
+			}
+			coll.Close()
 		}
 	}
 }

@@ -364,43 +364,30 @@ func (c *Collection) Search(q []float32, k int, st *index.Stats) ([]linalg.Neigh
 	return out[0], nil
 }
 
-// queryTileSize picks the multi-query tile width for a batch of q queries
-// over s shards: wide enough that one cache-resident row tile amortizes
-// across many queries, small enough that the query block itself stays
-// L1-resident next to the row tile (~8KB of query data), and small enough
-// that the (shard × tile) grid still has at least one cell per worker so
-// the fan-out keeps the pool busy. Tile boundaries never affect results:
-// each query's candidate sequence is tile-invariant, so any width yields
-// bit-identical per-query output.
-func (c *Collection) queryTileSize(q, s int) int {
-	t := 8192 / (4 * c.dim)
-	if t < 4 {
-		t = 4
-	}
-	if t > 64 {
-		t = 64
-	}
-	if w := c.readWorkers(); w > 1 {
-		if maxT := (q*s + w - 1) / w; maxT < t {
-			t = maxT
-		}
-	}
-	if t < 1 {
-		t = 1
-	}
-	return t
+// queryTileSize picks the multi-query tile width: as many queries as fit
+// in L1 (the 32 KiB linalg.MultiRowTile assumes) beside the row tile,
+// clamped to [4, 64], so every query a probed cell has in the batch rides
+// one kernel call and the quad kernels see as many probers per cell as the
+// batch holds. It depends on the dimension alone, not on the worker
+// count: a batch of up to 64 queries on one shard is one grid cell on one
+// worker, and the grid fans out across shards and across 64-query tiles.
+// Tile boundaries never affect results: each query's candidate sequence
+// is tile-invariant, so any width yields bit-identical per-query output.
+func (c *Collection) queryTileSize() int {
+	return min(max((32<<10)/(4*c.dim), 4), 64)
 }
 
 // SearchBatch is the collection's one search entry: it answers queries[i]
 // into result slot i from every segment state — sealed segments, indexed
 // or (while a build is in flight) scanned exactly, and the growing tails. It
 // scatters a (shard × query-tile) probe grid across a worker pool sized by
-// the configured queryNode parallelism — both axes feed the same worker
-// budget, so a single query on many shards and many queries on one shard
-// parallelize equally well. Each cell probes one shard with a whole tile
-// of queries through the multi-query blocked kernels: segment arenas
-// stream from memory once per tile instead of once per query, turning the
-// batch scan into a small GEMM. Cells are claimed in shard-major order
+// the configured queryNode parallelism: a single query fans out across the
+// shards, and a batch across the shards and its tiles of up to 64 queries
+// (queryTileSize). Each cell probes one shard with a whole tile of queries
+// through the multi-query blocked kernels: segment arenas stream from
+// memory once per tile instead of once per query, and a probed cell's
+// probers from the whole tile share each row load, turning the batch scan
+// into a small GEMM. Cells are claimed in shard-major order
 // (every tile probes shard 0, then every tile shard 1, …), which keeps one
 // shard's smaller segment data cache-resident across the whole batch. The
 // merge pipelines behind the probes: the worker that finishes a tile's
@@ -458,7 +445,7 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 		k = int(max(rows, 1))
 	}
 	q, s := len(qs), len(c.shards)
-	tile := c.queryTileSize(q, s)
+	tile := c.queryTileSize()
 	tiles := (q + tile - 1) / tile
 	cells := s * tiles
 	workers := parallel.WorkerCount(c.readWorkers(), cells)
