@@ -35,12 +35,16 @@ race:
 	$(GO) test -race ./...
 
 # The portable kernels (kernels.go) are the only scalar float32 distance
-# arithmetic and the reference the SSE and AVX2 ones are tested against,
-# but an amd64 build dispatches past them: run the packages that call the
-# kernels — goldens (search fixture, Evaluate) and the engine's
-# bit-identity tests included — with them forced.
+# arithmetic, the reference the AVX2 ones are tested against, and what
+# every CPU without AVX2 serves, but an AVX2 build dispatches past them:
+# run the packages that call the kernels — goldens (search fixture,
+# Evaluate) and the engine's bit-identity tests included — with them
+# forced, once at the default amd64 level and once at v3, where the
+# compiler may use FMA and must not change a bit.
+PUREGO_PKGS = ./internal/linalg ./internal/index ./internal/kmeans ./internal/vdms
 purego:
-	$(GO) test -tags purego ./internal/linalg ./internal/index ./internal/kmeans ./internal/vdms
+	$(GO) test -tags purego $(PUREGO_PKGS)
+	GOAMD64=v3 $(GO) test -tags purego $(PUREGO_PKGS)
 
 # vdms.Open and Evaluate size their pools from GOMAXPROCS, and the suite
 # otherwise runs only at the machine's own value: run every golden and

@@ -53,8 +53,7 @@ func (c *ivfCoarse) train(store *linalg.Matrix) ([]int32, error) {
 		sample = 2000
 	}
 	res, err := kmeans.Run(store, kmeans.Config{
-		K: c.nlist, Seed: c.seed, MaxIters: 12, SampleLimit: sample,
-		Workers: c.workers,
+		K: c.nlist, Seed: c.seed, SampleLimit: sample, Workers: c.workers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("ivf: training: %w", err)
@@ -76,14 +75,11 @@ func (c *ivfCoarse) train(store *linalg.Matrix) ([]int32, error) {
 		order[fill[a]] = int32(i)
 		fill[a]++
 	}
-	// Approximate training cost: iters * points * centroids comparisons
-	// on the (possibly sampled) training set plus the final full assign.
-	trainN := n
-	if trainN > sample {
-		trainN = sample
-	}
-	c.buildWork = Stats{DistComps: int64(res.Iters)*int64(trainN)*int64(ncells) +
-		int64(n)*int64(ncells)}
+	// Approximate training cost: the one Lloyd pass's points * centroids
+	// comparisons on the (possibly sampled) training set plus the final
+	// full assign.
+	trainN := min(n, sample)
+	c.buildWork = Stats{DistComps: int64(trainN)*int64(ncells) + int64(n)*int64(ncells)}
 	c.built = true
 	return order, nil
 }

@@ -74,8 +74,8 @@ func (c *pqCells) train(store *linalg.Matrix, order []int32) (Stats, error) {
 		// The subspace view is strided (stride = dim), clustered without
 		// copying the corpus.
 		res, err := kmeans.Run(store.SubspaceView(lo, hi), kmeans.Config{
-			K: ksub, Seed: c.seed + int64(s) + 1, MaxIters: 10,
-			SampleLimit: 8 * ksub, Workers: c.workers,
+			K: ksub, Seed: c.seed + int64(s) + 1, SampleLimit: 8 * ksub,
+			Workers: c.workers,
 		})
 		if err != nil {
 			return Stats{}, fmt.Errorf("ivf_pq: codebook %d: %w", s, err)

@@ -2,13 +2,18 @@
 // It is the clustering substrate for the IVF-family indexes (IVF_FLAT,
 // IVF_SQ8, IVF_PQ, SCANN) and for product-quantization codebook training.
 //
+// The algorithm is k-means++ seeding, one Lloyd step and a final
+// assignment of every point: FAISS's Clustering with niter = 1 (DESIGN.md,
+// Substitutions, has what converging was measured to buy and cost).
+//
 // Points are supplied as a linalg.Matrix — one flat arena, which may be a
 // strided subspace view (how PQ clusters each subspace without copying the
 // corpus) — and centroids live in one packed Matrix. Every distance is
-// computed by linalg's multi-query block kernels, a chunk of points at a
-// time as the "queries": against the whole centroid arena for assignment,
-// against the one newest centroid for the k-means++ D^2 update. The
-// package has no distance loop of its own.
+// computed by linalg's kernels a chunk of points at a time: the chunk as
+// the "queries" of a multi-query block scan against the whole centroid
+// arena for assignment, and the chunk's rows gathered against the one
+// newest centroid, as the query, for the k-means++ D^2 update. The package
+// has no distance loop of its own.
 //
 // Clustering is parallelized over fixed-size point chunks (see the
 // parallel package): assignment, centroid recomputation, and the
@@ -19,7 +24,6 @@ package kmeans
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"vdtuner/internal/linalg"
@@ -35,11 +39,6 @@ const chunkSize = 256
 type Config struct {
 	// K is the number of clusters. Required, >= 1.
 	K int
-	// MaxIters bounds Lloyd iterations. Defaults to 20 when zero.
-	MaxIters int
-	// Tol stops early when the relative decrease of total distortion
-	// falls below it. Defaults to 1e-4 when zero.
-	Tol float64
 	// Seed makes runs deterministic.
 	Seed int64
 	// SampleLimit, when > 0, trains on at most this many points sampled
@@ -58,11 +57,10 @@ type Result struct {
 	Assign []int
 	// Distortion is the final total squared distance to assigned centroids.
 	Distortion float64
-	// Iters is the number of Lloyd iterations executed.
-	Iters int
 }
 
-// Run clusters the points under squared-L2 distance. It returns an error
+// Run clusters the points under squared-L2 distance with k-means++
+// seeding and one Lloyd step, then assigns every point. It returns an error
 // when the configuration is invalid or the input is empty. When K exceeds
 // the number of points, K is clamped down to the point count.
 func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
@@ -76,14 +74,6 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 	k := cfg.K
 	if k > n {
 		k = n
-	}
-	maxIters := cfg.MaxIters
-	if maxIters <= 0 {
-		maxIters = 20
-	}
-	tol := cfg.Tol
-	if tol <= 0 {
-		tol = 1e-4
 	}
 	workers := parallel.Workers(cfg.Workers)
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -99,18 +89,11 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 	}
 
 	centroids := seedPlusPlus(train, k, rng, workers)
+	// One Lloyd step: assign the training points, then move every
+	// centroid to its points' mean.
 	assignTrain := make([]int, train.Rows())
-	prev := math.Inf(1)
-	iters := 0
-	for iters = 1; iters <= maxIters; iters++ {
-		distortion := assignAll(train, centroids, assignTrain, workers)
-		recompute(train, assignTrain, centroids, rng, workers)
-		if prev-distortion <= tol*math.Abs(prev) {
-			prev = distortion
-			break
-		}
-		prev = distortion
-	}
+	assignAll(train, centroids, assignTrain, workers)
+	recompute(train, assignTrain, centroids, rng, workers)
 
 	assign := make([]int, n)
 	distortion := assignAll(points, centroids, assign, workers)
@@ -118,7 +101,6 @@ func Run(points *linalg.Matrix, cfg Config) (*Result, error) {
 		Centroids:  centroids,
 		Assign:     assign,
 		Distortion: distortion,
-		Iters:      iters,
 	}, nil
 }
 
@@ -161,13 +143,19 @@ func seedPlusPlus(points *linalg.Matrix, k int, rng *rand.Rand, workers int) *li
 	// so it is worker-count-invariant.
 	dists := make([]float64, n)
 	partial := make([]float64, parallel.NumChunks(n, chunkSize))
+	chunkRows := make([]int32, chunkSize) // a chunk view's row numbers
+	for i := range chunkRows {
+		chunkRows[i] = int32(i)
+	}
 	// update folds the newest centroid into dists; on the first one there
-	// is nothing to take the minimum with.
+	// is nothing to take the minimum with. The centroid is the query and
+	// the chunk's rows, packed or strided, are gathered against it: one
+	// call per chunk.
 	update := func() float64 {
 		first := centroids.Rows() == 1
 		c := centroids.Row(centroids.Rows() - 1)
 		forChunks(workers, points, 1, func(ch, lo int, chunk *linalg.Matrix, out []float32) {
-			linalg.SquaredL2MultiBlock(chunk, c, out)
+			linalg.DistanceRows(linalg.L2, c, chunk, chunkRows[:chunk.Rows()], out)
 			s := 0.0
 			for i, d32 := range out {
 				if d := float64(d32); first || d < dists[lo+i] {

@@ -11,25 +11,24 @@ const (
 	opOneMinus = 2 // out = 1 - dot   (Angular)
 )
 
-// kernelTier names an implementation of the kernels. Every tier computes
-// the same bits; they differ only in register width.
+// kernelTier names an implementation of the kernels. Both tiers compute
+// the same bits; a CPU without AVX2 runs the portable one.
 type kernelTier int
 
 const (
 	tierPortable kernelTier = iota // the Go loops below
-	tierSSE                        // kernels_amd64.s: one row per XMM register
 	tierAVX2                       // kernels_amd64.s: two rows per YMM register
 )
 
 func (t kernelTier) String() string {
-	return [...]string{"portable", "SSE", "AVX2"}[t]
+	return [...]string{"portable", "AVX2"}[t]
 }
 
 // dotBlockGo is the portable scalar dot-product scan: q against every row
 // of the packed arena block, with the op epilogue fused per row. Its
 // accumulation — four accumulators over a 4-way unrolled loop, tail into
 // s0, summed ((s0+s1)+s2)+s3 — is the arithmetic contract every other
-// kernel (SSE, multi-query) must reproduce bitwise. This function and
+// kernel (AVX2, multi-query) must reproduce bitwise. This function and
 // l2BlockGo are the only scalar float32 distance loops in the repository:
 // the implementation where no assembly is built, and the tests' reference.
 func dotBlockGo(q, block []float32, out []float32, op int) {

@@ -2,36 +2,36 @@
 
 #include "textflag.h"
 
-// SSE2 and AVX2 distance kernels. The bit-identity contract (see
-// kernels.go): XMM lane l holds partial sum s_l (elements at indices ≡ l
-// mod 4), the scalar tail accumulates into lane 0, and the reduce is the
-// scalar chain ((s0+s1)+s2)+s3. MULPS/ADDPS/SUBPS round each lane exactly
-// like the corresponding scalar ops, so every output is bitwise equal to
-// the portable Go kernels. A wider register may carry more rows — the
-// AVX2 bodies put two rows' s0..s3 side by side in one YMM — but one
-// row's sums are never split across more than four lanes, and FMA is not
-// used: a different accumulator split or fused rounding would both break
-// the contract.
+// AVX2 distance kernels, and the SSE2 PQ scan. The bit-identity contract
+// (see kernels.go): lane l of a row's four-lane accumulator holds partial
+// sum s_l (elements at indices ≡ l mod 4), the scalar tail accumulates into
+// lane 0, and the reduce is the scalar chain ((s0+s1)+s2)+s3.
+// VMULPS/VADDPS/VSUBPS round each lane exactly like the corresponding
+// scalar ops, so every output is bitwise equal to the portable Go kernels.
+// A YMM register carries two rows' s0..s3 side by side, one row per
+// 128-bit half, but one row's sums are never split across more than four
+// lanes, and FMA is not used: a different accumulator split or fused
+// rounding would both break the contract.
 //
-// Each kernel shape is written once per register width, as a body macro:
-// BLOCK1, MULTI4 and GATHER4 (SSE float), YGATHER4 — which BLOCK4 runs
-// once per group of consecutive rows — and MULTI2 (AVX2 float), SQ8BLOCK1
-// and SQ8MULTI4 (SSE SQ8), SQ8BLOCK4 and SQ8MULTI2 (AVX2 SQ8).
+// Each kernel shape is written once, as a body macro: YGATHER4 — which
+// BLOCK4 runs once per group of consecutive rows — and MULTI2 (float),
+// SQ8GATHER4 — which SQ8BLOCK4 runs the same way — and SQ8MULTI2 (SQ8).
 // A body takes the metric as step macros and its ending as an epilogue
 // macro, so a TEXT symbol is its argument loads plus one body call.
-// HREDUCE is the only reduce and DOTEPI the only op epilogue. Every
-// kernel assumes at least one row: the Go wrappers return before calling
-// with none.
+// HREDUCE is the only reduce and DOTEPI the only op epilogue. The bodies
+// score whole groups only — four rows against one query, a pair of rows
+// against four — and at least one: the Go wrappers pad a short final
+// group by repeating its last row, and return before calling with none.
 //
-// Each SSE and SQ8 body starts its row loop on a 64-byte line (PCALIGN),
-// which fixes where its vector loop falls in the instruction cache
-// wherever the linker places the function. The SQ8 scan's speed depends
-// on that placement: moved by code elsewhere in this file, with not one of
-// its own instructions changed, it cost the engine's IVF_SQ8 search about
-// a tenth of its rate on a 2-vCPU Sapphire Rapids guest. BLOCK4 and
-// MULTI2 stay unaligned: aligned, the IVF_FLAT scan ran slower in four of
-// five paired runs. The gathered bodies score one group per call and have
-// no row loop to align.
+// The SQ8 bodies start their row loop on a 64-byte line (PCALIGN), which
+// fixes where the vector loop falls in the instruction cache wherever the
+// linker places the function. The SQ8 scan's speed depends on that
+// placement: moved by code elsewhere in this file, with not one of its own
+// instructions changed, it cost the engine's IVF_SQ8 search about a tenth
+// of its rate on a 2-vCPU Sapphire Rapids guest. BLOCK4 and MULTI2 stay
+// unaligned: aligned, the IVF_FLAT scan ran slower in four of five paired
+// runs. The gathered bodies score one group per call and have no row loop
+// to align.
 
 DATA signmask32<>+0(SB)/4, $0x80000000
 GLOBL signmask32<>(SB), RODATA|NOPTR, $4
@@ -40,12 +40,10 @@ DATA one32<>+0(SB)/4, $0x3F800000
 GLOBL one32<>(SB), RODATA|NOPTR, $4
 
 // Steps: the difference or product of a query and a row lands in a
-// register (q, or d on a YMM pair), which then adds into acc — operand
-// order as in the portable kernels: d = q - row, p = q * row,
-// acc = acc + x. P* act on a packed XMM, V* on a YMM row pair, S* on one
-// scalar tail element.
-#define PL2(q, r, acc) SUBPS r, q; MULPS q, q; ADDPS q, acc
-#define PDOT(q, r, acc) MULPS r, q; ADDPS q, acc
+// register (d on a YMM row pair, q on one scalar tail element), which then
+// adds into acc — operand order as in the portable kernels: d = q - row,
+// p = q * row, acc = acc + x. V* act on a YMM row pair, S* on one scalar
+// tail element.
 #define VL2(q, r, d, acc) VSUBPS r, q, d; VMULPS d, d, d; VADDPS d, acc, acc
 #define VDOT(q, r, d, acc) VMULPS r, q, d; VADDPS d, acc, acc
 #define SL2(q, r, acc) SUBSS r, q; MULSS q, q; ADDSS q, acc
@@ -65,11 +63,8 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 	ADDSS  X13, acc \
 	ADDSS  X14, acc
 
-// Stores of the finished sums: one row of one query (STORE1), one row of
-// four queries (STORE4Q), four rows of one query (STORE4), rows r and r+1
-// of four queries (STORE8).
-#define STORE1 MOVSS X0, (DX)
-#define STORE4Q MOVSS X0, (DX); MOVSS X1, (R11); MOVSS X2, (R13); MOVSS X3, (R9)
+// Stores of the finished sums: four rows of one query (STORE4), rows r and
+// r+1 of four queries (STORE8).
 #define STORE4 MOVSS X0, (DX); MOVSS X1, 4(DX); MOVSS X2, 8(DX); MOVSS X3, 12(DX)
 #define STORE8 \
 	MOVSS X0, (DX); MOVSS X4, 4(DX) \
@@ -77,27 +72,23 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 	MOVSS X2, (R13); MOVSS X6, 4(R13) \
 	MOVSS X3, (R9); MOVSS X7, 4(R9)
 
-// SQ8STORE is STORE4Q (STORE8 with NEXT = ROW1) for the SQ8 quad bodies,
-// whose out pointers do not fit in the free registers: each is reloaded
-// from its frame offset into R12 and written at byte offset R11, row r+1's
-// sum (X4-X7) four bytes on. Its uses sit here, before the first TEXT,
-// because vet's asmdecl checks a line's (FP) references against the
-// function the line falls in, and these serve four.
-#define NOROW1(x)
-#define ROW1(x) MOVSS x, 4(R12)(R11*1)
-#define SQ8STORE(off0, off1, off2, off3, NEXT) \
-	MOVQ o0_base+off0(FP), R12; MOVSS X0, (R12)(R11*1); NEXT(X4) \
-	MOVQ o1_base+off1(FP), R12; MOVSS X1, (R12)(R11*1); NEXT(X5) \
-	MOVQ o2_base+off2(FP), R12; MOVSS X2, (R12)(R11*1); NEXT(X6) \
-	MOVQ o3_base+off3(FP), R12; MOVSS X3, (R12)(R11*1); NEXT(X7)
-#define SQ8L2STORE SQ8STORE(144, 168, 192, 216, NOROW1)
-#define SQ8DOTSTORE SQ8STORE(168, 192, 216, 240, NOROW1)
-#define SQ8L2STORE8 SQ8STORE(144, 168, 192, 216, ROW1)
-#define SQ8DOTSTORE8 SQ8STORE(168, 192, 216, 240, ROW1)
+// SQ8STORE is STORE8 for the SQ8 quad body, whose out pointers do not fit
+// in the free registers: each is reloaded from its frame offset into R12
+// and written at byte offset R11, row r+1's sum (X4-X7) four bytes on. Its
+// uses sit here, before the first TEXT, because vet's asmdecl checks a
+// line's (FP) references against the function the line falls in, and
+// these serve two.
+#define SQ8STORE(off0, off1, off2, off3) \
+	MOVQ o0_base+off0(FP), R12; MOVSS X0, (R12)(R11*1); MOVSS X4, 4(R12)(R11*1) \
+	MOVQ o1_base+off1(FP), R12; MOVSS X1, (R12)(R11*1); MOVSS X5, 4(R12)(R11*1) \
+	MOVQ o2_base+off2(FP), R12; MOVSS X2, (R12)(R11*1); MOVSS X6, 4(R12)(R11*1) \
+	MOVQ o3_base+off3(FP), R12; MOVSS X3, (R12)(R11*1); MOVSS X7, 4(R12)(R11*1)
+#define SQ8L2STORE SQ8STORE(152, 176, 200, 224)
+#define SQ8DOTSTORE SQ8STORE(176, 200, 224, 248)
 
-// GATHER4LOAD loads the arguments every gathered kernel shares (q, the
-// four row addresses, out) into GATHER4's and YGATHER4's registers, and
-// dim &^ 3 into R10; it sits here for the same reason.
+// GATHER4LOAD loads the arguments every float gathered kernel shares (q,
+// the four row addresses, out) into YGATHER4's registers, and dim &^ 3
+// into R10; it sits here for the same reason.
 #define GATHER4LOAD \
 	MOVQ q_base+0(FP), SI \
 	MOVQ q_len+8(FP), BX \
@@ -111,7 +102,6 @@ GLOBL one32<>(SB), RODATA|NOPTR, $4
 
 #define NEG(x) XORPS X11, x
 #define ONEMINUS(x) MOVAPS X10, X9; SUBSS x, X9; MOVAPS X9, x
-#define EACH1(F) F(X0)
 #define EACH4(F) F(X0); F(X1); F(X2); F(X3)
 #define EACH8(F) EACH4(F); F(X4); F(X5); F(X6); F(X7)
 
@@ -132,195 +122,14 @@ epneg: \
 epstore: \
 	STORE
 
-// The SSE dot kernels read op from R12 (the SQ8 quad parks it in X15).
-#define DOTEPI1 DOTEPI(R12, EACH1, STORE1)
+// Float kernels: each 128-bit half of a YMM register is one row's
+// four-lane accumulator, so the vector loop scores two rows at once.
+// After it, each half is extracted to its own XMM register, VZEROUPPER
+// returns to legacy SSE, and every row is finished by the scalar
+// sequence: scalar tail into lane 0, HREDUCE, the op epilogue.
 
-// BLOCK1 is the SSE single-query body: CX rows, one XMM accumulator (X0).
-// In: SI = q, DI = block, DX = out, BX = dim, CX = rows. Uses R8, R10,
-// X0-X2, X9-X14.
-#define BLOCK1(PSTEP, SSTEP, EPI) \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	PCALIGN $64 \
-b1row: \
-	XORPS X0, X0 \
-	XORQ  R8, R8 \
-	TESTQ R10, R10 \
-	JE    b1tail \
-b1vec: \
-	MOVUPS (SI)(R8*4), X1; MOVUPS (DI)(R8*4), X2; PSTEP(X1, X2, X0) \
-	ADDQ $4, R8 \
-	CMPQ R8, R10 \
-	JL   b1vec \
-b1tail: \
-	CMPQ R8, BX \
-	JGE  b1reduce \
-b1tailloop: \
-	MOVSS (SI)(R8*4), X1; MOVSS (DI)(R8*4), X2; SSTEP(X1, X2, X0) \
-	INCQ R8 \
-	CMPQ R8, BX \
-	JL   b1tailloop \
-b1reduce: \
-	HREDUCE(X0) \
-	EPI \
-	ADDQ $4, DX \
-	LEAQ (DI)(BX*4), DI \
-	DECQ CX \
-	JNZ  b1row
-
-// MULTI4 is the SSE quad body: CX rows against four queries, each row
-// loaded once (X4) and shared by one accumulator per query (X0-X3). In:
-// SI, R14, R15, AX = q0..q3; DI = block; DX, R11, R13, R9 = o0..o3;
-// BX = dim; CX = rows. Uses R8, R10, X0-X5, X9-X14.
-#define MULTI4(PSTEP, SSTEP, EPI) \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	PCALIGN $64 \
-m4row: \
-	XORPS X0, X0 \
-	XORPS X1, X1 \
-	XORPS X2, X2 \
-	XORPS X3, X3 \
-	XORQ  R8, R8 \
-	TESTQ R10, R10 \
-	JE    m4tail \
-m4vec: \
-	MOVUPS (DI)(R8*4), X4 \
-	MOVUPS (SI)(R8*4), X5; PSTEP(X5, X4, X0) \
-	MOVUPS (R14)(R8*4), X5; PSTEP(X5, X4, X1) \
-	MOVUPS (R15)(R8*4), X5; PSTEP(X5, X4, X2) \
-	MOVUPS (AX)(R8*4), X5; PSTEP(X5, X4, X3) \
-	ADDQ $4, R8 \
-	CMPQ R8, R10 \
-	JL   m4vec \
-m4tail: \
-	CMPQ R8, BX \
-	JGE  m4reduce \
-m4tailloop: \
-	MOVSS (DI)(R8*4), X4 \
-	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
-	MOVSS (R14)(R8*4), X5; SSTEP(X5, X4, X1) \
-	MOVSS (R15)(R8*4), X5; SSTEP(X5, X4, X2) \
-	MOVSS (AX)(R8*4), X5; SSTEP(X5, X4, X3) \
-	INCQ R8 \
-	CMPQ R8, BX \
-	JL   m4tailloop \
-m4reduce: \
-	EACH4(HREDUCE) \
-	EPI \
-	ADDQ $4, DX \
-	ADDQ $4, R11 \
-	ADDQ $4, R13 \
-	ADDQ $4, R9 \
-	LEAQ (DI)(BX*4), DI \
-	DECQ CX \
-	JNZ  m4row
-
-// GATHER4 is the SSE gathered body: one query against four rows anywhere
-// in memory, one XMM accumulator per row (X0-X3), q loaded once per step
-// (X4) and copied into each row's step. In: SI = q, DI, R12, R13, R14 =
-// rows 0-3, DX = out, BX = dim, R10 = dim &^ 3. Uses R8, X0-X6, X9-X14.
-#define GATHER4(PSTEP, SSTEP, EPI) \
-	XORPS X0, X0 \
-	XORPS X1, X1 \
-	XORPS X2, X2 \
-	XORPS X3, X3 \
-	XORQ  R8, R8 \
-	TESTQ R10, R10 \
-	JE    g4tail \
-g4vec: \
-	MOVUPS (SI)(R8*4), X4 \
-	MOVAPS X4, X5; MOVUPS (DI)(R8*4), X6; PSTEP(X5, X6, X0) \
-	MOVAPS X4, X5; MOVUPS (R12)(R8*4), X6; PSTEP(X5, X6, X1) \
-	MOVAPS X4, X5; MOVUPS (R13)(R8*4), X6; PSTEP(X5, X6, X2) \
-	MOVAPS X4, X5; MOVUPS (R14)(R8*4), X6; PSTEP(X5, X6, X3) \
-	ADDQ $4, R8 \
-	CMPQ R8, R10 \
-	JL   g4vec \
-g4tail: \
-	CMPQ R8, BX \
-	JGE  g4reduce \
-g4tailloop: \
-	MOVSS (SI)(R8*4), X4 \
-	MOVAPS X4, X5; MOVSS (DI)(R8*4), X6; SSTEP(X5, X6, X0) \
-	MOVAPS X4, X5; MOVSS (R12)(R8*4), X6; SSTEP(X5, X6, X1) \
-	MOVAPS X4, X5; MOVSS (R13)(R8*4), X6; SSTEP(X5, X6, X2) \
-	MOVAPS X4, X5; MOVSS (R14)(R8*4), X6; SSTEP(X5, X6, X3) \
-	INCQ R8 \
-	CMPQ R8, BX \
-	JL   g4tailloop \
-g4reduce: \
-	EACH4(HREDUCE) \
-	EPI
-
-// func l2BlockSSE(q, block, out []float32)
-TEXT ·l2BlockSSE(SB), NOSPLIT, $0-72
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), BX
-	MOVQ block_base+24(FP), DI
-	MOVQ out_base+48(FP), DX
-	MOVQ out_len+56(FP), CX
-	BLOCK1(PL2, SL2, STORE1)
-	RET
-
-// func dotBlockSSE(q, block, out []float32, op int64)
-// q: dim floats; block: len(out)*dim floats; op: 0 dot, 1 -dot, 2 1-dot.
-TEXT ·dotBlockSSE(SB), NOSPLIT, $0-80
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), BX
-	MOVQ block_base+24(FP), DI
-	MOVQ out_base+48(FP), DX
-	MOVQ out_len+56(FP), CX
-	MOVQ op+72(FP), R12
-	BLOCK1(PDOT, SDOT, DOTEPI1)
-	RET
-
-// func l2Multi4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
-// Four queries share each row load: the row tile is streamed once and
-// reused across the quad. Per query the arithmetic is l2BlockSSE's.
-TEXT ·l2Multi4SSE(SB), NOSPLIT, $0-216
-	MOVQ q0_base+0(FP), SI
-	MOVQ q0_len+8(FP), BX
-	MOVQ q1_base+24(FP), R14
-	MOVQ q2_base+48(FP), R15
-	MOVQ q3_base+72(FP), AX
-	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R13
-	MOVQ o3_base+192(FP), R9
-	MULTI4(PL2, SL2, STORE4Q)
-	RET
-
-// func dotMulti4SSE(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
-#define DOTEPI4Q DOTEPI(R12, EACH4, STORE4Q)
-TEXT ·dotMulti4SSE(SB), NOSPLIT, $0-224
-	MOVQ q0_base+0(FP), SI
-	MOVQ q0_len+8(FP), BX
-	MOVQ q1_base+24(FP), R14
-	MOVQ q2_base+48(FP), R15
-	MOVQ q3_base+72(FP), AX
-	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R13
-	MOVQ o3_base+192(FP), R9
-	MOVQ op+216(FP), R12
-	MULTI4(PDOT, SDOT, DOTEPI4Q)
-	RET
-
-// AVX2 float kernels: each 128-bit half of a YMM register is one row's
-// XMM accumulator of the SSE bodies above, so the vector loop is the SSE
-// loop run on two rows at once. After it, each half is extracted to its
-// own XMM register, VZEROUPPER returns to legacy SSE, and every row is
-// finished by the SSE sequence: scalar tail into lane 0, HREDUCE, the op
-// epilogue. The Go wrappers pass whole groups only; the rows left over go
-// to the SSE bodies.
-
-// YGATHER4 is the AVX2 body for one group of four rows anywhere in
-// memory: rows 0-1 in Y0 and rows 2-3 in Y2, each pair loaded from its two
+// YGATHER4 is the body for one group of four rows anywhere in memory:
+// rows 0-1 in Y0 and rows 2-3 in Y2, each pair loaded from its two
 // addresses into one YMM (VINSERTF128), sharing one broadcast of q[j..j+3].
 // Two accumulators keep two add chains in flight. In: SI = q, DI, R12, R13,
 // R14 = rows 0-3, DX = out, BX = dim, R10 = dim &^ 3. Uses R8, X0-X3,
@@ -378,16 +187,18 @@ b4group: \
 	DECQ CX \
 	JNZ  b4group
 
-// MULTI2 is the quad body: CX pairs of rows against four queries, row r
-// in the low and row r+1 in the high half of one shared load (Y8), each
-// query broadcast to both halves, one accumulator per query (Y0-Y3). In:
-// SI, R14, R15, AX = q0..q3; DI = block; DX, R11, R13, R9 = o0..o3;
-// BX = dim; CX = pairs. Uses R8, R10, R12, X0-X14.
+// MULTI2 is the quad body: CX pairs of rows against four queries, the
+// pair's first row (DI) in the low and its second (R12) in the high half
+// of one shared load (Y8), each query broadcast to both halves, one
+// accumulator per query (Y0-Y3). Both row pointers step two rows a pair,
+// so R12 = DI + one row walks consecutive pairs and R12 = DI scores one
+// row in both halves. In: SI, R14, R15, AX = q0..q3; DI = block;
+// R12 = the first pair's second row; DX, R11, R13, R9 = o0..o3; BX = dim;
+// CX = pairs. Uses R8, R10, X0-X14.
 #define MULTI2(VSTEP, SSTEP, EPI) \
 	MOVQ BX, R10 \
 	ANDQ $-4, R10 \
 m2pair: \
-	LEAQ   (DI)(BX*4), R12 \
 	VXORPS Y0, Y0, Y0 \
 	VXORPS Y1, Y1, Y1 \
 	VXORPS Y2, Y2, Y2 \
@@ -434,6 +245,7 @@ m2reduce: \
 	ADDQ $8, R13 \
 	ADDQ $8, R9 \
 	LEAQ (DI)(BX*8), DI \
+	LEAQ (R12)(BX*8), R12 \
 	DECQ CX \
 	JNZ  m2pair
 
@@ -449,6 +261,7 @@ TEXT ·l2BlockAVX2(SB), NOSPLIT, $0-72
 	RET
 
 // func dotBlockAVX2(q, block, out []float32, op int64)
+// q: dim floats; block: len(out)*dim floats; op: 0 dot, 1 -dot, 2 1-dot.
 #define DOTEPI4 DOTEPI(R9, EACH4, STORE4)
 TEXT ·dotBlockAVX2(SB), NOSPLIT, $0-80
 	MOVQ q_base+0(FP), SI
@@ -461,60 +274,53 @@ TEXT ·dotBlockAVX2(SB), NOSPLIT, $0-80
 	BLOCK4(VDOT, SDOT, DOTEPI4)
 	RET
 
-// func l2Multi4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32)
-TEXT ·l2Multi4AVX2(SB), NOSPLIT, $0-216
+// func l2Multi4AVX2(q0, q1, q2, q3, block []float32, hi *float32, o0, o1, o2, o3 []float32)
+// Four queries share each row load: the row tile is streamed once and
+// reused across the quad.
+TEXT ·l2Multi4AVX2(SB), NOSPLIT, $0-224
 	MOVQ q0_base+0(FP), SI
 	MOVQ q0_len+8(FP), BX
 	MOVQ q1_base+24(FP), R14
 	MOVQ q2_base+48(FP), R15
 	MOVQ q3_base+72(FP), AX
 	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R13
-	MOVQ o3_base+192(FP), R9
+	MOVQ hi+120(FP), R12
+	MOVQ o0_base+128(FP), DX
+	MOVQ o0_len+136(FP), CX
+	MOVQ o1_base+152(FP), R11
+	MOVQ o2_base+176(FP), R13
+	MOVQ o3_base+200(FP), R9
 	SHRQ $1, CX
 	MULTI2(VL2, SL2, STORE8)
 	RET
 
-// func dotMulti4AVX2(q0, q1, q2, q3, block, o0, o1, o2, o3 []float32, op int64)
-// Every GP register is taken, so op waits in X15 until the epilogue.
-#define DOTEPI8 MOVQ X15, R12; DOTEPI(R12, EACH8, STORE8)
-TEXT ·dotMulti4AVX2(SB), NOSPLIT, $0-224
+// func dotMulti4AVX2(q0, q1, q2, q3, block []float32, hi *float32, o0, o1, o2, o3 []float32, op int64)
+// Every GP register is taken, so op waits in X15 until the epilogue,
+// which has R8 free.
+#define DOTEPI8 MOVQ X15, R8; DOTEPI(R8, EACH8, STORE8)
+TEXT ·dotMulti4AVX2(SB), NOSPLIT, $0-232
 	MOVQ q0_base+0(FP), SI
 	MOVQ q0_len+8(FP), BX
 	MOVQ q1_base+24(FP), R14
 	MOVQ q2_base+48(FP), R15
 	MOVQ q3_base+72(FP), AX
 	MOVQ block_base+96(FP), DI
-	MOVQ o0_base+120(FP), DX
-	MOVQ o0_len+128(FP), CX
-	MOVQ o1_base+144(FP), R11
-	MOVQ o2_base+168(FP), R13
-	MOVQ o3_base+192(FP), R9
-	MOVQ op+216(FP), R12
+	MOVQ op+224(FP), R12
 	MOVQ R12, X15
+	MOVQ hi+120(FP), R12
+	MOVQ o0_base+128(FP), DX
+	MOVQ o0_len+136(FP), CX
+	MOVQ o1_base+152(FP), R11
+	MOVQ o2_base+176(FP), R13
+	MOVQ o3_base+200(FP), R9
 	SHRQ $1, CX
 	MULTI2(VDOT, SDOT, DOTEPI8)
 	RET
 
 // The gathered kernels: q against four rows given by address, the form a
-// graph walk needs. Their arguments load as GATHER4LOAD says (above the
-// first TEXT, for vet); the dot kernels read op into R9 for DOTEPI4.
-
-// func l2Gather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
-TEXT ·l2Gather4SSE(SB), NOSPLIT, $0-64
-	GATHER4LOAD
-	GATHER4(PL2, SL2, STORE4)
-	RET
-
-// func dotGather4SSE(q []float32, r0, r1, r2, r3 *float32, out *[4]float32, op int64)
-TEXT ·dotGather4SSE(SB), NOSPLIT, $0-72
-	GATHER4LOAD
-	MOVQ op+64(FP), R9
-	GATHER4(PDOT, SDOT, DOTEPI4)
-	RET
+// graph walk and a block's padded final group need. Their arguments load
+// as GATHER4LOAD says (above the first TEXT, for vet); the dot kernels
+// read op into R9 for DOTEPI4.
 
 // func l2Gather4AVX2(q []float32, r0, r1, r2, r3 *float32, out *[4]float32)
 TEXT ·l2Gather4AVX2(SB), NOSPLIT, $0-64
@@ -548,29 +354,17 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MOVL AX, ret+0(FP)
 	RET
 
-// SQ8 byte-domain kernels. The decode runs in-register: four code bytes
-// load with one MOVL, widen u8→s32 (PUNPCKLBW/PUNPCKLWL against zero),
-// convert with CVTPL2PS, and scale with one MULPS — so lane l holds the
-// decoded element at index ≡ l mod 4, the same split as the float
-// kernels, and every downstream op (the float steps, scalar tail into
-// lane 0, HREDUCE, DOTEPI) matches the portable contract in
-// kernels_sq8.go bitwise.
+// SQ8 byte-domain kernels: the float bodies with the decode in front of
+// the step. Four code bytes of each row of a pair load with one VMOVD
+// (VPINSRD for the second row), widen u8→s32 (VPMOVZXBD), convert
+// (VCVTDQ2PS) and scale with one VMULPS, so lane l holds the decoded
+// element at index ≡ l mod 4, the same split as the float kernels, and
+// every downstream op (the float steps, scalar tail into lane 0, HREDUCE,
+// DOTEPI) matches the portable contract in kernels_sq8.go bitwise.
 
-// VDECODE decodes codes[j..j+3] (j = R8) into t = float32(code)*scale in
-// X4. In: DI = codes, R15 = scale, X6 = 0. Uses AX, X5.
-#define VDECODE \
-	MOVL      (DI)(R8*1), AX \
-	MOVQ      AX, X4 \
-	PUNPCKLBW X6, X4 \
-	PUNPCKLWL X6, X4 \
-	CVTPL2PS  X4, X4 \
-	MOVUPS    (R15)(R8*4), X5 \
-	MULPS     X5, X4
-
-// YDECODE is VDECODE for a YMM row pair: codes[j..j+3] of the row at lo
-// land in the low half of y and those of the row at hi in the high half,
-// each multiplied by scale[j..j+3], broadcast to both halves in Y9. x is
-// y's low half.
+// YDECODE decodes codes[j..j+3] (j = R8) of the row at lo into the low
+// half of y and those of the row at hi into the high half, each multiplied
+// by scale[j..j+3], broadcast to both halves in Y9. x is y's low half.
 #define YDECODE(lo, hi, x, y) \
 	VMOVD     (lo)(R8*1), x \
 	VPINSRD   $1, (hi)(R8*1), x, x \
@@ -586,124 +380,21 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-4
 	MULSS    (R15)(R8*4), t
 
 // PREP turns a decoded t into what every query of the row is scored
-// against. Dot rebuilds rec = min + t (R9 = min): VMINADD on a packed XMM
-// (X5 scratch), SMINADD on one scalar, YMINADD on a YMM row pair from the
-// min[j..j+3] YMINLD broadcast into Y10 once per step. L2 scores the
-// hoisted residual r = q - min against t itself, so it has NOPREP.
-#define VMINADD(t) MOVUPS (R9)(R8*4), X5; ADDPS X5, t
+// against. Dot rebuilds rec = min + t (R9 = min): SMINADD on one scalar,
+// YMINADD on a YMM row pair from the min[j..j+3] YMINLD broadcast into Y10
+// once per step. L2 scores the hoisted residual r = q - min against t
+// itself, so it has NOPREP.
 #define SMINADD(t) ADDSS (R9)(R8*4), t
 #define YMINLD(m) VBROADCASTF128 (R9)(R8*4), m
 #define YMINADD(t) VADDPS Y10, t, t
 #define NOPREP(t)
 
-// SQ8BLOCK1 is the SQ8 single-query body: CX code rows, one XMM
-// accumulator (X0). In: SI = q (r for L2), DI = codes, R15 = scale,
-// R9 = min, DX = out, BX = dim, CX = rows. Uses AX, R8, R10, X0, X4-X6,
-// X9-X14.
-#define SQ8BLOCK1(VPREP, VSTEP, SPREP, SSTEP, EPI) \
-	PXOR X6, X6 \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	PCALIGN $64 \
-s1row: \
-	XORPS X0, X0 \
-	XORQ  R8, R8 \
-	TESTQ R10, R10 \
-	JE    s1tail \
-s1vec: \
-	VDECODE \
-	VPREP(X4) \
-	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
-	ADDQ $4, R8 \
-	CMPQ R8, R10 \
-	JL   s1vec \
-s1tail: \
-	CMPQ R8, BX \
-	JGE  s1reduce \
-s1tailloop: \
-	SDECODE(DI, AX, X4) \
-	SPREP(X4) \
-	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
-	INCQ R8 \
-	CMPQ R8, BX \
-	JL   s1tailloop \
-s1reduce: \
-	HREDUCE(X0) \
-	EPI \
-	ADDQ $4, DX \
-	LEAQ (DI)(BX*1), DI \
-	DECQ CX \
-	JNZ  s1row
-
-// SQ8MULTI4 is the SQ8 quad body: each code row is decoded once (X4) and
-// scored against four queries, so the widen + scale multiply — the
-// dominant per-element cost of a byte scan — is paid once per row instead
-// of once per (query, row). In: SI, R14, R13, DX = q0..q3 (r0..r3 for
-// L2); DI = codes; R15 = scale; R9 = min; BX = dim; CX = rows. R11 is the
-// current row's byte offset into every out slice. Uses AX, R8, R10-R12,
-// X0-X6, X9-X14.
-#define SQ8MULTI4(VPREP, VSTEP, SPREP, SSTEP, EPI) \
-	PXOR X6, X6 \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	XORQ R11, R11 \
-	PCALIGN $64 \
-q8row: \
-	XORPS X0, X0 \
-	XORPS X1, X1 \
-	XORPS X2, X2 \
-	XORPS X3, X3 \
-	XORQ  R8, R8 \
-	TESTQ R10, R10 \
-	JE    q8tail \
-q8vec: \
-	VDECODE \
-	VPREP(X4) \
-	MOVUPS (SI)(R8*4), X5; VSTEP(X5, X4, X0) \
-	MOVUPS (R14)(R8*4), X5; VSTEP(X5, X4, X1) \
-	MOVUPS (R13)(R8*4), X5; VSTEP(X5, X4, X2) \
-	MOVUPS (DX)(R8*4), X5; VSTEP(X5, X4, X3) \
-	ADDQ $4, R8 \
-	CMPQ R8, R10 \
-	JL   q8vec \
-q8tail: \
-	CMPQ R8, BX \
-	JGE  q8reduce \
-q8tailloop: \
-	SDECODE(DI, AX, X4) \
-	SPREP(X4) \
-	MOVSS (SI)(R8*4), X5; SSTEP(X5, X4, X0) \
-	MOVSS (R14)(R8*4), X5; SSTEP(X5, X4, X1) \
-	MOVSS (R13)(R8*4), X5; SSTEP(X5, X4, X2) \
-	MOVSS (DX)(R8*4), X5; SSTEP(X5, X4, X3) \
-	INCQ R8 \
-	CMPQ R8, BX \
-	JL   q8tailloop \
-q8reduce: \
-	EACH4(HREDUCE) \
-	EPI \
-	ADDQ $4, R11 \
-	LEAQ (DI)(BX*1), DI \
-	DECQ CX \
-	JNZ  q8row
-
-// The AVX2 SQ8 bodies are BLOCK4 and MULTI2 with YDECODE in front of the
-// step: one decoded row pair per YMM, the SSE tail, reduce and epilogue
-// after it.
-
-// SQ8BLOCK4 is the single-query body: CX groups of four code rows, rows
-// 0-1 in Y0 and rows 2-3 in Y2, sharing one broadcast of q[j..j+3] (Y8),
-// scale (Y9) and min (Y10, dot only) per step. In: SI = q (r for L2),
-// DI = codes, R15 = scale, R9 = min, DX = out, BX = dim, CX = groups.
-// Uses AX, R8, R10, R12-R14, X0-X14.
-#define SQ8BLOCK4(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
-	MOVQ BX, R10 \
-	ANDQ $-4, R10 \
-	PCALIGN $64 \
-s4group: \
-	LEAQ (DI)(BX*1), R12 \
-	LEAQ (R12)(BX*1), R13 \
-	LEAQ (R13)(BX*1), R14 \
+// SQ8GATHER4 is the SQ8 body for one group of four code rows anywhere in
+// memory: rows 0-1 in Y0 and rows 2-3 in Y2, sharing one broadcast of
+// q[j..j+3] (Y8), scale (Y9) and min (Y10, dot only) per step. In: SI = q
+// (r for L2), DI, R12, R13, R14 = rows 0-3, R15 = scale, R9 = min,
+// DX = out, BX = dim, R10 = dim &^ 3. Uses AX, R8, X0-X14.
+#define SQ8GATHER4(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
 	VXORPS Y0, Y0, Y0 \
 	VXORPS Y2, Y2, Y2 \
 	XORQ   R8, R8 \
@@ -734,25 +425,40 @@ s4tail: \
 	JL   s4tail \
 s4reduce: \
 	EACH4(HREDUCE) \
-	EPI \
+	EPI
+
+// SQ8BLOCK4 is the SQ8 single-query body: CX groups of four consecutive
+// code rows, each group SQ8GATHER4 at a stride of one row. In: SI = q
+// (r for L2), DI = codes, R15 = scale, R9 = min, DX = out, BX = dim,
+// CX = groups. Uses AX, R8, R10, R12-R14, X0-X14.
+#define SQ8BLOCK4(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
+	MOVQ BX, R10 \
+	ANDQ $-4, R10 \
+	PCALIGN $64 \
+s4group: \
+	LEAQ (DI)(BX*1), R12 \
+	LEAQ (R12)(BX*1), R13 \
+	LEAQ (R13)(BX*1), R14 \
+	SQ8GATHER4(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
 	ADDQ $16, DX \
 	LEAQ (DI)(BX*4), DI \
 	DECQ CX \
 	JNZ  s4group
 
-// SQ8MULTI2 is the quad body: CX pairs of code rows against four queries,
-// row r (DI) in the low and row r+1 (AX) in the high half of one decoded
-// pair (Y8), each query broadcast to both halves, one accumulator per
-// query (Y0-Y3). In: SI, R14, R13, DX = q0..q3 (r0..r3 for L2);
-// DI = codes; R15 = scale; R9 = min; BX = dim; CX = pairs. R11 is row r's
-// byte offset into every out slice. Uses AX, R8, R10-R12, X0-X14.
+// SQ8MULTI2 is the SQ8 quad body: CX pairs of code rows against four
+// queries, the pair's first row (DI) in the low and its second (AX) in the
+// high half of one decoded pair (Y8), each query broadcast to both halves,
+// one accumulator per query (Y0-Y3). As in MULTI2, both row pointers step
+// two rows a pair. In: SI, R14, R13, DX = q0..q3 (r0..r3 for L2);
+// DI = codes; AX = the first pair's second row; R15 = scale; R9 = min;
+// BX = dim; CX = pairs. R11 is the pair's byte offset into every out
+// slice. Uses R8, R10-R12, X0-X14.
 #define SQ8MULTI2(VLOAD, VPREP, VSTEP, SPREP, SSTEP, EPI) \
 	MOVQ BX, R10 \
 	ANDQ $-4, R10 \
 	XORQ R11, R11 \
 	PCALIGN $64 \
 q2pair: \
-	LEAQ   (DI)(BX*1), AX \
 	VXORPS Y0, Y0, Y0 \
 	VXORPS Y1, Y1, Y1 \
 	VXORPS Y2, Y2, Y2 \
@@ -793,67 +499,12 @@ q2reduce: \
 	EPI \
 	ADDQ $8, R11 \
 	LEAQ (DI)(BX*2), DI \
+	LEAQ (AX)(BX*2), AX \
 	DECQ CX \
 	JNZ  q2pair
 
-// func sq8L2BlockSSE(r, scale []float32, codes []byte, out []float32)
-// r is the hoisted residual q - min; out[i] = Σ (r[j] - b[j]*scale[j])².
-TEXT ·sq8L2BlockSSE(SB), NOSPLIT, $0-96
-	MOVQ r_base+0(FP), SI
-	MOVQ r_len+8(FP), BX
-	MOVQ scale_base+24(FP), R15
-	MOVQ codes_base+48(FP), DI
-	MOVQ out_base+72(FP), DX
-	MOVQ out_len+80(FP), CX
-	SQ8BLOCK1(NOPREP, PL2, NOPREP, SL2, STORE1)
-	RET
-
-// func sq8DotBlockSSE(q, min, scale []float32, codes []byte, out []float32, op int64)
-// out[i] = op(Σ q[j] * (min[j] + b[j]*scale[j])).
-TEXT ·sq8DotBlockSSE(SB), NOSPLIT, $0-128
-	MOVQ q_base+0(FP), SI
-	MOVQ q_len+8(FP), BX
-	MOVQ min_base+24(FP), R9
-	MOVQ scale_base+48(FP), R15
-	MOVQ codes_base+72(FP), DI
-	MOVQ out_base+96(FP), DX
-	MOVQ out_len+104(FP), CX
-	MOVQ op+120(FP), R12
-	SQ8BLOCK1(VMINADD, PDOT, SMINADD, SDOT, DOTEPI1)
-	RET
-
-// func sq8L2Multi4SSE(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32)
-TEXT ·sq8L2Multi4SSE(SB), NOSPLIT, $0-240
-	MOVQ r0_base+0(FP), SI
-	MOVQ r0_len+8(FP), BX
-	MOVQ r1_base+24(FP), R14
-	MOVQ r2_base+48(FP), R13
-	MOVQ r3_base+72(FP), DX
-	MOVQ scale_base+96(FP), R15
-	MOVQ codes_base+120(FP), DI
-	MOVQ o0_len+152(FP), CX
-	SQ8MULTI4(NOPREP, PL2, NOPREP, SL2, SQ8L2STORE)
-	RET
-
-// func sq8DotMulti4SSE(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
-// Every GP register is taken, so op waits in X15 until the epilogue.
-#define SQ8DOTEPI MOVQ X15, R12; DOTEPI(R12, EACH4, SQ8DOTSTORE)
-TEXT ·sq8DotMulti4SSE(SB), NOSPLIT, $0-272
-	MOVQ q0_base+0(FP), SI
-	MOVQ q0_len+8(FP), BX
-	MOVQ q1_base+24(FP), R14
-	MOVQ q2_base+48(FP), R13
-	MOVQ q3_base+72(FP), DX
-	MOVQ min_base+96(FP), R9
-	MOVQ scale_base+120(FP), R15
-	MOVQ codes_base+144(FP), DI
-	MOVQ o0_len+176(FP), CX
-	MOVQ op+264(FP), R12
-	MOVQ R12, X15
-	SQ8MULTI4(VMINADD, PDOT, SMINADD, SDOT, SQ8DOTEPI)
-	RET
-
 // func sq8L2BlockAVX2(r, scale []float32, codes []byte, out []float32)
+// r is the hoisted residual q - min; out[i] = Σ (r[j] - b[j]*scale[j])².
 TEXT ·sq8L2BlockAVX2(SB), NOSPLIT, $0-96
 	MOVQ r_base+0(FP), SI
 	MOVQ r_len+8(FP), BX
@@ -866,6 +517,7 @@ TEXT ·sq8L2BlockAVX2(SB), NOSPLIT, $0-96
 	RET
 
 // func sq8DotBlockAVX2(q, min, scale []float32, codes []byte, out []float32, op int64)
+// out[i] = op(Σ q[j] * (min[j] + b[j]*scale[j])).
 #define SQ8DOTEPI4 DOTEPI(R11, EACH4, STORE4)
 TEXT ·sq8DotBlockAVX2(SB), NOSPLIT, $0-128
 	MOVQ q_base+0(FP), SI
@@ -880,8 +532,40 @@ TEXT ·sq8DotBlockAVX2(SB), NOSPLIT, $0-128
 	SQ8BLOCK4(YMINLD, YMINADD, VDOT, SMINADD, SDOT, SQ8DOTEPI4)
 	RET
 
-// func sq8L2Multi4AVX2(r0, r1, r2, r3, scale []float32, codes []byte, o0, o1, o2, o3 []float32)
-TEXT ·sq8L2Multi4AVX2(SB), NOSPLIT, $0-240
+// func sq8L2Gather4AVX2(r, scale []float32, c0, c1, c2, c3 *byte, out *[4]float32)
+TEXT ·sq8L2Gather4AVX2(SB), NOSPLIT, $0-88
+	MOVQ r_base+0(FP), SI
+	MOVQ r_len+8(FP), BX
+	MOVQ scale_base+24(FP), R15
+	MOVQ c0+48(FP), DI
+	MOVQ c1+56(FP), R12
+	MOVQ c2+64(FP), R13
+	MOVQ c3+72(FP), R14
+	MOVQ out+80(FP), DX
+	MOVQ BX, R10
+	ANDQ $-4, R10
+	SQ8GATHER4(NOPREP, NOPREP, VL2, NOPREP, SL2, STORE4)
+	RET
+
+// func sq8DotGather4AVX2(q, min, scale []float32, c0, c1, c2, c3 *byte, out *[4]float32, op int64)
+TEXT ·sq8DotGather4AVX2(SB), NOSPLIT, $0-120
+	MOVQ q_base+0(FP), SI
+	MOVQ q_len+8(FP), BX
+	MOVQ min_base+24(FP), R9
+	MOVQ scale_base+48(FP), R15
+	MOVQ c0+72(FP), DI
+	MOVQ c1+80(FP), R12
+	MOVQ c2+88(FP), R13
+	MOVQ c3+96(FP), R14
+	MOVQ out+104(FP), DX
+	MOVQ op+112(FP), R11
+	MOVQ BX, R10
+	ANDQ $-4, R10
+	SQ8GATHER4(YMINLD, YMINADD, VDOT, SMINADD, SDOT, SQ8DOTEPI4)
+	RET
+
+// func sq8L2Multi4AVX2(r0, r1, r2, r3, scale []float32, codes []byte, hi *byte, o0, o1, o2, o3 []float32)
+TEXT ·sq8L2Multi4AVX2(SB), NOSPLIT, $0-248
 	MOVQ r0_base+0(FP), SI
 	MOVQ r0_len+8(FP), BX
 	MOVQ r1_base+24(FP), R14
@@ -889,14 +573,16 @@ TEXT ·sq8L2Multi4AVX2(SB), NOSPLIT, $0-240
 	MOVQ r3_base+72(FP), DX
 	MOVQ scale_base+96(FP), R15
 	MOVQ codes_base+120(FP), DI
-	MOVQ o0_len+152(FP), CX
+	MOVQ hi+144(FP), AX
+	MOVQ o0_len+160(FP), CX
 	SHRQ $1, CX
-	SQ8MULTI2(NOPREP, NOPREP, VL2, NOPREP, SL2, SQ8L2STORE8)
+	SQ8MULTI2(NOPREP, NOPREP, VL2, NOPREP, SL2, SQ8L2STORE)
 	RET
 
-// func sq8DotMulti4AVX2(q0, q1, q2, q3, min, scale []float32, codes []byte, o0, o1, o2, o3 []float32, op int64)
-#define SQ8DOTEPI8 MOVQ X15, R12; DOTEPI(R12, EACH8, SQ8DOTSTORE8)
-TEXT ·sq8DotMulti4AVX2(SB), NOSPLIT, $0-272
+// func sq8DotMulti4AVX2(q0, q1, q2, q3, min, scale []float32, codes []byte, hi *byte, o0, o1, o2, o3 []float32, op int64)
+// Every GP register is taken, so op waits in X15 until the epilogue.
+#define SQ8DOTEPI8 MOVQ X15, R12; DOTEPI(R12, EACH8, SQ8DOTSTORE)
+TEXT ·sq8DotMulti4AVX2(SB), NOSPLIT, $0-280
 	MOVQ q0_base+0(FP), SI
 	MOVQ q0_len+8(FP), BX
 	MOVQ q1_base+24(FP), R14
@@ -905,8 +591,9 @@ TEXT ·sq8DotMulti4AVX2(SB), NOSPLIT, $0-272
 	MOVQ min_base+96(FP), R9
 	MOVQ scale_base+120(FP), R15
 	MOVQ codes_base+144(FP), DI
-	MOVQ o0_len+176(FP), CX
-	MOVQ op+264(FP), R12
+	MOVQ hi+168(FP), AX
+	MOVQ o0_len+184(FP), CX
+	MOVQ op+272(FP), R12
 	MOVQ R12, X15
 	SHRQ $1, CX
 	SQ8MULTI2(YMINLD, YMINADD, VDOT, SMINADD, SDOT, SQ8DOTEPI8)

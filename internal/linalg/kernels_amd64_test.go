@@ -5,7 +5,7 @@ package linalg
 import "testing"
 
 // TestDetectTier: AVX2 only when the CPU has AVX and AVX2 and the OS
-// saves YMM state; any one missing falls back to SSE.
+// saves YMM state; any one missing falls back to the portable kernels.
 func TestDetectTier(t *testing.T) {
 	all := cpuWords{maxLeaf: 7, ecx1: 1<<27 | 1<<28, ebx7: 1 << 5, xcr0: 1<<1 | 1<<2}
 	for _, c := range []struct {
@@ -14,12 +14,12 @@ func TestDetectTier(t *testing.T) {
 		want kernelTier
 	}{
 		{"all present", func(*cpuWords) {}, tierAVX2},
-		{"XCR0 bits 1-2 clear", func(w *cpuWords) { w.xcr0 = 0 }, tierSSE},
-		{"XCR0 YMM bit clear", func(w *cpuWords) { w.xcr0 = 1 << 1 }, tierSSE},
-		{"max leaf below 7", func(w *cpuWords) { w.maxLeaf = 6 }, tierSSE},
-		{"OSXSAVE clear", func(w *cpuWords) { w.ecx1 &^= 1 << 27 }, tierSSE},
-		{"AVX clear", func(w *cpuWords) { w.ecx1 &^= 1 << 28 }, tierSSE},
-		{"AVX2 clear", func(w *cpuWords) { w.ebx7 = 0 }, tierSSE},
+		{"XCR0 bits 1-2 clear", func(w *cpuWords) { w.xcr0 = 0 }, tierPortable},
+		{"XCR0 YMM bit clear", func(w *cpuWords) { w.xcr0 = 1 << 1 }, tierPortable},
+		{"max leaf below 7", func(w *cpuWords) { w.maxLeaf = 6 }, tierPortable},
+		{"OSXSAVE clear", func(w *cpuWords) { w.ecx1 &^= 1 << 27 }, tierPortable},
+		{"AVX clear", func(w *cpuWords) { w.ecx1 &^= 1 << 28 }, tierPortable},
+		{"AVX2 clear", func(w *cpuWords) { w.ebx7 = 0 }, tierPortable},
 	} {
 		w := all
 		c.edit(&w)

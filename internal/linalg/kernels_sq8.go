@@ -9,7 +9,7 @@ package linalg
 // dot form folds min back in per element. The accumulation contract is the
 // float kernels': four partial sums over a 4-way unrolled loop (lane l
 // holds indices ≡ l mod 4), tail into s0, reduced ((s0+s1)+s2)+s3, op
-// epilogue fused — which the SSE kernels in kernels_amd64.s reproduce
+// epilogue fused — which the AVX2 kernels in kernels_amd64.s reproduce
 // bitwise.
 
 // sq8L2BlockGo scores the residual r (= q - min) against every code row:

@@ -8,12 +8,14 @@
 // The rule of the package: kernels.go holds the only scalar float32
 // distance arithmetic — the portable kernels, which define the bit-exact
 // contract (four accumulators over indices mod 4, tail into the first,
-// summed in order, no FMA) and which the SSE and AVX2 kernels reproduce
-// bitwise. Every distance entry point is a caller of the dispatched block
-// kernels: Dot, SquaredL2 and Distance on one row, DistanceRows on
-// scattered rows, DistanceBlock and the *Multi* forms on packed arenas. A
-// new distance loop written anywhere else is a second copy of that
-// contract and a bug waiting for the first rounding difference.
+// summed in order, no FMA), run wherever CPUID reports no AVX2, and are
+// reproduced bitwise by the AVX2 kernels, which pad a short final group of
+// rows with its last row (kernels_amd64.go). Every distance entry point is
+// a caller of the dispatched block kernels: Dot, SquaredL2 and Distance on
+// one row, DistanceRows on scattered rows, DistanceBlock and the *Multi*
+// forms on packed arenas. A new distance loop written anywhere else is a
+// second copy of that contract and a bug waiting for the first rounding
+// difference.
 package linalg
 
 import (
@@ -66,8 +68,8 @@ func ParseMetric(s string) (Metric, error) {
 
 // Dot returns the dot product of a and b. The slices must have equal
 // length. It is a one-row call of the block kernel (see kernels.go for
-// the arithmetic contract), so a single pair costs what a row of a scan
-// costs.
+// the arithmetic contract), so its bits are those of a scan's row; at the
+// AVX2 tier it is one padded group.
 func Dot(a, b []float32) float32 {
 	var out [1]float32
 	dotBlockKernel(a, b, out[:], opNone)
@@ -87,7 +89,7 @@ func SquaredL2(a, b []float32) float32 {
 // Matrix), under metric m, writing row i's distance to out[i]. Each out[i]
 // is bitwise equal to Distance(m, q, row_i) (Distance is this kernel on
 // one row); the win is streaming contiguous memory instead of chasing
-// per-row pointers. On amd64 the scan runs as an SSE or AVX2 kernel whose
+// per-row pointers. On amd64 the scan runs as an AVX2 kernel whose
 // lane structure mirrors the portable kernel's scalar accumulators exactly
 // (see kernels_amd64.go). The InnerProduct/Angular epilogue is fused into
 // the scoring loop (negation and 1-x are exact, so fusing changes no
@@ -111,12 +113,25 @@ func Norm(v []float32) float32 {
 }
 
 // Normalize scales v to unit norm in place. Zero vectors are left unchanged.
+// A v whose float32 squared norm overflows or is below the smallest normal
+// float32 is first divided by its largest |component|, as LAPACK's snrm2
+// scales, so it normalises like any other.
 func Normalize(v []float32) {
-	n := Norm(v)
-	if n == 0 {
-		return
+	ss := Dot(v, v)
+	if ss > math.MaxFloat32 || ss < 0x1p-126 {
+		var amax float32
+		for _, x := range v {
+			amax = max(amax, x, -x)
+		}
+		if amax == 0 {
+			return
+		}
+		for i := range v {
+			v[i] /= amax
+		}
+		ss = Dot(v, v)
 	}
-	inv := 1 / n
+	inv := 1 / float32(math.Sqrt(float64(ss)))
 	for i := range v {
 		v[i] *= inv
 	}

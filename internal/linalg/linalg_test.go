@@ -107,6 +107,32 @@ func TestNormalize(t *testing.T) {
 	}
 }
 
+// TestNormalizeExtremeScales: co-directional vectors whose float32
+// squared norm underflows (1e-20), is ordinary (1) or overflows (3e19)
+// normalise to within an ulp of one unit vector — the float64 unit vector
+// along the same direction.
+func TestNormalizeExtremeScales(t *testing.T) {
+	dir := []float64{3, 1, -2, 0.5}
+	var norm float64
+	for _, x := range dir {
+		norm += x * x
+	}
+	norm = math.Sqrt(norm)
+	for _, scale := range []float64{1e-20, 1, 3e19} {
+		v := make([]float32, len(dir))
+		for i, x := range dir {
+			v[i] = float32(x * scale)
+		}
+		Normalize(v)
+		for i, x := range v {
+			want := float32(dir[i] / norm)
+			if ulps := int64(math.Float32bits(x)) - int64(math.Float32bits(want)); ulps < -1 || ulps > 1 {
+				t.Fatalf("scale %g: component %d = %v, want %v within an ulp (normalised %v)", scale, i, x, want, v)
+			}
+		}
+	}
+}
+
 func TestAngularRange(t *testing.T) {
 	// For unit vectors, angular distance lies in [0, 2].
 	rng := rand.New(rand.NewSource(4))

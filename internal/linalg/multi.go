@@ -5,7 +5,7 @@ package linalg
 // by MultiRowTile so a tile stays cache-resident while all Q queries are
 // scored against it — rows are loaded from memory once per batch instead
 // of once per query, the classic GEMM restructuring. Queries are processed
-// in quads (the SSE multi kernel shares each row load across 4 queries)
+// in quads (the quad kernel shares each row load across 4 queries)
 // with a single-query kernel sweeping the remainder.
 //
 // The per-(query, row) arithmetic is exactly the single-query kernels'

@@ -60,7 +60,10 @@ func BenchmarkKernelMultiQuery(b *testing.B) {
 // — one gathered-kernel call per four rows, as an HNSW expansion scores a
 // node's unvisited neighbours — and, as the bound it is measured against,
 // the same 32 rows copied contiguous and scored by DistanceBlock (BLOCK4 at
-// the AVX2 tier). ns/row divides one call by its 32 rows.
+// the AVX2 tier). ns/row divides one call by its 32 rows. The short
+// groups follow, in ns/call: a DistanceBlock of 1, 2 and 3 rows (at the
+// AVX2 tier one padded gathered group; rows=1 is a one-pair Distance) and
+// a quad scan of four queries against one row (one pair on itself).
 func BenchmarkKernelGather(b *testing.B) {
 	const rows, dim, n = 3000, 100, 32
 	rng := rand.New(rand.NewSource(1))
@@ -97,6 +100,27 @@ func BenchmarkKernelGather(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
+			})
+		}
+		for _, short := range []int{1, 2, 3, 0} {
+			name := fmt.Sprintf("short/rows=%d/%v", short, tier)
+			if short == 0 {
+				name = fmt.Sprintf("short/quad-odd-row/%v", tier)
+			}
+			b.Run(name, func(b *testing.B) {
+				defer func(saved kernelTier) { dispatchTier = saved }(dispatchTier)
+				dispatchTier = tier
+				quad := [][]float32{q, store.Row(1), store.Row(2), store.Row(3)}
+				outs := [][]float32{out[0:1], out[1:2], out[2:3], out[3:4]}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if short == 0 {
+						DistanceMultiScatter(L2, quad, tile[:dim], outs)
+					} else {
+						DistanceBlock(L2, q, tile[:short*dim], out[:short])
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/call")
 			})
 		}
 	}

@@ -34,10 +34,10 @@ var kernelDims = func() []int {
 	return append(dims, 100, 101)
 }()
 
-// TestKernelTier logs the tier dispatch chose on this machine, per
-// kernel family: PQ has no tier above SSE.
+// TestKernelTier logs the tier dispatch chose on this machine: one tier
+// for every kernel family, the PQ scan's SSE2 body included.
 func TestKernelTier(t *testing.T) {
-	t.Logf("float and SQ8 kernels run the %v tier; PQ the %v tier", cpuTier, min(cpuTier, tierSSE))
+	t.Logf("float, SQ8 and PQ kernels run the %v tier", cpuTier)
 }
 
 // randVec fills vectors with a mix of ordinary values and hard cases
@@ -66,8 +66,8 @@ func f32Equal(a, b float32) bool {
 
 // The scalar side of every SIMD≡portable assertion: the portable Go
 // kernels on one row. Dot, SquaredL2 and Distance are callers of the
-// dispatched kernels (SSE on amd64), so they cannot be their own
-// reference.
+// dispatched kernels (a padded AVX2 group on amd64), so they cannot be
+// their own reference.
 
 func refDot(a, b []float32) float32 {
 	var out [1]float32
@@ -229,8 +229,8 @@ func TestFusedDistanceBlockExact(t *testing.T) {
 // TestKernelAsmMatchesGo pins the dispatched float kernels, at every
 // tier, to the portable ones: both kernel shapes × the three ops × every
 // kernelDims dim × 0–13 rows, which covers every split of the rows into
-// the AVX2 groups (four rows single-query, two quad) plus the SSE
-// remainder. The output slot past the last row must stay untouched.
+// the AVX2 groups (four rows single-query, two quad) plus a padded final
+// group. The output slot past the last row must stay untouched.
 func TestKernelAsmMatchesGo(t *testing.T) {
 	const canary = 12345
 	forEachTier(t, func(t *testing.T) {

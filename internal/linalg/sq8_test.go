@@ -121,7 +121,7 @@ func testSQ8KernelBitIdentity(t *testing.T) {
 // tier, to the portable contract kernels in TestKernelAsmMatchesGo's
 // shape: both kernel shapes × the three ops × every kernelDims dim × 0–13
 // rows, which covers every split of the rows into the AVX2 groups (four
-// rows single-query, two quad) plus the SSE remainder. The output slot
+// rows single-query, two quad) plus a padded final group. The output slot
 // past the last row must stay untouched on every output, the four quad
 // outputs included.
 func TestSQ8KernelAsmMatchesGo(t *testing.T) {

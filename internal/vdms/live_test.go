@@ -219,6 +219,51 @@ func TestCollectionAngularNormalizes(t *testing.T) {
 	}
 }
 
+// TestCollectionAngularExtremeScales: rows along one direction at scales
+// whose float32 squared norm underflows (1e-20), is ordinary (1) and
+// overflows (3e19) are stored as the same unit vector, so an Angular FLAT
+// query along that direction, at any of the three scales, ranks all three
+// first — ahead of rows a few degrees off it.
+func TestCollectionAngularExtremeScales(t *testing.T) {
+	coll, err := NewCollection(flatConfig(1), linalg.Angular, 4, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	dir := []float32{3, 1, -2, 0.5}
+	along := func(scale float32) []float32 {
+		v := make([]float32, len(dir))
+		for i, x := range dir {
+			v[i] = x * scale
+		}
+		return v
+	}
+	scales := []float32{1e-20, 1, 3e19}
+	rows := [][]float32{{3, 1.2, -2, 0.5}, {3, 1, -1.8, 0.5}, {2.8, 1, -2, 0.5}}
+	for _, s := range scales {
+		rows = append(rows, along(s))
+	}
+	ids, err := coll.Insert(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]bool{}
+	for _, id := range ids[3:] {
+		want[id] = true
+	}
+	for _, s := range scales {
+		res, err := coll.Search(along(s), 3, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nb := range res {
+			if !want[nb.ID] || nb.Dist > 1e-6 {
+				t.Fatalf("query at scale %g: got %+v, want ids %v first, at distance ~0", s, res, ids[3:])
+			}
+		}
+	}
+}
+
 func TestCollectionErrors(t *testing.T) {
 	if _, err := NewCollection(liveConfig(), linalg.L2, 0, 100); err == nil {
 		t.Fatal("accepted dim=0")

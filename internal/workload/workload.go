@@ -96,13 +96,17 @@ func (d *Dataset) Recall(qi int, results []linalg.Neighbor) float64 {
 }
 
 // computeTruth fills d.Truth by exact brute force under d.Metric, one
-// query per chunk of the shared pool.
+// query per chunk of the shared pool: one block scan of the query over the
+// whole arena, pushed in row order.
 func (d *Dataset) computeTruth() {
 	d.Truth = make([][]int64, len(d.Queries))
+	store := d.Store()
 	parallel.Parallel(0, len(d.Queries), func(qi int) {
+		dists := make([]float32, store.Rows())
+		linalg.DistanceBlock(d.Metric, d.Queries[qi], store.Data(), dists)
 		top := linalg.NewTopK(d.K)
-		for i, v := range d.Vectors {
-			top.Push(int64(i), linalg.Distance(d.Metric, d.Queries[qi], v))
+		for i, dist := range dists {
+			top.Push(int64(i), dist)
 		}
 		res := top.Results()
 		ids := make([]int64, len(res))
