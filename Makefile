@@ -5,8 +5,8 @@
 # assertions the micro-benchmarks make before their clocks start at least
 # compile and run, the goldens and worker-invariance tests at GOMAXPROCS 1 and 4, the
 # online-reconfiguration gate (migration determinism, the migration
-# crash matrix and the every-knob-acts table test, run explicitly so they
-# cannot be filtered out), the alloc-gate tests in strict mode (so the
+# crash matrix, the every-knob-acts table test and the restart test, run
+# explicitly so they cannot be filtered out), the alloc-gate tests in strict mode (so the
 # zero-allocation query-path guarantee — with persistence enabled —
 # cannot be silently skipped), and a 30s-per-target fuzz smoke pass over
 # the snapshot/WAL decoders and both wire codecs. Performance is measured by ./benchmark alone
@@ -89,14 +89,17 @@ alloc-gate:
 # post-migration state bit-identical to a fresh build at the target
 # configuration, hot swaps and reshards under churn — the migration
 # crash matrix — a kill injected at every protocol step recovers to
-# exactly the old or the new generation, never a mix — and the knob
-# table's invariant: every row moves the engine that serves, bar a named
-# exemption list that can only shrink. That test is named, so the run
-# cannot pass by its absence.
+# exactly the old or the new generation, never a mix, a kill around a
+# hot swap's manifest rename exactly the old or the new hot configuration
+# — the knob table's invariant: every row moves the engine that serves,
+# bar a named exemption list that can only shrink — and the restart test:
+# a durable directory serves the configuration it last acknowledged. The
+# last two are named, so the run cannot pass by their absence.
 reconfig-gate:
-	@$(GO) test -list 'TestEveryKnobActsOnTheServedEngine' ./internal/vdms | grep -qx TestEveryKnobActsOnTheServedEngine \
-		|| { echo "reconfig-gate test TestEveryKnobActsOnTheServedEngine missing from ./internal/vdms"; exit 1; }
-	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate|^TestEveryKnobActsOnTheServedEngine$$' -count=1 ./internal/vdms
+	@for g in TestEveryKnobActsOnTheServedEngine TestDurableRestartServesRecordedConfig; do \
+		$(GO) test -list "$$g" ./internal/vdms | grep -qx $$g \
+			|| { echo "reconfig-gate test $$g missing from ./internal/vdms"; exit 1; }; done
+	$(GO) test -run 'TestReconfigure|TestHotSwap|TestMigrate|^TestEveryKnobActsOnTheServedEngine$$|^TestDurableRestartServesRecordedConfig$$' -count=1 ./internal/vdms
 	$(GO) test -run 'TestMigrationCrashMatrix' -count=1 ./internal/persist/crashtest
 
 # Native fuzzing smoke pass over everything that decodes bytes it did not

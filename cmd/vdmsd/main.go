@@ -7,15 +7,15 @@
 // byte limit (-max-request-bytes) and an idle-connection deadline
 // (-idle-timeout) on every connection.
 //
-// The collection is sharded (-shards): inserts and deletes are routed to
-// independently locked shards by id hash, searches scatter-gather across
-// all of them deterministically, and with -data-dir every shard keeps its
-// own write-ahead log and snapshots in <data-dir>/shard-<i>, or after the
-// G-th migration <data-dir>/gen-<G>/shard-<i>, as a versioned manifest
-// records (internal/persist/manifest.go). A data directory is bound
-// to the shard count it was created with; reopening it with a different
-// -shards value is refused — open it at its recorded count and reshard
-// online through the "reconfigure" op instead.
+// The configuration is one -config file in the "config" op's JSON form
+// (keys left out keep vdms.DefaultConfig with index_type HNSW). The
+// collection is sharded (shard_count): writes are routed to independently
+// locked shards by id hash, searches scatter-gather across all of them
+// deterministically, and with -data-dir every shard keeps its own
+// write-ahead log and snapshots under the layout a manifest records
+// (internal/persist/manifest.go), beside the configuration the directory
+// serves. A restart without -config serves that; with -config the file
+// is applied through Reconfigure after recovery, before listening.
 //
 // The running engine is reconfigurable without restart: the "reconfigure"
 // op (server.Client.Reconfigure) applies a full configuration — hot knobs
@@ -27,24 +27,22 @@
 // same path (hot knobs only unless -tune-cold).
 //
 // With -data-dir the collection is durable: every insert/delete is
-// write-ahead logged under the configured -fsync policy, the per-shard
+// write-ahead logged under the configured wal_fsyncPolicy, the per-shard
 // compactors checkpoint snapshots, startup recovers the previous state
 // (replaying all shard WALs in parallel and truncating torn tails), and
 // SIGTERM/SIGINT shut down gracefully — final WAL sync plus a full
 // snapshot per shard — so a clean stop loses nothing under any policy.
 // Without -data-dir the engine is memory-only, as before.
 //
-// Flags are validated up front: a value outside its documented range is a
+// Flags and the -config file are validated up front: a bad value is a
 // usage error (exit code 2) before any collection state is created.
 //
 // Usage:
 //
 //	vdmsd [-addr 127.0.0.1:7700] [-dim 128] [-metric angular]
-//	      [-index HNSW] [-expected-rows 100000] [-shards 1]
-//	      [-compact-ratio 0.2] [-compact-fanin 4] [-compact-workers 2]
+//	      [-config config.json] [-expected-rows 100000]
 //	      [-max-request-bytes 67108864] [-idle-timeout 5m]
-//	      [-data-dir /var/lib/vdms] [-fsync always|batch|never]
-//	      [-wal-group 64]
+//	      [-data-dir /var/lib/vdms]
 //	      [-tune] [-tune-interval 30s] [-tune-window 256]
 //	      [-tune-iters 20] [-tune-cold]
 //
@@ -60,6 +58,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -72,7 +71,6 @@ import (
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
 	"vdtuner/internal/online"
-	"vdtuner/internal/persist"
 	"vdtuner/internal/server"
 	"vdtuner/internal/vdms"
 )
@@ -85,27 +83,41 @@ func usageError(format string, args ...any) {
 	os.Exit(2)
 }
 
-// knobRange prints a knob's range from the engine's knob table, for flag
-// descriptions.
-func knobRange(id vdms.KnobID) string {
-	return fmt.Sprintf("[%v, %v]", vdms.Knobs[id].Min, vdms.Knobs[id].Max)
+// loadConfig reads a -config file, laid over the stock configuration:
+// DefaultConfig with index_type HNSW, so keys the file leaves out keep
+// their stock values. An empty path is the stock configuration.
+func loadConfig(path string) (vdms.Config, error) {
+	cfg := vdms.DefaultConfig()
+	cfg.IndexType = index.HNSW
+	if path == "" {
+		return cfg, nil
+	}
+	var keys map[string]json.RawMessage
+	stock, _ := json.Marshal(cfg)    // a validated Config always encodes,
+	_ = json.Unmarshal(stock, &keys) // and its encoding decodes
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &keys) // the file's keys replace the stock ones
+	}
+	if err == nil {
+		merged, _ := json.Marshal(keys) // decoded raw values re-encode
+		err = json.Unmarshal(merged, &cfg)
+	}
+	if err != nil {
+		return cfg, fmt.Errorf("-config: %w", err)
+	}
+	return cfg, vdms.ValidateConfig(cfg)
 }
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7700", "listen address")
 	dim := flag.Int("dim", 128, "vector dimensionality (> 0)")
 	metricName := flag.String("metric", "angular", "distance metric: l2, ip, angular")
-	indexName := flag.String("index", "HNSW", "index type for sealed segments")
-	expectedRows := flag.Int("expected-rows", 100000, "expected corpus size (> 0, scales segment sizing)")
-	shards := flag.Int("shards", 1, "live-collection shard count, "+knobRange(vdms.KnobShardCount))
-	compactRatio := flag.Float64("compact-ratio", 0, "sealed-segment tombstone ratio that triggers compaction, "+knobRange(vdms.KnobCompactionTriggerRatio)+" (0 = engine default)")
-	compactFanIn := flag.Int("compact-fanin", 0, "max undersized segments merged per compaction, "+knobRange(vdms.KnobCompactionMergeFanIn)+" (0 = engine default)")
-	compactWorkers := flag.Int("compact-workers", 0, "compactor worker-pool size, "+knobRange(vdms.KnobCompactionParallelism)+" (0 = engine default)")
+	configPath := flag.String("config", "", "configuration file in the config op's JSON form (keys left out keep their stock values); on an existing -data-dir it is applied through Reconfigure, and without it the directory serves the configuration it records")
+	expectedRows := flag.Int("expected-rows", 100000, "expected corpus size (> 0, scales segment sizing; a -data-dir keeps the value it was created with)")
 	maxRequestBytes := flag.Int("max-request-bytes", 64<<20, "per-request byte limit on both protocols (> 0); oversized requests are refused and the connection dropped")
 	idleTimeout := flag.Duration("idle-timeout", 5*time.Minute, "drop connections idle longer than this (0 disables)")
 	dataDir := flag.String("data-dir", "", "data directory for durable persistence (empty = memory-only)")
-	fsyncName := flag.String("fsync", "", "WAL fsync policy: never, batch, always (empty = engine default, batch)")
-	walGroup := flag.Int("wal-group", 0, "group-commit batch size under the batch policy, "+knobRange(vdms.KnobWALGroupCommit)+" (0 = engine default)")
 	tune := flag.Bool("tune", false, "run the in-process tuning daemon: window served queries, re-tune on drift, apply winners online")
 	tuneInterval := flag.Duration("tune-interval", 30*time.Second, "how often the tuning daemon checks the query window")
 	tuneWindow := flag.Int("tune-window", 256, "minimum served queries per tuning window")
@@ -114,12 +126,8 @@ func main() {
 	flag.Parse()
 
 	// Validate every flag before building anything: a typo'd knob should
-	// be a crisp usage error, not a half-started collection (or a silently
-	// absurd segment model). Knobs that live in the engine configuration
-	// are checked by the engine's own validator below — the same
-	// vdms.ValidateConfig that guards Reconfigure and bounds the tuner's
-	// search space — so the CLI can never accept a value the engine would
-	// refuse (or vice versa).
+	// be a crisp usage error, not a half-started collection. The -config
+	// file goes through vdms.ValidateConfig, the check Reconfigure makes.
 	if *dim <= 0 {
 		usageError("-dim must be positive, got %d", *dim)
 	}
@@ -128,13 +136,6 @@ func main() {
 	}
 	if *tune && (*tuneWindow <= 0 || *tuneIters <= 0 || *tuneInterval <= 0) {
 		usageError("-tune-window, -tune-iters and -tune-interval must be positive")
-	}
-	// ValidateConfig treats a zero shard count as "engine default", but on
-	// the command line zero is a typo, not a request for the default — the
-	// flag's own default is already 1. The range still comes from the
-	// knob table.
-	if r := vdms.Knobs[vdms.KnobShardCount]; float64(*shards) < r.Min || float64(*shards) > r.Max {
-		usageError("-shards %d outside %s", *shards, knobRange(vdms.KnobShardCount))
 	}
 	if *maxRequestBytes <= 0 {
 		usageError("-max-request-bytes must be positive, got %d", *maxRequestBytes)
@@ -146,34 +147,8 @@ func main() {
 	if err != nil {
 		usageError("%v", err)
 	}
-	typ, err := index.ParseType(*indexName)
+	cfg, err := loadConfig(*configPath)
 	if err != nil {
-		usageError("%v", err)
-	}
-
-	cfg := vdms.DefaultConfig()
-	cfg.IndexType = typ
-	cfg.ShardCount = *shards
-	if *compactRatio != 0 {
-		cfg.CompactionTriggerRatio = *compactRatio
-	}
-	if *compactFanIn != 0 {
-		cfg.CompactionMergeFanIn = *compactFanIn
-	}
-	if *compactWorkers != 0 {
-		cfg.CompactionParallelism = *compactWorkers
-	}
-	if *fsyncName != "" {
-		policy, err := persist.ParseSyncPolicy(*fsyncName)
-		if err != nil {
-			usageError("%v", err)
-		}
-		cfg.WALFsyncPolicy = int(policy)
-	}
-	if *walGroup != 0 {
-		cfg.WALGroupCommit = *walGroup
-	}
-	if err := vdms.ValidateConfig(cfg); err != nil {
 		usageError("%v", err)
 	}
 
@@ -189,6 +164,14 @@ func main() {
 	} else {
 		coll, err = vdms.NewCollection(cfg, metric, *dim, *expectedRows)
 	}
+	if err == nil && *configPath != "" && coll.Config() != cfg { // a directory serves what it recorded
+		var gen uint64
+		if gen, err = coll.Reconfigure(cfg); err == nil {
+			fmt.Printf("vdmsd applied %s as config generation %d\n", *configPath, gen)
+		} else {
+			coll.Close()
+		}
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -201,13 +184,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	st := coll.Stats()
 	if *dataDir != "" {
-		st := coll.Stats()
-		fmt.Printf("vdmsd recovered %d rows (%d sealed segments, %d growing) across %d shards from %s\n",
-			st.Rows, st.Sealed, st.GrowingRows, len(st.Shards), *dataDir)
+		fmt.Printf("vdmsd recovered %d rows (%d sealed segments, %d growing) across %d shards at config generation %d from %s\n",
+			st.Rows, st.Sealed, st.GrowingRows, st.ShardCount, st.ConfigGeneration, *dataDir)
 	}
 	fmt.Printf("vdmsd listening on %s (dim=%d, metric=%s, index=%v, shards=%d)\n",
-		srv.Addr(), *dim, metric, typ, *shards)
+		srv.Addr(), *dim, metric, st.IndexType, st.ShardCount)
 
 	// The tuning loop: every -tune-interval, drain the window of queries
 	// the server just served; once it holds enough, hand it to the one

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"vdtuner/internal/server"
+	"vdtuner/internal/vdms"
 )
 
 // buildDaemon compiles vdmsd once per test binary.
@@ -81,6 +82,16 @@ func dialDaemon(t *testing.T, addr string) *server.Client {
 	return nil
 }
 
+// writeConfig writes a -config file holding body and returns its path.
+func writeConfig(t *testing.T, body string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "config.json")
+	if err := os.WriteFile(path, []byte(body), 0o666); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
 func waitExit(t *testing.T, d *daemon) {
 	t.Helper()
 	done := make(chan error, 1)
@@ -93,14 +104,17 @@ func waitExit(t *testing.T, d *daemon) {
 	}
 }
 
-// TestDaemonFlagValidation: out-of-range flags must be usage errors (exit
-// code 2, message on stderr) before any collection state is created — not
-// a half-started daemon or a late engine error.
+// TestDaemonFlagValidation: out-of-range flags, and a -config file that
+// cannot be read, names an unknown key or holds an out-of-range value,
+// must be usage errors (exit code 2, message on stderr) before any
+// collection state is created — not a half-started daemon, a data
+// directory, or a late engine error.
 func TestDaemonFlagValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a real daemon")
 	}
 	bin := buildDaemon(t)
+	config := func(body string) []string { return []string{"-config", writeConfig(t, body)} }
 	cases := []struct {
 		name string
 		args []string
@@ -108,21 +122,25 @@ func TestDaemonFlagValidation(t *testing.T) {
 		{"dim", []string{"-dim", "0"}},
 		{"negative-dim", []string{"-dim", "-3"}},
 		{"expected-rows", []string{"-expected-rows", "0"}},
-		{"shards-low", []string{"-shards", "0"}},
-		{"shards-high", []string{"-shards", "17"}},
-		{"compact-ratio", []string{"-compact-ratio", "1.5"}},
-		{"compact-fanin", []string{"-compact-fanin", "1"}},
-		{"compact-workers", []string{"-compact-workers", "99"}},
-		{"wal-group", []string{"-wal-group", "4096"}},
+		{"config-unreadable", []string{"-config", filepath.Join(t.TempDir(), "missing.json")}},
+		{"config-unknown-key", config(`{"ShardCount": 2}`)},
+		{"config-malformed", config(`{"nlist": 32`)},
+		{"shards-low", config(`{"shard_count": -1}`)},
+		{"shards-high", config(`{"shard_count": 17}`)},
+		{"compact-ratio", config(`{"compaction_triggerRatio": 1.5}`)},
+		{"compact-fanin", config(`{"compaction_mergeFanIn": 1}`)},
+		{"compact-workers", config(`{"compaction_parallelism": 99}`)},
+		{"wal-group", config(`{"wal_groupCommit": 4096}`)},
 		{"metric", []string{"-metric", "cosineish"}},
-		{"index", []string{"-index", "BTREE"}},
+		{"index", config(`{"index_type": "BTREE"}`)},
 		{"max-request-bytes", []string{"-max-request-bytes", "0"}},
 		{"negative-max-request-bytes", []string{"-max-request-bytes", "-1"}},
 		{"idle-timeout", []string{"-idle-timeout", "-5s"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0"}, tc.args...)...)
+			dir := filepath.Join(t.TempDir(), "data")
+			cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-data-dir", dir}, tc.args...)...)
 			out, err := cmd.CombinedOutput()
 			ee, ok := err.(*exec.ExitError)
 			if !ok {
@@ -133,6 +151,9 @@ func TestDaemonFlagValidation(t *testing.T) {
 			}
 			if !strings.Contains(string(out), "vdmsd:") || !strings.Contains(string(out), "Usage") {
 				t.Fatalf("usage error output missing diagnostic or usage text: %q", out)
+			}
+			if _, err := os.Stat(dir); !os.IsNotExist(err) {
+				t.Fatalf("daemon with %v created its data directory before refusing (stat: %v)", tc.args, err)
 			}
 		})
 	}
@@ -146,7 +167,7 @@ func TestDaemonBinaryProtocol(t *testing.T) {
 		t.Skip("builds a real daemon")
 	}
 	bin := buildDaemon(t)
-	d := startDaemon(t, bin, "-index", "FLAT", "-metric", "l2", "-dim", "4",
+	d := startDaemon(t, bin, "-config", writeConfig(t, `{"index_type": "FLAT"}`), "-metric", "l2", "-dim", "4",
 		"-expected-rows", "1000", "-max-request-bytes", "4096")
 	defer func() {
 		d.cmd.Process.Signal(syscall.SIGTERM)
@@ -197,7 +218,7 @@ func TestDaemonBinaryProtocol(t *testing.T) {
 }
 
 // TestDaemonKillRecovery is the no-acknowledged-insert-lost gate: under
-// -fsync always, inserts acknowledged over the wire must survive a hard
+// wal_fsyncPolicy 3 (always), inserts acknowledged over the wire must survive a hard
 // SIGKILL (no shutdown handler runs) and be served after a restart from
 // the same data directory.
 func TestDaemonKillRecovery(t *testing.T) {
@@ -206,7 +227,7 @@ func TestDaemonKillRecovery(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	dir := t.TempDir()
-	args := []string{"-data-dir", dir, "-fsync", "always", "-index", "FLAT", "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
+	args := []string{"-data-dir", dir, "-config", writeConfig(t, `{"index_type": "FLAT", "wal_fsyncPolicy": 3}`), "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
 
 	d := startDaemon(t, bin, args...)
 	cl := dialDaemon(t, d.addr)
@@ -250,7 +271,7 @@ func TestDaemonKillRecovery(t *testing.T) {
 	}
 }
 
-// TestDaemonGracefulShutdown: under -fsync never nothing is synced per
+// TestDaemonGracefulShutdown: under wal_fsyncPolicy 1 (never) nothing is synced per
 // op, but SIGTERM's graceful shutdown (final WAL sync + snapshot) still
 // preserves everything, growing tail included.
 func TestDaemonGracefulShutdown(t *testing.T) {
@@ -259,7 +280,7 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 	}
 	bin := buildDaemon(t)
 	dir := t.TempDir()
-	args := []string{"-data-dir", dir, "-fsync", "never", "-index", "FLAT", "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
+	args := []string{"-data-dir", dir, "-config", writeConfig(t, `{"index_type": "FLAT", "wal_fsyncPolicy": 1}`), "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
 
 	d := startDaemon(t, bin, args...)
 	cl := dialDaemon(t, d.addr)
@@ -294,17 +315,17 @@ func TestDaemonGracefulShutdown(t *testing.T) {
 
 // TestDaemonOnlineReshard: a data directory created at one shard count is
 // resharded through the wire ("reconfigure" op) instead of at open. After
-// a graceful restart the directory opens at the NEW count — and is
-// refused at the old one, proving the generation actually committed.
+// a graceful restart without -config the directory serves the NEW count
+// at the reshard's generation, proving the generation actually committed.
 func TestDaemonOnlineReshard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and restarts a real daemon")
 	}
 	bin := buildDaemon(t)
 	dir := t.TempDir()
-	base := []string{"-data-dir", dir, "-fsync", "always", "-index", "FLAT", "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
+	base := []string{"-data-dir", dir, "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
 
-	d := startDaemon(t, bin, append([]string{"-shards", "1"}, base...)...)
+	d := startDaemon(t, bin, append([]string{"-config", writeConfig(t, `{"index_type": "FLAT", "wal_fsyncPolicy": 3, "shard_count": 1}`)}, base...)...)
 	cl := dialDaemon(t, d.addr)
 	var vecs [][]float32
 	for i := 0; i < 40; i++ {
@@ -344,18 +365,9 @@ func TestDaemonOnlineReshard(t *testing.T) {
 	}
 	waitExit(t, d)
 
-	// The old shard count no longer matches the directory.
-	cmd := exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-shards", "1"}, base...)...)
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("restart at the pre-reshard count succeeded:\n%s", out)
-	}
-	if !strings.Contains(string(out), "Reconfigure") {
-		t.Fatalf("mismatch error does not point at online resharding: %q", out)
-	}
-
-	// The new one does, and every row survived the reshard + restart.
-	d2 := startDaemon(t, bin, append([]string{"-shards", "4"}, base...)...)
+	// Restarted without -config, the directory serves the count it
+	// recorded, and every row survived the reshard + restart.
+	d2 := startDaemon(t, bin, base...)
 	defer func() {
 		d2.cmd.Process.Signal(syscall.SIGTERM)
 		waitExit(t, d2)
@@ -366,8 +378,9 @@ func TestDaemonOnlineReshard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2.Rows != int64(len(vecs)) {
-		t.Fatalf("restart after reshard holds %d rows, want %d", st2.Rows, len(vecs))
+	if st2.Rows != int64(len(vecs)) || st2.ShardCount != 4 || st2.ConfigGeneration != 1 {
+		t.Fatalf("restart after reshard: %d rows over %d shards at generation %d, want %d over 4 at 1",
+			st2.Rows, st2.ShardCount, st2.ConfigGeneration, len(vecs))
 	}
 	for i := 0; i < len(vecs); i += 8 {
 		hits, err := cl2.Search(vecs[i], 1)
@@ -378,4 +391,83 @@ func TestDaemonOnlineReshard(t *testing.T) {
 			t.Fatalf("row %d lost across reshard: %+v", ids[i], hits)
 		}
 	}
+}
+
+// TestDaemonRestartServesRecordedConfig: a durable daemon started from a
+// -config file and cold-reconfigured over the wire (nlist, shard_count)
+// restarts without -config at the configuration it recorded, every row
+// intact; restarted with the original -config, it reconfigures back
+// through Reconfigure and reports the next generation.
+func TestDaemonRestartServesRecordedConfig(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and restarts a real daemon")
+	}
+	bin := buildDaemon(t)
+	base := []string{"-data-dir", t.TempDir(), "-metric", "l2", "-dim", "4", "-expected-rows", "1000"}
+	path := writeConfig(t, `{"index_type": "IVF_FLAT", "nlist": 16, "nprobe": 16, "wal_fsyncPolicy": 3}`)
+	launch, err := loadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withConfig := append([]string{"-config", path}, base...)
+	var vecs [][]float32
+	for i := 0; i < 60; i++ {
+		vecs = append(vecs, []float32{float32(i), float32(i % 7), float32(i % 3), 1})
+	}
+
+	// serve starts a daemon, checks the configuration and generation it
+	// serves and that every row is there at distance zero, and stops it
+	// with SIGTERM.
+	var ids []int64
+	serve := func(args []string, want vdms.Config, wantGen uint64, script func(*server.Client)) {
+		t.Helper()
+		d := startDaemon(t, bin, args...)
+		cl := dialDaemon(t, d.addr)
+		if script != nil {
+			script(cl)
+		}
+		cfg, gen, err := cl.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *cfg != want || gen != wantGen {
+			t.Fatalf("serving %+v at generation %d, want %+v at %d", *cfg, gen, want, wantGen)
+		}
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Rows != int64(len(vecs)) || st.ShardCount != want.ShardCount {
+			t.Fatalf("%d rows over %d shards, want %d over %d", st.Rows, st.ShardCount, len(vecs), want.ShardCount)
+		}
+		for i, v := range vecs {
+			hits, err := cl.Search(v, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(hits) == 0 || hits[0].ID != ids[i] || hits[0].Dist != 0 {
+				t.Fatalf("row %d lost: %+v", ids[i], hits)
+			}
+		}
+		cl.Close()
+		if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatal(err)
+		}
+		waitExit(t, d)
+	}
+
+	cold := launch
+	cold.Build.NList = 32
+	cold.ShardCount = 2
+	serve(withConfig, cold, 1, func(cl *server.Client) {
+		var err error
+		if ids, err = cl.Insert(vecs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Reconfigure(cold); err != nil {
+			t.Fatalf("cold reconfigure: %v", err)
+		}
+	})
+	serve(base, cold, 1, nil)
+	serve(withConfig, launch, 2, nil)
 }

@@ -96,8 +96,8 @@ func ScanStoreMultiInto(m linalg.Metric, queries [][]float32, store *linalg.Matr
 	if tile > n {
 		tile = n
 	}
-	s.mdists = f32Buf(s.mdists, qn*tile)
-	s.mouts = f32sBuf(s.mouts, qn)
+	s.mdists = grow(s.mdists, qn*tile)
+	s.mouts = grow(s.mouts, qn)
 	for lo := 0; lo < n; lo += tile {
 		hi := lo + tile
 		if hi > n {

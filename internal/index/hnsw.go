@@ -318,7 +318,7 @@ func (h *hnsw) linkBack(b *hnswLinkBucket) {
 func (h *hnsw) greedyLayer(q []float32, cur int, curD float32, l int, st *Stats, s *searchScratch) (int, float32) {
 	for {
 		nbs := h.links[cur][l]
-		s.dists = f32Buf(s.dists, len(nbs))
+		s.dists = grow(s.dists, len(nbs))
 		h.distRows(st, q, nbs, s.dists)
 		improved := false
 		for i, nb := range nbs {
@@ -477,7 +477,7 @@ func beamSort(beam []hnswCand) {
 // loop has no branch: every node is written to the next free slot, which
 // only a node not yet stamped claims.
 func (h *hnsw) scoreUnvisited(q []float32, nodes []int32, stamp uint32, st *Stats, s *searchScratch) []int32 {
-	fresh := i32Buf(s.fresh, len(nodes))
+	fresh := grow(s.fresh, len(nodes))
 	visited := s.visited
 	n := 0
 	for _, nb := range nodes {
@@ -488,7 +488,7 @@ func (h *hnsw) scoreUnvisited(q []float32, nodes []int32, stamp uint32, st *Stat
 	}
 	fresh = fresh[:n]
 	s.fresh = fresh
-	s.dists = f32Buf(s.dists, n)
+	s.dists = grow(s.dists, n)
 	h.distRows(st, q, fresh, s.dists)
 	return fresh
 }
@@ -582,7 +582,7 @@ func (p *pruneScratch) Swap(i, j int) {
 // with distinct p and st (one pair per reverse-link bucket) may run
 // concurrently.
 func (h *hnsw) pruneNeighbors(node int, nbs []int32, maxM int, p *pruneScratch, st *Stats) []int32 {
-	p.nbs, p.d, p.compars = nbs, f32Buf(p.d, len(nbs)), 0
+	p.nbs, p.d, p.compars = nbs, grow(p.d, len(nbs)), 0
 	linalg.DistanceRows(h.metric, h.row(int32(node)), h.store, nbs, p.d)
 	sort.Sort(p)
 	st.DistComps += 2 * p.compars

@@ -65,7 +65,7 @@ func refScoreUnvisited(h *hnsw, q []float32, nodes []int32, stamp uint32, st *St
 			fresh = append(fresh, nb)
 		}
 	}
-	s.dists = f32Buf(s.dists, len(fresh))
+	s.dists = grow(s.dists, len(fresh))
 	h.distRows(st, q, fresh, s.dists)
 	return fresh
 }

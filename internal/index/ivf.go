@@ -102,14 +102,14 @@ func (c *ivfCoarse) cellRange(cell int32) (lo, hi int32) {
 func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *searchScratch) []int32 {
 	ncells := c.cents.Rows()
 	qn := len(queries)
-	s.mdists = f32Buf(s.mdists, qn*ncells)
-	s.mouts = f32sBuf(s.mouts, qn)
+	s.mdists = grow(s.mdists, qn*ncells)
+	s.mouts = grow(s.mouts, qn)
 	for qi := 0; qi < qn; qi++ {
 		s.mouts[qi] = s.mdists[qi*ncells : (qi+1)*ncells]
 	}
 	linalg.DistanceMultiScatter(c.metric, queries, c.cents.Data(), s.mouts)
 	accumulate(st, Stats{DistComps: int64(qn) * int64(ncells)})
-	s.mprobe = i32Buf(s.mprobe, qn*nprobe)
+	s.mprobe = grow(s.mprobe, qn*nprobe)
 	for qi := 0; qi < qn; qi++ {
 		selectCells(s.mouts[qi], s.mprobe[qi*nprobe:(qi+1)*nprobe], s)
 	}
@@ -123,7 +123,7 @@ func (c *ivfCoarse) probeMulti(queries [][]float32, nprobe int, st *Stats, s *se
 // smallest to the front of s.keys and only those survivors are sorted.
 // len(dst) must lie in [1, len(dists)].
 func selectCells(dists []float32, dst []int32, s *searchScratch) {
-	keys, tmp := u64Buf(s.keys, len(dists)), u64Buf(s.keysTmp, len(dists))
+	keys, tmp := grow(s.keys, len(dists)), grow(s.keysTmp, len(dists))
 	s.keys, s.keysTmp = keys, tmp
 	for cell, d := range dists {
 		keys[cell] = cellKey(d, cell)
@@ -214,9 +214,9 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 	// s.mfill is per cell and all zero between calls: here it marks a
 	// probed cell with its 1-based position in s.mcells, then serves as
 	// its fill cursor, and is reset for exactly the cells touched.
-	s.mfill = i32Buf(s.mfill, c.cents.Rows())
+	s.mfill = grow(s.mfill, c.cents.Rows())
 	s.mcells = s.mcells[:0]
-	s.mcnt = i32Buf(s.mcnt, slots+1)
+	s.mcnt = grow(s.mcnt, slots+1)
 	clear(s.mcnt)
 	for _, cell := range probes {
 		pos := s.mfill[cell]
@@ -231,13 +231,13 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 		s.mcnt[i+1] += s.mcnt[i]
 		s.mfill[cell] = s.mcnt[i]
 	}
-	s.ment = i32Buf(s.ment, slots)
+	s.ment = grow(s.ment, slots)
 	for slot, cell := range probes {
 		e := s.mfill[cell]
 		s.mfill[cell] = e + 1
 		s.ment[e] = int32(slot)
 	}
-	s.mregion = i32Buf(s.mregion, slots)
+	s.mregion = grow(s.mregion, slots)
 	total := int32(0)
 	for i, cell := range s.mcells {
 		s.mfill[cell] = 0
@@ -247,7 +247,7 @@ func (c *ivfCoarse) invertProbes(probes []int32, s *searchScratch) int {
 			total += hi - lo
 		}
 	}
-	s.mbuf = f32Buf(s.mbuf, int(total))
+	s.mbuf = grow(s.mbuf, int(total))
 	return int(total)
 }
 
@@ -263,8 +263,8 @@ func (c *ivfCoarse) probers(i, nprobe int, rows [][]float32, s *searchScratch) (
 		return lo, hi, nil, nil
 	}
 	nq := ehi - elo
-	s.mqrows = f32sBuf(s.mqrows, nq)
-	s.mouts = f32sBuf(s.mouts, nq)
+	s.mqrows = grow(s.mqrows, nq)
+	s.mouts = grow(s.mouts, nq)
 	for j, slot := range s.ment[elo:ehi] {
 		s.mqrows[j] = rows[int(slot)/nprobe]
 		o := s.mregion[slot]

@@ -123,11 +123,11 @@ func (c *pqCells) prepare(queries [][]float32, st *Stats, s *searchScratch) [][]
 	qn := len(queries)
 	ksub := c.ksubN
 	tab := c.m * ksub
-	s.madc = f32Buf(s.madc, qn*tab)
+	s.madc = grow(s.madc, qn*tab)
 	books := c.books.Data()
 	rowLen := ksub * c.subDim
-	s.mqrows = f32sBuf(s.mqrows, qn)
-	s.mouts = f32sBuf(s.mouts, qn)
+	s.mqrows = grow(s.mqrows, qn)
+	s.mouts = grow(s.mouts, qn)
 	for sub := 0; sub < c.m; sub++ {
 		for qi, q := range queries {
 			s.mqrows[qi] = q[sub*c.subDim : (sub+1)*c.subDim]
@@ -136,7 +136,7 @@ func (c *pqCells) prepare(queries [][]float32, st *Stats, s *searchScratch) [][]
 		linalg.DistanceMultiScatter(c.metric, s.mqrows, books[sub*rowLen:(sub+1)*rowLen], s.mouts)
 	}
 	accumulate(st, Stats{DistComps: int64(qn) * int64(ksub)})
-	s.mrows = f32sBuf(s.mrows, qn)
+	s.mrows = grow(s.mrows, qn)
 	for qi := range s.mrows {
 		s.mrows[qi] = s.madc[qi*tab : (qi+1)*tab]
 	}

@@ -40,11 +40,11 @@ func (c *rerankCells) raw() *linalg.Matrix { return c.rows }
 func (c *rerankCells) rerank(q []float32, s *searchScratch) {
 	dim := c.rows.Dim()
 	n := len(s.neighbors)
-	s.gath = f32Buf(s.gath, n*dim)
+	s.gath = grow(s.gath, n*dim)
 	for ci, nb := range s.neighbors {
 		copy(s.gath[ci*dim:(ci+1)*dim], c.rows.Row(int(nb.ID)))
 	}
-	s.dists = f32Buf(s.dists, n)
+	s.dists = grow(s.dists, n)
 	linalg.DistanceBlock(c.exact, q, s.gath[:n*dim], s.dists)
 }
 

@@ -112,38 +112,14 @@ func (s *searchScratch) offer(top, dst *linalg.TopK) {
 	}
 }
 
-// f32Buf returns a length-n float32 buffer, growing buf's capacity only at
-// the high-water mark.
-func f32Buf(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
+// grow returns s resized to n elements, reusing its array when it is large
+// enough (holding whatever the last use left: callers overwrite). Every
+// scratch buffer grows to its high-water mark through it.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	return buf[:n]
-}
-
-// i32Buf returns a length-n int32 buffer, growing at the high-water mark.
-func i32Buf(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-// u64Buf returns a length-n uint64 buffer, growing at the high-water mark.
-func u64Buf(buf []uint64, n int) []uint64 {
-	if cap(buf) < n {
-		return make([]uint64, n)
-	}
-	return buf[:n]
-}
-
-// f32sBuf returns a length-n slice-of-slices buffer, growing at the
-// high-water mark (entries are overwritten by the caller).
-func f32sBuf(buf [][]float32, n int) [][]float32 {
-	if cap(buf) < n {
-		return make([][]float32, n)
-	}
-	return buf[:n]
+	return s[:n]
 }
 
 // scratchPool pools searchScratch values for one index. The zero value is

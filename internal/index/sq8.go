@@ -148,8 +148,8 @@ func (c *sq8Cells) prepare(queries [][]float32, _ *Stats, s *searchScratch) [][]
 		return queries
 	}
 	dim := c.codec.dim
-	s.mres = f32Buf(s.mres, len(queries)*dim)
-	s.mrows = f32sBuf(s.mrows, len(queries))
+	s.mres = grow(s.mres, len(queries)*dim)
+	s.mrows = grow(s.mrows, len(queries))
 	for qi, q := range queries {
 		s.mrows[qi] = s.mres[qi*dim : (qi+1)*dim]
 		linalg.SQ8Residual(q, c.codec.min, s.mrows[qi])

@@ -22,16 +22,21 @@ import (
 //
 //   - the on-disk manifest must name the old generation for every kill
 //     before the "manifest" rename and the new one for kills after it;
-//   - opening at the manifest's shard count must succeed and hold exactly
-//     the acknowledged live set (FLAT searches are exact, so every
-//     surviving row is findable at distance zero);
-//   - opening at the other generation's shard count must be refused.
+//   - reopening with the launch configuration must succeed, serve exactly
+//     the old or exactly the new configuration (Config and its config
+//     generation identify which), and hold exactly the acknowledged live
+//     set (FLAT searches are exact, so every surviving row is findable at
+//     distance zero).
 //
 // Mid-migration writes are injected from the hook right before the
 // cutover, so kills at and after that point also prove the delta's
 // crash-safety: the writes reached the old generation's WALs through the
 // normal write path, and the new generation's WALs via the synced delta
 // replay, so they survive on whichever side recovery lands.
+//
+// A hot swap on a durable collection rewrites the manifest before it is
+// published: a kill before that rename ("swap-manifest") recovers the old
+// hot configuration, a kill after it ("swap-committed") the new one.
 func TestMigrationCrashMatrix(t *testing.T) {
 	const (
 		dim    = 8
@@ -41,6 +46,9 @@ func TestMigrationCrashMatrix(t *testing.T) {
 	oldCfg := matrixConfig() // 1 shard
 	newCfg := matrixConfig()
 	newCfg.ShardCount = 4 // cold change: forces a migration
+	hotCfg := matrixConfig()
+	hotCfg.Parallelism = 3 // hot changes: a generation swap
+	hotCfg.WALGroupCommit = 8
 
 	// seedWorkload drives the deterministic pre-migration workload and
 	// returns the live id→vector set it acknowledged.
@@ -217,44 +225,85 @@ func TestMigrationCrashMatrix(t *testing.T) {
 				}
 			}
 
-			// Opening at the other generation's shard count must be refused —
-			// a recovery can never mix the two shapes.
-			wrongCfg := oldCfg
-			if !committed {
-				wrongCfg = newCfg
-			}
-			if rec, err := vdms.OpenDurable(dir, wrongCfg, linalg.L2, dim, 256); err == nil {
-				rec.Crash()
-				t.Fatalf("kill at %q: open at the wrong generation's shard count succeeded", failAt)
-			}
-
-			openCfg := oldCfg
+			wantCfg, wantGen := oldCfg, uint64(0)
 			if committed {
-				openCfg = newCfg
+				wantCfg, wantGen = newCfg, 1
 			}
-			rec, err := vdms.OpenDurable(dir, openCfg, linalg.L2, dim, 256)
-			if err != nil {
-				t.Fatalf("kill at %q: recovery failed: %v", failAt, err)
-			}
+			rec := recoverAt(t, dir, failAt, dim, oldCfg, wantCfg, wantGen)
 			defer rec.Crash()
-			if err := rec.Flush(); err != nil {
-				t.Fatal(err)
-			}
 			if !wrote && committed {
 				t.Fatalf("kill at %q is post-commit but the cutover hook never ran", failAt)
 			}
-			if got := rec.Stats().Rows; got != int64(len(live)) {
-				t.Fatalf("kill at %q: recovered %d rows, acknowledged live set holds %d", failAt, got, len(live))
-			}
-			for id, vec := range live {
-				hits, err := rec.Search(vec, 1, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(hits) == 0 || hits[0].ID != id || hits[0].Dist != 0 {
-					t.Fatalf("kill at %q: live id %d not recovered exactly: %+v", failAt, id, hits)
-				}
-			}
+			checkLive(t, rec, failAt, live)
 		})
+	}
+
+	for _, failAt := range []string{"swap-manifest", "swap-committed"} {
+		t.Run("kill-at-"+failAt, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := vdms.OpenDurable(dir, oldCfg, linalg.L2, dim, 256)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := seedWorkload(t, c)
+			kill := errors.New("injected kill")
+			c.SetReconfigureHook(func(s string) error {
+				if s == failAt {
+					return kill
+				}
+				return nil
+			})
+			if _, err := c.Reconfigure(hotCfg); !errors.Is(err, kill) {
+				t.Fatalf("kill at %q: Reconfigure error = %v, want injected kill", failAt, err)
+			}
+			c.Crash()
+			wantCfg, wantGen := oldCfg, uint64(0)
+			if failAt == "swap-committed" {
+				wantCfg, wantGen = hotCfg, 1
+			}
+			rec := recoverAt(t, dir, failAt, dim, oldCfg, wantCfg, wantGen)
+			defer rec.Crash()
+			checkLive(t, rec, failAt, live)
+		})
+	}
+}
+
+// recoverAt reopens dir with the launch configuration and checks that it
+// serves exactly want at config generation gen.
+func recoverAt(t *testing.T, dir, failAt string, dim int, launch, want vdms.Config, gen uint64) *vdms.Collection {
+	t.Helper()
+	rec, err := vdms.OpenDurable(dir, launch, linalg.L2, dim, 256)
+	if err != nil {
+		t.Fatalf("kill at %q: recovery failed: %v", failAt, err)
+	}
+	if got := rec.Config(); got != want {
+		rec.Crash()
+		t.Fatalf("kill at %q: recovered configuration %+v, want %+v", failAt, got, want)
+	}
+	if got := rec.Stats().ConfigGeneration; got != gen {
+		rec.Crash()
+		t.Fatalf("kill at %q: recovered config generation %d, want %d", failAt, got, gen)
+	}
+	return rec
+}
+
+// checkLive checks that rec holds exactly the acknowledged live set, each
+// row findable at distance zero.
+func checkLive(t *testing.T, rec *vdms.Collection, failAt string, live map[int64][]float32) {
+	t.Helper()
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Stats().Rows; got != int64(len(live)) {
+		t.Fatalf("kill at %q: recovered %d rows, acknowledged live set holds %d", failAt, got, len(live))
+	}
+	for id, vec := range live {
+		hits, err := rec.Search(vec, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(hits) == 0 || hits[0].ID != id || hits[0].Dist != 0 {
+			t.Fatalf("kill at %q: live id %d not recovered exactly: %+v", failAt, id, hits)
+		}
 	}
 }

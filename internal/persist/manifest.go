@@ -14,7 +14,8 @@ import (
 // The collection manifest. A sharded data directory is laid out as
 //
 //	dir/
-//	  MANIFEST            this file: generation, shard count, dim, metric
+//	  MANIFEST            this file: generation, shard count, dim, metric,
+//	                      and the configuration the directory serves
 //	  shard-0/            snapshot + WAL of shard 0 (generation 0 layout)
 //	  shard-1/            ...
 //	  gen-1/shard-0/      snapshot + WAL of shard 0 after one migration
@@ -23,8 +24,9 @@ import (
 // Each shard directory is an independent snapshot+WAL pair — shards
 // checkpoint, rotate, and recover without coordinating — and the manifest
 // is the one piece of collection-level state: the structural parameters
-// that decide which shard owns which id, plus the config generation that
-// decides which layout directory is current.
+// that decide which shard owns which id, the layout generation that
+// decides which layout directory is current, and the configuration the
+// collection serves.
 //
 // Generations exist for online reconfiguration: changing a structural
 // knob (shard count, index shape, segment sizing) rewrites the layout.
@@ -41,9 +43,9 @@ import (
 // created before manifests carried generations open unchanged.
 
 // ManifestVersion is the current manifest schema version. Version 1
-// (pre-reconfiguration, implicitly generation 0) is still accepted on
-// load.
-const ManifestVersion = 2
+// (pre-reconfiguration, implicitly generation 0) and version 2 (no
+// recorded configuration) are still accepted on load.
+const ManifestVersion = 3
 
 // ManifestName is the manifest's file name within a data directory.
 const ManifestName = "MANIFEST"
@@ -59,6 +61,13 @@ type Manifest struct {
 	// later generation keeps them under gen-<Generation>/. It advances by
 	// one per committed migration (see package vdms, Reconfigure).
 	Generation uint64 `json:"generation,omitempty"`
+	// Config is the configuration the directory serves, in the engine's
+	// JSON form (opaque here; empty before version 3), ConfigSeq its
+	// config generation (which hot swaps advance too), and ExpectedRows
+	// the corpus-size hint its segment sizing derives from.
+	Config       json.RawMessage `json:"config,omitempty"`
+	ConfigSeq    uint64          `json:"config_seq,omitempty"`
+	ExpectedRows int             `json:"expected_rows,omitempty"`
 }
 
 // ShardDir returns shard i's subdirectory within a generation-0 data
@@ -140,7 +149,7 @@ func LoadManifest(dir string) (*Manifest, error) {
 	}
 	// Version 1 manifests predate generations: they are generation 0 by
 	// construction (shard dirs at the top level).
-	if m.Version != ManifestVersion && m.Version != 1 {
+	if m.Version < 1 || m.Version > ManifestVersion {
 		return nil, corruptf(filepath.Join(dir, ManifestName), 0, "unsupported manifest version %d", m.Version)
 	}
 	if m.Version == 1 && m.Generation != 0 {

@@ -429,24 +429,6 @@ func TestWriteAndLoadNewestSnapshot(t *testing.T) {
 	}
 }
 
-func TestParseSyncPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SyncPolicy
-	}{{"never", SyncNever}, {"batch", SyncBatch}, {"always", SyncAlways}} {
-		got, err := ParseSyncPolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseSyncPolicy(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
-
 // TestBatchPolicySyncsDespiteAutoFlush: the 1MB buffer auto-flush hands
 // bytes to the OS without fsyncing; it must not reset the group-commit
 // clock, or the batch policy would silently degrade to never syncing

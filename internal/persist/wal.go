@@ -43,21 +43,6 @@ func (p SyncPolicy) String() string {
 	}
 }
 
-// ParseSyncPolicy maps a policy name ("never", "batch", "always") to its
-// value.
-func ParseSyncPolicy(s string) (SyncPolicy, error) {
-	switch s {
-	case "never":
-		return SyncNever, nil
-	case "batch":
-		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
-	default:
-		return 0, fmt.Errorf("persist: unknown fsync policy %q (want never, batch, or always)", s)
-	}
-}
-
 // Options configures a data directory's write-ahead log.
 type Options struct {
 	// Dir is the data directory.

@@ -222,20 +222,26 @@ func TestBinaryJSONParity(t *testing.T) {
 	_ = ids
 
 	// The distances where JSON's float format switches ('e' below 1e-6
-	// and from 1e21 up), −0 and subnormals: with 1-d rows under inner
-	// product and the query [1], each distance is its row negated (the
-	// zero row scores −0).
-	srv = startFlat(t, linalg.InnerProduct, 1)
+	// and from 1e21 up), −0 and subnormals: with 2-d rows under inner
+	// product and the query [1, 2⁴⁰], each distance is exactly its edge:
+	// a row [−d, 0] for the small ones, and [0, −d/2⁴⁰] for the two near
+	// 1e21, which as a row [−d, 0] would be over the collection's norm
+	// bound.
+	srv = startFlat(t, linalg.InnerProduct, 2)
 	jcl, bcl = dialJSON(t, srv), dialBin(t, srv)
+	const big = 1 << 40
 	edges := []float32{1e-6, 9.9e-7, 1e21, 9.99e20, 0, math.Float32frombits(1), math.Float32frombits(0x007fffff), -1e-7}
 	rows := make([][]float32, len(edges))
 	for i, d := range edges {
-		rows[i] = []float32{-d}
+		rows[i] = []float32{-d, 0}
+		if d > 1 {
+			rows[i] = []float32{0, -d / big}
+		}
 	}
 	if _, err := jcl.Insert(rows); err != nil {
 		t.Fatal(err)
 	}
-	q := []float32{1}
+	q := []float32{1, big}
 	jres, err = jcl.Search(q, len(edges))
 	if err != nil {
 		t.Fatal(err)
@@ -269,13 +275,45 @@ func TestBinaryJSONParity(t *testing.T) {
 // a squared L2 distance between finite rows that overflows to +Inf — is
 // answered with an error naming the op and the value, and the same
 // connection goes on serving. The binary codec carries the +Inf as is.
+// The collection refuses such a row at Insert; it reaches a search from
+// a data directory logged before that bound, which recovery replays as
+// it was written.
 func TestNonFiniteResultAnsweredOverJSON(t *testing.T) {
-	srv := startFlat(t, linalg.L2, 4)
-	jcl := dialJSON(t, srv)
-	if _, err := jcl.Insert([][]float32{{3e19, 3e19, 3e19, 3e19}}); err != nil {
+	dir := t.TempDir()
+	row := []float32{3e19, 3e19, 3e19, 3e19}
+	if err := persist.WriteManifest(dir, &persist.Manifest{Shards: 1, Dim: 4, Metric: linalg.L2}); err != nil {
 		t.Fatal(err)
 	}
-	q := []float32{-3e19, -3e19, -3e19, -3e19}
+	w, err := persist.OpenWAL(persist.Options{Dir: persist.ShardDir(dir, 0), Policy: persist.SyncAlways}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AppendInsert(0, [][]float32{row}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	cfg := vdms.DefaultConfig()
+	cfg.IndexType = index.Flat
+	coll, err := vdms.OpenDurable(dir, cfg, linalg.L2, 4, 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(coll, "127.0.0.1:0")
+	if err != nil {
+		coll.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		coll.Close()
+	})
+	jcl := dialJSON(t, srv)
+	if _, err := jcl.Insert([][]float32{row}); err == nil || !strings.Contains(err.Error(), "squared norm") {
+		t.Fatalf("JSON insert of an overflowing row: %v", err)
+	}
+	q := []float32{0, 0, 0, 0} // within the bound; its distance to row is not
 	if _, err := jcl.Search(q, 1); err == nil || !strings.HasPrefix(err.Error(), "search:") || !strings.Contains(err.Error(), "+Inf") {
 		t.Fatalf("JSON search of an overflowing distance: %v", err)
 	}
@@ -288,6 +326,80 @@ func TestNonFiniteResultAnsweredOverJSON(t *testing.T) {
 	res, err := dialBin(t, srv).Search(q, 1)
 	if err != nil || len(res) != 1 || !math.IsInf(float64(res[0].Dist), 1) {
 		t.Fatalf("binary search = %+v, %v; want one hit at +Inf", res, err)
+	}
+}
+
+// TestBoundedVectorsAnswerFinite: rows and queries whose squared norm is
+// just under the collection's L2/IP bound (math.MaxFloat32/8) — pointing
+// every way, antipodes included — are accepted, and every distance FLAT,
+// IVF_FLAT and HNSW answer to them is finite on both codecs.
+func TestBoundedVectorsAnswerFinite(t *testing.T) {
+	const dim, n = 4, 120
+	scale := float32(math.Sqrt(math.MaxFloat32/8) * 0.999)
+	rng := rand.New(rand.NewSource(5))
+	rows := make([][]float32, 0, n)
+	for len(rows) < n {
+		v := make([]float32, dim)
+		var sq float64
+		for j := range v {
+			v[j] = float32(rng.NormFloat64())
+			sq += float64(v[j]) * float64(v[j])
+		}
+		neg := make([]float32, dim)
+		for j := range v {
+			v[j] *= scale / float32(math.Sqrt(sq))
+			neg[j] = -v[j]
+		}
+		rows = append(rows, v, neg)
+	}
+	for _, typ := range []index.Type{index.Flat, index.IVFFlat, index.HNSW} {
+		for _, m := range []linalg.Metric{linalg.L2, linalg.InnerProduct} {
+			cfg := vdms.DefaultConfig()
+			cfg.IndexType = typ
+			cfg.Build = index.BuildParams{NList: 8, HNSWM: 8, EfConstruction: 40}
+			cfg.Search = index.SearchParams{NProbe: 8, Ef: 64}
+			coll, err := vdms.NewCollection(cfg, m, dim, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(coll, "127.0.0.1:0")
+			if err != nil {
+				coll.Close()
+				t.Fatal(err)
+			}
+			jcl, bcl := dialJSON(t, srv), dialBin(t, srv)
+			if _, err := jcl.Insert(rows); err != nil {
+				t.Fatalf("%v %v: rows under the bound refused: %v", typ, m, err)
+			}
+			if err := jcl.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err := jcl.Stats(); err != nil || st.Sealed == 0 {
+				t.Fatalf("%v %v: no segment built (%+v, %v)", typ, m, st, err)
+			}
+			jb, err := jcl.SearchBatch(rows[:16], 10)
+			if err != nil {
+				t.Fatalf("%v %v: JSON: %v", typ, m, err)
+			}
+			bb, err := bcl.SearchBatch(rows[:16], 10)
+			if err != nil {
+				t.Fatalf("%v %v: binary: %v", typ, m, err)
+			}
+			for _, batches := range [][][]Neighbor{jb, bb} {
+				for qi, hits := range batches {
+					if len(hits) == 0 {
+						t.Fatalf("%v %v: query %d answered nothing", typ, m, qi)
+					}
+					for _, h := range hits {
+						if d := float64(h.Dist); math.IsInf(d, 0) || math.IsNaN(d) {
+							t.Fatalf("%v %v: query %d: distance %v", typ, m, qi, h.Dist)
+						}
+					}
+				}
+			}
+			srv.Close()
+			coll.Close()
+		}
 	}
 }
 
@@ -344,6 +456,72 @@ func TestZeroValuesSurviveBothCodecs(t *testing.T) {
 	// And generation 0 of a fresh collection reads back as 0.
 	if _, gen, err := jcl.Config(); err != nil || gen != 0 {
 		t.Fatalf("fresh generation = %d, %v; want 0", gen, err)
+	}
+}
+
+// statsReplyGolden is the stats reply of TestStatsReplyBytes's collection
+// as the JSON wire carries it.
+const statsReplyGolden = `{"ok":true,"stats":{"Rows":152,"Sealed":4,"Sealing":0,"GrowingRows":9,"MemoryBytes":5376,"Tombstones":7,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":6804,"LastCheckpointLSN":4,"WALLastLSN":6,"ConfigGeneration":0,"IndexType":0,"ShardCount":2,"MigrationInProgress":false,"Shards":[{"Rows":77,"Sealed":2,"Sealing":0,"GrowingRows":6,"MemoryBytes":2784,"Tombstones":4,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":3466,"LastCheckpointLSN":4,"WALLastLSN":6},{"Rows":75,"Sealed":2,"Sealing":0,"GrowingRows":3,"MemoryBytes":2592,"Tombstones":3,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":3338,"LastCheckpointLSN":4,"WALLastLSN":6}]},"deleted":0,"generation":0}`
+
+// TestStatsReplyBytes pins the stats reply byte for byte: as the server
+// writes it on the JSON wire and as encoding/json, the codec's reference,
+// encodes it. (The binary codec has no stats op.) A fixed script on a
+// durable two-shard FLAT collection fills the aggregates, the log
+// positions and both shard rows.
+func TestStatsReplyBytes(t *testing.T) {
+	cfg := vdms.DefaultConfig()
+	cfg.IndexType = index.Flat
+	cfg.ShardCount = 2
+	coll, err := vdms.OpenDurable(t.TempDir(), cfg, linalg.L2, 8, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coll.DisableAutoCheckpoint()
+	srv, err := New(coll, "127.0.0.1:0")
+	if err != nil {
+		coll.Close()
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		srv.Close()
+		coll.Close()
+	})
+	ids, err := coll.Insert(vecsFor(150, 61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coll.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := coll.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coll.Delete(ids[:7]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := coll.Insert(vecsFor(9, 62)); err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte(`{"op":"stats"}` + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	wire, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := coll.Stats()
+	ref, err := json.Marshal(&Response{OK: true, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire != statsReplyGolden+"\n" || string(ref) != statsReplyGolden {
+		t.Fatalf("stats reply changed:\nwire:          %s\nencoding/json: %s\nwant:          %s", wire, ref, statsReplyGolden)
 	}
 }
 

@@ -101,8 +101,8 @@ type Config struct {
 	// segments and bit-identical to the pre-sharding engine at 1; higher
 	// values buy parallel insert/fsync/compaction throughput at the cost
 	// of more, smaller segments. It is a structural knob for durable
-	// collections: a data directory is bound to the shard count it was
-	// created with.
+	// collections: a data directory serves the shard count its manifest
+	// records, and changes it only through Reconfigure.
 	ShardCount int
 
 	// Concurrency is the number of in-flight search requests during
@@ -283,15 +283,15 @@ func DefaultConfig() Config {
 // range in Knobs. Values outside the documented ranges are errors rather
 // than silently clamped: the tuner's encoder is responsible for staying in
 // range, and out-of-range values here indicate a bug. It is the one range
-// check shared by NewCollection, Reconfigure, the tuner, and vdmsd's flag
-// validation.
+// check shared by NewCollection, Reconfigure, the tuner, and vdmsd's
+// -config validation.
 func ValidateConfig(c Config) error {
 	for i := range Knobs {
 		k := &Knobs[i]
 		if k.Owners != nil {
 			continue
 		}
-		if v := k.Get(&c); v < k.Min || v > k.Max {
+		if v := k.Get(&c); !(v >= k.Min && v <= k.Max) { // NaN included
 			return fmt.Errorf("vdms: %s %v outside [%v, %v]", k.Name, v, k.Min, k.Max)
 		}
 	}
@@ -343,7 +343,8 @@ func GraftColdKnobs(cfg, from Config) Config {
 // Config's JSON form is flat and keyed by knob name: "index_type", one key
 // per row of Knobs (zero-means-default knobs left out when zero), and the
 // two non-knob properties "seed" and "concurrency" when set. The server's
-// "config"/"reconfigure" ops and the tuner's knowledge base share it.
+// "config"/"reconfigure" ops, the tuner's knowledge base, a durable data
+// directory's manifest and vdmsd's -config file share it.
 
 // MarshalJSON implements json.Marshaler.
 func (c Config) MarshalJSON() ([]byte, error) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -112,7 +113,13 @@ func sealRowsFor(cfg Config, expectedRows int) int {
 // bulk loads (each shard budgets for its 1/ShardCount slice); it must be
 // positive.
 func NewCollection(cfg Config, metric linalg.Metric, dim, expectedRows int) (*Collection, error) {
-	if err := cfg.Validate(); err != nil {
+	return newCollection(&configGen{cfg: cfg}, metric, dim, expectedRows)
+}
+
+// newCollection is NewCollection serving config generation g, which
+// OpenDurable reads back from a data directory.
+func newCollection(g *configGen, metric linalg.Metric, dim, expectedRows int) (*Collection, error) {
+	if err := g.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if dim <= 0 {
@@ -122,7 +129,6 @@ func NewCollection(cfg Config, metric linalg.Metric, dim, expectedRows int) (*Co
 		return nil, fmt.Errorf("vdms: expectedRows must be positive, got %d", expectedRows)
 	}
 	c := &Collection{metric: metric, dim: dim, expectedRows: expectedRows}
-	g := &configGen{cfg: cfg}
 	c.gen.Store(g)
 	c.shards = newShardSet(g, metric, dim, expectedRows)
 	return c, nil
@@ -182,8 +188,9 @@ func firstError(errs []error) error {
 
 // Insert appends vectors and returns their assigned ids. Vectors are
 // copied; the caller may reuse the slices. Growing data is searchable
-// immediately. A batch containing a wrong-dimension vector, or one with a
-// NaN or ±Inf component, is rejected whole, before any row is applied or
+// immediately. A batch containing a vector checkVector refuses (wrong
+// dimension, a NaN or ±Inf component, an L2/IP squared norm over
+// maxSquaredNorm) is rejected whole, before any row is applied or
 // logged. Ids are assigned from the
 // collection-wide counter and the batch is partitioned across shards by
 // id hash; each shard applies, WAL-logs, and fsyncs its sub-batch under
@@ -196,10 +203,7 @@ func firstError(errs []error) error {
 // promises.
 func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	for i, v := range vecs {
-		if len(v) != c.dim {
-			return nil, fmt.Errorf("vdms: vector %d has dim %d, want %d", i, len(v), c.dim)
-		}
-		if err := checkFinite("vector", i, v); err != nil {
+		if err := c.checkVector("vector", i, v); err != nil {
 			return nil, err
 		}
 	}
@@ -226,15 +230,29 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	return ids, nil
 }
 
-// checkFinite refuses a vector with a NaN or ±Inf component. Every
-// distance to such a vector is NaN, which orders unpredictably: a stored
-// one pushes true neighbours out of other queries' results, and a query
-// answers NaN distances.
-func checkFinite(what string, i int, v []float32) error {
-	for j, x := range v {
-		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return fmt.Errorf("vdms: %s %d component %d is %v", what, i, j, x)
-		}
+// maxSquaredNorm bounds an L2 or IP vector's squared norm so that every
+// distance between two such vectors is finite: ‖a−b‖² ≤ 2‖a‖²+2‖b‖² and
+// |⟨a,b⟩| ≤ ‖a‖‖b‖ (DESIGN.md "Finite in, finite out").
+const maxSquaredNorm = math.MaxFloat32 / 8
+
+// checkVector refuses a vector of the wrong dimension, one with a NaN or
+// ±Inf component (every distance to it is NaN, which orders
+// unpredictably), or, under L2 and IP, one whose squared norm, summed in
+// float64, exceeds maxSquaredNorm (its distances could reach ±Inf).
+func (c *Collection) checkVector(what string, i int, v []float32) error {
+	if len(v) != c.dim {
+		return fmt.Errorf("vdms: %s %d has dim %d, want %d", what, i, len(v), c.dim)
+	}
+	var sq float64 // no float32 square overflows it: only a NaN or ±Inf component makes it non-finite
+	for _, x := range v {
+		sq += float64(x) * float64(x)
+	}
+	if math.IsNaN(sq) || math.IsInf(sq, 0) {
+		j := slices.IndexFunc(v, func(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) })
+		return fmt.Errorf("vdms: %s %d component %d is %v", what, i, j, v[j])
+	}
+	if sq > maxSquaredNorm && c.metric != linalg.Angular {
+		return fmt.Errorf("vdms: %s %d has squared norm %g, above the %v bound %g", what, i, sq, c.metric, float64(maxSquaredNorm))
 	}
 	return nil
 }
@@ -398,17 +416,14 @@ func (c *Collection) queryTileSize() int {
 // shard's segment lifecycle even while concurrent Insert/Delete/Flush
 // calls are queued. Per-probe work is accumulated into private per-cell
 // Stats and merged into st in cell order (exact, since the counts are
-// integers). A query of the wrong dimension, or with a NaN or ±Inf
-// component, fails the whole batch before any probe runs.
+// integers). A query checkVector refuses fails the whole batch before
+// any probe runs.
 func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([][]linalg.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vdms: k must be >= 1, got %d", k)
 	}
 	for i, q := range queries {
-		if len(q) != c.dim {
-			return nil, fmt.Errorf("vdms: query %d has dim %d, want %d", i, len(q), c.dim)
-		}
-		if err := checkFinite("query", i, q); err != nil {
+		if err := c.checkVector("query", i, q); err != nil {
 			return nil, err
 		}
 	}
@@ -492,27 +507,9 @@ func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([
 	return out, nil
 }
 
-// ShardStats is one shard's slice of a CollectionStats snapshot. The
-// fields mirror the collection-level aggregates; see CollectionStats for
-// their meaning.
+// ShardStats is one shard's slice of a CollectionStats snapshot, and the
+// aggregate a CollectionStats embeds.
 type ShardStats struct {
-	Rows              int64
-	Sealed            int
-	Sealing           int
-	GrowingRows       int
-	MemoryBytes       int64
-	Tombstones        int
-	CompactionPasses  int64
-	CompactedSegments int64
-	ReclaimedRows     int64
-	WALBytes          int64
-	LastCheckpointLSN uint64
-	WALLastLSN        uint64
-}
-
-// CollectionStats is a point-in-time snapshot of a live collection,
-// aggregated over its shards; Shards carries the per-shard breakdown.
-type CollectionStats struct {
 	// Rows is the live row count (inserted minus deleted).
 	Rows        int64
 	Sealed      int
@@ -529,21 +526,41 @@ type CollectionStats struct {
 	CompactionPasses  int64
 	CompactedSegments int64
 	ReclaimedRows     int64
-	// WALBytes is the write-ahead logs' current byte footprint (summed
-	// over shards) — what a recovery would replay on top of the newest
-	// snapshots. Checkpoints drive it back down. Zero on memory-only
-	// collections.
+	// WALBytes is the write-ahead log's current byte footprint — what a
+	// recovery would replay on top of the newest snapshot. Checkpoints
+	// drive it back down. Zero on memory-only collections.
 	WALBytes int64
 	// LastCheckpointLSN is the log sequence number the newest durable
-	// snapshot covers; records beyond it live only in the WAL. LSNs are
-	// per-shard streams, so with several shards this is the maximum over
-	// them (Shards has each shard's own). Zero on memory-only collections
-	// or before the first checkpoint.
+	// snapshot covers; records beyond it live only in the WAL. Zero on
+	// memory-only collections or before the first checkpoint.
 	LastCheckpointLSN uint64
 	// WALLastLSN is the log head: the sequence number of the most
-	// recently appended record, maximized over shards like
-	// LastCheckpointLSN. Zero on memory-only collections.
+	// recently appended record. Zero on memory-only collections.
 	WALLastLSN uint64
+}
+
+// add accumulates one shard's stats into an aggregate: sums, and the
+// maximum of the two LSNs (each shard's log is its own LSN stream).
+func (a *ShardStats) add(b ShardStats) {
+	a.Rows += b.Rows
+	a.Sealed += b.Sealed
+	a.Sealing += b.Sealing
+	a.GrowingRows += b.GrowingRows
+	a.MemoryBytes += b.MemoryBytes
+	a.Tombstones += b.Tombstones
+	a.CompactionPasses += b.CompactionPasses
+	a.CompactedSegments += b.CompactedSegments
+	a.ReclaimedRows += b.ReclaimedRows
+	a.WALBytes += b.WALBytes
+	a.LastCheckpointLSN = max(a.LastCheckpointLSN, b.LastCheckpointLSN)
+	a.WALLastLSN = max(a.WALLastLSN, b.WALLastLSN)
+}
+
+// CollectionStats is a point-in-time snapshot of a live collection: the
+// embedded ShardStats aggregated over its shards (summed, the LSNs
+// maximized), and Shards the per-shard breakdown.
+type CollectionStats struct {
+	ShardStats
 	// ConfigGeneration is the active config generation's sequence number:
 	// zero at creation, +1 per successful Reconfigure (hot swap or
 	// migration). Operators compare it against the generation a
@@ -579,24 +596,8 @@ func (c *Collection) Stats() CollectionStats {
 		Shards:              make([]ShardStats, len(c.shards)),
 	}
 	for i, s := range c.shards {
-		st := s.statsLocked()
-		out.Shards[i] = st
-		out.Rows += st.Rows
-		out.Sealed += st.Sealed
-		out.Sealing += st.Sealing
-		out.GrowingRows += st.GrowingRows
-		out.MemoryBytes += st.MemoryBytes
-		out.Tombstones += st.Tombstones
-		out.CompactionPasses += st.CompactionPasses
-		out.CompactedSegments += st.CompactedSegments
-		out.ReclaimedRows += st.ReclaimedRows
-		out.WALBytes += st.WALBytes
-		if st.LastCheckpointLSN > out.LastCheckpointLSN {
-			out.LastCheckpointLSN = st.LastCheckpointLSN
-		}
-		if st.WALLastLSN > out.WALLastLSN {
-			out.WALLastLSN = st.WALLastLSN
-		}
+		out.Shards[i] = s.statsLocked()
+		out.add(out.Shards[i])
 	}
 	return out
 }

@@ -446,6 +446,37 @@ func TestDeleteIdempotentAndBounds(t *testing.T) {
 	}
 }
 
+// TestOverflowingVectorsRefused: rows with components ±3e19 (finite, but
+// with L2 distances of +Inf and IP scores of ±Inf between them) are
+// refused under L2 and IP — the whole batch, before anything is applied
+// or logged — and as queries; under Angular they are normalised and
+// accepted.
+func TestOverflowingVectorsRefused(t *testing.T) {
+	big := [][]float32{{1, 1, 1, 1}, {3e19, 1e19, 0, 0}, {-3e19, 0, 3e19, 0}}
+	for _, m := range []linalg.Metric{linalg.L2, linalg.InnerProduct, linalg.Angular} {
+		coll, err := OpenDurable(t.TempDir(), durableConfig(index.Flat), m, 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, insErr := coll.Insert(big)
+		_, qErr := coll.SearchBatch([][]float32{{1, 1, 1, 1}, big[2]}, 2, nil)
+		st := coll.Stats()
+		coll.Close()
+		if m == linalg.Angular {
+			if insErr != nil || qErr != nil || st.Rows != 3 {
+				t.Fatalf("%v: insert %v, search %v, %d rows; want all three rows accepted", m, insErr, qErr, st.Rows)
+			}
+			continue
+		}
+		if insErr == nil || qErr == nil {
+			t.Fatalf("%v: an overflowing row was accepted (insert %v, search %v)", m, insErr, qErr)
+		}
+		if st.Rows != 0 || st.WALLastLSN != 0 {
+			t.Fatalf("%v: a refused batch left %d rows and WAL head %d", m, st.Rows, st.WALLastLSN)
+		}
+	}
+}
+
 // TestNonFiniteVectorsRefused: a NaN or ±Inf component is refused in an
 // inserted row, rejecting its whole batch before anything is applied or
 // logged, and in a query. At one time the NaN row was stored and, at NaN

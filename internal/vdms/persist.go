@@ -1,6 +1,7 @@
 package vdms
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"sort"
@@ -17,7 +18,8 @@ import (
 // persist Milvus-style segment storage per channel:
 //
 //	dir/
-//	  MANIFEST          generation, shard count, dimension, metric
+//	  MANIFEST          generation, shard count, dimension, metric, and the
+//	                    served configuration with its config generation
 //	  shard-0/          shard 0's snapshots + WAL (generation 0)
 //	  shard-1/          ...
 //	  gen-<G>/shard-0/  the same, after the G-th migration (persist/manifest.go)
@@ -35,8 +37,9 @@ import (
 //     Close takes a final checkpoint per shard, so every log stays
 //     bounded by its shard's churn.
 //
-// Recovery (OpenDurable on a non-empty directory) validates the manifest
-// against the opening configuration, then recovers every shard in
+// The manifest is the one durable copy of the configuration, so
+// Reconfigure acknowledges only what a restart serves. Recovery
+// (OpenDurable on a non-empty directory) reads it, then recovers every shard in
 // parallel over the engine's worker pool: newest valid snapshot, WAL
 // suffix replay, torn-tail truncation — shards never wait on each other.
 // It is deterministic: segment indexes are rebuilt from raw rows with the
@@ -49,20 +52,17 @@ import (
 
 // OpenDurable opens (or creates) a durable collection backed by the data
 // directory dir. On a fresh directory it behaves like NewCollection plus
-// a manifest and per-shard logging; on a directory with prior state it
-// recovers every shard (in parallel): newest valid snapshot, then the WAL
-// suffix, with a torn trailing record truncated. The configuration must
-// agree with the persisted state on shard count (a silent change would
-// re-route ids), dimension, metric, index type, and index build
-// parameters (a silent change would silently change search results);
-// system knobs may differ freely.
+// a manifest recording cfg and expectedRows, and per-shard logging. On a
+// directory with prior state it serves the configuration the manifest
+// records, at its config generation, and cfg and expectedRows go unused;
+// dim and metric must agree. Every shard is recovered (in parallel):
+// newest valid snapshot, then the WAL suffix, a torn trailing record
+// truncated. A manifest from before directories recorded their
+// configuration is adopted once at cfg (at its own shard count), checked
+// against the snapshots' index type and build parameters, and rewritten.
 func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows int) (*Collection, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("vdms: OpenDurable requires a data directory")
-	}
-	c, err := NewCollection(cfg, metric, dim, expectedRows)
-	if err != nil {
-		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, err
@@ -71,7 +71,9 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 	if err != nil {
 		return nil, err
 	}
-	if man == nil {
+	var seq uint64
+	switch {
+	case man == nil:
 		legacy, err := persist.HasLegacyLayout(dir)
 		if err != nil {
 			return nil, err
@@ -79,19 +81,27 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 		if legacy {
 			return nil, fmt.Errorf("vdms: %s holds a pre-sharding data layout (top-level snapshot/WAL files, no manifest); migrate it by replaying into a fresh directory", dir)
 		}
-		man = &persist.Manifest{Shards: len(c.shards), Dim: dim, Metric: metric}
-		if err := persist.WriteManifest(dir, man); err != nil {
+	case man.Dim != dim:
+		return nil, fmt.Errorf("vdms: manifest dimension %d, collection opened with %d", man.Dim, dim)
+	case man.Metric != metric:
+		return nil, fmt.Errorf("vdms: manifest metric %v, collection opened with %v", man.Metric, metric)
+	case man.Config != nil:
+		if err := json.Unmarshal(man.Config, &cfg); err != nil {
+			return nil, fmt.Errorf("vdms: %s: recorded configuration: %w", dir, err)
+		}
+		seq, expectedRows = man.ConfigSeq, man.ExpectedRows
+	case cfg.shardCount() != man.Shards:
+		cfg.ShardCount = man.Shards // the id routing the directory holds
+	}
+	c, err := newCollection(&configGen{seq: seq, cfg: cfg}, metric, dim, expectedRows)
+	if err != nil {
+		return nil, err
+	}
+	c.dataDir = dir
+	if man == nil {
+		if man, err = c.writeManifest(c.gen.Load(), 0); err != nil {
 			return nil, err
 		}
-	}
-	if man.Shards != len(c.shards) {
-		return nil, fmt.Errorf("vdms: configuration says %d shards, directory %s holds %d (the id routing would change); open at %d shards and Reconfigure to reshard online", len(c.shards), dir, man.Shards, man.Shards)
-	}
-	if man.Dim != dim {
-		return nil, fmt.Errorf("vdms: manifest dimension %d, collection opened with %d", man.Dim, dim)
-	}
-	if man.Metric != metric {
-		return nil, fmt.Errorf("vdms: manifest metric %v, collection opened with %v", man.Metric, metric)
 	}
 	// Generation directories not named by the manifest are the debris of a
 	// migration that crashed before (or just after) its commit rename;
@@ -113,7 +123,12 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 		}
 		return nil, err
 	}
-	c.dataDir = dir
+	if man.Config == nil { // adopted: the snapshots agreed with cfg
+		if _, err := c.writeManifest(c.gen.Load(), man.Generation); err != nil {
+			c.Crash()
+			return nil, err
+		}
+	}
 	// Seed the collection-wide id counter past every shard's watermark.
 	var next int64
 	for _, s := range c.shards {
@@ -130,6 +145,15 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 		s.mu.Unlock()
 	}
 	return c, nil
+}
+
+// writeManifest records g as the configuration layout generation diskGen
+// serves, in a manifest that atomically replaces the directory's.
+func (c *Collection) writeManifest(g *configGen, diskGen uint64) (*persist.Manifest, error) {
+	cfg, _ := json.Marshal(g.cfg) // a validated Config always encodes
+	m := &persist.Manifest{Shards: g.cfg.shardCount(), Dim: c.dim, Metric: c.metric, Generation: diskGen,
+		Config: cfg, ConfigSeq: g.seq, ExpectedRows: c.expectedRows}
+	return m, persist.WriteManifest(c.dataDir, m)
 }
 
 // openDurable recovers (or creates) one shard's durability domain rooted

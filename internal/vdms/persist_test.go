@@ -233,8 +233,10 @@ func TestFlushAndCheckpointRefuseClosed(t *testing.T) {
 	}
 }
 
-// TestDurableConfigMismatchRejected: recovery refuses silently different
-// index configurations.
+// TestDurableConfigMismatchRejected: recovery refuses a dimension or a
+// metric the directory does not hold, and a configuration that differs
+// from the recorded one (index type, build seed) opens at the recorded
+// configuration rather than being refused or silently applied.
 func TestDurableConfigMismatchRejected(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(index.HNSW)
@@ -258,20 +260,23 @@ func TestDurableConfigMismatchRejected(t *testing.T) {
 	}
 	other := cfg
 	other.IndexType = index.IVFFlat
-	if _, err := OpenDurable(dir, other, linalg.L2, dim, 100); err == nil {
-		t.Fatal("index type mismatch accepted")
-	}
 	seeded := cfg
 	seeded.Build.Seed = 999
-	if _, err := OpenDurable(dir, seeded, linalg.L2, dim, 100); err == nil {
-		t.Fatal("build seed mismatch accepted")
+	for _, open := range []Config{other, seeded, cfg} {
+		r, err := OpenDurable(dir, open, linalg.L2, dim, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Config(); got != cfg {
+			t.Fatalf("opened with %+v: serving %+v, want the recorded %+v", open, got, cfg)
+		}
+		if got := r.Stats().Rows; got != 10 {
+			t.Fatalf("opened with %+v: %d rows, want 10", open, got)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// The matching configuration still opens.
-	r, err := OpenDurable(dir, cfg, linalg.L2, dim, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Close()
 }
 
 // TestMemoryCollectionUnaffected: a NewCollection collection has no WAL,

@@ -103,8 +103,10 @@ func (d *migrationDelta) addDeletes(ids []int64) {
 
 // SetReconfigureHook installs a hook called before each named migration
 // step ("capture", "build", "sealed", "snapshot-<i>", "cutover", "delta",
-// "sync", "manifest") and after the commit ("committed", "cleanup"). A
-// non-nil error aborts the migration at that point with no cleanup,
+// "sync", "manifest") and after the commit ("committed", "cleanup"), and
+// around a durable hot swap's manifest rename ("swap-manifest" before it,
+// "swap-committed" after the publication). A non-nil error aborts the
+// migration or hot swap at that point with no cleanup,
 // leaving memory and disk exactly as they were — which is what the
 // crash-matrix tests need to simulate a kill at every step. An error at
 // or after "committed" cannot un-commit: the migration has already
@@ -143,7 +145,7 @@ func (c *Collection) Reconfigure(cfg Config) (uint64, error) {
 	c.reconfigMu.Lock()
 	defer c.reconfigMu.Unlock()
 	if coldEqual(c.gen.Load().cfg, cfg) {
-		return c.hotSwap(cfg), nil
+		return c.hotSwap(cfg)
 	}
 	return c.migrate(cfg)
 }
@@ -151,11 +153,19 @@ func (c *Collection) Reconfigure(cfg Config) (uint64, error) {
 // hotSwap publishes cfg as a new generation on the collection and every
 // shard, pushes the durability knobs into the open WALs, and re-checks
 // compaction triggers (a lowered trigger ratio may warrant a pass right
-// now). Callers hold reconfigMu.
-func (c *Collection) hotSwap(cfg Config) uint64 {
-	c.router.RLock()
-	defer c.router.RUnlock()
+// now). A durable collection's manifest records the generation first.
+// Callers hold reconfigMu.
+func (c *Collection) hotSwap(cfg Config) (uint64, error) {
 	g := &configGen{seq: c.gen.Load().seq + 1, cfg: cfg}
+	if c.dataDir != "" {
+		if err := c.step("swap-manifest"); err != nil {
+			return 0, err
+		}
+		if _, err := c.writeManifest(g, c.diskGen); err != nil {
+			return 0, fmt.Errorf("vdms: recording hot swap: %w", err)
+		}
+	}
+	c.router.RLock()
 	c.gen.Store(g)
 	for _, s := range c.shards {
 		s.gen.Store(g)
@@ -168,7 +178,11 @@ func (c *Collection) hotSwap(cfg Config) uint64 {
 		s.maybeCompactLocked() // a no-op on a closed shard
 		s.mu.Unlock()
 	}
-	return g.seq
+	c.router.RUnlock()
+	if c.dataDir != "" {
+		return g.seq, c.step("swap-committed")
+	}
+	return g.seq, nil
 }
 
 // idRowSorter sorts a captured (id, row) pairing by ascending id.
@@ -313,7 +327,6 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	// sibling directory. The live generation is untouched; nothing here
 	// is visible to recovery until the manifest rename.
 	newDiskGen := c.diskGen + 1
-	newMan := &persist.Manifest{Shards: n, Dim: c.dim, Metric: c.metric, Generation: newDiskGen}
 	if durable {
 		policy, group := cfg.walPolicy()
 		for i, s := range newShards {
@@ -321,7 +334,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 				c.abortMigration(newShards)
 				return 0, err
 			}
-			sdir := newMan.ShardDir(c.dataDir, i)
+			sdir := persist.ShardDir(persist.GenDir(c.dataDir, newDiskGen), i)
 			if err := os.MkdirAll(sdir, 0o777); err != nil {
 				c.abortMigration(newShards)
 				return 0, err
@@ -390,6 +403,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		}
 	}
 
+	var newMan *persist.Manifest
 	if durable {
 		// Everything the new generation needs must be on disk before the
 		// rename makes it current.
@@ -405,9 +419,11 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 			return abortLocked(err)
 		}
 		// The commit point: after this rename, recovery sees the new
-		// generation; before it, the old (whose WALs logged every write
-		// up to this cutover, delta included).
-		if err := persist.WriteManifest(c.dataDir, newMan); err != nil {
+		// generation and serves its configuration; before it, the old
+		// (whose WALs logged every write up to this cutover, delta
+		// included).
+		var err error
+		if newMan, err = c.writeManifest(newGen, newDiskGen); err != nil {
 			return abortLocked(fmt.Errorf("vdms: committing migration manifest: %w", err))
 		}
 	}

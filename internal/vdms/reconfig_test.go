@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -383,16 +384,17 @@ func TestMigrateDurableReshardUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen: only the new generation's layout exists; the old cfg is
-	// refused (wrong shard count) with a pointer at Reconfigure.
-	if _, err := OpenDurable(dir, cfg, linalg.L2, dim, 4000); err == nil {
-		t.Fatal("stale shard count accepted after reshard")
-	}
-	r, err := OpenDurable(dir, target, linalg.L2, dim, 4000)
+	// Reopen at the launch configuration: only the new generation's
+	// layout exists, and the directory serves the configuration it
+	// recorded at the reshard.
+	r, err := OpenDurable(dir, cfg, linalg.L2, dim, 4000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
+	if got := r.Config(); got != target {
+		t.Fatalf("reopened at the launch configuration: serving %+v, want the resharded %+v", got, target)
+	}
 	if got := r.Stats().Rows; got != rows {
 		t.Fatalf("recovered %d rows, want %d", got, rows)
 	}
@@ -457,5 +459,78 @@ func TestMigrateDurableMatchesRecovery(t *testing.T) {
 	rec := searchAll(t, r, queries, k)
 	if !reflect.DeepEqual(live, rec) {
 		t.Fatal("recovered migrated collection differs from the live one")
+	}
+}
+
+// TestDurableRestartServesRecordedConfig: a durable directory records the
+// configuration it serves. After a cold reconfigure (nlist 16 → 32, seal
+// proportion 0.25 → 0.05) and a hot one (nprobe 3), reopening with the
+// launch configuration — after Close, and after Crash — serves the last
+// acknowledged configuration at its config generation and answers
+// SearchBatch bit-identically to the collection before the restart.
+func TestDurableRestartServesRecordedConfig(t *testing.T) {
+	const dim, n, k = 8, 600, 10
+	launch := durableConfig(index.IVFFlat)
+	launch.Build.NList = 16
+	queries := randVecs(16, dim, 52)
+	for _, stop := range []string{"close", "crash"} {
+		t.Run(stop, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := OpenDurable(dir, launch, linalg.L2, dim, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runChurn(t, c, randVecs(n, dim, 51))
+			cold := launch
+			cold.Build.NList = 32
+			cold.SealProportion = 0.05
+			if _, err := c.Reconfigure(cold); err != nil {
+				t.Fatal(err)
+			}
+			hot := cold
+			hot.Search.NProbe = 3
+			gen, err := c.Reconfigure(hot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			before := searchAll(t, c, queries, k)
+			if stop == "close" {
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				c.Crash()
+			}
+
+			r, err := OpenDurable(dir, launch, linalg.L2, dim, n)
+			if err != nil {
+				t.Fatalf("reopening at the launch configuration: %v", err)
+			}
+			defer r.Close()
+			if got := r.Config(); got != hot {
+				t.Fatalf("serving %+v, want the acknowledged %+v", got, hot)
+			}
+			if got := r.Stats().ConfigGeneration; got != gen {
+				t.Fatalf("config generation %d, want %d", got, gen)
+			}
+			if err := r.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			after := searchAll(t, r, queries, k)
+			for qi := range before {
+				if len(before[qi]) != len(after[qi]) {
+					t.Fatalf("query %d: %d hits before the restart, %d after", qi, len(before[qi]), len(after[qi]))
+				}
+				for j, a := range before[qi] {
+					b := after[qi][j]
+					if a.ID != b.ID || math.Float32bits(a.Dist) != math.Float32bits(b.Dist) {
+						t.Fatalf("query %d hit %d: %+v before the restart, %+v after", qi, j, a, b)
+					}
+				}
+			}
+		})
 	}
 }

@@ -236,8 +236,8 @@ func TestShardedRecoveryBitIdentical(t *testing.T) {
 
 // TestShardedDurableLayout pins the on-disk contract: a manifest plus one
 // subdirectory per shard, each with its own WAL; reopening with a
-// different shard count (which would re-route ids) is refused, as is a
-// pre-sharding directory layout.
+// different shard count serves the recorded one (the id routing the
+// directory holds), and a pre-sharding directory layout is refused.
 func TestShardedDurableLayout(t *testing.T) {
 	const dim, n = 4, 200
 	cfg := flatConfig(3)
@@ -271,17 +271,16 @@ func TestShardedDurableLayout(t *testing.T) {
 
 	other := cfg
 	other.ShardCount = 4
-	if _, err := OpenDurable(dir, other, linalg.L2, dim, n); err == nil {
-		t.Fatal("shard-count mismatch accepted")
+	for _, open := range []Config{other, cfg} {
+		r, err := OpenDurable(dir, open, linalg.L2, dim, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := r.Stats(); st.Rows != n || st.ShardCount != 3 {
+			t.Fatalf("opened at %d shards: %d rows over %d shards, want %d over the recorded 3", open.ShardCount, st.Rows, st.ShardCount, n)
+		}
+		r.Close()
 	}
-	r, err := OpenDurable(dir, cfg, linalg.L2, dim, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Stats().Rows; got != n {
-		t.Fatalf("recovered Rows = %d, want %d", got, n)
-	}
-	r.Close()
 
 	// A pre-sharding directory (top-level WAL files, no manifest) must be
 	// refused, not silently shadowed by a fresh empty collection.

@@ -1,6 +1,7 @@
 package vdms
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,7 @@ func TestValidateRejectsOutOfRange(t *testing.T) {
 		func(c *Config) { c.Parallelism = 0 },
 		func(c *Config) { c.Parallelism = 64 },
 		func(c *Config) { c.FlushInterval = 0 },
+		func(c *Config) { c.SealProportion = math.NaN() }, // no JSON form: a manifest could not record it
 	}
 	for i, mutate := range cases {
 		cfg := DefaultConfig()
