@@ -51,9 +51,14 @@ purego:
 # worker-invariance test — the landed-snapshot byte golden and the
 # sealed-row read-back check included — on one CPU and on four, so a
 # result that depends on the pool size fails here and not on somebody
-# else's machine.
+# else's machine. The engine's workers=1 ≡ N contract tests (DESIGN.md)
+# are named (whole-line match), so a rename fails the target instead of
+# dropping out of the pattern.
 cpu-matrix:
-	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|IdenticalAcrossWorkers|DeterministicAcrossWorkers|ReadBackBitExact' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
+	@for g in TestOpenSegmentBuildsWorkerInvariant TestShardedDeterministicAcrossWorkers TestCompactionDeterministicAcrossWorkers TestRecoveryDeterminismAcrossWorkers TestSearchBatchTilesIdenticalAcrossWorkers; do \
+		$(GO) test -list "$$g" ./internal/vdms | grep -qx $$g \
+			|| { echo "cpu-matrix test $$g missing from ./internal/vdms"; exit 1; }; done
+	$(GO) test -cpu 1,4 -count=1 -run 'Golden|WorkerCountInvariant|WorkerInvariant|AcrossWorkers|ReadBackBitExact' ./internal/index ./internal/kmeans ./internal/vdms ./internal/core
 
 # One iteration of every benchmark (BenchmarkExperiments: each entry of
 # bench.Experiments once; the churn benchmark BenchmarkSearchAfterDeletes;

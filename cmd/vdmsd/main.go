@@ -29,7 +29,7 @@
 // With -data-dir the collection is durable: every insert/delete is
 // write-ahead logged under the configured wal_fsyncPolicy, the per-shard
 // compactors checkpoint snapshots, startup recovers the previous state
-// (replaying all shard WALs in parallel and truncating torn tails), and
+// (replaying the collection's one WAL, its torn tail truncated), and
 // SIGTERM/SIGINT shut down gracefully — final WAL sync plus a full
 // snapshot per shard — so a clean stop loses nothing under any policy.
 // Without -data-dir the engine is memory-only, as before.
@@ -243,7 +243,7 @@ func main() {
 
 	// Graceful shutdown on SIGTERM as well as interrupt: stop accepting,
 	// then Close the collection — which waits out builds and compactions
-	// and, when durable, syncs every shard's WAL and writes final
+	// and, when durable, syncs the collection's WAL and writes final
 	// snapshots, so no acknowledged write (and no unsealed growing row)
 	// is lost. A hard kill instead leaves whatever the fsync policy made
 	// durable, which recovery replays on the next start.

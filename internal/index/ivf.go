@@ -93,8 +93,8 @@ func (c *ivfCoarse) cellRange(cell int32) (lo, hi int32) {
 // against all queries in one multi-query blocked pass (the centroid arena
 // is itself a small scan) and charged to st, then each query's nprobe
 // nearest cells are selected in ascending centroid distance (ties broken
-// by cell id, keeping the order deterministic; a NaN distance, which an
-// overflowing inner product can produce, sorts after +Inf). The returned
+// by cell id, keeping the order deterministic; a NaN distance sorts after
+// +Inf — see cellKey for when one can occur). The returned
 // flat table holds query qi's probe order at [qi*nprobe : (qi+1)*nprobe];
 // it aliases s.mprobe and is valid until the scratch's next probe. nprobe
 // must already be clamped to the cell count, so every query selects
@@ -139,7 +139,12 @@ func selectCells(dists []float32, dst []int32, s *searchScratch) {
 // unsigned order is (distance, id) order: the distance's bits are mapped so
 // that unsigned order is float order (a negative flipped whole, the sign
 // bit set on the rest). d+0 folds −0 onto +0 so the two tie, and a NaN of
-// any sign or payload maps to the top, after +Inf.
+// any sign or payload maps to the top, after +Inf. Through a vdms
+// collection that rule is unreachable: its L2/IP norm bound keeps every
+// query's distance to a centroid (a mean of rows, no longer than the
+// longest) finite, and Angular rows are unit length. A direct caller of
+// the index with unbounded vectors can still overflow an inner product to
+// NaN, so the rule stays.
 func cellKey(d float32, cell int) uint64 {
 	b := math.Float32bits(d + 0)
 	b ^= uint32(int32(b)>>31) | 1<<31

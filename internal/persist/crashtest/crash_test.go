@@ -7,40 +7,48 @@ import (
 )
 
 // TestCrashMatrix is the acceptance gate for durable persistence: for a
-// seeded random workload, every truncation of the write-ahead log —
-// record-aligned and torn mid-record — must recover to exactly the state
-// an in-memory reference engine reaches by replaying the surviving
-// operation prefix: equal live row counts and bit-identical SearchBatch
-// results. It is a property test: each seed is an independent workload
-// with its own seal/compaction/checkpoint history.
+// seeded random workload, every truncation of the collection's one
+// write-ahead log — record-aligned and torn mid-record — must recover to
+// exactly the state an in-memory reference engine reaches by replaying
+// the surviving operation prefix: equal live row counts and bit-identical
+// SearchBatch results. It is a property test: each seed is an independent
+// workload with its own seal/compaction/checkpoint history, on one shard
+// and on three, whose records interleave in the one log, so a cut can
+// keep one shard's part of an acknowledged-late insert and lose
+// another's.
 func TestCrashMatrix(t *testing.T) {
 	type variant struct {
 		name     string
 		seed     int64
 		autoCkpt bool
+		shards   int
 	}
 	variants := []variant{
 		// Auto-checkpointing runs: the frontier is the churn since the
-		// last compaction pass; snapshots and multi-file logs in play.
-		{"seed1-ckpt", 1, true},
-		{"seed2-ckpt", 2, true},
+		// last checkpoint; snapshots and multi-file logs in play.
+		{"seed1-ckpt", 1, true, 1},
+		{"seed2-ckpt", 2, true, 1},
 		// No auto-checkpoint: the entire history — seals and compaction
-		// commits included — is in one log, every record a matrix row.
-		{"seed1-log", 1, false},
-		{"seed2-log", 2, false},
+		// commits included — is in one log file, every record a matrix
+		// row.
+		{"seed1-log", 1, false, 1},
+		{"seed2-log", 2, false, 1},
+		// Three shards' records interleaved in the one log.
+		{"seed1-ckpt-S3", 1, true, 3},
+		{"seed2-log-S3", 2, false, 3},
 	}
 	numOps := 110
 	if testing.Short() {
-		variants = variants[:2]
+		variants = []variant{variants[0], variants[5]}
 		numOps = 60
 	}
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
-			w := runWorkload(t, t.TempDir(), v.seed, numOps, v.autoCkpt)
-			cases := matrixCases(t, w)
+			w := runWorkload(t, t.TempDir(), v.seed, numOps, v.autoCkpt, v.shards)
+			last, cases := matrixCases(t, w)
 			// With auto-checkpointing the frontier is only the churn since
-			// the last pass — small by design; without it, the whole
+			// the last checkpoint — small by design; without it, the whole
 			// history is at the frontier.
 			floor := numOps / 4
 			if v.autoCkpt {
@@ -52,7 +60,7 @@ func TestCrashMatrix(t *testing.T) {
 			t.Logf("%s: %d ops, %d live rows, %d truncation points", v.name, len(w.ops), w.rows, len(cases))
 			scratch := t.TempDir()
 			for _, tc := range cases {
-				verifyCase(t, w, tc, scratch)
+				verifyCase(t, w, last, tc, scratch)
 			}
 		})
 	}
@@ -62,8 +70,8 @@ func TestCrashMatrix(t *testing.T) {
 // variant really puts compaction-commit records at the crash frontier —
 // without this, the matrix would silently stop exercising commit replay.
 func TestCrashMatrixCoversCompactionCommits(t *testing.T) {
-	w := runWorkload(t, t.TempDir(), 2, 110, false)
-	files, err := persist.WALFileNames(shard0Dir(w.dir))
+	w := runWorkload(t, t.TempDir(), 2, 110, false, 3)
+	files, err := persist.WALFileNames(logDir(t, w.dir))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,15 +93,11 @@ func TestCrashMatrixCoversCompactionCommits(t *testing.T) {
 // every acknowledged operation is recovered — the "full" cell of the
 // matrix must account for the entire workload.
 func TestCrashMatrixAcknowledgedOpsSurvive(t *testing.T) {
-	w := runWorkload(t, t.TempDir(), 3, 80, true)
-	cases := matrixCases(t, w)
+	w := runWorkload(t, t.TempDir(), 3, 80, true, 3)
+	last, cases := matrixCases(t, w)
 	full := cases[len(cases)-1]
-	if full.full != len(w.ops) || len(full.extra) != 0 {
+	if full.full != len(w.ops) || len(full.tail) != 0 {
 		t.Fatalf("untruncated log accounts for %d of %d acknowledged ops", full.full, len(w.ops))
 	}
-	verifyCase(t, w, full, t.TempDir())
-}
-
-func workloadName(seed int64) string {
-	return "seed" + string(rune('0'+seed))
+	verifyCase(t, w, last, full, t.TempDir())
 }

@@ -31,21 +31,26 @@ import (
 // op is one logical workload operation, replayable onto any collection.
 type op struct {
 	insert [][]float32 // nil for deletes
-	ids    []int64     // delete targets
+	ids    []int64     // an insert's assigned ids, or a delete's targets
 }
 
-// shard0Dir resolves the WAL/snapshot directory of the collection's only
-// shard: since the live engine was sharded, a data directory holds a
-// manifest plus per-shard subdirectories, and a shard_count=1 workload's
-// entire log lives under shard-0.
-func shard0Dir(dir string) string { return persist.ShardDir(dir, 0) }
+// logDir is the directory of a crashed workload's one log.
+func logDir(t *testing.T, dir string) string {
+	t.Helper()
+	man, err := persist.LoadManifest(dir)
+	if err != nil || man == nil {
+		t.Fatalf("manifest of %s: %+v, %v", dir, man, err)
+	}
+	return man.LogDir(dir)
+}
 
 // workload is a finished seeded run: the op sequence and the crashed data
 // directory it produced. lsnAfter[i] is the WAL head (Stats.WALLastLSN)
 // right after op i was acknowledged: op i is fully durable in any log
 // prefix reaching that LSN. One Insert call can span several WAL records
-// (a record per seal boundary), so the mapping from truncation points to
-// surviving state is by LSN, not by record count.
+// (a record per shard it touches, and per seal boundary), so the mapping
+// from truncation points to surviving state is by LSN, not by record
+// count.
 type workload struct {
 	cfg      vdms.Config
 	dim      int
@@ -70,13 +75,15 @@ func matrixConfig() vdms.Config {
 }
 
 // runWorkload drives numOps seeded operations against a durable
-// collection in dir and crashes it. With autoCkpt false the compactor
-// never checkpoints, so every record — compaction commits included —
-// stays in the WAL and lands in the truncation matrix.
-func runWorkload(t *testing.T, dir string, seed int64, numOps int, autoCkpt bool) *workload {
+// collection of the given shard count in dir and crashes it. With
+// autoCkpt false the compactor never checkpoints, so every record —
+// compaction commits included — stays in the WAL and lands in the
+// truncation matrix.
+func runWorkload(t *testing.T, dir string, seed int64, numOps int, autoCkpt bool, shards int) *workload {
 	t.Helper()
 	const dim = 8
 	cfg := matrixConfig()
+	cfg.ShardCount = shards
 	rng := rand.New(rand.NewSource(seed))
 	c, err := vdms.OpenDurable(dir, cfg, linalg.L2, dim, 256)
 	if err != nil {
@@ -103,7 +110,7 @@ func runWorkload(t *testing.T, dir string, seed int64, numOps int, autoCkpt bool
 				t.Fatal(err)
 			}
 			live = append(live, ids...)
-			w.ops = append(w.ops, op{insert: vecs})
+			w.ops = append(w.ops, op{insert: vecs, ids: ids})
 			w.lsnAfter = append(w.lsnAfter, c.Stats().WALLastLSN)
 		} else {
 			n := 1 + rng.Intn(4)
@@ -152,10 +159,11 @@ func runWorkload(t *testing.T, dir string, seed int64, numOps int, autoCkpt bool
 		for d := range v {
 			v[d] = float32(rng.NormFloat64())
 		}
-		if _, err := c.Insert([][]float32{v}); err != nil {
+		ids, err := c.Insert([][]float32{v})
+		if err != nil {
 			t.Fatal(err)
 		}
-		w.ops = append(w.ops, op{insert: [][]float32{v}})
+		w.ops = append(w.ops, op{insert: [][]float32{v}, ids: ids})
 		w.lsnAfter = append(w.lsnAfter, c.Stats().WALLastLSN)
 	}
 	w.rows = int(c.Stats().Rows)
@@ -171,8 +179,8 @@ func runWorkload(t *testing.T, dir string, seed int64, numOps int, autoCkpt bool
 }
 
 // reference replays tc's surviving operations — the fully durable op
-// prefix plus the partially surviving record payloads past it — onto a
-// fresh in-memory collection and quiesces it.
+// prefix, then what survives of the next op — onto a fresh in-memory
+// collection and quiesces it.
 func (w *workload) reference(t *testing.T, tc truncationCase) *vdms.Collection {
 	t.Helper()
 	ref, err := vdms.NewCollection(w.cfg, linalg.L2, w.dim, 256)
@@ -180,21 +188,40 @@ func (w *workload) reference(t *testing.T, tc truncationCase) *vdms.Collection {
 		t.Fatal(err)
 	}
 	apply := func(o op) {
+		var err error
 		if o.insert != nil {
-			if _, err := ref.Insert(o.insert); err != nil {
-				t.Fatal(err)
-			}
+			_, err = ref.Insert(o.insert)
 		} else {
-			if _, err := ref.Delete(o.ids); err != nil {
-				t.Fatal(err)
-			}
+			_, err = ref.Delete(o.ids)
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, o := range w.ops[:tc.full] {
 		apply(o)
 	}
-	for _, o := range tc.extra {
-		apply(o)
+	if len(tc.tail) > 0 {
+		// A partly surviving insert is the whole insert (the reference
+		// assigns the same ids) less the rows whose records were cut; a
+		// partly surviving delete is the ids whose records survive.
+		o := w.ops[tc.full]
+		if o.insert != nil {
+			apply(o)
+			kept := map[int64]bool{}
+			for _, id := range tc.tail {
+				kept[id] = true
+			}
+			lost := op{}
+			for _, id := range o.ids {
+				if !kept[id] {
+					lost.ids = append(lost.ids, id)
+				}
+			}
+			apply(lost)
+		} else {
+			apply(op{ids: tc.tail})
+		}
 	}
 	if err := ref.Flush(); err != nil {
 		t.Fatal(err)
@@ -209,10 +236,11 @@ type truncationCase struct {
 	cut int64
 	// full is how many logical ops survive the cut in their entirety.
 	full int
-	// extra holds the payloads of insert/delete records past the last
-	// fully surviving op that the cut still retains — the partially
-	// durable tail of an Insert batch that straddled a seal boundary.
-	extra []op
+	// tail holds the ids of the insert or delete records past the last
+	// fully surviving op that the cut still retains — what survives of op
+	// full, whose records (one per shard it touched, and per seal
+	// boundary) the cut split.
+	tail []int64
 }
 
 // matrixCases enumerates the truncation matrix over the crashed
@@ -222,17 +250,17 @@ type truncationCase struct {
 // the crash frontier, which is exactly the set of states a real torn
 // write can produce. Each case's surviving state is derived by LSN: a cut
 // keeping records up to LSN L preserves every op acknowledged at or below
-// L, plus the payloads of later surviving records.
-func matrixCases(t *testing.T, w *workload) []truncationCase {
+// L, plus the ids of later surviving records.
+func matrixCases(t *testing.T, w *workload) (last string, cases []truncationCase) {
 	t.Helper()
-	files, err := persist.WALFileNames(shard0Dir(w.dir))
+	files, err := persist.WALFileNames(logDir(t, w.dir))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) == 0 {
 		t.Fatal("crashed directory has no WAL files")
 	}
-	last := files[len(files)-1]
+	last = files[len(files)-1]
 	recs, err := persist.ScanWALFile(last)
 	if err != nil {
 		t.Fatal(err)
@@ -244,8 +272,8 @@ func matrixCases(t *testing.T, w *workload) []truncationCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Decode the final file's logical payloads, aligned with recs.
-	payloads := make([]op, len(recs))
+	// Decode the final file's insert and delete ids, aligned with recs.
+	recIDs := make([][]int64, len(recs))
 	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
@@ -254,13 +282,11 @@ func matrixCases(t *testing.T, w *workload) []truncationCase {
 	if _, _, err := persist.ReplayBuffer(last, data, 0, func(o *persist.WALOp) error {
 		switch o.Type {
 		case persist.RecInsert:
-			vecs := make([][]float32, o.Count)
-			for i := range vecs {
-				vecs[i] = append([]float32(nil), o.Vectors[i*o.Dim:(i+1)*o.Dim]...)
+			for i := 0; i < o.Count; i++ {
+				recIDs[idx] = append(recIDs[idx], o.FirstID+int64(i))
 			}
-			payloads[idx] = op{insert: vecs}
-		case persist.RecDelete:
-			payloads[idx] = op{ids: append([]int64(nil), o.IDs...)}
+		case persist.RecInsertIDs, persist.RecDelete:
+			recIDs[idx] = o.IDs
 		}
 		idx++
 		return nil
@@ -273,8 +299,8 @@ func matrixCases(t *testing.T, w *workload) []truncationCase {
 	baseLSN := recs[0].LSN - 1 // durable regardless of the cut
 
 	// stateAt computes the surviving state for a cut: the fully durable
-	// op prefix and the partially surviving record payloads beyond it.
-	stateAt := func(cut int64) (full int, extra []op) {
+	// op prefix and the surviving record ids beyond it.
+	stateAt := func(cut int64) (full int, tail []int64) {
 		lastLSN := baseLSN
 		for _, r := range recs {
 			if r.End <= cut && r.LSN > lastLSN {
@@ -289,22 +315,20 @@ func matrixCases(t *testing.T, w *workload) []truncationCase {
 			boundary = w.lsnAfter[full-1]
 		}
 		for i, r := range recs {
-			if r.End <= cut && r.LSN > boundary &&
-				(r.Type == persist.RecInsert || r.Type == persist.RecDelete) {
-				extra = append(extra, payloads[i])
+			if r.End <= cut && r.LSN > boundary {
+				tail = append(tail, recIDs[i]...)
 			}
 		}
-		return full, extra
+		return full, tail
 	}
 
-	var cases []truncationCase
 	add := func(kind string, i int, cut int64) {
-		full, extra := stateAt(cut)
+		full, tail := stateAt(cut)
 		cases = append(cases, truncationCase{
-			name:  fmt.Sprintf("%s-rec%d-cut%d", kind, i, cut),
-			cut:   cut,
-			full:  full,
-			extra: extra,
+			name: fmt.Sprintf("%s-rec%d-cut%d", kind, i, cut),
+			cut:  cut,
+			full: full,
+			tail: tail,
 		})
 	}
 	// The file header itself can be torn (a rotation right before the
@@ -324,26 +348,19 @@ func matrixCases(t *testing.T, w *workload) []truncationCase {
 		}
 	}
 	// The untouched file: nothing lost.
-	full, extra := stateAt(fi.Size())
-	if full != len(w.ops) || len(extra) != 0 {
-		t.Fatalf("untruncated log accounts for %d of %d acknowledged ops (+%d partial)", full, len(w.ops), len(extra))
+	full, tail := stateAt(fi.Size())
+	if full != len(w.ops) || len(tail) != 0 {
+		t.Fatalf("untruncated log accounts for %d of %d acknowledged ops (+%d partial)", full, len(w.ops), len(tail))
 	}
 	cases = append(cases, truncationCase{name: "full", cut: fi.Size(), full: full})
-	return cases
+	return last, cases
 }
 
-// copyDirTruncated clones the crashed data directory — manifest and every
-// shard subdirectory — into dst with the final WAL file of truncShard
-// truncated to cut bytes. Other shards (if any) are copied intact: a real
-// torn write damages one log's tail, not several.
-func copyDirTruncated(t *testing.T, src, dst string, truncShard int, cut int64) {
+// copyDirTruncated clones the crashed data directory — manifest, log and
+// every shard subdirectory — into dst with the file truncate (a path
+// under src) truncated to cut bytes.
+func copyDirTruncated(t *testing.T, src, dst, truncate string, cut int64) {
 	t.Helper()
-	lastWALIn := ""
-	if files, err := persist.WALFileNames(persist.ShardDir(src, truncShard)); err != nil {
-		t.Fatal(err)
-	} else if len(files) > 0 {
-		lastWALIn = files[len(files)-1]
-	}
 	var walk func(from, to string)
 	walk = func(from, to string) {
 		ents, err := os.ReadDir(from)
@@ -369,7 +386,7 @@ func copyDirTruncated(t *testing.T, src, dst string, truncShard int, cut int64) 
 				t.Fatal(err)
 			}
 			var cerr error
-			if inPath == lastWALIn {
+			if inPath == truncate {
 				_, cerr = io.CopyN(out, in, cut)
 				if cerr == io.EOF {
 					cerr = nil
@@ -389,16 +406,17 @@ func copyDirTruncated(t *testing.T, src, dst string, truncShard int, cut int64) 
 	walk(src, dst)
 }
 
-// verifyCase recovers from one truncation and checks the recovered engine
-// against the reference replay of the surviving op prefix.
-func verifyCase(t *testing.T, w *workload, tc truncationCase, scratch string) {
+// verifyCase recovers from one truncation of the log file last and checks
+// the recovered engine against the reference replay of the surviving op
+// prefix.
+func verifyCase(t *testing.T, w *workload, last string, tc truncationCase, scratch string) {
 	t.Helper()
 	dir := filepath.Join(scratch, tc.name)
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		t.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	copyDirTruncated(t, w.dir, dir, 0, tc.cut)
+	copyDirTruncated(t, w.dir, dir, last, tc.cut)
 
 	rec, err := vdms.OpenDurable(dir, w.cfg, linalg.L2, w.dim, 256)
 	if err != nil {

@@ -15,7 +15,8 @@ import (
 // does not justify. `make fuzz-smoke` runs both targets for 30s each as
 // part of `make ci`.
 
-// walSeedCorpus builds a small real WAL and returns its file bytes.
+// walSeedCorpus builds a small real WAL and returns its file bytes: a
+// version-2 file, whose seal and compaction records carry a shard.
 func walSeedCorpus(tb testing.TB) []byte {
 	tb.Helper()
 	dir := tb.TempDir()
@@ -32,10 +33,10 @@ func walSeedCorpus(tb testing.TB) []byte {
 	if _, err := w.AppendDelete([]int64{0, 7}); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := w.AppendFlush(0); err != nil {
+	if _, err := w.AppendFlush(1, 0); err != nil {
 		tb.Fatal(err)
 	}
-	if _, err := w.AppendCompactCommit(1, []int64{0}, []int64{1}, []int64{0}); err != nil {
+	if _, err := w.AppendCompactCommit(1, 1, []int64{0}, []int64{1}, []int64{0}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -51,6 +52,13 @@ func walSeedCorpus(tb testing.TB) []byte {
 func FuzzWALReplay(f *testing.F) {
 	seed := walSeedCorpus(f)
 	f.Add(seed)
+	// The same records as the version-1 writer framed them, so both
+	// decoders are fuzzed.
+	v1, err := os.ReadFile(filepath.Join("testdata", "wal-v1.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
 	f.Add(seed[:len(seed)-5])  // torn tail
 	f.Add(seed[:walHeaderLen]) // header only
 	f.Add([]byte{})            // empty file

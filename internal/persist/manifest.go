@@ -3,6 +3,7 @@ package persist
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -16,36 +17,41 @@ import (
 //	dir/
 //	  MANIFEST            this file: generation, shard count, dim, metric,
 //	                      and the configuration the directory serves
-//	  shard-0/            snapshot + WAL of shard 0 (generation 0 layout)
+//	  wal/                the WAL of every shard (generation 0 layout)
+//	  shard-0/            snapshots of shard 0
 //	  shard-1/            ...
-//	  gen-1/shard-0/      snapshot + WAL of shard 0 after one migration
-//	  gen-1/shard-1/      ...
+//	  gen-1/wal/          the same, after one migration
+//	  gen-1/shard-0/      ...
 //
-// Each shard directory is an independent snapshot+WAL pair — shards
-// checkpoint, rotate, and recover without coordinating — and the manifest
-// is the one piece of collection-level state: the structural parameters
-// that decide which shard owns which id, the layout generation that
-// decides which layout directory is current, and the configuration the
-// collection serves.
+// A generation has one WAL, which every shard appends its records to, and
+// a snapshot directory per shard: shards checkpoint without coordinating,
+// each at the log head, and a log file goes once every shard's retained
+// snapshot covers it. The manifest is the one piece of collection-level
+// state: the structural parameters that decide which shard owns which id
+// (and so which shard a logged insert or delete replays on), the layout
+// generation that decides which layout directory is current, and the
+// configuration the collection serves.
 //
 // Generations exist for online reconfiguration: changing a structural
 // knob (shard count, index shape, segment sizing) rewrites the layout.
 // The migrated layout is built in a sibling generation directory
-// (gen-<G+1>/shard-<i>) next to the live one, and the migration commits
-// by atomically renaming a new MANIFEST over the old — the same
+// (gen-<G+1>/) next to the live one, and the migration commits by
+// atomically renaming a new MANIFEST over the old — the same
 // temp+fsync+rename discipline snapshots use — so a crash at any point
 // leaves the directory recoverable as exactly the old or exactly the new
 // generation, never a mix. Generation directories not named by the
 // current manifest are abandoned migrations; openers remove them.
 //
-// Generation 0 is special-cased for compatibility: its shard directories
-// live at the top level (the pre-reconfiguration layout), so directories
+// Generation 0 is special-cased for compatibility: its directories live
+// at the top level (the pre-reconfiguration layout), so directories
 // created before manifests carried generations open unchanged.
 
-// ManifestVersion is the current manifest schema version. Version 1
-// (pre-reconfiguration, implicitly generation 0) and version 2 (no
-// recorded configuration) are still accepted on load.
-const ManifestVersion = 3
+// ManifestVersion is the current manifest schema version. Versions 1
+// (pre-reconfiguration, implicitly generation 0), 2 (no recorded
+// configuration) and 3 (a WAL per shard, in its shard directory) are
+// still accepted on load; openers recover them and commit what they
+// recovered as the next generation, at this version.
+const ManifestVersion = 4
 
 // ManifestName is the manifest's file name within a data directory.
 const ManifestName = "MANIFEST"
@@ -70,12 +76,6 @@ type Manifest struct {
 	ExpectedRows int             `json:"expected_rows,omitempty"`
 }
 
-// ShardDir returns shard i's subdirectory within a generation-0 data
-// directory (the pre-reconfiguration layout).
-func ShardDir(dir string, i int) string {
-	return filepath.Join(dir, fmt.Sprintf("shard-%d", i))
-}
-
 // GenDir returns the layout directory of generation gen within dir: dir
 // itself for generation 0, gen-<gen> for later generations.
 func GenDir(dir string, gen uint64) string {
@@ -85,10 +85,14 @@ func GenDir(dir string, gen uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("gen-%d", gen))
 }
 
-// ShardDir returns shard i's directory under the manifest's current
-// generation within data directory dir.
+// ShardDir returns shard i's directory, and LogDir the log's, under the
+// manifest's generation within data directory dir.
 func (m *Manifest) ShardDir(dir string, i int) string {
 	return filepath.Join(GenDir(dir, m.Generation), fmt.Sprintf("shard-%d", i))
+}
+
+func (m *Manifest) LogDir(dir string) string {
+	return filepath.Join(GenDir(dir, m.Generation), "wal")
 }
 
 // WriteManifest atomically persists m into dir: temp file, fsync, rename,
@@ -104,31 +108,10 @@ func WriteManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, "manifest-*.tmp")
-	if err != nil {
+	return writeFileAtomic(dir, ManifestName, "manifest-*.tmp", func(w io.Writer) error {
+		_, err := w.Write(append(data, '\n'))
 		return err
-	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
-	}
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	if err := os.Rename(tmpName, filepath.Join(dir, ManifestName)); err != nil {
-		os.Remove(tmpName)
-		return err
-	}
-	return syncDir(dir)
+	})
 }
 
 // LoadManifest reads dir's manifest. It returns (nil, nil) when no
@@ -173,29 +156,15 @@ func RemoveStaleGenerations(dir string, m *Manifest) error {
 	}
 	var firstErr error
 	for _, e := range ents {
-		if !e.IsDir() {
-			continue
-		}
 		name := e.Name()
-		if !strings.HasPrefix(name, "gen-") {
-			continue
-		}
-		gen, err := strconv.ParseUint(name[len("gen-"):], 10, 64)
-		if err != nil || gen == m.Generation {
-			continue
-		}
-		if err := os.RemoveAll(filepath.Join(dir, name)); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	// Top-level shard dirs are generation 0's layout; once the current
-	// generation has moved past 0 they are stale the same way.
-	if m.Generation != 0 {
-		for _, e := range ents {
-			if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-				if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil && firstErr == nil {
-					firstErr = err
-				}
+		gen, err := strconv.ParseUint(strings.TrimPrefix(name, "gen-"), 10, 64)
+		stale := err == nil && strings.HasPrefix(name, "gen-") && gen != m.Generation
+		// Top-level shard and log dirs are generation 0's layout; once the
+		// current generation has moved past 0 they are stale the same way.
+		stale = stale || m.Generation != 0 && (strings.HasPrefix(name, "shard-") || name == "wal")
+		if e.IsDir() && stale {
+			if err := os.RemoveAll(filepath.Join(dir, name)); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}

@@ -6,9 +6,10 @@
 //
 // # On-disk layout
 //
-// A data directory holds at most two kinds of files:
+// Two kinds of files, each kind in its own directory (manifest.go lays
+// the directories out):
 //
-//	snap-<LSN>.snap   full engine state as of log sequence number <LSN>
+//	snap-<LSN>.snap   full state of one shard as of log sequence number <LSN>
 //	wal-<LSN>.wal     log records starting at sequence number <LSN>
 //
 // Every record — in both file kinds — is individually framed and

@@ -48,10 +48,10 @@ func TestWALRoundTrip(t *testing.T) {
 	if _, err := w.AppendDelete([]int64{8, 9}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := w.AppendFlush(3); err != nil {
+	if _, err := w.AppendFlush(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	lsn, err := w.AppendCompactCommit(4, []int64{0, 1}, []int64{7, 8}, []int64{9})
+	lsn, err := w.AppendCompactCommit(1, 4, []int64{0, 1}, []int64{7, 8}, []int64{9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,11 +82,11 @@ func TestWALRoundTrip(t *testing.T) {
 	if del := ops[1]; del.Type != RecDelete || len(del.IDs) != 2 || del.IDs[0] != 8 || del.IDs[1] != 9 {
 		t.Fatalf("bad delete op: %+v", ops[1])
 	}
-	if fl := ops[2]; fl.Type != RecFlush || fl.Seq != 3 {
+	if fl := ops[2]; fl.Type != RecFlush || fl.Shard != 2 || fl.Seq != 3 {
 		t.Fatalf("bad flush op: %+v", ops[2])
 	}
 	cc := ops[3]
-	if cc.Type != RecCompactCommit || cc.Seq != 4 ||
+	if cc.Type != RecCompactCommit || cc.Shard != 1 || cc.Seq != 4 ||
 		len(cc.Sources) != 2 || len(cc.LiveIDs) != 2 || len(cc.Dropped) != 1 {
 		t.Fatalf("bad compact-commit op: %+v", cc)
 	}
@@ -95,6 +95,31 @@ func TestWALRoundTrip(t *testing.T) {
 	tail := collectOps(t, dir, 2)
 	if len(tail) != 2 || tail[0].Type != RecFlush {
 		t.Fatalf("suffix replay got %d ops (first %v), want flush+compact", len(tail), tail[0].Type)
+	}
+}
+
+// TestWALVersion1Replays: a version-1 file — one shard's own log, whose
+// seal and compaction records name no shard — still replays, with every
+// record's Shard 0. testdata/wal-v1.wal is the fuzz seed log as the
+// version-1 writer wrote it.
+func TestWALVersion1Replays(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "wal-v1.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []WALOp
+	validEnd, next, err := ReplayBuffer("wal-v1.wal", data, 0, func(op *WALOp) error {
+		got = append(got, *op)
+		return nil
+	})
+	if err != nil || validEnd != int64(len(data)) || next != 6 || len(got) != 5 {
+		t.Fatalf("replayed %d records to LSN %d, valid to %d of %d bytes: %v", len(got), next, validEnd, len(data), err)
+	}
+	if fl := got[3]; fl.Type != RecFlush || fl.Shard != 0 || fl.Seq != 0 {
+		t.Fatalf("bad version-1 flush op: %+v", fl)
+	}
+	if cc := got[4]; cc.Type != RecCompactCommit || cc.Shard != 0 || cc.Seq != 1 || len(cc.Sources) != 1 || cc.LiveIDs[0] != 1 || cc.Dropped[0] != 0 {
+		t.Fatalf("bad version-1 compact-commit op: %+v", cc)
 	}
 }
 

@@ -26,14 +26,15 @@ const (
 	// RecDelete carries the ids passed to one Delete call, verbatim
 	// (deletes are idempotent, so replay re-applies them as issued).
 	RecDelete RecordType = 2
-	// RecFlush marks the sealing of the growing segment — whether from an
-	// explicit Flush or from reaching the seal threshold — and carries the
-	// sealed segment's sequence number (which derives its index build seed).
+	// RecFlush marks the sealing of a shard's growing segment — whether
+	// from an explicit Flush or from reaching the seal threshold — and
+	// carries the shard and the sealed segment's sequence number (which
+	// derives its index build seed).
 	RecFlush RecordType = 3
-	// RecCompactCommit records one committed compaction task: the source
-	// segment sequence numbers, the replacement segment's sequence number,
-	// the surviving row ids (in id order), and the tombstoned ids whose
-	// rows were physically dropped.
+	// RecCompactCommit records one committed compaction task: the shard,
+	// the source segment sequence numbers, the replacement segment's
+	// sequence number, the surviving row ids (in id order), and the
+	// tombstoned ids whose rows were physically dropped.
 	RecCompactCommit RecordType = 4
 	// RecInsertIDs carries inserted vectors whose ids are NOT contiguous —
 	// the shape a hash-routed shard sees when a collection-level insert
@@ -62,8 +63,8 @@ const (
 )
 
 // WALOp is one decoded WAL record, handed to the replay callback. Exactly
-// the fields of its Type are meaningful. Slices may alias the replay
-// buffer; callers must not retain them past the callback.
+// the fields of its Type are meaningful. The callback's *WALOp is reused
+// for the next record, but its slices are decoded fresh and may be kept.
 type WALOp struct {
 	LSN  uint64
 	Type RecordType
@@ -80,8 +81,10 @@ type WALOp struct {
 	// aligned with Vectors.
 	IDs []int64
 
-	// RecFlush and RecCompactCommit: the new segment's sequence number.
-	Seq int64
+	// RecFlush and RecCompactCommit: the shard (0 in a version-1 file) and
+	// the new segment's sequence number.
+	Shard int
+	Seq   int64
 
 	// RecCompactCommit only.
 	Sources []int64
@@ -153,13 +156,15 @@ func encodeDelete(dst []byte, lsn uint64, ids []int64) []byte {
 	return AppendInt64s(dst, ids)
 }
 
-func encodeFlush(dst []byte, lsn uint64, seq int64) []byte {
+func encodeFlush(dst []byte, lsn uint64, shard int, seq int64) []byte {
 	dst = beginBody(dst, lsn, RecFlush)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(shard))
 	return binary.LittleEndian.AppendUint64(dst, uint64(seq))
 }
 
-func encodeCompactCommit(dst []byte, lsn uint64, newSeq int64, sources, liveIDs, dropped []int64) []byte {
+func encodeCompactCommit(dst []byte, lsn uint64, shard int, newSeq int64, sources, liveIDs, dropped []int64) []byte {
 	dst = beginBody(dst, lsn, RecCompactCommit)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(shard))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(newSeq))
 	dst = AppendInt64s(dst, sources)
 	dst = AppendInt64s(dst, liveIDs)
@@ -326,8 +331,9 @@ func (p *PayloadReader) Done() error {
 	return p.err
 }
 
-// decodeWALOp decodes one WAL record body into op.
-func decodeWALOp(path string, base int64, body []byte, op *WALOp) error {
+// decodeWALOp decodes one WAL record body of a file of the given header
+// version into op.
+func decodeWALOp(path string, base int64, body []byte, version uint32, op *WALOp) error {
 	*op = WALOp{
 		LSN:  binary.LittleEndian.Uint64(body[0:8]),
 		Type: RecordType(body[8]),
@@ -346,10 +352,14 @@ func decodeWALOp(path string, base int64, body []byte, op *WALOp) error {
 		op.Vectors = p.Rect(op.Count, op.Dim)
 	case RecDelete:
 		op.IDs = p.Int64s()
-	case RecFlush:
+	case RecFlush, RecCompactCommit:
+		if version >= 2 {
+			op.Shard = int(p.U32())
+		}
 		op.Seq = p.I64()
-	case RecCompactCommit:
-		op.Seq = p.I64()
+		if op.Type == RecFlush {
+			break
+		}
 		op.Sources = p.Int64s()
 		op.LiveIDs = p.Int64s()
 		op.Dropped = p.Int64s()

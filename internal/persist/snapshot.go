@@ -353,39 +353,39 @@ func decodeStore(p *PayloadReader, dim int) (*linalg.Matrix, error) {
 	return m, nil
 }
 
-// WriteSnapshot atomically persists s into dir as snap-<CheckpointLSN>:
-// temp file (streamed record by record, so peak memory stays at one
-// segment), fsync, rename, directory fsync. A crash at any point leaves
-// either no new snapshot or a complete one.
+// WriteSnapshot atomically persists s into dir as snap-<CheckpointLSN>,
+// streamed record by record, so peak memory stays at one segment (see
+// writeFileAtomic). A crash at any point leaves either no new snapshot or
+// a complete one.
 func WriteSnapshot(dir string, s *Snapshot) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+	return writeFileAtomic(dir, snapFileName(s.CheckpointLSN), "snap-*.tmp", func(w io.Writer) error {
+		return encodeSnapshotTo(w, s)
+	})
+}
+
+// writeFileAtomic persists what write streams into dir/name: temp file
+// (named by tmpPattern), fsync, rename, directory fsync — so a crash at
+// any point leaves the previous file, or none, or the complete new one.
+func writeFileAtomic(dir, name, tmpPattern string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(dir, tmpPattern)
 	if err != nil {
 		return err
 	}
-	tmpName := tmp.Name()
 	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err := encodeSnapshotTo(bw, s); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if err = write(bw); err == nil {
+		err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return err
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(dir, name))
 	}
-	final := filepath.Join(dir, snapFileName(s.CheckpointLSN))
-	if err := os.Rename(tmpName, final); err != nil {
-		os.Remove(tmpName)
+	if err != nil {
+		os.Remove(tmp.Name())
 		return err
 	}
 	return syncDir(dir)

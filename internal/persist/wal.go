@@ -68,10 +68,12 @@ func (o Options) groupCommit() int {
 	return o.GroupCommit
 }
 
-// WAL file header: magic, version, first LSN of the file, header CRC.
+// WAL file header: magic, version, first LSN of the file, header CRC. In
+// a version-2 file (a log shared by shards) RecFlush and RecCompactCommit
+// name their shard; version-1 files (a shard's own) still replay.
 const (
 	walMagic     = "VDMSWAL1"
-	walVersion   = 1
+	walVersion   = 2
 	walHeaderLen = len(walMagic) + 4 + 8 + 4
 )
 
@@ -83,20 +85,18 @@ func encodeWALHeader(startLSN uint64) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, castagnoli))
 }
 
-// parseWALHeader returns the file's first LSN, or ok=false when the
-// header is missing, torn, or checksummed wrong.
-func parseWALHeader(data []byte) (startLSN uint64, ok bool) {
+// parseWALHeader returns the file's first LSN and version, or ok=false
+// when the header is missing, torn, or checksummed wrong.
+func parseWALHeader(data []byte) (startLSN uint64, version uint32, ok bool) {
 	if len(data) < walHeaderLen || string(data[:len(walMagic)]) != walMagic {
-		return 0, false
+		return 0, 0, false
 	}
-	if binary.LittleEndian.Uint32(data[len(walMagic):]) != walVersion {
-		return 0, false
-	}
+	version = binary.LittleEndian.Uint32(data[len(walMagic):])
 	crcOff := walHeaderLen - 4
-	if crc32.Checksum(data[:crcOff], castagnoli) != binary.LittleEndian.Uint32(data[crcOff:]) {
-		return 0, false
+	if version < 1 || version > walVersion || crc32.Checksum(data[:crcOff], castagnoli) != binary.LittleEndian.Uint32(data[crcOff:]) {
+		return 0, 0, false
 	}
-	return binary.LittleEndian.Uint64(data[len(walMagic)+4:]), true
+	return binary.LittleEndian.Uint64(data[len(walMagic)+4:]), version, true
 }
 
 func walFileName(startLSN uint64) string { return fmt.Sprintf("wal-%016x.wal", startLSN) }
@@ -294,17 +294,17 @@ func (w *WAL) AppendDelete(ids []int64) (uint64, error) {
 	})
 }
 
-// AppendFlush logs the sealing of the growing segment as sequence seq.
-func (w *WAL) AppendFlush(seq int64) (uint64, error) {
+// AppendFlush logs shard's sealing of its growing segment as sequence seq.
+func (w *WAL) AppendFlush(shard int, seq int64) (uint64, error) {
 	return w.append(func(dst []byte, lsn uint64) []byte {
-		return encodeFlush(dst, lsn, seq)
+		return encodeFlush(dst, lsn, shard, seq)
 	})
 }
 
-// AppendCompactCommit logs one committed compaction task.
-func (w *WAL) AppendCompactCommit(newSeq int64, sources, liveIDs, dropped []int64) (uint64, error) {
+// AppendCompactCommit logs one compaction task shard committed.
+func (w *WAL) AppendCompactCommit(shard int, newSeq int64, sources, liveIDs, dropped []int64) (uint64, error) {
 	return w.append(func(dst []byte, lsn uint64) []byte {
-		return encodeCompactCommit(dst, lsn, newSeq, sources, liveIDs, dropped)
+		return encodeCompactCommit(dst, lsn, shard, newSeq, sources, liveIDs, dropped)
 	})
 }
 
@@ -396,10 +396,8 @@ func (w *WAL) syncTo(lsn uint64) error {
 }
 
 // Rotate flushes and fsyncs the current file and starts a new one whose
-// first record will be the next append. The checkpoint path calls it
-// under the engine lock so that the snapshot boundary and the file
-// boundary agree; RemoveObsolete later deletes the files a successful
-// snapshot made redundant.
+// first record will be the next append, so RemoveObsolete can later
+// delete the files the snapshots made redundant.
 func (w *WAL) Rotate() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -516,32 +514,40 @@ func (w *WAL) Crash() {
 // payloads with a valid checksum) return a *CorruptError. fn errors abort
 // the walk.
 func ReplayBuffer(path string, data []byte, after uint64, fn func(*WALOp) error) (validEnd int64, nextLSN uint64, err error) {
-	startLSN, ok := parseWALHeader(data)
+	return walkWAL(path, data, after+1, func(op *WALOp, _, _ int64) error {
+		if op.LSN > after && fn != nil {
+			return fn(op)
+		}
+		return nil
+	})
+}
+
+// walkWAL hands fn every record of a WAL file image in order, with its
+// frame's byte range, as ReplayBuffer documents. A missing or torn header
+// — an empty file created right before a crash — holds nothing: the log
+// continues at empty.
+func walkWAL(path string, data []byte, empty uint64, fn func(op *WALOp, off, end int64) error) (validEnd int64, nextLSN uint64, err error) {
+	nextLSN, version, ok := parseWALHeader(data)
 	if !ok {
-		// Missing or torn header: an empty file created right before the
-		// crash. Nothing valid, nothing corrupt.
-		return 0, after + 1, nil
+		return 0, empty, nil
 	}
 	r := reader{path: path, data: data, off: walHeaderLen}
-	expect := startLSN
 	var op WALOp
 	for {
 		base := int64(r.off)
 		body, ok := r.next()
 		if !ok {
-			return base, expect, nil
+			return base, nextLSN, nil
 		}
-		if err := decodeWALOp(path, base, body, &op); err != nil {
-			return base, expect, err
+		if err := decodeWALOp(path, base, body, version, &op); err != nil {
+			return base, nextLSN, err
 		}
-		if op.LSN != expect {
-			return base, expect, corruptf(path, base, "record LSN %d, want %d", op.LSN, expect)
+		if op.LSN != nextLSN {
+			return base, nextLSN, corruptf(path, base, "record LSN %d, want %d", op.LSN, nextLSN)
 		}
-		expect++
-		if op.LSN > after && fn != nil {
-			if err := fn(&op); err != nil {
-				return base, expect, err
-			}
+		nextLSN++
+		if err := fn(&op, base, int64(r.off)); err != nil {
+			return base, nextLSN, err
 		}
 	}
 }
@@ -579,23 +585,12 @@ func ScanWALFile(path string) ([]RecordInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := parseWALHeader(data); !ok {
-		return nil, nil
-	}
 	var out []RecordInfo
-	r := reader{path: path, data: data, off: walHeaderLen}
-	var op WALOp
-	for {
-		base := int64(r.off)
-		body, ok := r.next()
-		if !ok {
-			return out, nil
-		}
-		if err := decodeWALOp(path, base, body, &op); err != nil {
-			return out, err
-		}
-		out = append(out, RecordInfo{LSN: op.LSN, Type: op.Type, Offset: base, End: int64(r.off)})
-	}
+	_, _, err = walkWAL(path, data, 0, func(op *WALOp, off, end int64) error {
+		out = append(out, RecordInfo{LSN: op.LSN, Type: op.Type, Offset: off, End: end})
+		return nil
+	})
+	return out, err
 }
 
 // ReplayWAL replays every record with LSN > after from the directory's

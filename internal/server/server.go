@@ -26,9 +26,10 @@
 // works in the connection's read buffer (jsonwire.go), with the bytes on
 // the wire exactly json.Encoder's: encoding/json stays the reference,
 // decoding whatever is not in the canonical shape. A result JSON cannot
-// spell (a distance that overflowed to +Inf) is answered with an error
-// naming the op and the value, and the connection stays up; the binary
-// protocol carries the value as is.
+// spell (a distance that overflowed to +Inf, which the engine's norm
+// bound no longer lets a collection produce, at insert or at recovery)
+// would be answered with an error naming the op and the value, the
+// connection staying up; the binary protocol carries the value as is.
 //
 // Both protocols are hardened against misbehaving peers: a single request
 // may not exceed Options.MaxRequestBytes on the wire (an oversized
@@ -53,12 +54,12 @@
 // segment lifecycle. The "compact" op runs segment compaction to
 // quiescence on every shard (deletes trigger it in the background anyway;
 // the explicit op exists for operational control). The "persist" op
-// checkpoints a durable collection — per-shard snapshots to disk,
-// per-shard WALs truncated — and is a no-op on a memory-only one; the
-// "stats" reply reports the aggregate durability position (WALBytes,
-// LastCheckpointLSN, WALLastLSN) plus a per-shard breakdown (Shards:
-// rows, segment states, tombstones, WAL position of every shard, in
-// shard order).
+// checkpoints a durable collection — per-shard snapshots to disk, the
+// collection's one WAL truncated — and is a no-op on a memory-only one;
+// the "stats" reply reports the durability position (WALBytes and
+// WALLastLSN of the log, LastCheckpointLSN of the oldest shard snapshot)
+// plus a per-shard breakdown (Shards: rows, segment states, tombstones,
+// the snapshot LSN of every shard, in shard order).
 //
 // Connections are handled on one goroutine each (plus at most 64
 // request workers per pipelined binary connection), and the underlying
@@ -382,6 +383,8 @@ func (s *Server) handleJSON(conn net.Conn, cr *connReader, br *bufio.Reader) {
 			// A result JSON cannot spell, such as a distance that
 			// overflowed to +Inf: answer this request with the reason and
 			// keep the connection. (The binary codec carries it as is.)
+			// A guard: the engine's norm bound keeps every distance it
+			// answers finite (DESIGN.md "Finite in, finite out").
 			out, _ = appendResponseJSON(out[:0], &Response{Error: fmt.Sprintf(
 				"%s: the result cannot be sent as JSON: %v", req.Op, err)})
 		}

@@ -271,20 +271,29 @@ func TestBinaryJSONParity(t *testing.T) {
 	}
 }
 
-// TestNonFiniteResultAnsweredOverJSON: a result JSON cannot spell — here
-// a squared L2 distance between finite rows that overflows to +Inf — is
-// answered with an error naming the op and the value, and the same
-// connection goes on serving. The binary codec carries the +Inf as is.
-// The collection refuses such a row at Insert; it reaches a search from
-// a data directory logged before that bound, which recovery replays as
-// it was written.
+// TestNonFiniteResultAnsweredOverJSON: the engine answers no result JSON
+// cannot spell. Insert refuses a row whose squared L2 distance to another
+// finite row could overflow to +Inf, and recovery refuses a data
+// directory that logged one before that bound — naming the shard, the
+// record's LSN and the id — instead of serving +Inf. The JSON encoder's
+// guard stays for a result the engine does not produce: a +Inf distance
+// is an error naming the value, which the server answers in place of the
+// result.
 func TestNonFiniteResultAnsweredOverJSON(t *testing.T) {
+	inf := []Neighbor{{ID: 0, Dist: float32(math.Inf(1))}}
+	for _, resp := range []*Response{{OK: true, Neighbors: inf}, {OK: true, Batches: [][]Neighbor{inf}}} {
+		if _, err := appendResponseJSON(nil, resp); err == nil || !strings.Contains(err.Error(), "+Inf") {
+			t.Fatalf("JSON encoder on a +Inf distance: %v", err)
+		}
+	}
+
 	dir := t.TempDir()
 	row := []float32{3e19, 3e19, 3e19, 3e19}
-	if err := persist.WriteManifest(dir, &persist.Manifest{Shards: 1, Dim: 4, Metric: linalg.L2}); err != nil {
+	man := &persist.Manifest{Shards: 1, Dim: 4, Metric: linalg.L2}
+	if err := persist.WriteManifest(dir, man); err != nil {
 		t.Fatal(err)
 	}
-	w, err := persist.OpenWAL(persist.Options{Dir: persist.ShardDir(dir, 0), Policy: persist.SyncAlways}, 1)
+	w, err := persist.OpenWAL(persist.Options{Dir: man.LogDir(dir), Policy: persist.SyncAlways}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,43 +305,26 @@ func TestNonFiniteResultAnsweredOverJSON(t *testing.T) {
 	}
 	cfg := vdms.DefaultConfig()
 	cfg.IndexType = index.Flat
-	coll, err := vdms.OpenDurable(dir, cfg, linalg.L2, 4, 1000)
-	if err != nil {
-		t.Fatal(err)
+	if coll, err := vdms.OpenDurable(dir, cfg, linalg.L2, 4, 1000); err == nil {
+		coll.Crash()
+		t.Fatal("recovery served a logged row over the L2 norm bound")
+	} else if msg := err.Error(); !strings.Contains(msg, "shard 0") || !strings.Contains(msg, "LSN 1") ||
+		!strings.Contains(msg, "id 0") || !strings.Contains(msg, "squared norm") {
+		t.Fatalf("recovery refused the row without naming where it is: %v", err)
 	}
-	srv, err := New(coll, "127.0.0.1:0")
-	if err != nil {
-		coll.Close()
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		srv.Close()
-		coll.Close()
-	})
-	jcl := dialJSON(t, srv)
-	if _, err := jcl.Insert([][]float32{row}); err == nil || !strings.Contains(err.Error(), "squared norm") {
+
+	srv, _ := startServer(t) // an 8-d L2 collection
+	row = append(row, row...)
+	if _, err := dialJSON(t, srv).Insert([][]float32{row}); err == nil || !strings.Contains(err.Error(), "squared norm") {
 		t.Fatalf("JSON insert of an overflowing row: %v", err)
-	}
-	q := []float32{0, 0, 0, 0} // within the bound; its distance to row is not
-	if _, err := jcl.Search(q, 1); err == nil || !strings.HasPrefix(err.Error(), "search:") || !strings.Contains(err.Error(), "+Inf") {
-		t.Fatalf("JSON search of an overflowing distance: %v", err)
-	}
-	if _, err := jcl.SearchBatch([][]float32{q}, 1); err == nil || !strings.HasPrefix(err.Error(), "searchBatch:") || !strings.Contains(err.Error(), "+Inf") {
-		t.Fatalf("JSON searchBatch of an overflowing distance: %v", err)
-	}
-	if err := jcl.Ping(); err != nil {
-		t.Fatalf("connection dropped after an unencodable result: %v", err)
-	}
-	res, err := dialBin(t, srv).Search(q, 1)
-	if err != nil || len(res) != 1 || !math.IsInf(float64(res[0].Dist), 1) {
-		t.Fatalf("binary search = %+v, %v; want one hit at +Inf", res, err)
 	}
 }
 
 // TestBoundedVectorsAnswerFinite: rows and queries whose squared norm is
 // just under the collection's L2/IP bound (math.MaxFloat32/8) — pointing
-// every way, antipodes included — are accepted, and every distance FLAT,
-// IVF_FLAT and HNSW answer to them is finite on both codecs.
+// every way, antipodes included — are accepted, and every distance each
+// of the seven index types answers to them, under L2, IP and Angular, is
+// finite on both codecs.
 func TestBoundedVectorsAnswerFinite(t *testing.T) {
 	const dim, n = 4, 120
 	scale := float32(math.Sqrt(math.MaxFloat32/8) * 0.999)
@@ -352,12 +344,12 @@ func TestBoundedVectorsAnswerFinite(t *testing.T) {
 		}
 		rows = append(rows, v, neg)
 	}
-	for _, typ := range []index.Type{index.Flat, index.IVFFlat, index.HNSW} {
-		for _, m := range []linalg.Metric{linalg.L2, linalg.InnerProduct} {
+	for _, typ := range index.AllTypes() {
+		for _, m := range []linalg.Metric{linalg.L2, linalg.InnerProduct, linalg.Angular} {
 			cfg := vdms.DefaultConfig()
 			cfg.IndexType = typ
-			cfg.Build = index.BuildParams{NList: 8, HNSWM: 8, EfConstruction: 40}
-			cfg.Search = index.SearchParams{NProbe: 8, Ef: 64}
+			cfg.Build = index.BuildParams{NList: 8, M: 2, NBits: 4, HNSWM: 8, EfConstruction: 40}
+			cfg.Search = index.SearchParams{NProbe: 8, Ef: 64, ReorderK: 30}
 			coll, err := vdms.NewCollection(cfg, m, dim, n)
 			if err != nil {
 				t.Fatal(err)
@@ -461,7 +453,7 @@ func TestZeroValuesSurviveBothCodecs(t *testing.T) {
 
 // statsReplyGolden is the stats reply of TestStatsReplyBytes's collection
 // as the JSON wire carries it.
-const statsReplyGolden = `{"ok":true,"stats":{"Rows":152,"Sealed":4,"Sealing":0,"GrowingRows":9,"MemoryBytes":5376,"Tombstones":7,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":6804,"LastCheckpointLSN":4,"WALLastLSN":6,"ConfigGeneration":0,"IndexType":0,"ShardCount":2,"MigrationInProgress":false,"Shards":[{"Rows":77,"Sealed":2,"Sealing":0,"GrowingRows":6,"MemoryBytes":2784,"Tombstones":4,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":3466,"LastCheckpointLSN":4,"WALLastLSN":6},{"Rows":75,"Sealed":2,"Sealing":0,"GrowingRows":3,"MemoryBytes":2592,"Tombstones":3,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"WALBytes":3338,"LastCheckpointLSN":4,"WALLastLSN":6}]},"deleted":0,"generation":0}`
+const statsReplyGolden = `{"ok":true,"stats":{"Rows":152,"Sealed":4,"Sealing":0,"GrowingRows":9,"MemoryBytes":5376,"Tombstones":7,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"LastCheckpointLSN":8,"WALBytes":6796,"WALLastLSN":12,"ConfigGeneration":0,"IndexType":0,"ShardCount":2,"MigrationInProgress":false,"Shards":[{"Rows":77,"Sealed":2,"Sealing":0,"GrowingRows":6,"MemoryBytes":2784,"Tombstones":4,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"LastCheckpointLSN":8},{"Rows":75,"Sealed":2,"Sealing":0,"GrowingRows":3,"MemoryBytes":2592,"Tombstones":3,"CompactionPasses":0,"CompactedSegments":0,"ReclaimedRows":0,"LastCheckpointLSN":8}]},"deleted":0,"generation":0}`
 
 // TestStatsReplyBytes pins the stats reply byte for byte: as the server
 // writes it on the JSON wire and as encoding/json, the codec's reference,

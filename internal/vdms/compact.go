@@ -217,7 +217,7 @@ func (s *shard) compactPass() {
 				for j, seg := range t.sources {
 					srcSeqs[j] = seg.seq
 				}
-				if _, err := s.wal.AppendCompactCommit(seqs[i], srcSeqs, inputs[i].ids, inputs[i].dropped); err != nil {
+				if _, err := s.wal.AppendCompactCommit(s.slot, seqs[i], srcSeqs, inputs[i].ids, inputs[i].dropped); err != nil {
 					err := fmt.Errorf("vdms: logging compaction commit: %w", err)
 					s.buildErrOnce.Do(func() { s.buildErr = err })
 				}
@@ -263,11 +263,12 @@ func (s *shard) compactPass() {
 			}
 			if autoCkpt {
 				// Checkpoint after every committed pass: the snapshot
-				// absorbs the rewritten segments and this shard's WAL
-				// truncates to the churn since. A checkpoint failure
-				// costs only log length — the commit records are in the
-				// WAL, and the next checkpoint (or Close's) retries — so
-				// it is deliberately not fatal here.
+				// absorbs the rewritten segments, and the log truncates
+				// to the churn since once every shard's snapshot covers
+				// it. A checkpoint failure costs only log length — the
+				// commit records are in the WAL, and the next checkpoint
+				// (or Close's) retries — so it is deliberately not fatal
+				// here.
 				_ = s.checkpoint()
 			}
 		}

@@ -17,10 +17,10 @@ import "fmt"
 // (idempotent, as in Milvus). It returns the number of ids newly deleted,
 // and may trigger background compaction passes. The batch is partitioned
 // across shards by the same id hash that routed the inserts, so each id
-// reaches exactly the shard that stores it; shards log, apply, and fsync
+// reaches exactly the shard that stores it; shards log and apply
 // independently. On a durable collection the requested ids are WAL-logged
 // as issued (idempotence makes replaying them exact) and the
-// acknowledgement honors the fsync policy.
+// acknowledgement commits the log once, under the fsync policy.
 func (c *Collection) Delete(ids []int64) (int, error) {
 	c.router.RLock()
 	defer c.router.RUnlock()
@@ -36,13 +36,13 @@ func (c *Collection) Delete(ids []int64) (int, error) {
 	if c.delta != nil {
 		applied = make([][]int64, len(c.shards))
 	}
-	err := c.route(ids, nil, 0, func(si int, ids []int64, _ [][]float32) (err error) {
+	err := c.route(ids, nil, 0, func(si int, ids []int64, _ [][]float32) (lsn uint64, err error) {
 		var captured *[]int64
 		if applied != nil {
 			captured = &applied[si]
 		}
-		counts[si], err = c.shards[si].delete(ids, captured)
-		return err
+		counts[si], lsn, err = c.shards[si].delete(ids, captured)
+		return lsn, err
 	})
 	total := 0
 	for si, n := range counts {
@@ -54,31 +54,22 @@ func (c *Collection) Delete(ids []int64) (int, error) {
 	return total, err
 }
 
-// delete applies one routed batch of deletions to this shard: WAL-log,
-// tombstone/prune, maybe trigger compaction, commit.
-func (s *shard) delete(ids []int64, captured *[]int64) (int, error) {
+// delete applies one routed, non-empty batch of deletions to this shard:
+// WAL-log, tombstone/prune, maybe trigger compaction. It returns the
+// number newly deleted and its record's LSN, for the caller to commit.
+func (s *shard) delete(ids []int64, captured *[]int64) (added int, lsn uint64, err error) {
 	s.mu.Lock()
-	if s.wal != nil && len(ids) > 0 {
-		if _, err := s.wal.AppendDelete(ids); err != nil {
-			s.mu.Unlock()
-			return 0, fmt.Errorf("vdms: logging delete: %w", err)
+	defer s.mu.Unlock()
+	if s.wal != nil {
+		if lsn, err = s.wal.AppendDelete(ids); err != nil {
+			return 0, 0, fmt.Errorf("vdms: logging delete: %w", err)
 		}
 	}
-	added := s.deleteLocked(ids, captured)
+	added = s.deleteLocked(ids, captured)
 	if added > 0 {
 		s.maybeCompactLocked()
 	}
-	var lsn uint64
-	if s.wal != nil {
-		lsn = s.wal.LastLSN()
-	}
-	s.mu.Unlock()
-	if s.wal != nil && len(ids) > 0 {
-		if err := s.wal.Commit(lsn); err != nil {
-			return added, fmt.Errorf("vdms: committing delete: %w", err)
-		}
-	}
-	return added, nil
+	return added, lsn, nil
 }
 
 // deleteLocked applies one batch of deletions and returns how many ids

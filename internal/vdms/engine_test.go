@@ -207,20 +207,6 @@ func TestPartitionMatchesShardFor(t *testing.T) {
 						}
 					}
 				}
-				touched, errs := p.touched(shards / 2)
-				if len(errs) != len(touched) {
-					t.Fatalf("%d touched shards, %d error slots", len(touched), len(errs))
-				}
-				seen := 0
-				for _, s := range touched {
-					if len(p.ids[s]) == 0 {
-						t.Fatalf("S=%d: empty shard %d listed as touched", shards, s)
-					}
-					seen += len(p.ids[s])
-				}
-				if seen != n {
-					t.Fatalf("S=%d: touched shards hold %d of %d rows", shards, seen, n)
-				}
 				if !raceEnabled {
 					if a := testing.AllocsPerRun(20, func() { p.split(ids, in, shards) }); a != 0 {
 						t.Fatalf("S=%d n=%d: a warmed partition allocates %.0f times per split", shards, n, a)

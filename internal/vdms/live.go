@@ -18,9 +18,9 @@ import (
 // vector DBMS scales writes by sharding a collection across channels.
 // Each shard (see shard.go) is the full single-lock engine — growing
 // arena, sealed segments (index pending, then indexed), tombstones,
-// compactor, and (when durable) a private snapshot+WAL pair — so inserts,
-// fsyncs, index builds, and compaction passes on different shards never
-// contend on a lock.
+// compactor, and (when durable) its snapshots — so inserts, index builds,
+// and compaction passes on different shards never contend on a lock. All
+// of them append to one write-ahead log (see persist.go).
 //
 // Routing and determinism:
 //
@@ -143,6 +143,7 @@ func newShardSet(g *configGen, metric linalg.Metric, dim, expectedRows int) []*s
 	shards := make([]*shard, n)
 	for i := range shards {
 		shards[i] = newShard(g, metric, dim, sealRows)
+		shards[i].slot = i
 	}
 	return shards
 }
@@ -188,23 +189,22 @@ func firstError(errs []error) error {
 
 // Insert appends vectors and returns their assigned ids. Vectors are
 // copied; the caller may reuse the slices. Growing data is searchable
-// immediately. A batch containing a vector checkVector refuses (wrong
+// immediately. A batch containing a vector vectorFault rejects (wrong
 // dimension, a NaN or ±Inf component, an L2/IP squared norm over
-// maxSquaredNorm) is rejected whole, before any row is applied or
-// logged. Ids are assigned from the
-// collection-wide counter and the batch is partitioned across shards by
-// id hash; each shard applies, WAL-logs, and fsyncs its sub-batch under
-// its own lock, so concurrent Insert calls proceed in parallel on
-// different shards. Shards are visited in an order rotated by the batch's
-// first id, which staggers concurrent callers across the shard array
-// instead of convoying them all onto shard 0. On a durable collection the
-// acknowledgement waits for every touched shard's configured fsync
-// policy, so a returned id is exactly as crash-proof as that policy
-// promises.
+// maxSquaredNorm) is rejected whole, before any row is applied or logged.
+// Ids are assigned from the collection-wide counter and the batch is
+// partitioned across shards by id hash; each shard applies and WAL-logs
+// its sub-batch under its own lock, so concurrent Insert calls proceed in
+// parallel on different shards. Shards are visited in an order rotated by the batch's first id,
+// which staggers concurrent callers across the shard array instead of
+// convoying them all onto shard 0. On a durable collection the
+// acknowledgement commits the log once, at the highest LSN the batch
+// reached, under the configured fsync policy, so a returned id is exactly
+// as crash-proof as that policy promises.
 func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	for i, v := range vecs {
-		if err := c.checkVector("vector", i, v); err != nil {
-			return nil, err
+		if f := vectorFault(c.metric, c.dim, v); f != "" {
+			return nil, fmt.Errorf("vdms: vector %d %s", i, f)
 		}
 	}
 	c.router.RLock()
@@ -218,7 +218,7 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 	for i := range ids {
 		ids[i] = base + int64(i)
 	}
-	err := c.route(ids, vecs, int(uint64(base)%uint64(len(c.shards))), func(si int, ids []int64, vecs [][]float32) error {
+	err := c.route(ids, vecs, int(uint64(base)%uint64(len(c.shards))), func(si int, ids []int64, vecs [][]float32) (uint64, error) {
 		return c.shards[si].insert(ids, vecs)
 	})
 	if err != nil {
@@ -235,13 +235,14 @@ func (c *Collection) Insert(vecs [][]float32) ([]int64, error) {
 // |⟨a,b⟩| ≤ ‖a‖‖b‖ (DESIGN.md "Finite in, finite out").
 const maxSquaredNorm = math.MaxFloat32 / 8
 
-// checkVector refuses a vector of the wrong dimension, one with a NaN or
-// ±Inf component (every distance to it is NaN, which orders
-// unpredictably), or, under L2 and IP, one whose squared norm, summed in
-// float64, exceeds maxSquaredNorm (its distances could reach ±Inf).
-func (c *Collection) checkVector(what string, i int, v []float32) error {
-	if len(v) != c.dim {
-		return fmt.Errorf("vdms: %s %d has dim %d, want %d", what, i, len(v), c.dim)
+// vectorFault says why Insert, SearchBatch and recovery refuse v, or
+// returns "": a wrong dimension, a NaN or ±Inf component (every distance
+// to it is NaN, which orders unpredictably), or, under L2 and IP, a
+// squared norm, summed in float64, over maxSquaredNorm (its distances
+// could reach ±Inf).
+func vectorFault(m linalg.Metric, dim int, v []float32) string {
+	if len(v) != dim {
+		return fmt.Sprintf("has dim %d, want %d", len(v), dim)
 	}
 	var sq float64 // no float32 square overflows it: only a NaN or ±Inf component makes it non-finite
 	for _, x := range v {
@@ -249,50 +250,52 @@ func (c *Collection) checkVector(what string, i int, v []float32) error {
 	}
 	if math.IsNaN(sq) || math.IsInf(sq, 0) {
 		j := slices.IndexFunc(v, func(x float32) bool { return math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) })
-		return fmt.Errorf("vdms: %s %d component %d is %v", what, i, j, v[j])
+		return fmt.Sprintf("component %d is %v", j, v[j])
 	}
-	if sq > maxSquaredNorm && c.metric != linalg.Angular {
-		return fmt.Errorf("vdms: %s %d has squared norm %g, above the %v bound %g", what, i, sq, c.metric, float64(maxSquaredNorm))
+	if sq > maxSquaredNorm && m != linalg.Angular {
+		return fmt.Sprintf("has squared norm %g, above the %v bound %g", sq, m, float64(maxSquaredNorm))
 	}
-	return nil
+	return ""
 }
 
 // route is the one path of a routed write: the batch is split by owning
 // shard (partition) and apply runs on every shard that received rows,
-// visited from shard `start` round the set. Every touched shard is applied
-// even if an earlier one fails — the faithful generalization of the
-// single-lock engine's failure mode (rows applied in memory, the
-// durability failure surfaced instead of an acknowledgement). On a durable
-// collection the sub-batches dispatch in parallel: each shard's WAL commit
-// fsyncs a different file, so one acknowledgement costs one fsync of wall
-// time, not shard-count of them; memory-only writes are a short arena copy
-// per shard and stay on the calling goroutine. Shards copy what they keep,
-// so the pooled partition goes back when route returns. Callers hold the
-// router read lock.
-func (c *Collection) route(ids []int64, vecs [][]float32, start int, apply func(si int, ids []int64, vecs [][]float32) error) error {
+// visited from shard `start` round the set, returning the log head its
+// records reach (0 when memory-only), even if an earlier one failed (rows
+// applied in memory, the durability failure surfaced instead of an
+// acknowledgement). The log then commits once, at the highest head, for
+// the whole write. Callers hold the router read lock.
+func (c *Collection) route(ids []int64, vecs [][]float32, start int, apply func(si int, ids []int64, vecs [][]float32) (uint64, error)) error {
 	p := c.getPartition()
 	defer c.putPartition(p)
 	p.split(ids, vecs, len(c.shards))
-	touched, errs := p.touched(start)
-	run := func(i int) {
-		si := touched[i]
-		errs[i] = apply(si, p.ids[si], p.vecs[si])
-	}
-	if c.dataDir != "" && len(touched) > 1 {
-		parallel.Parallel(len(touched), len(touched), run)
-	} else {
-		for i := range touched {
-			run(i)
+	var lsn uint64
+	var first error
+	for o := range p.ids {
+		si := (start + o) % len(p.ids)
+		if len(p.ids[si]) == 0 {
+			continue
+		}
+		l, err := apply(si, p.ids[si], p.vecs[si])
+		lsn = max(lsn, l)
+		if first == nil {
+			first = err
 		}
 	}
-	return firstError(errs)
+	if first != nil || lsn == 0 {
+		return first
+	}
+	if err := c.shards[0].wal.Commit(lsn); err != nil {
+		return fmt.Errorf("vdms: committing write: %w", err)
+	}
+	return nil
 }
 
 // Flush seals every shard's growing segment (even if partial) and blocks
 // until every pending index build and compaction pass completes. On a
-// durable collection it also forces each shard's WAL to disk regardless
-// of fsync policy, so everything inserted before Flush survives a crash.
-// It returns the first background error, if any.
+// durable collection it also forces the log to disk regardless of fsync
+// policy, so everything inserted before Flush survives a crash. It
+// returns the first background error, if any.
 func (c *Collection) Flush() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
@@ -307,12 +310,8 @@ func (c *Collection) Flush() error {
 		s.mu.Unlock()
 	}
 	var syncErr error
-	for _, s := range c.shards {
-		if s.wal != nil {
-			if err := s.wal.Sync(); err != nil && syncErr == nil {
-				syncErr = err
-			}
-		}
+	if l := c.shards[0].wal; l != nil {
+		syncErr = l.Sync()
 	}
 	for _, s := range c.shards {
 		s.builds.Wait()
@@ -416,15 +415,15 @@ func (c *Collection) queryTileSize() int {
 // shard's segment lifecycle even while concurrent Insert/Delete/Flush
 // calls are queued. Per-probe work is accumulated into private per-cell
 // Stats and merged into st in cell order (exact, since the counts are
-// integers). A query checkVector refuses fails the whole batch before
+// integers). A query vectorFault rejects fails the whole batch before
 // any probe runs.
 func (c *Collection) SearchBatch(queries [][]float32, k int, st *index.Stats) ([][]linalg.Neighbor, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vdms: k must be >= 1, got %d", k)
 	}
 	for i, q := range queries {
-		if err := c.checkVector("query", i, q); err != nil {
-			return nil, err
+		if f := vectorFault(c.metric, c.dim, q); f != "" {
+			return nil, fmt.Errorf("vdms: query %d %s", i, f)
 		}
 	}
 	m := c.metric
@@ -526,21 +525,16 @@ type ShardStats struct {
 	CompactionPasses  int64
 	CompactedSegments int64
 	ReclaimedRows     int64
-	// WALBytes is the write-ahead log's current byte footprint — what a
-	// recovery would replay on top of the newest snapshot. Checkpoints
-	// drive it back down. Zero on memory-only collections.
-	WALBytes int64
-	// LastCheckpointLSN is the log sequence number the newest durable
-	// snapshot covers; records beyond it live only in the WAL. Zero on
-	// memory-only collections or before the first checkpoint.
+	// LastCheckpointLSN is the log sequence number the shard's newest
+	// durable snapshot covers; its records beyond it live only in the
+	// WAL. In the aggregate, the oldest shard's: where recovery starts
+	// reading the log. Zero on memory-only collections or before the
+	// first checkpoint.
 	LastCheckpointLSN uint64
-	// WALLastLSN is the log head: the sequence number of the most
-	// recently appended record. Zero on memory-only collections.
-	WALLastLSN uint64
 }
 
-// add accumulates one shard's stats into an aggregate: sums, and the
-// maximum of the two LSNs (each shard's log is its own LSN stream).
+// add accumulates one shard's stats into an aggregate: sums (the
+// aggregate's LastCheckpointLSN is a minimum, which Stats takes).
 func (a *ShardStats) add(b ShardStats) {
 	a.Rows += b.Rows
 	a.Sealed += b.Sealed
@@ -551,16 +545,20 @@ func (a *ShardStats) add(b ShardStats) {
 	a.CompactionPasses += b.CompactionPasses
 	a.CompactedSegments += b.CompactedSegments
 	a.ReclaimedRows += b.ReclaimedRows
-	a.WALBytes += b.WALBytes
-	a.LastCheckpointLSN = max(a.LastCheckpointLSN, b.LastCheckpointLSN)
-	a.WALLastLSN = max(a.WALLastLSN, b.WALLastLSN)
 }
 
 // CollectionStats is a point-in-time snapshot of a live collection: the
-// embedded ShardStats aggregated over its shards (summed, the LSNs
-// maximized), and Shards the per-shard breakdown.
+// embedded ShardStats aggregated over its shards, the log's position, and
+// Shards the per-shard breakdown.
 type CollectionStats struct {
 	ShardStats
+	// WALBytes is the write-ahead log's current byte footprint — what a
+	// recovery would read back on top of the snapshots. Checkpoints drive
+	// it back down. Zero on memory-only collections.
+	WALBytes int64
+	// WALLastLSN is the log head: the sequence number of the most
+	// recently appended record. Zero on memory-only collections.
+	WALLastLSN uint64
 	// ConfigGeneration is the active config generation's sequence number:
 	// zero at creation, +1 per successful Reconfigure (hot swap or
 	// migration). Operators compare it against the generation a
@@ -595,9 +593,14 @@ func (c *Collection) Stats() CollectionStats {
 		MigrationInProgress: c.migrating.Load(),
 		Shards:              make([]ShardStats, len(c.shards)),
 	}
+	out.LastCheckpointLSN = math.MaxUint64
 	for i, s := range c.shards {
 		out.Shards[i] = s.statsLocked()
 		out.add(out.Shards[i])
+		out.LastCheckpointLSN = min(out.LastCheckpointLSN, out.Shards[i].LastCheckpointLSN)
+	}
+	if l := c.shards[0].wal; l != nil {
+		out.WALBytes, out.WALLastLSN = l.Size(), l.LastLSN()
 	}
 	return out
 }
@@ -606,22 +609,25 @@ func (c *Collection) Stats() CollectionStats {
 // pending builds and compactions are waited out, and each durable shard
 // takes a final checkpoint — WAL sync, full snapshot, log truncation — so
 // a graceful shutdown is lossless under every fsync policy, growing tails
-// included. Shards close in parallel (mirroring recovery), so shutdown
+// included; then the log closes. Shards close in parallel, so shutdown
 // wall time is the slowest shard's final checkpoint, not the sum. Close
 // is idempotent: a second Close (or a Close after Crash) skips the
-// checkpoints instead of failing against the already-closed WALs.
+// checkpoints instead of failing against the already-closed log.
 func (c *Collection) Close() error {
-	c.closed.Store(true)
+	already := c.closed.Swap(true)
 	// The write lock serializes Close against a migration's cutover: after
 	// it is held, either the cutover already swapped the shard set (and
 	// these are the new shards to close) or it will observe closed and
 	// abort, leaving the old shards for us.
 	c.router.Lock()
 	defer c.router.Unlock()
-	errs := make([]error, len(c.shards))
+	errs := make([]error, len(c.shards)+1)
 	parallel.Parallel(len(c.shards), len(c.shards), func(i int) {
 		errs[i] = c.shards[i].close()
 	})
+	if l := c.shards[0].wal; l != nil && !already {
+		errs[len(c.shards)] = l.Close()
+	}
 	return firstError(errs)
 }
 

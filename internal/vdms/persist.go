@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
+	"sync"
 
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
@@ -14,52 +16,43 @@ import (
 
 // Durable collections. A Collection opened through OpenDurable pairs the
 // in-memory engine with the persist subsystem's snapshot + write-ahead-log
-// split, sharded the way the production VDMS backends the paper tunes
-// persist Milvus-style segment storage per channel:
+// split, the way Milvus keeps one ordered log per collection beside its
+// segment storage:
 //
 //	dir/
 //	  MANIFEST          generation, shard count, dimension, metric, and the
 //	                    served configuration with its config generation
-//	  shard-0/          shard 0's snapshots + WAL (generation 0)
+//	  wal/              the collection's one WAL (generation 0)
+//	  shard-0/          shard 0's snapshots
 //	  shard-1/          ...
-//	  gen-<G>/shard-0/  the same, after the G-th migration (persist/manifest.go)
+//	  gen-<G>/          the same, after the G-th migration (persist/manifest.go)
 //
-// Each shard is an independent durability domain:
+// A config generation is one durability domain with one log. Every
+// mutation a shard applies (insert, delete, seal, compaction commit)
+// appends a record under the shard lock hold that applies it, so each
+// shard's records are in its serialization order; a write commits once,
+// under Config.WALFsyncPolicy, however many shards it spans (route); each
+// shard snapshots at the log head after every committed compaction pass
+// and at Close, and a log file goes once every shard's retained snapshot
+// covers it. The manifest is the one durable copy of the configuration,
+// so Reconfigure acknowledges only what a restart serves.
 //
-//   - every mutation routed to it (insert, delete, seal, compaction
-//     commit) appends a record to its WAL under the same lock hold that
-//     applies it, so each log's order is exactly its shard's
-//     serialization order;
-//   - acknowledgement durability follows Config.WALFsyncPolicy (never /
-//     batch / always, group-committed) — concurrent inserts to different
-//     shards fsync different files in parallel;
-//   - each shard's compactor checkpoints after every committed pass, and
-//     Close takes a final checkpoint per shard, so every log stays
-//     bounded by its shard's churn.
-//
-// The manifest is the one durable copy of the configuration, so
-// Reconfigure acknowledges only what a restart serves. Recovery
-// (OpenDurable on a non-empty directory) reads it, then recovers every shard in
-// parallel over the engine's worker pool: newest valid snapshot, WAL
-// suffix replay, torn-tail truncation — shards never wait on each other.
-// It is deterministic: segment indexes are rebuilt from raw rows with the
-// same sequence-derived seeds the pre-crash engine used (see
-// newSegmentIndex), so a recovered collection answers Search and
-// SearchBatch bit-identically to the engine that crashed. One counter is
-// approximate across recovery: CompactionPasses counts pass boundaries,
-// which the WAL does not record (each pass's work is fully covered by its
+// Recovery (recover) is deterministic: segment indexes are rebuilt from
+// raw rows with the same sequence-derived seeds the pre-crash engine used
+// (see newSegmentIndex), so a recovered collection answers bit-identically
+// to the engine that crashed. Only CompactionPasses is approximate: the
+// WAL does not record pass boundaries (each pass's work is covered by its
 // per-task commit records and usually by the snapshot the pass wrote).
 
 // OpenDurable opens (or creates) a durable collection backed by the data
 // directory dir. On a fresh directory it behaves like NewCollection plus
-// a manifest recording cfg and expectedRows, and per-shard logging. On a
-// directory with prior state it serves the configuration the manifest
-// records, at its config generation, and cfg and expectedRows go unused;
-// dim and metric must agree. Every shard is recovered (in parallel):
-// newest valid snapshot, then the WAL suffix, a torn trailing record
-// truncated. A manifest from before directories recorded their
-// configuration is adopted once at cfg (at its own shard count), checked
-// against the snapshots' index type and build parameters, and rewritten.
+// a manifest recording cfg and expectedRows, and logging. On a directory
+// with prior state it serves the configuration the manifest records, at
+// its config generation; dim and metric must agree, and every recovered
+// row must pass Insert's checks. A manifest without a configuration is
+// adopted at cfg (at its own shard count), checked against the snapshots.
+// A directory from before manifest version 4, with a log per shard, is
+// recovered through those logs and committed as the next generation.
 func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows int) (*Collection, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("vdms: OpenDurable requires a data directory")
@@ -99,47 +92,34 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 	}
 	c.dataDir = dir
 	if man == nil {
-		if man, err = c.writeManifest(c.gen.Load(), 0); err != nil {
+		man = c.manifest(c.gen.Load(), 0)
+		if err := persist.WriteManifest(dir, man); err != nil {
 			return nil, err
 		}
 	}
-	// Generation directories not named by the manifest are the debris of a
-	// migration that crashed before (or just after) its commit rename;
+	// Other generations' directories are a crashed migration's debris;
 	// clearing them is best-effort — they cost disk, never correctness.
 	_ = persist.RemoveStaleGenerations(dir, man)
-	c.diskGen = man.Generation
-	// Recover the shards in parallel: each replays only its own snapshot
-	// and log, so recovery wall time is the slowest shard, not the sum.
-	errs := make([]error, len(c.shards))
-	parallel.Parallel(cfg.Parallelism, len(c.shards), func(i int) {
-		errs[i] = c.shards[i].openDurable(man.ShardDir(dir, i))
-	})
-	if err := firstError(errs); err != nil {
-		// Abandon whatever the other shards already opened.
-		for _, s := range c.shards {
-			if s.wal != nil {
-				s.wal.Crash()
-			}
-		}
+	if err := c.recover(man); err != nil {
+		crashSet(c.shards)
 		return nil, err
 	}
-	if man.Config == nil { // adopted: the snapshots agreed with cfg
-		if _, err := c.writeManifest(c.gen.Load(), man.Generation); err != nil {
-			c.Crash()
-			return nil, err
+	if man.Version < persist.ManifestVersion { // commit it as a migration would
+		if man, err = c.persistGeneration(c.shards, c.gen.Load(), man.Generation+1); err == nil {
+			err = persist.WriteManifest(dir, man)
 		}
-	}
-	// Seed the collection-wide id counter past every shard's watermark.
-	var next int64
-	for _, s := range c.shards {
-		if s.nextID > next {
-			next = s.nextID
+		if err != nil {
+			crashSet(c.shards)
+			return nil, fmt.Errorf("vdms: adopting %s: %w", dir, err)
 		}
+		_ = persist.RemoveStaleGenerations(dir, man)
 	}
-	c.nextID.Store(next)
-	// A compaction trigger that was pending at the crash is pending again
-	// now; restart it the way the pre-crash engine would have.
+	c.diskGen = man.Generation
+	// Seed the collection-wide id counter past every shard's watermark,
+	// and restart a compaction trigger that was pending at the crash, the
+	// way the pre-crash engine would have.
 	for _, s := range c.shards {
+		c.nextID.Store(max(c.nextID.Load(), s.nextID))
 		s.mu.Lock()
 		s.maybeCompactLocked()
 		s.mu.Unlock()
@@ -147,45 +127,137 @@ func OpenDurable(dir string, cfg Config, metric linalg.Metric, dim, expectedRows
 	return c, nil
 }
 
-// writeManifest records g as the configuration layout generation diskGen
-// serves, in a manifest that atomically replaces the directory's.
-func (c *Collection) writeManifest(g *configGen, diskGen uint64) (*persist.Manifest, error) {
+// manifest records g as the configuration layout generation diskGen
+// serves.
+func (c *Collection) manifest(g *configGen, diskGen uint64) *persist.Manifest {
 	cfg, _ := json.Marshal(g.cfg) // a validated Config always encodes
-	m := &persist.Manifest{Shards: g.cfg.shardCount(), Dim: c.dim, Metric: c.metric, Generation: diskGen,
+	return &persist.Manifest{Shards: g.cfg.shardCount(), Dim: c.dim, Metric: c.metric, Generation: diskGen,
 		Config: cfg, ConfigSeq: g.seq, ExpectedRows: c.expectedRows}
-	return m, persist.WriteManifest(c.dataDir, m)
 }
 
-// openDurable recovers (or creates) one shard's durability domain rooted
-// at sdir and leaves the shard with an open WAL.
-func (s *shard) openDurable(sdir string) error {
-	if err := os.MkdirAll(sdir, 0o777); err != nil {
-		return err
+// genLog is one config generation's write-ahead log, shared by its
+// shards. keep[i] is the LSN shard i's oldest retained snapshot covers:
+// the log holds every record past the smallest.
+type genLog struct {
+	*persist.WAL
+	mu   sync.Mutex
+	keep []uint64
+}
+
+// openLog opens the log of man's generation, its next record at nextLSN.
+func (c *Collection) openLog(man *persist.Manifest, cfg *Config, nextLSN uint64) (*genLog, error) {
+	policy, group := cfg.walPolicy()
+	w, err := persist.OpenWAL(persist.Options{Dir: man.LogDir(c.dataDir), Policy: policy, GroupCommit: group}, nextLSN)
+	return &genLog{WAL: w, keep: make([]uint64, man.Shards)}, err
+}
+
+// crashSet abandons a shard set and its log as a process crash would.
+func crashSet(shards []*shard) {
+	for _, s := range shards {
+		s.crash()
 	}
-	snap, err := persist.LoadNewestSnapshot(sdir)
+	if l := shards[0].wal; l != nil {
+		l.Crash()
+	}
+}
+
+// persistGeneration writes shards, serving g, as layout generation gen —
+// a fresh log, and every shard's snapshot at LSN 0 taken in the lock hold
+// that attaches the log — and returns the manifest that commits it.
+func (c *Collection) persistGeneration(shards []*shard, g *configGen, gen uint64) (man *persist.Manifest, err error) {
+	man = c.manifest(g, gen)
+	l, err := c.openLog(man, &g.cfg, 1)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var after uint64
-	if snap != nil {
-		if err := s.restoreSnapshot(snap); err != nil {
-			return err
+	defer func() {
+		if err != nil {
+			l.Crash()
 		}
-		after = snap.CheckpointLSN
+	}()
+	for i, s := range shards {
+		if err := c.step(fmt.Sprintf("snapshot-%d", i)); err != nil {
+			return nil, err
+		}
+		sdir := man.ShardDir(c.dataDir, i)
+		if err := os.MkdirAll(sdir, 0o777); err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		s.wal, s.dataDir, s.ckptLSN = l, sdir, 0
+		snap := s.snapshotLocked()
+		s.mu.Unlock()
+		if err := persist.WriteSnapshot(sdir, snap); err != nil {
+			return nil, fmt.Errorf("vdms: persisting shard %d: %w", i, err)
+		}
 	}
-	nextLSN, err := persist.ReplayWAL(sdir, after, s.applyWALOp)
+	return man, nil
+}
+
+// recover restores every shard's newest valid snapshot, in parallel, then
+// the log records past it. Before manifest version 4 a shard replays a
+// log of its own; since, the generation's one log is read once, from the
+// oldest snapshot, and every shard applies the records past its own
+// snapshot (applyWALOp), in parallel.
+func (c *Collection) recover(man *persist.Manifest) error {
+	n := len(c.shards)
+	errs := make([]error, n)
+	parallel.Parallel(c.Config().Parallelism, n, func(i int) {
+		s, p := c.shards[i], &partition{}
+		s.dataDir = man.ShardDir(c.dataDir, i)
+		snap, err := persist.LoadNewestSnapshot(s.dataDir)
+		if err == nil && snap != nil {
+			s.ckptLSN = snap.CheckpointLSN
+			err = s.restoreSnapshot(snap)
+		}
+		if err == nil && man.Version < persist.ManifestVersion {
+			_, err = persist.ReplayWAL(s.dataDir, s.ckptLSN, func(op *persist.WALOp) error {
+				op.Shard = i // the shard's own log
+				return s.applyWALOp(op, p)
+			})
+		}
+		if err == nil {
+			err = os.MkdirAll(s.dataDir, 0o777)
+		}
+		errs[i] = err
+	})
+	if err := firstError(errs); err != nil || man.Version < persist.ManifestVersion {
+		return err
+	}
+	from, last := c.shards[0].ckptLSN, uint64(0)
+	for _, s := range c.shards {
+		from, last = min(from, s.ckptLSN), max(last, s.ckptLSN)
+	}
+	var ops []persist.WALOp
+	next, err := persist.ReplayWAL(man.LogDir(c.dataDir), from, func(op *persist.WALOp) error {
+		if (op.Type == persist.RecFlush || op.Type == persist.RecCompactCommit) && op.Shard >= n {
+			return &persist.CorruptError{Path: man.LogDir(c.dataDir), Reason: fmt.Sprintf("record LSN %d names shard %d of %d", op.LSN, op.Shard, n)}
+		}
+		ops = append(ops, *op)
+		return nil
+	})
 	if err != nil {
 		return err
 	}
-	policy, group := s.config().walPolicy()
-	w, err := persist.OpenWAL(persist.Options{Dir: sdir, Policy: policy, GroupCommit: group}, nextLSN)
+	parallel.Parallel(c.Config().Parallelism, n, func(i int) {
+		s, p := c.shards[i], &partition{}
+		for j := 0; j < len(ops) && errs[i] == nil; j++ {
+			if ops[j].LSN > s.ckptLSN {
+				errs[i] = s.applyWALOp(&ops[j], p)
+			}
+		}
+	})
+	if err := firstError(errs); err != nil {
+		return err
+	}
+	// A torn log can end before the newest snapshot: no LSN is reused.
+	l, err := c.openLog(man, c.shards[0].config(), max(next, last+1))
 	if err != nil {
 		return err
 	}
-	s.wal = w
-	s.dataDir = sdir
-	s.ckptLSN = after
-	s.lastCkpt.Store(after)
+	for i, s := range c.shards {
+		s.wal, l.keep[i] = l, s.ckptLSN
+	}
 	return nil
 }
 
@@ -206,12 +278,8 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 		a.HNSWM != b.HNSWM || a.EfConstruction != b.EfConstruction || a.Seed != b.Seed {
 		return fmt.Errorf("vdms: snapshot index build parameters differ from the configuration")
 	}
-	s.nextID = snap.NextID
-	s.sealSeq = snap.SealSeq
-	s.rows = snap.Rows
-	s.compactionPasses = snap.CompactionPasses
-	s.compactedSegments = snap.CompactedSegments
-	s.reclaimedRows = snap.ReclaimedRows
+	s.nextID, s.sealSeq, s.rows = snap.NextID, snap.SealSeq, snap.Rows
+	s.compactionPasses, s.compactedSegments, s.reclaimedRows = snap.CompactionPasses, snap.CompactedSegments, snap.ReclaimedRows
 	if len(snap.Tombstones) > 0 {
 		s.tombstones = make(map[int64]struct{}, len(snap.Tombstones))
 		for _, id := range snap.Tombstones {
@@ -222,6 +290,9 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 	// rebuild fails deterministically requeues its rows into growing, and
 	// those must append to the tail, not be overwritten by it.
 	if snap.Growing != nil && snap.Growing.Rows() > 0 {
+		if err := s.checkRows("snapshot growing tail", snap.Growing, snap.GrowingIDs); err != nil {
+			return err
+		}
 		s.growing = snap.Growing
 		s.growingIDs = snap.GrowingIDs
 	}
@@ -230,6 +301,9 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 	// reach the growing tail in the order a one-by-one rebuild left them.
 	segs := make([]*sealedSegment, len(snap.Segments))
 	for i, sn := range snap.Segments {
+		if err := s.checkRows(fmt.Sprintf("snapshot segment seq %d", sn.Seq), sn.Store, sn.IDs); err != nil {
+			return err
+		}
 		segs[i] = &sealedSegment{seq: sn.Seq, store: sn.Store, ids: sn.IDs}
 		s.insertSealedLocked(segs[i])
 		if sn.Seq >= s.sealSeq {
@@ -243,32 +317,56 @@ func (s *shard) restoreSnapshot(snap *persist.Snapshot) error {
 	return nil
 }
 
+// checkRows refuses a restored row that Insert would have refused (see
+// vectorFault), naming the shard, where the row came from, and its id.
+func (s *shard) checkRows(where string, rows *linalg.Matrix, ids []int64) error {
+	for i, id := range ids {
+		if f := vectorFault(s.metric, s.dim, rows.Row(i)); f != "" {
+			return fmt.Errorf("vdms: shard %d, %s: id %d %s", s.slot, where, id, f)
+		}
+	}
+	return nil
+}
+
 // applyWALOp replays one WAL record onto the recovering shard. It runs
 // before the shard is shared, so no locking is involved; seals and
 // compaction rebuilds happen synchronously, in log order, which is
 // exactly the serialization order of this shard in the pre-crash engine.
-func (s *shard) applyWALOp(op *persist.WALOp) error {
+// Of an insert or delete it applies the ids the partition p routes to
+// this shard — the split the router made when it logged the write — and
+// a seal or compaction commit only if it names this shard.
+func (s *shard) applyWALOp(op *persist.WALOp, p *partition) error {
 	switch op.Type {
-	case persist.RecInsert:
-		if op.Dim != s.dim {
-			return fmt.Errorf("vdms: WAL replay: insert record dimension %d, collection has %d", op.Dim, s.dim)
+	case persist.RecInsert, persist.RecInsertIDs, persist.RecDelete:
+		ids, rows := op.IDs, [][]float32(nil)
+		if op.Type != persist.RecDelete {
+			rows = make([][]float32, op.Count)
+			for i := range rows {
+				if op.Type == persist.RecInsert {
+					ids = append(ids, op.FirstID+int64(i))
+				}
+				rows[i] = op.Vectors[i*op.Dim : (i+1)*op.Dim]
+			}
 		}
-		for i := 0; i < op.Count; i++ {
-			s.applyInsertRowLocked(op.FirstID+int64(i), op.Vectors[i*op.Dim:(i+1)*op.Dim])
+		p.split(ids, rows, s.config().shardCount())
+		if ids, rows = p.ids[s.slot], p.vecs[s.slot]; op.Type == persist.RecDelete {
+			s.deleteLocked(ids, nil)
+			return nil
 		}
-	case persist.RecInsertIDs:
-		if op.Dim != s.dim {
-			return fmt.Errorf("vdms: WAL replay: insert record dimension %d, collection has %d", op.Dim, s.dim)
+		for i, id := range ids {
+			if f := vectorFault(s.metric, s.dim, rows[i]); f != "" {
+				return fmt.Errorf("vdms: shard %d, WAL record LSN %d: id %d %s", s.slot, op.LSN, id, f)
+			}
+			s.applyInsertRowLocked(id, rows[i])
 		}
-		for i, id := range op.IDs {
-			s.applyInsertRowLocked(id, op.Vectors[i*op.Dim:(i+1)*op.Dim])
-		}
-	case persist.RecDelete:
-		s.deleteLocked(op.IDs, nil)
 	case persist.RecFlush:
-		s.replayFlush(op.Seq)
+		if op.Shard == s.slot {
+			s.replayFlush(op.Seq)
+		}
 	case persist.RecCompactCommit:
-		return s.replayCompactCommit(op)
+		if op.Shard == s.slot {
+			return s.replayCompactCommit(op)
+		}
 	default:
 		return fmt.Errorf("vdms: WAL replay: unexpected record type %d", op.Type)
 	}
@@ -366,9 +464,10 @@ func (s *shard) snapshotLocked() *persist.Snapshot {
 		CompactedSegments: s.compactedSegments,
 		ReclaimedRows:     s.reclaimedRows,
 	}
-	// Migration snapshots are taken before the shard has a WAL: their
-	// checkpoint boundary is LSN 0 (the new log starts at 1 and replays
-	// whole).
+	// The checkpoint boundary is the log head: every record of this shard
+	// up to it was appended under s.mu and is applied; records past it,
+	// this shard's or another's, are not in the snapshot. A new
+	// generation's snapshots are taken at a fresh log's head, LSN 0.
 	if s.wal != nil {
 		snap.CheckpointLSN = s.wal.LastLSN()
 	}
@@ -395,10 +494,9 @@ func (s *shard) snapshotLocked() *persist.Snapshot {
 	return snap
 }
 
-// checkpoint persists a snapshot of this shard's state and truncates its
-// WAL to the records beyond it. The previous snapshot generation (and the
-// WAL files it needs) is kept until the next checkpoint, so a damaged
-// newest snapshot still leaves a recoverable shard directory. On a
+// checkpoint persists a snapshot of this shard's state at the log head.
+// The previous snapshot (and the log it needs) is kept until the next
+// checkpoint, so a damaged newest snapshot still has a fallback. On a
 // memory-only shard it is a no-op.
 func (s *shard) checkpoint() error {
 	if s.wal == nil {
@@ -406,46 +504,39 @@ func (s *shard) checkpoint() error {
 	}
 	s.ckptMu.Lock()
 	defer s.ckptMu.Unlock()
-	// Drain the log to disk before taking the shard lock: Rotate below
-	// fsyncs while this shard's Searches and inserts are blocked on s.mu,
-	// so this pre-sync (which blocks nobody) leaves it almost nothing to
-	// flush — only the records appended in the gap between here and the
-	// lock.
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("vdms: syncing WAL before checkpoint: %w", err)
-	}
 	s.mu.Lock()
 	snap := s.snapshotLocked()
-	// Rotate inside the same lock hold that captured the state: records
-	// after the snapshot boundary land in the new file, so truncation
-	// can simply drop whole old files.
-	err := s.wal.Rotate()
 	s.mu.Unlock()
-	if err != nil {
+	// Rotating fsyncs the log past the snapshot's LSN before the snapshot
+	// exists, and starts a file the older ones can be dropped behind.
+	if err := s.wal.Rotate(); err != nil {
 		return fmt.Errorf("vdms: rotating WAL: %w", err)
 	}
 	if err := persist.WriteSnapshot(s.dataDir, snap); err != nil {
-		// The snapshot failed but the rotated WAL files all survive:
-		// recovery still has the previous snapshot plus a complete log.
+		// The snapshot failed but the log files all survive: recovery
+		// still has the previous snapshot plus a complete log.
 		return fmt.Errorf("vdms: writing snapshot: %w", err)
 	}
 	keep := s.ckptLSN // the generation before this one
+	s.mu.Lock()
 	s.ckptLSN = snap.CheckpointLSN
-	s.lastCkpt.Store(snap.CheckpointLSN)
+	s.mu.Unlock()
 	// Retention trimming is best-effort: a failure here costs disk, not
 	// durability, and the next checkpoint retries it.
 	_ = persist.RemoveObsoleteSnapshots(s.dataDir, keep)
-	_ = s.wal.RemoveObsolete(keep)
+	s.wal.mu.Lock()
+	s.wal.keep[s.slot] = keep
+	_ = s.wal.RemoveObsolete(slices.Min(s.wal.keep))
+	s.wal.mu.Unlock()
 	return nil
 }
 
 // Checkpoint persists a snapshot of every shard's current state and
-// truncates each shard's WAL to the records beyond it. Shards checkpoint
-// independently and in parallel (each under its own locks and into its
-// own directory), so an explicit checkpoint costs the slowest shard's
+// truncates the log to what the oldest does not cover. Shards checkpoint
+// independently and in parallel, so it costs the slowest shard's
 // snapshot, not the sum; the first failure (in shard order) is returned,
-// leaving failed shards to their next compactor-driven or explicit
-// checkpoint. On a memory-only collection it is a no-op.
+// leaving failed shards to their next checkpoint. On a memory-only
+// collection it is a no-op.
 func (c *Collection) Checkpoint() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
@@ -478,8 +569,8 @@ func (c *Collection) DisableAutoCheckpoint() {
 // Crash abandons the collection the way a process crash would: background
 // work is stopped, but no flush, snapshot, or WAL sync happens, and
 // records still buffered in user space are discarded. What survives on
-// disk is exactly what the fsync policy had made durable, shard by shard.
-// It exists for crash-recovery testing; production shutdown is Close.
+// disk is exactly what the fsync policy had made durable. It exists for
+// crash-recovery testing; production shutdown is Close.
 func (c *Collection) Crash() {
 	c.closed.Store(true)
 	// Serialized against a migration cutover the same way Close is: the
@@ -487,7 +578,5 @@ func (c *Collection) Crash() {
 	// and abort.
 	c.router.Lock()
 	defer c.router.Unlock()
-	for _, s := range c.shards {
-		s.crash()
-	}
+	crashSet(c.shards)
 }

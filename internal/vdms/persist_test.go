@@ -1,10 +1,14 @@
 package vdms
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"vdtuner/internal/index"
@@ -435,43 +439,212 @@ func TestRecoveryDeterminismAcrossWorkers(t *testing.T) {
 }
 
 // TestWALFilesBounded: checkpoints keep at most two snapshot generations
-// and the WAL files they need.
+// per shard and the log files the older of them need: a log file goes
+// once every shard's retained snapshot covers it.
 func TestWALFilesBounded(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig(index.Flat)
-	c, err := OpenDurable(dir, cfg, linalg.L2, 4, 100)
+	for _, shards := range []int{1, 3} {
+		dir := t.TempDir()
+		cfg := durableConfig(index.Flat)
+		cfg.ShardCount = shards
+		c, err := OpenDurable(dir, cfg, linalg.L2, 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if _, err := c.Insert(randVecs(20, 4, int64(9+i))); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		man, err := persist.LoadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < shards; i++ {
+			snaps, err := filepath.Glob(filepath.Join(man.ShardDir(dir, i), "*.snap"))
+			if err != nil || len(snaps) > 2 {
+				t.Fatalf("S=%d: shard %d retains %d snapshots, want <= 2 (%v)", shards, i, len(snaps), err)
+			}
+		}
+		// Each checkpoint rotates the log: the file the older snapshots
+		// were taken in, and the rotations of the two checkpoint rounds.
+		wals, err := persist.WALFileNames(man.LogDir(dir))
+		if err != nil || len(wals) > 2*shards+1 {
+			t.Fatalf("S=%d: %d WAL files retained, want <= %d (%v)", shards, len(wals), 2*shards+1, err)
+		}
+		t.Logf("S=%d: %d WAL files retained", shards, len(wals))
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestManifestV3Adopted: testdata/manifest-v3 is a three-shard IVF_FLAT
+// data directory as the engine wrote it while every shard kept its own
+// WAL — manifest version 3, generation 0, a log in every shard
+// directory, each with inserts, seals and deletes past its shard's
+// snapshot — crashed under fsync always. testdata/manifest-v3.golden.json
+// holds the queries and what that engine's recovery of it answered: the
+// ids and the distance bits. The directory opens and answers the same,
+// and is then a version-4 directory at generation 1 with one log, which
+// answers the same again after a restart. A kill between the adoption's
+// snapshots and its manifest rename leaves the generation-1 directory
+// beside the untouched version-3 layout: it reopens as version 3 and
+// adopts again.
+func TestManifestV3Adopted(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "manifest-v3.golden.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if _, err := c.Insert(randVecs(20, 4, int64(9+i))); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
+	var golden struct {
+		Rows     int64
+		Queries  [][]uint32
+		IDs      [][]int64
+		DistBits [][]uint32
 	}
-	// Snapshot/WAL files live under the (single) shard's subdirectory.
-	snaps, wals := 0, 0
-	ents, err := os.ReadDir(persist.ShardDir(dir, 0))
-	if err != nil {
+	if err := json.Unmarshal(data, &golden); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range ents {
-		switch filepath.Ext(e.Name()) {
-		case ".snap":
-			snaps++
-		case ".wal":
-			wals++
+	qs := make([][]float32, len(golden.Queries))
+	for i, bits := range golden.Queries {
+		for _, b := range bits {
+			qs[i] = append(qs[i], math.Float32frombits(b))
 		}
 	}
-	if snaps > 2 {
-		t.Fatalf("%d snapshots retained, want <= 2", snaps)
+	// open recovers dir and checks it against the golden answers.
+	open := func(dir string) *Collection {
+		t.Helper()
+		c, err := OpenDurable(dir, DefaultConfig(), linalg.L2, 8, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.SearchBatch(qs, 10, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows := c.Stats().Rows; rows != golden.Rows {
+			t.Fatalf("recovered %d rows, the version-3 engine %d", rows, golden.Rows)
+		}
+		for i, r := range res {
+			for j, nb := range r {
+				if nb.ID != golden.IDs[i][j] || math.Float32bits(nb.Dist) != golden.DistBits[i][j] {
+					t.Fatalf("query %d rank %d: id %d dist %v, the version-3 engine answered id %d dist %v",
+						i, j, nb.ID, nb.Dist, golden.IDs[i][j], math.Float32frombits(golden.DistBits[i][j]))
+				}
+			}
+		}
+		return c
 	}
-	if wals > 3 {
-		t.Fatalf("%d WAL files retained, want <= 3", wals)
+	adopted := func(dir string) {
+		t.Helper()
+		man, err := persist.LoadManifest(dir)
+		if err != nil || man.Version != persist.ManifestVersion || man.Generation != 1 || man.Shards != 3 {
+			t.Fatalf("adopted manifest %+v (%v), want version %d at generation 1", man, err, persist.ManifestVersion)
+		}
+		if wals, err := persist.WALFileNames(man.LogDir(dir)); err != nil || len(wals) == 0 {
+			t.Fatalf("adopted directory holds %d log files (%v)", len(wals), err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "shard-0")); !os.IsNotExist(err) {
+			t.Fatalf("version-3 shard directory survived the adoption: %v", err)
+		}
 	}
+
+	dir := filepath.Join(t.TempDir(), "v3")
+	copyTree(t, filepath.Join("testdata", "manifest-v3"), dir)
+	c := open(dir)
+	adopted(dir)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
+	}
+	c = open(dir)
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The kill: an adoption crashed right after it wrote generation 1.
+	killed := filepath.Join(t.TempDir(), "killed")
+	copyTree(t, filepath.Join("testdata", "manifest-v3"), killed)
+	donor := filepath.Join(t.TempDir(), "donor")
+	copyTree(t, filepath.Join("testdata", "manifest-v3"), donor)
+	c, err = OpenDurable(donor, DefaultConfig(), linalg.L2, 8, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Crash()
+	copyTree(t, persist.GenDir(donor, 1), persist.GenDir(killed, 1))
+	if man, err := persist.LoadManifest(killed); err != nil || man.Version != 3 {
+		t.Fatalf("killed adoption's manifest %+v (%v), want version 3", man, err)
+	}
+	c = open(killed)
+	adopted(killed)
+	c.Crash()
+}
+
+// copyTree copies the directory tree src to dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o777)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o666)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLogRecordNamingAbsentShardIsCorrupt: a seal or compaction-commit
+// record whose shard index is not a shard of the manifest's set — hostile
+// or damaged bytes behind a valid checksum — fails recovery with a
+// *persist.CorruptError, not an index panic.
+func TestLogRecordNamingAbsentShardIsCorrupt(t *testing.T) {
+	for _, rec := range []func(w *persist.WAL) (uint64, error){
+		func(w *persist.WAL) (uint64, error) { return w.AppendFlush(2, 0) },
+		func(w *persist.WAL) (uint64, error) { return w.AppendCompactCommit(7, 1, []int64{0}, nil, nil) },
+	} {
+		dir := t.TempDir()
+		cfg := flatConfig(2)
+		cfg.WALFsyncPolicy = 3 // always
+		c, err := OpenDurable(dir, cfg, linalg.L2, 4, 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Insert(randVecs(10, 4, 3)); err != nil {
+			t.Fatal(err)
+		}
+		head := c.Stats().WALLastLSN
+		c.Crash()
+		man, err := persist.LoadManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := persist.OpenWAL(persist.Options{Dir: man.LogDir(dir), Policy: persist.SyncAlways}, head+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rec(w); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var corrupt *persist.CorruptError
+		if r, err := OpenDurable(dir, cfg, linalg.L2, 4, 100); !errors.As(err, &corrupt) || !strings.Contains(err.Error(), "names shard") {
+			if r != nil {
+				r.Crash()
+			}
+			t.Fatalf("recovery of a record naming shard >= 2: %v, want a *persist.CorruptError", err)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package vdms
 
 import (
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 
@@ -35,18 +34,18 @@ import (
 //     build. Rows are appended raw: they are already canonical (angular
 //     inputs were normalized at original insert), and re-normalizing
 //     would perturb bits;
-//  3. persist (durable collections): each new shard writes a full
-//     snapshot (checkpoint LSN 0) and opens a fresh WAL under the next
-//     generation's sibling directory, gen-<G+1>/shard-<i>, leaving the
-//     live generation untouched;
+//  3. persist (durable collections): the next generation's sibling
+//     directory, gen-<G+1>/, gets a fresh log and a full snapshot of each
+//     new shard (checkpoint LSN 0; persistGeneration), leaving the live
+//     generation untouched;
 //  4. cutover (router write lock): the delta is replayed onto the new
 //     shards through the normal insert/delete paths (WAL-logged like any
-//     write), the new logs are synced, and — the commit point — the new
+//     write), the new log is synced, and — the commit point — the new
 //     MANIFEST is atomically renamed into place; then the shard set and
 //     config generation are swapped and the old shards retired.
 //
 // A crash anywhere before the manifest rename recovers the old
-// generation (whose WALs kept receiving every write until cutover); a
+// generation (whose log kept receiving every write until cutover); a
 // crash anywhere after it recovers the new one. Directories of
 // generations the manifest does not name are removed at the next open.
 
@@ -151,7 +150,7 @@ func (c *Collection) Reconfigure(cfg Config) (uint64, error) {
 }
 
 // hotSwap publishes cfg as a new generation on the collection and every
-// shard, pushes the durability knobs into the open WALs, and re-checks
+// shard, pushes the durability knobs into the open log, and re-checks
 // compaction triggers (a lowered trigger ratio may warrant a pass right
 // now). A durable collection's manifest records the generation first.
 // Callers hold reconfigMu.
@@ -161,7 +160,7 @@ func (c *Collection) hotSwap(cfg Config) (uint64, error) {
 		if err := c.step("swap-manifest"); err != nil {
 			return 0, err
 		}
-		if _, err := c.writeManifest(g, c.diskGen); err != nil {
+		if err := persist.WriteManifest(c.dataDir, c.manifest(g, c.diskGen)); err != nil {
 			return 0, fmt.Errorf("vdms: recording hot swap: %w", err)
 		}
 	}
@@ -169,9 +168,9 @@ func (c *Collection) hotSwap(cfg Config) (uint64, error) {
 	c.gen.Store(g)
 	for _, s := range c.shards {
 		s.gen.Store(g)
-		if s.wal != nil {
-			s.wal.SetPolicy(cfg.walPolicy())
-		}
+	}
+	if l := c.shards[0].wal; l != nil {
+		l.SetPolicy(cfg.walPolicy())
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
@@ -255,8 +254,8 @@ func (c *Collection) abortMigrationLocked(newShards []*shard) {
 	c.delta = nil
 	c.migrating.Store(false)
 	c.router.Unlock()
-	for _, s := range newShards {
-		s.crash()
+	if newShards != nil {
+		crashSet(newShards)
 	}
 }
 
@@ -326,37 +325,12 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	// Phase 3 (durable): write the new generation's layout into its
 	// sibling directory. The live generation is untouched; nothing here
 	// is visible to recovery until the manifest rename.
-	newDiskGen := c.diskGen + 1
+	var newMan *persist.Manifest
 	if durable {
-		policy, group := cfg.walPolicy()
-		for i, s := range newShards {
-			if err := c.step(fmt.Sprintf("snapshot-%d", i)); err != nil {
-				c.abortMigration(newShards)
-				return 0, err
-			}
-			sdir := persist.ShardDir(persist.GenDir(c.dataDir, newDiskGen), i)
-			if err := os.MkdirAll(sdir, 0o777); err != nil {
-				c.abortMigration(newShards)
-				return 0, err
-			}
-			// Snapshot and WAL attach in one lock hold: a compaction
-			// commit on the new shard can then never fall between the
-			// captured state and the log that records everything after it.
-			s.mu.Lock()
-			snap := s.snapshotLocked()
-			w, err := persist.OpenWAL(persist.Options{Dir: sdir, Policy: policy, GroupCommit: group}, 1)
-			if err == nil {
-				s.wal = w
-				s.dataDir = sdir
-			}
-			s.mu.Unlock()
-			if err == nil {
-				err = persist.WriteSnapshot(sdir, snap)
-			}
-			if err != nil {
-				c.abortMigration(newShards)
-				return 0, fmt.Errorf("vdms: persisting migrated shard %d: %w", i, err)
-			}
+		var err error
+		if newMan, err = c.persistGeneration(newShards, newGen, c.diskGen+1); err != nil {
+			c.abortMigration(newShards)
+			return 0, fmt.Errorf("vdms: persisting migrated shards: %w", err)
 		}
 	}
 
@@ -388,7 +362,7 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 			if len(part) == 0 {
 				continue
 			}
-			if err := newShards[si].insert(part, p.vecs[si]); err != nil {
+			if _, err := newShards[si].insert(part, p.vecs[si]); err != nil {
 				return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 			}
 		}
@@ -398,32 +372,28 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		if len(part) == 0 {
 			continue
 		}
-		if _, err := newShards[si].delete(part, nil); err != nil {
+		if _, _, err := newShards[si].delete(part, nil); err != nil {
 			return abortLocked(fmt.Errorf("vdms: replaying migration delta: %w", err))
 		}
 	}
 
-	var newMan *persist.Manifest
 	if durable {
 		// Everything the new generation needs must be on disk before the
 		// rename makes it current.
 		if err := c.step("sync"); err != nil {
 			return abortLocked(err)
 		}
-		for _, s := range newShards {
-			if err := s.wal.Sync(); err != nil {
-				return abortLocked(fmt.Errorf("vdms: syncing migrated WAL: %w", err))
-			}
+		if err := newShards[0].wal.Sync(); err != nil {
+			return abortLocked(fmt.Errorf("vdms: syncing migrated WAL: %w", err))
 		}
 		if err := c.step("manifest"); err != nil {
 			return abortLocked(err)
 		}
 		// The commit point: after this rename, recovery sees the new
 		// generation and serves its configuration; before it, the old
-		// (whose WALs logged every write up to this cutover, delta
+		// (whose log recorded every write up to this cutover, delta
 		// included).
-		var err error
-		if newMan, err = c.writeManifest(newGen, newDiskGen); err != nil {
+		if err := persist.WriteManifest(c.dataDir, newMan); err != nil {
 			return abortLocked(fmt.Errorf("vdms: committing migration manifest: %w", err))
 		}
 	}
@@ -434,15 +404,13 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 	c.delta = nil
 	c.migrating.Store(false)
 	if durable {
-		c.diskGen = newDiskGen
+		c.diskGen = newMan.Generation
 	}
 	c.router.Unlock()
 
 	// Retire the old shards crash-style: their directories are stale (the
 	// manifest no longer names them), so no final checkpoint is owed.
-	for _, s := range oldShards {
-		s.crash()
-	}
+	crashSet(oldShards)
 	if err := c.step("committed"); err != nil {
 		return newGen.seq, err
 	}

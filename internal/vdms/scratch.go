@@ -122,10 +122,6 @@ type partition struct {
 	// batch without vectors).
 	ids  [][]int64
 	vecs [][][]float32
-	// order lists the shards a dispatch visits (see touched); errs has a
-	// slot per shard for its outcome.
-	order []int
-	errs  []error
 }
 
 // split partitions the batch across a set of `shards` shards by shardFor.
@@ -134,7 +130,6 @@ func (p *partition) split(ids []int64, vecs [][]float32, shards int) {
 	n := len(ids)
 	p.owner, p.idsBuf, p.vecsBuf = grow(p.owner, n), grow(p.idsBuf, n), grow(p.vecsBuf, n)
 	p.cur, p.ids, p.vecs = grow(p.cur, shards), grow(p.ids, shards), grow(p.vecs, shards)
-	p.order, p.errs = grow(p.order, shards), grow(p.errs, shards)
 	clear(p.cur)
 	for i, id := range ids {
 		s := shardFor(id, shards)
@@ -164,18 +159,6 @@ func (p *partition) split(ids []int64, vecs [][]float32, shards int) {
 	}
 }
 
-// touched lists the shards that received rows, visited from shard `start`
-// round the set, and returns it with one error slot per listed shard.
-func (p *partition) touched(start int) ([]int, []error) {
-	p.order = p.order[:0]
-	for o := range p.ids {
-		if s := (start + o) % len(p.ids); len(p.ids[s]) > 0 {
-			p.order = append(p.order, s)
-		}
-	}
-	return p.order, p.errs[:len(p.order)]
-}
-
 func (c *Collection) getPartition() *partition {
 	if p, _ := c.partPool.Get().(*partition); p != nil {
 		return p
@@ -187,6 +170,5 @@ func (c *Collection) getPartition() *partition {
 // caller's last batch.
 func (c *Collection) putPartition(p *partition) {
 	clear(p.vecsBuf[:cap(p.vecsBuf)])
-	clear(p.errs[:cap(p.errs)])
 	c.partPool.Put(p)
 }

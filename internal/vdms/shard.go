@@ -10,19 +10,19 @@ import (
 	"vdtuner/internal/index"
 	"vdtuner/internal/linalg"
 	"vdtuner/internal/parallel"
-	"vdtuner/internal/persist"
 )
 
 // shard is the engine: a growing arena, sealed segments (growing → sealed,
 // index pending → sealed, indexed → compacted), a tombstone set, a
-// compactor, and (when durable) a private snapshot+WAL pair. Segments are
+// compactor, and (when durable) its own snapshots beside the records it
+// appends to the collection's one log. Segments are
 // built by buildSegment and the shard is probed by searchMultiLocked,
 // whoever owns it: the Collection router owns N, routes writes to them by
 // id hash and fans reads out across all of them (see live.go); the tuner's
 // Instance models one that is never written after Open (see engine.go).
 // Nothing a shard does ever takes another shard's lock, which is the whole
-// point: an insert, fsync, index build, or compaction pass on one shard
-// proceeds while every other shard keeps serving.
+// point: an insert, index build, or compaction pass on one shard proceeds
+// while every other shard keeps serving.
 type shard struct {
 	// gen is the shard's view of the collection's immutable config
 	// generation (see reconfig.go). Operations load it once at the top and
@@ -36,6 +36,9 @@ type shard struct {
 	// sealRows is the rows-per-segment derived from segment_maxSize ×
 	// sealProportion at this shard's slice of the declared corpus size.
 	sealRows int
+	// slot is the shard's index in its set (shardFor's, and the one its
+	// seal and compaction records name).
+	slot int
 
 	mu sync.RWMutex
 	// nextID is this shard's id watermark: one past the highest id it has
@@ -76,17 +79,15 @@ type shard struct {
 	reclaimedRows     int64
 
 	// Durability state; nil/zero for memory-only collections (see
-	// persist.go in this package). Records are appended under mu — the
-	// log order is the shard's serialization order — and committed
-	// (fsynced per policy) outside it.
-	wal     *persist.WAL
+	// persist.go in this package). wal is the set's shared log, which this
+	// shard appends to under mu; dataDir holds its snapshots.
+	wal     *genLog
 	dataDir string
 	// ckptMu serializes checkpoints (compactor passes, the server's
 	// "persist" op, Close); ckptLSN is the newest durable snapshot's LSN,
-	// mirrored in lastCkpt for lock-free reads by Stats.
-	ckptMu   sync.Mutex
-	ckptLSN  uint64
-	lastCkpt atomic.Uint64
+	// written under mu too, for Stats.
+	ckptMu  sync.Mutex
+	ckptLSN uint64
 	// noAutoCkpt suppresses the compactor's checkpoint-after-pass; see
 	// DisableAutoCheckpoint.
 	noAutoCkpt bool
@@ -193,11 +194,11 @@ func (s *shard) config() *Config {
 // pre-assigned ids[i]. Dimensions were validated by the router. Growing
 // data is searchable immediately; reaching the seal threshold seals the
 // growing segment and hands it to a background index build. On a durable
-// shard the rows are WAL-logged before the method returns and the
-// acknowledgement waits for the configured fsync policy. Ids within a
-// sub-batch ascend, but across batches they arrive in lock-acquisition
-// order, which concurrent routed inserts may interleave.
-func (s *shard) insert(ids []int64, vecs [][]float32) error {
+// shard the rows are WAL-logged, and the log head returned for the caller
+// to commit. Ids within a sub-batch ascend, but across batches they
+// arrive in lock-acquisition order, which concurrent routed inserts may
+// interleave.
+func (s *shard) insert(ids []int64, vecs [][]float32) (uint64, error) {
 	s.mu.Lock()
 	// Insert records are split at seal boundaries: each record covers
 	// exactly the rows that entered the growing segment before the next
@@ -241,14 +242,9 @@ func (s *shard) insert(ids []int64, vecs [][]float32) error {
 	if logErr != nil {
 		// The rows are applied in memory but the log is broken: surface
 		// the durability failure instead of acknowledging.
-		return fmt.Errorf("vdms: logging insert: %w", logErr)
+		return 0, fmt.Errorf("vdms: logging insert: %w", logErr)
 	}
-	if s.wal != nil && len(vecs) > 0 {
-		if err := s.wal.Commit(lsn); err != nil {
-			return fmt.Errorf("vdms: committing insert: %w", err)
-		}
-	}
-	return nil
+	return lsn, nil
 }
 
 // applyInsertRowLocked lands one (id, vector) pair in the growing arena:
@@ -293,7 +289,7 @@ func (s *shard) sealLocked() {
 		// The seal is logged at its position in the operation order; a
 		// failure cannot abort the seal (callers are mid-insert), so it is
 		// surfaced the way background build failures are.
-		if _, err := s.wal.AppendFlush(seq); err != nil {
+		if _, err := s.wal.AppendFlush(s.slot, seq); err != nil {
 			err := fmt.Errorf("vdms: logging seal: %w", err)
 			s.buildErrOnce.Do(func() { s.buildErr = err })
 		}
@@ -532,9 +528,7 @@ func (s *shard) statsLocked() ShardStats {
 		ReclaimedRows:     s.reclaimedRows,
 	}
 	if s.wal != nil {
-		st.WALBytes = s.wal.Size()
-		st.LastCheckpointLSN = s.lastCkpt.Load()
-		st.WALLastLSN = s.wal.LastLSN()
+		st.LastCheckpointLSN = s.ckptLSN
 	}
 	bytesPerRow := int64(s.dim) * 4
 	for _, seg := range s.sealed {
@@ -577,20 +571,15 @@ func (s *shard) markClosed() (already bool) {
 	return already
 }
 
-// close shuts this shard down: mark closed, wait out builds and
-// compactions, and (when durable and not already closed) take a final
-// checkpoint — WAL sync, full snapshot, log truncation — so a graceful
-// shutdown is lossless under every fsync policy, growing tail included.
+// close shuts this shard down: crash, then (when not already closed) take
+// a final checkpoint — WAL sync, full snapshot, log truncation — so a
+// graceful shutdown is lossless under every fsync policy, growing tail
+// included. The log itself is the collection's to close.
 func (s *shard) close() error {
-	already := s.markClosed()
-	s.builds.Wait()
-	s.waitCompactions()
+	already := s.crash()
 	var persistErr error
-	if s.wal != nil && !already {
+	if !already {
 		persistErr = s.checkpoint()
-		if err := s.wal.Close(); persistErr == nil {
-			persistErr = err
-		}
 	}
 	if err := s.getBuildErr(); err != nil {
 		return err
@@ -599,13 +588,11 @@ func (s *shard) close() error {
 }
 
 // crash abandons the shard the way a process crash would: background work
-// is stopped, but no flush, snapshot, or WAL sync happens, and records
-// still buffered in user space are discarded.
-func (s *shard) crash() {
-	s.markClosed()
+// is stopped, and no flush or snapshot happens (crashSet abandons the
+// log). It reports whether the shard was already closed.
+func (s *shard) crash() (already bool) {
+	already = s.markClosed()
 	s.builds.Wait()
 	s.waitCompactions()
-	if s.wal != nil {
-		s.wal.Crash()
-	}
+	return already
 }

@@ -234,10 +234,12 @@ func TestShardedRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestShardedDurableLayout pins the on-disk contract: a manifest plus one
-// subdirectory per shard, each with its own WAL; reopening with a
-// different shard count serves the recorded one (the id routing the
-// directory holds), and a pre-sharding directory layout is refused.
+// TestShardedDurableLayout pins the on-disk contract: a manifest, one log
+// directory per generation and one snapshot subdirectory per shard,
+// which holds no WAL file, a migration moving all of them to the next
+// generation's directory; reopening with a different shard count serves
+// the recorded one (the id routing the directory holds), and a
+// pre-sharding directory layout is refused.
 func TestShardedDurableLayout(t *testing.T) {
 	const dim, n = 4, 200
 	cfg := flatConfig(3)
@@ -256,18 +258,21 @@ func TestShardedDurableLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man == nil || man.Shards != 3 || man.Dim != dim || man.Metric != linalg.L2 {
+	if man == nil || man.Version != persist.ManifestVersion || man.Shards != 3 || man.Dim != dim || man.Metric != linalg.L2 {
 		t.Fatalf("manifest = %+v", man)
 	}
-	for i := 0; i < 3; i++ {
-		wals, err := persist.WALFileNames(persist.ShardDir(dir, i))
-		if err != nil {
-			t.Fatal(err)
+	checkLayout := func(man *persist.Manifest) {
+		t.Helper()
+		if wals, err := persist.WALFileNames(man.LogDir(dir)); err != nil || len(wals) == 0 {
+			t.Fatalf("generation %d: log directory holds %d WAL files (%v)", man.Generation, len(wals), err)
 		}
-		if len(wals) == 0 {
-			t.Fatalf("shard %d has no WAL files", i)
+		for i := 0; i < man.Shards; i++ {
+			if wals, err := persist.WALFileNames(man.ShardDir(dir, i)); err != nil || len(wals) != 0 {
+				t.Fatalf("generation %d: shard %d directory holds %d WAL files (%v)", man.Generation, i, len(wals), err)
+			}
 		}
 	}
+	checkLayout(man)
 
 	other := cfg
 	other.ShardCount = 4
@@ -280,6 +285,31 @@ func TestShardedDurableLayout(t *testing.T) {
 			t.Fatalf("opened at %d shards: %d rows over %d shards, want %d over the recorded 3", open.ShardCount, st.Rows, st.ShardCount, n)
 		}
 		r.Close()
+	}
+
+	// A migration writes the next generation's log and snapshots, and the
+	// old generation's go.
+	r, err := OpenDurable(dir, cfg, linalg.L2, dim, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := cfg
+	two.ShardCount = 2
+	if _, err := r.Reconfigure(two); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gen1, err := persist.LoadManifest(dir)
+	if err != nil || gen1.Generation != 1 || gen1.Shards != 2 {
+		t.Fatalf("migrated manifest = %+v, %v", gen1, err)
+	}
+	checkLayout(gen1)
+	for _, stale := range []string{man.LogDir(dir), man.ShardDir(dir, 0)} {
+		if _, err := os.Stat(stale); !os.IsNotExist(err) {
+			t.Fatalf("%s survived the migration: %v", stale, err)
+		}
 	}
 
 	// A pre-sharding directory (top-level WAL files, no manifest) must be
@@ -339,11 +369,28 @@ func TestShardedStatsAggregation(t *testing.T) {
 
 // TestShardedConcurrentChurn is the cross-shard race gate: concurrent
 // inserts, deletes, batched searches, explicit compactions, and a final
-// racing Close across a 4-shard collection. Run under `make race`.
+// racing Close across a 4-shard collection — memory-only, and durable
+// under fsync always with explicit checkpoints racing too, where every
+// shard appends to, rotates and trims the one log and a reopen must find
+// every acknowledged row. Run under `make race`.
 func TestShardedConcurrentChurn(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		testShardedConcurrentChurn(t, durable)
+	}
+}
+
+func testShardedConcurrentChurn(t *testing.T, durable bool) {
 	const dim = 8
 	cfg := flatConfig(4)
-	coll, err := NewCollection(cfg, linalg.L2, dim, 2000)
+	cfg.WALFsyncPolicy = 3 // always
+	dir := t.TempDir()
+	open := func() (*Collection, error) {
+		if durable {
+			return OpenDurable(dir, cfg, linalg.L2, dim, 2000)
+		}
+		return NewCollection(cfg, linalg.L2, dim, 2000)
+	}
+	coll, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,6 +436,10 @@ func TestShardedConcurrentChurn(t *testing.T) {
 			if err := coll.Compact(); err != nil {
 				return
 			}
+			if err := coll.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	wg.Wait()
@@ -416,6 +467,15 @@ func TestShardedConcurrentChurn(t *testing.T) {
 	}
 	if err := coll.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
+	}
+	if durable {
+		if coll, err = open(); err != nil {
+			t.Fatal(err)
+		}
+		defer coll.Close()
+		if got := coll.Stats().Rows; got != st.Rows {
+			t.Fatalf("reopened with %d rows, closed with %d", got, st.Rows)
+		}
 	}
 }
 
