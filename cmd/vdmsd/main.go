@@ -11,10 +11,10 @@
 // (keys left out keep vdms.DefaultConfig with index_type HNSW). The
 // collection is sharded (shard_count): writes are routed to independently
 // locked shards by id hash, searches scatter-gather across all of them
-// deterministically, and with -data-dir every shard keeps its own
-// write-ahead log and snapshots under the layout a manifest records
-// (internal/persist/manifest.go), beside the configuration the directory
-// serves. A restart without -config serves that; with -config the file
+// deterministically, and with -data-dir each config generation keeps one
+// write-ahead log shared by its shards, and every shard its own snapshots,
+// under the layout a manifest records (internal/persist/manifest.go),
+// beside the configuration the directory serves. A restart without -config serves that; with -config the file
 // is applied through Reconfigure after recovery, before listening.
 //
 // The running engine is reconfigurable without restart: the "reconfigure"

@@ -2,19 +2,6 @@ package mobo
 
 import "sort"
 
-// partialExpectation is E[max(0, Y − c)] for Y ~ N(mean, std²) — the
-// expected-improvement integral.
-func partialExpectation(mean, std, c float64) float64 {
-	if std <= 0 {
-		if mean > c {
-			return mean - c
-		}
-		return 0
-	}
-	z := (mean - c) / std
-	return (mean-c)*NormalCDF(z) + std*NormalPDF(z)
-}
-
 // EHVIExact computes the exact expected hypervolume improvement of a
 // candidate with independent Gaussian posteriors N(meanA, stdA²) and
 // N(meanB, stdB²) over the front (both objectives maximized, bounded
@@ -26,8 +13,9 @@ func partialExpectation(mean, std, c float64) float64 {
 //
 //	EHVI = Σ_strips (Ψa(L) − Ψa(U)) · Ψb(B_strip)
 //
-// with Ψ(c) = E[max(0, Y − c)]. Points of the front not strictly above
-// ref are ignored, matching Hypervolume.
+// with Ψ(c) = E[max(0, Y − c)], which is EI with c as the incumbent.
+// Points of the front not strictly above ref are ignored, matching
+// Hypervolume.
 func EHVIExact(meanA, stdA, meanB, stdB float64, ref Point, front []Point) float64 {
 	// Keep points strictly dominating ref and reduce to the Pareto front.
 	var kept []Point
@@ -39,8 +27,8 @@ func EHVIExact(meanA, stdA, meanB, stdB float64, ref Point, front []Point) float
 	kept = Front(kept)
 	sort.Slice(kept, func(i, j int) bool { return kept[i].A > kept[j].A })
 
-	psiA := func(c float64) float64 { return partialExpectation(meanA, stdA, c) }
-	psiB := func(c float64) float64 { return partialExpectation(meanB, stdB, c) }
+	psiA := func(c float64) float64 { return EI(meanA, stdA, c) }
+	psiB := func(c float64) float64 { return EI(meanB, stdB, c) }
 
 	if len(kept) == 0 {
 		return psiA(ref.A) * psiB(ref.B)

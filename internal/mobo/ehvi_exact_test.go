@@ -117,17 +117,19 @@ func TestEHVIExactIgnoresDominatedFrontPoints(t *testing.T) {
 	}
 }
 
+// TestPartialExpectation checks Ψ(c) = E[max(0, Y − c)], the integral
+// EHVIExact builds its strips from, as computed by EI.
 func TestPartialExpectation(t *testing.T) {
 	// Deterministic cases.
-	if got := partialExpectation(3, 0, 1); got != 2 {
+	if got := EI(3, 0, 1); got != 2 {
 		t.Fatalf("deterministic partial expectation = %v", got)
 	}
-	if got := partialExpectation(0, 0, 1); got != 0 {
+	if got := EI(0, 0, 1); got != 0 {
 		t.Fatalf("deterministic zero case = %v", got)
 	}
 	// Symmetric case: E[max(0, Y)] for Y ~ N(0,1) = 1/sqrt(2π).
 	want := 1 / math.Sqrt(2*math.Pi)
-	if got := partialExpectation(0, 1, 0); math.Abs(got-want) > 1e-12 {
+	if got := EI(0, 1, 0); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("E[Y+] = %v, want %v", got, want)
 	}
 }

@@ -154,7 +154,7 @@ func (s *shard) maybeCompactLocked() {
 		return
 	}
 	s.compacting = true
-	s.compactDone = make(chan struct{})
+	s.busy++
 	go s.compactPass()
 }
 
@@ -172,7 +172,7 @@ func (s *shard) compactPass() {
 		}
 		if len(plan) == 0 {
 			s.compacting = false
-			close(s.compactDone)
+			s.doneLocked()
 			s.mu.Unlock()
 			return
 		}
@@ -196,12 +196,11 @@ func (s *shard) compactPass() {
 		committed := false
 		for i, t := range plan {
 			if errs[i] != nil {
-				err := errs[i]
-				s.buildErrOnce.Do(func() { s.buildErr = err })
+				s.failLocked(errs[i])
 				// Sources stay in place, still searchable, but are
 				// excluded from future plans: re-planning would select
 				// the same deterministic failure forever and hang
-				// Flush/Close in waitCompactions.
+				// Flush/Close in quiesce.
 				for _, seg := range t.sources {
 					seg.noCompact = true
 				}
@@ -218,8 +217,7 @@ func (s *shard) compactPass() {
 					srcSeqs[j] = seg.seq
 				}
 				if _, err := s.wal.AppendCompactCommit(s.slot, seqs[i], srcSeqs, inputs[i].ids, inputs[i].dropped); err != nil {
-					err := fmt.Errorf("vdms: logging compaction commit: %w", err)
-					s.buildErrOnce.Do(func() { s.buildErr = err })
+					s.failLocked(fmt.Errorf("vdms: logging compaction commit: %w", err))
 				}
 			}
 			s.removeSealedLocked(t.sources)
@@ -258,8 +256,9 @@ func (s *shard) compactPass() {
 				// Surface the durability failure the way append failures
 				// are: silently dropping it would let a crash rewind the
 				// compaction with no diagnostic.
-				err := fmt.Errorf("vdms: committing compaction log records: %w", err)
-				s.buildErrOnce.Do(func() { s.buildErr = err })
+				s.mu.Lock()
+				s.failLocked(fmt.Errorf("vdms: committing compaction log records: %w", err))
+				s.mu.Unlock()
 			}
 			if autoCkpt {
 				// Checkpoint after every committed pass: the snapshot
@@ -282,9 +281,10 @@ func (s *shard) removeSealedLocked(drop []*sealedSegment) {
 }
 
 // Compact synchronously runs compaction to quiescence on every shard: it
-// triggers a pass wherever any segment warrants one and blocks until all
-// compactors go idle. It returns the first background error, if any.
-// Searches remain served throughout; shards compact independently.
+// triggers a pass wherever any segment warrants one and blocks until every
+// shard's background work — compaction passes and the index builds whose
+// landing may start one — is done. It returns the first background error,
+// if any. Searches remain served throughout; shards compact independently.
 func (c *Collection) Compact() error {
 	c.router.RLock()
 	defer c.router.RUnlock()
@@ -296,27 +296,5 @@ func (c *Collection) Compact() error {
 		s.maybeCompactLocked()
 		s.mu.Unlock()
 	}
-	for _, s := range c.shards {
-		s.waitCompactions()
-	}
-	for _, s := range c.shards {
-		if err := s.getBuildErr(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// waitCompactions blocks until no compaction pass is running on this
-// shard. It tolerates passes started while it waits (each pass closes its
-// own done channel).
-func (s *shard) waitCompactions() {
-	s.mu.Lock()
-	for s.compacting {
-		done := s.compactDone
-		s.mu.Unlock()
-		<-done
-		s.mu.Lock()
-	}
-	s.mu.Unlock()
+	return quiesceAll(c.shards)
 }

@@ -2,6 +2,7 @@ package vdms
 
 import (
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -347,5 +348,87 @@ func TestCloseWaitsForInFlightBuilds(t *testing.T) {
 		if st2 := coll.Stats(); st2.Sealed != st.Sealed || st2.Sealing != 0 {
 			t.Fatalf("segment layout changed after Close: %+v -> %+v", st, st2)
 		}
+	}
+}
+
+// TestFlushRacesConcurrentSeals: Flush's wait on background work races
+// inserts that seal, each seal starting a build, possibly from none in
+// flight. Flush in a tight loop beside three inserters of small batches,
+// sealing at the 48-row floor, must neither panic nor hang, and the rows
+// must add up. The inserters have a fixed budget: a Flush waits for a
+// moment with no build in flight, which steady inserts can postpone.
+func TestFlushRacesConcurrentSeals(t *testing.T) {
+	batches := 30000
+	if raceEnabled {
+		batches = 10000
+	}
+	cfg := DefaultConfig()
+	cfg.IndexType = index.Flat
+	coll, err := NewCollection(cfg, linalg.L2, 8, 100) // sealRows = 48
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	var running atomic.Int32
+	running.Store(3)
+	var insertErrs [3]error
+	for w := 0; w < 3; w++ {
+		go func(w int) {
+			defer running.Add(-1)
+			for i := 0; i < batches; i++ {
+				if _, err := coll.Insert(randVecs(4, 8, int64(batches*w+i))); err != nil {
+					insertErrs[w] = err
+					return
+				}
+			}
+		}(w)
+	}
+	flushes := 0
+	for ; running.Load() > 0; flushes++ {
+		if err := coll.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, err := range insertErrs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := coll.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := coll.Stats(); st.Rows != int64(3*4*batches) || st.Sealing != 0 {
+		t.Fatalf("after %d flushes: %d rows, %d builds in flight; want %d rows, none in flight", flushes, st.Rows, st.Sealing, 3*4*batches)
+	}
+}
+
+// TestCompactWaitsForPendingLandings: a segment whose index is still
+// being built is not plannable, and its landing starts the pass its
+// tombstones warrant. Compact waits for that landing and that pass, so
+// when it returns the tombstones are gone.
+func TestCompactWaitsForPendingLandings(t *testing.T) {
+	coll, err := NewCollection(liveConfig(), linalg.L2, 8, 4000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coll.Close()
+	s := coll.shards[0]
+	vecs := randVecs(2000, 8, 17)
+	dead := make([]int64, 0, len(vecs)/2)
+	s.mu.Lock()
+	for i, v := range vecs {
+		s.applyInsertRowLocked(int64(i), v)
+		if i%2 == 0 {
+			dead = append(dead, int64(i))
+		}
+	}
+	s.sealLocked() // cannot land before the lock is released
+	s.deleteLocked(dead, nil)
+	s.mu.Unlock()
+	if err := coll.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if st := coll.Stats(); st.Tombstones != 0 || st.Sealing != 0 || st.CompactionPasses == 0 {
+		t.Fatalf("after Compact: %d tombstones, %d builds in flight, %d passes; want 0, 0, > 0", st.Tombstones, st.Sealing, st.CompactionPasses)
 	}
 }

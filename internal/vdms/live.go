@@ -313,16 +313,20 @@ func (c *Collection) Flush() error {
 	if l := c.shards[0].wal; l != nil {
 		syncErr = l.Sync()
 	}
-	for _, s := range c.shards {
-		s.builds.Wait()
-		s.waitCompactions()
-	}
-	for _, s := range c.shards {
-		if err := s.getBuildErr(); err != nil {
-			return err
-		}
+	if err := quiesceAll(c.shards); err != nil {
+		return err
 	}
 	return syncErr
+}
+
+// quiesceAll quiesces every shard of a set and returns the first
+// background error in shard order.
+func quiesceAll(shards []*shard) error {
+	errs := make([]error, len(shards))
+	for i, s := range shards {
+		errs[i] = s.quiesce()
+	}
+	return firstError(errs)
 }
 
 // rlockAll acquires every shard's read lock in fixed shard order, so the

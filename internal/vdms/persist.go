@@ -427,7 +427,7 @@ func (s *shard) replayCompactCommit(op *persist.WALOp) error {
 	seg, err := s.buildCompacted(in, op.Seq)
 	if err != nil {
 		// Mirror the live engine: sources stay, excluded from future plans.
-		s.buildErrOnce.Do(func() { s.buildErr = err })
+		s.failLocked(err)
 		for _, src := range sources {
 			src.noCompact = true
 		}

@@ -92,7 +92,9 @@ func TestReadBackBitExact(t *testing.T) {
 			pendingSnap := persist.EncodeSnapshot(s.snapshotLocked())
 			s.mu.Unlock()
 
-			s.builds.Wait()
+			if err := s.quiesce(); err != nil {
+				t.Fatal(err)
+			}
 			s.mu.RLock()
 			defer s.mu.RUnlock()
 			for _, seg := range s.sealed {

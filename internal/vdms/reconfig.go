@@ -312,14 +312,9 @@ func (c *Collection) migrate(cfg Config) (uint64, error) {
 		c.abortMigration(newShards)
 		return 0, err
 	}
-	for _, s := range newShards {
-		s.builds.Wait()
-	}
-	for _, s := range newShards {
-		if err := s.getBuildErr(); err != nil {
-			c.abortMigration(newShards)
-			return 0, fmt.Errorf("vdms: building migrated shards: %w", err)
-		}
+	if err := quiesceAll(newShards); err != nil {
+		c.abortMigration(newShards)
+		return 0, fmt.Errorf("vdms: building migrated shards: %w", err)
 	}
 
 	// Phase 3 (durable): write the new generation's layout into its

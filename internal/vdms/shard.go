@@ -71,9 +71,8 @@ type shard struct {
 	closed     bool
 
 	// Compactor state; see compact.go. compacting guards the single
-	// in-flight pass, compactDone is closed when it finishes.
+	// in-flight pass, which busy counts.
 	compacting        bool
-	compactDone       chan struct{}
 	compactionPasses  int64
 	compactedSegments int64
 	reclaimedRows     int64
@@ -98,10 +97,13 @@ type shard struct {
 	// skip the permutation.
 	viewSegments bool
 
-	builds sync.WaitGroup
-	// buildErr records the first background build failure.
-	buildErrOnce sync.Once
-	buildErr     error
+	// busy counts the background work in flight — one per seal's index
+	// build, one per running compaction pass — and idle is broadcast when
+	// it reaches zero; bgErr is the first background failure (failLocked).
+	// All three live under mu, and quiesce is the one wait on them.
+	busy  int
+	idle  sync.Cond
+	bgErr error
 }
 
 // sealedSegment is one sealed segment, holding its full-precision rows
@@ -179,6 +181,7 @@ func (seg *sealedSegment) land(l landing) {
 // reading its knobs from the given config generation.
 func newShard(g *configGen, metric linalg.Metric, dim, sealRows int) *shard {
 	s := &shard{metric: metric, dim: dim, sealRows: sealRows}
+	s.idle.L = &s.mu
 	s.gen.Store(g)
 	return s
 }
@@ -290,22 +293,50 @@ func (s *shard) sealLocked() {
 		// failure cannot abort the seal (callers are mid-insert), so it is
 		// surfaced the way background build failures are.
 		if _, err := s.wal.AppendFlush(s.slot, seq); err != nil {
-			err := fmt.Errorf("vdms: logging seal: %w", err)
-			s.buildErrOnce.Do(func() { s.buildErr = err })
+			s.failLocked(fmt.Errorf("vdms: logging seal: %w", err))
 		}
 	}
 	seg := s.sealGrowingLocked(seq)
-	s.builds.Add(1)
+	s.busy++
 	go func() {
-		defer s.builds.Done()
 		l, err := s.buildSegment(seg)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		s.landSegmentLocked(seg, l, err)
 		if err == nil {
-			s.maybeCompactLocked()
+			s.maybeCompactLocked() // counts its pass before this build drops out
 		}
+		s.doneLocked()
 	}()
+}
+
+// doneLocked retires one unit of background work, waking every quiesce
+// when none is left. Callers hold s.mu.
+func (s *shard) doneLocked() {
+	s.busy--
+	if s.busy == 0 {
+		s.idle.Broadcast()
+	}
+}
+
+// failLocked records err as the shard's background failure unless one is
+// already recorded. Callers hold s.mu.
+func (s *shard) failLocked(err error) {
+	if s.bgErr == nil {
+		s.bgErr = err
+	}
+}
+
+// quiesce blocks until no index build or compaction pass is in flight on
+// this shard, and returns its first background failure. It is the only
+// wait on background work; work started while it waits is waited for too.
+func (s *shard) quiesce() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.busy > 0 {
+		s.idle.Wait()
+	}
+	return s.bgErr
 }
 
 // sealGrowingLocked is the seal step, shared by live seals and WAL replay:
@@ -386,7 +417,7 @@ func (s *shard) landSegmentLocked(seg *sealedSegment, l landing, err error) {
 		seg.land(l)
 		return
 	}
-	s.buildErrOnce.Do(func() { s.buildErr = err })
+	s.failLocked(err)
 	s.removeSealedLocked([]*sealedSegment{seg})
 	for i, id := range seg.ids {
 		if _, dead := s.tombstones[id]; dead {
@@ -552,47 +583,32 @@ func (s *shard) statsLocked() ShardStats {
 	return st
 }
 
-// getBuildErr returns the first background failure recorded on this shard.
-func (s *shard) getBuildErr() error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.buildErr
-}
-
-// markClosed sets the closed flag and reports whether it was already set.
-// The flag is set under the lock *before* any waiting, so no build that
-// lands while the closer waits can start a compaction pass it would miss.
-// (Writes cannot race it: the router's closed flag turns them away.)
-func (s *shard) markClosed() (already bool) {
-	s.mu.Lock()
-	already = s.closed
-	s.closed = true
-	s.mu.Unlock()
-	return already
-}
-
 // close shuts this shard down: crash, then (when not already closed) take
 // a final checkpoint — WAL sync, full snapshot, log truncation — so a
 // graceful shutdown is lossless under every fsync policy, growing tail
 // included. The log itself is the collection's to close.
 func (s *shard) close() error {
-	already := s.crash()
+	already, bgErr := s.crash()
 	var persistErr error
 	if !already {
 		persistErr = s.checkpoint()
 	}
-	if err := s.getBuildErr(); err != nil {
-		return err
+	if bgErr != nil {
+		return bgErr
 	}
 	return persistErr
 }
 
 // crash abandons the shard the way a process crash would: background work
 // is stopped, and no flush or snapshot happens (crashSet abandons the
-// log). It reports whether the shard was already closed.
-func (s *shard) crash() (already bool) {
-	already = s.markClosed()
-	s.builds.Wait()
-	s.waitCompactions()
-	return already
+// log). It reports whether the shard was already closed, and its first
+// background failure. The closed flag is set under the lock before the
+// wait, so no build that lands while crash waits can start a compaction
+// pass it would miss. (Writes cannot race it: the router's closed flag
+// turns them away.)
+func (s *shard) crash() (already bool, err error) {
+	s.mu.Lock()
+	already, s.closed = s.closed, true
+	s.mu.Unlock()
+	return already, s.quiesce()
 }

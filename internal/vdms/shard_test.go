@@ -592,7 +592,8 @@ func TestShardedRecoveryContinuesIDs(t *testing.T) {
 
 // TestShardedRoutingFixed pins that routing is a pure function of the id:
 // the same id set lands on the same shards in every run (and therefore in
-// every recovery), which is what per-shard WAL replay relies on.
+// every recovery), which is what WAL replay relies on: each shard applies
+// the ids of the one log's records that the same routing sends it.
 func TestShardedRoutingFixed(t *testing.T) {
 	layout := func() string {
 		coll, err := NewCollection(flatConfig(4), linalg.L2, 4, 100)
